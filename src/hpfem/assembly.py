@@ -123,6 +123,7 @@ class MixedSystem:
     ndof_u: int  # scalar displacement dofs (M); vector unknowns = dim * M
     ndof_q: int  # Gauss-point dofs (N); tensor unknowns = L * N
     L: int
+    q_counts: np.ndarray  # dofs per element block of C, in q-dof order
     non_affine: tuple = field(default_factory=tuple)
 
 
@@ -256,8 +257,9 @@ def assemble_system(space, qspace, material, loads=None):
     B = sp.csr_matrix((np.concatenate(vals_B), (np.concatenate(rows_B), np.concatenate(cols_B))), shape=shapeB)
     C = sp.csr_matrix((np.concatenate(vals_C), (np.concatenate(rows_C), np.concatenate(cols_C))), shape=shapeQ)
     D = np.repeat(qspace.weights, L)
+    q_counts = np.array([qspace.counts[e] for e in mesh.active_ids()])
     return MixedSystem(K=K, B=B, C=C, D=D, l=lvec, dim=d, ndof_u=M, ndof_q=N,
-                       L=L, non_affine=tuple(non_affine))
+                       L=L, q_counts=q_counts, non_affine=tuple(non_affine))
 
 
 def _neumann_load(mesh, space, eid, f, idx, p, loads):

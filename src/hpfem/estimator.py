@@ -18,11 +18,10 @@ polynomial degree; their defects enter the oscillation terms.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import element_quadrature, physical_gradients
-from .plasticity import deviator, plastic_field_at, strain_at
+from .plasticity import (ElementBlocks, deviator, plastic_field_at,
+                         strain_at)
 from .polybasis import (tensor_gauss, tensor_indices, tensor_shape_eval,
                         tensor_shape_hessian)
 from .space import deviatoric_basis, deviatoric_dim
@@ -309,14 +308,19 @@ def _project_facet_data(space, eid, f, func, t_eval, p_e):
 
 def solve_auxiliary(system, lam):
     """Solve a((u*,p*),(v,q)) = l(v) - (lam, q) for the multiplier given in
-    dual coefficients (flat, L-interleaved); returns (u*, p*)."""
+    dual coefficients (flat, L-interleaved); returns (u*, p*).
+
+    p* = C^{-1}(B^T u* - D lam) element block by element block, and
+    (K - B C^{-1} B^T) u* = l - B C^{-1} D lam: the condensed solve with
+    X_e = -C_e^{-1} and g_e = -C_e^{-1} (D lam)_e."""
     lam = np.asarray(lam, dtype=float).ravel()
-    rhs_q = -(system.D * lam)
-    A = sp.bmat([[system.K, -system.B], [-system.B.T, system.C]], format="csc")
-    rhs = np.concatenate([system.l, rhs_q])
-    sol = spla.spsolve(A, rhs)
-    n_u = system.K.shape[0]
-    return sol[:n_u], sol[n_u:]
+    blocks = ElementBlocks(system)
+    Dlam = system.D * lam
+    rhs = [-np.concatenate([np.broadcast_to(np.eye(grp.C.shape[1]), grp.C.shape),
+                            Dlam[grp.idx][..., None]], axis=-1)
+           for grp in blocks.groups]
+    return blocks.condensed_solve([grp.C for grp in blocks.groups], rhs,
+                                  system.l)
 
 
 def mark_dorfler(indicators, theta):

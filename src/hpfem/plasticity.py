@@ -4,6 +4,12 @@ solved by a damped semi-smooth Newton method.
 Unknowns are stacked as x = [u (d*M), p (L*N), lam (L*N)] with p in the
 Lagrange (primal) basis and lam in the biorthogonal basis, so the multiplier
 constraints decouple per dof block: |lam_i|_F <= sigma_i.
+
+The Newton step is condensed to the displacements. D is diagonal, the Clarke
+blocks of the complementarity rows are L x L per dof and C is block diagonal
+over the elements, so (dp, dlam) are eliminated element by element (one
+batched dense solve per block size) and each step factorizes only the
+symmetric displacement-sized matrix K + B X B^T.
 """
 
 import csv
@@ -60,7 +66,8 @@ class SolutionTriple:
     lam: np.ndarray        # (L*N,)
     converged: bool = True
     iterations: int = 0
-    trace: list = field(default_factory=list)  # rows (it, |F|, t, active)
+    trace: list = field(default_factory=list)  # rows (it, |F|, merit, t, active)
+    retries: int = 0  # failed steps retried with a shifted rho
 
     def p_rows(self, L):
         return self.p.reshape(-1, L)
@@ -85,15 +92,163 @@ def residual(system, qspace, u, p, lam, rho):
 
 def generalized_jacobian(system, qspace, p, lam, rho):
     """One Clarke element of the decoupled residual as a sparse matrix (the
-    active branch is selected at the kink)."""
+    active branch is selected at the kink). The Newton iteration never builds
+    it; it is the reference for the condensed step."""
     L = system.L
     _, dp, dl = chi_coords(p.reshape(-1, L), lam.reshape(-1, L),
                            qspace.bounds, rho, want_jacobian=True)
-    return _sparse_system(system, dp, dl)
+    n_u = system.K.shape[0]
+    n_q = system.C.shape[0]
+    N = n_q // L
+    base = L * np.arange(N)[:, None, None]
+    rows = np.broadcast_to(base + np.arange(L)[None, :, None], (N, L, L)).ravel()
+    cols = np.broadcast_to(base + np.arange(L)[None, None, :], (N, L, L)).ravel()
+    Jp = sp.csr_matrix((dp.ravel(), (rows, cols)), shape=(n_q, n_q))
+    Jl = sp.csr_matrix((dl.ravel(), (rows, cols)), shape=(n_q, n_q))
+    Z = sp.csr_matrix((n_u, n_q))
+    return sp.bmat([
+        [system.K, -system.B, Z],
+        [-system.B.T, system.C, sp.diags(system.D)],
+        [Z.T, Jp, Jl],
+    ], format="csc")
 
 
 def elastic_solve(system):
     return spla.spsolve(sp.csc_matrix(system.K), system.l)
+
+
+@dataclass
+class BlockGroup:
+    """Element blocks of one size n: their q indices (G, n), the dense C
+    blocks (G, n, n), and the columns of B over each block restricted to the
+    R displacement rows they touch, (G, R, n)."""
+    idx: np.ndarray
+    C: np.ndarray
+    B: np.ndarray
+
+
+def _coupling_rows(Bc, idx):
+    """Dense B columns of each block over the rows they touch (padded with
+    zero rows that repeat the first row index) and those row indices."""
+    G, n = idx.shape
+    n_u = Bc.shape[0]
+    sub = sp.coo_matrix(Bc[:, idx.ravel()])
+    g = sub.col // n
+    keys, inv = np.unique(g * n_u + sub.row, return_inverse=True)
+    kg, kr = keys // n_u, keys % n_u
+    counts = np.bincount(kg, minlength=G)
+    first = np.cumsum(counts) - counts
+    slot = np.arange(len(keys)) - first[kg]
+    urows = np.zeros((G, max(int(counts.max(initial=0)), 1)), dtype=np.int64)
+    has = counts > 0
+    urows[has] = kr[first[has]][:, None]
+    urows[kg, slot] = kr
+    Be = np.zeros((G, urows.shape[1], n))
+    Be[g, slot[inv], sub.col % n] = sub.data
+    return Be, urows
+
+
+class ElementBlocks:
+    """The q unknowns of a mixed system split into the element blocks over
+    which C is block diagonal, grouped by block size so that the dense
+    per-element work is one batched call per group. The condensed matrix
+    K + B X B^T (X block diagonal) keeps one sparsity pattern: K plus the
+    displacement rows touched by each block."""
+
+    def __init__(self, system):
+        L = system.L
+        n_u = system.K.shape[0]
+        n_q = system.C.shape[0]
+        sizes = L * np.asarray(system.q_counts)
+        if sizes.sum() != n_q:
+            raise ValueError("q_counts do not cover the q unknowns")
+        starts = np.cumsum(sizes) - sizes
+        block = np.repeat(np.arange(len(sizes)), sizes)
+        Cc = sp.coo_matrix(system.C)
+        Cc.sum_duplicates()
+        if np.any(block[Cc.row] != block[Cc.col]):
+            raise ValueError("C is not block diagonal over the elements")
+        self.system = system
+        Bc = system.B.tocsc()
+        Kc = sp.coo_matrix(system.K)
+        keys = [Kc.col * n_u + Kc.row]  # CSC order of the condensed matrix
+        self.groups = []
+        slot = np.empty(len(sizes), dtype=np.int64)
+        for n in np.unique(sizes):
+            members = np.flatnonzero(sizes == n)
+            slot[members] = np.arange(len(members))
+            idx = starts[members][:, None] + np.arange(n)
+            Ce = np.zeros((len(members), n, n))
+            on = sizes[block[Cc.row]] == n
+            b = block[Cc.row[on]]
+            Ce[slot[b], Cc.row[on] - starts[b], Cc.col[on] - starts[b]] = Cc.data[on]
+            Be, urows = _coupling_rows(Bc, idx)
+            self.groups.append(BlockGroup(idx, Ce, Be))
+            keys.append((urows[:, None, :] * n_u + urows[:, :, None]).ravel())
+        uniq, inv = np.unique(np.concatenate(keys), return_inverse=True)
+        self._indices = uniq % n_u
+        self._indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(uniq // n_u, minlength=n_u))])
+        self._K_data = np.bincount(inv[:Kc.nnz], Kc.data, minlength=len(uniq))
+        self._scatter = inv[Kc.nnz:]
+
+    def condensed_solve(self, mats, rhs, f):
+        """Solve K u - B q = f with q = g - X B^T u, where [X_e | g_e] =
+        mats_e^{-1} rhs_e on every element block (rhs_e has one column more
+        than mats_e), by one sparse LU of K + B X B^T. Returns (u, q)."""
+        system = self.system
+        sols = [np.linalg.solve(M, R) for M, R in zip(mats, rhs)]
+        BXBt = np.concatenate([
+            (grp.B @ s[..., :-1] @ grp.B.transpose(0, 2, 1)).ravel()
+            for grp, s in zip(self.groups, sols)])
+        data = self._K_data + np.bincount(self._scatter, BXBt,
+                                          minlength=len(self._K_data))
+        A = sp.csc_matrix((data, self._indices, self._indptr),
+                          shape=system.K.shape)
+        g = np.empty(system.C.shape[0])
+        for grp, s in zip(self.groups, sols):
+            g[grp.idx] = s[..., -1]
+        u = spla.splu(A).solve(f + system.B @ g)
+        t = system.B.T @ u
+        q = g
+        for grp, s in zip(self.groups, sols):
+            q[grp.idx] -= np.einsum("gij,gj->gi", s[..., :-1], t[grp.idx])
+        return u, q
+
+
+def _dof_block_diagonal(a):
+    """(G, c, L, L) per-dof blocks as (G, cL, cL) block-diagonal matrices."""
+    G, c, L, _ = a.shape
+    return np.einsum("gikl,ij->gikjl", a, np.eye(c)).reshape(G, c * L, c * L)
+
+
+def condensed_newton_step(blocks, dp, dl, F):
+    """Newton step of the projection form with Clarke blocks (dp, dl) and
+    residual F = [r1, r2, r3]. With dlam = D^{-1}(-r2 + B^T du - C dp) from
+    the second row, the third row gives per element
+    S_e dp = -r3 + Jl D^{-1} r2 - Jl D^{-1} B^T du, S_e = Jp_e - Jl_e D_e^{-1} C_e,
+    and the first row becomes (K + B X B^T) du = -r1 + B g with
+    X_e = S_e^{-1} Jl_e D_e^{-1}, g_e = S_e^{-1}(-r3 + Jl D^{-1} r2)."""
+    system = blocks.system
+    L = system.L
+    n_u = system.K.shape[0]
+    n_q = system.C.shape[0]
+    r1, r2, r3 = F[:n_u], F[n_u:n_u + n_q], F[n_u + n_q:]
+    Dinv = 1.0 / system.D
+    dlD = dl * Dinv[::L, None, None]  # Jl D^{-1} per dof
+    b = -r3 + np.einsum("ikl,il->ik", dlD, r2.reshape(-1, L)).ravel()
+    mats, rhs = [], []
+    for grp in blocks.groups:
+        G, n = grp.idx.shape
+        dofs = grp.idx[:, ::L] // L
+        S = _dof_block_diagonal(dp[dofs]) - (
+            dlD[dofs] @ grp.C.reshape(G, n // L, L, n)).reshape(G, n, n)
+        mats.append(S)
+        rhs.append(np.concatenate([_dof_block_diagonal(dlD[dofs]),
+                                   b[grp.idx][..., None]], axis=-1))
+    du, dp_ = blocks.condensed_solve(mats, rhs, -r1)
+    dlam = Dinv * (-r2 + system.B.T @ du - system.C @ dp_)
+    return np.concatenate([du, dp_, dlam])
 
 
 def _projection_rows(p, lam, sigma, rho):
@@ -102,19 +257,20 @@ def _projection_rows(p, lam, sigma, rho):
     N, L = p.shape
     w = lam + rho * p
     nw = np.linalg.norm(w, axis=1)
-    scale = np.minimum(1.0, sigma / np.maximum(nw, 1e-300))
+    inactive = nw < sigma
+    act = ~inactive
+    scale = np.ones(N)
+    scale[act] = sigma[act] / nw[act]
     pi = lam - scale[:, None] * w
     eye = np.eye(L)
     dp = np.empty((N, L, L))
     dl = np.empty((N, L, L))
-    inactive = nw < sigma
     dp[inactive] = -rho * eye
     dl[inactive] = 0.0
-    act = ~inactive
     if np.any(act):
         what = w[act] / nw[act][:, None]
         proj = eye - what[:, :, None] * what[:, None, :]
-        fac = (sigma[act] / nw[act])[:, None, None]
+        fac = scale[act][:, None, None]
         dl[act] = eye - fac * proj
         dp[act] = -rho * fac * proj
     return pi, dp, dl
@@ -132,11 +288,15 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
     the Armijo-shrink sequence is probed for the best merit. Convergence is
     declared on the max norm of the unscaled decoupled residual. The trace
     records (iteration, |F|_max, merit, step length, active-set size).
+    A step whose factorization or element-block solve fails, or that is not
+    finite, is retried once with rho shifted to 2 rho + 1 and counted in
+    `retries`; a second failure raises.
     """
     cfg = config or NewtonConfig()
     rho = cfg.rho if cfg.rho is not None else 1.0
     L = system.L
     n_q = system.C.shape[0]
+    blocks = ElementBlocks(system)
     if initial is None:
         u = elastic_solve(system)
         p = np.zeros(n_q)
@@ -160,7 +320,7 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
 
     trace = []
     merit_hist = []
-    retried = False
+    retries = 0
     it = 0
     t_used = 1.0
     while True:
@@ -172,21 +332,17 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
         w = (lam + rho * p).reshape(-1, L)
         active = int(np.sum(np.linalg.norm(w, axis=1) >= sigma))
         trace.append((it, nF, merit, t_used, active))
-        if nF <= cfg.tol:
-            return SolutionTriple(u=u, p=p, lam=lam, converged=True,
-                                  iterations=it, trace=trace)
-        if it >= cfg.max_iter:
-            return SolutionTriple(u=u, p=p, lam=lam, converged=False,
-                                  iterations=it, trace=trace)
-        H = _sparse_system(system, dp, dl)
+        if nF <= cfg.tol or it >= cfg.max_iter:
+            return SolutionTriple(u=u, p=p, lam=lam, converged=nF <= cfg.tol,
+                                  iterations=it, trace=trace, retries=retries)
         try:
-            delta = spla.splu(H).solve(-Ft)
+            delta = condensed_newton_step(blocks, dp, dl, Ft)
             if not np.all(np.isfinite(delta)):
                 raise RuntimeError("non-finite Newton step")
-        except Exception:
-            if retried:
+        except (RuntimeError, np.linalg.LinAlgError):
+            if retries:
                 raise
-            retried = True
+            retries += 1
             rho = 2.0 * rho + 1.0  # shift the projection parameter once, retry
             continue
         window = merit_hist[-max(cfg.stagnation, 1):]
@@ -210,30 +366,11 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
         it += 1
 
 
-def _sparse_system(system, dp, dl):
-    """Newton matrix with the given complementarity blocks."""
-    L = system.L
-    n_u = system.K.shape[0]
-    n_q = system.C.shape[0]
-    N = n_q // L
-    base = L * np.arange(N)[:, None, None]
-    rows = np.broadcast_to(base + np.arange(L)[None, :, None], (N, L, L)).ravel()
-    cols = np.broadcast_to(base + np.arange(L)[None, None, :], (N, L, L)).ravel()
-    Jp = sp.csr_matrix((dp.ravel(), (rows, cols)), shape=(n_q, n_q))
-    Jl = sp.csr_matrix((dl.ravel(), (rows, cols)), shape=(n_q, n_q))
-    D = sp.diags(system.D)
-    Z = sp.csr_matrix((n_u, n_q))
-    return sp.bmat([
-        [system.K, -system.B, Z],
-        [-system.B.T, system.C, D],
-        [Z.T, Jp, Jl],
-    ], format="csc")
-
-
 def write_trace_csv(triple, path):
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
-        wr.writerow(["iteration", "residual_max", "step_length", "active_set"])
+        wr.writerow(["iteration", "residual_max", "merit", "step_length",
+                     "active_set"])
         for row in triple.trace:
             wr.writerow(row)
 

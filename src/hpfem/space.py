@@ -15,13 +15,12 @@ or constrained to master slots through a hanging interface.
 """
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .mesh import _facet_corner_ids, corner_bits
-from .polybasis import (MAX_DEGREE, gauss_rule, tensor_gauss, tensor_indices,
+from .polybasis import (MAX_DEGREE, tensor_gauss, tensor_indices,
                         tensor_shape_eval)
 
 _DROP = 1e-14
@@ -206,11 +205,6 @@ def _facet_axes(dim, f):
 # the continuous scalar space
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Dof:
-    slot: tuple
-
-
 class ScalarSpace:
     """Continuous hp space of mapped tensor integrated-Legendre polynomials."""
 
@@ -381,9 +375,6 @@ class ScalarSpace:
         self._rows_cache = {}
 
     # -- constraint resolution -------------------------------------------------
-
-    def _entity_key(self, slot):
-        return slot[:2]
 
     def _slot_status(self, slot):
         ent = slot[:2]
@@ -692,26 +683,3 @@ class GaussPointSpace:
     def dual_to_primal(self, eid, coeffs):
         return np.tensordot(self._dual[eid].T, coeffs[self.dof_slice(eid)],
                             axes=(1, 0))
-
-    def project(self, sampler, quad_order_bump=2):
-        """Blockwise L2 projection: coefficients over the biorthogonal basis.
-
-        sampler(eid, points_phys) returns values (m, ...) of the target field;
-        the coefficient of dual function i is weights_i^{-1} (field, phi_i).
-        """
-        out = None
-        for eid in self.mesh.active_ids():
-            p = self.degrees[eid]
-            emap = self.mesh.element_map(eid)
-            pts, wts = tensor_gauss(p + quad_order_bump, self.dim)
-            det = emap.det_jacobian(pts)
-            V = self._basis_at(eid, pts)
-            vals = np.asarray(sampler(eid, emap.map_point(pts)), dtype=float)
-            w = wts * det
-            integ = np.tensordot(V.T * w[None, :], vals, axes=(1, 0))
-            sl = self.dof_slice(eid)
-            if out is None:
-                out = np.zeros((self.ndof,) + vals.shape[1:])
-            out[sl] = integ / self.weights[sl].reshape(
-                (-1,) + (1,) * (vals.ndim - 1))
-        return out

@@ -5,6 +5,7 @@ import pytest
 
 from hpfem.assembly import QuadratureAccuracyWarning
 from hpfem.mesh import Mesh
+from hpfem.problems import square_mesh  # noqa: F401  (re-exported to tests)
 
 warnings.filterwarnings("ignore", category=QuadratureAccuracyWarning)
 
@@ -12,23 +13,6 @@ warnings.filterwarnings("ignore", category=QuadratureAccuracyWarning)
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
-
-
-def square_mesh(n=1, degree=1, tagger=None, lo=0.0, hi=1.0):
-    xs = np.linspace(lo, hi, n + 1)
-    verts = [[x, y] for x in xs for y in xs]
-
-    def vid(i, j):
-        return i * (n + 1) + j
-
-    cells = [[vid(i, j), vid(i, j + 1), vid(i + 1, j), vid(i + 1, j + 1)]
-             for i in range(n) for j in range(n)]
-    m = Mesh.from_arrays(verts, cells, dim=2)
-    for e in m.elements:
-        e.degree = degree
-    if tagger is not None:
-        m.tag_boundary(tagger)
-    return m
 
 
 def distorted_quad_mesh(degree=2):

@@ -121,6 +121,30 @@ def test_criterion_03_newton_grid(newton_grid):
                   f"max residual {worst_res:.2e}, {dt:.1f}s")
 
 
+# Iterations of the 27 criterion-3 solves per (refinements, p), for
+# rho = 0.01, 1, 100, as taken by the Newton iteration on the full
+# (u, p, lam) block matrix; the condensed step must reproduce them exactly.
+CRITERION_03_ITERATIONS = {
+    (0, 1): (7, 5, 6),
+    (0, 2): (6, 5, 7),
+    (0, 3): (7, 6, 7),
+    (1, 1): (7, 6, 6),
+    (1, 2): (7, 6, 7),
+    (1, 3): (8, 7, 7),
+    (2, 1): (7, 6, 7),
+    (2, 2): (8, 7, 7),
+    (2, 3): (9, 7, 11),
+}
+
+
+def test_criterion_03_iterations_pinned(newton_grid):
+    results, _ = newton_grid
+    its = {(refits, p): tuple(results[(refits, p, rho)][0].iterations
+                             for rho in (0.01, 1.0, 100.0))
+           for refits, p in CRITERION_03_ITERATIONS}
+    assert its == CRITERION_03_ITERATIONS
+
+
 def test_criterion_04_complementarity(newton_grid):
     results, _ = newton_grid
     worst_align = 0.0

@@ -181,6 +181,56 @@ class TestExports:
         assert a == b
 
 
+def _assert_rectangular(path):
+    """Every row of a CSV file has as many columns as its header."""
+    import csv
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) >= 2, path
+    assert {len(r) for r in rows[1:]} == {len(rows[0])}, path
+
+
+class TestCsvColumns:
+    def test_newton_trace(self, tmp_path):
+        from hpfem.plasticity import write_trace_csv
+        from hpfem.problems import plastic_square
+        state = solve_plastic(*plastic_square(n=2, degree=2))
+        path = str(tmp_path / "newton_trace.csv")
+        write_trace_csv(state.solution, path)
+        _assert_rectangular(path)
+        with open(path) as fh:
+            assert fh.readline().strip() == \
+                "iteration,residual_max,merit,step_length,active_set"
+
+    def test_records_and_timings(self, tmp_path):
+        records = [RunRecord(iteration=i, dofs=10 + i, h_max=0.5, energy=1.0,
+                             newton_iterations=3, estimate=0.1, error_sq=0.2,
+                             marked=1, wall_time=0.01) for i in range(2)]
+        write_records(records, str(tmp_path))
+        _assert_rectangular(str(tmp_path / "records.csv"))
+        _assert_rectangular(str(tmp_path / "timings.csv"))
+
+    def test_indicators(self, tmp_path):
+        from hpfem.driver import dump_indicators
+        from hpfem.estimator import compute_indicators
+        from hpfem.problems import plastic_square
+        mesh, mat, loads = plastic_square(n=2, degree=2)
+        state = solve_plastic(mesh, mat, loads)
+        sol = state.solution
+        ind = compute_indicators(state.space, state.qspace, mat, loads,
+                                 sol.u, sol.p, sol.lam)
+        path = str(tmp_path / "indicators.csv")
+        dump_indicators(ind, ind.element_ids[:1].tolist(), path)
+        _assert_rectangular(path)
+
+    def test_predictions(self, tmp_path):
+        cfg = _small_cfg(iters=1)
+        cfg.problem.preset = "poisson-lshape"
+        cfg.run.loop = "elliptic-predictor"
+        run_adaptive(cfg, outdir=str(tmp_path))
+        _assert_rectangular(str(tmp_path / "pred000.csv"))
+
+
 class TestCLI:
     def _run(self, *args):
         return subprocess.run([sys.executable, "-m", "hpfem.cli", *args],

@@ -1,15 +1,25 @@
+import warnings
+from functools import lru_cache
+
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_refined_mesh, square_mesh
-from hpfem.assembly import (Loads, Material, assemble_system, bilinear_value,
+import hpfem.plasticity as plasticity
+from conftest import distorted_quad_mesh, random_refined_mesh, square_mesh
+from hpfem.assembly import (Loads, Material, QuadratureAccuracyWarning,
+                            assemble_system, bilinear_value,
                             plastic_functional, total_energy)
-from hpfem.plasticity import (NewtonConfig, check_complementarity, chi,
-                              chi_coords, default_rho, elastic_solve,
-                              generalized_jacobian, in_admissible_gauss,
-                              in_admissible_weak, infsup_ratio,
-                              recover_multiplier, residual,
+from hpfem.plasticity import (ElementBlocks, NewtonConfig,
+                              check_complementarity, chi, chi_coords,
+                              condensed_newton_step, default_rho,
+                              elastic_solve, generalized_jacobian,
+                              in_admissible_gauss, in_admissible_weak,
+                              infsup_ratio, recover_multiplier, residual,
                               solve_semismooth_newton)
+from hpfem.problems import cube_mesh, plastic_square
 from hpfem.space import GaussPointSpace, ScalarSpace, deviatoric_basis
 
 
@@ -253,6 +263,131 @@ class TestNewton:
         sol = solve_semismooth_newton(system, qs, NewtonConfig(rho=1.0, max_iter=1))
         assert not sol.converged
         assert sol.iterations == 1
+
+
+class _FailingLinalg:
+    """scipy.sparse.linalg whose splu raises for the first `failures` calls."""
+
+    def __init__(self, failures):
+        self.failures = failures
+
+    def splu(self, A, *args, **kwargs):
+        if self.failures:
+            self.failures -= 1
+            raise RuntimeError("Factor is exactly singular")
+        return spla.splu(A, *args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(spla, name)
+
+
+class TestRhoShiftRetry:
+    def test_single_failure_is_retried_and_counted(self, monkeypatch):
+        m, mat, space, qs, system = _benchmark()
+        rho = default_rho(mat)
+        assert solve_semismooth_newton(system, qs, NewtonConfig(rho=rho)).retries == 0
+        monkeypatch.setattr(plasticity, "spla", _FailingLinalg(1))
+        sol = solve_semismooth_newton(system, qs, NewtonConfig(rho=rho))
+        assert sol.converged and sol.retries == 1
+        F = residual(system, qs, sol.u, sol.p, sol.lam, 2.0 * rho + 1.0)
+        assert np.abs(F).max() < 1e-10
+
+    def test_second_failure_raises(self, monkeypatch):
+        m, mat, space, qs, system = _benchmark()
+        monkeypatch.setattr(plasticity, "spla", _FailingLinalg(2))
+        with pytest.raises(RuntimeError, match="singular"):
+            solve_semismooth_newton(system, qs,
+                                    NewtonConfig(rho=default_rho(mat)))
+
+
+def _hex_hanging_mesh():
+    mesh = cube_mesh(n=2, degree=2).refine_element(0)
+    return mesh.tag_boundary(
+        lambda c: "dirichlet" if c[0] < 1e-12 else "neumann")
+
+
+def _distorted_mesh():
+    return distorted_quad_mesh(degree=2).tag_boundary(
+        lambda c: "dirichlet" if c[0] < 0.01 else "neumann")
+
+
+CONDENSATION_MESHES = {
+    "square-p1": lambda: plastic_square(n=2, degree=1)[0],
+    "square-p2": lambda: plastic_square(n=2, degree=2)[0],
+    "square-p3": lambda: plastic_square(n=2, degree=3)[0],
+    "distorted-p2": _distorted_mesh,
+    "hex-hanging-p2": _hex_hanging_mesh,
+}
+
+
+@lru_cache(maxsize=None)
+def _condensation_case(name):
+    mesh = CONDENSATION_MESHES[name]()
+    mat = Material(lam=10.0, mu=5.0, hardening=1.0, yield_stress=0.35)
+    qs = GaussPointSpace(mesh, mat.yield_stress)
+    with warnings.catch_warnings():  # expected on the distorted mesh
+        warnings.simplefilter("ignore", QuadratureAccuracyWarning)
+        system = assemble_system(ScalarSpace(mesh), qs, mat, Loads())
+    return system, qs, ElementBlocks(system)
+
+
+def _mixed_rows(rng, N, L, sigma, rho):
+    """(p, lam) rows with inactive (|lam + rho p| < sigma), active (> sigma)
+    and exact-kink (p = 0, lam = +-sigma e_k) rows, each kind present."""
+    kind = rng.permutation(np.arange(N) % 3)
+    p = rng.standard_normal((N, L))
+    w = rng.standard_normal((N, L))
+    radius = np.where(kind == 0, rng.uniform(0.05, 0.95, N),
+                      rng.uniform(1.05, 3.0, N)) * sigma
+    w *= (radius / np.linalg.norm(w, axis=1))[:, None]
+    lam = w - rho * p
+    kink = np.flatnonzero(kind == 2)
+    p[kink] = 0.0
+    lam[kink] = 0.0
+    lam[kink, rng.integers(L, size=len(kink))] = \
+        sigma[kink] * rng.choice([-1.0, 1.0], size=len(kink))
+    return p.ravel(), lam.ravel()
+
+
+class TestCondensedStep:
+    @pytest.mark.parametrize("name", sorted(CONDENSATION_MESHES))
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rho=st.sampled_from([0.01, 1.0, 100.0]))
+    def test_matches_full_jacobian_solve(self, name, seed, rho):
+        system, qs, blocks = _condensation_case(name)
+        rng = np.random.default_rng(seed)
+        L = system.L
+        p, lam = _mixed_rows(rng, qs.ndof, L, qs.bounds, rho)
+        u = rng.standard_normal(system.K.shape[0])
+        F = residual(system, qs, u, p, lam, rho)
+        _, dp, dl = chi_coords(p.reshape(-1, L), lam.reshape(-1, L), qs.bounds,
+                               rho, want_jacobian=True)
+        step = condensed_newton_step(blocks, dp, dl, F)
+        full = np.linalg.solve(
+            generalized_jacobian(system, qs, p, lam, rho).toarray(), -F)
+        assert np.abs(step - full).max() <= 1e-9 * np.abs(full).max()
+
+    def test_condensed_matrix_is_displacement_sized_and_symmetric(self, monkeypatch):
+        system, qs, blocks = _condensation_case("hex-hanging-p2")
+        rng = np.random.default_rng(3)
+        L = system.L
+        p, lam = _mixed_rows(rng, qs.ndof, L, qs.bounds, 1.0)
+        _, dp, dl = plasticity._projection_rows(
+            p.reshape(-1, L), lam.reshape(-1, L), qs.bounds, 1.0)
+        seen = []
+
+        class Recorder(_FailingLinalg):
+            def splu(self, A, *args, **kwargs):
+                seen.append(A)
+                return super().splu(A, *args, **kwargs)
+
+        F = np.concatenate([rng.standard_normal(system.K.shape[0]),
+                            rng.standard_normal(2 * system.C.shape[0])])
+        monkeypatch.setattr(plasticity, "spla", Recorder(0))
+        condensed_newton_step(blocks, dp, dl, F)
+        (A,) = seen
+        assert A.shape == system.K.shape
+        assert abs(A - A.T).max() <= 1e-12 * abs(A).max()
 
 
 class TestRecovery:
