@@ -119,45 +119,19 @@ def elastic_solve(system):
 
 @dataclass
 class BlockGroup:
-    """Element blocks of one size n: their q indices (G, n), the dense C
-    blocks (G, n, n), and the columns of B over each block restricted to the
-    R displacement rows they touch, (G, R, n)."""
+    """Element blocks of one size n: their q indices (G, n) and the dense C
+    blocks (G, n, n)."""
     idx: np.ndarray
     C: np.ndarray
-    B: np.ndarray
-
-
-def _coupling_rows(Bc, idx):
-    """Dense B columns of each block over the rows they touch (padded with
-    zero rows that repeat the first row index) and those row indices."""
-    G, n = idx.shape
-    n_u = Bc.shape[0]
-    sub = sp.coo_matrix(Bc[:, idx.ravel()])
-    g = sub.col // n
-    keys, inv = np.unique(g * n_u + sub.row, return_inverse=True)
-    kg, kr = keys // n_u, keys % n_u
-    counts = np.bincount(kg, minlength=G)
-    first = np.cumsum(counts) - counts
-    slot = np.arange(len(keys)) - first[kg]
-    urows = np.zeros((G, max(int(counts.max(initial=0)), 1)), dtype=np.int64)
-    has = counts > 0
-    urows[has] = kr[first[has]][:, None]
-    urows[kg, slot] = kr
-    Be = np.zeros((G, urows.shape[1], n))
-    Be[g, slot[inv], sub.col % n] = sub.data
-    return Be, urows
 
 
 class ElementBlocks:
     """The q unknowns of a mixed system split into the element blocks over
     which C is block diagonal, grouped by block size so that the dense
-    per-element work is one batched call per group. The condensed matrix
-    K + B X B^T (X block diagonal) keeps one sparsity pattern: K plus the
-    displacement rows touched by each block."""
+    per-element work is one batched call per group."""
 
     def __init__(self, system):
         L = system.L
-        n_u = system.K.shape[0]
         n_q = system.C.shape[0]
         sizes = L * np.asarray(system.q_counts)
         if sizes.sum() != n_q:
@@ -169,9 +143,6 @@ class ElementBlocks:
         if np.any(block[Cc.row] != block[Cc.col]):
             raise ValueError("C is not block diagonal over the elements")
         self.system = system
-        Bc = system.B.tocsc()
-        Kc = sp.coo_matrix(system.K)
-        keys = [Kc.col * n_u + Kc.row]  # CSC order of the condensed matrix
         self.groups = []
         slot = np.empty(len(sizes), dtype=np.int64)
         for n in np.unique(sizes):
@@ -182,38 +153,30 @@ class ElementBlocks:
             on = sizes[block[Cc.row]] == n
             b = block[Cc.row[on]]
             Ce[slot[b], Cc.row[on] - starts[b], Cc.col[on] - starts[b]] = Cc.data[on]
-            Be, urows = _coupling_rows(Bc, idx)
-            self.groups.append(BlockGroup(idx, Ce, Be))
-            keys.append((urows[:, None, :] * n_u + urows[:, :, None]).ravel())
-        uniq, inv = np.unique(np.concatenate(keys), return_inverse=True)
-        self._indices = uniq % n_u
-        self._indptr = np.concatenate(
-            [[0], np.cumsum(np.bincount(uniq // n_u, minlength=n_u))])
-        self._K_data = np.bincount(inv[:Kc.nnz], Kc.data, minlength=len(uniq))
-        self._scatter = inv[Kc.nnz:]
+            self.groups.append(BlockGroup(idx, Ce))
+        # (row, column) of every entry of the block-diagonal X, in the order
+        # of the batched solutions
+        self._rows = np.concatenate([np.repeat(grp.idx, grp.idx.shape[1], 1).ravel()
+                                     for grp in self.groups])
+        self._cols = np.concatenate([np.tile(grp.idx, grp.idx.shape[1]).ravel()
+                                     for grp in self.groups])
+        self._Bt = system.B.T.tocsr()
 
     def condensed_solve(self, mats, rhs, f):
         """Solve K u - B q = f with q = g - X B^T u, where [X_e | g_e] =
         mats_e^{-1} rhs_e on every element block (rhs_e has one column more
         than mats_e), by one sparse LU of K + B X B^T. Returns (u, q)."""
         system = self.system
+        n_q = system.C.shape[0]
         sols = [np.linalg.solve(M, R) for M, R in zip(mats, rhs)]
-        BXBt = np.concatenate([
-            (grp.B @ s[..., :-1] @ grp.B.transpose(0, 2, 1)).ravel()
-            for grp, s in zip(self.groups, sols)])
-        data = self._K_data + np.bincount(self._scatter, BXBt,
-                                          minlength=len(self._K_data))
-        A = sp.csc_matrix((data, self._indices, self._indptr),
-                          shape=system.K.shape)
-        g = np.empty(system.C.shape[0])
+        X = sp.csr_matrix((np.concatenate([s[..., :-1].ravel() for s in sols]),
+                           (self._rows, self._cols)), shape=(n_q, n_q))
+        g = np.empty(n_q)
         for grp, s in zip(self.groups, sols):
             g[grp.idx] = s[..., -1]
+        A = (system.K + system.B @ X @ self._Bt).tocsc()
         u = spla.splu(A).solve(f + system.B @ g)
-        t = system.B.T @ u
-        q = g
-        for grp, s in zip(self.groups, sols):
-            q[grp.idx] -= np.einsum("gij,gj->gi", s[..., :-1], t[grp.idx])
-        return u, q
+        return u, g - X @ (self._Bt @ u)
 
 
 def _dof_block_diagonal(a):

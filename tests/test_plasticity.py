@@ -3,13 +3,15 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hpfem.plasticity as plasticity
 from conftest import distorted_quad_mesh, random_refined_mesh, square_mesh
-from hpfem.assembly import (Loads, Material, QuadratureAccuracyWarning,
+from hpfem.assembly import (Loads, Material, MixedSystem,
+                            QuadratureAccuracyWarning,
                             assemble_system, bilinear_value,
                             plastic_functional, total_energy)
 from hpfem.plasticity import (ElementBlocks, NewtonConfig,
@@ -388,6 +390,45 @@ class TestCondensedStep:
         (A,) = seen
         assert A.shape == system.K.shape
         assert abs(A - A.T).max() <= 1e-12 * abs(A).max()
+
+    def test_condensed_solve_on_large_index_range(self):
+        # more displacement unknowns than int32 products of two indices hold
+        rng = np.random.default_rng(5)
+        n_u, L = 50_000, 2
+        q_counts = rng.integers(1, 4, size=30)
+        sizes = L * q_counts
+        n_q = int(sizes.sum())
+        C = sp.block_diag([np.eye(n) + 0.1 * np.ones((n, n)) for n in sizes],
+                          format="csr")
+        B = sp.random(n_u, n_q, density=4.0 / n_u, random_state=rng,
+                      format="csr")
+        B = B + sp.csr_matrix((np.ones(n_q), (n_u - 1 - np.arange(n_q),
+                                                np.arange(n_q))), shape=(n_u, n_q))
+        K = sp.diags(1.0 + rng.random(n_u), format="csr")
+        system = MixedSystem(K=K, B=B, C=C, D=np.ones(n_q), l=np.zeros(n_u),
+                             dim=2, ndof_u=n_u // 2, ndof_q=n_q // L, L=L,
+                             q_counts=q_counts)
+        blocks = ElementBlocks(system)
+        mats = [5 * np.eye(grp.C.shape[1]) + rng.random(grp.C.shape)
+                for grp in blocks.groups]
+        rhs = [rng.standard_normal(grp.C.shape[:2] + (grp.C.shape[1] + 1,))
+               for grp in blocks.groups]
+        f = rng.standard_normal(n_u)
+        u, q = blocks.condensed_solve(mats, rhs, f)
+
+        X = np.zeros((n_q, n_q))
+        g = np.zeros(n_q)
+        for grp, M, R in zip(blocks.groups, mats, rhs):
+            sol = np.linalg.solve(M, R)
+            for ix, s in zip(grp.idx, sol):
+                X[np.ix_(ix, ix)] = s[:, :-1]
+                g[ix] = s[:, -1]
+        # K u - B q = f and X B^T u + q = g
+        full = sp.bmat([[K, -B], [sp.csr_matrix(X) @ B.T, sp.eye(n_q)]],
+                       format="csc")
+        ref = spla.spsolve(full, np.concatenate([f, g]))
+        assert np.abs(u - ref[:n_u]).max() <= 1e-10 * np.abs(ref[:n_u]).max()
+        assert np.abs(q - ref[n_u:]).max() <= 1e-10 * np.abs(ref[n_u:]).max()
 
 
 class TestRecovery:
