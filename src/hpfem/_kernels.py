@@ -1,34 +1,40 @@
-"""Pure-numpy implementations of the hot evaluation/assembly kernels.
+"""The hot evaluation/assembly kernels, in numpy.
 
-Same signatures as the compiled module ``hpfem._kernels._core``; the package
-selects one of the two at import time (see ``hpfem._kernels``).
+Every contraction is a fixed reshape followed by one matrix product, so the
+per-call cost stays small for the element-sized arrays these run on.
 """
 
 import numpy as np
 
-IS_COMPILED = False
+
+def _legendre_values(t, jmax):
+    """L_0..L_jmax at the points t (contiguous float64), shape (m, jmax+1)."""
+    val = np.empty((t.shape[0], jmax + 1))
+    val[:, 0] = 1.0
+    if jmax >= 1:
+        val[:, 1] = t
+    for j in range(2, jmax + 1):
+        val[:, j] = ((2 * j - 1) * t * val[:, j - 1] - (j - 1) * val[:, j - 2]) / j
+    return val
 
 
 def legendre_table(t, jmax):
     """Legendre values/derivatives L_0..L_jmax at the points t, shape (m, jmax+1)."""
     t = np.ascontiguousarray(t, dtype=np.float64)
-    m = t.shape[0]
-    val = np.empty((m, jmax + 1))
-    der = np.empty((m, jmax + 1))
-    val[:, 0] = 1.0
+    val = _legendre_values(t, jmax)
+    der = np.empty_like(val)
     der[:, 0] = 0.0
     if jmax >= 1:
-        val[:, 1] = t
         der[:, 1] = 1.0
     for j in range(2, jmax + 1):
-        val[:, j] = ((2 * j - 1) * t * val[:, j - 1] - (j - 1) * val[:, j - 2]) / j
         # L_j' = L_{j-2}' + (2j-1) L_{j-1}, stable at t = +-1
         der[:, j] = der[:, j - 2] + (2 * j - 1) * val[:, j - 1]
     return val, der
 
 
 def shape_table(t, jmax):
-    """1D shape functions at t: vertex (1-t)/2, (1+t)/2, then integrated-Legendre bubbles."""
+    """1D shape functions at t: vertex (1-t)/2, (1+t)/2, then integrated-Legendre
+    bubbles psi_j = (L_j - L_{j-2}) / (2j - 1) with psi_j' = L_{j-1}."""
     t = np.ascontiguousarray(t, dtype=np.float64)
     m = t.shape[0]
     val = np.empty((m, jmax + 1))
@@ -39,28 +45,29 @@ def shape_table(t, jmax):
         val[:, 1] = 0.5 * (1.0 + t)
         der[:, 1] = 0.5
     if jmax >= 2:
-        lv, _ = legendre_table(t, jmax)
-        for j in range(2, jmax + 1):
-            val[:, j] = (lv[:, j] - lv[:, j - 2]) / (2 * j - 1)
-            der[:, j] = lv[:, j - 1]
+        lv = _legendre_values(t, jmax)
+        val[:, 2:] = (lv[:, 2:] - lv[:, :-2]) / (2 * np.arange(2, jmax + 1) - 1)
+        der[:, 2:] = lv[:, 1:-1]
     return val, der
 
 
 def scalar_stiffness(dphi, w):
     """sum_q w_q grad(phi_i) . grad(phi_j); dphi has shape (nq, nb, d)."""
-    return np.einsum("qid,q,qjd->ij", dphi, w, dphi, optimize=True)
+    nq, nb, d = dphi.shape
+    G = dphi.transpose(1, 0, 2).reshape(nb, nq * d)
+    return (G * np.repeat(w, d)) @ G.T
 
 
 def mass_matrix(phi, w):
     """sum_q w_q phi_i phi_j; phi has shape (nq, nb)."""
-    return np.einsum("qi,q,qj->ij", phi, w, phi, optimize=True)
+    return (phi.T * w) @ phi
 
 
 def load_vector(phi, w, f):
     """sum_q w_q f_q phi_i; f has shape (nq,) or (nq, d) -> result (nb,) or (nb, d)."""
     if f.ndim == 1:
-        return np.einsum("qi,q,q->i", phi, w, f, optimize=True)
-    return np.einsum("qi,q,qk->ik", phi, w, f, optimize=True)
+        return phi.T @ (w * f)
+    return phi.T @ (w[:, None] * f)
 
 
 def elastic_stiffness(dphi, w, lam, mu):
@@ -70,10 +77,13 @@ def elastic_stiffness(dphi, w, lam, mu):
         + mu (delta_kl grad phi_b . grad phi_b' + d_l phi_b d_k phi_b')].
     """
     nq, nb, d = dphi.shape
-    g = np.einsum("qia,q,qjb->ijab", dphi, w, dphi, optimize=True)
-    lap = np.einsum("ijaa->ij", g)
-    K = lam * g.transpose(0, 2, 1, 3) + mu * g.transpose(0, 3, 1, 2)
-    K += mu * lap[:, None, :, None] * np.eye(d)[None, :, None, :]
+    X = dphi.reshape(nq, nb * d)
+    # g[b, k, b', l] = sum_q w_q d_k phi_b d_l phi_b'
+    g = ((X.T * w) @ X).reshape(nb, d, nb, d)
+    K = lam * g + mu * g.transpose(0, 3, 2, 1)
+    lap = mu * np.trace(g, axis1=1, axis2=3)
+    for k in range(d):
+        K[:, k, :, k] += lap
     return K.reshape(nb * d, nb * d)
 
 
@@ -86,9 +96,12 @@ def coupling_block(dphi, w, phiq, S):
     nq, nb, d = dphi.shape
     nm = phiq.shape[1]
     L = S.shape[0]
-    T = np.einsum("lkn,qbn->qbkl", S, dphi, optimize=True)
-    B = np.einsum("qbkl,q,qm->bkml", T, w, phiq, optimize=True)
-    return B.reshape(nb * d, nm * L)
+    # H[b, n, m] = sum_q w_q dphi[q, b, n] phiq[q, m]
+    H = dphi.reshape(nq, nb * d).T @ (w[:, None] * phiq)
+    H = H.reshape(nb, d, nm).transpose(0, 2, 1).reshape(nb * nm, d)
+    # B[b, m, k, l] = sum_n H[b, n, m] S[l, k, n]
+    B = (H @ S.transpose(2, 1, 0).reshape(d, d * L)).reshape(nb, nm, d, L)
+    return B.transpose(0, 2, 1, 3).reshape(nb * d, nm * L)
 
 
 def chi_blocks(p, lam, sigma, rho, want_jacobian=True):

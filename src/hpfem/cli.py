@@ -18,9 +18,6 @@ _LOOPS = ("plastic-estimator", "elliptic-predictor", "uniform-h", "uniform-p")
 def _common(sub):
     sub.add_argument("--config", help="path to a run configuration file")
     sub.add_argument("--out", default="out", help="output directory")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="BLAS thread budget for the linear solves")
-    sub.add_argument("--seed", type=int, default=None, help="override the seed")
     sub.add_argument("--loop", choices=_LOOPS, default=None,
                      help="override the adaptive loop type")
 
@@ -38,14 +35,8 @@ def _load(args):
         cfg = load_config(args.config)
     else:
         cfg = RunConfig()
-    if args.seed is not None:
-        cfg.run.seed = args.seed
     if args.loop is not None:
         cfg.run.loop = args.loop
-    if args.threads is not None:
-        cfg.run.threads = args.threads
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     return cfg
 
 

@@ -41,8 +41,6 @@ class RunSection:
     max_dofs: int = 200000
     max_iterations: int = 8
     tol: float = 0.0
-    seed: int = 0
-    threads: int = 1
 
 
 @dataclass

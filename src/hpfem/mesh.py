@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .polybasis import gauss_rule, shape1d, tensor_gauss, tensor_indices
+from .polybasis import gauss_rule, tensor_gauss, tensor_indices
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -27,6 +27,18 @@ _VTK_CELL = {1: (3, [0, 1]), 2: (9, [0, 2, 3, 1]), 3: (12, [0, 4, 6, 2, 1, 5, 7,
 def corner_bits(dim):
     """Rows of {0,1}^d in corner order."""
     return tensor_indices(1, dim)
+
+
+def _vertex_table(t):
+    """Vertex shapes (1-t)/2, (1+t)/2 at the points t and their derivatives,
+    two (m, 2) arrays (the same expressions as the 1D shape table)."""
+    v = np.empty((t.shape[0], 2))
+    v[:, 0] = 0.5 * (1.0 - t)
+    v[:, 1] = 0.5 * (1.0 + t)
+    dv = np.empty_like(v)
+    dv[:, 0] = -0.5
+    dv[:, 1] = 0.5
+    return v, dv
 
 
 class ElementMap:
@@ -47,7 +59,7 @@ class ElementMap:
         vals = np.ones((xhat.shape[0], len(self._bits)))
         ders = []
         for a in range(self.dim):
-            v, dv = shape1d(xhat[:, a], 1)
+            v, dv = _vertex_table(xhat[:, a])
             ders.append((v, dv))
             vals *= v[:, self._bits[:, a]]
         return xhat, vals, ders
@@ -82,7 +94,7 @@ class ElementMap:
         xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
         m = xhat.shape[0]
         d = self.dim
-        tabs = [shape1d(xhat[:, a], 1) for a in range(d)]
+        tabs = [_vertex_table(xhat[:, a]) for a in range(d)]
         H = np.zeros((m, d, d, d))
         for a in range(d):
             for b in range(a + 1, d):
@@ -128,7 +140,7 @@ def check_det_affine(emap, n_samples=4, tol=1e-12):
     bits = corner_bits(d)
     basis = np.ones((len(pts), len(bits)))
     for a in range(d):
-        v, _ = shape1d(pts[:, a], 1)
+        v, _ = _vertex_table(pts[:, a])
         basis *= v[:, bits[:, a]]
     coef, *_ = np.linalg.lstsq(basis, det, rcond=None)
     resid = np.abs(basis @ coef - det).max()

@@ -215,11 +215,14 @@ def condensed_newton_step(blocks, dp, dl, F):
 
 
 def _projection_rows(p, lam, sigma, rho):
-    """Equilibrated complementarity rows lam_i - P_{|.|<=sigma_i}(lam_i + rho p_i)
-    and their Clarke blocks; same zero set as chi (chi_i = max(...) * pi_i)."""
+    """Equilibrated complementarity rows pi_i = lam_i - P_{|.|<=sigma_i}(lam_i + rho p_i),
+    the chi rows (chi_i = max(sigma_i, |w_i|) pi_i, evaluated as in chi_blocks
+    so that |chi| is the same to the last bit), the Clarke blocks of pi and
+    the active mask |w_i| >= sigma_i."""
     N, L = p.shape
     w = lam + rho * p
     nw = np.linalg.norm(w, axis=1)
+    ch = np.maximum(sigma, nw)[:, None] * lam - sigma[:, None] * w
     inactive = nw < sigma
     act = ~inactive
     scale = np.ones(N)
@@ -236,7 +239,7 @@ def _projection_rows(p, lam, sigma, rho):
         fac = scale[act][:, None, None]
         dl[act] = eye - fac * proj
         dp[act] = -rho * fac * proj
-    return pi, dp, dl
+    return pi, ch, dp, dl, act
 
 
 def solve_semismooth_newton(system, qspace, config=None, initial=None):
@@ -274,12 +277,17 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
         return x[:n_u], x[n_u:n_u + n_q], x[n_u + n_q:]
 
     def merit_residual(x):
+        """Projection-form residual [r1, r2, pi rows], the max norm of the
+        decoupled residual [r1, r2, chi rows], the Clarke blocks of pi and
+        the active-set size."""
         u, p, lam = split(x)
         r1 = system.K @ u - system.B @ p - system.l
         r2 = -(system.B.T @ u) + system.C @ p + system.D * lam
-        pi, dp, dl = _projection_rows(p.reshape(-1, L), lam.reshape(-1, L),
-                                      sigma, rho)
-        return np.concatenate([r1, r2, pi.ravel()]), dp, dl
+        pi, ch, dp, dl, act = _projection_rows(p.reshape(-1, L),
+                                               lam.reshape(-1, L), sigma, rho)
+        F = np.concatenate([r1, r2, pi.ravel()])
+        nF = float(np.abs(np.concatenate([F[:n_u + n_q], ch.ravel()])).max())
+        return F, nF, dp, dl, int(act.sum())
 
     trace = []
     merit_hist = []
@@ -288,12 +296,9 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
     t_used = 1.0
     while True:
         u, p, lam = split(x)
-        nF = float(np.abs(residual(system, qspace, u, p, lam, rho)).max())
-        Ft, dp, dl = merit_residual(x)
+        Ft, nF, dp, dl, active = merit_residual(x)
         merit = 0.5 * float(Ft @ Ft)
         merit_hist.append(merit)
-        w = (lam + rho * p).reshape(-1, L)
-        active = int(np.sum(np.linalg.norm(w, axis=1) >= sigma))
         trace.append((it, nF, merit, t_used, active))
         if nF <= cfg.tol or it >= cfg.max_iter:
             return SolutionTriple(u=u, p=p, lam=lam, converged=nF <= cfg.tol,
@@ -310,7 +315,7 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
             continue
         window = merit_hist[-max(cfg.stagnation, 1):]
         stagnating = len(window) >= cfg.stagnation and merit >= 0.5 * min(window)
-        Fn, _, _ = merit_residual(x + delta)
+        Fn = merit_residual(x + delta)[0]
         merit_full = 0.5 * float(Fn @ Fn)
         t = 1.0
         if stagnating or not np.isfinite(merit_full) or merit_full > 1e6 * max(merit, 1.0):
@@ -318,7 +323,7 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
             best_t, best_m = 1.0, merit_full
             tt = cfg.shrink
             while tt >= max(cfg.t_min, 2.0 ** -10):
-                Fp, _, _ = merit_residual(x + tt * delta)
+                Fp = merit_residual(x + tt * delta)[0]
                 mp = 0.5 * float(Fp @ Fp)
                 if np.isfinite(mp) and mp < best_m:
                     best_t, best_m = tt, mp

@@ -215,9 +215,7 @@ def representation_matrices(space, candidate):
     B, C, D = [], [], []
     L = candidate.size
     for row, b in enumerate(bits):
-        Bi = np.zeros((n_parent, n_parent))
-        for j, m in enumerate(idx_P):
-            Bi[j, :] = constraint_coeffs(tuple(m), tuple(b), zhat, degree=P)
+        Bi = constraint_coeffs(idx_P, tuple(b), zhat, degree=P)
         B.append(Bi)
         C.append(C_Q @ Bi)
         Di = np.zeros((L, n_parent))

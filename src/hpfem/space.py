@@ -19,6 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _kernels
 from .mesh import _facet_corner_ids, corner_bits
 from .polybasis import (MAX_DEGREE, tensor_gauss, tensor_indices,
                         tensor_shape_eval)
@@ -80,34 +81,34 @@ def expand_tensor(func, r, degree):
 
 
 def constraint_coeffs(multi, child_bits, zhat, degree=None):
-    """Expansion of a parent tensor shape restricted to one child box.
+    """Expansion of parent tensor shapes restricted to one child box.
 
     The child box along axis k is [-1, zhat_k] (bit 0) or [zhat_k, 1] (bit 1);
     the returned coefficients express psi-hat_multi composed with the child
-    embedding in the child's own tensor shape basis (per-axis rows combined by
-    outer product; returns the flat row over tensor_indices(degree, d)).
+    embedding in the child's own tensor shape basis, as the flat row over
+    tensor_indices(degree, d). multi is one multi-index, or rows (n, d) of
+    them, which give an (n, (degree+1)^d) array. Per axis, one 1D restriction
+    matrix (child coefficients x parent shapes) is built; the rows combine its
+    columns by outer product.
     """
-    multi = tuple(int(j) for j in multi)
-    d = len(multi)
+    multis = np.asarray(multi, dtype=np.intp)
+    single = multis.ndim == 1
+    multis = multis.reshape(-1, multis.shape[-1])
+    d = multis.shape[1]
     zhat = np.broadcast_to(np.asarray(zhat, dtype=float), (d,))
+    top = int(multis.max())
     if degree is None:
-        degree = max(max(multi), 1)
-    rows = []
+        degree = max(top, 1)
+    jmax = max(degree, top, 1)
+    pts, Vinv = _expansion_operator(degree, 1)
+    out = np.ones((len(multis), 1))
     for k in range(d):
         lo, hi = (-1.0, zhat[k]) if not child_bits[k] else (zhat[k], 1.0)
         a, b = 0.5 * (hi - lo), 0.5 * (hi + lo)
-        j = multi[k]
-
-        def f(pts, a=a, b=b, j=j):
-            t = a * pts[:, 0] + b
-            V, _ = tensor_shape_eval(t[:, None], np.array([[j]]), jmax=max(j, 1))
-            return V[:, 0]
-
-        rows.append(expand_tensor(f, 1, degree))
-    out = rows[0]
-    for k in range(1, d):
-        out = np.multiply.outer(out, rows[k])
-    return out.ravel()
+        V, _ = _kernels.shape_table(a * pts[:, 0] + b, jmax)
+        R = (Vinv @ V).T  # R[j] = child coefficients of psi_j on this axis
+        out = (out[:, :, None] * R[multis[:, k]][:, None, :]).reshape(len(multis), -1)
+    return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,8 @@
-import warnings
-
 import numpy as np
 import pytest
 
-from hpfem.assembly import QuadratureAccuracyWarning
 from hpfem.mesh import Mesh
 from hpfem.problems import square_mesh  # noqa: F401  (re-exported to tests)
-
-warnings.filterwarnings("ignore", category=QuadratureAccuracyWarning)
 
 
 @pytest.fixture

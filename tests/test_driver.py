@@ -23,8 +23,11 @@ class TestConfig:
         assert dump_config(cfg2) == text
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError, match="unknown key"):
-            parse_config("[run]\nnot_a_key = 1\n")
+        # [run] seed and threads are gone: nothing read them
+        for text in ("[run]\nnot_a_key = 1\n", "[run]\nseed = 0\n",
+                     "[run]\nthreads = 2\n"):
+            with pytest.raises(ConfigError, match="unknown key"):
+                parse_config(text)
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown section"):

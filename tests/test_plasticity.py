@@ -351,6 +351,25 @@ def _mixed_rows(rng, N, L, sigma, rho):
     return p.ravel(), lam.ravel()
 
 
+class TestProjectionRows:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), L=st.sampled_from([2, 5]),
+           rho=st.sampled_from([0.01, 1.0, 100.0]))
+    def test_chi_rows_and_zero_set(self, seed, L, rho):
+        rng = np.random.default_rng(seed)
+        N = 60
+        sigma = rng.uniform(0.2, 2.0, N)
+        p, lam = (v.reshape(N, L) for v in _mixed_rows(rng, N, L, sigma, rho))
+        pi, ch, _, _, act = plasticity._projection_rows(p, lam, sigma, rho)
+        ref, _, _ = chi_coords(p, lam, sigma, rho)
+        np.testing.assert_array_equal(ch, ref)
+        nw = np.linalg.norm(lam + rho * p, axis=1)
+        np.testing.assert_array_equal(act, nw >= sigma)
+        # chi_i = max(sigma_i, |w_i|) pi_i: both vanish on the same rows
+        np.testing.assert_allclose(ch, np.maximum(sigma, nw)[:, None] * pi,
+                                   atol=1e-12 * max(1.0, rho))
+
+
 class TestCondensedStep:
     @pytest.mark.parametrize("name", sorted(CONDENSATION_MESHES))
     @settings(max_examples=12, deadline=None)
@@ -374,7 +393,7 @@ class TestCondensedStep:
         rng = np.random.default_rng(3)
         L = system.L
         p, lam = _mixed_rows(rng, qs.ndof, L, qs.bounds, 1.0)
-        _, dp, dl = plasticity._projection_rows(
+        _, _, dp, dl, _ = plasticity._projection_rows(
             p.reshape(-1, L), lam.reshape(-1, L), qs.bounds, 1.0)
         seen = []
 

@@ -92,6 +92,27 @@ class TestConstraintCoeffs:
         Vc, _ = tensor_shape_eval(pts, idx, jmax=deg)
         np.testing.assert_allclose(Vc @ row, Vp[:, 0], atol=1e-12)
 
+    @pytest.mark.parametrize("bits,zhat,deg", [
+        ((0,), 0.0, 4), ((1, 0), (0.2, -0.4), 3), ((1, 0, 1), (0.3, -0.25, 0.1), 2),
+    ])
+    def test_rows_match_single_calls(self, rng, bits, zhat, deg):
+        d = len(bits)
+        idx = tensor_indices(deg, d)
+        rows = constraint_coeffs(idx, bits, zhat, degree=deg)
+        stacked = np.array([constraint_coeffs(tuple(m), bits, zhat, degree=deg)
+                            for m in idx])
+        assert rows.shape == (len(idx), len(idx))
+        np.testing.assert_array_equal(rows, stacked)
+        z = np.broadcast_to(np.asarray(zhat, dtype=float), (d,))
+        pts = rng.uniform(-1, 1, (20, d))
+        parent = np.empty_like(pts)
+        for k in range(d):
+            lo, hi = (-1.0, z[k]) if not bits[k] else (z[k], 1.0)
+            parent[:, k] = lo + 0.5 * (pts[:, k] + 1.0) * (hi - lo)
+        Vp, _ = tensor_shape_eval(parent, idx, jmax=deg)
+        Vc, _ = tensor_shape_eval(pts, idx, jmax=deg)
+        np.testing.assert_allclose(Vc @ rows.T, Vp, atol=1e-12)
+
     def test_least_squares_residual_of_bubble(self, rng):
         # restricting a parent bubble and re-expanding is exact
         row = constraint_coeffs((4,), (0,), 0.0, degree=4)
