@@ -21,7 +21,7 @@ import scipy.sparse as sp
 
 from . import _kernels
 from .mesh import is_affine
-from .polybasis import tensor_gauss, tensor_indices, tensor_shape_eval
+from .polybasis import tensor_gauss, tensor_shape_eval
 from .space import deviatoric_basis, deviatoric_dim
 
 
@@ -98,10 +98,6 @@ class Material:
         return self.apply_elasticity(np.asarray(eps, dtype=float) - np.asarray(p, dtype=float))
 
 
-def stress(material, eps, p=None):
-    return material.stress(eps, p)
-
-
 @dataclass
 class Loads:
     """Volume force and Neumann traction; callables on batched physical points."""
@@ -137,6 +133,23 @@ def element_quadrature(mesh, eid, order):
     return emap, pts, wts, det, Jinv
 
 
+def facet_quadrature(mesh, eid, f, box, order):
+    """Gauss points/weights on a sub-box of a facet, with area factors."""
+    d = mesh.dim
+    if d == 1:
+        t = np.zeros((1, 0))
+        return t, np.ones(1), np.ones(1)
+    xi, wts = tensor_gauss(order, d - 1)
+    t = np.empty_like(xi)
+    scale = 1.0
+    for j in range(d - 1):
+        lo, hi = box[j]
+        t[:, j] = lo + 0.5 * (xi[:, j] + 1.0) * (hi - lo)
+        scale *= 0.5 * (hi - lo)
+    dS, _ = mesh.facet_area_element(eid, f, t)
+    return t, wts * scale, dS
+
+
 def physical_gradients(G, Jinv):
     """Reference shape gradients (m, nb, d) to physical ones via J^{-T}."""
     return np.einsum("qba,qam->qbm", G, Jinv)
@@ -146,15 +159,26 @@ def _vec_rows(rows, d):
     return (d * rows[:, None] + np.arange(d)[None, :]).ravel()
 
 
-def _stiffness_general(dphi, w, material, basis_strains):
+def _expand_vector_block(cmat, Kloc, d):
+    """(cmat x I_d) Kloc (cmat x I_d)^T for a local matrix whose rows and
+    columns are interleaved (shape, component) pairs."""
+    nr, nb = cmat.shape
+    # rows (b, k) -> (r, k); then, per row, columns (c, l) -> (s, l)
+    half = (cmat @ Kloc.reshape(nb, -1)).reshape(nr * d, nb, d)
+    return (cmat @ half).reshape(nr * d, nr * d)
+
+
+def _stiffness_general(dphi, w, material):
     """K block for general elasticity callbacks (rows/cols interleaved)."""
     nq, nb, d = dphi.shape
     eye = np.eye(d)
     eps = 0.5 * (np.einsum("km,qbn->qbkmn", eye, dphi)
                  + np.einsum("kn,qbm->qbkmn", eye, dphi))
     sig = material.apply_elasticity(eps.reshape(-1, d, d)).reshape(eps.shape)
-    K = np.einsum("qbkmn,qclmn,q->bkcl", sig, eps, w, optimize=True)
-    return K.reshape(nb * d, nb * d)
+    # K[(b,k),(c,l)] = sum_q w_q sig[q,b,k] : eps[q,c,l]
+    S = (sig * w[:, None, None, None, None]).transpose(1, 2, 0, 3, 4)
+    E = eps.transpose(1, 2, 0, 3, 4)
+    return S.reshape(nb * d, -1) @ E.reshape(nb * d, -1).T
 
 
 def assemble_system(space, qspace, material, loads=None):
@@ -199,27 +223,24 @@ def assemble_system(space, qspace, material, loads=None):
                 np.ascontiguousarray(dphi), np.ascontiguousarray(w),
                 material.lam, material.mu)
         else:
-            Kloc = _stiffness_general(dphi, w, material, None)
-        nb = len(idx)
-        K4 = Kloc.reshape(nb, d, nb, d)
-        Kel = np.einsum("rb,bkcl,sc->rksl", cmat, K4, cmat, optimize=True)
+            Kloc = _stiffness_general(dphi, w, material)
+        Kel = _expand_vector_block(cmat, Kloc, d)
         vr = _vec_rows(grows, d)
         rows_K.append(np.repeat(vr, len(vr)))
         cols_K.append(np.tile(vr, len(vr)))
-        vals_K.append(Kel.reshape(len(vr), len(vr)).ravel())
+        vals_K.append(Kel.ravel())
 
         phiq = qspace._basis_at(eid, pts)
         Bloc = _kernels.coupling_block(
             np.ascontiguousarray(dphi), np.ascontiguousarray(w),
             np.ascontiguousarray(phiq), np.ascontiguousarray(S))
         nm = phiq.shape[1]
-        B4 = Bloc.reshape(nb, d, nm, L)
-        Bel = np.einsum("rb,bkml->rkml", cmat, B4, optimize=True)
+        Bel = cmat @ Bloc.reshape(len(idx), -1)  # rows (b, k) -> (r, k)
         qcols = L * (qspace.offsets[eid] + np.arange(nm))[:, None] + np.arange(L)[None, :]
         qcols = qcols.ravel()
         rows_B.append(np.repeat(vr, len(qcols)))
         cols_B.append(np.tile(qcols, len(vr)))
-        vals_B.append(Bel.reshape(len(vr), len(qcols)).ravel())
+        vals_B.append(Bel.ravel())
 
         Cel = np.kron(qspace.mass(eid), G_CH)
         rows_C.append(np.repeat(qcols, len(qcols)))
@@ -241,7 +262,7 @@ def assemble_system(space, qspace, material, loads=None):
             for f, info in enumerate(mesh.facet_neighbors(eid)):
                 if info.kind != "boundary" or info.tag not in loads.neumann_tags:
                     continue
-                lel = _neumann_load(mesh, space, eid, f, idx, p, loads)
+                lel = facet_load(mesh, eid, f, idx, p, loads.traction)
                 np.add.at(lvec, vr, (cmat @ lel).ravel())
 
     if non_affine:
@@ -262,23 +283,16 @@ def assemble_system(space, qspace, material, loads=None):
                        L=L, q_counts=q_counts, non_affine=tuple(non_affine))
 
 
-def _neumann_load(mesh, space, eid, f, idx, p, loads):
-    """Facet Gauss quadrature of the traction against the element trace basis."""
-    d = mesh.dim
-    if d == 1:
-        t = np.zeros((1, 0))
-        ref = mesh.facet_embed(f, t)
-        x = mesh.element_map(eid).map_point(ref)
-        g = np.asarray(loads.traction(x), dtype=float)
-        V, _ = tensor_shape_eval(ref, idx, jmax=max(p, 1))
-        return V.T @ g
-    pts, wts = tensor_gauss(p + 2, d - 1)
-    ref = mesh.facet_embed(f, pts)
-    dS, _ = mesh.facet_area_element(eid, f, pts)
-    x = mesh.element_map(eid).map_point(ref)
-    g = np.asarray(loads.traction(x), dtype=float)
+def facet_load(mesh, eid, f, idx, p, data):
+    """Facet Gauss quadrature of boundary data (a scalar or vector valued
+    callable on physical points) against the element trace basis: an array
+    (nb,) or (nb, k)."""
+    t, wts, dS = facet_quadrature(mesh, eid, f, ((-1.0, 1.0),) * (mesh.dim - 1),
+                                  p + 2)
+    ref = mesh.facet_embed(f, t)
+    g = np.asarray(data(mesh.element_map(eid).map_point(ref)), dtype=float)
     V, _ = tensor_shape_eval(ref, idx, jmax=max(p, 1))
-    return np.einsum("qb,q,qk->bk", V, wts * dS, g)
+    return _kernels.load_vector(V, wts * dS, g)
 
 
 # ---------------------------------------------------------------------------
@@ -352,12 +366,10 @@ def assemble_norm_matrices(space, qspace=None):
         vals_m.append(Mv.ravel())
         Sloc = _kernels.elastic_stiffness(np.ascontiguousarray(dphi),
                                           np.ascontiguousarray(w), 0.0, 0.5)
-        nb = len(idx)
-        S4 = Sloc.reshape(nb, d, nb, d)
-        Sel = np.einsum("rb,bkcl,sc->rksl", cmat, S4, cmat, optimize=True)
+        Sel = _expand_vector_block(cmat, Sloc, d)
         rows_s.append(np.repeat(vr, len(vr)))
         cols_s.append(np.tile(vr, len(vr)))
-        vals_s.append(Sel.reshape(len(vr), len(vr)).ravel())
+        vals_s.append(Sel.ravel())
     shape = (d * M, d * M)
     Mv = sp.csr_matrix((np.concatenate(vals_m), (np.concatenate(rows_m), np.concatenate(cols_m))), shape=shape)
     Sv = sp.csr_matrix((np.concatenate(vals_s), (np.concatenate(rows_s), np.concatenate(cols_s))), shape=shape)

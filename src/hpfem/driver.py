@@ -18,17 +18,15 @@ import numpy as np
 from . import estimator as est
 from . import predictor as pred
 from .assembly import (assemble_norm_matrices, assemble_system,
-                       plastic_functional, total_energy)
+                       element_quadrature, plastic_functional, total_energy)
 from .config import RunConfig
 from .elliptic import energy_error_sq, solve_scalar
 from .mesh import Mesh
 from .plasticity import (NewtonConfig, default_rho, plastic_field_at,
                          solve_semismooth_newton, strain_at, write_trace_csv)
-from .polybasis import tensor_gauss
 from .problems import (elastic_square_manufactured, plastic_square,
                        poisson_1d_singular, poisson_lshape)
-from .space import (GaussPointSpace, ScalarSpace, deviatoric_basis,
-                    deviatoric_dim)
+from .space import GaussPointSpace, ScalarSpace, deviatoric_dim
 
 
 class SolverFailure(RuntimeError):
@@ -143,22 +141,17 @@ def plastic_error_sq(coarse, fine):
     """Combined-norm error between two nested plastic states."""
     mesh_f = fine.mesh
     d = mesh_f.dim
-    L = deviatoric_dim(d)
-    Phi = deviatoric_basis(d)
     total = 0.0
     for eid in mesh_f.active_ids():
-        p = fine.space.degrees[eid]
-        emap = mesh_f.element_map(eid)
-        pts, wts = tensor_gauss(p + 2, d)
-        J = emap.jacobian(pts)
-        det = np.linalg.det(J)
-        Jinv = np.linalg.inv(J)
+        _, pts, wts, det, Jinv = element_quadrature(
+            mesh_f, eid, fine.space.degrees[eid] + 2)
         w = wts * det
         cid, cpts = _coarse_coords(mesh_f, eid, coarse.mesh, pts)
         cmap = coarse.mesh.element_map(cid)
         cJinv = np.linalg.inv(cmap.jacobian(cpts))
-        du = (_vec_eval(fine.space, eid, fine.solution.u, pts)
-              - _vec_eval(coarse.space, cid, coarse.solution.u, cpts))
+        du = (fine.space.eval_element(eid, fine.solution.u.reshape(-1, d), pts)
+              - coarse.space.eval_element(cid, coarse.solution.u.reshape(-1, d),
+                                          cpts))
         deps = (strain_at(fine.space, eid, fine.solution.u, pts, Jinv)
                 - strain_at(coarse.space, cid, coarse.solution.u, cpts, cJinv))
         dp = (plastic_field_at(fine.qspace, eid, fine.solution.p, pts)
@@ -170,16 +163,6 @@ def plastic_error_sq(coarse, fine):
                             + np.einsum("qab,qab->q", dp, dp)
                             + np.einsum("qab,qab->q", dl, dl)))
     return total
-
-
-def _vec_eval(space, eid, u, pts):
-    d = space.dim
-    rows, cmat = space.connectivity(eid)
-    from .polybasis import tensor_shape_eval
-    idx = space.local_indices(eid)
-    V, _ = tensor_shape_eval(pts, idx, jmax=max(space.degrees[eid], 1))
-    loc = np.stack([cmat.T @ u[d * rows + k] for k in range(d)], axis=1)
-    return V @ loc
 
 
 def elliptic_error_sq(state, reference):
@@ -374,15 +357,10 @@ run_uniform.consults = ()
 def elastic_energy_error_sq(state, disp, disp_grad):
     """a-norm error of an (essentially elastic) state against an analytic field."""
     mesh = state.mesh
-    d = mesh.dim
     total = 0.0
     for eid in mesh.active_ids():
-        p = state.space.degrees[eid]
-        emap = mesh.element_map(eid)
-        pts, wts = tensor_gauss(p + 3, d)
-        J = emap.jacobian(pts)
-        det = np.linalg.det(J)
-        Jinv = np.linalg.inv(J)
+        emap, pts, wts, det, Jinv = element_quadrature(
+            mesh, eid, state.space.degrees[eid] + 3)
         eps_h = strain_at(state.space, eid, state.solution.u, pts, Jinv)
         g = np.asarray(disp_grad(emap.map_point(pts)), dtype=float)
         eps_ex = 0.5 * (g + g.transpose(0, 2, 1))

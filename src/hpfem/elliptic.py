@@ -9,8 +9,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import _kernels
-from .assembly import element_quadrature, physical_gradients
-from .polybasis import tensor_gauss, tensor_shape_eval
+from .assembly import element_quadrature, facet_load, physical_gradients
+from .polybasis import tensor_shape_eval
 
 
 @dataclass
@@ -29,7 +29,6 @@ class ScalarProblem:
 def assemble_scalar(space, problem):
     """Stiffness matrix and load vector of the Poisson form."""
     mesh = space.mesh
-    d = mesh.dim
     rows, cols, vals = [], [], []
     b = np.zeros(space.ndof)
     for eid in mesh.active_ids():
@@ -53,19 +52,7 @@ def assemble_scalar(space, problem):
             for f, info in enumerate(mesh.facet_neighbors(eid)):
                 if info.kind != "boundary" or info.tag not in problem.neumann_tags:
                     continue
-                if d == 1:
-                    t = np.zeros((1, 0))
-                    ref = mesh.facet_embed(f, t)
-                    gv = np.asarray(problem.neumann(emap.map_point(ref)), dtype=float)
-                    Vf, _ = tensor_shape_eval(ref, idx, jmax=max(p, 1))
-                    b[grows] += cmat @ (Vf.T @ gv)
-                else:
-                    qf, wf = tensor_gauss(p + 2, d - 1)
-                    ref = mesh.facet_embed(f, qf)
-                    dS, _ = mesh.facet_area_element(eid, f, qf)
-                    gv = np.asarray(problem.neumann(emap.map_point(ref)), dtype=float)
-                    Vf, _ = tensor_shape_eval(ref, idx, jmax=max(p, 1))
-                    b[grows] += cmat @ (Vf.T @ (wf * dS * gv))
+                b[grows] += cmat @ facet_load(mesh, eid, f, idx, p, problem.neumann)
     A = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
                       shape=(space.ndof, space.ndof))
     return A, b

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import element_quadrature, physical_gradients
+from . import _kernels
+from .assembly import element_quadrature, facet_quadrature
 from .plasticity import (ElementBlocks, deviator, plastic_field_at,
                          strain_at)
 from .polybasis import (tensor_gauss, tensor_indices, tensor_shape_eval,
@@ -63,10 +64,17 @@ def mapped_hessian(emap, pts, loc_hess, loc_grad, Jinv):
     loc_hess (m, nb, d, d), loc_grad (m, nb, d) are reference derivatives;
     returns (m, nb, d, d).
     """
+    m, nb, d, _ = loc_hess.shape
+    JinvT = Jinv.transpose(0, 2, 1)
     Hf = emap.hessian(pts)  # (m, comp, a, b)
-    T = -np.einsum("qab,qbce,qen,qcm->qamn", Jinv, Hf, Jinv, Jinv, optimize=True)
-    out = np.einsum("qzab,qam,qbn->qzmn", loc_hess, Jinv, Jinv, optimize=True)
-    out += np.einsum("qza,qamn->qzmn", loc_grad, T, optimize=True)
+    # T[q, a] = -Jinv^T (sum_b Jinv[q, a, b] Hf[q, b]) Jinv: d_m d_n of xi_a
+    A = (Jinv @ Hf.reshape(m, d, d * d)).reshape(m, d, d, d)
+    T = -(JinvT[:, None] @ A @ Jinv[:, None])
+    # out[q, z] = Jinv^T loc_hess[q, z] Jinv, one (nb d x d) product per point
+    half = (loc_hess.reshape(m, nb * d, d) @ Jinv).reshape(m, nb, d, d)
+    out = (half.transpose(0, 1, 3, 2).reshape(m, nb * d, d) @ Jinv)
+    out = out.reshape(m, nb, d, d).transpose(0, 1, 3, 2)
+    out += (loc_grad @ T.reshape(m, d, d * d)).reshape(m, nb, d, d)
     return out
 
 
@@ -81,8 +89,9 @@ def stress_divergence(space, qspace, material, eid, u, p, pts, Jinv):
     hess = mapped_hessian(emap, pts, Hh, G, Jinv)
     rows, cmat = space.connectivity(eid)
     loc = np.stack([cmat.T @ u[d * rows + k] for k in range(d)], axis=1)  # (nb, d)
-    uh = np.einsum("qzmn,zk->qkmn", hess, loc, optimize=True)  # hessian per component
-    m = uh.shape[0]
+    m = hess.shape[0]
+    # hessian per component: uh[q, k] = sum_z loc[z, k] hess[q, z]
+    uh = (loc.T @ hess.reshape(m, len(loc), d * d)).reshape(m, d, d, d)
     # d_n eps_kl = 0.5 (d_n d_l u_k + d_n d_k u_l)
     deps = np.empty((m, d, d, d))
     for n in range(d):
@@ -102,41 +111,26 @@ def stress_divergence(space, qspace, material, eid, u, p, pts, Jinv):
     return div
 
 
-def _project_element_data(space, eid, func, pts, Jinv_unused=None):
-    """L2-projection of data onto the element's polynomial space, evaluated at pts."""
-    mesh = space.mesh
-    p = space.degrees[eid]
-    emap = mesh.element_map(eid)
-    qpts, qwts = tensor_gauss(p + 3, mesh.dim)
-    det = emap.det_jacobian(qpts)
-    idx = tensor_indices(p, mesh.dim)
-    V, _ = tensor_shape_eval(qpts, idx, jmax=max(p, 1))
-    w = qwts * det
-    M = np.einsum("qi,q,qj->ij", V, w, V)
-    vals = np.asarray(func(emap.map_point(qpts)), dtype=float)
+def _l2_projection(V, w, vals, V_eval):
+    """L2 projection of data values vals at quadrature points (shape values V,
+    weights w) onto the span of the shapes: its values through V_eval and the
+    squared L2 norm of the defect."""
     rhs = np.tensordot(V.T * w[None, :], vals, axes=(1, 0))
-    coef = np.linalg.solve(M, rhs)
-    Ve, _ = tensor_shape_eval(pts, idx, jmax=max(p, 1))
+    coef = np.linalg.solve(_kernels.mass_matrix(V, w), rhs)
     defect = vals - np.tensordot(V, coef, axes=(1, 0))
     defect_sq = float(w @ (defect**2).reshape(len(w), -1).sum(axis=1))
-    return np.tensordot(Ve, coef, axes=(1, 0)), defect_sq
+    return np.tensordot(V_eval, coef, axes=(1, 0)), defect_sq
 
 
-def _facet_quadrature(mesh, eid, f, box, order):
-    """Gauss points/weights on a sub-box of a facet, with area factors."""
-    d = mesh.dim
-    if d == 1:
-        t = np.zeros((1, 0))
-        return t, np.ones(1), np.ones(1)
-    xi, wts = tensor_gauss(order, d - 1)
-    t = np.empty_like(xi)
-    scale = 1.0
-    for j in range(d - 1):
-        lo, hi = box[j]
-        t[:, j] = lo + 0.5 * (xi[:, j] + 1.0) * (hi - lo)
-        scale *= 0.5 * (hi - lo)
-    dS, _ = mesh.facet_area_element(eid, f, t)
-    return t, wts * scale, dS
+def _project_element_data(space, eid, func, pts):
+    """L2-projection of data onto the element's polynomial space, evaluated at pts."""
+    p = space.degrees[eid]
+    emap, qpts, qwts, det, _ = element_quadrature(space.mesh, eid, p + 3)
+    idx = space.local_indices(eid)
+    V, _ = tensor_shape_eval(qpts, idx, jmax=max(p, 1))
+    Ve, _ = tensor_shape_eval(pts, idx, jmax=max(p, 1))
+    vals = np.asarray(func(emap.map_point(qpts)), dtype=float)
+    return _l2_projection(V, qwts * det, vals, Ve)
 
 
 def _stress_at(space, qspace, material, eid, u, p, pts, Jinv):
@@ -210,8 +204,8 @@ def compute_indicators(space, qspace, material, loads, u, p, lam=None,
                     continue
                 h_e = _facet_diameter(mesh, eid, f, None)
                 p_e = pT
-                t, wq, dS = _facet_quadrature(mesh, eid, f,
-                                              ((-1.0, 1.0),) * (d - 1), pT + 2)
+                t, wq, dS = facet_quadrature(mesh, eid, f,
+                                             ((-1.0, 1.0),) * (d - 1), pT + 2)
                 ref = mesh.facet_embed(f, t)
                 J = mesh.element_map(eid).jacobian(ref)
                 Jinv = np.linalg.inv(J)
@@ -239,7 +233,7 @@ def compute_indicators(space, qspace, material, loads, u, p, lam=None,
                 done.add(key)
                 p_e = max(pT, space.degrees[nb])
                 order = p_e + 2
-                _, wq, dS = _facet_quadrature(mesh, eid, f, piece.my_box, order)
+                _, wq, dS = facet_quadrature(mesh, eid, f, piece.my_box, order)
                 xi, _ = tensor_gauss(order, d - 1)
                 t_mine, t_nb = mesh.piece_coords(eid, f, piece, xi)
                 ref_m = mesh.facet_embed(f, t_mine)
@@ -287,19 +281,12 @@ def _project_facet_data(space, eid, f, func, t_eval, p_e):
         g = np.asarray(func(emap.map_point(ref)), dtype=float)
         return g, 0.0
     qpts, qwts = tensor_gauss(p_e + 3, d - 1)
-    ref = mesh.facet_embed(f, qpts)
     dS, _ = mesh.facet_area_element(eid, f, qpts)
     idx = tensor_indices(p_e, d - 1)
     V, _ = tensor_shape_eval(qpts, idx, jmax=max(p_e, 1))
-    w = qwts * dS
-    M = np.einsum("qi,q,qj->ij", V, w, V)
-    vals = np.asarray(func(emap.map_point(ref)), dtype=float)
-    rhs = np.tensordot(V.T * w[None, :], vals, axes=(1, 0))
-    coef = np.linalg.solve(M, rhs)
-    defect = vals - np.tensordot(V, coef, axes=(1, 0))
-    defect_sq = float(np.einsum("q,qk->", w, defect**2))
     Ve, _ = tensor_shape_eval(t_eval, idx, jmax=max(p_e, 1))
-    return np.tensordot(Ve, coef, axes=(1, 0)), defect_sq
+    vals = np.asarray(func(emap.map_point(mesh.facet_embed(f, qpts))), dtype=float)
+    return _l2_projection(V, qwts * dS, vals, Ve)
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +312,8 @@ def solve_auxiliary(system, lam):
 
 def mark_dorfler(indicators, theta):
     """Minimal element set carrying a theta-fraction of the total indicator;
-    greedy by descending value, ties by ascending element id."""
+    greedy by descending value, ties by ascending element id. A NaN or
+    infinite indicator raises ValueError naming the elements."""
     if not 0.0 < theta <= 1.0:
         raise ValueError("theta must be in (0, 1]")
     if isinstance(indicators, ErrorIndicators):
@@ -334,6 +322,10 @@ def mark_dorfler(indicators, theta):
     else:
         ids = np.array(sorted(indicators.keys()))
         vals = np.array([indicators[i] for i in ids], dtype=float)
+    bad = ~np.isfinite(vals)
+    if bad.any():
+        raise ValueError("non-finite indicator on element(s) "
+                         f"{[int(i) for i in ids[bad]]}")
     total = float(vals.sum())
     if total <= 0.0:
         return []

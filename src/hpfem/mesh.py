@@ -16,7 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .polybasis import gauss_rule, tensor_gauss, tensor_indices
+from .polybasis import (gauss_rule, tensor_gauss, tensor_indices,
+                        tensor_shape_eval, tensor_shape_hessian)
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -27,18 +28,6 @@ _VTK_CELL = {1: (3, [0, 1]), 2: (9, [0, 2, 3, 1]), 3: (12, [0, 4, 6, 2, 1, 5, 7,
 def corner_bits(dim):
     """Rows of {0,1}^d in corner order."""
     return tensor_indices(1, dim)
-
-
-def _vertex_table(t):
-    """Vertex shapes (1-t)/2, (1+t)/2 at the points t and their derivatives,
-    two (m, 2) arrays (the same expressions as the 1D shape table)."""
-    v = np.empty((t.shape[0], 2))
-    v[:, 0] = 0.5 * (1.0 - t)
-    v[:, 1] = 0.5 * (1.0 + t)
-    dv = np.empty_like(v)
-    dv[:, 0] = -0.5
-    dv[:, 1] = 0.5
-    return v, dv
 
 
 class ElementMap:
@@ -55,34 +44,24 @@ class ElementMap:
         self._bits = corner_bits(dim)
 
     def _vertex_shapes(self, xhat):
-        xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
-        vals = np.ones((xhat.shape[0], len(self._bits)))
-        ders = []
-        for a in range(self.dim):
-            v, dv = _vertex_table(xhat[:, a])
-            ders.append((v, dv))
-            vals *= v[:, self._bits[:, a]]
-        return xhat, vals, ders
+        """Values (m, 2^d) and reference gradients (m, 2^d, d) of the
+        multilinear vertex functions: the degree-1 tensor shapes."""
+        return tensor_shape_eval(np.atleast_2d(xhat), self._bits, jmax=1)
 
     def map_point(self, xhat):
         """Physical image of reference point(s); shape (d,) or (m, d)."""
         single = np.asarray(xhat).ndim == 1
-        _, vals, _ = self._vertex_shapes(xhat)
+        vals, _ = self._vertex_shapes(xhat)
         out = vals @ self.corners
         return out[0] if single else out
 
     def jacobian(self, xhat):
         """Jacobian dF/dxhat; shape (d, d) or (m, d, d)."""
         single = np.asarray(xhat).ndim == 1
-        xhat, _, ders = self._vertex_shapes(xhat)
-        m = xhat.shape[0]
-        J = np.empty((m, self.dim, self.dim))
+        _, grads = self._vertex_shapes(xhat)
+        J = np.empty((grads.shape[0], self.dim, self.dim))
         for a in range(self.dim):
-            g = ders[a][1][:, self._bits[:, a]].copy()
-            for b in range(self.dim):
-                if b != a:
-                    g *= ders[b][0][:, self._bits[:, b]]
-            J[:, :, a] = g @ self.corners
+            J[:, :, a] = np.ascontiguousarray(grads[:, :, a]) @ self.corners
         return J[0] if single else J
 
     def det_jacobian(self, xhat):
@@ -91,18 +70,12 @@ class ElementMap:
 
     def hessian(self, xhat):
         """Second derivatives d2F_m / dxhat_a dxhat_b; shape (m, d, d, d)."""
-        xhat = np.atleast_2d(np.asarray(xhat, dtype=float))
-        m = xhat.shape[0]
+        Hv = tensor_shape_hessian(np.atleast_2d(xhat), self._bits, jmax=1)
         d = self.dim
-        tabs = [_vertex_table(xhat[:, a]) for a in range(d)]
-        H = np.zeros((m, d, d, d))
+        H = np.zeros((Hv.shape[0], d, d, d))
         for a in range(d):
-            for b in range(a + 1, d):
-                g = tabs[a][1][:, self._bits[:, a]] * tabs[b][1][:, self._bits[:, b]]
-                for c in range(d):
-                    if c != a and c != b:
-                        g = g * tabs[c][0][:, self._bits[:, c]]
-                val = g @ self.corners
+            for b in range(a + 1, d):  # the vertex functions have no d_a d_a part
+                val = np.ascontiguousarray(Hv[:, :, a, b]) @ self.corners
                 H[:, :, a, b] = val
                 H[:, :, b, a] = val
         return H
@@ -137,11 +110,7 @@ def check_det_affine(emap, n_samples=4, tol=1e-12):
     pts1 = gauss_rule(max(n_samples, 4)).points
     pts = np.array(list(itertools.product(pts1, repeat=d)))
     det = emap.det_jacobian(pts)
-    bits = corner_bits(d)
-    basis = np.ones((len(pts), len(bits)))
-    for a in range(d):
-        v, _ = _vertex_table(pts[:, a])
-        basis *= v[:, bits[:, a]]
+    basis, _ = tensor_shape_eval(pts, corner_bits(d), jmax=1)
     coef, *_ = np.linalg.lstsq(basis, det, rcond=None)
     resid = np.abs(basis @ coef - det).max()
     scale = max(np.abs(det).max(), 1e-300)

@@ -1,9 +1,16 @@
-"""1D Legendre / integrated-Legendre shape functions, tensor products on the
-reference cube [-1,1]^d, Gauss rules and the Lagrange basis at Gauss nodes."""
+"""Reference-element tables: integrated-Legendre shape functions and their
+tensor products on the reference cube [-1,1]^d, Gauss rules and the Lagrange
+basis at Gauss nodes.
+
+The tables depend only on (degree, points, dimension), so every builder is
+wrapped in `reference_table`: it returns one read-only result per distinct
+argument list from a bounded LRU cache, and the element loops in `assembly`,
+`elliptic`, `estimator`, `plasticity`, `predictor` and `space` share them.
+"""
 
 import itertools
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, fields, is_dataclass
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -13,38 +20,58 @@ MAX_DEGREE = 20
 
 _NODE_TOL = 1e-13
 
-
-def legendre(j, t, derivative=False):
-    """L_j(t) with L_j(1) = 1, L_j(-1) = (-1)^j; optionally (value, derivative)."""
-    scalar = np.ndim(t) == 0
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    val, der = _kernels.legendre_table(t_arr.ravel(), j)
-    v = val[:, j].reshape(t_arr.shape)
-    if scalar:
-        v = float(v[0])
-    if not derivative:
-        return v
-    d = der[:, j].reshape(t_arr.shape)
-    if scalar:
-        d = float(d[0])
-    return v, d
+TABLE_CACHE_SIZE = 128
 
 
-def integrated_legendre(j, t):
-    """Shape function psi_j: vertex functions for j<2, else int_{-1}^t L_{j-1}."""
-    scalar = np.ndim(t) == 0
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    val, _ = _kernels.shape_table(t_arr.ravel(), max(j, 1))
-    v = val[:, j].reshape(t_arr.shape)
-    if scalar:
-        return float(v[0])
-    return v
+def _exact(arg):
+    """An argument as part of a cache key: arrays (and lists, as arrays) by
+    dtype, shape and bytes, anything else, such as an integer, as it is."""
+    if isinstance(arg, list):
+        arg = np.asarray(arg)
+    if isinstance(arg, np.ndarray):
+        return ("array", arg.dtype.str, arg.shape, arg.tobytes())
+    return arg
 
 
-def shape1d(t, jmax):
-    """Values and derivatives of psi_0..psi_jmax at the points t: two (m, jmax+1) arrays."""
-    t = np.ascontiguousarray(np.asarray(t, dtype=float).ravel())
-    return _kernels.shape_table(t, max(jmax, 1))
+class _Call(tuple):
+    """The cache key of one call, with the arguments attached for the build."""
+
+    def __new__(cls, args, kwargs):
+        key = super().__new__(cls, (tuple(map(_exact, args)), tuple(sorted(
+            (name, _exact(value)) for name, value in kwargs.items()))))
+        key.args = args
+        key.kwargs = kwargs
+        return key
+
+
+def _read_only(out):
+    if isinstance(out, np.ndarray):
+        out.setflags(write=False)
+    elif isinstance(out, tuple):
+        for item in out:
+            _read_only(item)
+    elif is_dataclass(out):
+        for f in fields(out):
+            _read_only(getattr(out, f.name))
+    return out
+
+
+def reference_table(fn):
+    """Memoize a table builder on its exact arguments, at most TABLE_CACHE_SIZE
+    results, each returned read-only so that no caller can change a shared
+    table. The undecorated builder stays reachable as `__wrapped__`."""
+    @lru_cache(maxsize=TABLE_CACHE_SIZE)
+    def build(call):
+        out = _read_only(fn(*call.args, **call.kwargs))
+        call.args = call.kwargs = None  # the cache keeps the key, not the inputs
+        return out
+
+    @wraps(fn)
+    def cached(*args, **kwargs):
+        return build(_Call(args, kwargs))
+
+    cached.cache_info = build.cache_info
+    return cached
 
 
 def shape1d_second(t, jmax):
@@ -70,22 +97,22 @@ class GaussRule:
         return len(self.points)
 
 
-@lru_cache(maxsize=64)
+@reference_table
 def gauss_rule(n):
     if n < 1:
         raise ValueError("Gauss rule needs n >= 1")
     x, w = np.polynomial.legendre.leggauss(n)
-    x.setflags(write=False)
-    w.setflags(write=False)
     return GaussRule(points=x, weights=w)
 
 
+@reference_table
 def tensor_indices(degree, dim):
     """All multi-indices (j_1..j_d) with 0 <= j_k <= degree, last component fastest."""
     idx = np.array(list(itertools.product(range(degree + 1), repeat=dim)), dtype=np.intp)
     return idx.reshape(-1, dim)
 
 
+@reference_table
 def tensor_gauss(n, dim):
     """Tensor-product Gauss rule: points (n^d, d), weights (n^d,); last axis fastest."""
     rule = gauss_rule(n)
@@ -94,28 +121,14 @@ def tensor_gauss(n, dim):
     return pts.reshape(-1, dim), wts
 
 
-def tensor_shape_eval(points, indices, jmax=None):
-    """Evaluate tensor shapes psi-hat_j at reference points.
-
-    points: (m, d); indices: (nb, d) multi-index rows.
-    Returns vals (m, nb) and grads (m, nb, d).
-    """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    indices = np.atleast_2d(np.asarray(indices, dtype=np.intp))
-    m, d = points.shape
-    nb = indices.shape[0]
-    if jmax is None:
-        jmax = int(indices.max()) if indices.size else 1
-    axis_vals = []
-    axis_ders = []
-    for a in range(d):
-        v, dv = _kernels.shape_table(np.ascontiguousarray(points[:, a]), max(jmax, 1))
-        axis_vals.append(v)
-        axis_ders.append(dv)
-    vals = np.ones((m, nb))
+def _tensor_product(m, axis_vals, axis_ders, indices):
+    """Values (m, nb) and gradients (m, nb, d) of the tensor products of the
+    per-axis tables (m, n) picked out by the multi-index rows (nb, d)."""
+    d = len(axis_vals)
+    vals = np.ones((m, indices.shape[0]))
     for a in range(d):
         vals *= axis_vals[a][:, indices[:, a]]
-    grads = np.empty((m, nb, d))
+    grads = np.empty(vals.shape + (d,))
     for a in range(d):
         g = axis_ders[a][:, indices[:, a]].copy()
         for b in range(d):
@@ -125,6 +138,24 @@ def tensor_shape_eval(points, indices, jmax=None):
     return vals, grads
 
 
+@reference_table
+def tensor_shape_eval(points, indices, jmax=None):
+    """Evaluate tensor shapes psi-hat_j at reference points.
+
+    points: (m, d); indices: (nb, d) multi-index rows.
+    Returns vals (m, nb) and grads (m, nb, d).
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    indices = np.atleast_2d(np.asarray(indices, dtype=np.intp))
+    if jmax is None:
+        jmax = int(indices.max()) if indices.size else 1
+    tables = [_kernels.shape_table(np.ascontiguousarray(points[:, a]), max(jmax, 1))
+              for a in range(points.shape[1])]
+    return _tensor_product(len(points), [v for v, _ in tables],
+                           [dv for _, dv in tables], indices)
+
+
+@reference_table
 def tensor_shape_hessian(points, indices, jmax=None):
     """Reference second derivatives of tensor shapes: array (m, nb, d, d)."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -159,14 +190,12 @@ def tensor_shape_hessian(points, indices, jmax=None):
 # Lagrange basis at Gauss nodes (barycentric evaluation)
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
+@reference_table
 def _bary_weights(p):
     x = gauss_rule(p).points
     w = np.ones(p)
     for i in range(p):
         w[i] = 1.0 / np.prod(x[i] - np.delete(x, i))
-    x.setflags(write=False)
-    w.setflags(write=False)
     return x, w
 
 
@@ -211,6 +240,7 @@ def gauss_lagrange_1d_deriv(p, t):
     return out
 
 
+@reference_table
 def gauss_lagrange_tensor(p, points):
     """Tensor Lagrange basis of degree p-1 per axis at the p^d Gauss nodes.
 
@@ -218,26 +248,8 @@ def gauss_lagrange_tensor(p, points):
     matches tensor_gauss(p, d).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    m, d = points.shape
-    axis_vals = [gauss_lagrange_1d(p, points[:, a]) for a in range(d)]
-    axis_ders = [gauss_lagrange_1d_deriv(p, points[:, a]) for a in range(d)]
-    idx = tensor_indices(p - 1, d)
-    nb = idx.shape[0]
-    vals = np.ones((m, nb))
-    for a in range(d):
-        vals *= axis_vals[a][:, idx[:, a]]
-    grads = np.empty((m, nb, d))
-    for a in range(d):
-        g = axis_ders[a][:, idx[:, a]].copy()
-        for b in range(d):
-            if b != a:
-                g *= axis_vals[b][:, idx[:, b]]
-        grads[:, :, a] = g
-    return vals, grads
-
-
-def gauss_lagrange_eval(p, k, x):
-    """Value of the k-th (0-based) tensor Gauss-Lagrange basis function at x."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    vals, _ = gauss_lagrange_tensor(p, x[None, :])
-    return float(vals[0, k])
+    d = points.shape[1]
+    return _tensor_product(len(points),
+                           [gauss_lagrange_1d(p, points[:, a]) for a in range(d)],
+                           [gauss_lagrange_1d_deriv(p, points[:, a]) for a in range(d)],
+                           tensor_indices(p - 1, d))

@@ -15,14 +15,13 @@ or constrained to master slots through a hanging interface.
 """
 
 import itertools
-from functools import lru_cache
 
 import numpy as np
 
 from . import _kernels
 from .mesh import _facet_corner_ids, corner_bits
-from .polybasis import (MAX_DEGREE, tensor_gauss, tensor_indices,
-                        tensor_shape_eval)
+from .polybasis import (MAX_DEGREE, gauss_lagrange_tensor, reference_table,
+                        tensor_gauss, tensor_indices, tensor_shape_eval)
 
 _DROP = 1e-14
 
@@ -58,28 +57,16 @@ def deviatoric_dim(d):
 # tensor expansion primitive
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=128)
+@reference_table
 def _expansion_operator(degree, r):
     """Pseudo-inverse mapping values on a Gauss grid to tensor shape coefficients."""
     pts, _ = tensor_gauss(degree + 1, r)
     idx = tensor_indices(degree, r)
     V, _ = tensor_shape_eval(pts, idx, jmax=max(degree, 1))
-    Vinv = np.linalg.inv(V)
-    pts.setflags(write=False)
-    Vinv.setflags(write=False)
-    return pts, Vinv
+    return pts, np.linalg.inv(V)
 
 
-def expand_tensor(func, r, degree):
-    """Coefficients of a per-axis-degree <= degree polynomial over the tensor
-    shape basis; func maps points (m, r) to values (m,)."""
-    if r == 0:
-        return np.array([float(func(np.zeros((1, 0))))])
-    pts, Vinv = _expansion_operator(degree, r)
-    vals = np.asarray(func(pts), dtype=float)
-    return Vinv @ vals
-
-
+@reference_table
 def constraint_coeffs(multi, child_bits, zhat, degree=None):
     """Expansion of parent tensor shapes restricted to one child box.
 
@@ -557,7 +544,9 @@ class ScalarSpace:
         return mat.T @ u[rows]
 
     def eval_element(self, eid, u, xhat, gradient=False):
-        """Evaluate (and optionally differentiate, in reference coords) on one element."""
+        """Evaluate (and optionally differentiate, in reference coords) on one
+        element; u is a field (ndof,), or rows (ndof, k) of k fields when
+        only values are asked for."""
         loc = self.local_coeffs(eid, u)
         idx = self.local_indices(eid)
         V, G = tensor_shape_eval(np.atleast_2d(xhat), idx,
@@ -609,7 +598,6 @@ class GaussPointSpace:
         self._build()
 
     def _basis_at(self, eid, xhat, gradient=False):
-        from .polybasis import gauss_lagrange_tensor
         p = self.degrees[eid]
         xhat = np.atleast_2d(xhat)
         if p == 1:

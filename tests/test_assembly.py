@@ -12,7 +12,7 @@ from hpfem.assembly import (Loads, Material, MixedSystem,
                             assemble_system, bilinear_value, element_quadrature,
                             export_matrix_market, physical_gradients,
                             plastic_functional, quadrature_functional, strain,
-                            stress, total_energy)
+                            total_energy)
 from hpfem.plasticity import elastic_solve, plastic_field_at, strain_at
 from hpfem.polybasis import tensor_gauss, tensor_shape_eval
 from hpfem.space import (GaussPointSpace, ScalarSpace, deviatoric_basis,
@@ -33,19 +33,19 @@ class TestPointwise:
 
     def test_stress_identity(self):
         mat = Material(lam=1.2, mu=0.8, hardening=1.0, yield_stress=1.0)
-        np.testing.assert_allclose(stress(mat, np.eye(2)),
+        np.testing.assert_allclose(mat.stress(np.eye(2)),
                                    (2 * mat.lam + 2 * mat.mu) * np.eye(2),
                                    atol=1e-14)
 
     def test_stress_cancels_at_eps_equals_p(self):
         mat = Material()
         Phi = deviatoric_basis(2)
-        np.testing.assert_allclose(stress(mat, Phi[0], Phi[0]), 0.0, atol=1e-15)
+        np.testing.assert_allclose(mat.stress(Phi[0], Phi[0]), 0.0, atol=1e-15)
 
     def test_stress_tracefree_direction(self):
         mat = Material(lam=1.0, mu=1.0)
         Phi = deviatoric_basis(2)
-        np.testing.assert_allclose(stress(mat, Phi[0], 0.5 * Phi[0]), Phi[0],
+        np.testing.assert_allclose(mat.stress(Phi[0], 0.5 * Phi[0]), Phi[0],
                                    atol=1e-15)
 
     def test_nonsymmetric_callback_rejected(self):

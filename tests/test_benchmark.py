@@ -1,18 +1,25 @@
 """The benchmark's traced mode patches hpfem attributes by name (see
-perfbench/tracing.py); one traced repetition fails if any of them is gone."""
+perfbench/tracing.py); one traced repetition fails if any of them is gone.
+Seed 0 also runs the workload's reference checks: exact dof and Newton
+trajectories and the final energy to 1e-10 relative. The estimator workload
+covers the cached tables through the estimator, Gauss-point space and
+assembly."""
 
 import json
 import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_traced_repetition_runs():
+@pytest.mark.parametrize("workload", ["lshape-predictor", "plastic-estimator-2d"])
+def test_traced_repetition_runs(workload):
     res = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "child.py"),
-         "--workload", "lshape-predictor", "--seed", "0", "--trace", "1"],
+         "--workload", workload, "--seed", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert res.returncode == 0, res.stderr
     out = json.loads(res.stdout.strip().splitlines()[-1])

@@ -263,6 +263,17 @@ class TestDorfler:
         with pytest.raises(ValueError):
             mark_dorfler({0: 1.0}, 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_indicator_named(self, bad):
+        # one NaN used to mark every element, one inf only itself
+        with pytest.raises(ValueError, match=r"element\(s\) \[2\]"):
+            mark_dorfler({1: 1.0, 2: bad, 3: 0.5, 4: 0.1}, 0.3)
+        ind = ErrorIndicators(element_ids=np.array([5, 7]),
+                              residual_part=np.zeros(2), plastic_part=np.zeros(2),
+                              oscillation=np.zeros(2), total=np.array([bad, bad]))
+        with pytest.raises(ValueError, match=r"\[5, 7\]"):
+            mark_dorfler(ind, 0.5)
+
     def test_minimality(self, rng):
         vals = {i: float(v) for i, v in enumerate(rng.uniform(0, 1, 20))}
         theta = 0.63

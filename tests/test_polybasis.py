@@ -3,10 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hpfem.polybasis import (gauss_lagrange_1d, gauss_lagrange_eval,
-                             gauss_lagrange_tensor, gauss_rule,
-                             integrated_legendre, legendre, shape1d,
-                             tensor_gauss, tensor_indices, tensor_shape_eval)
+from hpfem import polybasis
+from hpfem._kernels import legendre_table, shape_table
+from hpfem.polybasis import (gauss_lagrange_1d, gauss_lagrange_tensor,
+                             gauss_rule, tensor_gauss, tensor_indices,
+                             tensor_shape_eval, tensor_shape_hessian)
+from hpfem.problems import cube_mesh, interval_mesh, square_mesh
+from hpfem.space import _expansion_operator, constraint_coeffs
+
+
+def legendre(j, t):
+    """L_j at the points t, read from the kernel table."""
+    return legendre_table(np.atleast_1d(np.asarray(t, dtype=float)), j)[0][:, j]
+
+
+def integrated_legendre(j, t):
+    """psi_j at the points t, read from the kernel shape table."""
+    return shape_table(np.atleast_1d(np.asarray(t, dtype=float)), max(j, 1))[0][:, j]
 
 
 class TestLegendre:
@@ -31,7 +44,7 @@ class TestLegendre:
         t = rng.uniform(-0.95, 0.95, 12)
         h = 1e-6
         for j in (2, 5, 9):
-            _, d = legendre(j, t, derivative=True)
+            d = legendre_table(t, j)[1][:, j]
             fd = (legendre(j, t + h) - legendre(j, t - h)) / (2 * h)
             np.testing.assert_allclose(d, fd, atol=1e-7)
 
@@ -62,7 +75,7 @@ class TestIntegratedLegendre:
 
     def test_derivative_is_legendre(self, rng):
         t = rng.uniform(-1, 1, 17)
-        vals, ders = shape1d(t, 8)
+        vals, ders = shape_table(t, 8)
         for j in range(2, 9):
             np.testing.assert_allclose(ders[:, j], legendre(j - 1, t), atol=1e-14)
 
@@ -79,7 +92,7 @@ class TestIntegratedLegendre:
     def test_derivative_orthogonality(self):
         # the stated reason for the basis: psi_j' are Legendre polynomials
         r = gauss_rule(14)
-        _, ders = shape1d(r.points, 10)
+        _, ders = shape_table(r.points, 10)
         for j in range(2, 11):
             for k in range(2, 11):
                 if j == k:
@@ -137,7 +150,7 @@ class TestGaussLagrange:
 
     def test_two_node_closed_form(self):
         # basis function of the node -1/sqrt(3): (1 - sqrt(3) t)/2
-        assert abs(gauss_lagrange_eval(2, 0, np.array([0.0])) - 0.5) < 1e-14
+        assert abs(gauss_lagrange_tensor(2, np.array([[0.0]]))[0][0, 0] - 0.5) < 1e-14
         t = 0.4
         assert abs(gauss_lagrange_1d(2, np.array([t]))[0, 0]
                    - (1 - np.sqrt(3) * t) / 2) < 1e-14
@@ -158,7 +171,6 @@ class TestGaussLagrange:
 class TestTensorShapes:
     def test_spanning_random_polynomial(self, rng):
         # expanding a random tensor polynomial of degree r reproduces it pointwise
-        from hpfem.space import expand_tensor
         r, d = 4, 2
         cmono = rng.standard_normal((r + 1, r + 1))
 
@@ -166,7 +178,8 @@ class TestTensorShapes:
             return sum(cmono[i, j] * x[:, 0]**i * x[:, 1]**j
                        for i in range(r + 1) for j in range(r + 1))
 
-        coef = expand_tensor(poly, d, r)
+        pts, Vinv = _expansion_operator(r, d)
+        coef = Vinv @ poly(pts)
         idx = tensor_indices(r, d)
         x = rng.uniform(-1, 1, (25, d))
         V, _ = tensor_shape_eval(x, idx, jmax=r)
@@ -179,3 +192,98 @@ class TestTensorShapes:
         assert np.abs(V[:, 0]).max() < 1e-15  # all bubble components
         assert np.abs(V[:, 2]).max() < 1e-15
         assert np.abs(V[:, 1]).max() > 1e-3  # contains a vertex factor
+
+
+# ---------------------------------------------------------------------------
+# the reference-table cache
+# ---------------------------------------------------------------------------
+
+_MESHES = {1: interval_mesh(), 2: square_mesh(), 3: cube_mesh()}
+
+
+def _leaves(out):
+    """The arrays of a table result, in a fixed order."""
+    if isinstance(out, np.ndarray):
+        return [out]
+    if isinstance(out, tuple):
+        return [a for item in out for a in _leaves(item)]
+    return [out.points, out.weights]  # GaussRule
+
+
+def _assert_bitwise(cached, plain):
+    got, want = _leaves(cached), _leaves(plain)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+        assert not a.flags.writeable
+
+
+def _check(builder, *args, **kwargs):
+    out = builder(*args, **kwargs)
+    _assert_bitwise(out, builder.__wrapped__(*args, **kwargs))
+    assert builder(*args, **kwargs) is out  # the second call is a cache hit
+    return out
+
+
+_points = st.integers(1, 3).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.lists(st.floats(-1, 1), min_size=d, max_size=d),
+                         min_size=1, max_size=6)))
+
+
+class TestReferenceTableCache:
+    @given(_points, st.integers(1, 6), st.integers(0, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_cached_equals_uncached(self, dim_pts, degree, facet_seed):
+        d, rows = dim_pts
+        pts = np.array(rows, dtype=float)
+        idx = _check(tensor_indices, degree, d)
+        _check(gauss_rule, degree)
+        _check(polybasis._bary_weights, degree)
+        _check(tensor_gauss, degree + 1, d)
+        _check(_expansion_operator, degree, d)
+        # random points and the Gauss points of one full facet, embedded
+        f = facet_seed % (2 * d)
+        facet_pts = _MESHES[d].facet_embed(
+            f, tensor_gauss(degree + 2, d - 1)[0] if d > 1 else np.zeros((1, 0)))
+        for x in (pts, facet_pts):
+            _check(tensor_shape_eval, x, idx, jmax=degree)
+            _check(tensor_shape_eval, x, idx)
+            _check(tensor_shape_hessian, x, idx, jmax=degree)
+            _check(gauss_lagrange_tensor, degree, x)
+
+    @given(st.integers(1, 3), st.integers(1, 6),
+           st.lists(st.floats(-0.9, 0.9), min_size=3, max_size=3),
+           st.integers(0, 7))
+    @settings(max_examples=60, deadline=None)
+    def test_constraint_coeffs_off_centre(self, d, degree, z, child):
+        zhat = np.array(z[:d])
+        bits = tuple((child >> k) & 1 for k in range(d))
+        idx = tensor_indices(degree, d)
+        _check(constraint_coeffs, idx, bits, zhat, degree=degree)
+        _check(constraint_coeffs, idx[-1], bits, zhat, degree=degree)
+        _check(constraint_coeffs, idx, bits, tuple(z[:d]))
+
+    def test_keys_are_exact(self):
+        # arrays are keyed by dtype and bytes: another dtype, or -0.0 for 0.0,
+        # is another table
+        pts = np.array([[0.0, 0.5]])
+        idx = tensor_indices(2, 2)
+        v64 = tensor_shape_eval(pts, idx)
+        assert tensor_shape_eval(pts.astype(np.float32), idx) is not v64
+        assert tensor_shape_eval(np.array([[-0.0, 0.5]]), idx) is not v64
+        assert tensor_shape_eval(pts.copy(), idx) is v64
+
+    def test_results_are_read_only(self):
+        vals, grads = tensor_shape_eval(np.array([[0.1, -0.3]]), tensor_indices(3, 2))
+        for table in (vals, grads, tensor_gauss(3, 2)[0], gauss_rule(4).weights,
+                      _expansion_operator(3, 1)[1]):
+            with pytest.raises(ValueError):
+                table[0] = 1.0
+
+    def test_cache_stays_bounded(self):
+        bound = tensor_shape_eval.cache_info().maxsize
+        idx = tensor_indices(2, 1)
+        for t in np.linspace(-1.0, 1.0, bound + 50):
+            tensor_shape_eval(np.array([[t]]), idx)
+        assert tensor_shape_eval.cache_info().currsize == bound

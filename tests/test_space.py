@@ -5,7 +5,7 @@ from conftest import distorted_quad_mesh, random_refined_mesh, square_mesh
 from hpfem.mesh import Mesh, check_det_affine
 from hpfem.polybasis import tensor_gauss, tensor_indices, tensor_shape_eval
 from hpfem.space import (GaussPointSpace, ScalarSpace, constraint_coeffs,
-                         deviatoric_basis, deviatoric_dim, expand_tensor)
+                         deviatoric_basis, deviatoric_dim)
 
 
 class TestDeviatoricBasis:
