@@ -13,19 +13,26 @@ and the plasticity contribution adds ||dev(sigma - H p_N) - lam_N||_{0,T}^2,
 admissible mu (the pointwise radial projection of lam_N + p_N/2 by default).
 f_N, g_N are elementwise/facetwise L2 projections of the data onto the local
 polynomial degree; their defects enter the oscillation terms.
+
+The indicators are computed in one batched pass. The fields are gathered once
+per element, and every table, map derivative and field value is evaluated for
+a whole group at a time: the volume terms per element degree, the Neumann
+terms per (degree, facet) and the jump terms per facet degree p_e, with one
+stress evaluation per element degree for both sides of the facet pieces.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .assembly import element_quadrature, facet_quadrature
-from .plasticity import (ElementBlocks, deviator, plastic_field_at,
-                         strain_at)
-from .polybasis import (tensor_gauss, tensor_indices, tensor_shape_eval,
-                        tensor_shape_hessian)
-from .space import deviatoric_basis, deviatoric_dim
+from .mesh import (corner_bits, facet_measure, map_hessians, map_jacobians,
+                   map_points, point_set_diameters)
+from .plasticity import ElementBlocks, deviator, strain_values, tensor_values
+from .polybasis import (gauss_lagrange_1d, tensor_contract, tensor_gauss,
+                        tensor_indices, tensor_shape_eval, tensor_shape_hessian)
+from .space import deviatoric_dim, gauss_point_basis
 
 
 @dataclass
@@ -58,85 +65,104 @@ def mu_star_at(lam_vals, p_vals, yield_stress):
     return factor[..., None, None] * mu_hat
 
 
-def mapped_hessian(emap, pts, loc_hess, loc_grad, Jinv):
-    """Physical second derivatives of mapped scalar shapes.
+def stress_divergence_values(material, coef, prows, G, H, GL, Jinv, Hf):
+    """div sigma(u, p) (n, m, d) on n elements at shared reference points.
 
-    loc_hess (m, nb, d, d), loc_grad (m, nb, d) are reference derivatives;
-    returns (m, nb, d, d).
-    """
-    m, nb, d, _ = loc_hess.shape
-    JinvT = Jinv.transpose(0, 2, 1)
-    Hf = emap.hessian(pts)  # (m, comp, a, b)
-    # T[q, a] = -Jinv^T (sum_b Jinv[q, a, b] Hf[q, b]) Jinv: d_m d_n of xi_a
-    A = (Jinv @ Hf.reshape(m, d, d * d)).reshape(m, d, d, d)
-    T = -(JinvT[:, None] @ A @ Jinv[:, None])
-    # out[q, z] = Jinv^T loc_hess[q, z] Jinv, one (nb d x d) product per point
-    half = (loc_hess.reshape(m, nb * d, d) @ Jinv).reshape(m, nb, d, d)
-    out = (half.transpose(0, 1, 3, 2).reshape(m, nb * d, d) @ Jinv)
-    out = out.reshape(m, nb, d, d).transpose(0, 1, 3, 2)
-    out += (loc_grad @ T.reshape(m, d, d * d)).reshape(m, nb, d, d)
-    return out
-
-
-def stress_divergence(space, qspace, material, eid, u, p, pts, Jinv):
-    """div sigma(u_N, p_N) at reference points pts: values (m, d)."""
-    d = space.dim
-    emap = space.mesh.element_map(eid)
-    idx = space.local_indices(eid)
-    jmax = max(space.degrees[eid], 1)
-    _, G = tensor_shape_eval(pts, idx, jmax=jmax)
-    Hh = tensor_shape_hessian(pts, idx, jmax=jmax)
-    hess = mapped_hessian(emap, pts, Hh, G, Jinv)
-    rows, cmat = space.connectivity(eid)
-    loc = np.stack([cmat.T @ u[d * rows + k] for k in range(d)], axis=1)  # (nb, d)
-    m = hess.shape[0]
-    # hessian per component: uh[q, k] = sum_z loc[z, k] hess[q, z]
-    uh = (loc.T @ hess.reshape(m, len(loc), d * d)).reshape(m, d, d, d)
-    # d_n eps_kl = 0.5 (d_n d_l u_k + d_n d_k u_l)
-    deps = np.empty((m, d, d, d))
-    for n in range(d):
-        Hn = uh[:, :, :, n]  # (q, k, l) = d_l d_n u_k
-        deps[:, :, :, n] = 0.5 * (Hn + Hn.transpose(0, 2, 1))
-    L = deviatoric_dim(d)
-    Phi = deviatoric_basis(d)
-    prows = np.asarray(p, dtype=float).reshape(qspace.ndof, L)
-    gp = qspace.eval_primal_grad(eid, prows, pts)  # (m, d_ref?, ...)
-    # gradient of p in physical coords: eval_primal_grad returns reference grads
-    gp = np.einsum("qal,qam->qml", gp, Jinv)  # (m, phys axis, L)
-    dp = np.einsum("qnl,lab->qnab", gp, Phi)  # d_n p_ab
-    div = np.zeros((m, d))
-    for n in range(d):
-        dsig = material.apply_elasticity(deps[:, :, :, n] - dp[:, n])
-        div += dsig[:, :, n]
-    return div
+    coef (n, nb, d) are displacement coefficients over the tensor shapes with
+    reference gradients G (m, nb, d) and Hessians H (m, nb, d, d); prows
+    (n, c, L) are p rows over the Gauss-point basis with reference gradients
+    GL (m, c, d); Jinv (n, m, d, d) and Hf (n, m, d, d, d) are the inverse
+    Jacobians and the second derivatives of the element maps. The
+    coefficients are contracted with the reference tables before anything is
+    mapped, so memory stays at O(n m d^3)."""
+    n, m, d, _ = Jinv.shape
+    JinvT = np.swapaxes(Jinv, -1, -2)
+    gu = np.tensordot(coef, G, axes=(1, 1)).transpose(0, 2, 1, 3)  # d_a u_k
+    hu = np.tensordot(coef, H, axes=(1, 1)).transpose(0, 2, 1, 3, 4)
+    # physical Hessians d_a d_b u_k = J^{-T} (hu_k - sum_c d_c u_k Hf_c) J^{-1}
+    hu -= ((gu @ Jinv) @ Hf.reshape(n, m, d, d * d)).reshape(hu.shape)
+    hess = (JinvT[:, :, None] @ hu) @ Jinv[:, :, None]
+    del hu  # keep at most a few (n, m, d, d, d) arrays alive
+    # d_j eps_kl = (d_j d_l u_k + d_j d_k u_l) / 2, axes [.., j, k, l]
+    hess = hess.transpose(0, 1, 4, 2, 3)
+    deps = hess + np.swapaxes(hess, -1, -2)
+    del hess
+    deps *= 0.5
+    gp = JinvT @ np.tensordot(prows, GL, axes=(1, 1)).transpose(0, 2, 3, 1)
+    deps -= tensor_values(gp, d)  # gp[.., j, l] = d_j p_l
+    return np.einsum("nqjkj->nqk", material.apply_elasticity(deps))
 
 
-def _l2_projection(V, w, vals, V_eval):
-    """L2 projection of data values vals at quadrature points (shape values V,
-    weights w) onto the span of the shapes: its values through V_eval and the
-    squared L2 norm of the defect."""
-    rhs = np.tensordot(V.T * w[None, :], vals, axes=(1, 0))
-    coef = np.linalg.solve(_kernels.mass_matrix(V, w), rhs)
-    defect = vals - np.tensordot(V, coef, axes=(1, 0))
-    defect_sq = float(w @ (defect**2).reshape(len(w), -1).sum(axis=1))
-    return np.tensordot(V_eval, coef, axes=(1, 0)), defect_sq
+def _l2_projections(V, w, vals, V_eval):
+    """L2 projections of data values vals (n, m, k) at quadrature points onto
+    the span of shapes with values V (m, nb), under weights w (n, m): their
+    values through V_eval (m', nb) and the squared L2 norms of the defects."""
+    Vw = V.T * w[:, None, :]
+    coef = np.linalg.solve(Vw @ V, Vw @ vals)
+    defect = vals - V @ coef
+    return V_eval @ coef, np.einsum("nq,nqk,nqk->n", w, defect, defect)
 
 
-def _project_element_data(space, eid, func, pts):
-    """L2-projection of data onto the element's polynomial space, evaluated at pts."""
-    p = space.degrees[eid]
-    emap, qpts, qwts, det, _ = element_quadrature(space.mesh, eid, p + 3)
-    idx = space.local_indices(eid)
-    V, _ = tensor_shape_eval(qpts, idx, jmax=max(p, 1))
-    Ve, _ = tensor_shape_eval(pts, idx, jmax=max(p, 1))
-    vals = np.asarray(func(emap.map_point(qpts)), dtype=float)
-    return _l2_projection(V, qwts * det, vals, Ve)
+class _Fields:
+    """The discrete fields of one indicator evaluation, gathered once: per
+    element degree, the displacement coefficients over the tensor shapes and
+    the p and lam rows over the Gauss-point (Lagrange) basis."""
 
+    def __init__(self, space, qspace, material, act, deg, u, p, lam):
+        d = space.dim
+        L = deviatoric_dim(d)
+        self.material = material
+        self.dim = d
+        self.deg = deg
+        U = np.asarray(u, dtype=float).reshape(-1, d)
+        prows = np.asarray(p, dtype=float).reshape(qspace.ndof, L)
+        lrows = None if lam is None else np.asarray(lam, dtype=float).reshape(
+            qspace.ndof, L)
+        self.slot = np.empty(len(act), dtype=np.intp)
+        self.groups = {}
+        for q in np.unique(deg).tolist():
+            sel = np.nonzero(deg == q)[0]
+            eids = [act[i] for i in sel]
+            self.slot[sel] = np.arange(len(sel))
+            self.groups[q] = (
+                space.element_coeffs(eids, U), qspace.element_rows(eids, prows),
+                None if lrows is None else qspace.element_rows(eids, lrows,
+                                                               dual=True))
 
-def _stress_at(space, qspace, material, eid, u, p, pts, Jinv):
-    eps = strain_at(space, eid, u, pts, Jinv)
-    pq = plastic_field_at(qspace, eid, p, pts)
-    return material.stress(eps, pq), eps, pq
+    def rows(self, q, els):
+        """(coef, p rows, lam rows or None) of elements els, all of degree q."""
+        at = self.slot[els]
+        return tuple(None if a is None else a[at] for a in self.groups[q])
+
+    def stress(self, gu, pv, Jinv):
+        """sigma(u, p) and the tensor p at points where u has reference
+        gradients gu [.., k, a], p has deviatoric components pv [.., l] and
+        the inverse Jacobians are Jinv."""
+        pq = tensor_values(pv, self.dim)
+        return self.material.stress(strain_values(gu, Jinv), pq), pq
+
+    def stress_at(self, els, ref, Jinv):
+        """Stress (r, m, d, d) of elements els at their own reference points
+        ref (r, m, d); one evaluation per element degree. The fields are
+        summed one axis at a time over 1D tables at the points, so one-off
+        points make neither a per-point tensor table nor a cache entry."""
+        r, m, d = ref.shape
+        sig = np.empty((r, m, d, d))
+        for q in np.unique(self.deg[els]).tolist():
+            rows = np.nonzero(self.deg[els] == q)[0]
+            t = ref[rows].reshape(-1, d)
+            shape = (len(rows), m, -1)
+            vals, ders = [], []
+            for a in range(d):
+                v, dv = _kernels.shape_table(t[:, a], max(q, 1))
+                vals.append(v.reshape(shape))
+                ders.append(dv.reshape(shape))
+            lag = [gauss_lagrange_1d(q, t[:, a]).reshape(shape) for a in range(d)]
+            coef, prows, _ = self.rows(q, els[rows])
+            gu = np.stack([tensor_contract(vals[:a] + [ders[a]] + vals[a + 1:], coef)
+                           for a in range(d)], axis=-1)
+            sig[rows] = self.stress(gu, tensor_contract(lag, prows), Jinv[rows])[0]
+        return sig
 
 
 def compute_indicators(space, qspace, material, loads, u, p, lam=None,
@@ -146,147 +172,201 @@ def compute_indicators(space, qspace, material, loads, u, p, lam=None,
     mu_mode 'star' uses the projected pointwise minimizer; 'multiplier' uses
     lam itself (admissible only when it satisfies the bound)."""
     mesh = space.mesh
-    d = mesh.dim
     act = mesh.active_ids()
-    pos = {eid: i for i, eid in enumerate(act)}
     n = len(act)
+    deg = np.array([space.degrees[e] for e in act], dtype=np.intp)
+    if any(qspace.degrees[e] != space.degrees[e] for e in act):
+        raise ValueError("the displacement and Gauss-point spaces must have "
+                         "the same element degrees")
+    fields = _Fields(space, qspace, material, act, deg, u, p, lam)
+    corners = mesh.corner_array(act)
     res_part = np.zeros(n)
     pl_part = np.zeros(n)
     osc = np.zeros(n)
-    sigma_y = qspace.yield_stress
-    L = deviatoric_dim(d)
-    lam_rows = None if lam is None else np.asarray(lam, dtype=float).reshape(qspace.ndof, L)
-    Phi = deviatoric_basis(d)
+    for pT in np.unique(deg).tolist():
+        sel = np.nonzero(deg == pT)[0]
+        res_part[sel], pl_part[sel], osc[sel] = _volume_terms(
+            fields, loads, corners[sel], pT, sel, qspace.yield_stress, mu_mode)
+    neumann, found = _facet_sweep(mesh, act, deg, loads.neumann_tags)
+    res_terms, osc_terms = _neumann_terms(mesh, fields, loads, corners, neumann)
+    res_terms += _jump_terms(mesh, fields, act, corners, found)
+    # each element adds its facet terms in sweep order, so that elements
+    # related by a symmetry of the mesh add equal terms in the same order
+    for part, terms in ((res_part, res_terms), (osc, osc_terms)):
+        if terms:
+            key, target, value = (np.concatenate(a) for a in zip(*terms))
+            at = np.argsort(key, kind="stable")
+            np.add.at(part, target[at], value[at])
+    return ErrorIndicators(element_ids=np.array(act), residual_part=res_part,
+                           plastic_part=pl_part, oscillation=osc,
+                           total=res_part + pl_part)
 
-    for eid in act:
-        pT = space.degrees[eid]
-        hT = mesh.diameter(eid)
-        emap, pts, wts, det, Jinv = element_quadrature(mesh, eid, pT + 2)
-        w = wts * det
-        # volume residual with projected data
-        div = stress_divergence(space, qspace, material, eid, u, p, pts, Jinv)
-        if loads.volume is not None:
-            fN, fdef = _project_element_data(space, eid, loads.volume, pts)
-        else:
-            fN, fdef = np.zeros((len(pts), d)), 0.0
-        resid = fN + div
-        res_part[pos[eid]] += (hT / pT) ** 2 * float(np.einsum(
-            "q,qk,qk->", w, resid, resid))
-        osc[pos[eid]] += (hT / pT) ** 2 * fdef
-        # plasticity terms
-        sig, eps, pq = _stress_at(space, qspace, material, eid, u, p, pts, Jinv)
-        target = deviator(sig - material.apply_hardening(pq))
-        if lam_rows is None:
-            lam_vals = target
-        else:
-            lam_vals = np.einsum("ql,lab->qab",
-                                 qspace.eval_dual(eid, lam_rows, pts), Phi)
-        t1 = target - lam_vals
-        if mu_mode == "star":
-            mu_vals = mu_star_at(lam_vals, pq, sigma_y)
-        else:
-            mu_vals = lam_vals
-        t2 = mu_vals - lam_vals
-        pnorm = np.linalg.norm(pq, axis=(1, 2))
-        part = (np.einsum("q,qab,qab->", w, t1, t1)
-                + np.einsum("q,qab,qab->", w, t2, t2)
-                + float(w @ (sigma_y * pnorm))
-                - np.einsum("q,qab,qab->", w, mu_vals, pq))
-        pl_part[pos[eid]] += float(part)
 
-    # facet terms
-    done = set()
-    for eid in act:
-        pT = space.degrees[eid]
+def _volume_terms(fields, loads, C, pT, sel, sigma_y, mu_mode):
+    """Volume residual, plastic part and data oscillation of the elements sel
+    of degree pT with corners C, at the Gauss points of order pT + 2."""
+    d = fields.dim
+    material = fields.material
+    idx = tensor_indices(pT, d)
+    jmax = max(pT, 1)
+    pts, wts = tensor_gauss(pT + 2, d)
+    V, G = tensor_shape_eval(pts, idx, jmax=jmax)
+    VL, GL = gauss_point_basis(pT, pts, gradient=True)
+    J = map_jacobians(C, pts)
+    Jinv = np.linalg.inv(J)
+    w = wts * np.linalg.det(J)
+    coef, prows, lrows = fields.rows(pT, sel)
+    resid = stress_divergence_values(
+        material, coef, prows, G, tensor_shape_hessian(pts, idx, jmax=jmax),
+        GL, Jinv, map_hessians(C, pts))
+    scale = (point_set_diameters(C) / pT) ** 2
+    osc = np.zeros(len(sel))
+    if loads.volume is not None:
+        qpts, qwts = tensor_gauss(pT + 3, d)
+        Vq, _ = tensor_shape_eval(qpts, idx, jmax=jmax)
+        x = map_points(C, qpts)
+        vals = np.asarray(loads.volume(x.reshape(-1, d)), dtype=float)
+        fN, fdef = _l2_projections(
+            Vq, qwts * np.linalg.det(map_jacobians(C, qpts)),
+            vals.reshape(x.shape), V)
+        resid += fN
+        osc = scale * fdef
+    res = scale * np.einsum("nq,nqk,nqk->n", w, resid, resid)
+    sig, pq = fields.stress(np.swapaxes(coef, 1, 2)[:, None] @ G, VL @ prows,
+                            Jinv)
+    target = deviator(sig - material.apply_hardening(pq))
+    lam_vals = target if lrows is None else tensor_values(VL @ lrows, d)
+    t1 = target - lam_vals
+    mu_vals = mu_star_at(lam_vals, pq, sigma_y) if mu_mode == "star" \
+        else lam_vals
+    t2 = mu_vals - lam_vals
+    pnorm = np.linalg.norm(pq, axis=(-2, -1))
+    plastic = (np.einsum("nq,nqab,nqab->n", w, t1, t1)
+               + np.einsum("nq,nqab,nqab->n", w, t2, t2)
+               + (w * (sigma_y * pnorm)).sum(axis=1)
+               - np.einsum("nq,nqab,nqab->n", w, mu_vals, pq))
+    return res, plastic, osc
+
+
+def _facet_sweep(mesh, act, deg, neumann_tags):
+    """One sweep over the facets of the active elements (positions in act),
+    numbering each facet term in sweep order. Returns the Neumann facets as
+    {(degree, facet): [(position, number)]} and the interior pieces seen from
+    either side as [(position, facet, piece, number)]."""
+    neumann = {}
+    found = []
+    seq = itertools.count()
+    for i, eid in enumerate(act):
         for f, info in enumerate(mesh.facet_neighbors(eid)):
             if info.kind == "boundary":
-                if info.tag not in loads.neumann_tags:
-                    continue
-                h_e = _facet_diameter(mesh, eid, f, None)
-                p_e = pT
-                t, wq, dS = facet_quadrature(mesh, eid, f,
-                                             ((-1.0, 1.0),) * (d - 1), pT + 2)
-                ref = mesh.facet_embed(f, t)
-                J = mesh.element_map(eid).jacobian(ref)
-                Jinv = np.linalg.inv(J)
-                sig, _, _ = _stress_at(space, qspace, material, eid, u, p, ref, Jinv)
-                _, nrm = mesh.facet_area_element(eid, f, t)
-                sn = np.einsum("qab,qb->qa", sig, nrm)
-                if loads.traction is not None:
-                    gN, gdef = _project_facet_data(space, eid, f, loads.traction,
-                                                   t, pT)
-                else:
-                    gN, gdef = np.zeros_like(sn), 0.0
-                diff = sn - gN
-                val = float(np.einsum("q,qk,qk->", wq * dS, diff, diff))
-                res_part[pos[eid]] += (h_e / p_e) * val
-                osc[pos[eid]] += (h_e / p_e) * gdef
-                continue
-            for piece in info.pieces:
-                nb = piece.neighbor
-                mid = mesh.element_map(eid).map_point(mesh.facet_embed(
-                    f, np.mean(np.asarray(piece.my_box, dtype=float), axis=1)[None, :]
-                    if d > 1 else np.zeros((1, 0))))[0]
-                key = (min(eid, nb), max(eid, nb), tuple(np.round(mid, 10)))
-                if key in done:
-                    continue
-                done.add(key)
-                p_e = max(pT, space.degrees[nb])
-                order = p_e + 2
-                _, wq, dS = facet_quadrature(mesh, eid, f, piece.my_box, order)
-                xi, _ = tensor_gauss(order, d - 1)
-                t_mine, t_nb = mesh.piece_coords(eid, f, piece, xi)
-                ref_m = mesh.facet_embed(f, t_mine)
-                ref_n = mesh.facet_embed(piece.facet, t_nb)
-                Jm = np.linalg.inv(mesh.element_map(eid).jacobian(ref_m))
-                Jn = np.linalg.inv(mesh.element_map(nb).jacobian(ref_n))
-                sig_m, _, _ = _stress_at(space, qspace, material, eid, u, p, ref_m, Jm)
-                sig_n, _, _ = _stress_at(space, qspace, material, nb, u, p, ref_n, Jn)
-                _, nrm = mesh.facet_area_element(eid, f, t_mine)
-                jump = np.einsum("qab,qb->qa", sig_m - sig_n, nrm)
-                val = float(np.einsum("q,qk,qk->", wq * dS, jump, jump))
-                h_e = _facet_diameter(mesh, eid, f, piece.my_box)
-                res_part[pos[eid]] += h_e / (2.0 * p_e) * val
-                if nb in pos:
-                    res_part[pos[nb]] += h_e / (2.0 * p_e) * val
-
-    total = res_part + pl_part
-    return ErrorIndicators(element_ids=np.array(act), residual_part=res_part,
-                           plastic_part=pl_part, oscillation=osc, total=total)
+                if info.tag in neumann_tags:
+                    neumann.setdefault((int(deg[i]), f), []).append((i, next(seq)))
+            else:
+                found.extend((i, f, piece, next(seq)) for piece in info.pieces)
+    return neumann, found
 
 
-def _facet_diameter(mesh, eid, f, box):
-    """Diameter of (a sub-box of) an element facet."""
+def _neumann_terms(mesh, fields, loads, corners, neumann):
+    """Terms h_e/p_e ||sigma n - g_N||^2 and the traction oscillation of the
+    Neumann facets, one batch per (degree, facet), as (sweep key, element
+    position, value) arrays for the residual and the oscillation."""
     d = mesh.dim
-    if d == 1:
-        return 1.0
-    if box is None:
-        box = ((-1.0, 1.0),) * (d - 1)
-    corners = []
-    from itertools import product
-    for bits in product((0, 1), repeat=d - 1):
-        t = np.array([box[j][bits[j]] for j in range(d - 1)], dtype=float)
-        ref = mesh.facet_embed(f, t[None, :])
-        corners.append(mesh.element_map(eid).map_point(ref)[0])
-    return max(np.linalg.norm(a - b) for a in corners for b in corners)
+    res_terms, osc_terms = [], []
+    for (pT, f), items in neumann.items():
+        els, order = np.array(items).T
+        C = corners[els]
+        t, wq = tensor_gauss(pT + 2, d - 1)
+        ref = mesh.facet_embed(f, t)
+        J = map_jacobians(C, ref)
+        dS, nrm = facet_measure(J, f)
+        _, G = tensor_shape_eval(ref, tensor_indices(pT, d), jmax=max(pT, 1))
+        coef, prows, _ = fields.rows(pT, els)
+        sig, _ = fields.stress(np.swapaxes(coef, 1, 2)[:, None] @ G,
+                               gauss_point_basis(pT, ref) @ prows,
+                               np.linalg.inv(J))
+        diff = (sig @ nrm[..., None])[..., 0]
+        gdef = np.zeros(len(els))
+        if loads.traction is not None:
+            qpts, qwts = tensor_gauss(pT + 3, d - 1)
+            qref = mesh.facet_embed(f, qpts)
+            x = map_points(C, qref)
+            vals = np.asarray(loads.traction(x.reshape(-1, d)), dtype=float)
+            fidx = tensor_indices(pT, d - 1)
+            Vq, _ = tensor_shape_eval(qpts, fidx, jmax=max(pT, 1))
+            Ve, _ = tensor_shape_eval(t, fidx, jmax=max(pT, 1))
+            gN, gdef = _l2_projections(
+                Vq, qwts * facet_measure(map_jacobians(C, qref), f)[0],
+                vals.reshape(x.shape), Ve)
+            diff -= gN
+        # the facet of an interval is a point, taken with h_e = 1
+        h_e = point_set_diameters(C[:, _facet_corners(d, f)]) if d > 1 else 1.0
+        res_terms.append((2 * order, els, h_e / pT * np.einsum(
+            "nq,nqk,nqk->n", wq * dS, diff, diff)))
+        osc_terms.append((order, els, h_e / pT * gdef))
+    return res_terms, osc_terms
 
 
-def _project_facet_data(space, eid, f, func, t_eval, p_e):
-    """Facet L2-projection of traction data, evaluated at in-facet coords t_eval."""
-    mesh = space.mesh
+def _jump_terms(mesh, fields, act, corners, found):
+    """Terms h_e/(2 p_e) ||[sigma n]||^2 of the interior facet pieces, one
+    batch per p_e, added to both sides, as (sweep key, element position,
+    value) arrays. A piece is taken once, from the first side the sweep
+    found, keyed by its element pair and its rounded midpoint."""
     d = mesh.dim
-    emap = mesh.element_map(eid)
-    if d == 1:
-        ref = mesh.facet_embed(f, np.zeros((1, 0)))
-        g = np.asarray(func(emap.map_point(ref)), dtype=float)
-        return g, 0.0
-    qpts, qwts = tensor_gauss(p_e + 3, d - 1)
-    dS, _ = mesh.facet_area_element(eid, f, qpts)
-    idx = tensor_indices(p_e, d - 1)
-    V, _ = tensor_shape_eval(qpts, idx, jmax=max(p_e, 1))
-    Ve, _ = tensor_shape_eval(t_eval, idx, jmax=max(p_e, 1))
-    vals = np.asarray(func(emap.map_point(mesh.facet_embed(f, qpts))), dtype=float)
-    return _l2_projection(V, qwts * dS, vals, Ve)
+    mine = np.array([i for i, _, _, _ in found], dtype=np.intp)
+    f_mine = np.array([f for _, f, _, _ in found], dtype=np.intp)
+    box = np.array([pc.my_box for _, _, pc, _ in found],
+                   dtype=float).reshape(len(found), d - 1, 2)
+    mid = map_points(corners[mine], mesh.facet_embed(
+        f_mine, box.mean(axis=2)[:, None, :]))[:, 0]
+    done = set()
+    keep = []
+    for j, (key, (i, _, pc, _)) in enumerate(zip(np.round(mid, 10).tolist(),
+                                                 found)):
+        key = (min(act[i], pc.neighbor), max(act[i], pc.neighbor), tuple(key))
+        if key not in done:
+            done.add(key)
+            keep.append(j)
+    keep = np.array(keep, dtype=np.intp)
+    mine, f_mine, box = mine[keep], f_mine[keep], box[keep]
+    pieces = [found[j][2] for j in keep]
+    order = np.array([found[j][3] for j in keep], dtype=np.intp)
+    pos = {eid: i for i, eid in enumerate(act)}
+    other = np.array([pos[pc.neighbor] for pc in pieces], dtype=np.intp)
+    f_other = np.array([pc.facet for pc in pieces], dtype=np.intp)
+    p_e = np.maximum(fields.deg[mine], fields.deg[other])
+    if d > 1:
+        fb = corner_bits(d - 1).astype(bool)
+        ends = np.where(fb[None], box[:, None, :, 1], box[:, None, :, 0])
+        h_e = point_set_diameters(map_points(
+            corners[mine], mesh.facet_embed(f_mine, ends)))
+    else:
+        h_e = np.ones(len(pieces))  # the facet of an interval is a point
+    terms = []
+    for pe in np.unique(p_e).tolist():
+        sel = np.nonzero(p_e == pe)[0]
+        k = len(sel)
+        xi, wts = tensor_gauss(pe + 2, d - 1)
+        coords = [mesh.piece_coords(act[mine[j]], f_mine[j], pieces[j], xi)
+                  for j in sel]
+        ref = np.concatenate([
+            mesh.facet_embed(f_mine[sel], np.array([c[0] for c in coords])),
+            mesh.facet_embed(f_other[sel], np.array([c[1] for c in coords]))])
+        els = np.concatenate([mine[sel], other[sel]])
+        J = map_jacobians(corners[els], ref)
+        dS, nrm = facet_measure(J[:k], f_mine[sel])
+        sig = fields.stress_at(els, ref, np.linalg.inv(J))
+        jump = ((sig[:k] - sig[k:]) @ nrm[..., None])[..., 0]
+        wq = wts * np.prod(0.5 * (box[sel, :, 1] - box[sel, :, 0]), axis=1)[:, None]
+        val = h_e[sel] / (2.0 * pe) * np.einsum("nq,nqk,nqk->n", wq * dS, jump,
+                                                jump)
+        terms += [(2 * order[sel], mine[sel], val),
+                  (2 * order[sel] + 1, other[sel], val)]
+    return terms
+
+
+def _facet_corners(d, f):
+    """Rows of the element corners that lie on local facet f."""
+    return np.nonzero(corner_bits(d)[:, f // 2] == f % 2)[0]
 
 
 # ---------------------------------------------------------------------------

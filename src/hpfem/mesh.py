@@ -30,6 +30,86 @@ def corner_bits(dim):
     return tensor_indices(1, dim)
 
 
+def vertex_tables(xhat, second=False):
+    """The multilinear vertex functions (the degree-1 tensor shapes) at
+    reference points xhat: values (..., 2^d), gradients (..., 2^d, d) and,
+    with second=True, second derivatives (..., 2^d, d, d). Points (m, d)
+    shared by many maps are read from the reference-table cache; point sets
+    (n, m, d), one per map, are one-off and evaluated by the undecorated
+    builders, outside the cache."""
+    x = np.asarray(xhat, dtype=float)
+    d = x.shape[-1]
+    bits = corner_bits(d)
+    if x.ndim == 2:
+        out = tensor_shape_eval(x, bits, jmax=1)
+        return out + (tensor_shape_hessian(x, bits, jmax=1),) if second else out
+    flat = x.reshape(-1, d)
+    out = tensor_shape_eval.__wrapped__(flat, bits, jmax=1)
+    if second:
+        out += (tensor_shape_hessian.__wrapped__(flat, bits, jmax=1),)
+    return tuple(t.reshape(x.shape[:-1] + t.shape[1:]) for t in out)
+
+
+def map_points(corners, xhat):
+    """Images of reference points under multilinear maps. corners is a corner
+    array (n, 2^d, d) or one element's corners (2^d, d); xhat is (m, d),
+    shared by the maps, or (n, m, d), one point set per map. Returns
+    (n, m, d), or (m, d) for one element."""
+    vals, _ = vertex_tables(xhat)
+    return vals @ corners
+
+
+def map_jacobians(corners, xhat):
+    """Jacobians dF/dxhat (n, m, d, d), or (m, d, d) for one element, of the
+    maps of corners at reference points xhat, as in `map_points`."""
+    _, grads = vertex_tables(xhat)
+    return np.swapaxes(corners, -1, -2)[..., None, :, :] @ grads
+
+
+def map_hessians(corners, xhat):
+    """Second derivatives d2F_c / dxhat_a dxhat_b (n, m, d, d, d), indexed
+    [..., c, a, b], of the maps of corners, as in `map_points`."""
+    _, _, hess = vertex_tables(xhat, second=True)
+    d = corners.shape[-1]
+    out = np.swapaxes(corners, -1, -2)[..., None, :, :] @ hess.reshape(
+        hess.shape[:-2] + (d * d,))
+    return out.reshape(out.shape[:-1] + (d, d))
+
+
+def facet_measure(J, f):
+    """Surface factor dS and unit outward normal of a local facet at points
+    with map Jacobians J (..., d, d); f is one facet, or one per row of J.
+
+    Nanson's formula: for the facet x_k = -1 (s = 0) or +1 (s = 1), the
+    outward normal times dS is sign(det J) (2s - 1) cof(J) e_k. The cofactor
+    column cof(J) e_k is the cross product of the other two columns of J in
+    3D, the rotated other column in 2D and 1 in 1D."""
+    f = np.asarray(f)
+    if f.ndim:
+        dS, nrm = np.empty(J.shape[:-2]), np.empty(J.shape[:-1])
+        for fv in np.unique(f):
+            rows = f == fv
+            dS[rows], nrm[rows] = facet_measure(J[rows], fv)
+        return dS, nrm
+    k, s = divmod(int(f), 2)
+    d = J.shape[-1]
+    if d == 1:
+        N = np.ones(J.shape[:-1])
+    elif d == 2:
+        N = (1 - 2 * k) * np.stack([J[..., 1, 1 - k], -J[..., 0, 1 - k]], axis=-1)
+    else:
+        N = np.cross(J[..., :, (k + 1) % 3], J[..., :, (k + 2) % 3])
+    det = (J[..., :, k] * N).sum(axis=-1)
+    dS = np.linalg.norm(N, axis=-1)
+    return dS, N / dS[..., None] * ((2 * s - 1) * np.sign(det))[..., None]
+
+
+def point_set_diameters(x):
+    """Largest distance between two of the points of each set x (n, k, d)."""
+    diff = x[:, :, None, :] - x[:, None, :, :]
+    return np.sqrt((diff * diff).sum(axis=-1)).max(axis=(1, 2))
+
+
 class ElementMap:
     """Multilinear map from [-1,1]^d onto a transformed hexahedron."""
 
@@ -41,28 +121,19 @@ class ElementMap:
             raise ValueError(f"expected {2**dim} corners of dim {dim}")
         self.dim = dim
         self.corners = corners
-        self._bits = corner_bits(dim)
 
-    def _vertex_shapes(self, xhat):
-        """Values (m, 2^d) and reference gradients (m, 2^d, d) of the
-        multilinear vertex functions: the degree-1 tensor shapes."""
-        return tensor_shape_eval(np.atleast_2d(xhat), self._bits, jmax=1)
+    def _at(self, geometry, xhat):
+        single = np.asarray(xhat).ndim == 1
+        out = geometry(self.corners, np.atleast_2d(xhat))
+        return out[0] if single else out
 
     def map_point(self, xhat):
         """Physical image of reference point(s); shape (d,) or (m, d)."""
-        single = np.asarray(xhat).ndim == 1
-        vals, _ = self._vertex_shapes(xhat)
-        out = vals @ self.corners
-        return out[0] if single else out
+        return self._at(map_points, xhat)
 
     def jacobian(self, xhat):
         """Jacobian dF/dxhat; shape (d, d) or (m, d, d)."""
-        single = np.asarray(xhat).ndim == 1
-        _, grads = self._vertex_shapes(xhat)
-        J = np.empty((grads.shape[0], self.dim, self.dim))
-        for a in range(self.dim):
-            J[:, :, a] = np.ascontiguousarray(grads[:, :, a]) @ self.corners
-        return J[0] if single else J
+        return self._at(map_jacobians, xhat)
 
     def det_jacobian(self, xhat):
         J = self.jacobian(xhat)
@@ -70,15 +141,7 @@ class ElementMap:
 
     def hessian(self, xhat):
         """Second derivatives d2F_m / dxhat_a dxhat_b; shape (m, d, d, d)."""
-        Hv = tensor_shape_hessian(np.atleast_2d(xhat), self._bits, jmax=1)
-        d = self.dim
-        H = np.zeros((Hv.shape[0], d, d, d))
-        for a in range(d):
-            for b in range(a + 1, d):  # the vertex functions have no d_a d_a part
-                val = np.ascontiguousarray(Hv[:, :, a, b]) @ self.corners
-                H[:, :, a, b] = val
-                H[:, :, b, a] = val
-        return H
+        return map_hessians(self.corners, np.atleast_2d(xhat))
 
     def volume(self):
         pts, wts = tensor_gauss(3, self.dim)
@@ -86,7 +149,7 @@ class ElementMap:
 
     def is_valid(self):
         """Positive Jacobian determinant at corners and a 3rd-order Gauss grid."""
-        corners_hat = 2.0 * self._bits - 1.0
+        corners_hat = 2.0 * corner_bits(self.dim) - 1.0
         pts, _ = tensor_gauss(3, self.dim)
         det = self.det_jacobian(np.vstack([corners_hat, pts]))
         return bool(np.all(det > 0.0))
@@ -237,9 +300,14 @@ class Mesh:
     def active_ids(self):
         return [e.eid for e in self.elements if e.active]
 
+    def corner_array(self, eids):
+        """Corner coordinates (n, 2^d, d) of elements eids, in tensor order."""
+        return np.array([[self.vertices[c] for c in self.elements[e].corners]
+                         for e in eids], dtype=float).reshape(
+                             len(eids), 2**self.dim, self.dim)
+
     def element_map(self, eid):
-        el = self.elements[eid]
-        return ElementMap(np.array([self.vertices[c] for c in el.corners]), self.dim)
+        return ElementMap(self.corner_array([eid])[0], self.dim)
 
     def degree(self, eid):
         return self.elements[eid].degree
@@ -264,9 +332,7 @@ class Mesh:
         return self
 
     def diameter(self, eid):
-        el = self.elements[eid]
-        pts = np.array([self.vertices[c] for c in el.corners])
-        return max(np.linalg.norm(a - b) for a in pts for b in pts)
+        return float(point_set_diameters(self.corner_array([eid]))[0])
 
     def total_volume(self):
         return sum(self.element_map(e).volume() for e in self.active_ids())
@@ -523,15 +589,18 @@ class Mesh:
                           perm=tuple(perm), flip=tuple(flip), relation=rel)
 
     def facet_embed(self, f, t_facet):
-        """Embed in-facet coordinates (m, d-1) into element reference coords (m, d)."""
-        k, s = f // 2, f % 2
-        t_facet = np.atleast_2d(np.asarray(t_facet, dtype=float))
-        m = t_facet.shape[0]
-        out = np.empty((m, self.dim))
-        out[:, k] = -1.0 if s == 0 else 1.0
-        other = [a for a in range(self.dim) if a != k]
-        for j, a in enumerate(other):
-            out[:, a] = t_facet[:, j]
+        """Embed in-facet coordinates (m, d-1) into element reference coords
+        (m, d). f is one local facet, or one per row of in-facet coordinates
+        (n, m, d-1)."""
+        t = np.asarray(t_facet, dtype=float)
+        f = np.asarray(f)
+        if f.ndim == 0:
+            return np.insert(np.atleast_2d(t), f // 2, 2.0 * (f % 2) - 1.0,
+                             axis=-1)
+        out = np.empty(t.shape[:-1] + (self.dim,))
+        for fv in np.unique(f):
+            rows = f == fv
+            out[rows] = self.facet_embed(fv, t[rows])
         return out
 
     def piece_coords(self, eid, f, piece, xi):
@@ -562,31 +631,8 @@ class Mesh:
         Returns (dS, normal): dS (m,) scales the reference facet measure,
         normal (m, d) is the outward unit normal of element eid.
         """
-        k, s = f // 2, f % 2
-        emap = self.element_map(eid)
-        ref = self.facet_embed(f, t_facet)
-        J = emap.jacobian(ref)
-        d = self.dim
-        if d == 1:
-            nrm = np.tile(np.array([-1.0 if s == 0 else 1.0]), (ref.shape[0], 1))
-            return np.ones(ref.shape[0]), nrm
-        other = [a for a in range(d) if a != k]
-        if d == 2:
-            tang = J[:, :, other[0]]
-            dS = np.linalg.norm(tang, axis=1)
-            nrm = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
-        else:
-            t1 = J[:, :, other[0]]
-            t2 = J[:, :, other[1]]
-            nrm = np.cross(t1, t2)
-            dS = np.linalg.norm(nrm, axis=1)
-        nrm = nrm / np.linalg.norm(nrm, axis=1, keepdims=True)
-        # orient outward: the normal must point away from the element interior
-        inward = emap.map_point(np.zeros(d)) - emap.map_point(ref)
-        sgn = np.sign(np.einsum("md,md->m", nrm, inward))
-        sgn[sgn == 0] = -1.0
-        nrm = -nrm * sgn[:, None]
-        return dS, nrm
+        J = map_jacobians(self.corner_array([eid])[0], self.facet_embed(f, t_facet))
+        return facet_measure(J, f)
 
     # -- IO -------------------------------------------------------------------
 

@@ -20,7 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import _kernels
-from .assembly import element_quadrature, physical_gradients
+from .assembly import element_quadrature
 from .polybasis import tensor_shape_eval
 from .space import deviatoric_basis, deviatoric_dim
 
@@ -354,29 +354,38 @@ def deviator(mat):
     return mat - tr[..., None, None] * np.eye(d)
 
 
+def strain_values(gu, Jinv):
+    """Symmetric gradients (..., m, d, d) of vector fields u from their
+    reference gradients gu[..., k, a] = d u_k / d xhat_a and the inverse
+    Jacobians Jinv (..., m, d, d)."""
+    grad = gu @ Jinv
+    return 0.5 * (grad + np.swapaxes(grad, -1, -2))
+
+
+def tensor_values(vals, d):
+    """Trace-free d x d tensors (..., d, d) from their components (..., L)
+    over the deviatoric basis."""
+    Phi = deviatoric_basis(d)
+    return (vals @ Phi.reshape(len(Phi), d * d)).reshape(vals.shape[:-1] + (d, d))
+
+
 def strain_at(space, eid, u, pts, Jinv):
     """Symmetric gradient of the vector field u at reference points."""
-    d = space.dim
-    idx = space.local_indices(eid)
-    _, G = tensor_shape_eval(pts, idx, jmax=max(space.degrees[eid], 1))
-    dphi = physical_gradients(G, Jinv)
-    rows, cmat = space.connectivity(eid)
-    loc = np.stack([cmat.T @ u[d * rows + k] for k in range(d)], axis=1)
-    grad = np.einsum("qbm,bk->qkm", dphi, loc)
-    return 0.5 * (grad + grad.transpose(0, 2, 1))
+    loc = space.local_coeffs(eid, np.asarray(u).reshape(-1, space.dim))
+    _, G = tensor_shape_eval(pts, space.local_indices(eid),
+                             jmax=max(space.degrees[eid], 1))
+    return strain_values(loc.T @ G, Jinv)
 
 
 def plastic_field_at(qspace, eid, p, pts, dual=False):
     """Tensor field values (m, d, d) from coefficient rows (N, L)."""
-    d = qspace.dim
-    L = deviatoric_dim(d)
-    Phi = deviatoric_basis(d)
-    rows = np.asarray(p, dtype=float).reshape(qspace.ndof, L)
+    rows = np.asarray(p, dtype=float).reshape(qspace.ndof,
+                                              deviatoric_dim(qspace.dim))
     if dual:
         vals = qspace.eval_dual(eid, rows, pts)
     else:
         vals = qspace.eval_primal(eid, rows, pts)
-    return np.einsum("ql,lmn->qmn", vals, Phi)
+    return tensor_values(vals, qspace.dim)
 
 
 def recover_multiplier(space, qspace, material, u, p):

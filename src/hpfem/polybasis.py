@@ -108,17 +108,19 @@ def gauss_rule(n):
 @reference_table
 def tensor_indices(degree, dim):
     """All multi-indices (j_1..j_d) with 0 <= j_k <= degree, last component fastest."""
-    idx = np.array(list(itertools.product(range(degree + 1), repeat=dim)), dtype=np.intp)
-    return idx.reshape(-1, dim)
+    rows = list(itertools.product(range(degree + 1), repeat=dim))
+    return np.array(rows, dtype=np.intp).reshape(len(rows), dim)
 
 
 @reference_table
 def tensor_gauss(n, dim):
-    """Tensor-product Gauss rule: points (n^d, d), weights (n^d,); last axis fastest."""
+    """Tensor-product Gauss rule: points (n^d, d), weights (n^d,); last axis
+    fastest. For dim = 0 (the facets of an interval) it is one point of
+    weight 1."""
     rule = gauss_rule(n)
     pts = np.array(list(itertools.product(rule.points, repeat=dim)))
     wts = np.array([np.prod(c) for c in itertools.product(rule.weights, repeat=dim)])
-    return pts.reshape(-1, dim), wts
+    return pts.reshape(len(wts), dim), wts
 
 
 def _tensor_product(m, axis_vals, axis_ders, indices):
@@ -153,6 +155,19 @@ def tensor_shape_eval(points, indices, jmax=None):
               for a in range(points.shape[1])]
     return _tensor_product(len(points), [v for v, _ in tables],
                            [dv for _, dv in tables], indices)
+
+
+def tensor_contract(tables, coef):
+    """Sum factorization over per-point 1D tables: the values (r, m, k) of
+    sum_j coef[r, j] prod_a tables[a][r, :, j_a], j running over the full
+    tensor index set in `tensor_indices` order. tables are d arrays
+    (r, m, n), one per axis; coef is (r, n^d, k). One axis is summed at a
+    time, so no (r, m, n^d) table is formed."""
+    r, m, n = tables[0].shape
+    out = tables[0] @ coef.reshape(r, n, -1)
+    for tab in tables[1:]:
+        out = (tab[..., None, :] @ out.reshape(r, m, n, -1))[..., 0, :]
+    return out
 
 
 @reference_table

@@ -214,6 +214,7 @@ def representation_matrices(space, candidate):
 
     B, C, D = [], [], []
     L = candidate.size
+    support = [set(node_children(node, d)) for node in candidate.hp_nodes]
     for row, b in enumerate(bits):
         Bi = constraint_coeffs(idx_P, tuple(b), zhat, degree=P)
         B.append(Bi)
@@ -224,7 +225,7 @@ def representation_matrices(space, candidate):
                 Di[k, :] = Bi[col_of[m], :]
         else:
             for k, node in enumerate(candidate.hp_nodes):
-                if row in node_children(node, d):
+                if row in support[k]:
                     Di[k, col_of[node_child_multi(node, tuple(b))]] = 1.0
         D.append(Di)
     return RepresentationMatrices(rows=grows, C_Q=C_Q, B=B, C=C, D=D,

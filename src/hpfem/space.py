@@ -543,6 +543,10 @@ class ScalarSpace:
         rows, mat = self.connectivity(eid)
         return mat.T @ u[rows]
 
+    def element_coeffs(self, eids, u):
+        """local_coeffs of elements eids of one degree, stacked: (n, nb, ...)."""
+        return np.stack([self.local_coeffs(e, u) for e in eids])
+
     def eval_element(self, eid, u, xhat, gradient=False):
         """Evaluate (and optionally differentiate, in reference coords) on one
         element; u is a field (ndof,), or rows (ndof, k) of k fields when
@@ -572,6 +576,20 @@ class ScalarSpace:
 # the discontinuous Gauss-point space with its biorthogonal dual
 # ---------------------------------------------------------------------------
 
+def gauss_point_basis(p, xhat, gradient=False):
+    """Values (m, n_T), and with gradient=True reference gradients
+    (m, n_T, d), of the Gauss-point basis of a degree-p element at reference
+    points xhat (m, d): the Lagrange basis at the p^d Gauss points, or the
+    constant 1 for p = 1."""
+    xhat = np.atleast_2d(xhat)
+    if p == 1:
+        V = np.ones((xhat.shape[0], 1))
+        G = np.zeros((xhat.shape[0], 1, xhat.shape[1]))
+    else:
+        V, G = gauss_lagrange_tensor(p, xhat)
+    return (V, G) if gradient else V
+
+
 class GaussPointSpace:
     """Discontinuous space of degree p_T - 1 with Lagrange dofs at the tensor
     Gauss points (a single elementwise constant when p_T = 1)."""
@@ -597,15 +615,8 @@ class GaussPointSpace:
         self.ndof = n
         self._build()
 
-    def _basis_at(self, eid, xhat, gradient=False):
-        p = self.degrees[eid]
-        xhat = np.atleast_2d(xhat)
-        if p == 1:
-            V = np.ones((xhat.shape[0], 1))
-            G = np.zeros((xhat.shape[0], 1, self.dim))
-        else:
-            V, G = gauss_lagrange_tensor(p, xhat)
-        return (V, G) if gradient else V
+    def _basis_at(self, eid, xhat):
+        return gauss_point_basis(self.degrees[eid], xhat)
 
     def _build(self):
         mesh = self.mesh
@@ -658,16 +669,22 @@ class GaussPointSpace:
         V = self._basis_at(eid, xhat)
         return np.tensordot(V, coeffs[self.dof_slice(eid)], axes=(1, 0))
 
-    def eval_primal_grad(self, eid, coeffs, xhat):
-        _, G = self._basis_at(eid, xhat, gradient=True)
-        return np.tensordot(G.transpose(0, 2, 1), coeffs[self.dof_slice(eid)],
-                            axes=(2, 0))
-
     def eval_dual(self, eid, coeffs, xhat):
         """Evaluate a field given by coefficients over the biorthogonal basis."""
         V = self._basis_at(eid, xhat)
         C = self._dual[eid]
         return np.tensordot(V @ C.T, coeffs[self.dof_slice(eid)], axes=(1, 0))
+
+    def element_rows(self, eids, rows, dual=False):
+        """Coefficient rows (n, n_T, k) of the elements eids, all of one
+        degree, from rows (ndof, k); dual=True takes rows over the
+        biorthogonal basis and returns them over the Lagrange basis."""
+        count = self.counts[eids[0]]
+        take = np.array([self.offsets[e] for e in eids])[:, None] + np.arange(count)
+        out = rows[take]
+        if dual:
+            out = np.stack([self._dual[e].T for e in eids]) @ out
+        return out
 
     def dual_to_primal(self, eid, coeffs):
         return np.tensordot(self._dual[eid].T, coeffs[self.dof_slice(eid)],

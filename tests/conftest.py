@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from hpfem.assembly import Loads, Material
 from hpfem.mesh import Mesh
+from hpfem.problems import cube_mesh, interval_mesh
 from hpfem.problems import square_mesh  # noqa: F401  (re-exported to tests)
+from hpfem.space import GaussPointSpace, ScalarSpace, deviatoric_dim
 
 
 @pytest.fixture
@@ -33,3 +36,65 @@ def random_refined_mesh(rng, n=2, max_degree=4, refinements=2, dirichlet=False):
         m = m.refine_element(act[int(rng.integers(len(act)))])
     degs = {e: int(rng.integers(1, max_degree + 1)) for e in m.active_ids()}
     return m.with_degrees(degs)
+
+
+def _mixed_loads(d):
+    """A smooth volume load and a smooth traction in d dimensions."""
+    def volume(x):
+        cols = [np.sin(3.0 * x[:, 0]) + x[:, -1]]
+        cols += [x[:, 0] * x[:, k] - 0.5 * k for k in range(1, d)]
+        return np.stack(cols, axis=1)
+
+    def traction(x):
+        return np.stack([np.cos(x[:, 0]) + 0.3 * x[:, k] for k in range(d)],
+                        axis=1)
+
+    return volume, traction
+
+
+INDICATOR_CASES = ("interval", "square_hanging", "distorted", "cube_hanging")
+INDICATOR_VARIANTS = {"lam_none": (False, "star"), "lam_given": (True, "star"),
+                      "multiplier": (True, "multiplier")}
+
+
+def indicator_case(name):
+    """Inputs of compute_indicators for one estimator parity case: (space,
+    qspace, material, loads, u, p, lam) with random coefficient vectors, so
+    that every term of the indicator, and the projected multiplier bound, is
+    nonzero somewhere. The interval has one element: the per-element
+    estimator the values were recorded from raised on 1D interior facets."""
+    def tag(c):
+        return "dirichlet" if c[0] < 1e-12 else "neumann"
+
+    if name == "interval":
+        m = interval_mesh(1, degree=3)
+        m.tag_boundary(tag)
+        volume, traction = _mixed_loads(1)
+        loads = Loads(volume=volume, traction=traction)
+    elif name == "square_hanging":
+        m = square_mesh(2, degree=1, tagger=tag).refine_element(0)
+        m = m.with_degrees({e: 1 + i % 3 for i, e in enumerate(m.active_ids())})
+        volume, traction = _mixed_loads(2)
+        loads = Loads(volume=volume, traction=traction)
+    elif name == "distorted":
+        m = distorted_quad_mesh(degree=2).with_degrees({0: 2, 1: 3})
+        volume, traction = _mixed_loads(2)
+        loads = Loads(volume=volume, traction=traction)
+    elif name == "cube_hanging":
+        m = cube_mesh(2, degree=2)
+        m.tag_boundary(tag)
+        m = m.refine_element(0)
+        m = m.with_degrees({e: 1 + i % 2 for i, e in enumerate(m.active_ids())})
+        _, traction = _mixed_loads(3)
+        loads = Loads(traction=traction)
+    else:
+        raise ValueError(name)
+    material = Material(lam=10.0, mu=5.0, hardening=1.0, yield_stress=0.35)
+    space = ScalarSpace(m)
+    qspace = GaussPointSpace(m, material.yield_stress)
+    rng = np.random.default_rng(INDICATOR_CASES.index(name))
+    L = deviatoric_dim(m.dim)
+    u = 0.05 * rng.standard_normal(m.dim * space.ndof)
+    p = 0.05 * rng.standard_normal(L * qspace.ndof)
+    lam = 0.3 * rng.standard_normal(L * qspace.ndof)
+    return space, qspace, material, loads, u, p, lam

@@ -1,9 +1,10 @@
 """The benchmark's traced mode patches hpfem attributes by name (see
 perfbench/tracing.py); one traced repetition fails if any of them is gone.
 Seed 0 also runs the workload's reference checks: exact dof and Newton
-trajectories and the final energy to 1e-10 relative. The estimator workload
-covers the cached tables through the estimator, Gauss-point space and
-assembly."""
+trajectories and the final energy to 1e-10 relative. The estimator workloads
+cover the cached tables through the estimator, Gauss-point space and
+assembly, and the 3D one runs the batched estimator with d = 3 on a mesh
+with hanging faces."""
 
 import json
 import os
@@ -15,7 +16,8 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("workload", ["lshape-predictor", "plastic-estimator-2d"])
+@pytest.mark.parametrize("workload", ["lshape-predictor", "plastic-estimator-2d",
+                                      "hex-estimator-3d"])
 def test_traced_repetition_runs(workload):
     res = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "child.py"),

@@ -1,15 +1,26 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
-from conftest import square_mesh
+from conftest import (INDICATOR_CASES, INDICATOR_VARIANTS, indicator_case,
+                      square_mesh)
 from hpfem.assembly import (Loads, Material, assemble_system, bilinear_value,
                             element_quadrature)
 from hpfem.estimator import (ErrorIndicators, compute_indicators, mark_dorfler,
-                             mu_star_at, solve_auxiliary, stress_divergence)
+                             mu_star_at, solve_auxiliary,
+                             stress_divergence_values)
+from hpfem.mesh import map_hessians, map_jacobians
 from hpfem.plasticity import (NewtonConfig, default_rho, plastic_field_at,
-                              solve_semismooth_newton, strain_at)
-from hpfem.polybasis import tensor_gauss
-from hpfem.space import GaussPointSpace, ScalarSpace, deviatoric_basis
+                              solve_semismooth_newton)
+from hpfem.polybasis import tensor_shape_eval, tensor_shape_hessian
+from hpfem.problems import interval_mesh
+from hpfem.space import (GaussPointSpace, ScalarSpace, deviatoric_basis,
+                         gauss_point_basis)
+
+PARENT_INDICATORS = os.path.join(os.path.dirname(__file__), "data",
+                                 "indicators_parent.json")
 
 
 def _interp_vertex_field(mesh, space, func):
@@ -56,10 +67,39 @@ class TestVolumeResidual:
         qs = GaussPointSpace(m, 1.0)
         u = _interp_vertex_field(m, space, lambda x: [0.1 * x[0], -0.05 * x[1]])
         pts = rng.uniform(-1, 1, (5, 2))
-        Jinv = np.linalg.inv(m.element_map(0).jacobian(pts))
-        div = stress_divergence(space, qs, mat, 0, u,
-                                np.zeros(2 * qs.ndof), pts, Jinv)
+        corners = m.corner_array([0])
+        idx = space.local_indices(0)
+        _, G = tensor_shape_eval(pts, idx, jmax=1)
+        _, GL = gauss_point_basis(1, pts, gradient=True)
+        div = stress_divergence_values(
+            mat, space.element_coeffs([0], u.reshape(-1, 2)),
+            qs.element_rows([0], np.zeros((qs.ndof, 2))), G,
+            tensor_shape_hessian(pts, idx, jmax=1), GL,
+            np.linalg.inv(map_jacobians(corners, pts)),
+            map_hessians(corners, pts))
+        assert div.shape == (1, 5, 2)
         assert np.abs(div).max() < 1e-12
+
+
+class TestParentParity:
+    """The batched indicators against values recorded from the per-element
+    implementation they replace (commit 8d52cf2), on the cases built by
+    conftest.indicator_case: every part, to 1e-12 of the largest total."""
+
+    @pytest.mark.parametrize("variant", sorted(INDICATOR_VARIANTS))
+    @pytest.mark.parametrize("case", INDICATOR_CASES)
+    def test_matches_recorded_indicators(self, case, variant):
+        with open(PARENT_INDICATORS) as fh:
+            ref = json.load(fh)[case][variant]
+        space, qs, mat, loads, u, p, lam = indicator_case(case)
+        given, mode = INDICATOR_VARIANTS[variant]
+        ind = compute_indicators(space, qs, mat, loads, u, p,
+                                 lam=lam if given else None, mu_mode=mode)
+        assert ind.element_ids.tolist() == ref["element_ids"]
+        scale = max(np.abs(ref["total"]))
+        for part in ("residual_part", "plastic_part", "oscillation", "total"):
+            np.testing.assert_allclose(getattr(ind, part), ref[part], rtol=0,
+                                       atol=1e-12 * scale, err_msg=part)
 
 
 class TestJumpTerm:
@@ -87,6 +127,21 @@ class TestJumpTerm:
         right = jump + ((lam_ + 2 * mu_) * a) ** 2 + 2 * (lam_ * a) ** 2
         np.testing.assert_allclose(sorted(ind.residual_part),
                                    sorted([left, right]), rtol=1e-12)
+
+    def test_interval_jump_closed_form(self):
+        # a hat function on two clamped elements of (0, 1): u' = 1 left of
+        # x = 1/2 and -1 right of it; the point facet has h_e = 1, p_e = 1
+        m = interval_mesh(2, degree=1)
+        mat = Material(lam=1.0, mu=1.0, hardening=1.0, yield_stress=1e9)
+        space = ScalarSpace(m)
+        qs = GaussPointSpace(m, mat.yield_stress)
+        u = np.zeros(space.ndof)
+        u[space.dof_index[("v", 1)]] = 0.5
+        ind = compute_indicators(space, qs, mat, Loads(), u, np.zeros(0))
+        jump = (mat.lam + 2 * mat.mu) * (1.0 - (-1.0))  # [sigma n] at x = 1/2
+        np.testing.assert_allclose(ind.residual_part, [0.5 * jump**2] * 2,
+                                   rtol=1e-12)
+        assert np.all(ind.plastic_part == 0.0)
 
     def test_hanging_interface_counts_once(self, rng):
         m = square_mesh(2, degree=1, tagger=lambda c: "dirichlet")

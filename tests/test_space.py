@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import distorted_quad_mesh, random_refined_mesh, square_mesh
 from hpfem.mesh import Mesh, check_det_affine
+from hpfem.problems import cube_mesh
 from hpfem.polybasis import tensor_gauss, tensor_indices, tensor_shape_eval
 from hpfem.space import (GaussPointSpace, ScalarSpace, constraint_coeffs,
                          deviatoric_basis, deviatoric_dim)
@@ -339,3 +342,52 @@ def _full(qs, sl, block):
     out = np.zeros((qs.ndof,) + block.shape[1:])
     out[sl] = block
     return out
+
+
+def _refined_mesh(d, n, seed):
+    """A jittered n^d root mesh, some roots refined at random interior
+    dividing points, and random degrees. The dividing point of root (i, j, k)
+    takes its axis-a coordinate from a value drawn per axis and index, so
+    refined neighbors split their shared facet at the same place (nested
+    pieces, as the space requires) and unrefined neighbors carry hanging
+    nodes."""
+    rng = np.random.default_rng(seed)
+    m = square_mesh(n) if d == 2 else cube_mesh(n)
+    h = 1.0 / n
+    m.vertices = [v + (0.2 * h * rng.uniform(-1, 1, d)
+                       if np.all((v > 1e-12) & (v < 1 - 1e-12)) else 0.0)
+                  for v in m.vertices]
+    split = rng.uniform(-0.7, 0.7, (d, n))
+    before = m.total_volume()
+    roots = [e for e in m.active_ids() if rng.uniform() < 0.5]
+    for e in roots:
+        multi = np.unravel_index(e, (n,) * d)
+        m = m.refine_element(e, np.array([split[a, multi[a]] for a in range(d)]))
+    m = m.with_degrees({e: int(rng.integers(1, 4 if d == 2 else 3))
+                        for e in m.active_ids()})
+    return m, before, len(roots)
+
+
+class TestRefinementProperties:
+    @given(st.sampled_from([2, 3]), st.integers(0, 2**31 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_volume_and_continuity_across_pieces(self, d, seed):
+        m, before, _ = _refined_mesh(d, 2, seed)
+        assert abs(m.total_volume() - before) <= 1e-12 * before
+        space = ScalarSpace(m)
+        u = np.random.default_rng(seed).standard_normal(space.ndof)
+        xi, _ = tensor_gauss(3, d - 1)
+        for eid in m.active_ids():
+            for f, info in enumerate(m.facet_neighbors(eid)):
+                for piece in info.pieces:
+                    t_mine, t_nb = m.piece_coords(eid, f, piece, xi)
+                    ref_m = m.facet_embed(f, t_mine)
+                    ref_n = m.facet_embed(piece.facet, t_nb)
+                    np.testing.assert_allclose(
+                        m.element_map(eid).map_point(ref_m),
+                        m.element_map(piece.neighbor).map_point(ref_n),
+                        rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(
+                        space.eval_element(eid, u, ref_m),
+                        space.eval_element(piece.neighbor, u, ref_n),
+                        rtol=0, atol=1e-12 * np.abs(u).max())
