@@ -69,14 +69,6 @@ class Material:
             if abs(lhs - rhs) > 1e-10 * max(1.0, abs(lhs)):
                 raise ValueError("material tensor callback is not symmetric")
 
-    @property
-    def ellipticity_elastic(self):
-        return 2.0 * self.mu
-
-    @property
-    def ellipticity_hardening(self):
-        return self.hardening
-
     def apply_elasticity(self, eps):
         """sigma = C eps for symmetric eps; batched over leading axes."""
         if self.elasticity is not None:

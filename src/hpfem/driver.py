@@ -165,13 +165,6 @@ def plastic_error_sq(coarse, fine):
     return total
 
 
-def elliptic_error_sq(state, reference):
-    """Energy error via exact data or against a reference energy value."""
-    if state.problem.exact_grad is not None:
-        return energy_error_sq(state.space, state.u, state.problem.exact_grad)
-    return max(reference - state.energy_sq(), 0.0)
-
-
 # ---------------------------------------------------------------------------
 # adaptive loops
 # ---------------------------------------------------------------------------

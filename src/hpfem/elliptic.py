@@ -6,10 +6,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import _kernels
 from .assembly import element_quadrature, facet_load, physical_gradients
+from .plasticity import factorize
 from .polybasis import tensor_shape_eval
 
 
@@ -60,7 +60,7 @@ def assemble_scalar(space, problem):
 
 def solve_scalar(space, problem):
     A, b = assemble_scalar(space, problem)
-    u = spla.spsolve(sp.csc_matrix(A), b)
+    u = factorize(A).solve(b)
     return u, A, b
 
 

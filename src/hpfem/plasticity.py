@@ -9,7 +9,8 @@ The Newton step is condensed to the displacements. D is diagonal, the Clarke
 blocks of the complementarity rows are L x L per dof and C is block diagonal
 over the elements, so (dp, dlam) are eliminated element by element (one
 batched dense solve per block size) and each step factorizes only the
-symmetric displacement-sized matrix K + B X B^T.
+symmetric displacement-sized matrix K + B X B^T. Every sparse factorization
+of the package goes through `factorize`.
 """
 
 import csv
@@ -113,8 +114,20 @@ def generalized_jacobian(system, qspace, p, lam, rho):
     ], format="csc")
 
 
+def factorize(A):
+    """Sparse LU of A in SuperLU's symmetric mode (Li, ACM TOMS 31, 2005):
+    minimum-degree ordering on A + A^T, and the diagonal pivot wherever it is
+    at least 0.1 of its column's largest entry. On the symmetric positive
+    definite systems of the package (K, the condensed Newton matrix, the
+    scalar stiffness) every pivot is diagonal and the fill is Cholesky-like;
+    an unsymmetric matrix is still partially pivoted. A singular matrix
+    raises RuntimeError."""
+    return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
+
+
 def elastic_solve(system):
-    return spla.spsolve(sp.csc_matrix(system.K), system.l)
+    return factorize(system.K).solve(system.l)
 
 
 @dataclass
@@ -165,7 +178,7 @@ class ElementBlocks:
     def condensed_solve(self, mats, rhs, f):
         """Solve K u - B q = f with q = g - X B^T u, where [X_e | g_e] =
         mats_e^{-1} rhs_e on every element block (rhs_e has one column more
-        than mats_e), by one sparse LU of K + B X B^T. Returns (u, q)."""
+        than mats_e), by one factorization of K + B X B^T. Returns (u, q)."""
         system = self.system
         n_q = system.C.shape[0]
         sols = [np.linalg.solve(M, R) for M, R in zip(mats, rhs)]
@@ -174,8 +187,7 @@ class ElementBlocks:
         g = np.empty(n_q)
         for grp, s in zip(self.groups, sols):
             g[grp.idx] = s[..., -1]
-        A = (system.K + system.B @ X @ self._Bt).tocsc()
-        u = spla.splu(A).solve(f + system.B @ g)
+        u = factorize(system.K + system.B @ X @ self._Bt).solve(f + system.B @ g)
         return u, g - X @ (self._Bt @ u)
 
 

@@ -18,6 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .assembly import physical_gradients
+from .estimator import TIE_RTOL
 from .mesh import ElementMap, corner_bits
 from .polybasis import tensor_gauss, tensor_indices, tensor_shape_eval
 from .space import constraint_coeffs
@@ -330,7 +331,8 @@ def predict_reduction(space, problem, A_W, b_W, u_W, split, candidate,
 
 def choose_enrichment(space, problem, A_W, b_W, u_W, eid, candidates=None):
     """Evaluate candidates on one element and return (best, all predictions);
-    ties prefer the p-enrichment, then the earlier candidate."""
+    ties (within TIE_RTOL of the larger reduction, at least 1e-14) prefer
+    the p-enrichment, then the earlier candidate."""
     if candidates is None:
         candidates = default_candidates(space, eid)
     split = local_split(space, u_W, eid)
@@ -340,11 +342,15 @@ def choose_enrichment(space, problem, A_W, b_W, u_W, eid, candidates=None):
     for pr in preds:
         if pr.skipped:
             continue
-        if best is None or pr.delta_e2 > best.delta_e2 + 1e-14:
+        if best is None:
             best = pr
-        elif best is not None and abs(pr.delta_e2 - best.delta_e2) <= 1e-14:
-            if best.candidate.kind == "hp" and pr.candidate.kind == "p":
-                best = pr
+            continue
+        tol = max(1e-14, TIE_RTOL * max(abs(pr.delta_e2), abs(best.delta_e2)))
+        if pr.delta_e2 > best.delta_e2 + tol:
+            best = pr
+        elif (abs(pr.delta_e2 - best.delta_e2) <= tol
+              and best.candidate.kind == "hp" and pr.candidate.kind == "p"):
+            best = pr
     if best is None:
         best = Prediction.skip(candidates[0], "all candidates skipped")
     return best, preds

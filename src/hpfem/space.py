@@ -184,11 +184,6 @@ def _box_slot(ids, r, multi):
     raise ValueError("unsupported slot dimension")
 
 
-def _facet_axes(dim, f):
-    k = f // 2
-    return [a for a in range(dim) if a != k]
-
-
 # ---------------------------------------------------------------------------
 # the continuous scalar space
 # ---------------------------------------------------------------------------

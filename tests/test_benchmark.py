@@ -3,8 +3,9 @@ perfbench/tracing.py); one traced repetition fails if any of them is gone.
 Seed 0 also runs the workload's reference checks: exact dof and Newton
 trajectories and the final energy to 1e-10 relative. The estimator workloads
 cover the cached tables through the estimator, Gauss-point space and
-assembly, and the 3D one runs the batched estimator with d = 3 on a mesh
-with hanging faces."""
+assembly, the 3D one runs the batched estimator with d = 3 on a mesh
+with hanging faces, and the large single solve runs the Newton
+factorizations at the largest size the benchmark has."""
 
 import json
 import os
@@ -17,7 +18,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("workload", ["lshape-predictor", "plastic-estimator-2d",
-                                      "hex-estimator-3d"])
+                                      "plastic-solve-large", "hex-estimator-3d"])
 def test_traced_repetition_runs(workload):
     res = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "child.py"),

@@ -3,6 +3,8 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (INDICATOR_CASES, INDICATOR_VARIANTS, indicator_case,
                       square_mesh)
@@ -328,6 +330,21 @@ class TestDorfler:
                               oscillation=np.zeros(2), total=np.array([bad, bad]))
         with pytest.raises(ValueError, match=r"\[5, 7\]"):
             mark_dorfler(ind, 0.5)
+
+    @settings(max_examples=50, deadline=None)
+    @given(levels=st.lists(st.integers(1, 50), min_size=1, max_size=12),
+           theta=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
+    def test_rounding_noise_keeps_mirror_ties(self, levels, theta, seed):
+        # each value sits on a mirror pair of elements; summing their terms in
+        # another order moves the twins apart by a few ulps
+        rng = np.random.default_rng(seed)
+        vals = np.repeat(np.asarray(levels, dtype=float) / 50.0, 2)
+        exact = dict(zip(rng.permutation(len(vals)).tolist(), vals.tolist()))
+        frac = np.cumsum(np.sort(vals)[::-1]) / vals.sum()
+        assume(np.abs(frac - theta).min() > 1e-9)  # not a threshold question
+        noisy = {e: v * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0))
+                 for e, v in exact.items()}
+        assert mark_dorfler(noisy, theta) == mark_dorfler(exact, theta)
 
     def test_minimality(self, rng):
         vals = {i: float(v) for i, v in enumerate(rng.uniform(0, 1, 20))}

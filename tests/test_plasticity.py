@@ -17,7 +17,7 @@ from hpfem.assembly import (Loads, Material, MixedSystem,
 from hpfem.plasticity import (ElementBlocks, NewtonConfig,
                               check_complementarity, chi, chi_coords,
                               condensed_newton_step, default_rho,
-                              elastic_solve, generalized_jacobian,
+                              elastic_solve, factorize, generalized_jacobian,
                               in_admissible_gauss, in_admissible_weak,
                               infsup_ratio, recover_multiplier, residual,
                               solve_semismooth_newton)
@@ -288,18 +288,60 @@ class TestRhoShiftRetry:
         m, mat, space, qs, system = _benchmark()
         rho = default_rho(mat)
         assert solve_semismooth_newton(system, qs, NewtonConfig(rho=rho)).retries == 0
+        # the elastic start is factorized too: build it before the failures
+        zeros = np.zeros(system.C.shape[0])
+        initial = (elastic_solve(system), zeros, zeros)
         monkeypatch.setattr(plasticity, "spla", _FailingLinalg(1))
-        sol = solve_semismooth_newton(system, qs, NewtonConfig(rho=rho))
+        sol = solve_semismooth_newton(system, qs, NewtonConfig(rho=rho),
+                                      initial=initial)
         assert sol.converged and sol.retries == 1
         F = residual(system, qs, sol.u, sol.p, sol.lam, 2.0 * rho + 1.0)
         assert np.abs(F).max() < 1e-10
 
     def test_second_failure_raises(self, monkeypatch):
         m, mat, space, qs, system = _benchmark()
+        zeros = np.zeros(system.C.shape[0])
+        initial = (elastic_solve(system), zeros, zeros)
         monkeypatch.setattr(plasticity, "spla", _FailingLinalg(2))
         with pytest.raises(RuntimeError, match="singular"):
             solve_semismooth_newton(system, qs,
-                                    NewtonConfig(rho=default_rho(mat)))
+                                    NewtonConfig(rho=default_rho(mat)),
+                                    initial=initial)
+
+
+class TestFactorize:
+    def test_symmetric_mode_on_a_newton_matrix(self, monkeypatch):
+        mesh, mat, loads = plastic_square(n=8, degree=3)
+        qs = GaussPointSpace(mesh, mat.yield_stress)
+        system = assemble_system(ScalarSpace(mesh), qs, mat, loads)
+        seen = []
+
+        class Recorder(_FailingLinalg):
+            def splu(self, A, *args, **kwargs):
+                seen.append(A)
+                return super().splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(plasticity, "spla", Recorder(0))
+        sol = solve_semismooth_newton(system, qs,
+                                      NewtonConfig(rho=default_rho(mat)))
+        monkeypatch.undo()
+        # one factorization for the elastic start and one per Newton step
+        assert sol.converged and len(seen) == sol.iterations + 1
+        A = seen[-1]
+        b = np.random.default_rng(11).standard_normal(A.shape[0])
+        lu = factorize(A)
+        ref = spla.spsolve(sp.csc_matrix(A), b)
+        assert np.abs(lu.solve(b) - ref).max() <= 1e-12 * np.abs(ref).max()
+        # diagonal pivots only, and minimum-degree fill: COLAMD with partial
+        # pivoting (SuperLU's default) fills three times as much here
+        np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
+        default = spla.splu(sp.csc_matrix(A))
+        assert lu.L.nnz + lu.U.nnz <= 0.5 * (default.L.nnz + default.U.nnz)
+        singular = A.tolil()
+        singular[0, :] = 0.0
+        singular[:, 0] = 0.0
+        with pytest.raises(RuntimeError, match="singular"):
+            factorize(singular)
 
 
 def _hex_hanging_mesh():
