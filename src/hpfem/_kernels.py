@@ -1,7 +1,8 @@
 """The hot evaluation/assembly kernels, in numpy.
 
-Every contraction is a fixed reshape followed by one matrix product, so the
-per-call cost stays small for the element-sized arrays these run on.
+Every contraction is a fixed reshape followed by one matrix product. The
+element-matrix kernels take optional leading element axes, so that assembly
+calls each of them once per group of elements of equal degree.
 """
 
 import numpy as np
@@ -52,56 +53,62 @@ def shape_table(t, jmax):
 
 
 def scalar_stiffness(dphi, w):
-    """sum_q w_q grad(phi_i) . grad(phi_j); dphi has shape (nq, nb, d)."""
-    nq, nb, d = dphi.shape
-    G = dphi.transpose(1, 0, 2).reshape(nb, nq * d)
-    return (G * np.repeat(w, d)) @ G.T
+    """sum_q w_q grad(phi_i) . grad(phi_j); dphi has shape (..., nq, nb, d)
+    and w (..., nq), with optional leading element axes."""
+    *lead, nq, nb, d = dphi.shape
+    G = np.swapaxes(dphi, -3, -2).reshape(*lead, nb, nq * d)
+    return (G * np.repeat(w, d, axis=-1)[..., None, :]) @ np.swapaxes(G, -1, -2)
 
 
 def mass_matrix(phi, w):
-    """sum_q w_q phi_i phi_j; phi has shape (nq, nb)."""
-    return (phi.T * w) @ phi
+    """sum_q w_q phi_i phi_j; phi has shape (nq, nb), or (..., nq, nb) like
+    the weights w (..., nq)."""
+    return (np.swapaxes(phi, -1, -2) * w[..., None, :]) @ phi
 
 
 def load_vector(phi, w, f):
-    """sum_q w_q f_q phi_i; f has shape (nq,) or (nq, d) -> result (nb,) or (nb, d)."""
-    if f.ndim == 1:
-        return phi.T @ (w * f)
-    return phi.T @ (w[:, None] * f)
+    """sum_q w_q f_q phi_i; phi has shape (nq, nb), w (..., nq) and f (..., nq)
+    or (..., nq, k) -> result (..., nb) or (..., nb, k)."""
+    if f.ndim == w.ndim:
+        return (w * f) @ phi
+    return np.swapaxes(phi, -1, -2) @ (w[..., None] * f)
 
 
 def elastic_stiffness(dphi, w, lam, mu):
-    """Local isotropic elasticity stiffness, interleaved dof order (node, component).
+    """Local isotropic elasticity stiffness, interleaved dof order (node, component),
+    with optional leading element axes on dphi (..., nq, nb, d) and w (..., nq).
 
     Entry [(b,k),(b',l)] = sum_q w [lam d_k phi_b d_l phi_b'
         + mu (delta_kl grad phi_b . grad phi_b' + d_l phi_b d_k phi_b')].
     """
-    nq, nb, d = dphi.shape
-    X = dphi.reshape(nq, nb * d)
+    *lead, nq, nb, d = dphi.shape
+    X = dphi.reshape(*lead, nq, nb * d)
     # g[b, k, b', l] = sum_q w_q d_k phi_b d_l phi_b'
-    g = ((X.T * w) @ X).reshape(nb, d, nb, d)
-    K = lam * g + mu * g.transpose(0, 3, 2, 1)
-    lap = mu * np.trace(g, axis1=1, axis2=3)
+    g = ((np.swapaxes(X, -1, -2) * w[..., None, :]) @ X).reshape(
+        *lead, nb, d, nb, d)
+    K = lam * g + mu * np.swapaxes(g, -3, -1)
+    lap = mu * np.trace(g, axis1=-3, axis2=-1)
     for k in range(d):
-        K[:, k, :, k] += lap
-    return K.reshape(nb * d, nb * d)
+        K[..., :, k, :, k] += lap
+    return K.reshape(*lead, nb * d, nb * d)
 
 
 def coupling_block(dphi, w, phiq, S):
-    """Plastic-strain/displacement coupling block, rows (b,k) cols (m,l).
+    """Plastic-strain/displacement coupling block, rows (b,k) cols (m,l), with
+    optional leading element axes on dphi (..., nq, nb, d) and w (..., nq).
 
     Entry = sum_q w_q phiq_{q,m} sum_n S[l,k,n] dphi[q,b,n]; S[l] is the
     (constant) stress response of the l-th deviatoric basis matrix.
     """
-    nq, nb, d = dphi.shape
-    nm = phiq.shape[1]
+    *lead, nq, nb, d = dphi.shape
+    nm = phiq.shape[-1]
     L = S.shape[0]
     # H[b, n, m] = sum_q w_q dphi[q, b, n] phiq[q, m]
-    H = dphi.reshape(nq, nb * d).T @ (w[:, None] * phiq)
-    H = H.reshape(nb, d, nm).transpose(0, 2, 1).reshape(nb * nm, d)
+    H = np.swapaxes(dphi.reshape(*lead, nq, nb * d), -1, -2) @ (w[..., None] * phiq)
+    H = np.swapaxes(H.reshape(*lead, nb, d, nm), -1, -2).reshape(*lead, nb * nm, d)
     # B[b, m, k, l] = sum_n H[b, n, m] S[l, k, n]
-    B = (H @ S.transpose(2, 1, 0).reshape(d, d * L)).reshape(nb, nm, d, L)
-    return B.transpose(0, 2, 1, 3).reshape(nb * d, nm * L)
+    B = (H @ S.transpose(2, 1, 0).reshape(d, d * L)).reshape(*lead, nb, nm, d, L)
+    return np.swapaxes(B, -3, -2).reshape(*lead, nb * d, nm * L)
 
 
 def chi_blocks(p, lam, sigma, rho, want_jacobian=True):

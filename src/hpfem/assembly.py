@@ -1,4 +1,4 @@
-"""Element-wise assembly of the mixed elastoplastic system.
+"""Assembly of the mixed elastoplastic system, batched over element groups.
 
 Blocks (0-based, interleaved numbering: displacement dof (i, k) -> d*i + k,
 plastic/multiplier dof (i, l) -> L*i + l):
@@ -11,6 +11,13 @@ plastic/multiplier dof (i, l) -> L*i + l):
 
 With these blocks the stationarity system reads K u - B p = l and
 -B^T u + C p + D lam = 0, which is the Galerkin form of the mixed problem.
+
+Every global matrix is R^T blockdiag(A_T) S and every load R^T (l_T), where
+R and S are rows of the local-to-global operators of the spaces
+(`ScalarSpace.local_operator`, which carries the hanging-node and Dirichlet
+constraints, and the identity of the discontinuous Gauss-point space). The
+element matrices A_T and loads l_T are computed one group of elements of
+equal degree (and affinity) at a time on the corner-array geometry of `mesh`.
 """
 
 import warnings
@@ -20,9 +27,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
-from .mesh import is_affine
-from .polybasis import tensor_gauss, tensor_shape_eval
-from .space import deviatoric_basis, deviatoric_dim
+from .mesh import facet_measure, is_affine, map_jacobians, map_points
+from .polybasis import tensor_gauss, tensor_indices, tensor_shape_eval
+from .space import deviatoric_basis, deviatoric_dim, gauss_point_basis
 
 
 class QuadratureAccuracyWarning(UserWarning):
@@ -125,52 +132,83 @@ def element_quadrature(mesh, eid, order):
     return emap, pts, wts, det, Jinv
 
 
-def facet_quadrature(mesh, eid, f, box, order):
-    """Gauss points/weights on a sub-box of a facet, with area factors."""
+def element_groups(space, *keys):
+    """Positions of the active elements grouped by degree and by further
+    per-element keys (arrays in element order), as {(degree, *keys):
+    positions}, in ascending key order."""
+    deg = [space.degrees[e] for e in space.mesh.active_ids()]
+    uniq, inv = np.unique(np.stack((deg,) + keys, axis=1), axis=0,
+                          return_inverse=True)
+    inv = inv.ravel()
+    return {tuple(int(v) for v in key): np.nonzero(inv == j)[0]
+            for j, key in enumerate(uniq)}
+
+
+def group_quadrature(corners, order):
+    """The tensor Gauss rule of an order on the maps of a corner array
+    (n, 2^d, d): reference points (m, d), weights times det J (n, m) and
+    inverse Jacobians (n, m, d, d)."""
+    pts, wts = tensor_gauss(order, corners.shape[-1])
+    J = map_jacobians(corners, pts)
+    return pts, wts * np.linalg.det(J), np.linalg.inv(J)
+
+
+def data_load(data, x, w, V):
+    """Element loads (n, nb), or (n, nb, k) for vector data, of a callable on
+    physical points at the points x (n, m, d), with weights w (n, m), against
+    shape values V (m, nb)."""
+    vals = np.asarray(data(x.reshape(-1, x.shape[-1])), dtype=float)
+    return _kernels.load_vector(V, w, vals.reshape(w.shape + vals.shape[1:]))
+
+
+def galerkin(rows, blocks, cols=None):
+    """rows^T blockdiag(blocks) cols: the element blocks (n, r, c) of n
+    elements scattered by the rows (n r, element by element) of one
+    local-to-global operator and the rows (n c) of another; cols defaults to
+    rows."""
+    n, r, c = blocks.shape
+    diag = sp.bsr_matrix((blocks, np.arange(n), np.arange(n + 1)),
+                         shape=(n * r, n * c)).tocsr()
+    out = rows.T.tocsr() @ (diag @ (rows if cols is None else cols))
+    out.sort_indices()
+    return out
+
+
+def boundary_load(space, corners, data, tags, ncomp=1):
+    """The load of boundary data (a callable on physical points with ncomp
+    components) on the facets tagged with one of tags, by the Gauss rule of
+    order p + 2, one group of equal degree and local facet at a time;
+    corners is the corner array of the active elements."""
+    mesh = space.mesh
     d = mesh.dim
-    if d == 1:
-        t = np.zeros((1, 0))
-        return t, np.ones(1), np.ones(1)
-    xi, wts = tensor_gauss(order, d - 1)
-    t = np.empty_like(xi)
-    scale = 1.0
-    for j in range(d - 1):
-        lo, hi = box[j]
-        t[:, j] = lo + 0.5 * (xi[:, j] + 1.0) * (hi - lo)
-        scale *= 0.5 * (hi - lo)
-    dS, _ = mesh.facet_area_element(eid, f, t)
-    return t, wts * scale, dS
-
-
-def physical_gradients(G, Jinv):
-    """Reference shape gradients (m, nb, d) to physical ones via J^{-T}."""
-    return np.einsum("qba,qam->qbm", G, Jinv)
-
-
-def _vec_rows(rows, d):
-    return (d * rows[:, None] + np.arange(d)[None, :]).ravel()
-
-
-def _expand_vector_block(cmat, Kloc, d):
-    """(cmat x I_d) Kloc (cmat x I_d)^T for a local matrix whose rows and
-    columns are interleaved (shape, component) pairs."""
-    nr, nb = cmat.shape
-    # rows (b, k) -> (r, k); then, per row, columns (c, l) -> (s, l)
-    half = (cmat @ Kloc.reshape(nb, -1)).reshape(nr * d, nb, d)
-    return (cmat @ half).reshape(nr * d, nr * d)
+    groups = {}
+    for i, eid in enumerate(mesh.active_ids()):
+        for f, tag in enumerate(mesh.elements[eid].boundary_tags):
+            if tag in tags:  # None on interior facets
+                groups.setdefault((space.degrees[eid], f), []).append(i)
+    out = np.zeros(ncomp * space.ndof)
+    for (p, f), sel in groups.items():
+        t, wq = tensor_gauss(p + 2, d - 1)
+        ref = mesh.facet_embed(f, t)
+        dS, _ = facet_measure(map_jacobians(corners[sel], ref), f)
+        V, _ = tensor_shape_eval(ref, tensor_indices(p, d), jmax=max(p, 1))
+        out += space.local_operator(ncomp, sel).T @ data_load(
+            data, map_points(corners[sel], ref), wq * dS, V).ravel()
+    return out
 
 
 def _stiffness_general(dphi, w, material):
-    """K block for general elasticity callbacks (rows/cols interleaved)."""
-    nq, nb, d = dphi.shape
+    """K blocks for general elasticity callbacks (rows/cols interleaved), for
+    gradients dphi (n, nq, nb, d) and weights w (n, nq) of n elements."""
+    n, nq, nb, d = dphi.shape
     eye = np.eye(d)
-    eps = 0.5 * (np.einsum("km,qbn->qbkmn", eye, dphi)
-                 + np.einsum("kn,qbm->qbkmn", eye, dphi))
+    eps = 0.5 * (np.einsum("km,eqbn->eqbkmn", eye, dphi)
+                 + np.einsum("kn,eqbm->eqbkmn", eye, dphi))
     sig = material.apply_elasticity(eps.reshape(-1, d, d)).reshape(eps.shape)
     # K[(b,k),(c,l)] = sum_q w_q sig[q,b,k] : eps[q,c,l]
-    S = (sig * w[:, None, None, None, None]).transpose(1, 2, 0, 3, 4)
-    E = eps.transpose(1, 2, 0, 3, 4)
-    return S.reshape(nb * d, -1) @ E.reshape(nb * d, -1).T
+    S = (sig * w[:, :, None, None, None, None]).transpose(0, 2, 3, 1, 4, 5)
+    E = eps.transpose(0, 2, 3, 1, 4, 5).reshape(n, nb * d, -1)
+    return S.reshape(n, nb * d, -1) @ np.swapaxes(E, -1, -2)
 
 
 def assemble_system(space, qspace, material, loads=None):
@@ -191,100 +229,51 @@ def assemble_system(space, qspace, material, loads=None):
                 material.apply_elasticity(Phi[l]) + material.apply_hardening(Phi[l]),
                 Phi[k]))
 
-    rows_K, cols_K, vals_K = [], [], []
-    rows_B, cols_B, vals_B = [], [], []
-    rows_C, cols_C, vals_C = [], [], []
+    act = np.array(mesh.active_ids())
+    if any(qspace.degrees[e] != space.degrees[e] for e in act):
+        raise ValueError("the displacement and Gauss-point spaces must have "
+                         "the same element degrees")
+    corners = mesh.corner_array(act)
+    affine = is_affine(corners)
+    K = sp.csr_matrix((d * M, d * M))
+    B = sp.csr_matrix((d * M, L * N))
+    C = sp.csr_matrix((L * N, L * N))
     lvec = np.zeros(d * M)
-    non_affine = []
-
-    for eid in mesh.active_ids():
-        p = space.degrees[eid]
-        affine = is_affine(mesh.element_map(eid))
-        order = p + 1 + (0 if affine else 1)
-        if not affine:
-            non_affine.append(eid)
-        emap, pts, wts, det, Jinv = element_quadrature(mesh, eid, order)
-        idx = space.local_indices(eid)
-        V, G = tensor_shape_eval(pts, idx, jmax=max(p, 1))
-        dphi = physical_gradients(G, Jinv)
-        w = wts * det
-        grows, cmat = space.connectivity(eid)
-
+    for (p, aff), sel in element_groups(space, affine).items():
+        # the stiffness integrand is rational on non-affine maps: one more point
+        pts, w, Jinv = group_quadrature(corners[sel], p + 2 - aff)
+        idx = tensor_indices(p, d)
+        _, G = tensor_shape_eval(pts, idx, jmax=max(p, 1))
+        dphi = G @ Jinv
+        rows = space.local_operator(d, sel)
+        qrows = qspace.local_operator(L, sel)
         if material.elasticity is None:
-            Kloc = _kernels.elastic_stiffness(
-                np.ascontiguousarray(dphi), np.ascontiguousarray(w),
-                material.lam, material.mu)
+            K += galerkin(rows, _kernels.elastic_stiffness(dphi, w, material.lam,
+                                                           material.mu))
         else:
-            Kloc = _stiffness_general(dphi, w, material)
-        Kel = _expand_vector_block(cmat, Kloc, d)
-        vr = _vec_rows(grows, d)
-        rows_K.append(np.repeat(vr, len(vr)))
-        cols_K.append(np.tile(vr, len(vr)))
-        vals_K.append(Kel.ravel())
-
-        phiq = qspace._basis_at(eid, pts)
-        Bloc = _kernels.coupling_block(
-            np.ascontiguousarray(dphi), np.ascontiguousarray(w),
-            np.ascontiguousarray(phiq), np.ascontiguousarray(S))
-        nm = phiq.shape[1]
-        Bel = cmat @ Bloc.reshape(len(idx), -1)  # rows (b, k) -> (r, k)
-        qcols = L * (qspace.offsets[eid] + np.arange(nm))[:, None] + np.arange(L)[None, :]
-        qcols = qcols.ravel()
-        rows_B.append(np.repeat(vr, len(qcols)))
-        cols_B.append(np.tile(qcols, len(vr)))
-        vals_B.append(Bel.ravel())
-
-        Cel = np.kron(qspace.mass(eid), G_CH)
-        rows_C.append(np.repeat(qcols, len(qcols)))
-        cols_C.append(np.tile(qcols, len(qcols)))
-        vals_C.append(Cel.ravel())
-
+            K += galerkin(rows, _stiffness_general(dphi, w, material))
+        phiq = gauss_point_basis(p, pts)
+        B += galerkin(rows, _kernels.coupling_block(dphi, w, phiq, S), qrows)
+        mass = np.stack([qspace.mass(e) for e in act[sel]])
+        C += galerkin(qrows, np.kron(mass, G_CH))
         if loads.volume is not None:
-            oq = p + 1 + loads.extra_order
-            _, ptsf, wtsf, detf, _ = element_quadrature(mesh, eid, oq)
-            Vf, _ = tensor_shape_eval(ptsf, idx, jmax=max(p, 1))
-            fvals = np.asarray(loads.volume(emap.map_point(ptsf)), dtype=float)
-            lloc = _kernels.load_vector(np.ascontiguousarray(Vf),
-                                        np.ascontiguousarray(wtsf * detf),
-                                        np.ascontiguousarray(fvals))
-            lel = cmat @ lloc
-            np.add.at(lvec, vr, lel.ravel())
+            qpts, qw, _ = group_quadrature(corners[sel], p + 1 + loads.extra_order)
+            V, _ = tensor_shape_eval(qpts, idx, jmax=max(p, 1))
+            lvec += rows.T @ data_load(loads.volume, map_points(corners[sel], qpts),
+                                       qw, V).ravel()
+    if loads.traction is not None:
+        lvec += boundary_load(space, corners, loads.traction, loads.neumann_tags, d)
 
-        if loads.traction is not None:
-            for f, info in enumerate(mesh.facet_neighbors(eid)):
-                if info.kind != "boundary" or info.tag not in loads.neumann_tags:
-                    continue
-                lel = facet_load(mesh, eid, f, idx, p, loads.traction)
-                np.add.at(lvec, vr, (cmat @ lel).ravel())
-
+    non_affine = tuple(act[~affine].tolist())
     if non_affine:
         warnings.warn(
             f"{len(non_affine)} element(s) have non-affine det J; stiffness "
             "quadrature order bumped by one (inexact for rational integrands)",
             QuadratureAccuracyWarning, stacklevel=2)
-
-    shapeK = (d * M, d * M)
-    shapeB = (d * M, L * N)
-    shapeQ = (L * N, L * N)
-    K = sp.csr_matrix((np.concatenate(vals_K), (np.concatenate(rows_K), np.concatenate(cols_K))), shape=shapeK)
-    B = sp.csr_matrix((np.concatenate(vals_B), (np.concatenate(rows_B), np.concatenate(cols_B))), shape=shapeB)
-    C = sp.csr_matrix((np.concatenate(vals_C), (np.concatenate(rows_C), np.concatenate(cols_C))), shape=shapeQ)
     D = np.repeat(qspace.weights, L)
-    q_counts = np.array([qspace.counts[e] for e in mesh.active_ids()])
+    q_counts = np.array([qspace.counts[e] for e in act])
     return MixedSystem(K=K, B=B, C=C, D=D, l=lvec, dim=d, ndof_u=M, ndof_q=N,
-                       L=L, q_counts=q_counts, non_affine=tuple(non_affine))
-
-
-def facet_load(mesh, eid, f, idx, p, data):
-    """Facet Gauss quadrature of boundary data (a scalar or vector valued
-    callable on physical points) against the element trace basis: an array
-    (nb,) or (nb, k)."""
-    t, wts, dS = facet_quadrature(mesh, eid, f, ((-1.0, 1.0),) * (mesh.dim - 1),
-                                  p + 2)
-    ref = mesh.facet_embed(f, t)
-    g = np.asarray(data(mesh.element_map(eid).map_point(ref)), dtype=float)
-    V, _ = tensor_shape_eval(ref, idx, jmax=max(p, 1))
-    return _kernels.load_vector(V, wts * dS, g)
+                       L=L, q_counts=q_counts, non_affine=non_affine)
 
 
 # ---------------------------------------------------------------------------
@@ -336,49 +325,25 @@ def total_energy(system, qspace, vu, vp):
 def assemble_norm_matrices(space, qspace=None):
     """(vector mass, strain product, Q mass): the combined norm is
     ||v||^2 + ||eps(v)||^2 + ||q||^2."""
-    mesh = space.mesh
-    d = mesh.dim
-    M = space.ndof
-    rows_m, cols_m, vals_m = [], [], []
-    rows_s, cols_s, vals_s = [], [], []
-    for eid in mesh.active_ids():
-        p = space.degrees[eid]
-        emap, pts, wts, det, Jinv = element_quadrature(mesh, eid, p + 2)
-        idx = space.local_indices(eid)
-        V, G = tensor_shape_eval(pts, idx, jmax=max(p, 1))
-        dphi = physical_gradients(G, Jinv)
-        w = wts * det
-        grows, cmat = space.connectivity(eid)
-        vr = _vec_rows(grows, d)
-        Mloc = _kernels.mass_matrix(np.ascontiguousarray(V), np.ascontiguousarray(w))
-        Mel = cmat @ Mloc @ cmat.T
-        Mv = np.kron(Mel, np.eye(d))
-        rows_m.append(np.repeat(vr, len(vr)))
-        cols_m.append(np.tile(vr, len(vr)))
-        vals_m.append(Mv.ravel())
-        Sloc = _kernels.elastic_stiffness(np.ascontiguousarray(dphi),
-                                          np.ascontiguousarray(w), 0.0, 0.5)
-        Sel = _expand_vector_block(cmat, Sloc, d)
-        rows_s.append(np.repeat(vr, len(vr)))
-        cols_s.append(np.tile(vr, len(vr)))
-        vals_s.append(Sel.ravel())
-    shape = (d * M, d * M)
-    Mv = sp.csr_matrix((np.concatenate(vals_m), (np.concatenate(rows_m), np.concatenate(cols_m))), shape=shape)
-    Sv = sp.csr_matrix((np.concatenate(vals_s), (np.concatenate(rows_s), np.concatenate(cols_s))), shape=shape)
+    d = space.dim
+    act = np.array(space.mesh.active_ids())
+    corners = space.mesh.corner_array(act)
+    Ms = sp.csr_matrix((space.ndof, space.ndof))
+    Sv = sp.csr_matrix((d * space.ndof, d * space.ndof))
+    for (p,), sel in element_groups(space).items():
+        pts, w, Jinv = group_quadrature(corners[sel], p + 2)
+        V, G = tensor_shape_eval(pts, tensor_indices(p, d), jmax=max(p, 1))
+        Ms += galerkin(space.local_operator(1, sel), _kernels.mass_matrix(V, w))
+        Sv += galerkin(space.local_operator(d, sel),
+                       _kernels.elastic_stiffness(G @ Jinv, w, 0.0, 0.5))
+    Mv = sp.kron(Ms, sp.identity(d), format="csr")
     if qspace is None:
         return Mv, Sv, None
     L = deviatoric_dim(d)
-    rows_q, cols_q, vals_q = [], [], []
-    for eid in mesh.active_ids():
-        nm = qspace.counts[eid]
-        qcols = L * (qspace.offsets[eid] + np.arange(nm))[:, None] + np.arange(L)[None, :]
-        qcols = qcols.ravel()
-        Qel = np.kron(qspace.mass(eid), np.eye(L))
-        rows_q.append(np.repeat(qcols, len(qcols)))
-        cols_q.append(np.tile(qcols, len(qcols)))
-        vals_q.append(Qel.ravel())
-    Mq = sp.csr_matrix((np.concatenate(vals_q), (np.concatenate(rows_q), np.concatenate(cols_q))),
-                       shape=(L * qspace.ndof, L * qspace.ndof))
+    Mq = sp.csr_matrix((L * qspace.ndof, L * qspace.ndof))
+    for sel in element_groups(qspace).values():
+        mass = np.stack([qspace.mass(e) for e in act[sel]])
+        Mq += galerkin(qspace.local_operator(L, sel), np.kron(mass, np.eye(L)))
     return Mv, Sv, Mq
 
 

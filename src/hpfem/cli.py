@@ -7,12 +7,9 @@ import argparse
 import os
 import sys
 
-from .config import ConfigError, RunConfig, dump_config, load_config
+from .config import _LOOPS, ConfigError, RunConfig, dump_config, load_config
 from .driver import (SolverFailure, convergence_table, export_plastic_state,
-                     format_table, read_records, run_adaptive, solve_plastic,
-                     write_records)
-
-_LOOPS = ("plastic-estimator", "elliptic-predictor", "uniform-h", "uniform-p")
+                     format_table, read_records, run_adaptive, solve_plastic)
 
 
 def _common(sub):

@@ -11,14 +11,13 @@ attribute).
 import csv
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import estimator as est
 from . import predictor as pred
-from .assembly import (assemble_norm_matrices, assemble_system,
-                       element_quadrature, plastic_functional, total_energy)
+from .assembly import assemble_system, element_quadrature, total_energy
 from .config import RunConfig
 from .elliptic import energy_error_sq, solve_scalar
 from .mesh import Mesh

@@ -8,9 +8,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
-from .assembly import element_quadrature, facet_load, physical_gradients
+from .assembly import (boundary_load, data_load, element_groups,
+                       element_quadrature, galerkin, group_quadrature)
+from .mesh import map_points
 from .plasticity import factorize
-from .polybasis import tensor_shape_eval
+from .polybasis import tensor_indices, tensor_shape_eval
 
 
 @dataclass
@@ -27,34 +29,21 @@ class ScalarProblem:
 
 
 def assemble_scalar(space, problem):
-    """Stiffness matrix and load vector of the Poisson form."""
-    mesh = space.mesh
-    rows, cols, vals = [], [], []
+    """Stiffness matrix and load vector of the Poisson form, one group of
+    elements of equal degree at a time."""
+    corners = space.mesh.corner_array(space.mesh.active_ids())
+    A = sp.csr_matrix((space.ndof, space.ndof))
     b = np.zeros(space.ndof)
-    for eid in mesh.active_ids():
-        p = space.degrees[eid]
-        emap, pts, wts, det, Jinv = element_quadrature(mesh, eid, p + 1 + problem.extra_order)
-        idx = space.local_indices(eid)
-        V, G = tensor_shape_eval(pts, idx, jmax=max(p, 1))
-        dphi = physical_gradients(G, Jinv)
-        w = wts * det
-        grows, cmat = space.connectivity(eid)
-        Aloc = _kernels.scalar_stiffness(np.ascontiguousarray(dphi),
-                                         np.ascontiguousarray(w))
-        Ael = cmat @ Aloc @ cmat.T
-        rows.append(np.repeat(grows, len(grows)))
-        cols.append(np.tile(grows, len(grows)))
-        vals.append(Ael.ravel())
+    for (p,), sel in element_groups(space).items():
+        pts, w, Jinv = group_quadrature(corners[sel], p + 1 + problem.extra_order)
+        V, G = tensor_shape_eval(pts, tensor_indices(p, space.dim), jmax=max(p, 1))
+        rows = space.local_operator(1, sel)
+        A += galerkin(rows, _kernels.scalar_stiffness(G @ Jinv, w))
         if problem.volume is not None:
-            fv = np.asarray(problem.volume(emap.map_point(pts)), dtype=float)
-            b[grows] += cmat @ (V.T @ (w * fv))
-        if problem.neumann is not None:
-            for f, info in enumerate(mesh.facet_neighbors(eid)):
-                if info.kind != "boundary" or info.tag not in problem.neumann_tags:
-                    continue
-                b[grows] += cmat @ facet_load(mesh, eid, f, idx, p, problem.neumann)
-    A = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(space.ndof, space.ndof))
+            b += rows.T @ data_load(problem.volume, map_points(corners[sel], pts),
+                                    w, V).ravel()
+    if problem.neumann is not None:
+        b += boundary_load(space, corners, problem.neumann, problem.neumann_tags)
     return A, b
 
 
@@ -67,17 +56,13 @@ def solve_scalar(space, problem):
 def energy_error_sq(space, u, exact_grad, order_bump=4):
     """|u_exact - u|^2 in the energy (H1-seminorm) sense by quadrature."""
     mesh = space.mesh
-    d = mesh.dim
     total = 0.0
     for eid in mesh.active_ids():
         p = space.degrees[eid]
         emap, pts, wts, det, Jinv = element_quadrature(mesh, eid, p + order_bump)
         idx = space.local_indices(eid)
         _, G = tensor_shape_eval(pts, idx, jmax=max(p, 1))
-        dphi = physical_gradients(G, Jinv)
-        grows, cmat = space.connectivity(eid)
-        loc = cmat.T @ u[grows]
-        grad_h = np.einsum("qbm,b->qm", dphi, loc)
+        grad_h = np.einsum("qbm,b->qm", G @ Jinv, space.local_coeffs(eid, u))
         grad_ex = np.asarray(exact_grad(emap.map_point(pts)), dtype=float)
         diff = grad_ex - grad_h
         total += float((wts * det) @ np.einsum("qm,qm->q", diff, diff))

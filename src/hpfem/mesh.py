@@ -155,12 +155,13 @@ class ElementMap:
         return bool(np.all(det > 0.0))
 
 
-def is_affine(emap, tol=1e-12):
-    """True iff the element map has a constant Jacobian (parallelotope)."""
-    corners_hat = 2.0 * corner_bits(emap.dim) - 1.0
-    J = emap.jacobian(corners_hat)
-    scale = max(np.abs(J).max(), 1e-300)
-    return bool(np.abs(J - J[0]).max() <= tol * scale)
+def is_affine(corners, tol=1e-12):
+    """Whether the maps of a corner array (n, 2^d, d), or of one element's
+    corners (2^d, d), have constant Jacobians (parallelotopes)."""
+    corners = np.asarray(corners, dtype=float)
+    J = map_jacobians(corners, 2.0 * corner_bits(corners.shape[-1]) - 1.0)
+    scale = np.maximum(np.abs(J).max(axis=(-3, -2, -1)), 1e-300)
+    return np.abs(J - J[..., :1, :, :]).max(axis=(-3, -2, -1)) <= tol * scale
 
 
 def check_det_affine(emap, n_samples=4, tol=1e-12):

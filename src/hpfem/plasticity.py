@@ -49,15 +49,18 @@ def chi_coords(p, lam, sigma, rho, want_jacobian=False):
         want_jacobian)
 
 
+# A stagnating or blown-up Newton step probes the step lengths t = SHRINK,
+# SHRINK^2, ... >= T_MIN; the stagnation window is STAGNATION iterations.
+SHRINK = 0.5
+T_MIN = 2.0 ** -10
+STAGNATION = 4
+
+
 @dataclass
 class NewtonConfig:
-    rho: float | None = None  # default: ellipticity scale 2 mu + hardening
+    rho: float = 1.0  # projection parameter of the complementarity rows
     tol: float = 1e-11
     max_iter: int = 60
-    armijo_c: float = 1e-4
-    shrink: float = 0.5
-    t_min: float = 2.0 ** -20
-    stagnation: int = 4  # damp when the merit has not improved for this long
 
 
 @dataclass
@@ -263,15 +266,15 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
     set settles; the merit (half the squared residual norm) may transiently
     grow during identification, so backtracking is triggered only when the
     merit stagnates over a trailing window or the full step blows up, and then
-    the Armijo-shrink sequence is probed for the best merit. Convergence is
-    declared on the max norm of the unscaled decoupled residual. The trace
+    the steps t = SHRINK^k >= T_MIN are probed for the best merit. Convergence
+    is declared on the max norm of the unscaled decoupled residual. The trace
     records (iteration, |F|_max, merit, step length, active-set size).
     A step whose factorization or element-block solve fails, or that is not
     finite, is retried once with rho shifted to 2 rho + 1 and counted in
     `retries`; a second failure raises.
     """
     cfg = config or NewtonConfig()
-    rho = cfg.rho if cfg.rho is not None else 1.0
+    rho = cfg.rho
     L = system.L
     n_q = system.C.shape[0]
     blocks = ElementBlocks(system)
@@ -325,21 +328,21 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
             retries += 1
             rho = 2.0 * rho + 1.0  # shift the projection parameter once, retry
             continue
-        window = merit_hist[-max(cfg.stagnation, 1):]
-        stagnating = len(window) >= cfg.stagnation and merit >= 0.5 * min(window)
+        window = merit_hist[-STAGNATION:]
+        stagnating = len(window) >= STAGNATION and merit >= 0.5 * min(window)
         Fn = merit_residual(x + delta)[0]
         merit_full = 0.5 * float(Fn @ Fn)
         t = 1.0
         if stagnating or not np.isfinite(merit_full) or merit_full > 1e6 * max(merit, 1.0):
-            # probe the Armijo shrink sequence and keep the best merit
+            # probe the shrink sequence and keep the best merit
             best_t, best_m = 1.0, merit_full
-            tt = cfg.shrink
-            while tt >= max(cfg.t_min, 2.0 ** -10):
+            tt = SHRINK
+            while tt >= T_MIN:
                 Fp = merit_residual(x + tt * delta)[0]
                 mp = 0.5 * float(Fp @ Fp)
                 if np.isfinite(mp) and mp < best_m:
                     best_t, best_m = tt, mp
-                tt *= cfg.shrink
+                tt *= SHRINK
             t = best_t
         x = x + t * delta
         t_used = t

@@ -12,15 +12,15 @@ negligible cost and without any a posteriori error estimator.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
-from .assembly import physical_gradients
+from .assembly import data_load, group_quadrature
 from .estimator import TIE_RTOL
-from .mesh import ElementMap, corner_bits
-from .polybasis import tensor_gauss, tensor_indices, tensor_shape_eval
+from .mesh import corner_bits, map_points
+from .polybasis import tensor_indices, tensor_shape_eval
 from .space import constraint_coeffs
 
 
@@ -171,25 +171,9 @@ class RepresentationMatrices:
     B: list                   # per child: (n_parent, n_child) constraint coeffs
     C: list                   # per child: C_Q @ B_i
     D: list                   # per child: (L, n_child) enrichment rows
-    child_maps: list          # ElementMap of each child
+    child_corners: np.ndarray  # (2^d, 2^d, d) corner array of the children
     child_bits: np.ndarray
     degree: int               # unified per-axis degree of the representation
-
-
-def child_element_maps(emap, zhat):
-    """Geometry of the dividing-point refinement of one element."""
-    d = emap.dim
-    zhat = np.asarray(zhat, dtype=float)
-    coords = [np.array([-1.0, zhat[k], 1.0]) for k in range(d)]
-    bits = corner_bits(d)
-    maps = []
-    for b in bits:
-        corners = []
-        for cb in bits:
-            ref = np.array([coords[k][b[k] + cb[k]] for k in range(d)])
-            corners.append(emap.map_point(ref))
-        maps.append(ElementMap(np.array(corners), d))
-    return maps
 
 
 def representation_matrices(space, candidate):
@@ -200,9 +184,12 @@ def representation_matrices(space, candidate):
     p = space.degrees[eid]
     P = max(candidate.degree_cap, p)
     zhat = np.zeros(d) if candidate.zhat is None else np.asarray(candidate.zhat)
-    emap = mesh.element_map(eid)
-    maps = child_element_maps(emap, zhat)
     bits = corner_bits(d)
+    # the children's corners are the parent's images of the 3^d grid points
+    # (-1, zhat_k, 1) per axis; child b has corners at grid index b + corner
+    grid = np.array(list(itertools.product(*[(-1.0, z, 1.0) for z in zhat])))
+    at = (bits[:, None, :] + bits[None, :, :]) @ 3 ** np.arange(d - 1, -1, -1)
+    child_corners = map_points(mesh.corner_array([eid])[0], grid)[at]
     idx_P = tensor_indices(P, d)
     col_of = {tuple(m): i for i, m in enumerate(idx_P)}
     n_parent = len(idx_P)
@@ -230,31 +217,23 @@ def representation_matrices(space, candidate):
                     Di[k, col_of[node_child_multi(node, tuple(b))]] = 1.0
         D.append(Di)
     return RepresentationMatrices(rows=grows, C_Q=C_Q, B=B, C=C, D=D,
-                                  child_maps=maps, child_bits=bits, degree=P)
+                                  child_corners=child_corners, child_bits=bits,
+                                  degree=P)
 
 
-def child_local_matrices(rep, problem, extra_order=2):
-    """Per-child Poisson stiffness and load over the unified representation basis."""
-    d = rep.child_maps[0].dim
+def child_local_matrices(rep, problem):
+    """Poisson stiffness (2^d, nb, nb) and load (2^d, nb) of the children
+    over the unified representation basis, at the Gauss rule of order
+    P + 1 + problem.extra_order like the global load."""
     P = rep.degree
-    idx = tensor_indices(P, d)
-    A_loc, b_loc = [], []
-    pts, wts = tensor_gauss(P + 1 + extra_order, d)
+    idx = tensor_indices(P, rep.child_corners.shape[-1])
+    pts, w, Jinv = group_quadrature(rep.child_corners, P + 1 + problem.extra_order)
     V, G = tensor_shape_eval(pts, idx, jmax=max(P, 1))
-    for cm in rep.child_maps:
-        J = cm.jacobian(pts)
-        det = np.linalg.det(J)
-        Jinv = np.linalg.inv(J)
-        dphi = physical_gradients(G, Jinv)
-        w = wts * det
-        A_loc.append(_kernels.scalar_stiffness(np.ascontiguousarray(dphi),
-                                               np.ascontiguousarray(w)))
-        if problem is not None and problem.volume is not None:
-            fv = np.asarray(problem.volume(cm.map_point(pts)), dtype=float)
-            b_loc.append(V.T @ (w * fv))
-        else:
-            b_loc.append(np.zeros(len(idx)))
-    return A_loc, b_loc
+    A_loc = _kernels.scalar_stiffness(G @ Jinv, w)
+    if problem.volume is None:
+        return A_loc, np.zeros((len(w), len(idx)))
+    return A_loc, data_load(problem.volume, map_points(rep.child_corners, pts),
+                            w, V)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ or constrained to master slots through a hanging interface.
 import itertools
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import _kernels
 from .mesh import _facet_corner_ids, corner_bits
@@ -202,6 +203,9 @@ class ScalarSpace:
                 raise ValueError(f"polynomial degree must be in 1..{MAX_DEGREE}")
             self.degrees[eid] = int(p)
         self._conn_cache = {}
+        self._operators = {}
+        counts = [(p + 1) ** self.dim for p in self.degrees.values()]
+        self._shape_offsets = np.concatenate([[0], np.cumsum(counts)])
         self._build()
 
     # -- entity collection ---------------------------------------------------
@@ -533,6 +537,33 @@ class ScalarSpace:
         self._conn_cache[eid] = out
         return out
 
+    def local_operator(self, ncomp=1, positions=None):
+        """The local-to-global operator P (sparse, cached): one row per tensor
+        shape of each active element, in element order, one column per free
+        dof, and the connectivity matrices as entries. P u stacks the element
+        coefficients of u, and P^T blockdiag(A_T) P assembles element
+        matrices A_T. With ncomp > 1 it is P (x) I_ncomp, for fields whose
+        ncomp components are interleaved. With positions (of active elements
+        of one degree), only their rows, element by element."""
+        if ncomp > 1 and ncomp not in self._operators:
+            self._operators[ncomp] = sp.kron(self.local_operator(),
+                                             sp.identity(ncomp), format="csr")
+        elif ncomp not in self._operators:
+            rows, cols, vals = [], [], []
+            for eid, off in zip(self.degrees, self._shape_offsets):
+                grows, mat = self.connectivity(eid)
+                r, c = np.nonzero(mat)
+                rows.append(off + c)
+                cols.append(grows[r])
+                vals.append(mat[r, c])
+            self._operators[1] = sp.csr_matrix(
+                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                shape=(self._shape_offsets[-1], self.ndof))
+        op = self._operators[ncomp]
+        if positions is None:
+            return op
+        return op[_element_rows(self._shape_offsets, positions, ncomp)]
+
     def local_coeffs(self, eid, u):
         """Coefficients of a global field over the element's tensor shapes."""
         rows, mat = self.connectivity(eid)
@@ -565,6 +596,15 @@ class ScalarSpace:
             for row, vid in enumerate(el.corners):
                 vals[vid] = v[row]
         return vals
+
+
+def _element_rows(offsets, positions, ncomp):
+    """Rows ncomp * offsets[i] + (0 .. ncomp * count - 1), element by element,
+    of the elements at positions i, which all have one count of rows
+    offsets[i + 1] - offsets[i]."""
+    start = offsets[np.asarray(positions, dtype=np.intp)]
+    count = offsets[positions[0] + 1] - start[0]
+    return (ncomp * start[:, None] + np.arange(ncomp * count)).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +648,7 @@ class GaussPointSpace:
             self.counts[eid] = c
             n += c
         self.ndof = n
+        self._offset_array = np.array(list(self.offsets.values()) + [n])
         self._build()
 
     def _basis_at(self, eid, xhat):
@@ -640,6 +681,15 @@ class GaussPointSpace:
             raise ValueError("nonpositive dof weight; mesh is degenerate")
         self.weights = D
         self.bounds = np.full(self.ndof, self.yield_stress)
+
+    def local_operator(self, ncomp=1, positions=None):
+        """The identity on the dofs of ncomp-component fields, as the space is
+        discontinuous and numbers its dofs element by element; with positions
+        (of active elements of one degree), only their rows."""
+        op = sp.identity(ncomp * self.ndof, format="csr")
+        if positions is None:
+            return op
+        return op[_element_rows(self._offset_array, positions, ncomp)]
 
     def dof_slice(self, eid):
         return slice(self.offsets[eid], self.offsets[eid] + self.counts[eid])

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from hpfem.assembly import Loads, Material
+from hpfem.elliptic import ScalarProblem
 from hpfem.mesh import Mesh
-from hpfem.problems import cube_mesh, interval_mesh
+from hpfem.problems import cube_mesh, interval_mesh, poisson_lshape
 from hpfem.problems import square_mesh  # noqa: F401  (re-exported to tests)
 from hpfem.space import GaussPointSpace, ScalarSpace, deviatoric_dim
 
@@ -98,3 +99,29 @@ def indicator_case(name):
     p = 0.05 * rng.standard_normal(L * qspace.ndof)
     lam = 0.3 * rng.standard_normal(L * qspace.ndof)
     return space, qspace, material, loads, u, p, lam
+
+
+ASSEMBLY_CASES = INDICATOR_CASES + ("lshape",)
+
+
+def assembly_case(name):
+    """Inputs of the assembly parity fixture: (space, qspace, material, loads,
+    problem) on the meshes of indicator_case, with a Poisson problem carrying
+    non-polynomial volume and Neumann data, or on the L-shape of
+    poisson_lshape at degree 2 with one off-centre refinement, with its own
+    Poisson problem and the plane mixed loads."""
+    if name == "lshape":
+        m, problem = poisson_lshape(degree=2)
+        m = m.refine_element(0, [0.3, -0.2])
+        m = m.with_degrees({e: 2 + i % 2 for i, e in enumerate(m.active_ids())})
+        volume, traction = _mixed_loads(2)
+        material = Material(lam=10.0, mu=5.0, hardening=1.0, yield_stress=0.35)
+        space = ScalarSpace(m)
+        qspace = GaussPointSpace(m, material.yield_stress)
+        loads = Loads(volume=volume, traction=traction)
+        return space, qspace, material, loads, problem
+    space, qspace, material, loads, *_ = indicator_case(name)
+    problem = ScalarProblem(
+        volume=lambda x: np.sin(3.0 * x[:, 0]) + x[:, -1],
+        neumann=lambda x: np.cos(x[:, 0]) + 0.3 * x[:, -1])
+    return space, qspace, material, loads, problem

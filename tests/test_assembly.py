@@ -10,9 +10,8 @@ from conftest import distorted_quad_mesh, random_refined_mesh, square_mesh
 from hpfem.assembly import (Loads, Material, MixedSystem,
                             QuadratureAccuracyWarning, assemble_norm_matrices,
                             assemble_system, bilinear_value, element_quadrature,
-                            export_matrix_market, physical_gradients,
-                            plastic_functional, quadrature_functional, strain,
-                            total_energy)
+                            export_matrix_market, plastic_functional,
+                            quadrature_functional, strain, total_energy)
 from hpfem.plasticity import elastic_solve, plastic_field_at, strain_at
 from hpfem.polybasis import tensor_gauss, tensor_shape_eval
 from hpfem.space import (GaussPointSpace, ScalarSpace, deviatoric_basis,

@@ -5,10 +5,10 @@ import pytest
 
 from conftest import square_mesh
 from hpfem.elliptic import ScalarProblem, energy_error_sq, solve_scalar
-from hpfem.mesh import Mesh, corner_bits
+from hpfem.mesh import ElementMap, Mesh, corner_bits
 from hpfem.polybasis import tensor_gauss, tensor_indices, tensor_shape_eval
 from hpfem.predictor import (EnrichmentCandidate, Prediction,
-                             apply_enrichment, child_element_maps,
+                             apply_enrichment, child_local_matrices,
                              choose_enrichment, default_candidates,
                              enforce_degree_comparability, hp_enrichment,
                              internal_nodes, local_split, node_child_multi,
@@ -139,7 +139,7 @@ def eval_enrichment(space, candidate, rep, which, pts_parent):
         child_pts = 2.0 * (pts_parent[inside] - lo) / (hi - lo) - 1.0
         multi = np.array([node_child_multi(node, tuple(b))])
         V, G = tensor_shape_eval(child_pts, multi, jmax=candidate.degree_cap)
-        cmap = rep.child_maps[row]
+        cmap = ElementMap(rep.child_corners[row])
         Jinv = np.linalg.inv(cmap.jacobian(child_pts))
         vals[inside] = V[:, 0]
         grads[inside] = np.einsum("qa,qam->qm", G[:, 0, :], Jinv)
@@ -191,8 +191,34 @@ class TestRepresentation:
 
     def test_child_maps_tile_parent(self):
         m = square_mesh(1, degree=1, tagger=lambda c: "neumann")
-        maps = child_element_maps(m.element_map(0), np.array([0.25, -0.5]))
+        sp = ScalarSpace(m)
+        rep = representation_matrices(sp, hp_enrichment(sp, 0, zhat=(0.25, -0.5)))
+        maps = [ElementMap(c) for c in rep.child_corners]
         assert abs(sum(cm.volume() for cm in maps) - 1.0) < 1e-14
+
+    def test_child_loads_follow_problem_extra_order(self):
+        # the child loads use the quadrature order of the global load,
+        # P + 1 + extra_order, which matters for non-polynomial data
+        verts = [[0, 0], [1.0, -0.1], [-0.1, 1.0], [1.2, 1.1]]
+        m = Mesh.from_arrays(verts, [[0, 2, 1, 3]], dim=2, default_tag="neumann")
+        m.elements[0].degree = 2
+        sp = ScalarSpace(m)
+
+        def f(x):
+            return np.exp(x[:, 0]) * np.sin(3.0 * x[:, 1])
+
+        prob = ScalarProblem(volume=f, extra_order=5)
+        rep = representation_matrices(sp, hp_enrichment(sp, 0, zhat=(0.3, -0.2)))
+        _, b_loc = child_local_matrices(rep, prob)
+        P = rep.degree
+        pts, wts = tensor_gauss(P + 1 + 5, 2)
+        V, _ = tensor_shape_eval(pts, tensor_indices(P, 2), jmax=P)
+        for row, corners in enumerate(rep.child_corners):
+            cmap = ElementMap(corners)
+            w = wts * cmap.det_jacobian(pts)
+            direct = V.T @ (w * f(cmap.map_point(pts)))
+            np.testing.assert_allclose(b_loc[row], direct, rtol=0,
+                                       atol=1e-14 * np.abs(direct).max())
 
 
 def quadrature_prediction_oracle(space, problem, u_W, split, candidate,
@@ -225,7 +251,7 @@ def quadrature_prediction_oracle(space, problem, u_W, split, candidate,
     b_r = 0.0
     b_l = 0.0
     for row, b in enumerate(bits):
-        cmap = rep.child_maps[row]
+        cmap = ElementMap(rep.child_corners[row])
         J = cmap.jacobian(pts)
         det = np.linalg.det(J)
         w = wts * det
@@ -284,7 +310,7 @@ def quadrature_prediction_oracle(space, problem, u_W, split, candidate,
                              @ space.eval_element(e2, split.u_local, ref))
     # u_rest inside Q via the children quadrature
     for row, b in enumerate(bits):
-        cmap = rep.child_maps[row]
+        cmap = ElementMap(rep.child_corners[row])
         J = cmap.jacobian(pts)
         det = np.linalg.det(J)
         w = wts * det
