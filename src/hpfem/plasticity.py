@@ -49,8 +49,9 @@ def chi_coords(p, lam, sigma, rho, want_jacobian=False):
         want_jacobian)
 
 
-# A stagnating or blown-up Newton step probes the step lengths t = SHRINK,
-# SHRINK^2, ... >= T_MIN; the stagnation window is STAGNATION iterations.
+# From the STAGNATION-th residual evaluation of a solve on, and after a
+# full step that blows up, a Newton step also probes the step lengths
+# t = SHRINK, SHRINK^2, ... >= T_MIN and takes the one of least merit.
 SHRINK = 0.5
 T_MIN = 2.0 ** -10
 STAGNATION = 4
@@ -135,19 +136,32 @@ def elastic_solve(system):
 
 @dataclass
 class BlockGroup:
-    """Element blocks of one size n: their q indices (G, n) and the dense C
-    blocks (G, n, n)."""
+    """Element blocks of one size n: their q indices (G, n), the dense C
+    blocks (G, n, n) and the dense columns of B on them (G, r, n), whose rows
+    are the displacement unknowns each block reaches through B in ascending
+    order; r is the largest count of the group, and a block that reaches
+    fewer ends in zero rows."""
     idx: np.ndarray
     C: np.ndarray
+    B: np.ndarray
 
 
 class ElementBlocks:
     """The q unknowns of a mixed system split into the element blocks over
     which C is block diagonal, grouped by block size so that the dense
-    per-element work is one batched call per group."""
+    per-element work is one batched call per group.
+
+    The pattern of the condensed matrix K + B X B^T (X block diagonal over
+    the elements) is fixed once per system: every pair of displacement
+    unknowns one block reaches, and K's entries. `_pos` holds the position in
+    that CSC pattern of every entry of K.data and of every element product
+    B_e X_e B_e^T (padding rows: one past the end), so that each condensed
+    matrix is one np.bincount."""
 
     def __init__(self, system):
         L = system.L
+        K, B = system.K, system.B
+        n_u = K.shape[0]
         n_q = system.C.shape[0]
         sizes = L * np.asarray(system.q_counts)
         if sizes.sum() != n_q:
@@ -159,39 +173,99 @@ class ElementBlocks:
         if np.any(block[Cc.row] != block[Cc.col]):
             raise ValueError("C is not block diagonal over the elements")
         self.system = system
+        self.Bt = B.T  # a view: B^T u without a copy of B
+        # row e: the displacement unknowns block e reaches through B, sorted
+        reach = (sp.csr_matrix((np.ones(B.nnz), B.indices, B.indptr), shape=B.shape)
+                 @ sp.csr_matrix((np.ones(n_q), (np.arange(n_q), block)),
+                                 shape=(n_q, len(sizes)))).T.tocsr()
+        count = np.diff(reach.indptr)
+        members = [np.flatnonzero(sizes == n) for n in np.unique(sizes)]
+        width = [int(count[m].max()) for m in members]
+        self._pos = np.empty(K.nnz + sum(len(m) * r * r for m, r in
+                                         zip(members, width)), dtype=np.int64)
+        # the pattern as sorted column-major keys col * n_u + row, in int64
+        # (n_u^2 leaves the int32 range from 46 341 unknowns on). The pairs
+        # one block reaches form a symmetric pattern, so its CSR keys
+        # row * n_u + col are the same set; K's entries outside it are
+        # inserted.
+        pairs = reach.T @ reach
+        pairs.sort_indices()
+        keys = np.repeat(np.arange(n_u, dtype=np.int64) * n_u,
+                         np.diff(pairs.indptr))
+        keys += pairs.indices
+        del pairs
+        kkeys = K.indices * np.int64(n_u)
+        kkeys += np.repeat(np.arange(n_u), np.diff(K.indptr))
+        kpos = self._pos[:K.nnz]
+        kpos[...] = np.searchsorted(keys, kkeys)
+        outside = np.unique(kkeys[keys.take(kpos, mode="clip") != kkeys])
+        keys = np.insert(keys, np.searchsorted(keys, outside), outside)
+        kpos += np.searchsorted(outside, kkeys)
+        del kkeys
+        self._indptr = np.searchsorted(
+            keys, np.arange(n_u + 1, dtype=np.int64) * n_u).astype(np.int32)
+        self._indices = (keys % n_u).astype(np.int32)
+        at = K.nnz
         self.groups = []
         slot = np.empty(len(sizes), dtype=np.int64)
-        for n in np.unique(sizes):
-            members = np.flatnonzero(sizes == n)
-            slot[members] = np.arange(len(members))
-            idx = starts[members][:, None] + np.arange(n)
-            Ce = np.zeros((len(members), n, n))
+        for m, r in zip(members, width):
+            G, n = len(m), sizes[m[0]]
+            slot[m] = np.arange(G)
+            idx = starts[m][:, None] + np.arange(n)
+            Ce = np.zeros((G, n, n))
             on = sizes[block[Cc.row]] == n
             b = block[Cc.row[on]]
             Ce[slot[b], Cc.row[on] - starts[b], Cc.col[on] - starts[b]] = Cc.data[on]
-            self.groups.append(BlockGroup(idx, Ce))
-        # (row, column) of every entry of the block-diagonal X, in the order
-        # of the batched solutions
-        self._rows = np.concatenate([np.repeat(grp.idx, grp.idx.shape[1], 1).ravel()
-                                     for grp in self.groups])
-        self._cols = np.concatenate([np.tile(grp.idx, grp.idx.shape[1]).ravel()
-                                     for grp in self.groups])
-        self._Bt = system.B.T.tocsr()
+            filled = np.arange(r) < count[m][:, None]
+            rows = np.zeros((G, r), dtype=np.int64)
+            rows[filled] = reach[m].indices
+            # B_e[a, c] = B[rows[a], idx[c]]; the arrays kept are allocated
+            # before the temporaries that fill them
+            Be = np.empty((G, r, n))
+            Be[...] = np.asarray(B[np.repeat(rows, n, axis=1).ravel(),
+                                   np.tile(idx, r).ravel()]).reshape(G, r, n)
+            Be[~filled] = 0.0
+            # entry (a, b) of B_e X_e B_e^T lands in column rows[b], row
+            # rows[a]; the keys are searched in ascending order (b, a)
+            pos = np.searchsorted(keys, rows[:, :, None] * n_u + rows[:, None, :])
+            pos[~(filled[:, :, None] & filled[:, None, :])] = len(keys)
+            self._pos[at:at + G * r * r].reshape(G, r, r)[...] = pos.transpose(0, 2, 1)
+            at += G * r * r
+            self.groups.append(BlockGroup(idx, Ce, Be))
+
+    def condensed_matrix(self, X):
+        """K + B X B^T in CSC for the element blocks X of each group (G, n, n):
+        the batched element products and K.data summed into the fixed pattern
+        by one np.bincount."""
+        K = self.system.K
+        nnz = len(self._indices)
+        vals = np.empty(len(self._pos))
+        vals[:K.nnz] = K.data
+        at = K.nnz
+        for grp, Xg in zip(self.groups, X):
+            G, r, _ = grp.B.shape
+            np.matmul(grp.B @ Xg, grp.B.transpose(0, 2, 1),
+                      out=vals[at:at + G * r * r].reshape(G, r, r))
+            at += G * r * r
+        data = np.bincount(self._pos, weights=vals, minlength=nnz + 1)[:nnz]
+        return sp.csc_matrix((data, self._indices, self._indptr), shape=K.shape)
 
     def condensed_solve(self, mats, rhs, f):
         """Solve K u - B q = f with q = g - X B^T u, where [X_e | g_e] =
         mats_e^{-1} rhs_e on every element block (rhs_e has one column more
         than mats_e), by one factorization of K + B X B^T. Returns (u, q)."""
         system = self.system
-        n_q = system.C.shape[0]
         sols = [np.linalg.solve(M, R) for M, R in zip(mats, rhs)]
-        X = sp.csr_matrix((np.concatenate([s[..., :-1].ravel() for s in sols]),
-                           (self._rows, self._cols)), shape=(n_q, n_q))
-        g = np.empty(n_q)
+        g = np.empty(system.C.shape[0])
         for grp, s in zip(self.groups, sols):
             g[grp.idx] = s[..., -1]
-        u = factorize(system.K + system.B @ X @ self._Bt).solve(f + system.B @ g)
-        return u, g - X @ (self._Bt @ u)
+        A = self.condensed_matrix([s[..., :-1] for s in sols])
+        u = factorize(A).solve(f + system.B @ g)
+        Btu = self.Bt @ u
+        q = np.empty_like(g)
+        for grp, s in zip(self.groups, sols):
+            q[grp.idx] = s[..., -1] - (s[..., :-1] @ Btu[grp.idx][..., None])[..., 0]
+        return u, q
 
 
 def _dof_block_diagonal(a):
@@ -225,33 +299,38 @@ def condensed_newton_step(blocks, dp, dl, F):
         rhs.append(np.concatenate([_dof_block_diagonal(dlD[dofs]),
                                    b[grp.idx][..., None]], axis=-1))
     du, dp_ = blocks.condensed_solve(mats, rhs, -r1)
-    dlam = Dinv * (-r2 + system.B.T @ du - system.C @ dp_)
+    dlam = Dinv * (-r2 + blocks.Bt @ du - system.C @ dp_)
     return np.concatenate([du, dp_, dlam])
 
 
-def _projection_rows(p, lam, sigma, rho):
-    """Equilibrated complementarity rows pi_i = lam_i - P_{|.|<=sigma_i}(lam_i + rho p_i),
-    the chi rows (chi_i = max(sigma_i, |w_i|) pi_i, evaluated as in chi_blocks
-    so that |chi| is the same to the last bit), the Clarke blocks of pi and
-    the active mask |w_i| >= sigma_i."""
-    N, L = p.shape
+def _projection(p, lam, sigma, rho):
+    """The equilibrated complementarity rows pi_i = lam_i -
+    P_{|.|<=sigma_i}(w_i) with w_i = lam_i + rho p_i, and w, |w_i| and the
+    active mask |w_i| >= sigma_i."""
     w = lam + rho * p
     nw = np.linalg.norm(w, axis=1)
-    ch = np.maximum(sigma, nw)[:, None] * lam - sigma[:, None] * w
-    inactive = nw < sigma
-    act = ~inactive
-    scale = np.ones(N)
+    act = ~(nw < sigma)
+    scale = np.ones(len(nw))
     scale[act] = sigma[act] / nw[act]
-    pi = lam - scale[:, None] * w
+    return lam - scale[:, None] * w, w, nw, act
+
+
+def _projection_rows(p, lam, sigma, rho):
+    """The rows pi_i of `_projection`, the chi rows (chi_i = max(sigma_i,
+    |w_i|) pi_i, evaluated as in chi_blocks so that |chi| is the same to the
+    last bit), the Clarke blocks of pi and the active mask |w_i| >= sigma_i."""
+    N, L = p.shape
+    pi, w, nw, act = _projection(p, lam, sigma, rho)
+    ch = np.maximum(sigma, nw)[:, None] * lam - sigma[:, None] * w
     eye = np.eye(L)
     dp = np.empty((N, L, L))
     dl = np.empty((N, L, L))
-    dp[inactive] = -rho * eye
-    dl[inactive] = 0.0
+    dp[~act] = -rho * eye
+    dl[~act] = 0.0
     if np.any(act):
         what = w[act] / nw[act][:, None]
         proj = eye - what[:, :, None] * what[:, None, :]
-        fac = scale[act][:, None, None]
+        fac = (sigma[act] / nw[act])[:, None, None]
         dl[act] = eye - fac * proj
         dp[act] = -rho * fac * proj
     return pi, ch, dp, dl, act
@@ -262,13 +341,17 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
 
     The iteration runs on the row-equilibrated projection form of the
     complementarity rows (identical zero set to the chi rows, but uniformly
-    scaled in the projection parameter). Full steps are taken while the active
-    set settles; the merit (half the squared residual norm) may transiently
-    grow during identification, so backtracking is triggered only when the
-    merit stagnates over a trailing window or the full step blows up, and then
-    the steps t = SHRINK^k >= T_MIN are probed for the best merit. Convergence
-    is declared on the max norm of the unscaled decoupled residual. The trace
-    records (iteration, |F|_max, merit, step length, active-set size).
+    scaled in the projection parameter). The merit is half the squared norm
+    of that residual. The first STAGNATION - 1 steps are full steps unless
+    the full step blows up (its merit is not finite or exceeds 1e6 times
+    max(merit, 1)); from the STAGNATION-th residual evaluation on, and after
+    any blow-up, the steps t = SHRINK^k >= T_MIN are probed as well and the
+    step length of the least merit is taken. Each probe evaluates the residual
+    only; the Clarke blocks and the chi rows are evaluated once per iterate,
+    and the residual of the step taken is reused as the next iterate's.
+    Convergence is declared on the max norm of the unscaled decoupled
+    residual. The trace records (iteration, |F|_max, merit, step length,
+    active-set size).
     A step whose factorization or element-block solve fails, or that is not
     finite, is retried once with rho shifted to 2 rho + 1 and counted in
     `retries`; a second failure raises.
@@ -291,35 +374,31 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
     def split(x):
         return x[:n_u], x[n_u:n_u + n_q], x[n_u + n_q:]
 
-    def merit_residual(x):
-        """Projection-form residual [r1, r2, pi rows], the max norm of the
-        decoupled residual [r1, r2, chi rows], the Clarke blocks of pi and
-        the active-set size."""
+    def projection_residual(x):
+        """The residual [r1, r2, pi rows] of the projection form."""
         u, p, lam = split(x)
         r1 = system.K @ u - system.B @ p - system.l
-        r2 = -(system.B.T @ u) + system.C @ p + system.D * lam
-        pi, ch, dp, dl, act = _projection_rows(p.reshape(-1, L),
-                                               lam.reshape(-1, L), sigma, rho)
-        F = np.concatenate([r1, r2, pi.ravel()])
-        nF = float(np.abs(np.concatenate([F[:n_u + n_q], ch.ravel()])).max())
-        return F, nF, dp, dl, int(act.sum())
+        r2 = -(blocks.Bt @ u) + system.C @ p + system.D * lam
+        pi = _projection(p.reshape(-1, L), lam.reshape(-1, L), sigma, rho)[0]
+        return np.concatenate([r1, r2, pi.ravel()])
 
     trace = []
-    merit_hist = []
     retries = 0
     it = 0
     t_used = 1.0
+    F = projection_residual(x)
     while True:
         u, p, lam = split(x)
-        Ft, nF, dp, dl, active = merit_residual(x)
-        merit = 0.5 * float(Ft @ Ft)
-        merit_hist.append(merit)
-        trace.append((it, nF, merit, t_used, active))
+        _, ch, dp, dl, act = _projection_rows(p.reshape(-1, L),
+                                              lam.reshape(-1, L), sigma, rho)
+        nF = float(np.abs(np.concatenate([F[:n_u + n_q], ch.ravel()])).max())
+        merit = 0.5 * float(F @ F)
+        trace.append((it, nF, merit, t_used, int(act.sum())))
         if nF <= cfg.tol or it >= cfg.max_iter:
             return SolutionTriple(u=u, p=p, lam=lam, converged=nF <= cfg.tol,
                                   iterations=it, trace=trace, retries=retries)
         try:
-            delta = condensed_newton_step(blocks, dp, dl, Ft)
+            delta = condensed_newton_step(blocks, dp, dl, F)
             if not np.all(np.isfinite(delta)):
                 raise RuntimeError("non-finite Newton step")
         except (RuntimeError, np.linalg.LinAlgError):
@@ -327,23 +406,20 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
                 raise
             retries += 1
             rho = 2.0 * rho + 1.0  # shift the projection parameter once, retry
+            F = projection_residual(x)
             continue
-        window = merit_hist[-STAGNATION:]
-        stagnating = len(window) >= STAGNATION and merit >= 0.5 * min(window)
-        Fn = merit_residual(x + delta)[0]
-        merit_full = 0.5 * float(Fn @ Fn)
-        t = 1.0
-        if stagnating or not np.isfinite(merit_full) or merit_full > 1e6 * max(merit, 1.0):
-            # probe the shrink sequence and keep the best merit
-            best_t, best_m = 1.0, merit_full
+        # the residual of the step taken is the next iterate's
+        t, F = 1.0, projection_residual(x + delta)
+        best = 0.5 * float(F @ F)
+        if (len(trace) >= STAGNATION or not np.isfinite(best)
+                or best > 1e6 * max(merit, 1.0)):
             tt = SHRINK
             while tt >= T_MIN:
-                Fp = merit_residual(x + tt * delta)[0]
+                Fp = projection_residual(x + tt * delta)
                 mp = 0.5 * float(Fp @ Fp)
-                if np.isfinite(mp) and mp < best_m:
-                    best_t, best_m = tt, mp
+                if np.isfinite(mp) and mp < best:
+                    t, F, best = tt, Fp, mp
                 tt *= SHRINK
-            t = best_t
         x = x + t * delta
         t_used = t
         it += 1

@@ -364,9 +364,15 @@ CONDENSATION_MESHES = {
 }
 
 
+# on plastic_square(n=4, degree=2), 192 entries of B X B^T lie outside K's
+# pattern, which drops K's exact zeros
+SCATTER_MESHES = {**CONDENSATION_MESHES,
+                  "square-n4-p2": lambda: plastic_square(n=4, degree=2)[0]}
+
+
 @lru_cache(maxsize=None)
 def _condensation_case(name):
-    mesh = CONDENSATION_MESHES[name]()
+    mesh = SCATTER_MESHES[name]()
     mat = Material(lam=10.0, mu=5.0, hardening=1.0, yield_stress=0.35)
     qs = GaussPointSpace(mesh, mat.yield_stress)
     with warnings.catch_warnings():  # expected on the distorted mesh
@@ -452,6 +458,41 @@ class TestCondensedStep:
         assert A.shape == system.K.shape
         assert abs(A - A.T).max() <= 1e-12 * abs(A).max()
 
+    @pytest.mark.parametrize("name", sorted(SCATTER_MESHES))
+    def test_scattered_matrix_matches_sparse_products(self, name, monkeypatch):
+        system, qs, blocks = _condensation_case(name)
+        rng = np.random.default_rng(13)
+        mats = [5 * np.eye(grp.C.shape[1]) + rng.random(grp.C.shape)
+                for grp in blocks.groups]
+        rhs = [rng.standard_normal(grp.C.shape[:2] + (grp.C.shape[1] + 1,))
+               for grp in blocks.groups]
+        seen = []
+
+        class Recorder(_FailingLinalg):
+            def splu(self, A, *args, **kwargs):
+                seen.append(A)
+                return super().splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(plasticity, "spla", Recorder(0))
+        blocks.condensed_solve(mats, rhs, rng.standard_normal(system.K.shape[0]))
+        (A,) = seen
+        assert A.format == "csc"
+        n_q = system.C.shape[0]
+        X = sp.lil_matrix((n_q, n_q))
+        for grp, M, R in zip(blocks.groups, mats, rhs):
+            for ix, s in zip(grp.idx, np.linalg.solve(M, R)):
+                X[np.ix_(ix, ix)] = s[:, :-1]
+        BXB = system.B @ X.tocsr() @ system.B.T
+        ref = system.K + BXB
+        assert abs(A - ref).max() <= 1e-13 * abs(ref).max()
+        # the pattern holds every entry of B X B^T, also where K has none
+        stored = sp.csc_matrix((np.ones(A.nnz), A.indices, A.indptr),
+                               shape=A.shape)
+        outside = BXB.astype(bool) > system.K.astype(bool)
+        assert (outside.multiply(stored)).nnz == outside.nnz
+        if name == "square-n4-p2":
+            assert outside.nnz > 0
+
     def test_condensed_solve_on_large_index_range(self):
         # more displacement unknowns than int32 products of two indices hold
         rng = np.random.default_rng(5)
@@ -490,6 +531,55 @@ class TestCondensedStep:
         ref = spla.spsolve(full, np.concatenate([f, g]))
         assert np.abs(u - ref[:n_u]).max() <= 1e-10 * np.abs(ref[:n_u]).max()
         assert np.abs(q - ref[n_u:]).max() <= 1e-10 * np.abs(ref[n_u:]).max()
+
+
+class TestResidualEvaluations:
+    @staticmethod
+    def _counted(monkeypatch):
+        calls = {"clarke": 0, "projection": 0}
+        rows, projection = plasticity._projection_rows, plasticity._projection
+
+        def counted_rows(*args):
+            calls["clarke"] += 1
+            return rows(*args)
+
+        def counted_projection(*args):
+            calls["projection"] += 1
+            return projection(*args)
+
+        monkeypatch.setattr(plasticity, "_projection_rows", counted_rows)
+        monkeypatch.setattr(plasticity, "_projection", counted_projection)
+        return calls
+
+    def test_clarke_blocks_once_per_iterate(self, monkeypatch):
+        # criterion-3 case (2 refinements, p = 3, rho = 100): three damped steps
+        mesh, mat, loads = plastic_square(n=2, degree=3)
+        mesh = mesh.uniformly_refined().uniformly_refined()
+        qs = GaussPointSpace(mesh, mat.yield_stress)
+        system = assemble_system(ScalarSpace(mesh), qs, mat, loads)
+        calls = self._counted(monkeypatch)
+        sol = solve_semismooth_newton(system, qs, NewtonConfig(rho=100.0))
+        assert sol.converged and sum(row[3] < 1.0 for row in sol.trace) > 0
+        assert calls["clarke"] == sol.iterations + 1
+        # residual-only evaluations: the start, the full step of every
+        # iteration, and the shrink probes of every step from the
+        # STAGNATION-th evaluation on
+        probes = round(np.log(plasticity.T_MIN) / np.log(plasticity.SHRINK))
+        probing = sol.iterations - plasticity.STAGNATION + 1
+        assert (calls["projection"] - calls["clarke"]
+                == 1 + sol.iterations + probes * probing)
+
+    def test_retry_evaluates_once_more(self, monkeypatch):
+        m, mat, space, qs, system = _benchmark()
+        zeros = np.zeros(system.C.shape[0])
+        initial = (elastic_solve(system), zeros, zeros)
+        calls = self._counted(monkeypatch)
+        monkeypatch.setattr(plasticity, "spla", _FailingLinalg(1))
+        sol = solve_semismooth_newton(system, qs,
+                                      NewtonConfig(rho=default_rho(mat)),
+                                      initial=initial)
+        assert sol.converged and sol.retries == 1
+        assert calls["clarke"] == sol.iterations + 1 + sol.retries
 
 
 class TestRecovery:
