@@ -254,7 +254,7 @@ def assemble_system(space, qspace, material, loads=None):
             K += galerkin(rows, _stiffness_general(dphi, w, material))
         phiq = gauss_point_basis(p, pts)
         B += galerkin(rows, _kernels.coupling_block(dphi, w, phiq, S), qrows)
-        mass = np.stack([qspace.mass(e) for e in act[sel]])
+        mass = qspace.mass_blocks(sel)
         C += galerkin(qrows, np.kron(mass, G_CH))
         if loads.volume is not None:
             qpts, qw, _ = group_quadrature(corners[sel], p + 1 + loads.extra_order)
@@ -342,7 +342,7 @@ def assemble_norm_matrices(space, qspace=None):
     L = deviatoric_dim(d)
     Mq = sp.csr_matrix((L * qspace.ndof, L * qspace.ndof))
     for sel in element_groups(qspace).values():
-        mass = np.stack([qspace.mass(e) for e in act[sel]])
+        mass = qspace.mass_blocks(sel)
         Mq += galerkin(qspace.local_operator(L, sel), np.kron(mass, np.eye(L)))
     return Mv, Sv, Mq
 

@@ -27,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .mesh import (corner_bits, facet_measure, map_hessians, map_jacobians,
-                   map_points, point_set_diameters)
+from .mesh import (corner_bits, facet_corner_rows, facet_measure,
+                   map_hessians, map_jacobians, map_points,
+                   point_set_diameters)
 from .plasticity import ElementBlocks, deviator, strain_values, tensor_values
 from .polybasis import (gauss_lagrange_1d, tensor_contract, tensor_gauss,
                         tensor_indices, tensor_shape_eval, tensor_shape_hessian)
@@ -303,7 +304,7 @@ def _neumann_terms(mesh, fields, loads, corners, neumann):
                 vals.reshape(x.shape), Ve)
             diff -= gN
         # the facet of an interval is a point, taken with h_e = 1
-        h_e = point_set_diameters(C[:, _facet_corners(d, f)]) if d > 1 else 1.0
+        h_e = point_set_diameters(C[:, facet_corner_rows(d)[f]]) if d > 1 else 1.0
         res_terms.append((2 * order, els, h_e / pT * np.einsum(
             "nq,nqk,nqk->n", wq * dS, diff, diff)))
         osc_terms.append((order, els, h_e / pT * gdef))
@@ -366,11 +367,6 @@ def _jump_terms(mesh, fields, act, corners, found):
         terms += [(2 * order[sel], mine[sel], val),
                   (2 * order[sel] + 1, other[sel], val)]
     return terms
-
-
-def _facet_corners(d, f):
-    """Rows of the element corners that lie on local facet f."""
-    return np.nonzero(corner_bits(d)[:, f // 2] == f % 2)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ between descendants of a common ancestor uses exact float comparisons.
 
 import itertools
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,9 +26,27 @@ NEUMANN = "neumann"
 _VTK_CELL = {1: (3, [0, 1]), 2: (9, [0, 2, 3, 1]), 3: (12, [0, 4, 6, 2, 1, 5, 7, 3])}
 
 
+@lru_cache(maxsize=None)
 def corner_bits(dim):
-    """Rows of {0,1}^d in corner order."""
+    """Rows of {0,1}^d in corner order (read-only)."""
     return tensor_indices(1, dim)
+
+
+def corner_row(bits):
+    """Corner rows (in corner_bits order) of bit rows (..., d)."""
+    bits = np.asarray(bits, dtype=np.intp)
+    return bits @ (1 << np.arange(bits.shape[-1] - 1, -1, -1))
+
+
+@lru_cache(maxsize=None)
+def facet_corner_rows(dim):
+    """Corner rows (2d, 2^(d-1)) of each local facet, in the facet's own
+    tensor order (read-only)."""
+    bits = corner_bits(dim)
+    out = np.array([np.nonzero(bits[:, f // 2] == f % 2)[0]
+                    for f in range(2 * dim)], dtype=np.intp)
+    out.setflags(write=False)
+    return out
 
 
 def vertex_tables(xhat, second=False):
@@ -301,6 +320,11 @@ class Mesh:
     def active_ids(self):
         return [e.eid for e in self.elements if e.active]
 
+    def corner_ids(self, eids):
+        """Corner vertex ids (n, 2^d) of elements eids, in tensor order."""
+        return np.array([self.elements[e].corners for e in eids],
+                        dtype=np.intp).reshape(len(eids), 2**self.dim)
+
     def corner_array(self, eids):
         """Corner coordinates (n, 2^d, d) of elements eids, in tensor order."""
         return np.array([[self.vertices[c] for c in self.elements[e].corners]
@@ -432,9 +456,7 @@ class Mesh:
         bits = corner_bits(d)
         for offs in itertools.product(range(3), repeat=d):
             if all(o in (0, 2) for o in offs):
-                b = tuple(o // 2 for o in offs)
-                row = int(np.nonzero((bits == b).all(axis=1))[0][0])
-                grid_ids[offs] = el.corners[row]
+                grid_ids[offs] = el.corners[int(corner_row([o // 2 for o in offs]))]
             else:
                 ref = np.array([coords[k][offs[k]] for k in range(d)])
                 x = root_map.map_point(ref)
@@ -759,22 +781,7 @@ def _intersect(iv_a, iv_b):
 
 def _facet_corner_ids(corners, dim, f):
     """Corner vertex ids of local facet f, in the facet's own tensor order."""
-    k, s = f // 2, f % 2
-    bits = corner_bits(dim)
-    ids = []
-    if dim == 1:
-        rows = np.nonzero(bits[:, 0] == s)[0]
-        return [corners[int(rows[0])]]
-    fbits = corner_bits(dim - 1)
-    other = [a for a in range(dim) if a != k]
-    for fb in fbits:
-        full = [0] * dim
-        full[k] = s
-        for j, a in enumerate(other):
-            full[a] = fb[j]
-        row = int(np.nonzero((bits == full).all(axis=1))[0][0])
-        ids.append(corners[row])
-    return ids
+    return [corners[r] for r in facet_corner_rows(dim)[f].tolist()]
 
 
 def _facet_pairing(el_a, fa, el_b, fb, dim):
@@ -795,9 +802,7 @@ def _facet_pairing(el_a, fa, el_b, fb, dim):
     perm = [None] * r
     flip = [bool(origin_b[j]) for j in range(r)]
     for pa in range(r):
-        unit = tuple(1 if j == pa else 0 for j in range(r))
-        row = int(np.nonzero((fbits == unit).all(axis=1))[0][0])
-        moved_b = pos_b[ids_a[row]]
+        moved_b = pos_b[ids_a[1 << (r - 1 - pa)]]  # the corner one step along pa
         changed = [j for j in range(r) if moved_b[j] != origin_b[j]]
         if len(changed) != 1:
             raise ValueError("root facets are not conforming")

@@ -39,11 +39,10 @@ class LocalSplit:
 
 def local_split(space, u, eid):
     """Decompose u into the interior-supported part on eid and the rest."""
-    ids = [i for i, slot in enumerate(space.dofs)
-           if slot[0] == "i" and slot[1] == eid]
+    ids = space.interior_dofs(eid)
     u_local = np.zeros_like(u)
     u_local[ids] = u[ids]
-    return LocalSplit(element=eid, interior_dofs=np.array(ids, dtype=np.intp),
+    return LocalSplit(element=eid, interior_dofs=ids,
                       u_local=u_local, u_rest=u - u_local)
 
 

@@ -1,8 +1,8 @@
 """Global hp spaces on hexahedral meshes.
 
 ScalarSpace is the continuous space of mapped tensor integrated-Legendre
-polynomials with hanging-node constraints folded into per-element connectivity
-matrices; vector fields use it componentwise. GaussPointSpace is the
+polynomials with hanging-node constraints folded into its local-to-global
+operator P; vector fields use it componentwise. GaussPointSpace is the
 discontinuous space spanned by the tensor Lagrange basis at Gauss points of
 degree p_T - 1 (elementwise constants for p_T = 1) together with its
 biorthogonal dual basis, the dof weights and the decoupled yield bounds.
@@ -15,12 +15,13 @@ or constrained to master slots through a hanging interface.
 """
 
 import itertools
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
-from .mesh import _facet_corner_ids, corner_bits
+from .mesh import corner_bits, corner_row, facet_corner_rows, map_jacobians
 from .polybasis import (MAX_DEGREE, gauss_lagrange_tensor, reference_table,
                         tensor_gauss, tensor_indices, tensor_shape_eval)
 
@@ -100,89 +101,119 @@ def constraint_coeffs(multi, child_bits, zhat, degree=None):
 
 
 # ---------------------------------------------------------------------------
-# canonical slot helpers
+# reference tables of the dof map
 # ---------------------------------------------------------------------------
 
-def _edge_canonical(id_lo_side, id_hi_side, j):
-    """Canonical key and orientation sign for an edge bubble slot."""
-    if id_lo_side < id_hi_side:
-        return ("e", (id_lo_side, id_hi_side), j), 1.0
-    return ("e", (id_hi_side, id_lo_side), j), (-1.0) ** j
+@reference_table
+def _box_edges(r):
+    """The edges of the r-dimensional reference box: axis (ne,), corner rows
+    of the low and the high end (ne, 2), and the bits of the low end (ne, r),
+    which has bit 0 along the edge's axis."""
+    axes, low = [], []
+    for a in range(r):
+        for sides in itertools.product((0, 1), repeat=r - 1):
+            axes.append(a)
+            low.append(list(sides[:a]) + [0] + list(sides[a:]))
+    axes = np.array(axes, dtype=np.intp)
+    low = np.array(low, dtype=np.intp).reshape(len(axes), r)
+    start = corner_row(low)
+    return axes, np.stack([start, start + (1 << (r - 1 - axes))], axis=1), low
 
 
-def _face_frame(ids4):
-    """Canonical frame of a quadrilateral face given tensor-ordered corner ids.
-
-    Returns (key, perm, flips): canonical axis c takes its index from local
-    facet axis perm[c], with a sign flip when flips[c]. Corner order: row
-    2*u + v for local coords (u, v) in {0,1}^2.
-    """
-    key = ("f", tuple(sorted(ids4)))
-    omin = int(np.argmin(ids4))
-    ou, ov = omin // 2, omin % 2
-    n_u = ids4[2 * (1 - ou) + ov]
-    n_v = ids4[2 * ou + (1 - ov)]
-    if n_u < n_v:
-        perm = (0, 1)
-        flips = (ou == 1, ov == 1)
-    else:
-        perm = (1, 0)
-        flips = (ov == 1, ou == 1)
-    return key, perm, flips
+@reference_table
+def _facet_edges(d):
+    """The element's box edges on each local facet (2d, n), in the order and
+    orientation of _box_edges(d - 1) over the facet."""
+    _, ends, _ = _box_edges(d)
+    at = {pair: i for i, pair in enumerate(map(tuple, ends.tolist()))}
+    _, fends, _ = _box_edges(d - 1)
+    return np.array([[at[(rows[a], rows[b])] for a, b in fends.tolist()]
+                     for rows in facet_corner_rows(d).tolist()], dtype=np.intp)
 
 
-def _face_canonical(ids4, ju, jv):
-    """Canonical slot and sign for a face bubble with local facet indices (ju, jv)."""
-    key, perm, flips = _face_frame(ids4)
-    local = (int(ju), int(jv))
-    m = (local[perm[0]], local[perm[1]])
-    sign = 1.0
-    if flips[0] and m[0] % 2:
-        sign = -sign
-    if flips[1] and m[1] % 2:
-        sign = -sign
-    return ("f", key[1], m), sign
+@reference_table
+def _shape_entities(d, p):
+    """Where the tensor shapes of a degree-p element in d dimensions (in
+    tensor_indices order) live: kind (n,) (0 vertex, 1 edge, 2 face,
+    3 interior), local entity (n,) (corner row, box edge, local facet, or the
+    ordinal among the interior shapes) and in-entity indices (n, 2): j on an
+    edge, (j_u, j_v) over a face's own axes."""
+    idx = tensor_indices(p, d)
+    bub = idx >= 2
+    nbub = bub.sum(axis=1)
+    kind = np.where(nbub == d, 3, nbub)
+    ent = np.zeros(len(idx), dtype=np.intp)
+    jj = np.zeros((len(idx), 2), dtype=np.intp)
+    vert = kind == 0
+    ent[vert] = corner_row(idx[vert])
+    edge = np.nonzero(kind == 1)[0]
+    if edge.size:
+        axes, ends, _ = _box_edges(d)
+        at = {key: i for i, key in enumerate(zip(axes.tolist(),
+                                                 ends[:, 0].tolist()))}
+        a = np.argmax(bub[edge], axis=1)
+        start = corner_row(np.where(bub[edge], 0, idx[edge]))
+        ent[edge] = [at[key] for key in zip(a.tolist(), start.tolist())]
+        jj[edge, 0] = idx[edge, a]
+    face = np.nonzero(kind == 2)[0]
+    if face.size:
+        k = np.argmin(bub[face], axis=1)
+        ent[face] = 2 * k + idx[face, k]
+        jj[face] = idx[face][bub[face]].reshape(-1, 2)
+    inner = kind == 3
+    ent[inner] = np.arange(inner.sum())
+    return kind, ent, jj
 
 
-def _box_slot(ids, r, multi):
-    """Classify one tensor multi-index on an r-dimensional box with corner ids.
+def _face_frames(ids):
+    """Canonical frames of quadrilateral faces from their tensor-ordered corner
+    ids (m, 4) (corner 2*u + v at local coordinates (u, v)): swap (m,) and
+    flips (m, 2). Canonical axis c takes its index from local facet axis c,
+    or 1 - c when swapped, with a sign flip when flips[c]. The canonical
+    origin is the corner of least id, and the first canonical axis runs to
+    the neighbor of lesser id."""
+    m = np.arange(len(ids))
+    o = np.argmin(ids, axis=1)
+    ou, ov = o // 2, o % 2
+    swap = ~(ids[m, 2 * (1 - ou) + ov] < ids[m, 2 * ou + 1 - ov])
+    flips = np.stack([np.where(swap, ov, ou), np.where(swap, ou, ov)], axis=1)
+    return swap, flips == 1
 
-    Returns (slot, sign); the all-bubble case yields the marker slot
-    ("OWN", multi) whose meaning (element interior, coarse edge, coarse face)
-    the caller supplies. ids are in corner_bits(r) order.
-    """
-    multi = tuple(int(j) for j in multi)
-    bub = [a for a in range(r) if multi[a] >= 2]
-    fixed = [a for a in range(r) if multi[a] < 2]
-    bits = corner_bits(r)
-    if len(bub) == r:
-        return ("OWN", multi), 1.0
-    if not bub:
-        row = int(np.nonzero((bits == multi).all(axis=1))[0][0])
-        return ("v", ids[row]), 1.0
-    if len(bub) == 1:
-        a = bub[0]
-        b0 = [0] * r
-        b1 = [0] * r
-        for k in fixed:
-            b0[k] = b1[k] = multi[k]
-        b1[a] = 1
-        r0 = int(np.nonzero((bits == b0).all(axis=1))[0][0])
-        r1 = int(np.nonzero((bits == b1).all(axis=1))[0][0])
-        return _edge_canonical(ids[r0], ids[r1], multi[a])
-    if len(bub) == 2:
-        a1, a2 = bub
-        face_ids = []
-        for u, v in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            b = [0] * r
-            for k in fixed:
-                b[k] = multi[k]
-            b[a1], b[a2] = u, v
-            row = int(np.nonzero((bits == b).all(axis=1))[0][0])
-            face_ids.append(ids[row])
-        slot, sign = _face_canonical(face_ids, multi[a1], multi[a2])
-        return slot, sign
-    raise ValueError("unsupported slot dimension")
+
+def _first_owner(fine, coarse, size):
+    """For entity ids fine (H, k) of the fine sides of H hanging interfaces
+    and ids coarse (H, k') of their coarse sides: per entity, the first
+    interface whose fine side holds it and whose coarse side does not (the
+    entity hangs there), -1 where none."""
+    owner = np.full(size, -1, dtype=np.intp)
+    strict = ~(fine[:, :, None] == coarse[:, None, :]).any(axis=2)
+    h = np.broadcast_to(np.arange(len(fine))[:, None], fine.shape)[strict]
+    ents, first = np.unique(fine[strict], return_index=True)
+    owner[ents] = h[first]
+    return owner
+
+
+def _resolve_constraints(R, T):
+    """T (slots x dofs) with the rows of the slots that R (slots x slots)
+    constrains set to their resolved rows. Row s of R expresses slot s in
+    master slots, which may themselves be constrained, so the rows are
+    resolved in dependency order; entries of magnitude at most _DROP are
+    dropped from each resolved row."""
+    pending = np.unique(R.nonzero()[0])
+    waiting = np.zeros(R.shape[0])
+    waiting[pending] = 1.0
+    while pending.size:
+        blocked = abs(R[pending]) @ waiting > 0
+        ready = pending[~blocked]
+        if not ready.size:
+            raise RuntimeError("cyclic hanging-node constraints")
+        res = (R[ready] @ T).tocoo()
+        keep = np.abs(res.data) > _DROP
+        T = T + sp.csr_matrix((res.data[keep], (ready[res.row[keep]], res.col[keep])),
+                              shape=T.shape)
+        waiting[ready] = 0.0
+        pending = pending[blocked]
+    return T
 
 
 # ---------------------------------------------------------------------------
@@ -190,375 +221,326 @@ def _box_slot(ids, r, multi):
 # ---------------------------------------------------------------------------
 
 class ScalarSpace:
-    """Continuous hp space of mapped tensor integrated-Legendre polynomials."""
+    """Continuous hp space of mapped tensor integrated-Legendre polynomials.
+
+    The dof map is built with arrays, one pass per degree group. Each element
+    shape sits on a "slot": a vertex value, an edge bubble j oriented from the
+    lower to the higher vertex id, a face bubble (j1, j2) in a frame fixed by
+    the corner ids, or an interior mode. The local-to-global operator is
+    P = S T: S (shapes x slots) holds one orientation sign per shape, and T
+    (slots x free dofs) is the identity on free slots, empty on Dirichlet and
+    out-of-degree slots, and holds the resolved constraint rows on slots
+    hanging on a coarser neighbor's facet.
+    """
 
     def __init__(self, mesh, dirichlet_tags=("dirichlet",), degrees=None):
         self.mesh = mesh
         self.dim = mesh.dim
         self.dirichlet_tags = frozenset(dirichlet_tags)
-        self.degrees = {}
-        for eid in mesh.active_ids():
-            p = mesh.elements[eid].degree if degrees is None else degrees[eid]
-            if not 1 <= p <= MAX_DEGREE:
-                raise ValueError(f"polynomial degree must be in 1..{MAX_DEGREE}")
-            self.degrees[eid] = int(p)
-        self._conn_cache = {}
-        self._operators = {}
-        counts = [(p + 1) ** self.dim for p in self.degrees.values()]
-        self._shape_offsets = np.concatenate([[0], np.cumsum(counts)])
+        act = mesh.active_ids()
+        deg = np.array([mesh.elements[e].degree if degrees is None
+                        else degrees[e] for e in act], dtype=np.intp)
+        if not np.all((deg >= 1) & (deg <= MAX_DEGREE)):
+            raise ValueError(f"polynomial degree must be in 1..{MAX_DEGREE}")
+        self.degrees = dict(zip(act, deg.tolist()))
+        self._act = np.array(act, dtype=np.intp)
+        self._deg = deg
+        self._shape_offsets = np.concatenate([[0], np.cumsum((deg + 1) ** self.dim)])
         self._build()
 
-    # -- entity collection ---------------------------------------------------
-
-    def _element_edges(self, el):
-        """All edges of an element: (key, endpoint ids ordered by local axis)."""
-        d = self.dim
-        bits = corner_bits(d)
-        out = []
-        for a in range(d):
-            others = [k for k in range(d) if k != a]
-            for sides in itertools.product((0, 1), repeat=d - 1):
-                b0 = [0] * d
-                for j, k in enumerate(others):
-                    b0[k] = sides[j]
-                b1 = list(b0)
-                b0[a], b1[a] = 0, 1
-                r0 = int(np.nonzero((bits == b0).all(axis=1))[0][0])
-                r1 = int(np.nonzero((bits == b1).all(axis=1))[0][0])
-                out.append((el.corners[r0], el.corners[r1]))
-        return out
+    # -- the dof map -----------------------------------------------------------
 
     def _build(self):
-        mesh, d = self.mesh, self.dim
-        act = mesh.active_ids()
-        els = mesh.elements
+        mesh, d, act, deg = self.mesh, self.dim, self._act, self._deg
+        n = len(act)
+        ids = mesh.corner_ids(act)
+        rows = facet_corner_rows(d)
+        vids, vent = np.unique(ids, return_inverse=True)
+        vent = vent.reshape(ids.shape)
+        nv = len(vids)
+        ekeys = np.zeros((0, 2), dtype=np.intp)
+        fkeys = np.zeros((0, 4), dtype=np.intp)
+        if d >= 2:
+            _, ends, _ = _box_edges(d)
+            v0, v1 = ids[:, ends[:, 0]], ids[:, ends[:, 1]]
+            base = len(mesh.vertices)
+            codes, eent = np.unique(np.minimum(v0, v1) * base + np.maximum(v0, v1),
+                                    return_inverse=True)
+            eent = eent.reshape(v0.shape)
+            erev = v0 > v1
+            ekeys = np.stack([codes // base, codes % base], axis=1)
+            fedges = _facet_edges(d)
+        if d == 3:
+            fids = ids[:, rows]
+            fkeys, fent = np.unique(np.sort(fids, axis=2).reshape(-1, 4), axis=0,
+                                    return_inverse=True)
+            fent = fent.reshape(n, 2 * d)
+            swap, flips = _face_frames(fids.reshape(-1, 4))
+            swap, flips = swap.reshape(n, 2 * d), flips.reshape(n, 2 * d, 2)
+        ne, nf = len(ekeys), len(fkeys)
+        edge_deg = np.full(ne, MAX_DEGREE, dtype=np.intp)
+        face_deg = np.full(nf, MAX_DEGREE, dtype=np.intp)
+        if d >= 2:
+            np.minimum.at(edge_deg, eent, np.broadcast_to(deg[:, None], eent.shape))
+        if d == 3:
+            np.minimum.at(face_deg, fent, np.broadcast_to(deg[:, None], fent.shape))
 
-        vertex_present = set()
-        edge_deg = {}
-        face_deg = {}
-        for eid in act:
-            el = els[eid]
-            p = self.degrees[eid]
-            vertex_present.update(el.corners)
-            if d >= 2:
-                for a, b in self._element_edges(el):
-                    key = (min(a, b), max(a, b))
-                    edge_deg[key] = min(edge_deg.get(key, p), p)
-            if d == 3:
-                for f in range(6):
-                    ids = _facet_corner_ids(el.corners, d, f)
-                    key = tuple(sorted(ids))
-                    face_deg[key] = min(face_deg.get(key, p), p)
+        # Dirichlet entities: the closures of the Dirichlet facets
+        on = np.array([[tag in self.dirichlet_tags for tag in
+                        mesh.elements[e].boundary_tags] for e in act.tolist()],
+                      dtype=bool).reshape(n, 2 * d)
+        di, df = np.nonzero(on)
+        fixed_v = np.zeros(nv, dtype=bool)
+        fixed_e = np.zeros(ne, dtype=bool)
+        fixed_f = np.zeros(nf, dtype=bool)
+        fixed_v[vent[di[:, None], rows[df]]] = True
+        if d >= 2:
+            fixed_e[eent[di[:, None], fedges[df]]] = True
+        if d == 3:
+            fixed_f[fent[di, df]] = True
 
-        # Dirichlet entities (closed facets)
-        dir_v, dir_e, dir_f = set(), set(), set()
-        hang = []  # (fine eid, facet, piece)
-        for eid in act:
-            el = els[eid]
+        # hanging interfaces: a fine facet inside a coarse neighbor's facet
+        # caps the degrees of the coarse facet's closure; the fine facet's
+        # entities that are not the coarse facet's hang on the first one
+        at = np.full(len(mesh.elements), -1, dtype=np.intp)
+        at[act] = np.arange(n)
+        hang = []
+        for i, eid in enumerate(act.tolist()):
             for f, info in enumerate(mesh.facet_neighbors(eid)):
-                if info.kind == "boundary":
-                    if info.tag in self.dirichlet_tags:
-                        ids = _facet_corner_ids(el.corners, d, f)
-                        dir_v.update(ids)
-                        if d == 2:
-                            dir_e.add((min(ids), max(ids)))
-                        elif d == 3:
-                            dir_f.add(tuple(sorted(ids)))
-                            fb = corner_bits(2)
-                            for a in range(2):
-                                for s in (0, 1):
-                                    pair = [ids[i] for i in range(4)
-                                            if fb[i][a] == s]
-                                    dir_e.add((min(pair), max(pair)))
-                    continue
                 for piece in info.pieces:
                     if piece.relation == "coarse_nb":
-                        hang.append((eid, f, piece))
+                        hang.append((i, f, piece))
                     elif piece.relation == "partial":
                         raise ValueError(
                             "non-nested facet overlap; dividing points of "
                             "neighboring refinements are incompatible")
+        fine_at, fine_f, coarse_at, coarse_f = np.array(
+            [(i, f, at[pc.neighbor], pc.facet) for i, f, pc in hang],
+            dtype=np.intp).reshape(-1, 4).T
+        vown = _first_owner(vent[fine_at[:, None], rows[fine_f]],
+                            vent[coarse_at[:, None], rows[coarse_f]], nv)
+        eown = np.full(ne, -1, dtype=np.intp)
+        fown = np.full(nf, -1, dtype=np.intp)
+        if d >= 2 and hang:
+            coarse = eent[coarse_at[:, None], fedges[coarse_f]]
+            np.minimum.at(edge_deg, coarse,
+                          np.broadcast_to(deg[fine_at, None], coarse.shape))
+            eown = _first_owner(eent[fine_at[:, None], fedges[fine_f]], coarse, ne)
+        if d == 3 and hang:
+            coarse = fent[coarse_at, coarse_f]
+            np.minimum.at(face_deg, coarse, deg[fine_at])
+            fown = _first_owner(fent[fine_at, fine_f][:, None], coarse[:, None], nf)
 
-        # hanging entities (strict sub-entities of a coarse facet) + degree caps
-        slave_v, slave_e, slave_f = {}, {}, {}
-        for eid, f, piece in hang:
-            el = els[eid]
-            nel = els[piece.neighbor]
-            p_fine = self.degrees[eid]
-            fine_ids = _facet_corner_ids(el.corners, d, f)
-            coarse_ids = _facet_corner_ids(nel.corners, d, piece.facet)
-            coarse_v = set(coarse_ids)
-            coarse_e = set()
-            if d == 3:
-                fb = corner_bits(2)
-                for a in range(2):
-                    for s in (0, 1):
-                        pair = [coarse_ids[i] for i in range(4) if fb[i][a] == s]
-                        coarse_e.add((min(pair), max(pair)))
-                ckey = tuple(sorted(coarse_ids))
-                face_deg[ckey] = min(face_deg.get(ckey, p_fine), p_fine)
-                for ek in coarse_e:
-                    edge_deg[ek] = min(edge_deg.get(ek, p_fine), p_fine)
-            elif d == 2:
-                ck = (min(coarse_ids), max(coarse_ids))
-                coarse_e.add(ck)
-                edge_deg[ck] = min(edge_deg.get(ck, p_fine), p_fine)
-            for vid in fine_ids:
-                if vid not in coarse_v:
-                    slave_v.setdefault(vid, (eid, f, piece))
-            if d == 2:
-                ek = (min(fine_ids), max(fine_ids))
-                if ek not in coarse_e:
-                    slave_e.setdefault(ek, (eid, f, piece))
-            elif d == 3:
-                fb = corner_bits(2)
-                for a in range(2):
-                    for s in (0, 1):
-                        pair = [fine_ids[i] for i in range(4) if fb[i][a] == s]
-                        ek = (min(pair), max(pair))
-                        if ek not in coarse_e:
-                            slave_e.setdefault(ek, (eid, f, piece))
-                fkey = tuple(sorted(fine_ids))
-                if fkey != tuple(sorted(coarse_ids)):
-                    slave_f.setdefault(fkey, (eid, f, piece))
+        # free dofs: vertices by id, edges and faces by key, interiors by element
+        free_v = ~fixed_v & (vown < 0)
+        free_e = ~fixed_e & (eown < 0)
+        free_f = ~fixed_f & (fown < 0)
+        icount = (deg - 1) ** d
+        counts = np.concatenate([free_v, np.where(free_e, edge_deg - 1, 0),
+                                 np.where(free_f, (face_deg - 1) ** 2, 0), icount])
+        start = np.concatenate([[0], np.cumsum(counts)])
+        self.ndof = int(start[-1])
+        self._interior_start = start[nv + ne + nf:-1]
+        self._free_entities = (vids[free_v], ekeys[free_e], edge_deg[free_e],
+                               fkeys[free_f], face_deg[free_f])
 
-        self._edge_deg = edge_deg
-        self._face_deg = face_deg
-        self._slave = {}
-        for vid, itf in slave_v.items():
-            self._slave[("v", vid)] = itf
-        for key, itf in slave_e.items():
-            self._slave[("e", key)] = itf
-        for key, itf in slave_f.items():
-            self._slave[("f", key)] = itf
-        self._dirichlet = {("v", v) for v in dir_v}
-        self._dirichlet |= {("e", k) for k in dir_e}
-        self._dirichlet |= {("f", k) for k in dir_f}
+        # slots: vertices, then q edge bubbles per edge and q^2 face bubbles
+        # per face (j = 2 .. q + 1), then the interior modes
+        q = int(deg.max()) - 1
+        e0, f0 = nv, nv + ne * q
+        i0 = f0 + nf * q * q
+        nslots = i0 + int(icount.sum())
+        j = np.arange(2, q + 2)
+        slot_dof = np.full(nslots, -1, dtype=np.intp)
+        in_degree = np.ones(nslots, dtype=bool)
+        slot_dof[:nv][free_v] = start[:nv][free_v]
+        ok = j <= edge_deg[:, None]
+        in_degree[e0:f0] = ok.ravel()
+        ok &= free_e[:, None]
+        slot_dof[e0:f0][ok.ravel()] = (start[nv:nv + ne, None] + j - 2)[ok]
+        ok = (j[:, None] <= face_deg[:, None, None]) & (j <= face_deg[:, None, None])
+        in_degree[f0:i0] = ok.ravel()
+        ok &= free_f[:, None, None]
+        fdof = (start[nv + ne:nv + ne + nf, None, None]
+                + (j[:, None] - 2) * (face_deg[:, None, None] - 1) + j - 2)
+        slot_dof[f0:i0][ok.ravel()] = fdof[ok]
+        slot_dof[i0:] = np.arange(start[nv + ne + nf], self.ndof)
 
-        # enumerate free dofs
-        dofs = []
-        for vid in sorted(vertex_present):
-            if ("v", vid) not in self._slave and ("v", vid) not in self._dirichlet:
-                dofs.append(("v", vid))
-        for key in sorted(edge_deg):
-            if ("e", key) in self._slave or ("e", key) in self._dirichlet:
-                continue
-            for j in range(2, edge_deg[key] + 1):
-                dofs.append(("e", key, j))
-        for key in sorted(face_deg):
-            if ("f", key) in self._slave or ("f", key) in self._dirichlet:
-                continue
-            p = face_deg[key]
-            for j1 in range(2, p + 1):
-                for j2 in range(2, p + 1):
-                    dofs.append(("f", key, (j1, j2)))
-        for eid in act:
-            p = self.degrees[eid]
-            for multi in itertools.product(range(2, p + 1), repeat=d):
-                dofs.append(("i", eid, multi))
-        self.dofs = dofs
-        self.dof_index = {slot: i for i, slot in enumerate(dofs)}
-        self.ndof = len(dofs)
-        self._rows_cache = {}
+        # S: the slot and orientation sign of every shape, per degree group
+        nshape = int(self._shape_offsets[-1])
+        slot = np.empty(nshape, dtype=np.intp)
+        sign = np.ones(nshape)
+        istart = np.concatenate([[0], np.cumsum(icount)])
+        for p in np.unique(deg).tolist():
+            sel = np.nonzero(deg == p)[0]
+            kind, ent, jj = _shape_entities(d, p)
+            s = np.empty((len(sel), len(kind)), dtype=np.intp)
+            g = np.ones(s.shape)
+            k = kind == 0
+            s[:, k] = vent[sel][:, ent[k]]
+            k = kind == 1
+            if k.any():
+                jk = jj[k, 0]
+                s[:, k] = e0 + eent[sel][:, ent[k]] * q + jk - 2
+                g[:, k] = np.where(erev[sel][:, ent[k]] & (jk % 2 == 1), -1.0, 1.0)
+            k = kind == 2
+            if k.any():
+                sw, fl = swap[sel][:, ent[k]], flips[sel][:, ent[k]]
+                m0 = np.where(sw, jj[k, 1], jj[k, 0])
+                m1 = np.where(sw, jj[k, 0], jj[k, 1])
+                s[:, k] = f0 + (fent[sel][:, ent[k]] * q + m0 - 2) * q + m1 - 2
+                odd = (fl[..., 0] & (m0 % 2 == 1)) ^ (fl[..., 1] & (m1 % 2 == 1))
+                g[:, k] = np.where(odd, -1.0, 1.0)
+            k = kind == 3
+            s[:, k] = i0 + istart[sel][:, None] + ent[k]
+            at_rows = _element_rows(self._shape_offsets, sel, 1)
+            slot[at_rows] = s.ravel()
+            sign[at_rows] = g.ravel()
+        S = sp.csr_matrix((sign, slot, np.arange(nshape + 1)), shape=(nshape, nslots))
 
-    # -- constraint resolution -------------------------------------------------
+        # T: identity on free slots, then the constraint rows of hanging
+        # slots, resolved in dependency order (a master may itself hang)
+        free = np.nonzero(slot_dof >= 0)[0]
+        T = sp.csr_matrix((np.ones(len(free)), (free, slot_dof[free])),
+                          shape=(nslots, self.ndof))
+        vown[fixed_v], eown[fixed_e], fown[fixed_f] = -1, -1, -1
 
-    def _slot_status(self, slot):
-        ent = slot[:2]
-        if ent in self._dirichlet:
-            return "zero"
-        if ent in self._slave:
-            return "slave"
-        if slot in self.dof_index:
-            return "dof"
-        return "zero"  # out-of-degree trace component: not part of the space
+        def constraint_rows(h):
+            """Unresolved constraint rows (slots, master slots, coefficients)
+            of the hanging entities owned by interface h: the traces on the
+            fine facet expanded in the coarse facet's shapes."""
+            (i, f, piece), j = hang[h], coarse_at[h]
+            k, s = divmod(piece.facet, 2)
+            idx = tensor_indices(int(deg[j]), d)
+            shapes = np.nonzero(idx[:, k] == s)[0]
+            shapes = shapes[in_degree[slot[self._shape_offsets[j] + shapes]]]
+            masters = slot[self._shape_offsets[j] + shapes]
+            msign = sign[self._shape_offsets[j] + shapes]
+            multis = np.delete(idx[shapes], k, axis=1)
+            jmax = max(2, int(multis.max()))
 
-    def _master_trace_slots(self, nb_eid, nb_facet):
-        """Canonical slots of the coarse facet closure with their facet-local
-        tensor representation: list of (slot, sign, facet multi)."""
-        d = self.dim
-        nel = self.mesh.elements[nb_eid]
-        p = self.degrees[nb_eid]
-        ids = _facet_corner_ids(nel.corners, d, nb_facet)
-        r = d - 1
-        out = []
-        for multi in itertools.product(range(p + 1), repeat=r):
-            slot, sign = _box_slot(ids, r, multi)
-            if slot[0] == "OWN":
-                if r == 1:
-                    slot, sign = _edge_canonical(ids[0], ids[1], multi[0])
-                else:
-                    slot, sign = _face_canonical(ids, multi[0], multi[1])
-            ok = True
-            if slot[0] == "e":
-                deg = self._edge_deg.get(slot[1], 1)
-                ok = slot[2] <= deg
-            elif slot[0] == "f":
-                deg = self._face_deg.get(slot[1], 1)
-                ok = max(slot[2]) <= deg
-            if ok:
-                out.append((slot, sign, multi))
-        return out
+            def trace(xi):
+                _, t_nb = mesh.piece_coords(int(act[i]), f, piece, xi)
+                V, _ = tensor_shape_eval.__wrapped__(t_nb, multis, jmax=jmax)
+                return V * msign
 
-    def _raw_rows(self, ent):
-        """Unresolved constraint rows for all slots of a hanging entity."""
-        eid, f, piece = self._slave[ent]
-        d = self.dim
-        r = d - 1
-        mesh = self.mesh
-        el = mesh.elements[eid]
-        fine_ids = _facet_corner_ids(el.corners, d, f)
-        p_fine = self.degrees[eid]
-        masters = self._master_trace_slots(piece.neighbor, piece.facet)
-
-        def trace_vals(xi):
-            """Master basis values at fine-facet coordinates xi: (m, nmasters)."""
-            _, t_nb = mesh.piece_coords(eid, f, piece, xi)
-            multis = np.array([m for _, _, m in masters], dtype=np.intp)
-            V, _ = tensor_shape_eval(t_nb, multis,
-                                     jmax=max(2, int(multis.max()) if multis.size else 1))
-            signs = np.array([s for _, s, _ in masters])
-            return V * signs[None, :]
-
-        rows = {}
-        fb = corner_bits(r)
-        if ent[0] == "v":
-            row_idx = fine_ids.index(ent[1])
-            xi = (2.0 * fb[row_idx] - 1.0).astype(float)[None, :]
-            vals = trace_vals(xi)[0]
-            rows[ent] = [(masters[i][0], vals[i]) for i in range(len(masters))
-                         if abs(vals[i]) > _DROP]
-            return rows
-        if ent[0] == "e":
-            # locate the edge on the fine facet: axis a, fixed sides
-            lo_id, hi_id = ent[1]
-            for a in range(r):
-                others = [k for k in range(r) if k != a]
-                for sides in itertools.product((0, 1), repeat=r - 1):
-                    b0 = [0] * r
-                    for jj, k in enumerate(others):
-                        b0[k] = sides[jj]
-                    b1 = list(b0)
-                    b0[a], b1[a] = 0, 1
-                    r0 = int(np.nonzero((fb == b0).all(axis=1))[0][0])
-                    r1 = int(np.nonzero((fb == b1).all(axis=1))[0][0])
-                    pair = (fine_ids[r0], fine_ids[r1])
-                    if tuple(sorted(pair)) != ent[1]:
-                        continue
-                    flip = pair[0] > pair[1]  # canonical runs low -> high id
-
-                    def to_xi(tau, a=a, b0=b0, flip=flip):
-                        m = len(tau)
-                        xi = np.empty((m, r))
-                        for k in range(r):
-                            xi[:, k] = 2.0 * b0[k] - 1.0
-                        xi[:, a] = -tau if flip else tau
-                        return xi
-
-                    pts, Vinv = _expansion_operator(p_fine, 1)
-                    vals = trace_vals(to_xi(pts[:, 0]))
-                    coefs = Vinv @ vals  # (p_fine+1, nmasters)
-                    for j in range(2, p_fine + 1):
-                        row = [(masters[i][0], coefs[j, i])
-                               for i in range(len(masters))
-                               if abs(coefs[j, i]) > _DROP]
-                        rows[("e", ent[1], j)] = row
-                    return rows
-            raise RuntimeError("hanging edge not found on its interface facet")
-        # hanging face (d == 3): expand over the whole fine facet
-        key, perm, flips = _face_frame(fine_ids)
-
-        def to_xi(tau):
-            xi = np.empty_like(tau)
-            for c in range(2):
-                src = tau[:, c]
-                xi[:, perm[c]] = -src if flips[c] else src
-            return xi
-
-        pts, Vinv = _expansion_operator(p_fine, 2)
-        vals = trace_vals(to_xi(pts))
-        coefs = Vinv @ vals
-        idx = tensor_indices(p_fine, 2)
-        for row_i, (m1, m2) in enumerate(idx):
-            if m1 >= 2 and m2 >= 2:
-                row = [(masters[i][0], coefs[row_i, i])
-                       for i in range(len(masters))
-                       if abs(coefs[row_i, i]) > _DROP]
-                rows[("f", ent[1], (int(m1), int(m2)))] = row
-        return rows
-
-    def resolve_slot(self, slot):
-        """Resolve a canonical slot to free-dof contributions [(dof, coeff)]."""
-        cached = self._rows_cache.get(slot)
-        if cached is not None:
-            return cached
-        status = self._slot_status(slot)
-        if status == "dof":
-            out = [(self.dof_index[slot], 1.0)]
-        elif status == "zero":
+            p_fine, r = int(deg[i]), d - 1
+            fine = ids[i, rows[f]]
             out = []
-        else:
-            raw = self._raw_rows(slot[:2]).get(slot, [])
-            acc = {}
-            for mslot, c in raw:
-                for dof, c2 in self.resolve_slot(mslot):
-                    acc[dof] = acc.get(dof, 0.0) + c * c2
-            out = [(dof, c) for dof, c in acc.items() if abs(c) > _DROP]
-        self._rows_cache[slot] = out
+            c = np.nonzero(vown[vent[i, rows[f]]] == h)[0]
+            if c.size:
+                out.append((vent[i, rows[f]][c], trace(2.0 * corner_bits(r)[c] - 1.0)))
+            jj = np.arange(2, p_fine + 1)
+            if d >= 2 and jj.size:
+                axes, ends, low = _box_edges(r)
+                pts, Vinv = _expansion_operator(p_fine, 1)
+                ents = eent[i, fedges[f]]
+                for le in np.nonzero(eown[ents] == h)[0].tolist():
+                    xi = np.repeat(2.0 * low[le:le + 1] - 1.0, len(pts), axis=0)
+                    flip = fine[ends[le, 0]] > fine[ends[le, 1]]
+                    xi[:, axes[le]] = -pts[:, 0] if flip else pts[:, 0]
+                    out.append((e0 + ents[le] * q + jj - 2, (Vinv @ trace(xi))[jj]))
+            if d == 3 and jj.size and fown[fent[i, f]] == h:
+                fswap, fflips = _face_frames(fine[None, :])
+                perm = (1, 0) if fswap[0] else (0, 1)
+                pts, Vinv = _expansion_operator(p_fine, 2)
+                xi = np.empty_like(pts)
+                for a in range(2):
+                    xi[:, perm[a]] = -pts[:, a] if fflips[0, a] else pts[:, a]
+                idx2 = tensor_indices(p_fine, 2)
+                inner = np.nonzero((idx2 >= 2).all(axis=1))[0]
+                out.append((f0 + (fent[i, f] * q + idx2[inner, 0] - 2) * q
+                            + idx2[inner, 1] - 2, (Vinv @ trace(xi))[inner]))
+            if not out:
+                return (np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),)
+            vals = np.concatenate([v.ravel() for _, v in out])
+            rr = np.repeat(np.concatenate([sl for sl, _ in out]), len(masters))
+            cc = np.tile(masters, len(rr) // len(masters))
+            keep = np.abs(vals) > _DROP
+            return rr[keep], cc[keep], vals[keep]
+
+        owners = np.unique(np.concatenate([vown, eown, fown]))
+        raw = [constraint_rows(h) for h in owners[owners >= 0].tolist()]
+        if raw:
+            rr, cc, vals = (np.concatenate(part) for part in zip(*raw))
+            T = _resolve_constraints(
+                sp.csr_matrix((vals, (rr, cc)), shape=(nslots, nslots)), T)
+        self._T = T
+        self._vertex_ids = vids
+        self._hanging_vertices = np.nonzero(vown >= 0)[0]
+        P = (S @ T).tocsr()
+        P.sort_indices()
+        self._operators = {1: P}
+
+    # -- reading the dof map ---------------------------------------------------
+
+    def _positions(self, eids):
+        return np.searchsorted(self._act, eids)
+
+    @cached_property
+    def dofs(self):
+        """The free dofs as canonical slots, in dof order: ('v', vid),
+        ('e', (lo, hi), j), ('f', sorted corner ids, (j1, j2)) and
+        ('i', eid, multi)."""
+        verts, edges, edeg, faces, fdeg = self._free_entities
+        out = [("v", v) for v in verts.tolist()]
+        for key, p in zip(map(tuple, edges.tolist()), edeg.tolist()):
+            out += [("e", key, j) for j in range(2, p + 1)]
+        for key, p in zip(map(tuple, faces.tolist()), fdeg.tolist()):
+            out += [("f", key, m) for m in itertools.product(range(2, p + 1),
+                                                             repeat=2)]
+        for eid, p in zip(self._act.tolist(), self._deg.tolist()):
+            out += [("i", eid, m) for m in itertools.product(range(2, p + 1),
+                                                             repeat=self.dim)]
         return out
 
-    # -- connectivity / evaluation ---------------------------------------------
+    @cached_property
+    def dof_index(self):
+        return {slot: i for i, slot in enumerate(self.dofs)}
+
+    def hanging_vertices(self):
+        """{vertex id: (dofs, coefficients)}: the resolved constraint row of
+        each hanging vertex that is not on a Dirichlet facet."""
+        T = self._T
+        return {int(self._vertex_ids[v]): (T.indices[T.indptr[v]:T.indptr[v + 1]],
+                                           T.data[T.indptr[v]:T.indptr[v + 1]])
+                for v in self._hanging_vertices.tolist()}
+
+    def interior_dofs(self, eid):
+        """The dofs of the element's interior modes, numbered last, element
+        by element."""
+        i = self._positions(eid)
+        start = self._interior_start[i]
+        return np.arange(start, start + (self._deg[i] - 1) ** self.dim)
 
     def local_indices(self, eid):
         return tensor_indices(self.degrees[eid], self.dim)
 
     def connectivity(self, eid):
         """(rows, mat): global dofs with support on the element and the matrix
-        expanding them in the local tensor shapes, u|_K = (mat.T @ u[rows])."""
-        cached = self._conn_cache.get(eid)
-        if cached is not None:
-            return cached
-        el = self.mesh.elements[eid]
-        d = self.dim
-        idx = self.local_indices(eid)
-        entries = {}
-        for col, multi in enumerate(idx):
-            slot, sign = _box_slot(el.corners, d, tuple(multi))
-            if slot[0] == "OWN":
-                slot = ("i", eid, slot[1])
-            for dof, c in self.resolve_slot(slot):
-                entries[(dof, col)] = entries.get((dof, col), 0.0) + sign * c
-        rows = sorted({dof for dof, _ in entries})
-        rpos = {dof: i for i, dof in enumerate(rows)}
-        mat = np.zeros((len(rows), len(idx)))
-        for (dof, col), c in entries.items():
-            mat[rpos[dof], col] = c
-        out = (np.array(rows, dtype=np.intp), mat)
-        self._conn_cache[eid] = out
-        return out
+        expanding them in the local tensor shapes, u|_K = (mat.T @ u[rows]);
+        the element's rows of P."""
+        P = self._operators[1]
+        i = self._positions(eid)
+        lo, hi = self._shape_offsets[i], self._shape_offsets[i + 1]
+        span = slice(P.indptr[lo], P.indptr[hi])
+        rows, at = np.unique(P.indices[span], return_inverse=True)
+        mat = np.zeros((len(rows), hi - lo))
+        mat[at, np.repeat(np.arange(hi - lo), np.diff(P.indptr[lo:hi + 1]))] = \
+            P.data[span]
+        return rows.astype(np.intp), mat
 
     def local_operator(self, ncomp=1, positions=None):
-        """The local-to-global operator P (sparse, cached): one row per tensor
-        shape of each active element, in element order, one column per free
-        dof, and the connectivity matrices as entries. P u stacks the element
+        """The local-to-global operator P (sparse): one row per tensor shape
+        of each active element, in element order, one column per free dof,
+        and the connectivity matrices as entries. P u stacks the element
         coefficients of u, and P^T blockdiag(A_T) P assembles element
         matrices A_T. With ncomp > 1 it is P (x) I_ncomp, for fields whose
         ncomp components are interleaved. With positions (of active elements
         of one degree), only their rows, element by element."""
-        if ncomp > 1 and ncomp not in self._operators:
-            self._operators[ncomp] = sp.kron(self.local_operator(),
+        if ncomp not in self._operators:
+            self._operators[ncomp] = sp.kron(self._operators[1],
                                              sp.identity(ncomp), format="csr")
-        elif ncomp not in self._operators:
-            rows, cols, vals = [], [], []
-            for eid, off in zip(self.degrees, self._shape_offsets):
-                grows, mat = self.connectivity(eid)
-                r, c = np.nonzero(mat)
-                rows.append(off + c)
-                cols.append(grows[r])
-                vals.append(mat[r, c])
-            self._operators[1] = sp.csr_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(self._shape_offsets[-1], self.ndof))
         op = self._operators[ncomp]
         if positions is None:
             return op
@@ -570,8 +552,11 @@ class ScalarSpace:
         return mat.T @ u[rows]
 
     def element_coeffs(self, eids, u):
-        """local_coeffs of elements eids of one degree, stacked: (n, nb, ...)."""
-        return np.stack([self.local_coeffs(e, u) for e in eids])
+        """local_coeffs of elements eids of one degree, stacked: (n, nb, ...),
+        as one product of their rows of P with u."""
+        pos = self._positions(eids)
+        nb = (int(self._deg[pos[0]]) + 1) ** self.dim
+        return (self.local_operator(1, pos) @ u).reshape((len(pos), nb) + u.shape[1:])
 
     def eval_element(self, eid, u, xhat, gradient=False):
         """Evaluate (and optionally differentiate, in reference coords) on one
@@ -588,13 +573,13 @@ class ScalarSpace:
     def vertex_values(self, u):
         """Values at mesh vertices (for export); NaN where a vertex is unused."""
         vals = np.full(len(self.mesh.vertices), np.nan)
-        d = self.dim
-        for eid in self.mesh.active_ids():
-            el = self.mesh.elements[eid]
-            corners_hat = 2.0 * corner_bits(d) - 1.0
-            v = self.eval_element(eid, u, corners_hat)
-            for row, vid in enumerate(el.corners):
-                vals[vid] = v[row]
+        corners_hat = 2.0 * corner_bits(self.dim) - 1.0
+        ids = self.mesh.corner_ids(self._act)
+        for p in np.unique(self._deg).tolist():
+            sel = np.nonzero(self._deg == p)[0]
+            V, _ = tensor_shape_eval(corners_hat, tensor_indices(p, self.dim),
+                                     jmax=max(p, 1))
+            vals[ids[sel]] = self.element_coeffs(self._act[sel], u) @ V.T
         return vals
 
 
@@ -627,7 +612,9 @@ def gauss_point_basis(p, xhat, gradient=False):
 
 class GaussPointSpace:
     """Discontinuous space of degree p_T - 1 with Lagrange dofs at the tensor
-    Gauss points (a single elementwise constant when p_T = 1)."""
+    Gauss points (a single elementwise constant when p_T = 1). The mass
+    blocks, the dual coefficients and the dof weights are built per degree
+    group, as stacks over its elements."""
 
     def __init__(self, mesh, yield_stress, degrees=None):
         if yield_stress <= 0:
@@ -635,52 +622,58 @@ class GaussPointSpace:
         self.mesh = mesh
         self.dim = mesh.dim
         self.yield_stress = float(yield_stress)
-        self.degrees = {}
-        for eid in mesh.active_ids():
-            p = mesh.elements[eid].degree if degrees is None else degrees[eid]
-            self.degrees[eid] = int(p)
-        self.offsets = {}
-        self.counts = {}
-        n = 0
-        for eid in mesh.active_ids():
-            c = self.degrees[eid] ** self.dim if self.degrees[eid] >= 2 else 1
-            self.offsets[eid] = n
-            self.counts[eid] = c
-            n += c
-        self.ndof = n
-        self._offset_array = np.array(list(self.offsets.values()) + [n])
+        act = mesh.active_ids()
+        deg = np.array([mesh.elements[e].degree if degrees is None
+                        else degrees[e] for e in act], dtype=np.intp)
+        self.degrees = dict(zip(act, deg.tolist()))
+        counts = np.where(deg >= 2, deg ** self.dim, 1)
+        self._act = np.array(act, dtype=np.intp)
+        self._deg = deg
+        self._offset_array = np.concatenate([[0], np.cumsum(counts)])
+        self.offsets = dict(zip(act, self._offset_array[:-1].tolist()))
+        self.counts = dict(zip(act, counts.tolist()))
+        self.ndof = int(self._offset_array[-1])
         self._build()
 
-    def _basis_at(self, eid, xhat):
-        return gauss_point_basis(self.degrees[eid], xhat)
-
     def _build(self):
-        mesh = self.mesh
+        d, act, deg = self.dim, self._act, self._deg
+        corners = self.mesh.corner_array(act)
+        groups = {p: np.nonzero(deg == p)[0] for p in np.unique(deg).tolist()}
+        rules, bad = {}, []
+        for p, sel in groups.items():
+            pts, wts = tensor_gauss(p + 1, d)
+            det = np.linalg.det(map_jacobians(corners[sel], pts))
+            rules[p] = (pts, wts * det)
+            bad.append(sel[(det <= 0).any(axis=1)])
+        bad = np.concatenate(bad)
+        if bad.size:
+            raise ValueError(f"degenerate element {act[bad.min()]}: det J <= 0")
         D = np.empty(self.ndof)
-        self._dual = {}
-        self._mass = {}
-        for eid in mesh.active_ids():
-            p = self.degrees[eid]
-            emap = mesh.element_map(eid)
-            nq = p + 1
-            pts, wts = tensor_gauss(nq, self.dim)
-            det = emap.det_jacobian(pts)
-            if np.any(det <= 0):
-                raise ValueError(f"degenerate element {eid}: det J <= 0")
-            V = self._basis_at(eid, pts)
-            w = wts * det
-            M = np.einsum("qi,q,qj->ij", V, w, V)
-            Dloc = V.T @ w
-            sl = self.dof_slice(eid)
-            D[sl] = Dloc
-            self._mass[eid] = M
+        self._mass, self._dual = {}, {}
+        self._slot = np.empty(len(act), dtype=np.intp)
+        for p, sel in groups.items():
+            pts, w = rules[p]
+            V = gauss_point_basis(p, pts)
+            M = np.einsum("qi,nq,qj->nij", V, w, V)
+            Dloc = (V.T @ w[:, :, None])[..., 0]
+            D[_element_rows(self._offset_array, sel, 1)] = Dloc.ravel()
+            self._mass[p] = M
             # row i of dual: coefficients of the i-th biorthogonal function
             # over the Lagrange basis: M @ c_i = D_i e_i
-            self._dual[eid] = np.linalg.solve(M, np.diag(Dloc)).T
+            self._dual[p] = np.swapaxes(np.linalg.solve(
+                M, Dloc[:, :, None] * np.eye(V.shape[1])), 1, 2)
+            self._slot[sel] = np.arange(len(sel))
         if np.any(D <= 0):
             raise ValueError("nonpositive dof weight; mesh is degenerate")
         self.weights = D
         self.bounds = np.full(self.ndof, self.yield_stress)
+
+    def _basis_at(self, eid, xhat):
+        return gauss_point_basis(self.degrees[eid], xhat)
+
+    def _block(self, stacks, eid):
+        i = np.searchsorted(self._act, eid)
+        return stacks[int(self._deg[i])][self._slot[i]]
 
     def local_operator(self, ncomp=1, positions=None):
         """The identity on the dofs of ncomp-component fields, as the space is
@@ -703,11 +696,16 @@ class GaussPointSpace:
         return pts
 
     def mass(self, eid):
-        return self._mass[eid]
+        return self._block(self._mass, eid)
+
+    def mass_blocks(self, positions):
+        """Mass blocks (n, n_T, n_T) of the active elements at positions, all
+        of one degree."""
+        return self._mass[int(self._deg[positions[0]])][self._slot[positions]]
 
     def dual_coefficients(self, eid):
         """(n_T, n_T): row i holds the biorthogonal function over the Lagrange basis."""
-        return self._dual[eid]
+        return self._block(self._dual, eid)
 
     def eval_primal(self, eid, coeffs, xhat):
         """Evaluate a field given by primal (Lagrange) coefficients: (m, ...)."""
@@ -717,20 +715,22 @@ class GaussPointSpace:
     def eval_dual(self, eid, coeffs, xhat):
         """Evaluate a field given by coefficients over the biorthogonal basis."""
         V = self._basis_at(eid, xhat)
-        C = self._dual[eid]
+        C = self.dual_coefficients(eid)
         return np.tensordot(V @ C.T, coeffs[self.dof_slice(eid)], axes=(1, 0))
 
     def element_rows(self, eids, rows, dual=False):
         """Coefficient rows (n, n_T, k) of the elements eids, all of one
         degree, from rows (ndof, k); dual=True takes rows over the
         biorthogonal basis and returns them over the Lagrange basis."""
-        count = self.counts[eids[0]]
-        take = np.array([self.offsets[e] for e in eids])[:, None] + np.arange(count)
-        out = rows[take]
+        pos = np.searchsorted(self._act, eids)
+        count = self._offset_array[pos[0] + 1] - self._offset_array[pos[0]]
+        out = rows[_element_rows(self._offset_array, pos, 1)].reshape(
+            (len(pos), count) + rows.shape[1:])
         if dual:
-            out = np.stack([self._dual[e].T for e in eids]) @ out
+            out = np.swapaxes(self._dual[int(self._deg[pos[0]])][self._slot[pos]],
+                              1, 2) @ out
         return out
 
     def dual_to_primal(self, eid, coeffs):
-        return np.tensordot(self._dual[eid].T, coeffs[self.dof_slice(eid)],
-                            axes=(1, 0))
+        return np.tensordot(self.dual_coefficients(eid).T,
+                            coeffs[self.dof_slice(eid)], axes=(1, 0))

@@ -264,10 +264,10 @@ class TestConnectivity:
         sp = ScalarSpace(m)
         # the hanging midpoint of the shared edge is constrained to the two
         # coarse endpoint vertices with weight 1/2
-        hang = [s for s in sp._slave if s[0] == "v"]
+        hang = sp.hanging_vertices()
         assert len(hang) == 1
-        row = sp.resolve_slot(hang[0])
-        weights = sorted(abs(c) for _, c in row)
+        (_, coeffs), = hang.values()
+        weights = sorted(abs(coeffs))
         np.testing.assert_allclose(weights, [0.5, 0.5], atol=1e-13)
 
     def test_linear_field_reproduced(self, rng):
