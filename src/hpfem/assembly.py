@@ -271,7 +271,7 @@ def assemble_system(space, qspace, material, loads=None):
             "quadrature order bumped by one (inexact for rational integrands)",
             QuadratureAccuracyWarning, stacklevel=2)
     D = np.repeat(qspace.weights, L)
-    q_counts = np.array([qspace.counts[e] for e in act])
+    q_counts = np.diff(qspace.offsets)
     return MixedSystem(K=K, B=B, C=C, D=D, l=lvec, dim=d, ndof_u=M, ndof_q=N,
                        L=L, q_counts=q_counts, non_affine=non_affine)
 

@@ -20,7 +20,7 @@ from . import predictor as pred
 from .assembly import assemble_system, element_quadrature, total_energy
 from .config import RunConfig
 from .elliptic import energy_error_sq, solve_scalar
-from .mesh import Mesh
+from .mesh import Mesh, point_set_diameters
 from .plasticity import (NewtonConfig, default_rho, plastic_field_at,
                          solve_semismooth_newton, strain_at, write_trace_csv)
 from .problems import (elastic_square_manufactured, plastic_square,
@@ -30,6 +30,11 @@ from .space import GaussPointSpace, ScalarSpace, deviatoric_dim
 
 class SolverFailure(RuntimeError):
     pass
+
+
+def _h_max(mesh):
+    """The largest diameter of an active element."""
+    return float(point_set_diameters(mesh.corner_array(mesh.active_ids())).max())
 
 
 @dataclass
@@ -232,7 +237,7 @@ def run_plastic_estimator(cfg, mesh, material, loads, outdir=None,
             err_sq, _ = refined_state_error(state)
         marked = est.mark_dorfler(ind, cfg.run.theta)
         rec = RunRecord(iteration=it, dofs=state.total_dofs,
-                        h_max=max(mesh.diameter(e) for e in mesh.active_ids()),
+                        h_max=_h_max(mesh),
                         energy=state.energy(),
                         newton_iterations=state.solution.iterations,
                         estimate=ind.global_estimate, error_sq=err_sq,
@@ -276,7 +281,7 @@ def run_elliptic_predictor(cfg, mesh, problem, outdir=None):
         if problem.exact_grad is not None:
             err_sq = energy_error_sq(space, state.u, problem.exact_grad)
         rec = RunRecord(iteration=it, dofs=space.ndof,
-                        h_max=max(mesh.diameter(e) for e in mesh.active_ids()),
+                        h_max=_h_max(mesh),
                         energy=state.energy_sq(),
                         newton_iterations=0,
                         estimate=sum(gains.values()), error_sq=err_sq,
@@ -324,7 +329,7 @@ def run_uniform(cfg, kind, mesh, material, loads, extra, outdir=None):
             err_sq = (energy_error_sq(state.space, state.u, extra.exact_grad)
                       if extra.exact_grad is not None else float("nan"))
         rec = RunRecord(iteration=it, dofs=dofs,
-                        h_max=max(mesh.diameter(e) for e in mesh.active_ids()),
+                        h_max=_h_max(mesh),
                         energy=energy, newton_iterations=nit,
                         estimate=float("nan"), error_sq=err_sq,
                         marked=len(mesh.active_ids()),

@@ -53,13 +53,14 @@ def solve_scalar(space, problem):
     return u, A, b
 
 
-def energy_error_sq(space, u, exact_grad, order_bump=4):
-    """|u_exact - u|^2 in the energy (H1-seminorm) sense by quadrature."""
+def energy_error_sq(space, u, exact_grad):
+    """|u_exact - u|^2 in the energy (H1-seminorm) sense by quadrature of
+    order p + 4."""
     mesh = space.mesh
     total = 0.0
     for eid in mesh.active_ids():
         p = space.degrees[eid]
-        emap, pts, wts, det, Jinv = element_quadrature(mesh, eid, p + order_bump)
+        emap, pts, wts, det, Jinv = element_quadrature(mesh, eid, p + 4)
         idx = space.local_indices(eid)
         _, G = tensor_shape_eval(pts, idx, jmax=max(p, 1))
         grad_h = np.einsum("qbm,b->qm", G @ Jinv, space.local_coeffs(eid, u))

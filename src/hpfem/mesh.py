@@ -356,9 +356,6 @@ class Mesh:
         self._invalidate()
         return self
 
-    def diameter(self, eid):
-        return float(point_set_diameters(self.corner_array([eid]))[0])
-
     def total_volume(self):
         return sum(self.element_map(e).volume() for e in self.active_ids())
 

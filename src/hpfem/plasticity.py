@@ -518,8 +518,9 @@ class ComplementarityReport:
         return int(np.sum(self.plastic))
 
 
-def check_complementarity(qspace, p, lam, rel_tol=1e-8):
-    """Per-dof feasibility / alignment numbers and elastic-plastic classification."""
+def check_complementarity(qspace, p, lam):
+    """Per-dof feasibility / alignment numbers and elastic-plastic
+    classification; a dof is elastic where |lam| < sigma_y (1 - 1e-8)."""
     L = deviatoric_dim(qspace.dim)
     pr = np.asarray(p, dtype=float).reshape(-1, L)
     lr = np.asarray(lam, dtype=float).reshape(-1, L)
@@ -528,7 +529,7 @@ def check_complementarity(qspace, p, lam, rel_tol=1e-8):
     npn = np.linalg.norm(pr, axis=1)
     feas = sig - nl
     align = np.einsum("il,il->i", lr, pr) - sig * npn
-    tol = rel_tol * sig
+    tol = 1e-8 * sig
     elastic = nl < sig - tol
     plastic = ~elastic
     viol = float(max(np.maximum(-feas, 0.0).max(initial=0.0),

@@ -346,7 +346,7 @@ def default_candidates(space, eid, menu="narrow"):
     return out
 
 
-def apply_enrichment(mesh, prediction, degree_bound=1):
+def apply_enrichment(mesh, prediction):
     """Apply the chosen enrichment: raise the degree or refine at the dividing
     point (children inherit the degree), then re-enforce degree comparability."""
     cand = prediction.candidate
@@ -355,7 +355,7 @@ def apply_enrichment(mesh, prediction, degree_bound=1):
         mesh = mesh.with_degrees({eid: mesh.elements[eid].degree + 1})
     else:
         mesh = mesh.refine_element(eid, np.asarray(cand.zhat))
-    return enforce_degree_comparability(mesh, degree_bound)
+    return enforce_degree_comparability(mesh)
 
 
 def enforce_degree_comparability(mesh, bound=1):

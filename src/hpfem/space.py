@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
-from .mesh import corner_bits, corner_row, facet_corner_rows, map_jacobians
+from .mesh import DIRICHLET, corner_bits, corner_row, facet_corner_rows, map_jacobians
 from .polybasis import (MAX_DEGREE, gauss_lagrange_tensor, reference_table,
                         tensor_gauss, tensor_indices, tensor_shape_eval)
 
@@ -60,12 +60,23 @@ def deviatoric_dim(d):
 # ---------------------------------------------------------------------------
 
 @reference_table
-def _expansion_operator(degree, r):
-    """Pseudo-inverse mapping values on a Gauss grid to tensor shape coefficients."""
-    pts, _ = tensor_gauss(degree + 1, r)
-    idx = tensor_indices(degree, r)
-    V, _ = tensor_shape_eval(pts, idx, jmax=max(degree, 1))
+def _expansion_operator(degree):
+    """Gauss points (degree + 1, 1) and the inverse of the 1D shape table on
+    them, which maps point values to shape coefficients."""
+    pts, _ = tensor_gauss(degree + 1, 1)
+    V, _ = tensor_shape_eval(pts, tensor_indices(degree, 1), jmax=max(degree, 1))
     return pts, np.linalg.inv(V)
+
+
+@reference_table
+def _restriction(degree, lo, hi):
+    """The 1D restriction matrix (degree + 1, degree + 1): row j holds the
+    coefficients of psi_j composed with the affine map of [-1, 1] onto
+    [lo, hi] (reversed when lo > hi) over psi_0 .. psi_degree."""
+    pts, Vinv = _expansion_operator(degree)
+    a, b = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    V, _ = _kernels.shape_table(a * pts[:, 0] + b, max(degree, 1))
+    return (Vinv @ V).T
 
 
 @reference_table
@@ -76,26 +87,20 @@ def constraint_coeffs(multi, child_bits, zhat, degree=None):
     the returned coefficients express psi-hat_multi composed with the child
     embedding in the child's own tensor shape basis, as the flat row over
     tensor_indices(degree, d). multi is one multi-index, or rows (n, d) of
-    them, which give an (n, (degree+1)^d) array. Per axis, one 1D restriction
-    matrix (child coefficients x parent shapes) is built; the rows combine its
-    columns by outer product.
+    them, which give an (n, (degree+1)^d) array. The rows combine the columns
+    of one 1D restriction matrix per axis by outer product.
     """
     multis = np.asarray(multi, dtype=np.intp)
     single = multis.ndim == 1
     multis = multis.reshape(-1, multis.shape[-1])
     d = multis.shape[1]
     zhat = np.broadcast_to(np.asarray(zhat, dtype=float), (d,))
-    top = int(multis.max())
     if degree is None:
-        degree = max(top, 1)
-    jmax = max(degree, top, 1)
-    pts, Vinv = _expansion_operator(degree, 1)
+        degree = max(int(multis.max()), 1)
     out = np.ones((len(multis), 1))
     for k in range(d):
         lo, hi = (-1.0, zhat[k]) if not child_bits[k] else (zhat[k], 1.0)
-        a, b = 0.5 * (hi - lo), 0.5 * (hi + lo)
-        V, _ = _kernels.shape_table(a * pts[:, 0] + b, jmax)
-        R = (Vinv @ V).T  # R[j] = child coefficients of psi_j on this axis
+        R = _restriction(degree, lo, hi)
         out = (out[:, :, None] * R[multis[:, k]][:, None, :]).reshape(len(multis), -1)
     return out[0] if single else out
 
@@ -106,9 +111,8 @@ def constraint_coeffs(multi, child_bits, zhat, degree=None):
 
 @reference_table
 def _box_edges(r):
-    """The edges of the r-dimensional reference box: axis (ne,), corner rows
-    of the low and the high end (ne, 2), and the bits of the low end (ne, r),
-    which has bit 0 along the edge's axis."""
+    """The edges of the r-dimensional reference box: axis (ne,) and corner
+    rows of the low and the high end (ne, 2)."""
     axes, low = [], []
     for a in range(r):
         for sides in itertools.product((0, 1), repeat=r - 1):
@@ -117,16 +121,16 @@ def _box_edges(r):
     axes = np.array(axes, dtype=np.intp)
     low = np.array(low, dtype=np.intp).reshape(len(axes), r)
     start = corner_row(low)
-    return axes, np.stack([start, start + (1 << (r - 1 - axes))], axis=1), low
+    return axes, np.stack([start, start + (1 << (r - 1 - axes))], axis=1)
 
 
 @reference_table
 def _facet_edges(d):
     """The element's box edges on each local facet (2d, n), in the order and
     orientation of _box_edges(d - 1) over the facet."""
-    _, ends, _ = _box_edges(d)
+    _, ends = _box_edges(d)
     at = {pair: i for i, pair in enumerate(map(tuple, ends.tolist()))}
-    _, fends, _ = _box_edges(d - 1)
+    _, fends = _box_edges(d - 1)
     return np.array([[at[(rows[a], rows[b])] for a, b in fends.tolist()]
                      for rows in facet_corner_rows(d).tolist()], dtype=np.intp)
 
@@ -148,7 +152,7 @@ def _shape_entities(d, p):
     ent[vert] = corner_row(idx[vert])
     edge = np.nonzero(kind == 1)[0]
     if edge.size:
-        axes, ends, _ = _box_edges(d)
+        axes, ends = _box_edges(d)
         at = {key: i for i, key in enumerate(zip(axes.tolist(),
                                                  ends[:, 0].tolist()))}
         a = np.argmax(bub[edge], axis=1)
@@ -233,13 +237,11 @@ class ScalarSpace:
     hanging on a coarser neighbor's facet.
     """
 
-    def __init__(self, mesh, dirichlet_tags=("dirichlet",), degrees=None):
+    def __init__(self, mesh):
         self.mesh = mesh
         self.dim = mesh.dim
-        self.dirichlet_tags = frozenset(dirichlet_tags)
         act = mesh.active_ids()
-        deg = np.array([mesh.elements[e].degree if degrees is None
-                        else degrees[e] for e in act], dtype=np.intp)
+        deg = np.array([mesh.elements[e].degree for e in act], dtype=np.intp)
         if not np.all((deg >= 1) & (deg <= MAX_DEGREE)):
             raise ValueError(f"polynomial degree must be in 1..{MAX_DEGREE}")
         self.degrees = dict(zip(act, deg.tolist()))
@@ -261,7 +263,7 @@ class ScalarSpace:
         ekeys = np.zeros((0, 2), dtype=np.intp)
         fkeys = np.zeros((0, 4), dtype=np.intp)
         if d >= 2:
-            _, ends, _ = _box_edges(d)
+            _, ends = _box_edges(d)
             v0, v1 = ids[:, ends[:, 0]], ids[:, ends[:, 1]]
             base = len(mesh.vertices)
             codes, eent = np.unique(np.minimum(v0, v1) * base + np.maximum(v0, v1),
@@ -286,9 +288,8 @@ class ScalarSpace:
             np.minimum.at(face_deg, fent, np.broadcast_to(deg[:, None], fent.shape))
 
         # Dirichlet entities: the closures of the Dirichlet facets
-        on = np.array([[tag in self.dirichlet_tags for tag in
-                        mesh.elements[e].boundary_tags] for e in act.tolist()],
-                      dtype=bool).reshape(n, 2 * d)
+        on = np.array([[tag == DIRICHLET for tag in mesh.elements[e].boundary_tags]
+                       for e in act.tolist()], dtype=bool).reshape(n, 2 * d)
         di, df = np.nonzero(on)
         fixed_v = np.zeros(nv, dtype=bool)
         fixed_e = np.zeros(ne, dtype=bool)
@@ -405,62 +406,40 @@ class ScalarSpace:
                           shape=(nslots, self.ndof))
         vown[fixed_v], eown[fixed_e], fown[fixed_f] = -1, -1, -1
 
+        owner = np.concatenate([vown, np.repeat(eown, q), np.repeat(fown, q * q),
+                                np.full(nslots - i0, -1, dtype=np.intp)])
+
+        def facet_shapes(j, f):
+            """The shape rows of element position j on its local facet f, with
+            their multi-indices over the facet's axes."""
+            k, s = divmod(f, 2)
+            idx = tensor_indices(int(deg[j]), d)
+            on = np.nonzero(idx[:, k] == s)[0]
+            return self._shape_offsets[j] + on, np.delete(idx[on], k, axis=1)
+
         def constraint_rows(h):
             """Unresolved constraint rows (slots, master slots, coefficients)
-            of the hanging entities owned by interface h: the traces on the
-            fine facet expanded in the coarse facet's shapes."""
+            of the slots owned by interface h: the coarse facet's in-degree
+            shapes restricted to the fine facet, one 1D restriction per
+            coarse facet axis, with slots and signs from S on both sides."""
             (i, f, piece), j = hang[h], coarse_at[h]
-            k, s = divmod(piece.facet, 2)
-            idx = tensor_indices(int(deg[j]), d)
-            shapes = np.nonzero(idx[:, k] == s)[0]
-            shapes = shapes[in_degree[slot[self._shape_offsets[j] + shapes]]]
-            masters = slot[self._shape_offsets[j] + shapes]
-            msign = sign[self._shape_offsets[j] + shapes]
-            multis = np.delete(idx[shapes], k, axis=1)
-            jmax = max(2, int(multis.max()))
+            fine, t = facet_shapes(i, f)
+            mine = owner[slot[fine]] == h
+            fine, t = fine[mine], t[mine]
+            coarse, m = facet_shapes(j, piece.facet)
+            keep = in_degree[slot[coarse]]
+            coarse, m = coarse[keep], m[keep]
+            p = int(max(deg[i], deg[j]))
+            vals = sign[fine][:, None] * sign[coarse]
+            for a, ((lo, hi), flip) in enumerate(zip(piece.nb_box, piece.flip)):
+                R = _restriction(p, hi, lo) if flip else _restriction(p, lo, hi)
+                vals = vals * R[m[None, :, a], t[:, piece.perm[a], None]]
+            rr = np.repeat(slot[fine], len(coarse))
+            cc = np.tile(slot[coarse], len(fine))
+            keep = np.abs(vals.ravel()) > _DROP
+            return rr[keep], cc[keep], vals.ravel()[keep]
 
-            def trace(xi):
-                _, t_nb = mesh.piece_coords(int(act[i]), f, piece, xi)
-                V, _ = tensor_shape_eval.__wrapped__(t_nb, multis, jmax=jmax)
-                return V * msign
-
-            p_fine, r = int(deg[i]), d - 1
-            fine = ids[i, rows[f]]
-            out = []
-            c = np.nonzero(vown[vent[i, rows[f]]] == h)[0]
-            if c.size:
-                out.append((vent[i, rows[f]][c], trace(2.0 * corner_bits(r)[c] - 1.0)))
-            jj = np.arange(2, p_fine + 1)
-            if d >= 2 and jj.size:
-                axes, ends, low = _box_edges(r)
-                pts, Vinv = _expansion_operator(p_fine, 1)
-                ents = eent[i, fedges[f]]
-                for le in np.nonzero(eown[ents] == h)[0].tolist():
-                    xi = np.repeat(2.0 * low[le:le + 1] - 1.0, len(pts), axis=0)
-                    flip = fine[ends[le, 0]] > fine[ends[le, 1]]
-                    xi[:, axes[le]] = -pts[:, 0] if flip else pts[:, 0]
-                    out.append((e0 + ents[le] * q + jj - 2, (Vinv @ trace(xi))[jj]))
-            if d == 3 and jj.size and fown[fent[i, f]] == h:
-                fswap, fflips = _face_frames(fine[None, :])
-                perm = (1, 0) if fswap[0] else (0, 1)
-                pts, Vinv = _expansion_operator(p_fine, 2)
-                xi = np.empty_like(pts)
-                for a in range(2):
-                    xi[:, perm[a]] = -pts[:, a] if fflips[0, a] else pts[:, a]
-                idx2 = tensor_indices(p_fine, 2)
-                inner = np.nonzero((idx2 >= 2).all(axis=1))[0]
-                out.append((f0 + (fent[i, f] * q + idx2[inner, 0] - 2) * q
-                            + idx2[inner, 1] - 2, (Vinv @ trace(xi))[inner]))
-            if not out:
-                return (np.zeros(0, dtype=np.intp),) * 2 + (np.zeros(0),)
-            vals = np.concatenate([v.ravel() for _, v in out])
-            rr = np.repeat(np.concatenate([sl for sl, _ in out]), len(masters))
-            cc = np.tile(masters, len(rr) // len(masters))
-            keep = np.abs(vals) > _DROP
-            return rr[keep], cc[keep], vals[keep]
-
-        owners = np.unique(np.concatenate([vown, eown, fown]))
-        raw = [constraint_rows(h) for h in owners[owners >= 0].tolist()]
+        raw = [constraint_rows(h) for h in np.unique(owner[owner >= 0]).tolist()]
         if raw:
             rr, cc, vals = (np.concatenate(part) for part in zip(*raw))
             T = _resolve_constraints(
@@ -614,25 +593,23 @@ class GaussPointSpace:
     """Discontinuous space of degree p_T - 1 with Lagrange dofs at the tensor
     Gauss points (a single elementwise constant when p_T = 1). The mass
     blocks, the dual coefficients and the dof weights are built per degree
-    group, as stacks over its elements."""
+    group, as stacks over its elements. The dofs of the i-th active element
+    are offsets[i] .. offsets[i + 1] - 1."""
 
-    def __init__(self, mesh, yield_stress, degrees=None):
+    def __init__(self, mesh, yield_stress):
         if yield_stress <= 0:
             raise ValueError("yield stress must be positive")
         self.mesh = mesh
         self.dim = mesh.dim
         self.yield_stress = float(yield_stress)
         act = mesh.active_ids()
-        deg = np.array([mesh.elements[e].degree if degrees is None
-                        else degrees[e] for e in act], dtype=np.intp)
+        deg = np.array([mesh.elements[e].degree for e in act], dtype=np.intp)
         self.degrees = dict(zip(act, deg.tolist()))
         counts = np.where(deg >= 2, deg ** self.dim, 1)
         self._act = np.array(act, dtype=np.intp)
         self._deg = deg
-        self._offset_array = np.concatenate([[0], np.cumsum(counts)])
-        self.offsets = dict(zip(act, self._offset_array[:-1].tolist()))
-        self.counts = dict(zip(act, counts.tolist()))
-        self.ndof = int(self._offset_array[-1])
+        self.offsets = np.concatenate([[0], np.cumsum(counts)])
+        self.ndof = int(self.offsets[-1])
         self._build()
 
     def _build(self):
@@ -656,7 +633,7 @@ class GaussPointSpace:
             V = gauss_point_basis(p, pts)
             M = np.einsum("qi,nq,qj->nij", V, w, V)
             Dloc = (V.T @ w[:, :, None])[..., 0]
-            D[_element_rows(self._offset_array, sel, 1)] = Dloc.ravel()
+            D[_element_rows(self.offsets, sel, 1)] = Dloc.ravel()
             self._mass[p] = M
             # row i of dual: coefficients of the i-th biorthogonal function
             # over the Lagrange basis: M @ c_i = D_i e_i
@@ -682,10 +659,11 @@ class GaussPointSpace:
         op = sp.identity(ncomp * self.ndof, format="csr")
         if positions is None:
             return op
-        return op[_element_rows(self._offset_array, positions, ncomp)]
+        return op[_element_rows(self.offsets, positions, ncomp)]
 
     def dof_slice(self, eid):
-        return slice(self.offsets[eid], self.offsets[eid] + self.counts[eid])
+        i = np.searchsorted(self._act, eid)
+        return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
 
     def gauss_points(self, eid):
         """Reference quadrature nodes carrying the dofs of the element."""
@@ -723,8 +701,8 @@ class GaussPointSpace:
         degree, from rows (ndof, k); dual=True takes rows over the
         biorthogonal basis and returns them over the Lagrange basis."""
         pos = np.searchsorted(self._act, eids)
-        count = self._offset_array[pos[0] + 1] - self._offset_array[pos[0]]
-        out = rows[_element_rows(self._offset_array, pos, 1)].reshape(
+        count = self.offsets[pos[0] + 1] - self.offsets[pos[0]]
+        out = rows[_element_rows(self.offsets, pos, 1)].reshape(
             (len(pos), count) + rows.shape[1:])
         if dual:
             out = np.swapaxes(self._dual[int(self._deg[pos[0]])][self._slot[pos]],

@@ -9,7 +9,7 @@ from hpfem.polybasis import (gauss_lagrange_1d, gauss_lagrange_tensor,
                              gauss_rule, tensor_gauss, tensor_indices,
                              tensor_shape_eval, tensor_shape_hessian)
 from hpfem.problems import cube_mesh, interval_mesh, square_mesh
-from hpfem.space import _expansion_operator, constraint_coeffs
+from hpfem.space import _expansion_operator, _restriction, constraint_coeffs
 
 
 def legendre(j, t):
@@ -178,8 +178,9 @@ class TestTensorShapes:
             return sum(cmono[i, j] * x[:, 0]**i * x[:, 1]**j
                        for i in range(r + 1) for j in range(r + 1))
 
-        pts, Vinv = _expansion_operator(r, d)
-        coef = Vinv @ poly(pts)
+        # the 2D operator is the Kronecker product of the 1D one
+        pts, _ = tensor_gauss(r + 1, d)
+        coef = np.kron(*(_expansion_operator(r)[1],) * d) @ poly(pts)
         idx = tensor_indices(r, d)
         x = rng.uniform(-1, 1, (25, d))
         V, _ = tensor_shape_eval(x, idx, jmax=r)
@@ -241,7 +242,7 @@ class TestReferenceTableCache:
         _check(gauss_rule, degree)
         _check(polybasis._bary_weights, degree)
         _check(tensor_gauss, degree + 1, d)
-        _check(_expansion_operator, degree, d)
+        _check(_expansion_operator, degree)
         # random points and the Gauss points of one full facet, embedded
         f = facet_seed % (2 * d)
         facet_pts = _MESHES[d].facet_embed(
@@ -263,6 +264,7 @@ class TestReferenceTableCache:
         _check(constraint_coeffs, idx, bits, zhat, degree=degree)
         _check(constraint_coeffs, idx[-1], bits, zhat, degree=degree)
         _check(constraint_coeffs, idx, bits, tuple(z[:d]))
+        _check(_restriction, degree, z[0], -1.0)
 
     def test_keys_are_exact(self):
         # arrays are keyed by dtype and bytes: another dtype, or -0.0 for 0.0,
@@ -277,7 +279,7 @@ class TestReferenceTableCache:
     def test_results_are_read_only(self):
         vals, grads = tensor_shape_eval(np.array([[0.1, -0.3]]), tensor_indices(3, 2))
         for table in (vals, grads, tensor_gauss(3, 2)[0], gauss_rule(4).weights,
-                      _expansion_operator(3, 1)[1]):
+                      _expansion_operator(3)[1]):
             with pytest.raises(ValueError):
                 table[0] = 1.0
 

@@ -391,3 +391,102 @@ class TestRefinementProperties:
                         space.eval_element(eid, u, ref_m),
                         space.eval_element(piece.neighbor, u, ref_n),
                         rtol=0, atol=1e-12 * np.abs(u).max())
+
+
+def _rotated(corners, axes, signs):
+    """Corner ids of a hexahedron rotated in its reference frame: new corner
+    b is the old corner at A (2b - 1) with (A xi)_k = signs[k] xi[axes[k]];
+    det J keeps its sign when det A = 1."""
+    bits = tensor_indices(1, len(axes))
+    old = (np.asarray(signs) * (2 * bits[:, axes] - 1) + 1) // 2
+    return [corners[r] for r in old @ (1 << np.arange(len(axes) - 1, -1, -1))]
+
+
+def _rotated_roots_mesh(d, refine, degrees):
+    """The strip of two squares with the right one rotated by 180 degrees
+    (d = 2), or cube_mesh(2) with roots 0 and 3 rotated, one about the body
+    diagonal and one by 90 degrees about the first axis (d = 3). The roots
+    listed in refine are refined once, and the active elements take the
+    degrees in turn."""
+    if d == 2:
+        verts = [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
+        cells = [[0, 3, 1, 4], [5, 2, 4, 1]]
+    else:
+        cube = cube_mesh(2)
+        verts = cube.vertices
+        cells = [list(e.corners) for e in cube.elements]
+        cells[0] = _rotated(cells[0], [1, 2, 0], [1, 1, 1])
+        cells[3] = _rotated(cells[3], [0, 2, 1], [1, -1, 1])
+    m = Mesh.from_arrays(verts, cells, dim=d, default_tag="neumann")
+    assert all(m.element_map(e).det_jacobian(np.zeros((1, d)))[0] > 0
+               for e in m.active_ids())
+    m = m.refine_many(refine)
+    return m.with_degrees({e: degrees[i % len(degrees)]
+                           for i, e in enumerate(m.active_ids())})
+
+
+class TestRotatedRoots:
+    """Hanging interfaces between roots whose reference frames disagree: the
+    fine facet meets the coarse one reversed (and, in 3D, with its axes
+    swapped)."""
+
+    CASES = [(2, [0], (2, 4)), (2, [1], (3, 2)), (2, [0], (4, 3, 2)),
+             (3, [1, 2], (2, 3)), (3, [0, 3], (3, 2, 4)), (3, [2, 5], (4, 2))]
+
+    @pytest.fixture(params=CASES, ids=lambda c: f"d{c[0]}-refine{c[1]}-p{c[2]}")
+    def mesh(self, request):
+        return _rotated_roots_mesh(*request.param)
+
+    def test_pieces_are_rotated(self, mesh):
+        pieces = [piece for eid in mesh.active_ids()
+                  for info in mesh.facet_neighbors(eid)
+                  for piece in info.pieces if piece.relation == "coarse_nb"]
+        assert any(any(p.flip) for p in pieces)
+        if mesh.dim == 3:
+            assert any(p.perm != (0, 1) for p in pieces)
+
+    def test_continuous_across_every_piece(self, mesh, rng):
+        sp = ScalarSpace(mesh)
+        u = rng.standard_normal(sp.ndof)
+        xi, _ = tensor_gauss(5, mesh.dim - 1)
+        for eid in mesh.active_ids():
+            for f, info in enumerate(mesh.facet_neighbors(eid)):
+                for piece in info.pieces:
+                    tm, tn = mesh.piece_coords(eid, f, piece, xi)
+                    a = sp.eval_element(eid, u, mesh.facet_embed(f, tm))
+                    b = sp.eval_element(piece.neighbor, u,
+                                        mesh.facet_embed(piece.facet, tn))
+                    assert np.abs(a - b).max() <= 1e-13
+
+    def test_linear_field_reproduced(self, mesh, rng):
+        sp = ScalarSpace(mesh)
+        coef = np.array([0.3, -0.7, 0.2, 0.9])[:mesh.dim + 1]
+
+        def lin(x):
+            return coef[0] + x @ coef[1:]
+
+        u = np.zeros(sp.ndof)
+        for i, slot in enumerate(sp.dofs):
+            if slot[0] == "v":
+                u[i] = lin(mesh.vertices[slot[1]])
+        for eid in mesh.active_ids():
+            pts = rng.uniform(-1, 1, (6, mesh.dim))
+            x = mesh.element_map(eid).map_point(pts)
+            np.testing.assert_allclose(sp.eval_element(eid, u, pts), lin(x),
+                                       rtol=0, atol=1e-13)
+
+    def test_hanging_vertex_weights(self, mesh):
+        # on the coarse vertices, a hanging edge midpoint weighs 1/2 each of
+        # the edge's ends and a hanging face centre 1/4 each of its corners
+        sp = ScalarSpace(mesh)
+        hang = sp.hanging_vertices()
+        assert hang
+        for vid, (dofs, coeffs) in hang.items():
+            on_v = [(sp.dofs[k][1], c) for k, c in zip(dofs, coeffs)
+                    if sp.dofs[k][0] == "v"]
+            w = np.array([c for _, c in on_v])
+            n = len(w)
+            assert n in (2, 4)
+            np.testing.assert_allclose(w, 1.0 / n, rtol=0, atol=1e-14)
+            centre = sum(c * mesh.vertices[v] for v, c in on_v)
+            np.testing.assert_allclose(centre, mesh.vertices[vid], atol=1e-14)
