@@ -123,7 +123,8 @@ class MixedSystem:
 
 
 def element_quadrature(mesh, eid, order):
-    """Reference points/weights and mapped geometry for one element."""
+    """Reference points/weights and mapped geometry for one element: a
+    one-element view of `group_quadrature`, for checks element by element."""
     emap = mesh.element_map(eid)
     pts, wts = tensor_gauss(order, mesh.dim)
     J = emap.jacobian(pts)
@@ -277,26 +278,8 @@ def assemble_system(space, qspace, material, loads=None):
 
 
 # ---------------------------------------------------------------------------
-# quadrature functional, plastic functional, energy
+# plastic functional, energy
 # ---------------------------------------------------------------------------
-
-def quadrature_functional(mesh, degrees, integrand):
-    """The broken Gauss rule: midpoint branch |T| f(F_T(0)) for p_T = 1, else
-    the p_T^d tensor rule. integrand maps physical points (m, d) to values."""
-    total = 0.0
-    for eid in mesh.active_ids():
-        p = degrees[eid] if not np.isscalar(degrees) else degrees
-        emap = mesh.element_map(eid)
-        if p == 1:
-            x = emap.map_point(np.zeros(mesh.dim))[None, :]
-            total += emap.volume() * float(np.asarray(integrand(x))[0])
-        else:
-            pts, wts = tensor_gauss(p, mesh.dim)
-            det = np.abs(emap.det_jacobian(pts))
-            vals = np.asarray(integrand(emap.map_point(pts)), dtype=float)
-            total += float(np.dot(wts * det, vals))
-    return total
-
 
 def plastic_functional(qspace, q):
     """psi_hp: the broken Gauss rule applied to sigma_y |q_hp|_F, which
@@ -339,12 +322,17 @@ def assemble_norm_matrices(space, qspace=None):
     Mv = sp.kron(Ms, sp.identity(d), format="csr")
     if qspace is None:
         return Mv, Sv, None
-    L = deviatoric_dim(d)
-    Mq = sp.csr_matrix((L * qspace.ndof, L * qspace.ndof))
+    return Mv, Sv, gauss_mass_matrix(qspace, deviatoric_dim(d))
+
+
+def gauss_mass_matrix(qspace, ncomp=1):
+    """The mass matrix of ncomp-component fields (components interleaved) of
+    the Gauss-point space, block diagonal over the elements."""
+    M = sp.csr_matrix((ncomp * qspace.ndof, ncomp * qspace.ndof))
     for sel in element_groups(qspace).values():
-        mass = qspace.mass_blocks(sel)
-        Mq += galerkin(qspace.local_operator(L, sel), np.kron(mass, np.eye(L)))
-    return Mv, Sv, Mq
+        M += galerkin(qspace.local_operator(ncomp, sel),
+                      np.kron(qspace.mass_blocks(sel), np.eye(ncomp)))
+    return M
 
 
 def export_matrix_market(matrix, path):

@@ -17,12 +17,14 @@ import numpy as np
 
 from . import estimator as est
 from . import predictor as pred
-from .assembly import assemble_system, element_quadrature, total_energy
+from .assembly import (assemble_system, element_groups, group_quadrature,
+                       strain, total_energy)
 from .config import RunConfig
 from .elliptic import energy_error_sq, solve_scalar
-from .mesh import Mesh, point_set_diameters
-from .plasticity import (NewtonConfig, default_rho, plastic_field_at,
-                         solve_semismooth_newton, strain_at, write_trace_csv)
+from .mesh import Mesh, map_jacobians, map_points, point_set_diameters
+from .plasticity import (Fields, NewtonConfig, default_rho,
+                         solve_semismooth_newton, strain_values,
+                         write_trace_csv)
 from .problems import (elastic_square_manufactured, plastic_square,
                        poisson_1d_singular, poisson_lshape)
 from .space import GaussPointSpace, ScalarSpace, deviatoric_dim
@@ -128,44 +130,53 @@ def refined_state_error(state):
     return plastic_error_sq(state, ref), ref
 
 
-def _coarse_coords(fine_mesh, eid_fine, coarse_mesh, pts):
-    """Map fine-element reference points into the ancestor coarse element."""
-    el = fine_mesh.elements[eid_fine]
-    anc = el.parent if el.parent is not None else eid_fine
-    while not coarse_mesh.elements[anc].active:
-        anc = coarse_mesh.elements[anc].parent
-    celf = fine_mesh.elements[eid_fine]
-    celc = coarse_mesh.elements[anc]
-    root = celf.box_lo[None, :] + 0.5 * (pts + 1.0) * (celf.box_hi - celf.box_lo)[None, :]
-    out = 2.0 * (root - celc.box_lo[None, :]) / (celc.box_hi - celc.box_lo)[None, :] - 1.0
-    return anc, out
+def _coarse_maps(fine_mesh, eids, coarse_mesh):
+    """The coarse elements containing the elements eids of a mesh refined
+    from coarse_mesh, and the affine maps into their reference coordinates.
+    Refinement keeps the ids of the elements the two meshes share, so the
+    coarse element of eid is its nearest ancestor, eid included, that is
+    active in coarse_mesh. Returns their ids and (scale, shift), each (n, d),
+    with xhat_coarse = scale xhat + shift, from the reference boxes of both
+    in their common root."""
+    n = len(coarse_mesh.elements)
+    active = np.array([e.active for e in coarse_mesh.elements] + [False])
+    parent = np.array([-1 if e.parent is None else e.parent
+                       for e in fine_mesh.elements])
+    anc = np.array(eids)
+    while (up := np.flatnonzero(~active[np.minimum(anc, n)])).size:
+        if np.any(anc[up] < 0):
+            raise ValueError("the fine mesh is not refined from the coarse mesh")
+        anc[up] = parent[anc[up]]
+    box = np.array([(fine_mesh.elements[e].box_lo, fine_mesh.elements[e].box_hi)
+                    for e in eids])
+    cbox = np.array([(coarse_mesh.elements[e].box_lo, coarse_mesh.elements[e].box_hi)
+                     for e in anc])
+    width = cbox[:, 1] - cbox[:, 0]
+    # exactly xhat_coarse = xhat where the boxes agree
+    return anc, (box[:, 1] - box[:, 0]) / width, (box.sum(1) - cbox.sum(1)) / width
 
 
 def plastic_error_sq(coarse, fine):
-    """Combined-norm error between two nested plastic states."""
-    mesh_f = fine.mesh
-    d = mesh_f.dim
+    """Combined-norm error ||du||^2 + ||eps(du)||^2 + ||dp||^2 + ||dlam||^2
+    between two plastic states on nested meshes, by the Gauss rule of order
+    p + 2 on the fine elements, one fine degree at a time."""
+    act = fine.mesh.active_ids()
+    anc, scale, shift = _coarse_maps(fine.mesh, act, coarse.mesh)
+    fields, cfields = (Fields(s.space, s.qspace, s.material, s.solution.u,
+                              s.solution.p, s.solution.lam) for s in (fine, coarse))
+    cpos = np.searchsorted(coarse.mesh.active_ids(), anc)
+    corners, ccorners = fine.mesh.corner_array(act), coarse.mesh.corner_array(anc)
     total = 0.0
-    for eid in mesh_f.active_ids():
-        _, pts, wts, det, Jinv = element_quadrature(
-            mesh_f, eid, fine.space.degrees[eid] + 2)
-        w = wts * det
-        cid, cpts = _coarse_coords(mesh_f, eid, coarse.mesh, pts)
-        cmap = coarse.mesh.element_map(cid)
-        cJinv = np.linalg.inv(cmap.jacobian(cpts))
-        du = (fine.space.eval_element(eid, fine.solution.u.reshape(-1, d), pts)
-              - coarse.space.eval_element(cid, coarse.solution.u.reshape(-1, d),
-                                          cpts))
-        deps = (strain_at(fine.space, eid, fine.solution.u, pts, Jinv)
-                - strain_at(coarse.space, cid, coarse.solution.u, cpts, cJinv))
-        dp = (plastic_field_at(fine.qspace, eid, fine.solution.p, pts)
-              - plastic_field_at(coarse.qspace, cid, coarse.solution.p, cpts))
-        dl = (plastic_field_at(fine.qspace, eid, fine.solution.lam, pts, dual=True)
-              - plastic_field_at(coarse.qspace, cid, coarse.solution.lam, cpts, dual=True))
-        total += float(w @ (np.einsum("qk,qk->q", du, du)
-                            + np.einsum("qab,qab->q", deps, deps)
-                            + np.einsum("qab,qab->q", dp, dp)
-                            + np.einsum("qab,qab->q", dl, dl)))
+    for (q,), sel in element_groups(fine.space).items():
+        pts, w, Jinv = group_quadrature(corners[sel], q + 2)
+        cref = pts * scale[sel, None] + shift[sel, None]
+        u, gu, pv, lv = fields.values_at(sel, pts)
+        cu, cgu, cpv, clv = cfields.values_at(cpos[sel], cref)
+        deps = strain_values(gu, Jinv) - strain_values(
+            cgu, np.linalg.inv(map_jacobians(ccorners[sel], cref)))
+        total += float(np.einsum("nq,nqk->", w, (u - cu) ** 2)
+                       + np.einsum("nq,nqab->", w, deps ** 2)
+                       + np.einsum("nq,nql->", w, (pv - cpv) ** 2 + (lv - clv) ** 2))
     return total
 
 
@@ -352,18 +363,19 @@ run_uniform.consults = ()
 
 
 def elastic_energy_error_sq(state, disp, disp_grad):
-    """a-norm error of an (essentially elastic) state against an analytic field."""
-    mesh = state.mesh
+    """a-norm error of an (essentially elastic) state against an analytic
+    field, by the Gauss rule of order p + 3, one degree at a time."""
+    sol, d = state.solution, state.mesh.dim
+    fields = Fields(state.space, state.qspace, state.material, sol.u, sol.p)
+    corners = state.mesh.corner_array(state.mesh.active_ids())
     total = 0.0
-    for eid in mesh.active_ids():
-        emap, pts, wts, det, Jinv = element_quadrature(
-            mesh, eid, state.space.degrees[eid] + 3)
-        eps_h = strain_at(state.space, eid, state.solution.u, pts, Jinv)
-        g = np.asarray(disp_grad(emap.map_point(pts)), dtype=float)
-        eps_ex = 0.5 * (g + g.transpose(0, 2, 1))
-        diff = eps_ex - eps_h
-        sig = state.material.apply_elasticity(diff)
-        total += float((wts * det) @ np.einsum("qab,qab->q", sig, diff))
+    for (q,), sel in element_groups(state.space).items():
+        pts, w, Jinv = group_quadrature(corners[sel], q + 3)
+        g = np.asarray(disp_grad(map_points(corners[sel], pts).reshape(-1, d)),
+                       dtype=float).reshape(Jinv.shape)
+        diff = strain(g) - strain_values(fields.values_at(sel, pts)[1], Jinv)
+        total += float(np.einsum("nq,nqab,nqab->", w,
+                                 state.material.apply_elasticity(diff), diff))
     return total
 
 

@@ -8,8 +8,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
-from .assembly import (boundary_load, data_load, element_groups,
-                       element_quadrature, galerkin, group_quadrature)
+from .assembly import (boundary_load, data_load, element_groups, galerkin,
+                       group_quadrature)
 from .mesh import map_points
 from .plasticity import factorize
 from .polybasis import tensor_indices, tensor_shape_eval
@@ -55,16 +55,17 @@ def solve_scalar(space, problem):
 
 def energy_error_sq(space, u, exact_grad):
     """|u_exact - u|^2 in the energy (H1-seminorm) sense by quadrature of
-    order p + 4."""
-    mesh = space.mesh
+    order p + 4, one group of elements of equal degree at a time."""
+    act = np.array(space.mesh.active_ids())
+    corners = space.mesh.corner_array(act)
     total = 0.0
-    for eid in mesh.active_ids():
-        p = space.degrees[eid]
-        emap, pts, wts, det, Jinv = element_quadrature(mesh, eid, p + 4)
-        idx = space.local_indices(eid)
-        _, G = tensor_shape_eval(pts, idx, jmax=max(p, 1))
-        grad_h = np.einsum("qbm,b->qm", G @ Jinv, space.local_coeffs(eid, u))
-        grad_ex = np.asarray(exact_grad(emap.map_point(pts)), dtype=float)
-        diff = grad_ex - grad_h
-        total += float((wts * det) @ np.einsum("qm,qm->q", diff, diff))
+    for (p,), sel in element_groups(space).items():
+        pts, w, Jinv = group_quadrature(corners[sel], p + 4)
+        _, G = tensor_shape_eval(pts, tensor_indices(p, space.dim), jmax=max(p, 1))
+        coef = space.element_coeffs(act[sel], u)
+        grad_h = ((coef[:, None, None, :] @ G) @ Jinv)[:, :, 0]
+        x = map_points(corners[sel], pts)
+        diff = np.asarray(exact_grad(x.reshape(-1, space.dim)),
+                          dtype=float).reshape(x.shape) - grad_h
+        total += float(np.einsum("nq,nqk,nqk->", w, diff, diff))
     return total

@@ -26,14 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .mesh import (corner_bits, facet_corner_rows, facet_measure,
                    map_hessians, map_jacobians, map_points,
                    point_set_diameters)
-from .plasticity import ElementBlocks, deviator, strain_values, tensor_values
-from .polybasis import (gauss_lagrange_1d, tensor_contract, tensor_gauss,
-                        tensor_indices, tensor_shape_eval, tensor_shape_hessian)
-from .space import deviatoric_dim, gauss_point_basis
+from .plasticity import ElementBlocks, Fields, deviator, tensor_values
+from .polybasis import (tensor_gauss, tensor_indices, tensor_shape_eval,
+                        tensor_shape_hessian)
+from .space import gauss_point_basis
 
 # Gap, in units of the largest value, below which two indicators (or two
 # predicted reductions) count as tied. Mirror-image elements differ only by
@@ -108,68 +107,6 @@ def _l2_projections(V, w, vals, V_eval):
     return V_eval @ coef, np.einsum("nq,nqk,nqk->n", w, defect, defect)
 
 
-class _Fields:
-    """The discrete fields of one indicator evaluation, gathered once: per
-    element degree, the displacement coefficients over the tensor shapes and
-    the p and lam rows over the Gauss-point (Lagrange) basis."""
-
-    def __init__(self, space, qspace, material, act, deg, u, p, lam):
-        d = space.dim
-        L = deviatoric_dim(d)
-        self.material = material
-        self.dim = d
-        self.deg = deg
-        U = np.asarray(u, dtype=float).reshape(-1, d)
-        prows = np.asarray(p, dtype=float).reshape(qspace.ndof, L)
-        lrows = None if lam is None else np.asarray(lam, dtype=float).reshape(
-            qspace.ndof, L)
-        self.slot = np.empty(len(act), dtype=np.intp)
-        self.groups = {}
-        for q in np.unique(deg).tolist():
-            sel = np.nonzero(deg == q)[0]
-            eids = [act[i] for i in sel]
-            self.slot[sel] = np.arange(len(sel))
-            self.groups[q] = (
-                space.element_coeffs(eids, U), qspace.element_rows(eids, prows),
-                None if lrows is None else qspace.element_rows(eids, lrows,
-                                                               dual=True))
-
-    def rows(self, q, els):
-        """(coef, p rows, lam rows or None) of elements els, all of degree q."""
-        at = self.slot[els]
-        return tuple(None if a is None else a[at] for a in self.groups[q])
-
-    def stress(self, gu, pv, Jinv):
-        """sigma(u, p) and the tensor p at points where u has reference
-        gradients gu [.., k, a], p has deviatoric components pv [.., l] and
-        the inverse Jacobians are Jinv."""
-        pq = tensor_values(pv, self.dim)
-        return self.material.stress(strain_values(gu, Jinv), pq), pq
-
-    def stress_at(self, els, ref, Jinv):
-        """Stress (r, m, d, d) of elements els at their own reference points
-        ref (r, m, d); one evaluation per element degree. The fields are
-        summed one axis at a time over 1D tables at the points, so one-off
-        points make neither a per-point tensor table nor a cache entry."""
-        r, m, d = ref.shape
-        sig = np.empty((r, m, d, d))
-        for q in np.unique(self.deg[els]).tolist():
-            rows = np.nonzero(self.deg[els] == q)[0]
-            t = ref[rows].reshape(-1, d)
-            shape = (len(rows), m, -1)
-            vals, ders = [], []
-            for a in range(d):
-                v, dv = _kernels.shape_table(t[:, a], max(q, 1))
-                vals.append(v.reshape(shape))
-                ders.append(dv.reshape(shape))
-            lag = [gauss_lagrange_1d(q, t[:, a]).reshape(shape) for a in range(d)]
-            coef, prows, _ = self.rows(q, els[rows])
-            gu = np.stack([tensor_contract(vals[:a] + [ders[a]] + vals[a + 1:], coef)
-                           for a in range(d)], axis=-1)
-            sig[rows] = self.stress(gu, tensor_contract(lag, prows), Jinv[rows])[0]
-        return sig
-
-
 def compute_indicators(space, qspace, material, loads, u, p, lam=None,
                        mu_mode="star"):
     """All indicator parts for a conforming triple (u, p in primal coeffs,
@@ -179,11 +116,8 @@ def compute_indicators(space, qspace, material, loads, u, p, lam=None,
     mesh = space.mesh
     act = mesh.active_ids()
     n = len(act)
-    deg = np.array([space.degrees[e] for e in act], dtype=np.intp)
-    if any(qspace.degrees[e] != space.degrees[e] for e in act):
-        raise ValueError("the displacement and Gauss-point spaces must have "
-                         "the same element degrees")
-    fields = _Fields(space, qspace, material, act, deg, u, p, lam)
+    fields = Fields(space, qspace, material, u, p, lam)
+    deg = fields.deg
     corners = mesh.corner_array(act)
     res_part = np.zeros(n)
     pl_part = np.zeros(n)

@@ -248,7 +248,8 @@ class FacetInfo:
 
 class Mesh:
     """Hierarchy of transformed hexahedra. Treated as immutable after build;
-    ``refine_element``/``refined``/``coarsened`` return new snapshots."""
+    ``refine_element``, ``refine_many``, ``uniformly_refined`` and
+    ``with_degrees`` return new snapshots."""
 
     def __init__(self, dim, vertices, elements, root_pairings, vertex_registry):
         self.dim = dim
@@ -357,7 +358,9 @@ class Mesh:
         return self
 
     def total_volume(self):
-        return sum(self.element_map(e).volume() for e in self.active_ids())
+        pts, wts = tensor_gauss(3, self.dim)
+        J = map_jacobians(self.corner_array(self.active_ids()), pts)
+        return float((np.linalg.det(J) @ wts).sum())
 
     # -- refinement ----------------------------------------------------------
 
@@ -379,38 +382,6 @@ class Mesh:
 
     def uniformly_refined(self):
         return self.refine_many(self.active_ids())
-
-    def coarsened(self, eid):
-        """Roll back the refinement of element eid (children must be leaves)."""
-        m = self.copy()
-        el = m.elements[eid]
-        if el.active:
-            raise ValueError("element is not refined")
-        if not all(m.elements[c].active for c in el.children):
-            raise ValueError("children are refined; coarsen them first")
-        for c in el.children:
-            m.elements[c].children = ()  # mark dead
-        el.children = None
-        el.zhat = None
-        m._invalidate()
-        m._compact()
-        return m
-
-    def _compact(self):
-        """Drop dead elements (children == ()) re-indexing ids."""
-        keep = [e for e in self.elements if e.children != ()]
-        old2new = {e.eid: i for i, e in enumerate(keep)}
-        for i, e in enumerate(keep):
-            e.eid = i
-            e.root = old2new[e.root]
-            e.parent = old2new[e.parent] if e.parent is not None else None
-            if e.children is not None:
-                e.children = tuple(old2new[c] for c in e.children)
-        self.elements = keep
-        self._root_pairings = {
-            (old2new[r], f): dict(p, element=old2new[p["element"]])
-            for (r, f), p in self._root_pairings.items()
-        }
 
     def _invalidate(self):
         self._facet_index = None

@@ -21,9 +21,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from . import _kernels
-from .assembly import element_quadrature
-from .polybasis import tensor_shape_eval
-from .space import deviatoric_basis, deviatoric_dim
+from .assembly import (element_groups, gauss_mass_matrix, group_quadrature,
+                       plastic_functional)
+from .polybasis import gauss_lagrange_1d, tensor_contract, tensor_shape_eval
+from .space import deviatoric_basis, deviatoric_dim, gauss_point_basis
 
 
 def chi(p_i, lam_i, sigma_i, rho):
@@ -73,9 +74,6 @@ class SolutionTriple:
     iterations: int = 0
     trace: list = field(default_factory=list)  # rows (it, |F|, merit, t, active)
     retries: int = 0  # failed steps retried with a shifted rho
-
-    def p_rows(self, L):
-        return self.p.reshape(-1, L)
 
     def lam_rows(self, L):
         return self.lam.reshape(-1, L)
@@ -462,7 +460,7 @@ def tensor_values(vals, d):
 
 def strain_at(space, eid, u, pts, Jinv):
     """Symmetric gradient of the vector field u at reference points."""
-    loc = space.local_coeffs(eid, np.asarray(u).reshape(-1, space.dim))
+    loc = space.element_coeffs([eid], np.asarray(u).reshape(-1, space.dim))[0]
     _, G = tensor_shape_eval(pts, space.local_indices(eid),
                              jmax=max(space.degrees[eid], 1))
     return strain_values(loc.T @ G, Jinv)
@@ -479,25 +477,111 @@ def plastic_field_at(qspace, eid, p, pts, dual=False):
     return tensor_values(vals, qspace.dim)
 
 
+class Fields:
+    """The discrete fields of a mixed triple (u, p in primal coefficients, lam
+    in dual coefficients or None), gathered once: per element degree, the
+    displacement coefficients over the tensor shapes and the p and lam rows
+    over the Gauss-point (Lagrange) basis. Elements are addressed by their
+    positions in the active element list."""
+
+    def __init__(self, space, qspace, material, u, p, lam=None):
+        d = space.dim
+        L = deviatoric_dim(d)
+        act = space.mesh.active_ids()
+        if any(qspace.degrees[e] != space.degrees[e] for e in act):
+            raise ValueError("the displacement and Gauss-point spaces must have "
+                             "the same element degrees")
+        self.material = material
+        self.dim = d
+        self.deg = np.array([space.degrees[e] for e in act], dtype=np.intp)
+        self.with_lam = lam is not None
+        U = np.asarray(u, dtype=float).reshape(-1, d)
+        prows = np.asarray(p, dtype=float).reshape(qspace.ndof, L)
+        lrows = None if lam is None else np.asarray(lam, dtype=float).reshape(
+            qspace.ndof, L)
+        self.slot = np.empty(len(act), dtype=np.intp)
+        self.groups = {}
+        for q in np.unique(self.deg).tolist():
+            sel = np.nonzero(self.deg == q)[0]
+            eids = [act[i] for i in sel]
+            self.slot[sel] = np.arange(len(sel))
+            self.groups[q] = (
+                space.element_coeffs(eids, U), qspace.element_rows(eids, prows),
+                None if lrows is None else qspace.element_rows(eids, lrows,
+                                                               dual=True))
+
+    def rows(self, q, els):
+        """(coef, p rows, lam rows or None) of elements els, all of degree q."""
+        at = self.slot[els]
+        return tuple(None if a is None else a[at] for a in self.groups[q])
+
+    def stress(self, gu, pv, Jinv):
+        """sigma(u, p) and the tensor p at points where u has reference
+        gradients gu [.., k, a], p has deviatoric components pv [.., l] and
+        the inverse Jacobians are Jinv."""
+        pq = tensor_values(pv, self.dim)
+        return self.material.stress(strain_values(gu, Jinv), pq), pq
+
+    def values_at(self, els, ref):
+        """The fields on elements els at their own reference points ref
+        (r, m, d), or at points (m, d) shared by all: u values (r, m, d),
+        reference gradients gu (r, m, d, d) with gu[.., k, a] = d u_k /
+        d xhat_a, and the deviatoric components (r, m, L) of p and of lam
+        (None when lam was not given); one evaluation per element degree.
+        The fields are summed one axis at a time over 1D tables at the
+        points, so one-off points make neither a per-point tensor table nor
+        a cache entry."""
+        d = self.dim
+        ref = np.broadcast_to(ref, (len(els),) + np.shape(ref)[-2:])
+        r, m, _ = ref.shape
+        L = deviatoric_dim(d)
+        u, gu, pv = np.empty((r, m, d)), np.empty((r, m, d, d)), np.empty((r, m, L))
+        lv = np.empty(pv.shape) if self.with_lam else None
+        for q in np.unique(self.deg[els]).tolist():
+            rows = np.nonzero(self.deg[els] == q)[0]
+            t = ref[rows].reshape(-1, d)
+            shape = (len(rows), m, -1)
+            vals, ders = [], []
+            for a in range(d):
+                v, dv = _kernels.shape_table(t[:, a], max(q, 1))
+                vals.append(v.reshape(shape))
+                ders.append(dv.reshape(shape))
+            lag = [gauss_lagrange_1d(q, t[:, a]).reshape(shape) for a in range(d)]
+            coef, prows, lrows = self.rows(q, els[rows])
+            u[rows] = tensor_contract(vals, coef)
+            gu[rows] = np.stack([tensor_contract(vals[:a] + [ders[a]] + vals[a + 1:],
+                                                 coef) for a in range(d)], axis=-1)
+            pv[rows] = tensor_contract(lag, prows)
+            if lv is not None:
+                lv[rows] = tensor_contract(lag, lrows)
+        return u, gu, pv, lv
+
+    def stress_at(self, els, ref, Jinv):
+        """Stress (r, m, d, d) of elements els at their own reference points
+        ref (r, m, d), with inverse Jacobians Jinv there."""
+        _, gu, pv, _ = self.values_at(els, ref)
+        return self.stress(gu, pv, Jinv)[0]
+
+
 def recover_multiplier(space, qspace, material, u, p):
     """Blockwise projection of dev(sigma(u,p) - H p) onto the strain space,
-    returned as coefficients over the biorthogonal basis (flat, L-interleaved)."""
-    mesh = space.mesh
-    d = mesh.dim
-    L = deviatoric_dim(d)
-    Phi = deviatoric_basis(d)
-    out = np.zeros((qspace.ndof, L))
-    for eid in mesh.active_ids():
-        pdeg = qspace.degrees[eid]
-        emap, pts, wts, det, Jinv = element_quadrature(mesh, eid, pdeg + 2)
-        eps = strain_at(space, eid, u, pts, Jinv)
-        pq = plastic_field_at(qspace, eid, p, pts)
-        target = deviator(material.stress(eps, pq) - material.apply_hardening(pq))
-        comps = np.einsum("qmn,lmn->ql", target, Phi)
-        V = qspace._basis_at(eid, pts)
-        integ = np.einsum("qi,q,ql->il", V, wts * det, comps)
-        sl = qspace.dof_slice(eid)
-        out[sl] = integ / qspace.weights[sl][:, None]
+    returned as coefficients over the biorthogonal basis (flat, L-interleaved);
+    one group of elements of equal degree at a time, by the Gauss rule of
+    order p + 2."""
+    fields = Fields(space, qspace, material, u, p)
+    act = np.array(space.mesh.active_ids())
+    corners = space.mesh.corner_array(act)
+    Phi = deviatoric_basis(space.dim)
+    out = np.empty((qspace.ndof, len(Phi)))
+    for (q,), sel in element_groups(space).items():
+        pts, w, Jinv = group_quadrature(corners[sel], q + 2)
+        _, gu, pv, _ = fields.values_at(sel, pts)
+        sig, pq = fields.stress(gu, pv, Jinv)
+        comps = np.einsum("nqab,lab->nql",
+                          deviator(sig - material.apply_hardening(pq)), Phi)
+        dofs = qspace.element_rows(act[sel], np.arange(qspace.ndof))
+        out[dofs] = np.einsum("qi,nq,nql->nil", gauss_point_basis(q, pts), w,
+                              comps) / qspace.weights[dofs][..., None]
     return out.ravel()
 
 
@@ -548,19 +632,11 @@ def in_admissible_gauss(qspace, mu, tol=0.0):
 
 def in_admissible_weak(qspace, mu, q_samples, tol=0.0):
     """Membership via (mu, q) <= psi_hp(q) tested against sample fields q."""
-    from .assembly import plastic_functional
     L = deviatoric_dim(qspace.dim)
-    mu_rows = np.asarray(mu, dtype=float).reshape(-1, L)
-    for q in q_samples:
-        q_rows = np.asarray(q, dtype=float).reshape(-1, L)
-        ip = 0.0
-        for eid in qspace.mesh.active_ids():
-            sl = qspace.dof_slice(eid)
-            M = qspace.mass(eid)
-            ip += float(np.einsum("il,ij,jl->", mu_rows[sl], M, q_rows[sl]))
-        if ip > plastic_functional(qspace, q_rows) + tol:
-            return False
-    return True
+    Mmu = gauss_mass_matrix(qspace) @ np.asarray(mu, dtype=float).reshape(-1, L)
+    return all(float(np.sum(Mmu * q)) <= plastic_functional(qspace, q) + tol
+               for q in (np.asarray(q, dtype=float).reshape(-1, L)
+                         for q in q_samples))
 
 
 def infsup_ratio(qspace, mu):
@@ -568,23 +644,12 @@ def infsup_ratio(qspace, mu):
     and q the Riesz representer of the pairing in the Q mass inner product."""
     L = deviatoric_dim(qspace.dim)
     mu_rows = np.asarray(mu, dtype=float).reshape(-1, L)
-    rhs = np.zeros_like(mu_rows)
-    nrm_mu_sq = 0.0
-    for eid in qspace.mesh.active_ids():
-        sl = qspace.dof_slice(eid)
-        M = qspace.mass(eid)
-        rhs[sl] = M @ mu_rows[sl]
-        nrm_mu_sq += float(np.einsum("il,ij,jl->", mu_rows[sl], M, mu_rows[sl]))
+    M = gauss_mass_matrix(qspace)
+    Mmu = M @ mu_rows
+    nrm_mu_sq = float(np.sum(mu_rows * Mmu))
     if nrm_mu_sq <= 0.0:
         raise ValueError("mu must be nonzero")
-    riesz = np.zeros_like(mu_rows)
-    pairing = 0.0
-    nrm_q_sq = 0.0
-    for eid in qspace.mesh.active_ids():
-        sl = qspace.dof_slice(eid)
-        M = qspace.mass(eid)
-        riesz[sl] = np.linalg.solve(M, rhs[sl])
-        pairing += float(np.einsum("il,il->", mu_rows[sl], M @ riesz[sl]))
-        nrm_q_sq += float(np.einsum("il,ij,jl->", riesz[sl], M, riesz[sl]))
-    sup_value = pairing / np.sqrt(nrm_q_sq)
+    riesz = factorize(M).solve(Mmu)
+    Mq = M @ riesz
+    sup_value = float(np.sum(mu_rows * Mq)) / np.sqrt(float(np.sum(riesz * Mq)))
     return sup_value / np.sqrt(nrm_mu_sq)

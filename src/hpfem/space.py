@@ -473,10 +473,6 @@ class ScalarSpace:
                                                              repeat=self.dim)]
         return out
 
-    @cached_property
-    def dof_index(self):
-        return {slot: i for i, slot in enumerate(self.dofs)}
-
     def hanging_vertices(self):
         """{vertex id: (dofs, coefficients)}: the resolved constraint row of
         each hanging vertex that is not on a Dirichlet facet."""
@@ -525,14 +521,10 @@ class ScalarSpace:
             return op
         return op[_element_rows(self._shape_offsets, positions, ncomp)]
 
-    def local_coeffs(self, eid, u):
-        """Coefficients of a global field over the element's tensor shapes."""
-        rows, mat = self.connectivity(eid)
-        return mat.T @ u[rows]
-
     def element_coeffs(self, eids, u):
-        """local_coeffs of elements eids of one degree, stacked: (n, nb, ...),
-        as one product of their rows of P with u."""
+        """Coefficients (n, nb, ...) of a global field u over the tensor
+        shapes of the elements eids, all of one degree, as one product of
+        their rows of P with u."""
         pos = self._positions(eids)
         nb = (int(self._deg[pos[0]]) + 1) ** self.dim
         return (self.local_operator(1, pos) @ u).reshape((len(pos), nb) + u.shape[1:])
@@ -541,7 +533,7 @@ class ScalarSpace:
         """Evaluate (and optionally differentiate, in reference coords) on one
         element; u is a field (ndof,), or rows (ndof, k) of k fields when
         only values are asked for."""
-        loc = self.local_coeffs(eid, u)
+        loc = self.element_coeffs([eid], u)[0]
         idx = self.local_indices(eid)
         V, G = tensor_shape_eval(np.atleast_2d(xhat), idx,
                                  jmax=max(self.degrees[eid], 1))
@@ -665,14 +657,6 @@ class GaussPointSpace:
         i = np.searchsorted(self._act, eid)
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
 
-    def gauss_points(self, eid):
-        """Reference quadrature nodes carrying the dofs of the element."""
-        p = self.degrees[eid]
-        if p == 1:
-            return np.zeros((1, self.dim))
-        pts, _ = tensor_gauss(p, self.dim)
-        return pts
-
     def mass(self, eid):
         return self._block(self._mass, eid)
 
@@ -708,7 +692,3 @@ class GaussPointSpace:
             out = np.swapaxes(self._dual[int(self._deg[pos[0]])][self._slot[pos]],
                               1, 2) @ out
         return out
-
-    def dual_to_primal(self, eid, coeffs):
-        return np.tensordot(self.dual_coefficients(eid).T,
-                            coeffs[self.dof_slice(eid)], axes=(1, 0))

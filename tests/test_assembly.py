@@ -10,8 +10,8 @@ from conftest import distorted_quad_mesh, random_refined_mesh, square_mesh
 from hpfem.assembly import (Loads, Material, MixedSystem,
                             QuadratureAccuracyWarning, assemble_norm_matrices,
                             assemble_system, bilinear_value, element_quadrature,
-                            export_matrix_market, plastic_functional,
-                            quadrature_functional, strain, total_energy)
+                            export_matrix_market, plastic_functional, strain,
+                            total_energy)
 from hpfem.plasticity import elastic_solve, plastic_field_at, strain_at
 from hpfem.polybasis import tensor_gauss, tensor_shape_eval
 from hpfem.space import (GaussPointSpace, ScalarSpace, deviatoric_basis,
@@ -207,27 +207,6 @@ def direct_bilinear(space, qs, mat, vu1, vp1, vu2, vp2):
                  + np.einsum("qmn,qmn->q", h1, q2))
         tot += float(w @ integ)
     return tot
-
-
-class TestQuadratureFunctional:
-    def test_constant_gives_volume(self, rng):
-        m = random_refined_mesh(rng)
-        val = quadrature_functional(m, {e: m.elements[e].degree
-                                        for e in m.active_ids()},
-                                    lambda x: np.ones(len(x)))
-        assert abs(val - m.total_volume()) < 1e-12 * m.total_volume()
-
-    def test_midpoint_exact_for_linear_on_affine(self):
-        m = square_mesh(2, degree=1, tagger=lambda c: "neumann")
-        f = lambda x: 2.0 * x[:, 0] - 0.5 * x[:, 1] + 1.0
-        val = quadrature_functional(m, {e: 1 for e in m.active_ids()}, f)
-        assert abs(val - (2.0 * 0.5 - 0.5 * 0.5 + 1.0)) < 1e-13
-
-    def test_monomial(self):
-        m = square_mesh(1, degree=3, tagger=lambda c: "neumann")
-        f = lambda x: x[:, 0] ** 2 * x[:, 1] ** 2
-        val = quadrature_functional(m, {0: 3}, f)
-        assert abs(val - 1.0 / 9.0) < 1e-13
 
 
 class TestPlasticFunctional:

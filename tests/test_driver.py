@@ -8,9 +8,10 @@ import pytest
 from hpfem.config import (ConfigError, RunConfig, dump_config, load_config,
                           parse_config)
 from hpfem.driver import (RunRecord, convergence_table, format_table,
-                          read_records, run_adaptive, run_elliptic_predictor,
-                          run_plastic_estimator, run_uniform, solve_plastic,
-                          write_records)
+                          plastic_error_sq, read_records, run_adaptive,
+                          run_elliptic_predictor, run_plastic_estimator,
+                          run_uniform, solve_plastic, write_records)
+from hpfem.problems import plastic_square
 
 
 class TestConfig:
@@ -116,6 +117,32 @@ class TestDeterminism:
         rec1 = open(os.path.join(out1, "records.csv"), "rb").read()
         rec2 = open(os.path.join(out2, "records.csv"), "rb").read()
         assert rec1 == rec2
+
+
+class TestReferenceError:
+    """plastic_error_sq on nested meshes that share active elements below
+    the roots."""
+
+    def _states(self):
+        mesh, material, loads = plastic_square(n=2)
+        coarse = solve_plastic(mesh.refine_element(0), material, loads)
+        child = coarse.mesh.elements[0].children[0]
+        fine = solve_plastic(coarse.mesh.refine_element(child), material, loads)
+        return coarse, fine
+
+    def test_state_against_itself_is_zero(self):
+        coarse, _ = self._states()
+        assert plastic_error_sq(coarse, coarse) == 0.0
+
+    def test_locally_refined_pair(self):
+        coarse, fine = self._states()
+        err = plastic_error_sq(coarse, fine)
+        assert np.isfinite(err) and err > 0.0
+
+    def test_unnested_meshes_raise(self):
+        coarse, fine = self._states()
+        with pytest.raises(ValueError):
+            plastic_error_sq(fine, coarse)
 
 
 class TestTables:

@@ -138,7 +138,7 @@ class TestJumpTerm:
         space = ScalarSpace(m)
         qs = GaussPointSpace(m, mat.yield_stress)
         u = np.zeros(space.ndof)
-        u[space.dof_index[("v", 1)]] = 0.5
+        u[space.dofs.index(("v", 1))] = 0.5
         ind = compute_indicators(space, qs, mat, Loads(), u, np.zeros(0))
         jump = (mat.lam + 2 * mat.mu) * (1.0 - (-1.0))  # [sigma n] at x = 1/2
         np.testing.assert_allclose(ind.residual_part, [0.5 * jump**2] * 2,

@@ -1,13 +1,17 @@
-"""Source hygiene: every name a module of the package imports is used."""
+"""Source hygiene: every name a module of the package imports is used, and
+every function, class and method it defines is referenced somewhere."""
 
 import ast
 import os
+from functools import lru_cache
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "hpfem")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SRC = os.path.join(ROOT, "src", "hpfem")
 MODULES = sorted(f for f in os.listdir(SRC)
                  if f.endswith(".py") and f != "__init__.py")
+DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
 def unused_imports(source):
@@ -33,3 +37,80 @@ def test_scan_finds_unused_names():
 def test_no_unused_imports(module):
     with open(os.path.join(SRC, module)) as fh:
         assert unused_imports(fh.read()) == []
+
+
+def definitions(tree):
+    """(line, name) of the top-level functions and classes of a module and of
+    the methods of its classes, dunder methods left out."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, DEFS):
+            out.append((node.lineno, node.name))
+        if isinstance(node, ast.ClassDef):
+            out += [(item.lineno, item.name) for item in node.body
+                    if isinstance(item, DEFS) and not (item.name.startswith("__")
+                                                      and item.name.endswith("__"))]
+    return out
+
+
+def references(tree):
+    """The names, attribute names and string constants a module reads, each
+    counted only outside the definitions of that name."""
+    found = set()
+
+    def walk(node, inside):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, DEFS):
+                walk(child, inside | {child.name})
+                continue
+            if isinstance(child, ast.Name):
+                name = child.id
+            elif isinstance(child, ast.Attribute):
+                name = child.attr
+            elif isinstance(child, ast.Constant) and isinstance(child.value, str):
+                name = child.value
+            else:
+                name = None
+            if name is not None and name not in inside:
+                found.add(name)
+            walk(child, inside)
+
+    walk(tree, frozenset())
+    return found
+
+
+def unreferenced(source, used):
+    """The definitions of a module whose names are not in the set used."""
+    return [(line, name) for line, name in definitions(ast.parse(source))
+            if name not in used]
+
+
+@lru_cache(maxsize=None)
+def project_references():
+    """The references of the package, the tests and the benchmark."""
+    used = set()
+    for top in ("src", "tests", "perfbench"):
+        for folder, _, files in os.walk(os.path.join(ROOT, top)):
+            for name in files:
+                if name.endswith(".py"):
+                    with open(os.path.join(folder, name)) as fh:
+                        used |= references(ast.parse(fh.read()))
+    return used
+
+
+def test_scan_finds_unreferenced_definitions():
+    src = ("def f():\n    return f()\n\n\ndef g():\n    pass\n\n\n"
+           "class A:\n    def __init__(self):\n        self.m()\n\n"
+           "    def m(self):\n        return self.m\n\n"
+           "    def n(self):\n        pass\n")
+    used = references(ast.parse(src))
+    assert unreferenced(src, used | references(ast.parse("g()\nA.n\n"))) == [
+        (1, "f")]
+    assert unreferenced(src, used | references(ast.parse("g()\n'A'\n"))) == [
+        (1, "f"), (16, "n")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_definition_is_referenced(module):
+    with open(os.path.join(SRC, module)) as fh:
+        assert unreferenced(fh.read(), project_references()) == []

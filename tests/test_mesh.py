@@ -166,15 +166,6 @@ class TestRefinement:
                         my = np.prod([b[1] - b[0] for b in piece.nb_box])
                         assert my >= 2.0 ** (m.dim - 1) / 2 ** (m.dim - 1) - 1e-12
 
-    def test_rollback_restores_active_set(self):
-        m = square_mesh(2)
-        before = set(m.active_ids())
-        m2 = m.refine_element(1)
-        m3 = m2.coarsened(1)
-        assert set(m3.active_ids()) == before
-        vol0, vol3 = m.total_volume(), m3.total_volume()
-        assert abs(vol0 - vol3) < 1e-14
-
     def test_hanging_node_on_coarse_facet_interior(self):
         verts = [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
         cells = [[0, 3, 1, 4], [1, 4, 2, 5]]
