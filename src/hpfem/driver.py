@@ -280,12 +280,11 @@ def run_elliptic_predictor(cfg, mesh, problem, outdir=None):
         t0 = time.perf_counter()
         state = solve_elliptic(mesh, problem)
         space = state.space
-        predictions = {}
-        for eid in mesh.active_ids():
-            cands = pred.default_candidates(space, eid, menu="enrichment")
-            best, _ = pred.choose_enrichment(space, problem, state.A, state.b,
-                                             state.u, eid, candidates=cands)
-            predictions[eid] = best
+        chosen = pred.choose_enrichment(
+            space, problem, state.A, state.b, state.u,
+            {eid: pred.default_candidates(space, eid, menu="enrichment")
+             for eid in mesh.active_ids()})
+        predictions = {eid: best for eid, (best, _) in chosen.items()}
         gains = {eid: max(pr.delta_e2, 0.0) for eid, pr in predictions.items()}
         marked = est.mark_dorfler(gains, cfg.run.theta)
         err_sq = float("nan")
@@ -466,13 +465,11 @@ def export_plastic_state(state, indicators, outdir, marked=()):
     mesh = state.mesh
     act = mesh.active_ids()
     L = deviatoric_dim(mesh.dim)
-    p_rows = state.solution.p.reshape(-1, L)
-    pnorm = []
-    for eid in act:
-        sl = state.qspace.dof_slice(eid)
-        w = state.qspace.weights[sl]
-        vals = np.linalg.norm(p_rows[sl], axis=1)
-        pnorm.append(float((w * vals).sum() / w.sum()))
+    # the weighted mean of |p| over each element's Gauss-point dofs
+    w, start = state.qspace.weights, state.qspace.offsets[:-1]
+    pnorm = (np.add.reduceat(w * np.linalg.norm(state.solution.p.reshape(-1, L),
+                                                axis=1), start)
+             / np.add.reduceat(w, start))
     cell = {"degree": [state.space.degrees[e] for e in act],
             "plastic_norm": pnorm}
     if indicators is not None:

@@ -75,9 +75,6 @@ class SolutionTriple:
     trace: list = field(default_factory=list)  # rows (it, |F|, merit, t, active)
     retries: int = 0  # failed steps retried with a shifted rho
 
-    def lam_rows(self, L):
-        return self.lam.reshape(-1, L)
-
 
 def default_rho(material):
     return 2.0 * material.mu + material.hardening

@@ -8,10 +8,14 @@ over a dividing-point refinement of Q and associated with its internal nodes).
 The exact decrease of the squared energy error incurred by re-solving in such
 a space comes from a small bordered linear system assembled from per-child
 representation matrices, so many candidates can be compared per element at
-negligible cost and without any a posteriori error estimator.
+negligible cost and without any a posteriori error estimator. The
+representation matrices are reference tables per candidate content and
+element degree, and a step predicts all its candidates in one pass per
+such group of elements.
 """
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,21 +24,15 @@ from . import _kernels
 from .assembly import data_load, group_quadrature
 from .estimator import TIE_RTOL
 from .mesh import corner_bits, map_points
-from .polybasis import tensor_indices, tensor_shape_eval
+from .polybasis import reference_table, tensor_indices, tensor_shape_eval
 from .space import constraint_coeffs
 
 
 @dataclass
 class LocalSplit:
-    element: int
     interior_dofs: np.ndarray     # global dof ids with support inside the element
     u_local: np.ndarray           # coefficients (full length, zero elsewhere)
     u_rest: np.ndarray            # u - u_local
-
-    @property
-    def degenerate(self):
-        # entirely local, nonzero solution: the candidate space loses a dim
-        return not np.any(self.u_rest) and bool(np.any(self.u_local))
 
 
 def local_split(space, u, eid):
@@ -42,8 +40,7 @@ def local_split(space, u, eid):
     ids = space.interior_dofs(eid)
     u_local = np.zeros_like(u)
     u_local[ids] = u[ids]
-    return LocalSplit(element=eid, interior_dofs=ids,
-                      u_local=u_local, u_rest=u - u_local)
+    return LocalSplit(interior_dofs=ids, u_local=u_local, u_rest=u - u_local)
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +59,12 @@ class EnrichmentCandidate:
     @property
     def size(self):
         return len(self.p_multis) + len(self.hp_nodes)
+
+    @property
+    def content(self):
+        """The candidate but its element: candidates of equal content on
+        elements of one degree share their reference tables."""
+        return (self.kind, self.zhat, self.p_multis, self.hp_nodes, self.degree_cap)
 
 
 def p_enrichment(space, eid, rule=None, full=False):
@@ -90,12 +93,9 @@ def p_enrichment(space, eid, rule=None, full=False):
 def internal_nodes(dim):
     """(axes, loc) tuples of the internal nodes of a dividing-point refinement:
     the r-dimensional ones number C(d, r) * 2^r."""
-    out = []
-    for r in range(dim + 1):
-        for axes in itertools.combinations(range(dim), r):
-            for loc in itertools.product((0, 1), repeat=r):
-                out.append((axes, loc))
-    return out
+    return [(axes, loc) for r in range(dim + 1)
+            for axes in itertools.combinations(range(dim), r)
+            for loc in itertools.product((0, 1), repeat=r)]
 
 
 def hp_enrichment(space, eid, zhat=None, degree_rule=None, full=False):
@@ -110,18 +110,14 @@ def hp_enrichment(space, eid, zhat=None, degree_rule=None, full=False):
     """
     d = space.dim
     p = space.degrees[eid]
-    if zhat is None:
-        zhat = (0.0,) * d
-    zhat = tuple(float(z) for z in zhat)
+    zhat = (0.0,) * d if zhat is None else tuple(float(z) for z in zhat)
     nodes = []
     for axes, loc in internal_nodes(d):
         r = len(axes)
         if degree_rule is not None:
             dists = [tuple(int(x) for x in dist) for dist in degree_rule(axes, loc)]
         elif full:
-            dists = [dist for dist in itertools.product(range(2, p + 1), repeat=r)]
-            if r == 0:
-                dists = [()]
+            dists = list(itertools.product(range(2, p + 1), repeat=r))
         else:
             dists = [(p,) * r] if (r == 0 or p >= 2) else []
         for dist in dists:
@@ -135,100 +131,82 @@ def hp_enrichment(space, eid, zhat=None, degree_rule=None, full=False):
                                hp_nodes=tuple(nodes), degree_cap=cap)
 
 
-def node_children(node, dim):
-    """Child bit-rows supporting the enrichment function of an internal node."""
-    axes, loc, _ = node
-    bits = corner_bits(dim)
-    rows = []
-    for row, b in enumerate(bits):
-        if all(b[a] == loc[j] for j, a in enumerate(axes)):
-            rows.append(row)
-    return rows
-
-
-def node_child_multi(node, child_bits):
-    """The tensor multi-index the enrichment takes on one supporting child."""
-    axes, loc, dist = node
-    d = len(child_bits)
-    multi = [0] * d
-    for k in range(d):
-        if k in axes:
-            multi[k] = dist[axes.index(k)]
-        else:
-            multi[k] = 1 - child_bits[k]
-    return tuple(multi)
-
-
 # ---------------------------------------------------------------------------
 # representation matrices and local assembly
 # ---------------------------------------------------------------------------
 
+@reference_table
+def representation_table(dim, degree, kind, zhat, p_multis, hp_nodes, degree_cap):
+    """The reference tables of one candidate content on elements of one
+    degree, over the children of the dividing-point refinement at zhat (at
+    the centre for 'p') and in the tensor basis of the unified degree
+    P = max(degree_cap, degree): R (2^d, (P+1)^d, (degree+1)^d), which
+    restricts the element's shape coefficients to each child, D (2^d, L,
+    (P+1)^d), the enrichment functions on each child, and the reference
+    corners (2^d, 2^d, d) of the children."""
+    P = max(degree_cap, degree)
+    bits = corner_bits(dim)
+    z = np.zeros(dim) if zhat is None else np.asarray(zhat)
+    B = np.stack([constraint_coeffs(tensor_indices(P, dim), tuple(b), z, degree=P)
+                  for b in bits])
+
+    def col(multis):
+        return np.ravel_multi_index(np.asarray(multis).T, (P + 1,) * dim)
+
+    if kind == "p":
+        D = B[:, col(p_multis)]
+    else:
+        # an internal node's function is the tensor shape of degree dist_k
+        # along its axes and the hat towards the node along the others, on
+        # the children next to the node
+        D = np.zeros((len(bits), len(hp_nodes), (P + 1) ** dim))
+        for k, (axes, loc, dist) in enumerate(hp_nodes):
+            on = np.all(bits[:, list(axes)] == loc, axis=1)
+            multis = 1 - bits[on]
+            multis[:, list(axes)] = dist
+            D[on, k, col(multis)] = 1.0
+    # corner c of child b lies at (-1, z_k, 1)[b_k + c_k] along axis k
+    corners = np.choose(bits[:, None] + bits[None], (-1.0, z, 1.0))
+    return np.swapaxes(B[:, col(tensor_indices(degree, dim))], 1, 2), D, corners
+
+
 @dataclass
 class RepresentationMatrices:
-    rows: np.ndarray          # global dofs with support on the element
-    C_Q: np.ndarray           # (ndofs_on_Q, n_parent) at the unified degree
-    B: list                   # per child: (n_parent, n_child) constraint coeffs
-    C: list                   # per child: C_Q @ B_i
-    D: list                   # per child: (L, n_child) enrichment rows
-    child_corners: np.ndarray  # (2^d, 2^d, d) corner array of the children
-    child_bits: np.ndarray
+    R: np.ndarray             # (2^d, n_child, nb) element shapes on each child
+    D: np.ndarray             # (2^d, L, n_child) enrichment rows on each child
+    child_corners: np.ndarray  # (n 2^d, 2^d, d) children, element by element
     degree: int               # unified per-axis degree of the representation
 
 
-def representation_matrices(space, candidate):
-    """C_Q, B_i, C_i = C_Q B_i and the enrichment rows D_i on each child."""
-    eid = candidate.element
-    mesh = space.mesh
-    d = space.dim
-    p = space.degrees[eid]
-    P = max(candidate.degree_cap, p)
-    zhat = np.zeros(d) if candidate.zhat is None else np.asarray(candidate.zhat)
-    bits = corner_bits(d)
-    # the children's corners are the parent's images of the 3^d grid points
-    # (-1, zhat_k, 1) per axis; child b has corners at grid index b + corner
-    grid = np.array(list(itertools.product(*[(-1.0, z, 1.0) for z in zhat])))
-    at = (bits[:, None, :] + bits[None, :, :]) @ 3 ** np.arange(d - 1, -1, -1)
-    child_corners = map_points(mesh.corner_array([eid])[0], grid)[at]
-    idx_P = tensor_indices(P, d)
-    col_of = {tuple(m): i for i, m in enumerate(idx_P)}
-    n_parent = len(idx_P)
+def representation_matrices(space, candidate, eids=None):
+    """The candidate's reference tables and the corner array of the
+    children of its element, or of the elements eids of its degree."""
+    p = space.degrees[candidate.element]
+    R, D, xhat = representation_table(space.dim, p, *candidate.content)
+    corners = space.mesh.corner_array([candidate.element] if eids is None else eids)
+    return RepresentationMatrices(
+        R=R, D=D, child_corners=map_points(corners, xhat.reshape(-1, space.dim)
+                                           ).reshape((-1,) + xhat.shape[1:]),
+        degree=max(candidate.degree_cap, p))
 
-    grows, cmat = space.connectivity(eid)
-    C_Q = np.zeros((len(grows), n_parent))
-    idx_p = space.local_indices(eid)
-    for j, m in enumerate(idx_p):
-        C_Q[:, col_of[tuple(m)]] = cmat[:, j]
 
-    B, C, D = [], [], []
-    L = candidate.size
-    support = [set(node_children(node, d)) for node in candidate.hp_nodes]
-    for row, b in enumerate(bits):
-        Bi = constraint_coeffs(idx_P, tuple(b), zhat, degree=P)
-        B.append(Bi)
-        C.append(C_Q @ Bi)
-        Di = np.zeros((L, n_parent))
-        if candidate.kind == "p":
-            for k, m in enumerate(candidate.p_multis):
-                Di[k, :] = Bi[col_of[m], :]
-        else:
-            for k, node in enumerate(candidate.hp_nodes):
-                if row in support[k]:
-                    Di[k, col_of[node_child_multi(node, tuple(b))]] = 1.0
-        D.append(Di)
-    return RepresentationMatrices(rows=grows, C_Q=C_Q, B=B, C=C, D=D,
-                                  child_corners=child_corners, child_bits=bits,
-                                  degree=P)
+# entries of the children's physical gradients evaluated at once, which
+# bounds the memory of a group's child stiffness to a few megabytes
+CHILD_BLOCK = 2 ** 16
 
 
 def child_local_matrices(rep, problem):
-    """Poisson stiffness (2^d, nb, nb) and load (2^d, nb) of the children
-    over the unified representation basis, at the Gauss rule of order
-    P + 1 + problem.extra_order like the global load."""
+    """Poisson stiffness (n 2^d, nb, nb) and load (n 2^d, nb) of the
+    children over the unified representation basis, at the Gauss rule of
+    order P + 1 + problem.extra_order like the global load; the stiffness
+    one block of children at a time."""
     P = rep.degree
     idx = tensor_indices(P, rep.child_corners.shape[-1])
     pts, w, Jinv = group_quadrature(rep.child_corners, P + 1 + problem.extra_order)
     V, G = tensor_shape_eval(pts, idx, jmax=max(P, 1))
-    A_loc = _kernels.scalar_stiffness(G @ Jinv, w)
+    blocks = min(len(w), -(-w.size * G[0].size // CHILD_BLOCK))
+    A_loc = np.concatenate([_kernels.scalar_stiffness(G @ J, ww) for J, ww in
+                            zip(np.array_split(Jinv, blocks), np.array_split(w, blocks))])
     if problem.volume is None:
         return A_loc, np.zeros((len(w), len(idx)))
     return A_loc, data_load(problem.volume, map_points(rep.child_corners, pts),
@@ -254,84 +232,111 @@ class Prediction:
                    y=np.zeros(0), rho_w_yxi=0.0, skipped=reason)
 
 
-def predict_reduction(space, problem, A_W, b_W, u_W, split, candidate,
-                      rep=None, locals_=None):
-    """Assemble and solve the bordered prediction system for one candidate.
-
-    A_W, b_W are the assembled global form and load; u_W the Galerkin solution.
-    Returns the predicted squared-error reduction with its certificate data.
-    """
-    if split.degenerate:
-        return Prediction.skip(candidate, "entirely local solution")
-    if rep is None:
-        rep = representation_matrices(space, candidate)
-    if locals_ is None:
-        locals_ = child_local_matrices(rep, problem)
-    A_loc, b_loc = locals_
-    L = candidate.size
-    A = np.zeros((L, L))
-    bvec = np.zeros(L)
-    cvec = np.zeros(L)
-    cloc = np.zeros(L)
-    u_rest_rows = split.u_rest[rep.rows]
-    u_loc_rows = split.u_local[rep.rows]
-    for Di, Ai, bi, Ci in zip(rep.D, A_loc, b_loc, rep.C):
-        DA = Di @ Ai
-        A += DA @ Di.T
-        bvec += Di @ bi
-        cvec += DA @ (Ci.T @ u_rest_rows)
-        cloc += DA @ (Ci.T @ u_loc_rows)
-    norm_W_sq = float(u_W @ (A_W @ u_W))
-    norm_loc_sq = float(split.u_local @ (A_W @ split.u_local))
-    delta = float(b_W @ split.u_local) - norm_loc_sq
-    a00 = norm_W_sq - norm_loc_sq - 2.0 * delta
-    M = np.zeros((L + 1, L + 1))
-    M[0, 0] = a00
-    M[0, 1:] = cvec
-    M[1:, 0] = cvec
-    M[1:, 1:] = A
-    rhs = np.concatenate([[delta], bvec - cvec])
+def _solve_bordered(M, rhs):
+    """Solutions (n, L + 1) of a stack of bordered systems by one stacked
+    solve; if one matrix is singular, every system is solved alone, and
+    least squares solves those that stay singular."""
     try:
-        sol = np.linalg.solve(M, rhs)
-        if not np.all(np.isfinite(sol)):
-            raise np.linalg.LinAlgError
+        sol = np.linalg.solve(M, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(M, rhs, rcond=None)
-    scale = max(np.abs(rhs).max(), np.abs(M).max(), 1.0)
-    if np.abs(M @ sol - rhs).max() > 1e-8 * scale:
-        return Prediction.skip(candidate, "singular bordered system")
-    eps, y = float(sol[0]), sol[1:]
-    delta_e2 = float(y @ (bvec - cvec)) - norm_loc_sq + eps * delta
-    rho_w = float(y @ (bvec - cvec - cloc))
-    return Prediction(candidate=candidate, delta_e2=delta_e2, eps=eps, y=y,
-                      rho_w_yxi=rho_w)
+        sol = np.full_like(rhs, np.nan)
+    for k in np.flatnonzero(~np.isfinite(sol).all(axis=1)):
+        sol[k] = (_solve_bordered(M[k:k + 1], rhs[k:k + 1])[0] if len(M) > 1
+                  else np.linalg.lstsq(M[k], rhs[k], rcond=None)[0])
+    return sol
 
 
-def choose_enrichment(space, problem, A_W, b_W, u_W, eid, candidates=None):
-    """Evaluate candidates on one element and return (best, all predictions);
-    ties (within TIE_RTOL of the larger reduction, at least 1e-14) prefer
-    the p-enrichment, then the earlier candidate."""
-    if candidates is None:
-        candidates = default_candidates(space, eid)
-    split = local_split(space, u_W, eid)
-    preds = [predict_reduction(space, problem, A_W, b_W, u_W, split, c)
-             for c in candidates]
-    best = None
-    for pr in preds:
-        if pr.skipped:
+def _predict(space, problem, A_W, b_W, u_W, u_int, candidates):
+    """The predictions of a list of candidates, one pass per group of equal
+    content on elements of equal degree; u_int is u_W on the interior dofs
+    of (at least) the candidates' elements and zero on all other dofs.
+
+    A group's child matrices come from one quadrature, its bordered systems
+    from batched contractions and one stacked solve. A candidate whose
+    system is singular falls back to least squares, and is skipped if the
+    residual stays above 1e-8 of the system's scale."""
+    groups = defaultdict(list)
+    for i, c in enumerate(candidates):
+        groups[(space.degrees[c.element],) + c.content].append(i)
+    elements = np.array([c.element for c in candidates])
+    out = [None] * len(candidates)
+    Au = None
+    for idx in map(np.array, groups.values()):
+        ids = space.interior_dofs(elements[idx])
+        nnz = np.count_nonzero(u_int[ids], axis=1)
+        local = (nnz > 0) & (nnz == np.count_nonzero(u_W))  # u_W - u_loc = 0
+        for i in idx[local]:
+            out[i] = Prediction.skip(candidates[i], "entirely local solution")
+        if local.all():
             continue
-        if best is None:
-            best = pr
-            continue
+        if Au is None:  # the first group with systems to solve
+            Au, norm_W_sq = A_W @ u_int, float(u_W @ (A_W @ u_W))
+        idx, ids = idx[~local], ids[~local]
+        eids = elements[idx]
+        rep = representation_matrices(space, candidates[idx[0]], eids)
+        A_loc, b_loc = child_local_matrices(rep, problem)
+        n, (nc, L, nb) = len(eids), rep.D.shape
+        DA = rep.D @ A_loc.reshape(n, nc, nb, nb)
+        A = (DA @ np.swapaxes(rep.D, 1, 2)).sum(axis=1)
+        bvec = (rep.D @ b_loc.reshape(n, nc, nb, 1)).sum(axis=1)[..., 0]
+        # the children's coefficients of the remainder and of the local part
+        U = space.element_coeffs(eids, np.stack([u_W - u_int, u_int], axis=1))
+        cvec, cloc = np.moveaxis((DA @ (rep.R @ U[:, None])).sum(axis=1), -1, 0)
+        u_loc = u_int[ids]
+        norm_loc_sq = np.einsum("nk,nk->n", u_loc, Au[ids])
+        delta = np.einsum("nk,nk->n", u_loc, b_W[ids]) - norm_loc_sq
+        a00 = norm_W_sq - norm_loc_sq - 2.0 * delta
+        M = np.block([[a00[:, None, None], cvec[:, None]], [cvec[..., None], A]])
+        rhs = np.concatenate([delta[:, None], bvec - cvec], axis=1)
+        sol = _solve_bordered(M, rhs)
+        scale = np.maximum(np.abs(rhs).max(axis=1), np.abs(M).max(axis=(1, 2)))
+        singular = (np.abs((M @ sol[..., None])[..., 0] - rhs).max(axis=1)
+                    > 1e-8 * np.maximum(scale, 1.0))
+        eps, y = sol[:, 0], sol[:, 1:]
+        delta_e2 = np.einsum("nl,nl->n", y, bvec - cvec) - norm_loc_sq + eps * delta
+        rho_w = np.einsum("nl,nl->n", y, bvec - cvec - cloc)
+        for k, i in enumerate(idx):
+            out[i] = (Prediction.skip(candidates[i], "singular bordered system")
+                      if singular[k] else
+                      Prediction(candidate=candidates[i], delta_e2=float(delta_e2[k]),
+                                 eps=float(eps[k]), y=y[k], rho_w_yxi=float(rho_w[k])))
+    return out
+
+
+def predict_reduction(space, problem, A_W, b_W, u_W, split, candidate):
+    """The predicted squared-error reduction of one candidate, with its
+    certificate data, from the assembled global form A_W and load b_W, the
+    Galerkin solution u_W and split = local_split(space, u_W,
+    candidate.element): the one-candidate view of `choose_enrichment`."""
+    return _predict(space, problem, A_W, b_W, u_W, split.u_local, [candidate])[0]
+
+
+def _best(preds):
+    """(best, preds): ties within TIE_RTOL of the larger reduction (at
+    least 1e-14) prefer the p-enrichment, then the earlier candidate."""
+    live = [pr for pr in preds if not pr.skipped]
+    if not live:
+        return Prediction.skip(preds[0].candidate, "all candidates skipped"), preds
+    best = live[0]
+    for pr in live[1:]:
         tol = max(1e-14, TIE_RTOL * max(abs(pr.delta_e2), abs(best.delta_e2)))
         if pr.delta_e2 > best.delta_e2 + tol:
             best = pr
         elif (abs(pr.delta_e2 - best.delta_e2) <= tol
               and best.candidate.kind == "hp" and pr.candidate.kind == "p"):
             best = pr
-    if best is None:
-        best = Prediction.skip(candidates[0], "all candidates skipped")
     return best, preds
+
+
+def choose_enrichment(space, problem, A_W, b_W, u_W, candidates):
+    """Predict the candidates {eid: [candidates]} of one step in one pass;
+    returns {eid: (best, predictions)}, the best by `_best`."""
+    u_int = np.zeros_like(u_W)
+    ids = space.interior_dofs()
+    u_int[ids] = u_W[ids]
+    preds = iter(_predict(space, problem, A_W, b_W, u_W, u_int,
+                          [c for cs in candidates.values() for c in cs]))
+    return {eid: _best([next(preds) for _ in cs]) for eid, cs in candidates.items()}
 
 
 def default_candidates(space, eid, menu="narrow"):
@@ -361,13 +366,7 @@ def apply_enrichment(mesh, prediction):
 def enforce_degree_comparability(mesh, bound=1):
     """Raise lagging neighbor degrees until facet-neighbor degrees differ by
     at most the bound."""
-    changed = True
-    guard = 0
-    while changed:
-        changed = False
-        guard += 1
-        if guard > 100:
-            raise RuntimeError("degree comparability did not stabilize")
+    for _ in range(100):
         raises = {}
         for eid in mesh.active_ids():
             p = mesh.elements[eid].degree
@@ -379,7 +378,7 @@ def enforce_degree_comparability(mesh, bound=1):
                     if p - q > bound:
                         raises[piece.neighbor] = max(raises.get(piece.neighbor, 0),
                                                      p - bound)
-        if raises:
-            mesh = mesh.with_degrees(raises)
-            changed = True
-    return mesh
+        if not raises:
+            return mesh
+        mesh = mesh.with_degrees(raises)
+    raise RuntimeError("degree comparability did not stabilize")

@@ -481,29 +481,17 @@ class ScalarSpace:
                                            T.data[T.indptr[v]:T.indptr[v + 1]])
                 for v in self._hanging_vertices.tolist()}
 
-    def interior_dofs(self, eid):
-        """The dofs of the element's interior modes, numbered last, element
-        by element."""
-        i = self._positions(eid)
-        start = self._interior_start[i]
-        return np.arange(start, start + (self._deg[i] - 1) ** self.dim)
+    def interior_dofs(self, eids=None):
+        """The dofs of the interior modes, numbered last, element by element:
+        all, those of one element (k,), or of elements of one degree (n, k)."""
+        if eids is None:
+            return np.arange(self._interior_start[0], self.ndof)
+        i = self._positions(eids)
+        k = (self._deg[np.ravel(i)[0]] - 1) ** self.dim
+        return self._interior_start[i][..., None] + np.arange(k)
 
     def local_indices(self, eid):
         return tensor_indices(self.degrees[eid], self.dim)
-
-    def connectivity(self, eid):
-        """(rows, mat): global dofs with support on the element and the matrix
-        expanding them in the local tensor shapes, u|_K = (mat.T @ u[rows]);
-        the element's rows of P."""
-        P = self._operators[1]
-        i = self._positions(eid)
-        lo, hi = self._shape_offsets[i], self._shape_offsets[i + 1]
-        span = slice(P.indptr[lo], P.indptr[hi])
-        rows, at = np.unique(P.indices[span], return_inverse=True)
-        mat = np.zeros((len(rows), hi - lo))
-        mat[at, np.repeat(np.arange(hi - lo), np.diff(P.indptr[lo:hi + 1]))] = \
-            P.data[span]
-        return rows.astype(np.intp), mat
 
     def local_operator(self, ncomp=1, positions=None):
         """The local-to-global operator P (sparse): one row per tensor shape

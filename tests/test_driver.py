@@ -194,6 +194,26 @@ class TestExports:
         ncells = int([ln for ln in text if ln.startswith("CELLS")][0].split()[1])
         assert ncells == len(mesh.active_ids())
 
+    def test_plastic_norm_is_weighted_mean(self, tmp_path):
+        from hpfem.driver import export_plastic_state
+        mesh, mat, loads = plastic_square(n=2, degree=2)
+        mesh = mesh.refine_element(0)
+        mesh = mesh.with_degrees({e: 1 + i % 3
+                                  for i, e in enumerate(mesh.active_ids())})
+        state = solve_plastic(mesh, mat, loads)
+        export_plastic_state(state, None, str(tmp_path))
+        text = (tmp_path / "state.vtk").read_text().splitlines()
+        at = text.index("SCALARS plastic_norm double 1") + 2
+        got = np.array(text[at:at + len(mesh.active_ids())], dtype=float)
+        rows = state.solution.p.reshape(state.qspace.ndof, -1)
+        want = []
+        for eid in mesh.active_ids():
+            sl = state.qspace.dof_slice(eid)
+            w = state.qspace.weights[sl]
+            want.append((w * np.linalg.norm(rows[sl], axis=1)).sum() / w.sum())
+        assert max(want) > 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
     def test_mesh_reimport_identical_topology(self, tmp_path):
         from hpfem.problems import plastic_square
         from hpfem.mesh import Mesh

@@ -40,22 +40,23 @@ def test_no_unused_imports(module):
 
 
 def definitions(tree):
-    """(line, name) of the top-level functions and classes of a module and of
-    the methods of its classes, dunder methods left out."""
+    """(line, name, is_method) of the top-level functions and classes of a
+    module and of the methods of its classes, dunder methods left out."""
     out = []
     for node in tree.body:
         if isinstance(node, DEFS):
-            out.append((node.lineno, node.name))
+            out.append((node.lineno, node.name, False))
         if isinstance(node, ast.ClassDef):
-            out += [(item.lineno, item.name) for item in node.body
+            out += [(item.lineno, item.name, True) for item in node.body
                     if isinstance(item, DEFS) and not (item.name.startswith("__")
                                                       and item.name.endswith("__"))]
     return out
 
 
 def references(tree):
-    """The names, attribute names and string constants a module reads, each
-    counted only outside the definitions of that name."""
+    """What a module reads, as ("name", bare name) and ("attr", attribute
+    name or string constant) pairs, each counted only outside the
+    definitions of that name."""
     found = set()
 
     def walk(node, inside):
@@ -64,15 +65,15 @@ def references(tree):
                 walk(child, inside | {child.name})
                 continue
             if isinstance(child, ast.Name):
-                name = child.id
+                ref = ("name", child.id)
             elif isinstance(child, ast.Attribute):
-                name = child.attr
+                ref = ("attr", child.attr)
             elif isinstance(child, ast.Constant) and isinstance(child.value, str):
-                name = child.value
+                ref = ("attr", child.value)
             else:
-                name = None
-            if name is not None and name not in inside:
-                found.add(name)
+                ref = None
+            if ref is not None and ref[1] not in inside:
+                found.add(ref)
             walk(child, inside)
 
     walk(tree, frozenset())
@@ -80,9 +81,12 @@ def references(tree):
 
 
 def unreferenced(source, used):
-    """The definitions of a module whose names are not in the set used."""
-    return [(line, name) for line, name in definitions(ast.parse(source))
-            if name not in used]
+    """The definitions of a module that the references used never read: a
+    method counts as read only through an attribute or a string constant,
+    since a bare name of it is another variable."""
+    return [(line, name) for line, name, is_method in definitions(ast.parse(source))
+            if ("attr", name) not in used
+            and (is_method or ("name", name) not in used)]
 
 
 @lru_cache(maxsize=None)
@@ -108,6 +112,9 @@ def test_scan_finds_unreferenced_definitions():
         (1, "f")]
     assert unreferenced(src, used | references(ast.parse("g()\n'A'\n"))) == [
         (1, "f"), (16, "n")]
+    # a local variable named like a method does not read the method
+    shadow = references(ast.parse("g()\nA\n\n\ndef h():\n    n = 1\n    return n\n"))
+    assert unreferenced(src, used | shadow) == [(1, "f"), (16, "n")]
 
 
 @pytest.mark.parametrize("module", MODULES)

@@ -7,13 +7,12 @@ from conftest import square_mesh
 from hpfem.elliptic import ScalarProblem, energy_error_sq, solve_scalar
 from hpfem.mesh import ElementMap, Mesh, corner_bits
 from hpfem.polybasis import tensor_gauss, tensor_indices, tensor_shape_eval
-from hpfem.predictor import (EnrichmentCandidate, Prediction,
-                             apply_enrichment, child_local_matrices,
+from hpfem.predictor import (EnrichmentCandidate, Prediction, _best,
+                             _solve_bordered, apply_enrichment, child_local_matrices,
                              choose_enrichment, default_candidates,
                              enforce_degree_comparability, hp_enrichment,
-                             internal_nodes, local_split, node_child_multi,
-                             node_children, p_enrichment, predict_reduction,
-                             representation_matrices)
+                             internal_nodes, local_split, p_enrichment,
+                             predict_reduction, representation_matrices)
 from hpfem.space import ScalarSpace
 
 
@@ -110,9 +109,30 @@ class TestEnrichmentSets:
                           if a else [()])
 
 
-def eval_enrichment(space, candidate, rep, which, pts_parent):
+def child_box(bits, zhat):
+    """The reference box (lo, hi) of the child with corner bits of the
+    dividing-point refinement at zhat."""
+    bits = np.asarray(bits)
+    return np.where(bits == 0, -1.0, zhat), np.where(bits == 0, zhat, 1.0)
+
+
+def child_maps(space, candidate):
+    """The maps of the children of the candidate's element (at the centre
+    for a p-candidate): the parent map at the corners of each child box."""
+    d = space.dim
+    zhat = np.zeros(d) if candidate.zhat is None else np.asarray(candidate.zhat)
+    emap = space.mesh.element_map(candidate.element)
+    bits = corner_bits(d)
+    return [ElementMap(emap.map_point(np.where(bits == 0, *child_box(b, zhat))))
+            for b in bits]
+
+
+def eval_enrichment(space, candidate, which, pts_parent):
     """Direct evaluation of one enrichment function at parent reference points:
-    values and physical gradients (independent of the D matrices for p-kind)."""
+    values and physical gradients (independent of the D matrices). An hp
+    node's function lives on the children whose bits along the node's axes
+    equal its loc, as the tensor shape of degree dist along those axes and
+    the hat towards the node along the others."""
     mesh = space.mesh
     eid = candidate.element
     d = space.dim
@@ -122,24 +142,22 @@ def eval_enrichment(space, candidate, rep, which, pts_parent):
         V, G = tensor_shape_eval(pts_parent, multi, jmax=candidate.degree_cap)
         Jinv = np.linalg.inv(emap.jacobian(pts_parent))
         return V[:, 0], np.einsum("qa,qam->qm", G[:, 0, :], Jinv)
-    node = candidate.hp_nodes[which]
+    axes, loc, dist = candidate.hp_nodes[which]
     zhat = np.asarray(candidate.zhat)
-    bits = corner_bits(d)
     vals = np.zeros(len(pts_parent))
     grads = np.zeros((len(pts_parent), d))
-    rows = node_children(node, d)
-    for row in rows:
-        b = bits[row]
-        lo = np.where(b == 0, -1.0, zhat)
-        hi = np.where(b == 0, zhat, 1.0)
+    for b, cmap in zip(corner_bits(d), child_maps(space, candidate)):
+        if any(b[a] != loc[j] for j, a in enumerate(axes)):
+            continue
+        lo, hi = child_box(b, zhat)
         inside = np.all((pts_parent >= lo - 1e-12) & (pts_parent <= hi + 1e-12),
                         axis=1)
         if not np.any(inside):
             continue
         child_pts = 2.0 * (pts_parent[inside] - lo) / (hi - lo) - 1.0
-        multi = np.array([node_child_multi(node, tuple(b))])
+        multi = np.array([[dist[axes.index(k)] if k in axes else 1 - b[k]
+                           for k in range(d)]])
         V, G = tensor_shape_eval(child_pts, multi, jmax=candidate.degree_cap)
-        cmap = ElementMap(rep.child_corners[row])
         Jinv = np.linalg.inv(cmap.jacobian(child_pts))
         vals[inside] = V[:, 0]
         grads[inside] = np.einsum("qa,qam->qm", G[:, 0, :], Jinv)
@@ -163,14 +181,15 @@ class TestRepresentation:
                 ppts = lo + 0.5 * (cpts + 1.0) * (hi - lo)
                 V, _ = tensor_shape_eval(cpts, idx, jmax=rep.degree)
                 direct = np.stack([
-                    eval_enrichment(sp, cand, rep, k, ppts)[0]
+                    eval_enrichment(sp, cand, k, ppts)[0]
                     for k in range(cand.size)], axis=1)
                 np.testing.assert_allclose(V @ rep.D[row].T, direct, atol=1e-12)
 
-    def test_c_equals_cq_times_b_against_sampling(self, rng):
-        # C_i rows must reproduce the global dofs restricted to each child
+    def test_element_shapes_on_children_against_sampling(self, rng):
+        # the R rows must carry the element's coefficients of a global field
+        # to each child
         m = square_mesh(2, degree=2, tagger=lambda c: "neumann")
-        m = m.refine_element(0)  # include hanging constraints in C_Q
+        m = m.refine_element(0)  # include hanging constraints
         sp = ScalarSpace(m)
         eid = [e for e in m.active_ids() if m.elements[e].level == 0][0]
         cand = p_enrichment(sp, eid)
@@ -185,7 +204,7 @@ class TestRepresentation:
             hi = np.where(b == 0, zhat, 1.0)
             ppts = lo + 0.5 * (cpts + 1.0) * (hi - lo)
             V, _ = tensor_shape_eval(cpts, idx, jmax=rep.degree)
-            via_rep = V @ rep.C[row].T @ u[rep.rows]
+            via_rep = V @ (rep.R[row] @ sp.element_coeffs([eid], u)[0])
             direct = sp.eval_element(eid, u, ppts)
             np.testing.assert_allclose(via_rep, direct, atol=1e-12)
 
@@ -229,9 +248,9 @@ def quadrature_prediction_oracle(space, problem, u_W, split, candidate,
     mesh = space.mesh
     eid = candidate.element
     d = space.dim
-    rep = representation_matrices(space, candidate)
+    maps = child_maps(space, candidate)
     L = candidate.size
-    P = rep.degree
+    P = max(candidate.degree_cap, space.degrees[eid])
 
     def grad_of(vec, eid2, pts, Jinv):
         _, g = space.eval_element(eid2, vec, pts, gradient=True)
@@ -251,7 +270,7 @@ def quadrature_prediction_oracle(space, problem, u_W, split, candidate,
     b_r = 0.0
     b_l = 0.0
     for row, b in enumerate(bits):
-        cmap = ElementMap(rep.child_corners[row])
+        cmap = maps[row]
         J = cmap.jacobian(pts)
         det = np.linalg.det(J)
         w = wts * det
@@ -261,7 +280,7 @@ def quadrature_prediction_oracle(space, problem, u_W, split, candidate,
         Jinv_parent = np.linalg.inv(mesh.element_map(eid).jacobian(ppts))
         g_rest = grad_of(split.u_rest, eid, ppts, Jinv_parent)
         g_loc = grad_of(split.u_local, eid, ppts, Jinv_parent)
-        gx = np.stack([eval_enrichment(space, candidate, rep, k, ppts)[1]
+        gx = np.stack([eval_enrichment(space, candidate, k, ppts)[1]
                        for k in range(L)], axis=1)  # (q, L, d)
         a_xx += np.einsum("q,qkm,qlm->kl", w, gx, gx)
         a_rx += np.einsum("q,qm,qlm->l", w, g_rest, gx)
@@ -273,7 +292,7 @@ def quadrature_prediction_oracle(space, problem, u_W, split, candidate,
             fv = np.asarray(problem.volume(cmap.map_point(pts)), dtype=float)
             vals_rest = space.eval_element(eid, split.u_rest, ppts)
             vals_loc = space.eval_element(eid, split.u_local, ppts)
-            vx = np.stack([eval_enrichment(space, candidate, rep, k, ppts)[0]
+            vx = np.stack([eval_enrichment(space, candidate, k, ppts)[0]
                            for k in range(L)], axis=1)
             b_x += np.einsum("q,qk->k", w * fv, vx)
             b_r_el = float(w @ (fv * vals_rest))
@@ -310,7 +329,7 @@ def quadrature_prediction_oracle(space, problem, u_W, split, candidate,
                              @ space.eval_element(e2, split.u_local, ref))
     # u_rest inside Q via the children quadrature
     for row, b in enumerate(bits):
-        cmap = ElementMap(rep.child_corners[row])
+        cmap = maps[row]
         J = cmap.jacobian(pts)
         det = np.linalg.det(J)
         w = wts * det
@@ -498,8 +517,8 @@ class TestChooserAndApply:
         m = interval_mesh(2, 1)
         sp = ScalarSpace(m)
         u, A, b = solve_scalar(sp, UNIT_F)
-        best, preds = choose_enrichment(sp, UNIT_F, A, b, u, 0,
-                                        candidates=[p_enrichment(sp, 0)])
+        best, preds = choose_enrichment(sp, UNIT_F, A, b, u,
+                                        {0: [p_enrichment(sp, 0)]})[0]
         assert best.candidate.kind == "p"
         assert len(preds) == 1
 
@@ -507,8 +526,8 @@ class TestChooserAndApply:
         m = square_mesh(2, degree=2, tagger=lambda c: "dirichlet")
         sp = ScalarSpace(m)
         u, A, b = solve_scalar(sp, UNIT_F)
-        best, _ = choose_enrichment(sp, UNIT_F, A, b, u, 0,
-                                    candidates=[p_enrichment(sp, 0)])
+        best, _ = choose_enrichment(sp, UNIT_F, A, b, u,
+                                    {0: [p_enrichment(sp, 0)]})[0]
         m2 = apply_enrichment(m, best)
         assert m2.elements[0].degree == 3
 
@@ -516,13 +535,45 @@ class TestChooserAndApply:
         m = square_mesh(2, degree=2, tagger=lambda c: "dirichlet")
         sp = ScalarSpace(m)
         u, A, b = solve_scalar(sp, UNIT_F)
-        best, _ = choose_enrichment(sp, UNIT_F, A, b, u, 0,
-                                    candidates=[hp_enrichment(sp, 0)])
+        best, _ = choose_enrichment(sp, UNIT_F, A, b, u,
+                                    {0: [hp_enrichment(sp, 0)]})[0]
         m2 = apply_enrichment(m, best)
         assert not m2.elements[0].active
         kids = m2.elements[0].children
         assert len(kids) == 4
         assert all(m2.elements[c].degree == 2 for c in kids)
+
+    def test_ties_prefer_p_then_earlier(self):
+        m = square_mesh(1, degree=2, tagger=lambda c: "neumann")
+        sp = ScalarSpace(m)
+        hp, p = hp_enrichment(sp, 0), p_enrichment(sp, 0)
+
+        def pred(cand, value):
+            return Prediction(candidate=cand, delta_e2=value, eps=0.0,
+                              y=np.zeros(cand.size), rho_w_yxi=value)
+
+        # within TIE_RTOL of the larger reduction the p-candidate wins
+        assert _best([pred(hp, 1.0), pred(p, 1.0 - 1e-12)])[0].candidate is p
+        assert _best([pred(p, 1.0), pred(hp, 1.0 + 1e-12)])[0].candidate is p
+        assert _best([pred(p, 1.0), pred(hp, 1.0 + 1e-9)])[0].candidate is hp
+        first = pred(hp, 1.0)
+        assert _best([first, pred(hp, 1.0 + 1e-12)])[0] is first
+        skipped = [Prediction.skip(hp, "singular bordered system")]
+        assert _best(skipped)[0].skipped == "all candidates skipped"
+
+    def test_stacked_solve_falls_back_per_system(self, rng):
+        # one singular system in the stack: the others keep their direct
+        # solve, the singular one is solved by least squares
+        M = rng.standard_normal((3, 4, 4))
+        M = M + np.swapaxes(M, 1, 2)
+        M[1, 0, :] = M[1, :, 0] = 0.0
+        rhs = rng.standard_normal((3, 4))
+        rhs[1, 0] = 0.0
+        sol = _solve_bordered(M, rhs)
+        for k in (0, 2):
+            np.testing.assert_array_equal(sol[k], np.linalg.solve(M[k], rhs[k]))
+        np.testing.assert_array_equal(
+            sol[1], np.linalg.lstsq(M[1], rhs[1], rcond=None)[0])
 
     def test_degree_comparability_enforced(self):
         m = square_mesh(2, degree=2, tagger=lambda c: "dirichlet")
@@ -543,7 +594,7 @@ class TestChooserAndApply:
         # all dofs interior: u entirely local
         u = np.ones(sp.ndof)
         split = local_split(sp, u, 0)
-        assert split.degenerate
+        assert not np.any(split.u_rest) and np.any(split.u_local)
         pred = predict_reduction(sp, UNIT_F, None, None, u, split,
                                  p_enrichment(sp, 0))
         assert pred.skipped == "entirely local solution"

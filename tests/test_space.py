@@ -245,17 +245,17 @@ class TestContinuity:
 
 class TestConnectivity:
     def test_interior_dof_unit_entry(self):
+        # the element's rows of P: an interior dof enters its own shape only
         m = square_mesh(1, degree=3, tagger=lambda c: "neumann")
         sp = ScalarSpace(m)
-        rows, mat = sp.connectivity(0)
+        P = sp.local_operator(1, [0]).toarray()
         idx = sp.local_indices(0)
         for i, slot in enumerate(sp.dofs):
             if slot[0] != "i":
                 continue
-            r = int(np.nonzero(rows == i)[0][0])
-            col = int(np.nonzero((idx == slot[2]).all(axis=1))[0][0])
-            assert mat[r, col] == 1.0
-            assert np.abs(np.delete(mat[r], col)).max() == 0.0
+            row = int(np.nonzero((idx == slot[2]).all(axis=1))[0][0])
+            assert P[row, i] == 1.0
+            assert np.abs(np.delete(P[:, i], row)).max() == 0.0
 
     def test_hanging_vertex_halves(self):
         verts = [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
@@ -266,9 +266,22 @@ class TestConnectivity:
         # coarse endpoint vertices with weight 1/2
         hang = sp.hanging_vertices()
         assert len(hang) == 1
-        (_, coeffs), = hang.values()
+        (vid, (dofs, coeffs)), = hang.items()
         weights = sorted(abs(coeffs))
         np.testing.assert_allclose(weights, [0.5, 0.5], atol=1e-13)
+        # and the rows of P of the fine elements at it carry that row on
+        # the vertex shape of that corner (at degree 1, shape = corner)
+        touching = 0
+        for pos, eid in enumerate(m.active_ids()):
+            corners = list(m.elements[eid].corners)
+            if vid not in corners:
+                continue
+            row = sp.local_operator(1, [pos])[corners.index(vid)]
+            assert sorted(row.indices) == sorted(dofs)
+            np.testing.assert_allclose(sorted(abs(row.data)), [0.5, 0.5],
+                                       atol=1e-13)
+            touching += 1
+        assert touching == 2
 
     def test_linear_field_reproduced(self, rng):
         m = random_refined_mesh(rng, refinements=2)
