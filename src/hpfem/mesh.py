@@ -212,7 +212,6 @@ class Element:
     parent: int | None = None
     child_slot: int | None = None
     children: tuple | None = None
-    zhat: np.ndarray | None = None
     boundary_tags: list = field(default_factory=list)
 
     @property
@@ -339,10 +338,13 @@ class Mesh:
         return self.elements[eid].degree
 
     def with_degrees(self, degrees):
-        """New snapshot with per-active-element degrees (dict eid -> p)."""
+        """New snapshot with per-active-element degrees (dict eid -> p). It
+        shares this mesh's facet adjacency, since a FacetInfo holds no
+        degree."""
         m = self.copy()
         for eid, p in degrees.items():
             m.elements[eid].degree = int(p)
+        m._facet_index, m._neighbors_cache = self._facet_index, self._neighbors_cache
         return m
 
     def tag_boundary(self, tagger):
@@ -354,7 +356,8 @@ class Mesh:
                 ids = _facet_corner_ids(el.corners, self.dim, f)
                 centroid = np.mean([self.vertices[i] for i in ids], axis=0)
                 el.boundary_tags[f] = tagger(centroid)
-        self._invalidate()
+        # a fresh adjacency: degree snapshots may share the old one
+        self._facet_index, self._neighbors_cache = None, {}
         return self
 
     def total_volume(self):
@@ -365,56 +368,47 @@ class Mesh:
     # -- refinement ----------------------------------------------------------
 
     def refine_element(self, eid, zhat=None):
-        """New snapshot with element eid refined at dividing point zhat.
-
-        Applies closure refinements to keep the mesh 1-irregular.
-        """
-        m = self.copy()
-        m._refine_inplace(eid, zhat)
-        return m
+        """New snapshot with element eid refined at dividing point zhat: the
+        one-element view of `refine_many`."""
+        if not self.elements[eid].active:
+            raise ValueError(f"element {eid} already refined")
+        return self.refine_many([eid], zhat)
 
     def refine_many(self, eids, zhat=None):
+        """New snapshot with the elements eids that are still active when
+        their turn comes refined at dividing point zhat (the centre by
+        default), in one pass over one copy. The closure keeps the mesh
+        1-irregular by level: before an element is split, its active facet
+        neighbors of a lower level are refined, depth first, in facet and
+        piece order, read from this snapshot's adjacency (children made by
+        the pass are never of a lower level than their neighbors)."""
+        zhat = np.zeros(self.dim) if zhat is None else np.asarray(zhat, dtype=float)
+        if np.any(np.abs(zhat) >= 1.0):
+            raise ValueError("dividing point must lie strictly inside the element")
         m = self.copy()
+
+        def refine(eid, z):
+            level = m.elements[eid].level
+            for info in self.facet_neighbors(eid):
+                for piece in info.pieces:
+                    nb = m.elements[piece.neighbor]
+                    if nb.active and nb.level < level:
+                        refine(nb.eid, _closure_point(piece))
+            m._split(eid, z)
+
         for eid in eids:
             if m.elements[eid].active:
-                m._refine_inplace(eid, zhat)
+                refine(eid, zhat)
         return m
 
     def uniformly_refined(self):
         return self.refine_many(self.active_ids())
 
-    def _invalidate(self):
-        self._facet_index = None
-        self._neighbors_cache = {}
-
-    def _refine_inplace(self, eid, zhat=None, _depth=0):
+    def _split(self, eid, zhat):
+        """Replace active element eid by its 2^d children at zhat, in place;
+        the adjacency of this mesh is stale afterwards."""
         el = self.elements[eid]
-        if not el.active:
-            raise ValueError(f"element {eid} already refined")
-        if _depth > 64:
-            raise RuntimeError("refinement closure recursion too deep")
         d = self.dim
-        if zhat is None:
-            zhat = np.zeros(d)
-        zhat = np.asarray(zhat, dtype=float)
-        if np.any(np.abs(zhat) >= 1.0):
-            raise ValueError("dividing point must lie strictly inside the element")
-        # closure: coarser neighbors are refined first so the result stays 1-irregular
-        while True:
-            need = []
-            for info in self.facet_neighbors(eid):
-                if info.kind != "interior":
-                    continue
-                for piece in info.pieces:
-                    if piece.relation in ("coarse_nb", "partial") \
-                            and self.elements[piece.neighbor].active:
-                        need.append(piece.neighbor)
-            if not need:
-                break
-            for nb in dict.fromkeys(need):
-                if self.elements[nb].active:
-                    self._refine_inplace(nb, None, _depth + 1)
-        el = self.elements[eid]
         root_map = self.element_map(el.root)
         lo, hi = el.box_lo, el.box_hi
         mid = lo + 0.5 * (zhat + 1.0) * (hi - lo)
@@ -430,20 +424,13 @@ class Mesh:
                 x = root_map.map_point(ref)
                 grid_ids[offs] = self._get_vertex(x)
         children = []
-        nfacets = 2 * d
         for slot, b in enumerate(bits):
-            cb = []
-            for cb_bits in bits:
-                offs = tuple(b[k] + cb_bits[k] for k in range(d))
-                cb.append(grid_ids[offs])
+            cb = [grid_ids[tuple((b + c).tolist())] for c in bits]
             clo = np.array([coords[k][b[k]] for k in range(d)])
             chi = np.array([coords[k][b[k] + 1] for k in range(d)])
-            tags = [None] * nfacets
-            for k in range(d):
-                if b[k] == 0:
-                    tags[2 * k + 0] = el.boundary_tags[2 * k + 0]
-                if b[k] == 1:
-                    tags[2 * k + 1] = el.boundary_tags[2 * k + 1]
+            tags = [None] * (2 * d)
+            for f in 2 * np.arange(d) + b:
+                tags[f] = el.boundary_tags[f]
             child = Element(
                 eid=len(self.elements), root=el.root, corners=tuple(cb),
                 level=el.level + 1, degree=el.degree, box_lo=clo, box_hi=chi,
@@ -452,8 +439,6 @@ class Mesh:
             self.elements.append(child)
             children.append(child.eid)
         el.children = tuple(children)
-        el.zhat = zhat.copy()
-        self._invalidate()
 
     def _get_vertex(self, x):
         key = _vkey(x)
@@ -533,9 +518,8 @@ class Mesh:
                                                    pa["perm"], pa["flip"],
                                                    transformed=True, my_iv=my_iv))
             out.append(FacetInfo(kind="interior", pieces=tuple(pieces)))
-        info = out
-        self._neighbors_cache[eid] = info
-        return info
+        self._neighbors_cache[eid] = out
+        return out
 
     def _make_piece(self, el, f, nel, nb_f, my_axes, nb_axes, overlap, perm, flip,
                     transformed=False, my_iv=None):
@@ -735,6 +719,17 @@ def _to_ref(lo, hi, box_lo, box_hi):
     """Map a root-frame interval into an element's reference frame."""
     w = box_hi - box_lo
     return (2.0 * (lo - box_lo) / w - 1.0, 2.0 * (hi - box_lo) / w - 1.0)
+
+
+def _closure_point(piece):
+    """The dividing point at which the closure refines the neighbor of a
+    facet piece: the centre along the neighbor's facet normal and, along
+    each in-facet axis, the end of the refining element's facet that lies
+    strictly inside the neighbor's facet (0 where neither does). It
+    continues the element's dividing lines, so the children's facets match
+    the element's instead of overlapping them."""
+    z = [next((t for t in box if abs(t) < 1.0), 0.0) for box in piece.nb_box]
+    return np.insert(np.array(z, dtype=float), piece.facet // 2, 0.0)
 
 
 def _intersect(iv_a, iv_b):

@@ -352,33 +352,33 @@ def default_candidates(space, eid, menu="narrow"):
 
 
 def apply_enrichment(mesh, prediction):
-    """Apply the chosen enrichment: raise the degree or refine at the dividing
-    point (children inherit the degree), then re-enforce degree comparability."""
+    """Apply the chosen enrichment: refine at the dividing point, or raise
+    the degree and with it the lagging neighbor degrees. Refinement keeps
+    comparable degrees comparable: children inherit their parent's degree,
+    and every new facet pair lies inside an old one."""
     cand = prediction.candidate
     eid = cand.element
-    if cand.kind == "p":
-        mesh = mesh.with_degrees({eid: mesh.elements[eid].degree + 1})
-    else:
-        mesh = mesh.refine_element(eid, np.asarray(cand.zhat))
-    return enforce_degree_comparability(mesh)
+    if cand.kind == "hp":
+        return mesh.refine_element(eid, np.asarray(cand.zhat))
+    mesh = mesh.with_degrees({eid: mesh.elements[eid].degree + 1})
+    return enforce_degree_comparability(mesh, [eid])
 
 
-def enforce_degree_comparability(mesh, bound=1):
-    """Raise lagging neighbor degrees until facet-neighbor degrees differ by
-    at most the bound."""
-    for _ in range(100):
-        raises = {}
-        for eid in mesh.active_ids():
-            p = mesh.elements[eid].degree
-            for info in mesh.facet_neighbors(eid):
-                if info.kind != "interior":
-                    continue
-                for piece in info.pieces:
-                    q = mesh.elements[piece.neighbor].degree
-                    if p - q > bound:
-                        raises[piece.neighbor] = max(raises.get(piece.neighbor, 0),
-                                                     p - bound)
-        if not raises:
-            return mesh
-        mesh = mesh.with_degrees(raises)
-    raise RuntimeError("degree comparability did not stabilize")
+def enforce_degree_comparability(mesh, eids):
+    """The least raise of lagging degrees after which facet neighbors
+    differ by at most one, in a mesh where only pairs at the elements eids
+    may differ by more."""
+    deg = {}
+    work = list(eids)
+    # no round limit: the worklist empties, since degrees only rise and
+    # never above the mesh's largest
+    while work:
+        eid = work.pop()
+        low = deg.get(eid, mesh.elements[eid].degree) - 1
+        for info in mesh.facet_neighbors(eid):
+            for piece in info.pieces:
+                nb = piece.neighbor
+                if deg.get(nb, mesh.elements[nb].degree) < low:
+                    deg[nb] = low
+                    work.append(nb)
+    return mesh.with_degrees(deg) if deg else mesh

@@ -184,6 +184,25 @@ def _face_frames(ids):
     return swap, flips == 1
 
 
+def _edges_on_edges(pieces):
+    """For hanging facet pieces in 3D, the triples (piece, coarse facet edge,
+    fine facet edge), edges in the order of _box_edges(2), where the fine
+    facet's edge lies on the coarse facet's edge."""
+    bits = corner_bits(2)
+    axes, ends = _box_edges(2)
+    box = np.array([pc.nb_box for pc in pieces])  # (H, coarse axis, lo/hi)
+    perm = np.array([pc.perm for pc in pieces], dtype=np.intp)
+    flip = np.array([pc.flip for pc in pieces], dtype=np.intp)
+    # t[h, j, c]: coarse facet coordinate j of the fine facet's corner c
+    side = np.swapaxes(bits[:, perm], 0, 1) ^ flip[:, None, :]
+    t = np.take_along_axis(box, np.swapaxes(side, 1, 2), axis=2)
+    # coarse edge k runs along axes[k] at coordinate v[k] on the other axis
+    other = 1 - axes
+    v = 2 * bits[ends[:, 0], other] - 1
+    on = (t[:, other][:, :, ends] == v[:, None, None]).all(axis=3)
+    return np.nonzero(on)
+
+
 def _first_owner(fine, coarse, size):
     """For entity ids fine (H, k) of the fine sides of H hanging interfaces
     and ids coarse (H, k') of their coarse sides: per entity, the first
@@ -328,6 +347,16 @@ class ScalarSpace:
                           np.broadcast_to(deg[fine_at, None], coarse.shape))
             eown = _first_owner(eent[fine_at[:, None], fedges[fine_f]], coarse, ne)
         if d == 3 and hang:
+            # a fine edge on a coarse edge may also belong to elements that
+            # meet the coarse element along that edge only, so the coarse
+            # edge is capped by the fine edge's degree, fine levels first
+            h, k, e = _edges_on_edges([pc for _, _, pc in hang])
+            fine = eent[fine_at[h], fedges[fine_f[h], e]]
+            coarse = eent[coarse_at[h], fedges[coarse_f[h], k]]
+            level = np.array([mesh.elements[eid].level for eid in act[fine_at[h]]])
+            for lev in np.unique(level)[::-1].tolist():
+                at_lev = level == lev
+                np.minimum.at(edge_deg, coarse[at_lev], edge_deg[fine[at_lev]])
             coarse = fent[coarse_at, coarse_f]
             np.minimum.at(face_deg, coarse, deg[fine_at])
             fown = _first_owner(fent[fine_at, fine_f][:, None], coarse[:, None], nf)

@@ -228,6 +228,37 @@ class TestNeighbors:
                     np.testing.assert_allclose(nm, -nn, atol=1e-12)
 
 
+class TestSnapshots:
+    def test_degree_snapshot_shares_adjacency(self):
+        m = square_mesh(2).refine_element(0)
+        m2 = m.with_degrees({e: 2 for e in m.active_ids()})
+        for eid in m.active_ids():
+            assert m2.facet_neighbors(eid) is m.facet_neighbors(eid)
+        # built on the snapshot first, the parent reads the same objects
+        m3 = square_mesh(2).with_degrees({0: 3})
+        assert m3.facet_neighbors(0) is m3.with_degrees({1: 2}).facet_neighbors(0)
+
+    def test_refined_snapshot_names_new_children(self):
+        m = square_mesh(2)
+        before = m.facet_neighbors(1)
+        m2 = m.refine_element(0)
+        after = m2.facet_neighbors(1)
+        assert after is not before
+        assert {p.neighbor for info in before for p in info.pieces} == {0, 3}
+        named = {p.neighbor for info in after for p in info.pieces}
+        children = named & set(m2.elements[0].children)
+        assert len(children) == 2 and named == {3} | children
+
+    def test_tag_boundary_on_snapshot_leaves_parent(self):
+        m = square_mesh(2)
+        infos = m.facet_neighbors(0)
+        m2 = m.with_degrees({0: 2}).tag_boundary(lambda c: "neumann")
+        assert m.facet_neighbors(0) is infos
+        assert {info.tag for info in infos if info.kind == "boundary"} == {DIRICHLET}
+        assert {info.tag for info in m2.facet_neighbors(0)
+                if info.kind == "boundary"} == {"neumann"}
+
+
 class TestIO:
     def test_text_roundtrip(self, tmp_path):
         # the flat text format carries active cells only, so conforming meshes

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import square_mesh
+from conftest import random_refined_mesh, square_mesh
 from hpfem.elliptic import ScalarProblem, energy_error_sq, solve_scalar
 from hpfem.mesh import ElementMap, Mesh, corner_bits
 from hpfem.polybasis import tensor_gauss, tensor_indices, tensor_shape_eval
@@ -25,6 +25,26 @@ def interval_mesh(n, degree=1):
 
 
 UNIT_F = ScalarProblem(volume=lambda x: np.ones(len(x)))
+
+
+def _whole_mesh_comparability(mesh):
+    """The whole-mesh loop that `enforce_degree_comparability` replaced, kept
+    as its oracle: each round raises every lagging facet neighbor to one
+    below the largest degree next to it, until no pair differs by more than
+    one."""
+    for _ in range(100):
+        raises = {}
+        for eid in mesh.active_ids():
+            p = mesh.elements[eid].degree
+            for info in mesh.facet_neighbors(eid):
+                for piece in info.pieces:
+                    q = mesh.elements[piece.neighbor].degree
+                    if p - q > 1:
+                        raises[piece.neighbor] = max(raises.get(piece.neighbor, 0), p - 1)
+        if not raises:
+            return mesh
+        mesh = mesh.with_degrees(raises)
+    raise AssertionError("degree comparability did not stabilize")
 
 
 class TestLocalSplit:
@@ -578,7 +598,7 @@ class TestChooserAndApply:
     def test_degree_comparability_enforced(self):
         m = square_mesh(2, degree=2, tagger=lambda c: "dirichlet")
         m = m.with_degrees({0: 5})
-        m2 = enforce_degree_comparability(m, bound=1)
+        m2 = enforce_degree_comparability(m, eids=[0])
         for eid in m2.active_ids():
             p = m2.elements[eid].degree
             for info in m2.facet_neighbors(eid):
@@ -587,6 +607,36 @@ class TestChooserAndApply:
                 for piece in info.pieces:
                     q = m2.elements[piece.neighbor].degree
                     assert abs(p - q) <= 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_apply_enrichment_matches_whole_mesh_loop(self, seed):
+        # random p- and hp-enrichments of a comparable mesh with hanging
+        # nodes: the worklist from the changed element raises exactly the
+        # degrees the whole-mesh loop raises, and refinement raises none
+        rng = np.random.default_rng(seed)
+        m = _whole_mesh_comparability(random_refined_mesh(rng, refinements=3))
+        for _ in range(12):
+            act = m.active_ids()
+            eid = act[int(rng.integers(len(act)))]
+            if rng.uniform() < 0.4:
+                off = rng.uniform() < 0.5
+                zhat = tuple(rng.uniform(-0.5, 0.5, 2)) if off else (0.0, 0.0)
+                cand = EnrichmentCandidate(kind="hp", element=eid, zhat=zhat)
+                old = m.refine_element(eid, np.asarray(zhat))
+            else:
+                cand = EnrichmentCandidate(kind="p", element=eid, zhat=None)
+                old = m.with_degrees({eid: m.elements[eid].degree + 1})
+            new = apply_enrichment(m, Prediction(candidate=cand, delta_e2=0.0, eps=0.0,
+                                                 y=np.zeros(0), rho_w_yxi=0.0))
+            old = _whole_mesh_comparability(old)
+            assert new.active_ids() == old.active_ids()
+            assert ([new.degree(e) for e in new.active_ids()]
+                    == [old.degree(e) for e in old.active_ids()])
+            if cand.kind == "hp":
+                assert all(abs(new.degree(e) - new.degree(piece.neighbor)) <= 1
+                           for e in new.active_ids()
+                           for info in new.facet_neighbors(e) for piece in info.pieces)
+            m = new
 
     def test_skip_reports_reason(self):
         m = interval_mesh(1, 3)

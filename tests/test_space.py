@@ -7,6 +7,7 @@ from conftest import distorted_quad_mesh, random_refined_mesh, square_mesh
 from hpfem.mesh import Mesh, check_det_affine
 from hpfem.problems import cube_mesh
 from hpfem.polybasis import tensor_gauss, tensor_indices, tensor_shape_eval
+from hpfem.predictor import enforce_degree_comparability
 from hpfem.space import (GaussPointSpace, ScalarSpace, constraint_coeffs,
                          deviatoric_basis, deviatoric_dim)
 
@@ -352,6 +353,17 @@ class TestProjection:
             np.testing.assert_allclose(back, coeffs[sl], atol=1e-11)
 
 
+def _jittered_roots(d, n, rng):
+    """square_mesh(n) or cube_mesh(n) with the interior vertices moved by up
+    to a fifth of the mesh size on each axis."""
+    m = square_mesh(n) if d == 2 else cube_mesh(n)
+    h = 1.0 / n
+    m.vertices = [v + (0.2 * h * rng.uniform(-1, 1, d)
+                       if np.all((v > 1e-12) & (v < 1 - 1e-12)) else 0.0)
+                  for v in m.vertices]
+    return m
+
+
 def _refined_mesh(d, n, seed):
     """A jittered n^d root mesh, some roots refined at random interior
     dividing points, and random degrees. The dividing point of root (i, j, k)
@@ -360,11 +372,7 @@ def _refined_mesh(d, n, seed):
     pieces, as the space requires) and unrefined neighbors carry hanging
     nodes."""
     rng = np.random.default_rng(seed)
-    m = square_mesh(n) if d == 2 else cube_mesh(n)
-    h = 1.0 / n
-    m.vertices = [v + (0.2 * h * rng.uniform(-1, 1, d)
-                       if np.all((v > 1e-12) & (v < 1 - 1e-12)) else 0.0)
-                  for v in m.vertices]
+    m = _jittered_roots(d, n, rng)
     split = rng.uniform(-0.7, 0.7, (d, n))
     before = m.total_volume()
     roots = [e for e in m.active_ids() if rng.uniform() < 0.5]
@@ -382,23 +390,81 @@ class TestRefinementProperties:
     def test_volume_and_continuity_across_pieces(self, d, seed):
         m, before, _ = _refined_mesh(d, 2, seed)
         assert abs(m.total_volume() - before) <= 1e-12 * before
-        space = ScalarSpace(m)
-        u = np.random.default_rng(seed).standard_normal(space.ndof)
-        xi, _ = tensor_gauss(3, d - 1)
-        for eid in m.active_ids():
-            for f, info in enumerate(m.facet_neighbors(eid)):
-                for piece in info.pieces:
-                    t_mine, t_nb = m.piece_coords(eid, f, piece, xi)
-                    ref_m = m.facet_embed(f, t_mine)
-                    ref_n = m.facet_embed(piece.facet, t_nb)
-                    np.testing.assert_allclose(
-                        m.element_map(eid).map_point(ref_m),
-                        m.element_map(piece.neighbor).map_point(ref_n),
-                        rtol=0, atol=1e-12)
-                    np.testing.assert_allclose(
-                        space.eval_element(eid, u, ref_m),
-                        space.eval_element(piece.neighbor, u, ref_n),
-                        rtol=0, atol=1e-12 * np.abs(u).max())
+        _assert_continuous(m, seed)
+
+    def test_off_centre_closure(self):
+        # the closure splits the coarse neighbors of child 7 where child
+        # 7's facets end, so the pieces nest and the space is continuous
+        m = square_mesh(2).refine_element(0, [0.3, 0.3]).refine_element(7)
+        assert _relations(m) <= NESTED
+        _assert_continuous(m, 0)
+
+    @given(st.sampled_from([2, 3]), st.integers(0, 2**31 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_random_sequences_of_children(self, d, seed):
+        # any active element, children included, refined at its centre or
+        # at an off-centre point, then comparable mixed degrees: the mesh is
+        # valid, or the space rejects a non-nested overlap that the dividing
+        # points asked for
+        rng = np.random.default_rng(seed)
+        m = _jittered_roots(d, 2, rng)
+        before = m.total_volume()
+        for _ in range(6 if d == 2 else 3):
+            act = m.active_ids()
+            eid = act[int(rng.integers(len(act)))]
+            off = rng.uniform() < 0.5
+            m = m.refine_element(eid, rng.uniform(-0.5, 0.5, d) if off else None)
+        act = m.active_ids()
+        m = enforce_degree_comparability(
+            m.with_degrees({e: int(rng.integers(1, 4)) for e in act}), act)
+        assert abs(m.total_volume() - before) <= 1e-12 * before
+        if _relations(m) <= NESTED:
+            _assert_continuous(m, seed)
+        else:
+            with pytest.raises(ValueError, match="non-nested facet overlap"):
+                ScalarSpace(m)
+
+    @pytest.mark.parametrize("high, low", [(2, 1), (3, 2)])
+    def test_edge_only_neighbors_share_hanging_halves(self, high, low):
+        # the children of root 1 meet root 4 along an edge only, and their
+        # half-edges hang on root 4's edge: that edge takes their degree
+        m = cube_mesh(2).refine_many([0, 1, 5, 6])
+        m = m.with_degrees({e: high if m.elements[e].root in (0, 4, 5) else low
+                            for e in m.active_ids()})
+        assert all(abs(m.degree(e) - m.degree(piece.neighbor)) <= 1
+                   for e in m.active_ids()
+                   for info in m.facet_neighbors(e) for piece in info.pieces)
+        _assert_continuous(m, 0)
+
+
+NESTED = {"equal", "coarse_nb", "fine_nb"}
+
+
+def _relations(m):
+    return {piece.relation for eid in m.active_ids()
+            for info in m.facet_neighbors(eid) for piece in info.pieces}
+
+
+def _assert_continuous(m, seed):
+    """Across every facet piece, the matched points agree and so do the
+    values of a random member of the space."""
+    space = ScalarSpace(m)
+    u = np.random.default_rng(seed).standard_normal(space.ndof)
+    xi, _ = tensor_gauss(3, m.dim - 1)
+    for eid in m.active_ids():
+        for f, info in enumerate(m.facet_neighbors(eid)):
+            for piece in info.pieces:
+                t_mine, t_nb = m.piece_coords(eid, f, piece, xi)
+                ref_m = m.facet_embed(f, t_mine)
+                ref_n = m.facet_embed(piece.facet, t_nb)
+                np.testing.assert_allclose(
+                    m.element_map(eid).map_point(ref_m),
+                    m.element_map(piece.neighbor).map_point(ref_n),
+                    rtol=0, atol=1e-12)
+                np.testing.assert_allclose(
+                    space.eval_element(eid, u, ref_m),
+                    space.eval_element(piece.neighbor, u, ref_n),
+                    rtol=0, atol=1e-12 * np.abs(u).max())
 
 
 def _rotated(corners, axes, signs):
