@@ -21,7 +21,6 @@ terms per (degree, facet) and the jump terms per facet degree p_e, with one
 stress evaluation per element degree for both sides of the facet pieces.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,9 +125,17 @@ def compute_indicators(space, qspace, material, loads, u, p, lam=None,
         sel = np.nonzero(deg == pT)[0]
         res_part[sel], pl_part[sel], osc[sel] = _volume_terms(
             fields, loads, corners[sel], pT, sel, qspace.yield_stress, mu_mode)
-    neumann, found = _facet_sweep(mesh, act, deg, loads.neumann_tags)
-    res_terms, osc_terms = _neumann_terms(mesh, fields, loads, corners, neumann)
-    res_terms += _jump_terms(mesh, fields, act, corners, found)
+    tab = mesh.facet_table()
+    # sweep numbers of the boundary facets and the interior pieces, in
+    # element, facet and piece order
+    code = 2 * mesh.dim * np.concatenate([tab.b_el, tab.el]) + np.concatenate(
+        [tab.b_facet, tab.facet])
+    seq = np.empty(len(code), dtype=np.intp)
+    seq[np.argsort(code, kind="stable")] = np.arange(len(code))
+    nb = len(tab.b_el)
+    res_terms, osc_terms = _neumann_terms(mesh, fields, loads, corners, tab,
+                                          seq[:nb])
+    res_terms += _jump_terms(mesh, fields, corners, tab, seq[nb:])
     # each element adds its facet terms in sweep order, so that elements
     # related by a symmetry of the mesh add equal terms in the same order
     for part, terms in ((res_part, res_terms), (osc, osc_terms)):
@@ -187,32 +194,18 @@ def _volume_terms(fields, loads, C, pT, sel, sigma_y, mu_mode):
     return res, plastic, osc
 
 
-def _facet_sweep(mesh, act, deg, neumann_tags):
-    """One sweep over the facets of the active elements (positions in act),
-    numbering each facet term in sweep order. Returns the Neumann facets as
-    {(degree, facet): [(position, number)]} and the interior pieces seen from
-    either side as [(position, facet, piece, number)]."""
-    neumann = {}
-    found = []
-    seq = itertools.count()
-    for i, eid in enumerate(act):
-        for f, info in enumerate(mesh.facet_neighbors(eid)):
-            if info.kind == "boundary":
-                if info.tag in neumann_tags:
-                    neumann.setdefault((int(deg[i]), f), []).append((i, next(seq)))
-            else:
-                found.extend((i, f, piece, next(seq)) for piece in info.pieces)
-    return neumann, found
-
-
-def _neumann_terms(mesh, fields, loads, corners, neumann):
+def _neumann_terms(mesh, fields, loads, corners, tab, seq):
     """Terms h_e/p_e ||sigma n - g_N||^2 and the traction oscillation of the
-    Neumann facets, one batch per (degree, facet), as (sweep key, element
+    Neumann facets among the boundary rows of the facet table tab, with
+    sweep numbers seq, one batch per (degree, facet), as (sweep key, element
     position, value) arrays for the residual and the oscillation."""
     d = mesh.dim
     res_terms, osc_terms = [], []
-    for (pT, f), items in neumann.items():
-        els, order = np.array(items).T
+    neumann = np.array([tag in loads.neumann_tags for tag in tab.b_tag], dtype=bool)
+    group = 2 * d * fields.deg[tab.b_el] + tab.b_facet
+    for g in np.unique(group[neumann]).tolist():
+        sel = np.nonzero(neumann & (group == g))[0]
+        (pT, f), els, order = divmod(g, 2 * d), tab.b_el[sel], seq[sel]
         C = corners[els]
         t, wq = tensor_gauss(pT + 2, d - 1)
         ref = mesh.facet_embed(f, t)
@@ -245,33 +238,15 @@ def _neumann_terms(mesh, fields, loads, corners, neumann):
     return res_terms, osc_terms
 
 
-def _jump_terms(mesh, fields, act, corners, found):
-    """Terms h_e/(2 p_e) ||[sigma n]||^2 of the interior facet pieces, one
-    batch per p_e, added to both sides, as (sweep key, element position,
-    value) arrays. A piece is taken once, from the first side the sweep
-    found, keyed by its element pair and its rounded midpoint."""
+def _jump_terms(mesh, fields, corners, tab, seq):
+    """Terms h_e/(2 p_e) ||[sigma n]||^2 of the interior facet pieces of the
+    facet table tab, with sweep numbers seq, one batch per p_e, added to both
+    sides, as (sweep key, element position, value) arrays. A piece is taken
+    once, from the side the sweep finds first."""
     d = mesh.dim
-    mine = np.array([i for i, _, _, _ in found], dtype=np.intp)
-    f_mine = np.array([f for _, f, _, _ in found], dtype=np.intp)
-    box = np.array([pc.my_box for _, _, pc, _ in found],
-                   dtype=float).reshape(len(found), d - 1, 2)
-    mid = map_points(corners[mine], mesh.facet_embed(
-        f_mine, box.mean(axis=2)[:, None, :]))[:, 0]
-    done = set()
-    keep = []
-    for j, (key, (i, _, pc, _)) in enumerate(zip(np.round(mid, 10).tolist(),
-                                                 found)):
-        key = (min(act[i], pc.neighbor), max(act[i], pc.neighbor), tuple(key))
-        if key not in done:
-            done.add(key)
-            keep.append(j)
-    keep = np.array(keep, dtype=np.intp)
-    mine, f_mine, box = mine[keep], f_mine[keep], box[keep]
-    pieces = [found[j][2] for j in keep]
-    order = np.array([found[j][3] for j in keep], dtype=np.intp)
-    pos = {eid: i for i, eid in enumerate(act)}
-    other = np.array([pos[pc.neighbor] for pc in pieces], dtype=np.intp)
-    f_other = np.array([pc.facet for pc in pieces], dtype=np.intp)
+    rows = np.nonzero(np.arange(len(tab.twin)) < tab.twin)[0]
+    mine, f_mine, box = tab.el[rows], tab.facet[rows], tab.my_box[rows]
+    other, f_other, order = tab.nb[rows], tab.nb_facet[rows], seq[rows]
     p_e = np.maximum(fields.deg[mine], fields.deg[other])
     if d > 1:
         fb = corner_bits(d - 1).astype(bool)
@@ -279,17 +254,15 @@ def _jump_terms(mesh, fields, act, corners, found):
         h_e = point_set_diameters(map_points(
             corners[mine], mesh.facet_embed(f_mine, ends)))
     else:
-        h_e = np.ones(len(pieces))  # the facet of an interval is a point
+        h_e = np.ones(len(rows))  # the facet of an interval is a point
     terms = []
     for pe in np.unique(p_e).tolist():
         sel = np.nonzero(p_e == pe)[0]
         k = len(sel)
         xi, wts = tensor_gauss(pe + 2, d - 1)
-        coords = [mesh.piece_coords(act[mine[j]], f_mine[j], pieces[j], xi)
-                  for j in sel]
-        ref = np.concatenate([
-            mesh.facet_embed(f_mine[sel], np.array([c[0] for c in coords])),
-            mesh.facet_embed(f_other[sel], np.array([c[1] for c in coords]))])
+        t_mine, t_nb = tab.coords(rows[sel], xi)
+        ref = np.concatenate([mesh.facet_embed(f_mine[sel], t_mine),
+                              mesh.facet_embed(f_other[sel], t_nb)])
         els = np.concatenate([mine[sel], other[sel]])
         J = map_jacobians(corners[els], ref)
         dS, nrm = facet_measure(J[:k], f_mine[sel])

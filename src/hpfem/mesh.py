@@ -221,12 +221,13 @@ class Element:
 
 @dataclass(frozen=True)
 class FacetPiece:
-    """One matched piece of an element facet.
+    """One matched piece of an element facet, as `Mesh.facet_neighbors`
+    reads it from a row of the `FacetTable`.
 
-    ``my_box``/``nb_box`` are (lo, hi) interval arrays over the in-facet axes in
+    ``my_box``/``nb_box`` are (lo, hi) interval pairs over the in-facet axes in
     each element's own reference coordinates; ``perm``/``flip`` map in-facet
     axis positions of this element to the neighbor's. ``relation`` is one of
-    'equal', 'coarse_nb' (the neighbor is coarser) or 'fine_nb'.
+    RELATIONS: 'equal', 'coarse_nb' (the neighbor is coarser) or 'fine_nb'.
     """
 
     neighbor: int
@@ -245,19 +246,75 @@ class FacetInfo:
     pieces: tuple = ()
 
 
+RELATIONS = ("equal", "coarse_nb", "fine_nb")
+
+
+@dataclass(frozen=True)
+class FacetTable:
+    """The facet interfaces of one mesh topology as arrays, built by
+    `Mesh.facet_table` in one pass. Elements are named by their position in
+    ``act``, the active element ids.
+
+    Interior rows, one per matched facet piece, in sweep order (element
+    position, facet, neighbor position): ``el``, ``facet``, ``nb`` and
+    ``nb_facet``; ``my_box``/``nb_box`` (n, d-1, 2), the (lo, hi) intervals
+    of the piece over the in-facet axes in each element's own reference
+    coordinates; ``perm``/``flip`` (n, d-1), the in-facet axis position of
+    this element that provides each position of the neighbor's, and whether
+    it runs reversed; ``relation``, an index into RELATIONS; ``twin``, the
+    row of the same piece seen from the neighbor.
+
+    Boundary rows, one per boundary facet: ``b_el``, ``b_facet``, ``b_tag``.
+    """
+
+    act: np.ndarray
+    el: np.ndarray
+    facet: np.ndarray
+    nb: np.ndarray
+    nb_facet: np.ndarray
+    my_box: np.ndarray
+    nb_box: np.ndarray
+    perm: np.ndarray
+    flip: np.ndarray
+    relation: np.ndarray
+    twin: np.ndarray
+    b_el: np.ndarray
+    b_facet: np.ndarray
+    b_tag: list
+
+    def rows(self, eid):
+        """The interior rows and the boundary rows of active element eid, as
+        two slices."""
+        i = int(np.searchsorted(self.act, eid))
+        if i == len(self.act) or self.act[i] != eid:
+            raise ValueError(f"element {eid} is not active")
+        return (slice(*np.searchsorted(self.el, [i, i + 1]).tolist()),
+                slice(*np.searchsorted(self.b_el, [i, i + 1]).tolist()))
+
+    def coords(self, rows, xi):
+        """Matched in-facet coordinates (t_mine, t_nb), each (n, m, d-1), on
+        both sides of the pieces of rows, at unit-box points xi (m, d-1) over
+        each piece, in each element's own facet frame."""
+        return _matched_coords(self.my_box[rows], self.nb_box[rows],
+                               self.perm[rows], self.flip[rows], xi)
+
+
 class Mesh:
     """Hierarchy of transformed hexahedra. Treated as immutable after build;
     ``refine_element``, ``refine_many``, ``uniformly_refined`` and
     ``with_degrees`` return new snapshots."""
 
-    def __init__(self, dim, vertices, elements, root_pairings, vertex_registry):
+    def __init__(self, dim, vertices, elements, root_pairing, vertex_registry):
         self.dim = dim
         self.vertices = vertices  # list of np.ndarray
         self.elements = elements  # list of Element
-        self._root_pairings = root_pairings  # (root,k,s) -> pairing dict
+        # per (root, local facet): the paired root and its facet (-1 where
+        # none), and the perm and flip of `_facet_pairing`; read-only
+        self._root_pairing = root_pairing
         self._vreg = vertex_registry
-        self._facet_index = None
-        self._neighbors_cache = {}
+        # a one-slot holder of the facet table, shared by degree snapshots,
+        # so that whichever of them reads it first builds it for all
+        self._facets = [None]
 
     # -- construction -------------------------------------------------------
 
@@ -284,12 +341,16 @@ class Mesh:
                 boundary_tags=[None] * nfacets,
             ))
         # facet-key matching between roots
+        r = dim - 1
+        nb_root = np.full((len(elements), nfacets), -1, dtype=np.intp)
+        nb_facet = np.zeros((len(elements), nfacets), dtype=np.intp)
+        perm = np.zeros((len(elements), nfacets, r), dtype=np.intp)
+        flip = np.zeros((len(elements), nfacets, r), dtype=bool)
         key_map = {}
         for el in elements:
             for f in range(nfacets):
                 key = frozenset(_facet_corner_ids(el.corners, dim, f))
                 key_map.setdefault(key, []).append((el.eid, f))
-        pairings = {}
         tag_lookup = {}
         if boundary:
             for ids, tag in boundary:
@@ -300,20 +361,25 @@ class Mesh:
                 elements[eid].boundary_tags[f] = tag_lookup.get(key, default_tag)
             elif len(entries) == 2:
                 (ea, fa), (eb, fb) = entries
-                pa = _facet_pairing(elements[ea], fa, elements[eb], fb, dim)
-                pairings[(ea, fa)] = pa
-                pairings[(eb, fb)] = _invert_pairing(pa, ea, fa)
+                pa, fl = _facet_pairing(elements[ea], fa, elements[eb], fb, dim)
+                nb_root[ea, fa], nb_facet[ea, fa] = eb, fb
+                nb_root[eb, fb], nb_facet[eb, fb] = ea, fa
+                perm[ea, fa], flip[ea, fa] = pa, fl
+                perm[eb, fb] = np.argsort(pa)
+                flip[eb, fb] = np.asarray(fl, dtype=bool)[perm[eb, fb]]
             else:
                 raise ValueError("facet shared by more than two root elements")
         vreg = {}
         for i, v in enumerate(vertices):
             vreg[_vkey(v)] = i
-        return cls(dim, vertices, elements, pairings, vreg)
+        for a in (nb_root, nb_facet, perm, flip):
+            a.setflags(write=False)
+        return cls(dim, vertices, elements, (nb_root, nb_facet, perm, flip), vreg)
 
     def copy(self):
         elements = [replace(e, boundary_tags=list(e.boundary_tags)) for e in self.elements]
         return Mesh(self.dim, list(self.vertices), elements,
-                    dict(self._root_pairings), dict(self._vreg))
+                    self._root_pairing, dict(self._vreg))
 
     # -- basic queries -------------------------------------------------------
 
@@ -339,12 +405,11 @@ class Mesh:
 
     def with_degrees(self, degrees):
         """New snapshot with per-active-element degrees (dict eid -> p). It
-        shares this mesh's facet adjacency, since a FacetInfo holds no
-        degree."""
+        shares this mesh's facet table, which holds no degree."""
         m = self.copy()
         for eid, p in degrees.items():
             m.elements[eid].degree = int(p)
-        m._facet_index, m._neighbors_cache = self._facet_index, self._neighbors_cache
+        m._facets = self._facets
         return m
 
     def tag_boundary(self, tagger):
@@ -356,8 +421,8 @@ class Mesh:
                 ids = _facet_corner_ids(el.corners, self.dim, f)
                 centroid = np.mean([self.vertices[i] for i in ids], axis=0)
                 el.boundary_tags[f] = tagger(centroid)
-        # a fresh adjacency: degree snapshots may share the old one
-        self._facet_index, self._neighbors_cache = None, {}
+        # a fresh table: degree snapshots may share the old one
+        self._facets = [None]
         return self
 
     def total_volume(self):
@@ -380,20 +445,21 @@ class Mesh:
         default), in one pass over one copy. The closure keeps the mesh
         1-irregular by level: before an element is split, its active facet
         neighbors of a lower level are refined, depth first, in facet and
-        piece order, read from this snapshot's adjacency (children made by
+        piece order, read from this snapshot's facet table (children made by
         the pass are never of a lower level than their neighbors)."""
         zhat = np.zeros(self.dim) if zhat is None else np.asarray(zhat, dtype=float)
         if np.any(np.abs(zhat) >= 1.0):
             raise ValueError("dividing point must lie strictly inside the element")
+        tab = self.facet_table()
         m = self.copy()
 
         def refine(eid, z):
             level = m.elements[eid].level
-            for info in self.facet_neighbors(eid):
-                for piece in info.pieces:
-                    nb = m.elements[piece.neighbor]
-                    if nb.active and nb.level < level:
-                        refine(nb.eid, _closure_point(piece))
+            rows, _ = tab.rows(eid)
+            for r in range(rows.start, rows.stop):
+                nb = m.elements[int(tab.act[tab.nb[r]])]
+                if nb.active and nb.level < level:
+                    refine(nb.eid, _closure_point(tab.nb_box[r], tab.nb_facet[r]))
             m._split(eid, z)
 
         for eid in eids:
@@ -451,117 +517,29 @@ class Mesh:
 
     # -- adjacency -----------------------------------------------------------
 
-    def _build_facet_index(self):
-        """(root, axis, plane coordinate) -> list of (eid, side)."""
-        idx = {}
-        for el in self.elements:
-            if not el.active:
-                continue
-            for k in range(self.dim):
-                idx.setdefault((el.root, k, float(el.box_lo[k])), []).append((el.eid, 0))
-                idx.setdefault((el.root, k, float(el.box_hi[k])), []).append((el.eid, 1))
-        self._facet_index = idx
+    def facet_table(self):
+        """The `FacetTable` of this topology, built on first use."""
+        if self._facets[0] is None:
+            self._facets[0] = _facet_table(self)
+        return self._facets[0]
 
     def facet_neighbors(self, eid):
-        """Per local facet: boundary tag or matched interior pieces."""
-        cached = self._neighbors_cache.get(eid)
-        if cached is not None:
-            return cached
-        if self._facet_index is None:
-            self._build_facet_index()
-        el = self.elements[eid]
-        d = self.dim
-        out = []
-        for f in range(2 * d):
-            k, s = f // 2, f % 2
-            if el.boundary_tags[f] is not None:
-                out.append(FacetInfo(kind="boundary", tag=el.boundary_tags[f]))
-                continue
-            plane = float(el.box_hi[k]) if s == 1 else float(el.box_lo[k])
-            other_axes = [a for a in range(d) if a != k]
-            my_iv = [(float(el.box_lo[a]), float(el.box_hi[a])) for a in other_axes]
-            pieces = []
-            if abs(abs(plane) - 1.0) > 0.0 or (el.root, f) not in self._root_pairings:
-                # same-root adjacency
-                for nb, ns in self._facet_index.get((el.root, k, plane), ()):
-                    if nb == eid or ns == s:
-                        continue
-                    nel = self.elements[nb]
-                    nb_iv = [(float(nel.box_lo[a]), float(nel.box_hi[a])) for a in other_axes]
-                    ov = _intersect(my_iv, nb_iv)
-                    if ov is None:
-                        continue
-                    pieces.append(self._make_piece(el, f, nel, 2 * k + (1 - s),
-                                                   other_axes, other_axes, ov,
-                                                   tuple(range(d - 1)), (False,) * (d - 1)))
-            if abs(abs(plane) - 1.0) == 0.0 and (el.root, f) in self._root_pairings:
-                pa = self._root_pairings[(el.root, f)]
-                nb_root, nb_f = pa["element"], pa["facet"]
-                nk, ns = nb_f // 2, nb_f % 2
-                nb_axes = [a for a in range(d) if a != nk]
-                # transform my in-facet intervals into the neighbor root frame
-                tr_iv = [None] * (d - 1)
-                for j in range(d - 1):
-                    a, b = my_iv[pa["perm"][j]]
-                    tr_iv[j] = (-b, -a) if pa["flip"][j] else (a, b)
-                nb_plane = 1.0 if ns == 1 else -1.0
-                for nb, nss in self._facet_index.get((nb_root, nk, nb_plane), ()):
-                    if nss != ns:
-                        continue
-                    nel = self.elements[nb]
-                    nb_iv = [(float(nel.box_lo[a]), float(nel.box_hi[a])) for a in nb_axes]
-                    ov = _intersect(tr_iv, nb_iv)
-                    if ov is None:
-                        continue
-                    pieces.append(self._make_piece(el, f, nel, nb_f,
-                                                   other_axes, nb_axes, ov,
-                                                   pa["perm"], pa["flip"],
-                                                   transformed=True, my_iv=my_iv))
-            out.append(FacetInfo(kind="interior", pieces=tuple(pieces)))
-        self._neighbors_cache[eid] = out
+        """Per local facet: boundary tag or matched interior pieces; the view
+        of element eid's rows of the facet table."""
+        tab = self.facet_table()
+        rows, brows = tab.rows(eid)
+        pieces = [[] for _ in range(2 * self.dim)]
+        for r in range(rows.start, rows.stop):
+            pieces[tab.facet[r]].append(FacetPiece(
+                neighbor=int(tab.act[tab.nb[r]]), facet=int(tab.nb_facet[r]),
+                my_box=tuple(map(tuple, tab.my_box[r].tolist())),
+                nb_box=tuple(map(tuple, tab.nb_box[r].tolist())),
+                perm=tuple(tab.perm[r].tolist()), flip=tuple(tab.flip[r].tolist()),
+                relation=RELATIONS[tab.relation[r]]))
+        out = [FacetInfo(kind="interior", pieces=tuple(p)) for p in pieces]
+        for r in range(brows.start, brows.stop):
+            out[tab.b_facet[r]] = FacetInfo(kind="boundary", tag=tab.b_tag[r])
         return out
-
-    def _make_piece(self, el, f, nel, nb_f, my_axes, nb_axes, overlap, perm, flip,
-                    transformed=False, my_iv=None):
-        """Assemble a FacetPiece; overlap is in the (possibly transformed) frame
-        shared with the neighbor root."""
-        d = self.dim
-        nb_box = []
-        my_box = []
-        for j in range(d - 1):
-            lo, hi = overlap[j]
-            a = nb_axes[j]
-            nb_box.append(_to_ref(lo, hi, nel.box_lo[a], nel.box_hi[a]))
-        if not transformed:
-            for j in range(d - 1):
-                lo, hi = overlap[j]
-                a = my_axes[j]
-                my_box.append(_to_ref(lo, hi, el.box_lo[a], el.box_hi[a]))
-        else:
-            # map the overlap back: my position p = perm[j] provided coord j
-            for p in range(d - 1):
-                j = perm.index(p)
-                lo, hi = overlap[j]
-                if flip[j]:
-                    lo, hi = -hi, -lo
-                a = my_axes[p]
-                my_box.append(_to_ref(lo, hi, el.box_lo[a], el.box_hi[a]))
-        my_size = np.prod([b[1] - b[0] for b in my_box]) if d > 1 else 1.0
-        nb_size = np.prod([b[1] - b[0] for b in nb_box]) if d > 1 else 1.0
-        full = 2.0 ** (d - 1)
-        my_full = my_size >= full - 1e-12
-        nb_full = nb_size >= full - 1e-12
-        if my_full and nb_full:
-            rel = "equal"
-        elif my_full:
-            rel = "coarse_nb"  # my facet fits inside the neighbor's
-        elif nb_full:
-            rel = "fine_nb"
-        else:
-            rel = "partial"
-        return FacetPiece(neighbor=nel.eid, facet=nb_f,
-                          my_box=tuple(my_box), nb_box=tuple(nb_box),
-                          perm=tuple(perm), flip=tuple(flip), relation=rel)
 
     def facet_embed(self, f, t_facet):
         """Embed in-facet coordinates (m, d-1) into element reference coords
@@ -579,26 +557,19 @@ class Mesh:
         return out
 
     def piece_coords(self, eid, f, piece, xi):
-        """Matched facet coordinates on both sides of a facet piece.
+        """Matched facet coordinates on both sides of a facet piece of facet f
+        of element eid: the one-piece view of `FacetTable.coords`.
 
         xi: (m, d-1) unit-box coordinates over the piece. Returns in-facet
         coordinates (t_mine, t_nb) in each element's own facet frame.
         """
-        xi = np.atleast_2d(np.asarray(xi, dtype=float))
-        m = xi.shape[0]
         r = self.dim - 1
-        t_mine = np.empty((m, r))
-        t_nb = np.empty((m, r))
-        for p in range(r):
-            lo, hi = piece.my_box[p]
-            t_mine[:, p] = lo + 0.5 * (xi[:, p] + 1.0) * (hi - lo)
-        for j in range(r):
-            src = xi[:, piece.perm[j]]
-            if piece.flip[j]:
-                src = -src
-            lo, hi = piece.nb_box[j]
-            t_nb[:, j] = lo + 0.5 * (src + 1.0) * (hi - lo)
-        return t_mine, t_nb
+        t_mine, t_nb = _matched_coords(
+            np.array(piece.my_box, dtype=float).reshape(1, r, 2),
+            np.array(piece.nb_box, dtype=float).reshape(1, r, 2),
+            np.array(piece.perm, dtype=np.intp).reshape(1, r),
+            np.array(piece.flip, dtype=bool).reshape(1, r), xi)
+        return t_mine[0], t_nb[0]
 
     def facet_area_element(self, eid, f, t_facet):
         """Surface measure factor and unit outward normal at in-facet coords.
@@ -715,31 +686,114 @@ def _vkey(x):
     return tuple(round(float(c), 10) for c in np.asarray(x, dtype=float))
 
 
-def _to_ref(lo, hi, box_lo, box_hi):
-    """Map a root-frame interval into an element's reference frame."""
-    w = box_hi - box_lo
-    return (2.0 * (lo - box_lo) / w - 1.0, 2.0 * (hi - box_lo) / w - 1.0)
+def _to_ref(iv, box):
+    """Map root-frame intervals iv (..., 2) into the reference frames of
+    element boxes (..., 2) along the same axes."""
+    lo = box[..., :1]
+    return 2.0 * (iv - lo) / (box[..., 1:] - lo) - 1.0
 
 
-def _closure_point(piece):
+def _facet_table(mesh):
+    """The `FacetTable` of a mesh, in one pass over the facets of its active
+    elements. Every facet has a home key (root, local facet, plane
+    coordinate); every facet that is not on the boundary looks for the home
+    keys of a target: the opposite facet on the same plane of its root, or,
+    on a root facet paired with another root's, that root's paired facet,
+    with the facet's intervals mapped through the pairing's perm and flip.
+    Keys are joined by sorting, and the pairs that overlap by more than
+    1e-14 along every in-facet axis are the pieces. A partial overlap
+    raises ValueError."""
+    d, nf = mesh.dim, 2 * mesh.dim
+    act = np.array(mesh.active_ids(), dtype=np.intp)
+    n = len(act)
+    els = [mesh.elements[e] for e in act.tolist()]
+    root = np.array([e.root for e in els], dtype=np.intp)
+    box = np.stack([np.array([e.box_lo for e in els]).reshape(n, d),
+                    np.array([e.box_hi for e in els]).reshape(n, d)], axis=2)
+    tags = [t for e in els for t in e.boundary_tags]
+    inner = np.array([t is None for t in tags], dtype=bool)
+    axes = np.array([[a for a in range(d) if a != k] for k in range(d)],
+                    dtype=np.intp).reshape(d, d - 1)
+    # every facet (i, f) of an active element, and its intervals
+    i, f = np.repeat(np.arange(n), nf), np.tile(np.arange(nf), n)
+    plane = box[i, f // 2, f % 2]
+    iv = box[i[:, None], axes[f // 2]]
+    # the targets of the interior facets t, in the target's root frame
+    t = np.nonzero(inner)[0]
+    nb_root, nb_facet, perm, flip = (a[root[i[t]], f[t]] for a in mesh._root_pairing)
+    cross = (np.abs(plane[t]) == 1.0) & (nb_root >= 0)
+    t_root = np.where(cross, nb_root, root[i[t]])
+    t_facet = np.where(cross, nb_facet, f[t] ^ 1)
+    t_plane = np.where(cross, 2.0 * (nb_facet % 2) - 1.0, plane[t])
+    perm = np.where(cross[:, None], perm, np.arange(d - 1))
+    flip = cross[:, None] & flip
+    tr = np.take_along_axis(iv[t], perm[:, :, None], axis=1)
+    tr = np.where(flip[:, :, None], -tr[:, :, ::-1], tr)
+    # join target keys to home keys; within a key, homes in element order
+    planes, code = np.unique(np.concatenate([plane, t_plane]), return_inverse=True)
+    key = ((np.concatenate([root[i], t_root]) * nf + np.concatenate([f, t_facet]))
+           * len(planes) + code.ravel())
+    home, want = key[:len(f)], key[len(f):]
+    order = np.argsort(home, kind="stable")
+    first = np.searchsorted(home[order], want)
+    count = np.searchsorted(home[order], want, side="right") - first
+    pt = np.repeat(np.arange(len(t)), count)
+    ph = order[np.repeat(first - np.cumsum(count) + count, count)
+               + np.arange(count.sum())]
+    ov = np.stack([np.maximum(tr[pt, :, 0], iv[ph, :, 0]),
+                   np.minimum(tr[pt, :, 1], iv[ph, :, 1])], axis=2)
+    hit = (ov[:, :, 1] - ov[:, :, 0] > 1e-14).all(axis=1)
+    pt, ph, ov = pt[hit], ph[hit], ov[hit]
+    el, facet, nb, nbf = i[t[pt]], f[t[pt]], i[ph], f[ph]
+    perm, flip = perm[pt], flip[pt]
+    # the overlap in each element's own reference coordinates
+    nb_box = _to_ref(ov, box[nb[:, None], axes[nbf // 2]])
+    inv = np.argsort(perm, axis=1)
+    back = np.take_along_axis(ov, inv[:, :, None], axis=1)
+    back = np.where(np.take_along_axis(flip, inv, axis=1)[:, :, None],
+                    -back[:, :, ::-1], back)
+    my_box = _to_ref(back, box[el[:, None], axes[facet // 2]])
+    full = 2.0 ** (d - 1) - 1e-12
+    my_full = np.prod(my_box[:, :, 1] - my_box[:, :, 0], axis=1) >= full
+    nb_full = np.prod(nb_box[:, :, 1] - nb_box[:, :, 0], axis=1) >= full
+    if not (my_full | nb_full).all():
+        raise ValueError("non-nested facet overlap; dividing points of "
+                         "neighboring refinements are incompatible")
+    relation = np.where(my_full, np.where(nb_full, 0, 1), 2)
+    # rows are sorted by this code, so the twin's code finds the twin
+    code = ((el * nf + facet) * n + nb) * nf + nbf
+    twin = np.searchsorted(code, ((nb * nf + nbf) * n + el) * nf + facet)
+    b = np.nonzero(~inner)[0]
+    return FacetTable(act=act, el=el, facet=facet, nb=nb, nb_facet=nbf,
+                      my_box=my_box, nb_box=nb_box, perm=perm, flip=flip,
+                      relation=relation, twin=twin, b_el=i[b], b_facet=f[b],
+                      b_tag=[tags[x] for x in b.tolist()])
+
+
+def _matched_coords(my_box, nb_box, perm, flip, xi):
+    """Matched in-facet coordinates (t_mine, t_nb), each (n, m, d-1), of n
+    facet pieces with boxes (n, d-1, 2), perms and flips (n, d-1) at unit-box
+    points xi (m, d-1) over each piece."""
+    xi = np.atleast_2d(np.asarray(xi, dtype=float))
+    lo, hi = my_box[:, None, :, 0], my_box[:, None, :, 1]
+    t_mine = lo + 0.5 * (xi + 1.0) * (hi - lo)
+    src = np.swapaxes(xi[:, perm], 0, 1)
+    src = np.where(flip[:, None, :], -src, src)
+    lo, hi = nb_box[:, None, :, 0], nb_box[:, None, :, 1]
+    return t_mine, lo + 0.5 * (src + 1.0) * (hi - lo)
+
+
+def _closure_point(nb_box, nb_facet):
     """The dividing point at which the closure refines the neighbor of a
-    facet piece: the centre along the neighbor's facet normal and, along
-    each in-facet axis, the end of the refining element's facet that lies
-    strictly inside the neighbor's facet (0 where neither does). It
-    continues the element's dividing lines, so the children's facets match
-    the element's instead of overlapping them."""
-    z = [next((t for t in box if abs(t) < 1.0), 0.0) for box in piece.nb_box]
-    return np.insert(np.array(z, dtype=float), piece.facet // 2, 0.0)
-
-
-def _intersect(iv_a, iv_b):
-    out = []
-    for (a0, a1), (b0, b1) in zip(iv_a, iv_b):
-        lo, hi = max(a0, b0), min(a1, b1)
-        if hi - lo <= 1e-14:
-            return None
-        out.append((lo, hi))
-    return out
+    facet piece with neighbor box nb_box (d-1, 2) on the neighbor's facet
+    nb_facet: the centre along that facet's normal and, along each in-facet
+    axis, the end of the refining element's facet that lies strictly inside
+    the neighbor's facet (0 where neither does). It continues the element's
+    dividing lines, so the children's facets match the element's instead of
+    overlapping them."""
+    lo, hi = nb_box[:, 0], nb_box[:, 1]
+    z = np.where(np.abs(lo) < 1.0, lo, np.where(np.abs(hi) < 1.0, hi, 0.0))
+    return np.insert(z, nb_facet // 2, 0.0)
 
 
 def _facet_corner_ids(corners, dim, f):
@@ -748,16 +802,13 @@ def _facet_corner_ids(corners, dim, f):
 
 
 def _facet_pairing(el_a, fa, el_b, fb, dim):
-    """In-facet axis correspondence between two conforming root facets.
-
-    Returns dict with neighbor element/facet and, for each in-facet position j
-    of the neighbor frame, the providing position perm[j] of this frame and a
-    flip flag.
-    """
+    """In-facet axis correspondence between two conforming root facets: for
+    each in-facet position j of the neighbor frame, the providing position
+    perm[j] of this frame and a flip flag."""
     ids_a = _facet_corner_ids(el_a.corners, dim, fa)
     ids_b = _facet_corner_ids(el_b.corners, dim, fb)
     if dim == 1:
-        return {"element": el_b.eid, "facet": fb, "perm": (), "flip": ()}
+        return (), ()
     fbits = corner_bits(dim - 1)
     pos_b = {vid: tuple(fbits[i]) for i, vid in enumerate(ids_b)}
     origin_b = pos_b[ids_a[0]]
@@ -770,14 +821,4 @@ def _facet_pairing(el_a, fa, el_b, fb, dim):
         if len(changed) != 1:
             raise ValueError("root facets are not conforming")
         perm[changed[0]] = pa
-    return {"element": el_b.eid, "facet": fb, "perm": tuple(perm), "flip": tuple(flip)}
-
-
-def _invert_pairing(pa, eid_a, fa):
-    r = len(pa["perm"])
-    perm = [None] * r
-    flip = [False] * r
-    for j in range(r):
-        perm[pa["perm"][j]] = j
-        flip[pa["perm"][j]] = pa["flip"][j]
-    return {"element": eid_a, "facet": fa, "perm": tuple(perm), "flip": tuple(flip)}
+    return tuple(perm), tuple(flip)

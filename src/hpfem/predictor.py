@@ -360,25 +360,24 @@ def apply_enrichment(mesh, prediction):
     eid = cand.element
     if cand.kind == "hp":
         return mesh.refine_element(eid, np.asarray(cand.zhat))
-    mesh = mesh.with_degrees({eid: mesh.elements[eid].degree + 1})
-    return enforce_degree_comparability(mesh, [eid])
+    return enforce_degree_comparability(mesh, {eid: mesh.elements[eid].degree + 1})
 
 
-def enforce_degree_comparability(mesh, eids):
-    """The least raise of lagging degrees after which facet neighbors
-    differ by at most one, in a mesh where only pairs at the elements eids
-    may differ by more."""
-    deg = {}
-    work = list(eids)
+def enforce_degree_comparability(mesh, degrees):
+    """One snapshot of mesh with the degrees {eid: p} and the least raise of
+    lagging degrees after which facet neighbors differ by at most one, where
+    only pairs at the elements of degrees may differ by more."""
+    deg = dict(degrees)
+    work = list(deg)
+    tab = mesh.facet_table()
     # no round limit: the worklist empties, since degrees only rise and
-    # never above the mesh's largest
+    # never above the largest
     while work:
         eid = work.pop()
         low = deg.get(eid, mesh.elements[eid].degree) - 1
-        for info in mesh.facet_neighbors(eid):
-            for piece in info.pieces:
-                nb = piece.neighbor
-                if deg.get(nb, mesh.elements[nb].degree) < low:
-                    deg[nb] = low
-                    work.append(nb)
-    return mesh.with_degrees(deg) if deg else mesh
+        rows, _ = tab.rows(eid)
+        for nb in tab.act[tab.nb[rows]].tolist():
+            if deg.get(nb, mesh.elements[nb].degree) < low:
+                deg[nb] = low
+                work.append(nb)
+    return mesh.with_degrees(deg)

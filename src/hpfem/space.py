@@ -21,7 +21,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
-from .mesh import DIRICHLET, corner_bits, corner_row, facet_corner_rows, map_jacobians
+from .mesh import (DIRICHLET, RELATIONS, corner_bits, corner_row,
+                   facet_corner_rows, map_jacobians)
 from .polybasis import (MAX_DEGREE, gauss_lagrange_tensor, reference_table,
                         tensor_gauss, tensor_indices, tensor_shape_eval)
 
@@ -184,15 +185,14 @@ def _face_frames(ids):
     return swap, flips == 1
 
 
-def _edges_on_edges(pieces):
-    """For hanging facet pieces in 3D, the triples (piece, coarse facet edge,
-    fine facet edge), edges in the order of _box_edges(2), where the fine
-    facet's edge lies on the coarse facet's edge."""
+def _edges_on_edges(box, perm, flip):
+    """For H hanging facet pieces in 3D, with coarse-side boxes box
+    (H, coarse axis, lo/hi), perms and flips (H, 2), the triples (piece,
+    coarse facet edge, fine facet edge), edges in the order of
+    _box_edges(2), where the fine facet's edge lies on the coarse facet's
+    edge."""
     bits = corner_bits(2)
     axes, ends = _box_edges(2)
-    box = np.array([pc.nb_box for pc in pieces])  # (H, coarse axis, lo/hi)
-    perm = np.array([pc.perm for pc in pieces], dtype=np.intp)
-    flip = np.array([pc.flip for pc in pieces], dtype=np.intp)
     # t[h, j, c]: coarse facet coordinate j of the fine facet's corner c
     side = np.swapaxes(bits[:, perm], 0, 1) ^ flip[:, None, :]
     t = np.take_along_axis(box, np.swapaxes(side, 1, 2), axis=2)
@@ -322,35 +322,25 @@ class ScalarSpace:
         # hanging interfaces: a fine facet inside a coarse neighbor's facet
         # caps the degrees of the coarse facet's closure; the fine facet's
         # entities that are not the coarse facet's hang on the first one
-        at = np.full(len(mesh.elements), -1, dtype=np.intp)
-        at[act] = np.arange(n)
-        hang = []
-        for i, eid in enumerate(act.tolist()):
-            for f, info in enumerate(mesh.facet_neighbors(eid)):
-                for piece in info.pieces:
-                    if piece.relation == "coarse_nb":
-                        hang.append((i, f, piece))
-                    elif piece.relation == "partial":
-                        raise ValueError(
-                            "non-nested facet overlap; dividing points of "
-                            "neighboring refinements are incompatible")
-        fine_at, fine_f, coarse_at, coarse_f = np.array(
-            [(i, f, at[pc.neighbor], pc.facet) for i, f, pc in hang],
-            dtype=np.intp).reshape(-1, 4).T
+        tab = mesh.facet_table()
+        hang = np.nonzero(tab.relation == RELATIONS.index("coarse_nb"))[0]
+        fine_at, fine_f = tab.el[hang], tab.facet[hang]
+        coarse_at, coarse_f = tab.nb[hang], tab.nb_facet[hang]
         vown = _first_owner(vent[fine_at[:, None], rows[fine_f]],
                             vent[coarse_at[:, None], rows[coarse_f]], nv)
         eown = np.full(ne, -1, dtype=np.intp)
         fown = np.full(nf, -1, dtype=np.intp)
-        if d >= 2 and hang:
+        if d >= 2 and hang.size:
             coarse = eent[coarse_at[:, None], fedges[coarse_f]]
             np.minimum.at(edge_deg, coarse,
                           np.broadcast_to(deg[fine_at, None], coarse.shape))
             eown = _first_owner(eent[fine_at[:, None], fedges[fine_f]], coarse, ne)
-        if d == 3 and hang:
+        if d == 3 and hang.size:
             # a fine edge on a coarse edge may also belong to elements that
             # meet the coarse element along that edge only, so the coarse
             # edge is capped by the fine edge's degree, fine levels first
-            h, k, e = _edges_on_edges([pc for _, _, pc in hang])
+            h, k, e = _edges_on_edges(tab.nb_box[hang], tab.perm[hang],
+                                      tab.flip[hang])
             fine = eent[fine_at[h], fedges[fine_f[h], e]]
             coarse = eent[coarse_at[h], fedges[coarse_f[h], k]]
             level = np.array([mesh.elements[eid].level for eid in act[fine_at[h]]])
@@ -451,18 +441,19 @@ class ScalarSpace:
             of the slots owned by interface h: the coarse facet's in-degree
             shapes restricted to the fine facet, one 1D restriction per
             coarse facet axis, with slots and signs from S on both sides."""
-            (i, f, piece), j = hang[h], coarse_at[h]
-            fine, t = facet_shapes(i, f)
+            i, j, row = fine_at[h], coarse_at[h], hang[h]
+            fine, t = facet_shapes(i, fine_f[h])
             mine = owner[slot[fine]] == h
             fine, t = fine[mine], t[mine]
-            coarse, m = facet_shapes(j, piece.facet)
+            coarse, m = facet_shapes(j, coarse_f[h])
             keep = in_degree[slot[coarse]]
             coarse, m = coarse[keep], m[keep]
             p = int(max(deg[i], deg[j]))
             vals = sign[fine][:, None] * sign[coarse]
-            for a, ((lo, hi), flip) in enumerate(zip(piece.nb_box, piece.flip)):
+            for a, ((lo, hi), flip) in enumerate(zip(tab.nb_box[row].tolist(),
+                                                     tab.flip[row].tolist())):
                 R = _restriction(p, hi, lo) if flip else _restriction(p, lo, hi)
-                vals = vals * R[m[None, :, a], t[:, piece.perm[a], None]]
+                vals = vals * R[m[None, :, a], t[:, tab.perm[row, a], None]]
             rr = np.repeat(slot[fine], len(coarse))
             cc = np.tile(slot[coarse], len(fine))
             keep = np.abs(vals.ravel()) > _DROP

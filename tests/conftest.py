@@ -6,6 +6,7 @@ from hpfem.elliptic import ScalarProblem
 from hpfem.mesh import Mesh
 from hpfem.problems import cube_mesh, interval_mesh, poisson_lshape
 from hpfem.problems import square_mesh  # noqa: F401  (re-exported to tests)
+from hpfem.polybasis import tensor_indices
 from hpfem.space import GaussPointSpace, ScalarSpace, deviatoric_dim
 
 
@@ -125,3 +126,40 @@ def assembly_case(name):
         volume=lambda x: np.sin(3.0 * x[:, 0]) + x[:, -1],
         neumann=lambda x: np.cos(x[:, 0]) + 0.3 * x[:, -1])
     return space, qspace, material, loads, problem
+
+
+def _rotated(corners, axes, signs):
+    """Corner ids of a hexahedron rotated in its reference frame: new corner
+    b is the old corner at A (2b - 1) with (A xi)_k = signs[k] xi[axes[k]];
+    det J keeps its sign when det A = 1."""
+    bits = tensor_indices(1, len(axes))
+    old = (np.asarray(signs) * (2 * bits[:, axes] - 1) + 1) // 2
+    return [corners[r] for r in old @ (1 << np.arange(len(axes) - 1, -1, -1))]
+
+
+def rotated_roots_mesh(d, refine, degrees):
+    """The strip of two squares with the right one rotated by 180 degrees
+    (d = 2), or cube_mesh(2) with roots 0 and 3 rotated, one about the body
+    diagonal and one by 90 degrees about the first axis (d = 3). The roots
+    listed in refine are refined once, and the active elements take the
+    degrees in turn."""
+    if d == 2:
+        verts = [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
+        cells = [[0, 3, 1, 4], [5, 2, 4, 1]]
+    else:
+        cube = cube_mesh(2)
+        verts = cube.vertices
+        cells = [list(e.corners) for e in cube.elements]
+        cells[0] = _rotated(cells[0], [1, 2, 0], [1, 1, 1])
+        cells[3] = _rotated(cells[3], [0, 2, 1], [1, -1, 1])
+    m = Mesh.from_arrays(verts, cells, dim=d, default_tag="neumann")
+    assert all(m.element_map(e).det_jacobian(np.zeros((1, d)))[0] > 0
+               for e in m.active_ids())
+    m = m.refine_many(refine)
+    return m.with_degrees({e: degrees[i % len(degrees)]
+                           for i, e in enumerate(m.active_ids())})
+
+
+# (d, roots refined, degrees) of rotated_roots_mesh
+ROTATED_CASES = [(2, [0], (2, 4)), (2, [1], (3, 2)), (2, [0], (4, 3, 2)),
+                 (3, [1, 2], (2, 3)), (3, [0, 3], (3, 2, 4)), (3, [2, 5], (4, 2))]

@@ -3,8 +3,11 @@ import os
 import numpy as np
 import pytest
 
-from conftest import distorted_quad_mesh, square_mesh
-from hpfem.mesh import DIRICHLET, ElementMap, Mesh, check_det_affine
+from conftest import (ROTATED_CASES, distorted_quad_mesh, rotated_roots_mesh,
+                      square_mesh)
+from hpfem.mesh import (DIRICHLET, ElementMap, FacetInfo, FacetPiece, Mesh,
+                        check_det_affine)
+from hpfem.problems import cube_mesh, interval_mesh
 
 
 class TestElementMap:
@@ -231,32 +234,196 @@ class TestNeighbors:
 class TestSnapshots:
     def test_degree_snapshot_shares_adjacency(self):
         m = square_mesh(2).refine_element(0)
-        m2 = m.with_degrees({e: 2 for e in m.active_ids()})
-        for eid in m.active_ids():
-            assert m2.facet_neighbors(eid) is m.facet_neighbors(eid)
-        # built on the snapshot first, the parent reads the same objects
+        tab = m.facet_table()
+        assert m.with_degrees({e: 2 for e in m.active_ids()}).facet_table() is tab
+        # built on the snapshot first, the parent reads the same table
         m3 = square_mesh(2).with_degrees({0: 3})
-        assert m3.facet_neighbors(0) is m3.with_degrees({1: 2}).facet_neighbors(0)
+        tab = m3.with_degrees({1: 2}).facet_table()
+        assert m3.facet_table() is tab
 
     def test_refined_snapshot_names_new_children(self):
         m = square_mesh(2)
-        before = m.facet_neighbors(1)
+        before = m.facet_table()
         m2 = m.refine_element(0)
-        after = m2.facet_neighbors(1)
+        after = m2.facet_table()
         assert after is not before
-        assert {p.neighbor for info in before for p in info.pieces} == {0, 3}
-        named = {p.neighbor for info in after for p in info.pieces}
-        children = named & set(m2.elements[0].children)
-        assert len(children) == 2 and named == {3} | children
+
+        def named(tab):
+            rows, _ = tab.rows(1)
+            return set(tab.act[tab.nb[rows]].tolist())
+
+        assert named(before) == {0, 3}
+        children = named(after) & set(m2.elements[0].children)
+        assert len(children) == 2 and named(after) == {3} | children
 
     def test_tag_boundary_on_snapshot_leaves_parent(self):
         m = square_mesh(2)
-        infos = m.facet_neighbors(0)
+        tab = m.facet_table()
         m2 = m.with_degrees({0: 2}).tag_boundary(lambda c: "neumann")
-        assert m.facet_neighbors(0) is infos
-        assert {info.tag for info in infos if info.kind == "boundary"} == {DIRICHLET}
-        assert {info.tag for info in m2.facet_neighbors(0)
-                if info.kind == "boundary"} == {"neumann"}
+        assert m.facet_table() is tab
+        assert set(tab.b_tag) == {DIRICHLET}
+        assert m2.facet_table() is not tab
+        assert set(m2.facet_table().b_tag) == {"neumann"}
+
+
+def _oracle_facet_neighbors(mesh, eid):
+    """The per-element matcher that the facet table replaced, kept as its
+    oracle: an index (root, axis, plane) -> [(eid, side)] of the active
+    facets, and per facet of element eid the overlaps with the facets on the
+    other side of its plane, or on the paired root facet, mapped there
+    through the pairing's perm and flip."""
+    d = mesh.dim
+    idx = {}
+    for el in mesh.elements:
+        if el.active:
+            for k in range(d):
+                idx.setdefault((el.root, k, float(el.box_lo[k])), []).append((el.eid, 0))
+                idx.setdefault((el.root, k, float(el.box_hi[k])), []).append((el.eid, 1))
+    nb_roots, nb_facets, perms, flips = mesh._root_pairing
+    pairings = {(r, f): {"element": int(nb_roots[r, f]), "facet": int(nb_facets[r, f]),
+                         "perm": tuple(perms[r, f].tolist()),
+                         "flip": tuple(flips[r, f].tolist())}
+                for r, f in zip(*np.nonzero(nb_roots >= 0))}
+
+    def to_ref(lo, hi, box_lo, box_hi):
+        w = box_hi - box_lo
+        return (2.0 * (lo - box_lo) / w - 1.0, 2.0 * (hi - box_lo) / w - 1.0)
+
+    def intersect(iv_a, iv_b):
+        out = []
+        for (a0, a1), (b0, b1) in zip(iv_a, iv_b):
+            lo, hi = max(a0, b0), min(a1, b1)
+            if hi - lo <= 1e-14:
+                return None
+            out.append((lo, hi))
+        return out
+
+    def make_piece(el, nel, nb_f, my_axes, nb_axes, overlap, perm, flip):
+        nb_box = tuple(to_ref(*overlap[j], nel.box_lo[a], nel.box_hi[a])
+                       for j, a in enumerate(nb_axes))
+        my_box = []
+        for p, a in enumerate(my_axes):
+            j = perm.index(p)
+            lo, hi = overlap[j]
+            if flip[j]:
+                lo, hi = -hi, -lo
+            my_box.append(to_ref(lo, hi, el.box_lo[a], el.box_hi[a]))
+        full = 2.0 ** (d - 1) - 1e-12
+        my_full = np.prod([b[1] - b[0] for b in my_box]) >= full
+        nb_full = np.prod([b[1] - b[0] for b in nb_box]) >= full
+        rel = ("equal" if nb_full else "coarse_nb") if my_full else (
+            "fine_nb" if nb_full else "partial")
+        return FacetPiece(neighbor=nel.eid, facet=nb_f, my_box=tuple(my_box),
+                          nb_box=nb_box, perm=tuple(perm), flip=tuple(flip),
+                          relation=rel)
+
+    el = mesh.elements[eid]
+    out = []
+    for f in range(2 * d):
+        k, s = divmod(f, 2)
+        if el.boundary_tags[f] is not None:
+            out.append(FacetInfo(kind="boundary", tag=el.boundary_tags[f]))
+            continue
+        plane = float(el.box_hi[k]) if s == 1 else float(el.box_lo[k])
+        axes = [a for a in range(d) if a != k]
+        my_iv = [(float(el.box_lo[a]), float(el.box_hi[a])) for a in axes]
+        pieces = []
+        pa = pairings.get((el.root, f)) if abs(plane) == 1.0 else None
+        if pa is None:
+            for nb, ns in idx.get((el.root, k, plane), ()):
+                nel = mesh.elements[nb]
+                ov = intersect(my_iv, [(float(nel.box_lo[a]), float(nel.box_hi[a]))
+                                       for a in axes])
+                if nb != eid and ns != s and ov is not None:
+                    pieces.append(make_piece(el, nel, 2 * k + 1 - s, axes, axes, ov,
+                                             tuple(range(d - 1)), (False,) * (d - 1)))
+        else:
+            nk, ns = divmod(pa["facet"], 2)
+            nb_axes = [a for a in range(d) if a != nk]
+            tr_iv = []
+            for j in range(d - 1):
+                a, b = my_iv[pa["perm"][j]]
+                tr_iv.append((-b, -a) if pa["flip"][j] else (a, b))
+            for nb, nss in idx.get((pa["element"], nk, 2.0 * ns - 1.0), ()):
+                nel = mesh.elements[nb]
+                ov = intersect(tr_iv, [(float(nel.box_lo[a]), float(nel.box_hi[a]))
+                                       for a in nb_axes])
+                if nss == ns and ov is not None:
+                    pieces.append(make_piece(el, nel, pa["facet"], axes, nb_axes, ov,
+                                             pa["perm"], pa["flip"]))
+        out.append(FacetInfo(kind="interior", pieces=tuple(pieces)))
+    return out
+
+
+def _bits(infos):
+    """FacetInfo lists with every box as its bytes, for exact comparison."""
+    return [(info.kind, info.tag, [
+        (pc.neighbor, pc.facet, np.array(pc.my_box, dtype=float).tobytes(),
+         np.array(pc.nb_box, dtype=float).tobytes(), pc.perm, pc.flip, pc.relation)
+        for pc in info.pieces]) for info in infos]
+
+
+def _assert_table_matches_oracle(m):
+    """facet_neighbors equals the oracle on every active element, or, where
+    the oracle finds a partial overlap, the table build raises."""
+    want = {e: _oracle_facet_neighbors(m, e) for e in m.active_ids()}
+    if any(pc.relation == "partial" for infos in want.values()
+           for info in infos for pc in info.pieces):
+        with pytest.raises(ValueError, match="non-nested facet overlap"):
+            m.facet_table()
+        return False
+    for eid, infos in want.items():
+        assert _bits(m.facet_neighbors(eid)) == _bits(infos)
+    tab = m.facet_table()
+    assert np.array_equal(tab.twin[tab.twin], np.arange(len(tab.twin)))
+    return True
+
+
+class TestFacetTable:
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_refinements_match_oracle(self, d, seed):
+        # random active elements refined at the centre or off it, so the
+        # closure splits neighbors off-centre; a sequence that asks for a
+        # non-nested overlap ends at the table build that finds it
+        rng = np.random.default_rng(seed)
+        m = {1: lambda: interval_mesh(3), 2: lambda: square_mesh(2),
+             3: lambda: cube_mesh(2)}[d]()
+        assert _assert_table_matches_oracle(m)
+        for _ in range(6 if d < 3 else 3):
+            act = m.active_ids()
+            eid = act[int(rng.integers(len(act)))]
+            off = rng.uniform() < 0.5
+            m = m.refine_element(eid, rng.uniform(-0.5, 0.5, d) if off else None)
+            if not _assert_table_matches_oracle(m):
+                break
+
+    @pytest.mark.parametrize("case", ROTATED_CASES)
+    def test_rotated_roots_match_oracle(self, case):
+        m = rotated_roots_mesh(*case)
+        assert _assert_table_matches_oracle(m)
+        # a further refinement off the centre across the rotated facets
+        act = m.active_ids()
+        assert _assert_table_matches_oracle(
+            m.refine_element(act[-1], np.full(m.dim, 0.25)))
+
+    def test_cube_hanging_faces_match_oracle(self):
+        assert _assert_table_matches_oracle(cube_mesh(2).refine_many([0, 1, 5, 6]))
+
+    def test_piece_coords_is_the_one_row_view(self, rng):
+        m = rotated_roots_mesh(3, [1, 2], (2,))
+        tab = m.facet_table()
+        xi = rng.uniform(-1, 1, (4, 2))
+        t_mine, t_nb = tab.coords(slice(None), xi)
+        r = 0
+        for eid in m.active_ids():
+            for f, info in enumerate(m.facet_neighbors(eid)):
+                for piece in info.pieces:
+                    tm, tn = m.piece_coords(eid, f, piece, xi)
+                    assert np.array_equal(tm, t_mine[r])
+                    assert np.array_equal(tn, t_nb[r])
+                    r += 1
+        assert r == len(tab.el)
 
 
 class TestIO:

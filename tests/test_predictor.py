@@ -597,8 +597,8 @@ class TestChooserAndApply:
 
     def test_degree_comparability_enforced(self):
         m = square_mesh(2, degree=2, tagger=lambda c: "dirichlet")
-        m = m.with_degrees({0: 5})
-        m2 = enforce_degree_comparability(m, eids=[0])
+        m2 = enforce_degree_comparability(m, {0: 5})
+        assert m2.degree(0) == 5
         for eid in m2.active_ids():
             p = m2.elements[eid].degree
             for info in m2.facet_neighbors(eid):
@@ -628,7 +628,13 @@ class TestChooserAndApply:
                 old = m.with_degrees({eid: m.elements[eid].degree + 1})
             new = apply_enrichment(m, Prediction(candidate=cand, delta_e2=0.0, eps=0.0,
                                                  y=np.zeros(0), rho_w_yxi=0.0))
-            old = _whole_mesh_comparability(old)
+            try:
+                old = _whole_mesh_comparability(old)
+            except ValueError as err:
+                # an off-centre step that asks for a non-nested overlap:
+                # the first read of the new adjacency rejects it
+                assert "non-nested facet overlap" in str(err)
+                continue
             assert new.active_ids() == old.active_ids()
             assert ([new.degree(e) for e in new.active_ids()]
                     == [old.degree(e) for e in old.active_ids()])
