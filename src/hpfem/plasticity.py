@@ -9,8 +9,13 @@ The Newton step is condensed to the displacements. D is diagonal, the Clarke
 blocks of the complementarity rows are L x L per dof and C is block diagonal
 over the elements, so (dp, dlam) are eliminated element by element (one
 batched dense solve per block size) and each step factorizes only the
-symmetric displacement-sized matrix K + B X B^T. Every sparse factorization
-of the package goes through `factorize`.
+symmetric displacement-sized matrix K + B X B^T. Semi-smooth Newton is a
+primal-dual active-set method (Hintermueller, Ito & Kunisch, SIAM J. Optim.
+13, 2002): at an iterate with no active dof X = 0, so that step's matrix is
+K, and the first step from the elastic start solves with the factorization
+of K that the elastic start made. The step-length probes evaluate r1 and r2,
+which are affine, from one set of sparse products per step. Every sparse
+factorization of the package goes through `factorize`.
 """
 
 import csv
@@ -52,9 +57,8 @@ def chi_coords(p, lam, sigma, rho, want_jacobian=False):
 
 # From the STAGNATION-th residual evaluation of a solve on, and after a
 # full step that blows up, a Newton step also probes the step lengths
-# t = SHRINK, SHRINK^2, ... >= T_MIN and takes the one of least merit.
-SHRINK = 0.5
-T_MIN = 2.0 ** -10
+# t = 2^-1, ..., 2^-10 and takes the one of least merit.
+PROBES = 0.5 ** np.arange(1, 11)
 STAGNATION = 4
 
 
@@ -151,55 +155,61 @@ class ElementBlocks:
     unknowns one block reaches, and K's entries. `_pos` holds the position in
     that CSC pattern of every entry of K.data and of every element product
     B_e X_e B_e^T (padding rows: one past the end), so that each condensed
-    matrix is one np.bincount."""
+    matrix is one np.bincount. The pattern and the positions come from
+    integer arrays and scipy's own sparse kernels, with no index keys formed,
+    so no product of two indices can overflow."""
 
     def __init__(self, system):
         L = system.L
-        K, B = system.K, system.B
+        K, B, C = system.K, system.B, system.C
+        if not (K.has_canonical_format and C.has_canonical_format):
+            raise ValueError("K and C must be CSR matrices in canonical form")
         n_u = K.shape[0]
-        n_q = system.C.shape[0]
+        n_q = C.shape[0]
         sizes = L * np.asarray(system.q_counts)
         if sizes.sum() != n_q:
             raise ValueError("q_counts do not cover the q unknowns")
         starts = np.cumsum(sizes) - sizes
         block = np.repeat(np.arange(len(sizes)), sizes)
-        Cc = sp.coo_matrix(system.C)
-        Cc.sum_duplicates()
-        if np.any(block[Cc.row] != block[Cc.col]):
+        crow = np.repeat(np.arange(n_q), np.diff(C.indptr))  # C's CSR rows
+        cblock = block[crow]
+        if np.any(cblock != block[C.indices]):
             raise ValueError("C is not block diagonal over the elements")
         self.system = system
         self.Bt = B.T  # a view: B^T u without a copy of B
         # row e: the displacement unknowns block e reaches through B, sorted
         reach = (sp.csr_matrix((np.ones(B.nnz), B.indices, B.indptr), shape=B.shape)
-                 @ sp.csr_matrix((np.ones(n_q), (np.arange(n_q), block)),
+                 @ sp.csr_matrix((np.ones(n_q), block, np.arange(n_q + 1)),
                                  shape=(n_q, len(sizes)))).T.tocsr()
         count = np.diff(reach.indptr)
+        # the pattern: the pairs one block reaches (a symmetric pattern, so
+        # its CSR arrays are its CSC arrays) united with K's entries by one
+        # sparse add. A pair counts 0.5 and K's entry k counts k + 1, so the
+        # integer part of a sum is k + 1 on K's entries and 0 elsewhere.
+        pairs = reach.T @ reach
+        pairs.sort_indices()
+        pairs.data[:] = 0.5
+        union = (sp.csc_matrix((pairs.data, pairs.indices, pairs.indptr),
+                               shape=K.shape)
+                 + sp.csr_matrix((np.arange(1.0, K.nnz + 1), K.indices, K.indptr),
+                                 shape=K.shape).tocsc())
+        del pairs
+        nnz = union.nnz
+        self._indptr = union.indptr.astype(np.int32, copy=False)
+        self._indices = union.indices.astype(np.int32, copy=False)
+        kmark = union.data.astype(np.int64) - 1  # k on K's entry k, else -1
+        del union
         members = [np.flatnonzero(sizes == n) for n in np.unique(sizes)]
         width = [int(count[m].max()) for m in members]
         self._pos = np.empty(K.nnz + sum(len(m) * r * r for m, r in
                                          zip(members, width)), dtype=np.int64)
-        # the pattern as sorted column-major keys col * n_u + row, in int64
-        # (n_u^2 leaves the int32 range from 46 341 unknowns on). The pairs
-        # one block reaches form a symmetric pattern, so its CSR keys
-        # row * n_u + col are the same set; K's entries outside it are
-        # inserted.
-        pairs = reach.T @ reach
-        pairs.sort_indices()
-        keys = np.repeat(np.arange(n_u, dtype=np.int64) * n_u,
-                         np.diff(pairs.indptr))
-        keys += pairs.indices
-        del pairs
-        kkeys = K.indices * np.int64(n_u)
-        kkeys += np.repeat(np.arange(n_u), np.diff(K.indptr))
-        kpos = self._pos[:K.nnz]
-        kpos[...] = np.searchsorted(keys, kkeys)
-        outside = np.unique(kkeys[keys.take(kpos, mode="clip") != kkeys])
-        keys = np.insert(keys, np.searchsorted(keys, outside), outside)
-        kpos += np.searchsorted(outside, kkeys)
-        del kkeys
-        self._indptr = np.searchsorted(
-            keys, np.arange(n_u + 1, dtype=np.int64) * n_u).astype(np.int32)
-        self._indices = (keys % n_u).astype(np.int32)
+        onK = np.flatnonzero(kmark >= 0)
+        self._pos[kmark[onK]] = onK
+        del kmark, onK
+        # position of the entry in CSC column c, row x: entry (c, x) of the
+        # same arrays read as CSR, found by scipy within row c
+        where = sp.csr_matrix((np.arange(nnz, dtype=np.int32), self._indices,
+                               self._indptr), shape=K.shape)
         at = K.nnz
         self.groups = []
         slot = np.empty(len(sizes), dtype=np.int64)
@@ -208,23 +218,27 @@ class ElementBlocks:
             slot[m] = np.arange(G)
             idx = starts[m][:, None] + np.arange(n)
             Ce = np.zeros((G, n, n))
-            on = sizes[block[Cc.row]] == n
-            b = block[Cc.row[on]]
-            Ce[slot[b], Cc.row[on] - starts[b], Cc.col[on] - starts[b]] = Cc.data[on]
+            on = sizes[cblock] == n
+            b = cblock[on]
+            Ce[slot[b], crow[on] - starts[b], C.indices[on] - starts[b]] = C.data[on]
             filled = np.arange(r) < count[m][:, None]
-            rows = np.zeros((G, r), dtype=np.int64)
+            # the lookups use B's index dtype, int32 like the pattern's, so
+            # scipy makes no converted copies of them
+            rows = np.zeros((G, r), dtype=B.indices.dtype)
             rows[filled] = reach[m].indices
             # B_e[a, c] = B[rows[a], idx[c]]; the arrays kept are allocated
             # before the temporaries that fill them
             Be = np.empty((G, r, n))
             Be[...] = np.asarray(B[np.repeat(rows, n, axis=1).ravel(),
-                                   np.tile(idx, r).ravel()]).reshape(G, r, n)
+                                   np.tile(idx.astype(rows.dtype), r).ravel()]
+                                 ).reshape(G, r, n)
             Be[~filled] = 0.0
-            # entry (a, b) of B_e X_e B_e^T lands in column rows[b], row
-            # rows[a]; the keys are searched in ascending order (b, a)
-            pos = np.searchsorted(keys, rows[:, :, None] * n_u + rows[:, None, :])
-            pos[~(filled[:, :, None] & filled[:, None, :])] = len(keys)
-            self._pos[at:at + G * r * r].reshape(G, r, r)[...] = pos.transpose(0, 2, 1)
+            # entry (a, b) of B_e X_e B_e^T lands in column rows[b], row rows[a]
+            pos = self._pos[at:at + G * r * r].reshape(G, r, r)
+            pos[...] = np.asarray(where[np.tile(rows, r).ravel(),
+                                        np.repeat(rows, r, axis=1).ravel()]
+                                  ).reshape(G, r, r)
+            pos[~(filled[:, :, None] & filled[:, None, :])] = nnz
             at += G * r * r
             self.groups.append(BlockGroup(idx, Ce, Be))
 
@@ -245,17 +259,23 @@ class ElementBlocks:
         data = np.bincount(self._pos, weights=vals, minlength=nnz + 1)[:nnz]
         return sp.csc_matrix((data, self._indices, self._indptr), shape=K.shape)
 
-    def condensed_solve(self, mats, rhs, f):
+    def condensed_solve(self, mats, rhs, f, k_lu=None):
         """Solve K u - B q = f with q = g - X B^T u, where [X_e | g_e] =
         mats_e^{-1} rhs_e on every element block (rhs_e has one column more
-        than mats_e), by one factorization of K + B X B^T. Returns (u, q)."""
+        than mats_e), by one factorization of K + B X B^T. Where X is all
+        zero that matrix is K, so a given factorization k_lu of K serves
+        instead. Returns (u, q)."""
         system = self.system
         sols = [np.linalg.solve(M, R) for M, R in zip(mats, rhs)]
         g = np.empty(system.C.shape[0])
         for grp, s in zip(self.groups, sols):
             g[grp.idx] = s[..., -1]
-        A = self.condensed_matrix([s[..., :-1] for s in sols])
-        u = factorize(A).solve(f + system.B @ g)
+        X = [s[..., :-1] for s in sols]
+        if k_lu is not None and not any(x.any() for x in X):
+            lu = k_lu
+        else:
+            lu = factorize(self.condensed_matrix(X))
+        u = lu.solve(f + system.B @ g)
         Btu = self.Bt @ u
         q = np.empty_like(g)
         for grp, s in zip(self.groups, sols):
@@ -266,16 +286,20 @@ class ElementBlocks:
 def _dof_block_diagonal(a):
     """(G, c, L, L) per-dof blocks as (G, cL, cL) block-diagonal matrices."""
     G, c, L, _ = a.shape
-    return np.einsum("gikl,ij->gikjl", a, np.eye(c)).reshape(G, c * L, c * L)
+    out = np.zeros((G, c, L, c, L))
+    np.einsum("gikil->gikl", out)[...] = a  # a writable view of the blocks
+    return out.reshape(G, c * L, c * L)
 
 
-def condensed_newton_step(blocks, dp, dl, F):
+def condensed_newton_step(blocks, dp, dl, F, k_lu=None):
     """Newton step of the projection form with Clarke blocks (dp, dl) and
     residual F = [r1, r2, r3]. With dlam = D^{-1}(-r2 + B^T du - C dp) from
     the second row, the third row gives per element
     S_e dp = -r3 + Jl D^{-1} r2 - Jl D^{-1} B^T du, S_e = Jp_e - Jl_e D_e^{-1} C_e,
     and the first row becomes (K + B X B^T) du = -r1 + B g with
-    X_e = S_e^{-1} Jl_e D_e^{-1}, g_e = S_e^{-1}(-r3 + Jl D^{-1} r2)."""
+    X_e = S_e^{-1} Jl_e D_e^{-1}, g_e = S_e^{-1}(-r3 + Jl D^{-1} r2). With
+    no active dof Jl = 0, so X = 0 and the step solves with K's
+    factorization k_lu (see `ElementBlocks.condensed_solve`)."""
     system = blocks.system
     L = system.L
     n_u = system.K.shape[0]
@@ -293,7 +317,7 @@ def condensed_newton_step(blocks, dp, dl, F):
         mats.append(S)
         rhs.append(np.concatenate([_dof_block_diagonal(dlD[dofs]),
                                    b[grp.idx][..., None]], axis=-1))
-    du, dp_ = blocks.condensed_solve(mats, rhs, -r1)
+    du, dp_ = blocks.condensed_solve(mats, rhs, -r1, k_lu)
     dlam = Dinv * (-r2 + blocks.Bt @ du - system.C @ dp_)
     return np.concatenate([du, dp_, dlam])
 
@@ -301,13 +325,13 @@ def condensed_newton_step(blocks, dp, dl, F):
 def _projection(p, lam, sigma, rho):
     """The equilibrated complementarity rows pi_i = lam_i -
     P_{|.|<=sigma_i}(w_i) with w_i = lam_i + rho p_i, and w, |w_i| and the
-    active mask |w_i| >= sigma_i."""
+    active mask |w_i| >= sigma_i, for rows (N, L) or stacks of them (T, N, L)."""
     w = lam + rho * p
-    nw = np.linalg.norm(w, axis=1)
+    nw = np.linalg.norm(w, axis=-1)
     act = ~(nw < sigma)
-    scale = np.ones(len(nw))
-    scale[act] = sigma[act] / nw[act]
-    return lam - scale[:, None] * w, w, nw, act
+    scale = np.ones(nw.shape)
+    scale[act] = np.broadcast_to(sigma, nw.shape)[act] / nw[act]
+    return lam - scale[..., None] * w, w, nw, act
 
 
 def _projection_rows(p, lam, sigma, rho):
@@ -340,13 +364,22 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
     of that residual. The first STAGNATION - 1 steps are full steps unless
     the full step blows up (its merit is not finite or exceeds 1e6 times
     max(merit, 1)); from the STAGNATION-th residual evaluation on, and after
-    any blow-up, the steps t = SHRINK^k >= T_MIN are probed as well and the
-    step length of the least merit is taken. Each probe evaluates the residual
-    only; the Clarke blocks and the chi rows are evaluated once per iterate,
-    and the residual of the step taken is reused as the next iterate's.
+    any blow-up, the steps t in PROBES are probed as well and the step length
+    of the least merit is taken (t = 1 first, then the longer steps first, on
+    strictly smaller merit). The residual of the full step is evaluated
+    directly and reused as the next iterate's. The probes of one step make
+    one set of sparse products: r1 and r2 are affine in x, so at x + t delta
+    they are r(x) + t r_lin(delta), and the projection rows of all probes
+    are one batched evaluation at the points x + t delta. A step length
+    t < 1 that is taken has its residual evaluated directly. The Clarke
+    blocks and the chi rows are evaluated once per iterate.
     Convergence is declared on the max norm of the unscaled decoupled
     residual. The trace records (iteration, |F|_max, merit, step length,
     active-set size).
+    From the elastic start (p = lam = 0) the first active set is empty, so
+    the first step's condensed matrix is K, and that step solves with the
+    factorization of K that the elastic start made; it is released once the
+    step returns. Every other step factorizes its own condensed matrix.
     A step whose factorization or element-block solve fails, or that is not
     finite, is retried once with rho shifted to 2 rho + 1 and counted in
     `retries`; a second failure raises.
@@ -356,8 +389,10 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
     L = system.L
     n_q = system.C.shape[0]
     blocks = ElementBlocks(system)
+    k_lu = None  # K's factorization, while a step may still reuse it
     if initial is None:
-        u = elastic_solve(system)
+        k_lu = factorize(system.K)
+        u = k_lu.solve(system.l)
         p = np.zeros(n_q)
         lam = np.zeros(n_q)
     else:
@@ -377,6 +412,20 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
         pi = _projection(p.reshape(-1, L), lam.reshape(-1, L), sigma, rho)[0]
         return np.concatenate([r1, r2, pi.ravel()])
 
+    def probe_merits(x, F, delta):
+        """The merits at x + t delta for t in PROBES: r1 and r2 from F and
+        the linear part of delta, the projection rows in one batch."""
+        _, p, lam = split(x)
+        du, dp, dlam = split(delta)
+        lin = np.concatenate([system.K @ du - system.B @ dp,
+                              -(blocks.Bt @ du) + system.C @ dp + system.D * dlam])
+        r = F[:n_u + n_q]
+        rr = [float(v @ v) for v in (r + t * lin for t in PROBES)]
+        pi = _projection((p + PROBES[:, None] * dp).reshape(len(PROBES), -1, L),
+                         (lam + PROBES[:, None] * dlam).reshape(len(PROBES), -1, L),
+                         sigma, rho)[0].reshape(len(PROBES), -1)
+        return 0.5 * (np.array(rr) + np.einsum("ti,ti->t", pi, pi))
+
     trace = []
     retries = 0
     it = 0
@@ -393,7 +442,7 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
             return SolutionTriple(u=u, p=p, lam=lam, converged=nF <= cfg.tol,
                                   iterations=it, trace=trace, retries=retries)
         try:
-            delta = condensed_newton_step(blocks, dp, dl, F)
+            delta = condensed_newton_step(blocks, dp, dl, F, k_lu)
             if not np.all(np.isfinite(delta)):
                 raise RuntimeError("non-finite Newton step")
         except (RuntimeError, np.linalg.LinAlgError):
@@ -403,19 +452,17 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
             rho = 2.0 * rho + 1.0  # shift the projection parameter once, retry
             F = projection_residual(x)
             continue
-        # the residual of the step taken is the next iterate's
-        t, F = 1.0, projection_residual(x + delta)
-        best = 0.5 * float(F @ F)
+        k_lu = None  # only the first step can reuse it
+        t, F_full = 1.0, projection_residual(x + delta)
+        best = 0.5 * float(F_full @ F_full)
         if (len(trace) >= STAGNATION or not np.isfinite(best)
                 or best > 1e6 * max(merit, 1.0)):
-            tt = SHRINK
-            while tt >= T_MIN:
-                Fp = projection_residual(x + tt * delta)
-                mp = 0.5 * float(Fp @ Fp)
+            for tt, mp in zip(PROBES, probe_merits(x, F, delta)):
                 if np.isfinite(mp) and mp < best:
-                    t, F, best = tt, Fp, mp
-                tt *= SHRINK
+                    t, best = float(tt), mp
         x = x + t * delta
+        # the residual of the step taken is the next iterate's
+        F = F_full if t == 1.0 else projection_residual(x)
         t_used = t
         it += 1
 
@@ -519,6 +566,25 @@ class Fields:
         pq = tensor_values(pv, self.dim)
         return self.material.stress(strain_values(gu, Jinv), pq), pq
 
+    def _tables(self, els, ref):
+        """Per element degree q among els: the positions `at` in els of its
+        elements, the 1D shape values, their derivatives and the
+        Gauss-Lagrange values at their reference points ref (r, m, d), one
+        (len(at), m, -1) table per axis, and the elements' field rows."""
+        d = self.dim
+        m = ref.shape[1]
+        for q in np.unique(self.deg[els]).tolist():
+            at = np.nonzero(self.deg[els] == q)[0]
+            t = ref[at].reshape(-1, d)
+            shape = (len(at), m, -1)
+            vals, ders = [], []
+            for a in range(d):
+                v, dv = _kernels.shape_table(t[:, a], max(q, 1))
+                vals.append(v.reshape(shape))
+                ders.append(dv.reshape(shape))
+            lag = [gauss_lagrange_1d(q, t[:, a]).reshape(shape) for a in range(d)]
+            yield at, vals, ders, lag, self.rows(q, els[at])
+
     def values_at(self, els, ref):
         """The fields on elements els at their own reference points ref
         (r, m, d), or at points (m, d) shared by all: u values (r, m, d),
@@ -534,30 +600,33 @@ class Fields:
         L = deviatoric_dim(d)
         u, gu, pv = np.empty((r, m, d)), np.empty((r, m, d, d)), np.empty((r, m, L))
         lv = np.empty(pv.shape) if self.with_lam else None
-        for q in np.unique(self.deg[els]).tolist():
-            rows = np.nonzero(self.deg[els] == q)[0]
-            t = ref[rows].reshape(-1, d)
-            shape = (len(rows), m, -1)
-            vals, ders = [], []
-            for a in range(d):
-                v, dv = _kernels.shape_table(t[:, a], max(q, 1))
-                vals.append(v.reshape(shape))
-                ders.append(dv.reshape(shape))
-            lag = [gauss_lagrange_1d(q, t[:, a]).reshape(shape) for a in range(d)]
-            coef, prows, lrows = self.rows(q, els[rows])
-            u[rows] = tensor_contract(vals, coef)
-            gu[rows] = np.stack([tensor_contract(vals[:a] + [ders[a]] + vals[a + 1:],
-                                                 coef) for a in range(d)], axis=-1)
-            pv[rows] = tensor_contract(lag, prows)
+        for at, vals, ders, lag, (coef, prows, lrows) in self._tables(els, ref):
+            u[at] = tensor_contract(vals, coef)
+            gu[at] = _gradient(vals, ders, coef)
+            pv[at] = tensor_contract(lag, prows)
             if lv is not None:
-                lv[rows] = tensor_contract(lag, lrows)
+                lv[at] = tensor_contract(lag, lrows)
         return u, gu, pv, lv
 
     def stress_at(self, els, ref, Jinv):
         """Stress (r, m, d, d) of elements els at their own reference points
-        ref (r, m, d), with inverse Jacobians Jinv there."""
-        _, gu, pv, _ = self.values_at(els, ref)
+        ref (r, m, d), with inverse Jacobians Jinv there; only the gradients
+        of u and the values of p are evaluated."""
+        d = self.dim
+        r, m, _ = ref.shape
+        gu, pv = np.empty((r, m, d, d)), np.empty((r, m, deviatoric_dim(d)))
+        for at, vals, ders, lag, (coef, prows, _) in self._tables(els, ref):
+            gu[at] = _gradient(vals, ders, coef)
+            pv[at] = tensor_contract(lag, prows)
         return self.stress(gu, pv, Jinv)[0]
+
+
+def _gradient(vals, ders, coef):
+    """Reference gradients [.., k, a] of the fields with tensor coefficients
+    coef from per-axis 1D shape values and derivatives."""
+    d = len(vals)
+    return np.stack([tensor_contract(vals[:a] + [ders[a]] + vals[a + 1:], coef)
+                     for a in range(d)], axis=-1)
 
 
 def recover_multiplier(space, qspace, material, u, p):

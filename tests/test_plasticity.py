@@ -318,16 +318,18 @@ class TestFactorize:
 
         class Recorder(_FailingLinalg):
             def splu(self, A, *args, **kwargs):
-                seen.append(A)
+                seen.append((A, kwargs))
                 return super().splu(A, *args, **kwargs)
 
         monkeypatch.setattr(plasticity, "spla", Recorder(0))
         sol = solve_semismooth_newton(system, qs,
                                       NewtonConfig(rho=default_rho(mat)))
         monkeypatch.undo()
-        # one factorization for the elastic start and one per Newton step
-        assert sol.converged and len(seen) == sol.iterations + 1
-        A = seen[-1]
+        # one factorization per Newton step: the first step's active set is
+        # empty, so it solves with the elastic start's factorization of K
+        assert sol.converged and len(seen) == sol.iterations
+        assert all(kw["options"] == dict(SymmetricMode=True) for _, kw in seen)
+        A = seen[-1][0]
         b = np.random.default_rng(11).standard_normal(A.shape[0])
         lu = factorize(A)
         ref = spla.spsolve(sp.csc_matrix(A), b)
@@ -342,6 +344,26 @@ class TestFactorize:
         singular[:, 0] = 0.0
         with pytest.raises(RuntimeError, match="singular"):
             factorize(singular)
+
+    def test_one_factorization_per_step_from_an_active_start(self, monkeypatch):
+        m, mat, space, qs, system = _benchmark()
+        n_q = system.C.shape[0]
+        rng = np.random.default_rng(5)
+        initial = (elastic_solve(system), 0.01 * rng.standard_normal(n_q),
+                   qs.yield_stress * rng.standard_normal(n_q))
+        calls = []
+
+        class Counter(_FailingLinalg):
+            def splu(self, A, *args, **kwargs):
+                calls.append(A.shape)
+                return super().splu(A, *args, **kwargs)
+
+        monkeypatch.setattr(plasticity, "spla", Counter(0))
+        sol = solve_semismooth_newton(system, qs,
+                                      NewtonConfig(rho=default_rho(mat)),
+                                      initial=initial)
+        assert sol.converged and sol.trace[0][4] > 0
+        assert len(calls) == sol.iterations
 
 
 def _hex_hanging_mesh():
@@ -562,12 +584,14 @@ class TestResidualEvaluations:
         assert sol.converged and sum(row[3] < 1.0 for row in sol.trace) > 0
         assert calls["clarke"] == sol.iterations + 1
         # residual-only evaluations: the start, the full step of every
-        # iteration, and the shrink probes of every step from the
-        # STAGNATION-th evaluation on
-        probes = round(np.log(plasticity.T_MIN) / np.log(plasticity.SHRINK))
+        # iteration, one batched evaluation of all shrink probes for every
+        # step from the STAGNATION-th evaluation on, and the direct
+        # evaluation of every damped step taken
         probing = sol.iterations - plasticity.STAGNATION + 1
+        damped = sum(row[3] < 1.0 for row in sol.trace)
+        assert damped == 3
         assert (calls["projection"] - calls["clarke"]
-                == 1 + sol.iterations + probes * probing)
+                == 1 + sol.iterations + probing + damped)
 
     def test_retry_evaluates_once_more(self, monkeypatch):
         m, mat, space, qs, system = _benchmark()
