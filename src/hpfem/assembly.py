@@ -137,7 +137,7 @@ def element_groups(space, *keys):
     """Positions of the active elements grouped by degree and by further
     per-element keys (arrays in element order), as {(degree, *keys):
     positions}, in ascending key order."""
-    deg = [space.degrees[e] for e in space.mesh.active_ids()]
+    deg = space.mesh.degree[space.mesh.active_ids()]
     uniq, inv = np.unique(np.stack((deg,) + keys, axis=1), axis=0,
                           return_inverse=True)
     inv = inv.ravel()
@@ -182,13 +182,14 @@ def boundary_load(space, corners, data, tags, ncomp=1):
     corners is the corner array of the active elements."""
     mesh = space.mesh
     d = mesh.dim
-    groups = {}
-    for i, eid in enumerate(mesh.active_ids()):
-        for f, tag in enumerate(mesh.elements[eid].boundary_tags):
-            if tag in tags:  # None on interior facets
-                groups.setdefault((space.degrees[eid], f), []).append(i)
+    act = mesh.active_ids()
+    # groups in the order of their first facet, element by element
+    i, f = np.nonzero(np.isin(mesh.tags[act], list(tags)))
+    key = mesh.degree[act][i] * 2 * d + f
+    _, first = np.unique(key, return_index=True)
     out = np.zeros(ncomp * space.ndof)
-    for (p, f), sel in groups.items():
+    for k in key[np.sort(first)].tolist():
+        (p, f), sel = divmod(k, 2 * d), i[key == k]
         t, wq = tensor_gauss(p + 2, d - 1)
         ref = mesh.facet_embed(f, t)
         dS, _ = facet_measure(map_jacobians(corners[sel], ref), f)

@@ -124,8 +124,8 @@ def refined_state_error(state):
     uniformly refined mesh with degrees raised by one:
     ||(du, dp)||^2 + ||dlam||_0^2 by quadrature on the fine mesh."""
     fine_mesh = state.mesh.uniformly_refined()
-    fine_mesh = fine_mesh.with_degrees(
-        {e: fine_mesh.elements[e].degree + 1 for e in fine_mesh.active_ids()})
+    act = fine_mesh.active_ids()
+    fine_mesh = fine_mesh.with_degrees(dict(zip(act, fine_mesh.degree[act] + 1)))
     ref = solve_plastic(fine_mesh, state.material, state.loads)
     return plastic_error_sq(state, ref), ref
 
@@ -138,22 +138,19 @@ def _coarse_maps(fine_mesh, eids, coarse_mesh):
     active in coarse_mesh. Returns their ids and (scale, shift), each (n, d),
     with xhat_coarse = scale xhat + shift, from the reference boxes of both
     in their common root."""
-    n = len(coarse_mesh.elements)
-    active = np.array([e.active for e in coarse_mesh.elements] + [False])
-    parent = np.array([-1 if e.parent is None else e.parent
-                       for e in fine_mesh.elements])
+    n = len(coarse_mesh.root)
+    active = np.append(coarse_mesh.first_child < 0, False)
+    parent = fine_mesh.parent
     anc = np.array(eids)
     while (up := np.flatnonzero(~active[np.minimum(anc, n)])).size:
         if np.any(anc[up] < 0):
             raise ValueError("the fine mesh is not refined from the coarse mesh")
         anc[up] = parent[anc[up]]
-    box = np.array([(fine_mesh.elements[e].box_lo, fine_mesh.elements[e].box_hi)
-                    for e in eids])
-    cbox = np.array([(coarse_mesh.elements[e].box_lo, coarse_mesh.elements[e].box_hi)
-                     for e in anc])
-    width = cbox[:, 1] - cbox[:, 0]
+    box, cbox = fine_mesh.boxes[eids], coarse_mesh.boxes[anc]
+    width = cbox[..., 1] - cbox[..., 0]
     # exactly xhat_coarse = xhat where the boxes agree
-    return anc, (box[:, 1] - box[:, 0]) / width, (box.sum(1) - cbox.sum(1)) / width
+    return (anc, (box[..., 1] - box[..., 0]) / width,
+            (box.sum(-1) - cbox.sum(-1)) / width)
 
 
 def plastic_error_sq(coarse, fine):
@@ -306,7 +303,7 @@ def run_elliptic_predictor(cfg, mesh, problem, outdir=None):
         if cfg.run.tol > 0 and rec.estimate <= cfg.run.tol:
             break
         for eid in marked:
-            if not mesh.elements[eid].active:
+            if mesh.first_child[eid] >= 0:
                 continue  # consumed by an earlier closure refinement
             mesh = pred.apply_enrichment(mesh, predictions[eid])
     if outdir:
@@ -351,8 +348,8 @@ def run_uniform(cfg, kind, mesh, material, loads, extra, outdir=None):
         if cfg.run.loop == "uniform-h":
             mesh = mesh.uniformly_refined()
         else:
-            mesh = mesh.with_degrees({e: mesh.elements[e].degree + 1
-                                      for e in mesh.active_ids()})
+            act = mesh.active_ids()
+            mesh = mesh.with_degrees(dict(zip(act, mesh.degree[act] + 1)))
     if outdir:
         write_records(records, outdir)
     return records, states
@@ -470,7 +467,7 @@ def export_plastic_state(state, indicators, outdir, marked=()):
     pnorm = (np.add.reduceat(w * np.linalg.norm(state.solution.p.reshape(-1, L),
                                                 axis=1), start)
              / np.add.reduceat(w, start))
-    cell = {"degree": [state.space.degrees[e] for e in act],
+    cell = {"degree": mesh.degree[act],
             "plastic_norm": pnorm}
     if indicators is not None:
         cell["eta_sq"] = indicators.total

@@ -2,6 +2,19 @@
 dividing-point refinement with 1-irregular hanging nodes, facet adjacency, and
 plain-text / VTK input-output.
 
+Storage
+-------
+A `Mesh` keeps no per-element records: its hierarchy is a set of read-only
+columns indexed by element id, which every module reads directly. ``root``,
+``level``, ``degree`` and ``parent`` (n,), parent -1 on a root; ``first_child``
+(n,), -1 on an active element, and the 2^d children of a refined element are
+the ids from it on, in the corner order of their position; ``corners``
+(n, 2^d), vertex ids in tensor order; ``boxes`` (n, d, 2), the (lo, hi)
+interval along each axis of the root's reference element; ``tags`` (n, 2d),
+objects, the tag of each boundary facet and None on interior facets; and
+``vertices`` (nv, d). Snapshots share the columns they do not change, and a
+refinement pass appends its rows and vertices once, at its end.
+
 Geometry conventions
 --------------------
 Reference element is [-1,1]^d. Corner ordering follows
@@ -11,8 +24,10 @@ element tracks its reference box inside its root element, so facet adjacency
 between descendants of a common ancestor uses exact float comparisons.
 """
 
+import copy
 import itertools
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -200,25 +215,6 @@ def check_det_affine(emap, n_samples=4, tol=1e-12):
     return bool(resid <= tol * scale)
 
 
-@dataclass
-class Element:
-    eid: int
-    root: int
-    corners: tuple
-    level: int
-    degree: int
-    box_lo: np.ndarray
-    box_hi: np.ndarray
-    parent: int | None = None
-    child_slot: int | None = None
-    children: tuple | None = None
-    boundary_tags: list = field(default_factory=list)
-
-    @property
-    def active(self):
-        return self.children is None
-
-
 @dataclass(frozen=True)
 class FacetPiece:
     """One matched piece of an element facet, as `Mesh.facet_neighbors`
@@ -299,15 +295,49 @@ class FacetTable:
                                self.perm[rows], self.flip[rows], xi)
 
 
-class Mesh:
-    """Hierarchy of transformed hexahedra. Treated as immutable after build;
-    ``refine_element``, ``refine_many``, ``uniformly_refined`` and
-    ``with_degrees`` return new snapshots."""
+# One element of a `Mesh`, read from its columns: a read-only view for tests
+# and inspection. parent is None on a root and children None while active.
+ElementView = namedtuple("ElementView", "eid root level degree parent children "
+                         "corners box_lo box_hi boundary_tags")
 
-    def __init__(self, dim, vertices, elements, root_pairing, vertex_registry):
+
+class _ElementViews:
+    """The `ElementView` of every element of a mesh, built on access."""
+
+    def __init__(self, mesh):
+        self._mesh = mesh
+
+    def __len__(self):
+        return len(self._mesh.root)
+
+    def __getitem__(self, eid):
+        m, eid = self._mesh, range(len(self))[eid]
+        first, parent = int(m.first_child[eid]), int(m.parent[eid])
+        return ElementView(
+            eid=eid, root=int(m.root[eid]), level=int(m.level[eid]),
+            degree=int(m.degree[eid]), parent=None if parent < 0 else parent,
+            children=None if first < 0 else tuple(range(first, first + 2**m.dim)),
+            corners=tuple(m.corners[eid].tolist()), box_lo=m.boxes[eid, :, 0].copy(),
+            box_hi=m.boxes[eid, :, 1].copy(), boundary_tags=tuple(m.tags[eid]))
+
+
+def _frozen(a):
+    a.setflags(write=False)
+    return a
+
+
+class Mesh:
+    """Hierarchy of transformed hexahedra, as the columns of the module
+    docstring. ``refine_element``, ``refine_many``, ``uniformly_refined`` and
+    ``with_degrees`` return new snapshots; only ``tag_boundary`` acts in
+    place, by replacing the tag column."""
+
+    def __init__(self, dim, vertices, root_pairing, vertex_registry, **columns):
         self.dim = dim
-        self.vertices = vertices  # list of np.ndarray
-        self.elements = elements  # list of Element
+        self.vertices = _frozen(vertices)
+        for name in ("root", "level", "degree", "parent", "first_child",
+                     "corners", "boxes", "tags"):
+            setattr(self, name, _frozen(columns[name]))
         # per (root, local facet): the paired root and its facet (-1 where
         # none), and the perm and flip of `_facet_pairing`; read-only
         self._root_pairing = root_pairing
@@ -324,44 +354,37 @@ class Mesh:
         """Build a root mesh.
 
         vertices: (nv, d); cells: (ne, 2^d) corner ids in tensor order;
-        boundary: optional list of (vertex_id_tuple, tag) for boundary facets.
+        degrees: one degree, or one per cell; boundary: optional list of
+        (vertex_id_tuple, tag) for boundary facets.
         """
-        vertices = [np.asarray(v, dtype=float) for v in np.atleast_2d(vertices)]
+        vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
         if dim is None:
-            dim = len(vertices[0])
+            dim = vertices.shape[1]
         nfacets = 2 * dim
-        if np.isscalar(degrees):
-            degrees = [int(degrees)] * len(cells)
-        elements = []
-        for i, cell in enumerate(cells):
-            elements.append(Element(
-                eid=i, root=i, corners=tuple(int(c) for c in cell), level=0,
-                degree=int(degrees[i]),
-                box_lo=-np.ones(dim), box_hi=np.ones(dim),
-                boundary_tags=[None] * nfacets,
-            ))
+        corners = np.asarray(cells, dtype=np.intp).reshape(-1, 2**dim)
+        n = len(corners)
+        cells = corners.tolist()
+        tags = np.full((n, nfacets), None, dtype=object)
         # facet-key matching between roots
         r = dim - 1
-        nb_root = np.full((len(elements), nfacets), -1, dtype=np.intp)
-        nb_facet = np.zeros((len(elements), nfacets), dtype=np.intp)
-        perm = np.zeros((len(elements), nfacets, r), dtype=np.intp)
-        flip = np.zeros((len(elements), nfacets, r), dtype=bool)
+        nb_root = np.full((n, nfacets), -1, dtype=np.intp)
+        nb_facet = np.zeros((n, nfacets), dtype=np.intp)
+        perm = np.zeros((n, nfacets, r), dtype=np.intp)
+        flip = np.zeros((n, nfacets, r), dtype=bool)
         key_map = {}
-        for el in elements:
+        for eid, cell in enumerate(cells):
             for f in range(nfacets):
-                key = frozenset(_facet_corner_ids(el.corners, dim, f))
-                key_map.setdefault(key, []).append((el.eid, f))
-        tag_lookup = {}
-        if boundary:
-            for ids, tag in boundary:
-                tag_lookup[frozenset(int(v) for v in ids)] = tag
+                key = frozenset(_facet_corner_ids(cell, dim, f))
+                key_map.setdefault(key, []).append((eid, f))
+        tag_lookup = {frozenset(int(v) for v in ids): tag
+                      for ids, tag in boundary or ()}
         for key, entries in key_map.items():
             if len(entries) == 1:
                 eid, f = entries[0]
-                elements[eid].boundary_tags[f] = tag_lookup.get(key, default_tag)
+                tags[eid, f] = tag_lookup.get(key, default_tag)
             elif len(entries) == 2:
                 (ea, fa), (eb, fb) = entries
-                pa, fl = _facet_pairing(elements[ea], fa, elements[eb], fb, dim)
+                pa, fl = _facet_pairing(cells[ea], fa, cells[eb], fb, dim)
                 nb_root[ea, fa], nb_facet[ea, fa] = eb, fb
                 nb_root[eb, fb], nb_facet[eb, fb] = ea, fa
                 perm[ea, fa], flip[ea, fa] = pa, fl
@@ -369,58 +392,49 @@ class Mesh:
                 flip[eb, fb] = np.asarray(fl, dtype=bool)[perm[eb, fb]]
             else:
                 raise ValueError("facet shared by more than two root elements")
-        vreg = {}
-        for i, v in enumerate(vertices):
-            vreg[_vkey(v)] = i
-        for a in (nb_root, nb_facet, perm, flip):
-            a.setflags(write=False)
-        return cls(dim, vertices, elements, (nb_root, nb_facet, perm, flip), vreg)
-
-    def copy(self):
-        elements = [replace(e, boundary_tags=list(e.boundary_tags)) for e in self.elements]
-        return Mesh(self.dim, list(self.vertices), elements,
-                    self._root_pairing, dict(self._vreg))
+        vreg = {_vkey(v): i for i, v in enumerate(vertices)}
+        pairing = tuple(_frozen(a) for a in (nb_root, nb_facet, perm, flip))
+        return cls(dim, vertices, pairing, vreg,
+                   root=np.arange(n), level=np.zeros(n, dtype=np.intp),
+                   degree=np.broadcast_to(np.asarray(degrees, dtype=np.intp), n).copy(),
+                   parent=np.full(n, -1), first_child=np.full(n, -1),
+                   corners=corners, boxes=np.tile([-1.0, 1.0], (n, dim, 1)),
+                   tags=tags)
 
     # -- basic queries -------------------------------------------------------
 
-    def active_ids(self):
-        return [e.eid for e in self.elements if e.active]
+    @property
+    def elements(self):
+        """Read-only per-element views of the columns (`ElementView`)."""
+        return _ElementViews(self)
 
-    def corner_ids(self, eids):
-        """Corner vertex ids (n, 2^d) of elements eids, in tensor order."""
-        return np.array([self.elements[e].corners for e in eids],
-                        dtype=np.intp).reshape(len(eids), 2**self.dim)
+    def active_ids(self):
+        return np.flatnonzero(self.first_child < 0).tolist()
 
     def corner_array(self, eids):
         """Corner coordinates (n, 2^d, d) of elements eids, in tensor order."""
-        return np.array([[self.vertices[c] for c in self.elements[e].corners]
-                         for e in eids], dtype=float).reshape(
-                             len(eids), 2**self.dim, self.dim)
+        return self.vertices[self.corners[np.asarray(eids, dtype=np.intp)]]
 
     def element_map(self, eid):
         return ElementMap(self.corner_array([eid])[0], self.dim)
 
-    def degree(self, eid):
-        return self.elements[eid].degree
-
     def with_degrees(self, degrees):
         """New snapshot with per-active-element degrees (dict eid -> p). It
         shares this mesh's facet table, which holds no degree."""
-        m = self.copy()
-        for eid, p in degrees.items():
-            m.elements[eid].degree = int(p)
-        m._facets = self._facets
+        degree = self.degree.copy()
+        degree[list(degrees)] = [int(p) for p in degrees.values()]
+        m = copy.copy(self)
+        m.degree = _frozen(degree)
         return m
 
     def tag_boundary(self, tagger):
         """Retag every boundary facet using tagger(facet centroid) -> tag."""
-        for el in self.elements:
-            for f in range(2 * self.dim):
-                if el.boundary_tags[f] is None:
-                    continue
-                ids = _facet_corner_ids(el.corners, self.dim, f)
-                centroid = np.mean([self.vertices[i] for i in ids], axis=0)
-                el.boundary_tags[f] = tagger(centroid)
+        tags = self.tags.copy()
+        eid, f = np.nonzero(np.not_equal(tags, None))
+        ids = self.corners[eid[:, None], facet_corner_rows(self.dim)[f]]
+        for e, g, centroid in zip(eid, f, self.vertices[ids].mean(axis=1)):
+            tags[e, g] = tagger(centroid)
+        self.tags = _frozen(tags)
         # a fresh table: degree snapshots may share the old one
         self._facets = [None]
         return self
@@ -435,85 +449,95 @@ class Mesh:
     def refine_element(self, eid, zhat=None):
         """New snapshot with element eid refined at dividing point zhat: the
         one-element view of `refine_many`."""
-        if not self.elements[eid].active:
+        if self.first_child[eid] >= 0:
             raise ValueError(f"element {eid} already refined")
         return self.refine_many([eid], zhat)
 
     def refine_many(self, eids, zhat=None):
         """New snapshot with the elements eids that are still active when
         their turn comes refined at dividing point zhat (the centre by
-        default), in one pass over one copy. The closure keeps the mesh
-        1-irregular by level: before an element is split, its active facet
-        neighbors of a lower level are refined, depth first, in facet and
-        piece order, read from this snapshot's facet table (children made by
-        the pass are never of a lower level than their neighbors)."""
-        zhat = np.zeros(self.dim) if zhat is None else np.asarray(zhat, dtype=float)
-        if np.any(np.abs(zhat) >= 1.0):
-            raise ValueError("dividing point must lie strictly inside the element")
+        default), in one pass. The closure keeps the mesh 1-irregular by
+        level: before an element is split, its active facet neighbors of a
+        lower level are refined, depth first, in facet and piece order, read
+        from this snapshot's facet table (children made by the pass are never
+        of a lower level than their neighbors)."""
+        d = self.dim
+        zhat = np.zeros(d) if zhat is None else np.asarray(zhat, dtype=float)
+        if zhat.shape != (d,) or not np.all(np.abs(zhat) < 1.0):  # NaN fails too
+            raise ValueError(f"dividing point must be {d} coordinates strictly "
+                             "inside the element, in (-1, 1)")
         tab = self.facet_table()
-        m = self.copy()
+        first = self.first_child.copy()
+        split = []  # (eid, dividing point), in the order of the splits
 
         def refine(eid, z):
-            level = m.elements[eid].level
             rows, _ = tab.rows(eid)
             for r in range(rows.start, rows.stop):
-                nb = m.elements[int(tab.act[tab.nb[r]])]
-                if nb.active and nb.level < level:
-                    refine(nb.eid, _closure_point(tab.nb_box[r], tab.nb_facet[r]))
-            m._split(eid, z)
+                nb = int(tab.act[tab.nb[r]])
+                if first[nb] < 0 and self.level[nb] < self.level[eid]:
+                    refine(nb, _closure_point(tab.nb_box[r], tab.nb_facet[r]))
+            first[eid] = len(first) + len(split) * 2**d
+            split.append((eid, z))
 
         for eid in eids:
-            if m.elements[eid].active:
+            if first[eid] < 0:
                 refine(eid, zhat)
-        return m
+        return self._split(first, split)
 
     def uniformly_refined(self):
         return self.refine_many(self.active_ids())
 
-    def _split(self, eid, zhat):
-        """Replace active element eid by its 2^d children at zhat, in place;
-        the adjacency of this mesh is stale afterwards."""
-        el = self.elements[eid]
-        d = self.dim
-        root_map = self.element_map(el.root)
-        lo, hi = el.box_lo, el.box_hi
-        mid = lo + 0.5 * (zhat + 1.0) * (hi - lo)
-        coords = [np.array([lo[k], mid[k], hi[k]]) for k in range(d)]
-        # vertex grid in root reference coordinates, 3 per axis
-        grid_ids = {}
+    def _split(self, first_child, split):
+        """New snapshot with the elements of split, (eid, dividing point)
+        pairs, replaced by their 2^d children, appended in split order, with
+        the first children first_child. The vertices of the 3^d grid of each
+        split are mapped from the root element one at a time and registered
+        in split order."""
+        d, nc = self.dim, 2**self.dim
+        eid = np.array([e for e, _ in split], dtype=np.intp)
+        z = np.array([z for _, z in split], dtype=float).reshape(-1, d)
+        lo, hi = self.boxes[eid, :, 0], self.boxes[eid, :, 1]
+        coords = np.stack([lo, lo + 0.5 * (z + 1.0) * (hi - lo), hi], axis=-1)
+        # the grid in root reference coordinates, 3 per axis, last axis fastest
+        grid = np.array(list(itertools.product(range(3), repeat=d)), dtype=np.intp)
+        axes = np.arange(d)
+        ref = coords[:, axes, grid]
+        ids = np.empty((len(eid), 3**d), dtype=np.intp)
+        outer = (grid != 1).all(axis=1)
+        ids[:, outer] = self.corners[eid]
+        vreg, new, nv = dict(self._vreg), [], len(self.vertices)
+        for s, root in enumerate(self.root[eid].tolist()):
+            root_map = self.element_map(root)
+            for g in np.flatnonzero(~outer).tolist():
+                x = root_map.map_point(ref[s, g])
+                key = _vkey(x)
+                if key not in vreg:
+                    vreg[key] = nv + len(new)
+                    new.append(x)
+                ids[s, g] = vreg[key]
+        # corner c of child b is grid point b + c, and child b keeps the
+        # parent's tags on the facets it shares with the parent
         bits = corner_bits(d)
-        for offs in itertools.product(range(3), repeat=d):
-            if all(o in (0, 2) for o in offs):
-                grid_ids[offs] = el.corners[int(corner_row([o // 2 for o in offs]))]
-            else:
-                ref = np.array([coords[k][offs[k]] for k in range(d)])
-                x = root_map.map_point(ref)
-                grid_ids[offs] = self._get_vertex(x)
-        children = []
-        for slot, b in enumerate(bits):
-            cb = [grid_ids[tuple((b + c).tolist())] for c in bits]
-            clo = np.array([coords[k][b[k]] for k in range(d)])
-            chi = np.array([coords[k][b[k] + 1] for k in range(d)])
-            tags = [None] * (2 * d)
-            for f in 2 * np.arange(d) + b:
-                tags[f] = el.boundary_tags[f]
-            child = Element(
-                eid=len(self.elements), root=el.root, corners=tuple(cb),
-                level=el.level + 1, degree=el.degree, box_lo=clo, box_hi=chi,
-                parent=el.eid, child_slot=slot, boundary_tags=tags,
-            )
-            self.elements.append(child)
-            children.append(child.eid)
-        el.children = tuple(children)
+        at = (bits[:, None, :] + bits[None, :, :]) @ 3 ** axes[::-1]
+        keep = np.arange(2 * d) % 2 == bits[:, np.arange(2 * d) // 2]
 
-    def _get_vertex(self, x):
-        key = _vkey(x)
-        vid = self._vreg.get(key)
-        if vid is None:
-            vid = len(self.vertices)
-            self.vertices.append(np.asarray(x, dtype=float))
-            self._vreg[key] = vid
-        return vid
+        def kids(col):
+            return np.repeat(col[eid], nc, axis=0)
+
+        return Mesh(
+            d, np.concatenate([self.vertices, np.reshape(new, (-1, d))]),
+            self._root_pairing, vreg,
+            root=np.concatenate([self.root, kids(self.root)]),
+            level=np.concatenate([self.level, kids(self.level) + 1]),
+            degree=np.concatenate([self.degree, kids(self.degree)]),
+            parent=np.concatenate([self.parent, np.repeat(eid, nc)]),
+            first_child=np.concatenate([first_child, np.full(len(eid) * nc, -1)]),
+            corners=np.concatenate([self.corners, ids[:, at].reshape(-1, nc)]),
+            boxes=np.concatenate([self.boxes, np.stack(
+                [coords[:, axes, bits], coords[:, axes, bits + 1]], axis=-1)
+                .reshape(-1, d, 2)]),
+            tags=np.concatenate([self.tags, np.where(
+                keep, self.tags[eid][:, None, :], None).reshape(-1, 2 * d)]))
 
     # -- adjacency -----------------------------------------------------------
 
@@ -590,17 +614,15 @@ class Mesh:
             for v in self.vertices:
                 fh.write(" ".join(f"{x:.17g}" for x in v) + "\n")
             fh.write("ELEMENTS\n")
-            for eid in self.active_ids():
-                el = self.elements[eid]
-                fh.write(" ".join(str(c) for c in el.corners) + f" {el.degree}\n")
+            act = np.array(self.active_ids(), dtype=np.intp)
+            for ids, p in zip(self.corners[act].tolist(), self.degree[act].tolist()):
+                fh.write(" ".join(str(c) for c in ids) + f" {p}\n")
             fh.write("BOUNDARY\n")
-            for eid in self.active_ids():
-                el = self.elements[eid]
-                for f in range(2 * d):
-                    if el.boundary_tags[f] is not None:
-                        ids = _facet_corner_ids(el.corners, d, f)
-                        fh.write(" ".join(str(i) for i in ids)
-                                 + f" {el.boundary_tags[f]}\n")
+            tags = self.tags[act]
+            i, f = np.nonzero(np.not_equal(tags, None))
+            ids = self.corners[act[i][:, None], facet_corner_rows(d)[f]]
+            for row, tag in zip(ids.tolist(), tags[i, f]):
+                fh.write(" ".join(str(c) for c in row) + f" {tag}\n")
 
     @classmethod
     def read_text(cls, path):
@@ -651,9 +673,7 @@ class Mesh:
             ncell = len(act)
             npts = 2**d
             fh.write(f"CELLS {ncell} {ncell * (npts + 1)}\n")
-            for eid in act:
-                el = self.elements[eid]
-                ids = [el.corners[i] for i in order]
+            for ids in self.corners[act][:, order].tolist():
                 fh.write(f"{npts} " + " ".join(str(i) for i in ids) + "\n")
             fh.write(f"CELL_TYPES {ncell}\n")
             for _ in act:
@@ -704,14 +724,10 @@ def _facet_table(mesh):
     1e-14 along every in-facet axis are the pieces. A partial overlap
     raises ValueError."""
     d, nf = mesh.dim, 2 * mesh.dim
-    act = np.array(mesh.active_ids(), dtype=np.intp)
+    act = np.flatnonzero(mesh.first_child < 0)
     n = len(act)
-    els = [mesh.elements[e] for e in act.tolist()]
-    root = np.array([e.root for e in els], dtype=np.intp)
-    box = np.stack([np.array([e.box_lo for e in els]).reshape(n, d),
-                    np.array([e.box_hi for e in els]).reshape(n, d)], axis=2)
-    tags = [t for e in els for t in e.boundary_tags]
-    inner = np.array([t is None for t in tags], dtype=bool)
+    root, box, tags = mesh.root[act], mesh.boxes[act], mesh.tags[act].ravel()
+    inner = np.equal(tags, None)
     axes = np.array([[a for a in range(d) if a != k] for k in range(d)],
                     dtype=np.intp).reshape(d, d - 1)
     # every facet (i, f) of an active element, and its intervals
@@ -767,7 +783,7 @@ def _facet_table(mesh):
     return FacetTable(act=act, el=el, facet=facet, nb=nb, nb_facet=nbf,
                       my_box=my_box, nb_box=nb_box, perm=perm, flip=flip,
                       relation=relation, twin=twin, b_el=i[b], b_facet=f[b],
-                      b_tag=[tags[x] for x in b.tolist()])
+                      b_tag=tags[b].tolist())
 
 
 def _matched_coords(my_box, nb_box, perm, flip, xi):
@@ -801,12 +817,13 @@ def _facet_corner_ids(corners, dim, f):
     return [corners[r] for r in facet_corner_rows(dim)[f].tolist()]
 
 
-def _facet_pairing(el_a, fa, el_b, fb, dim):
-    """In-facet axis correspondence between two conforming root facets: for
-    each in-facet position j of the neighbor frame, the providing position
-    perm[j] of this frame and a flip flag."""
-    ids_a = _facet_corner_ids(el_a.corners, dim, fa)
-    ids_b = _facet_corner_ids(el_b.corners, dim, fb)
+def _facet_pairing(cell_a, fa, cell_b, fb, dim):
+    """In-facet axis correspondence between two conforming root facets, of
+    cells with corner ids cell_a and cell_b: for each in-facet position j of
+    the neighbor frame, the providing position perm[j] of this frame and a
+    flip flag."""
+    ids_a = _facet_corner_ids(cell_a, dim, fa)
+    ids_b = _facet_corner_ids(cell_b, dim, fb)
     if dim == 1:
         return (), ()
     fbits = corner_bits(dim - 1)

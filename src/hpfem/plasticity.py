@@ -537,7 +537,7 @@ class Fields:
                              "the same element degrees")
         self.material = material
         self.dim = d
-        self.deg = np.array([space.degrees[e] for e in act], dtype=np.intp)
+        self.deg = space.mesh.degree[act]
         self.with_lam = lam is not None
         U = np.asarray(u, dtype=float).reshape(-1, d)
         prows = np.asarray(p, dtype=float).reshape(qspace.ndof, L)

@@ -360,7 +360,7 @@ def apply_enrichment(mesh, prediction):
     eid = cand.element
     if cand.kind == "hp":
         return mesh.refine_element(eid, np.asarray(cand.zhat))
-    return enforce_degree_comparability(mesh, {eid: mesh.elements[eid].degree + 1})
+    return enforce_degree_comparability(mesh, {eid: mesh.degree[eid] + 1})
 
 
 def enforce_degree_comparability(mesh, degrees):
@@ -374,10 +374,10 @@ def enforce_degree_comparability(mesh, degrees):
     # never above the largest
     while work:
         eid = work.pop()
-        low = deg.get(eid, mesh.elements[eid].degree) - 1
+        low = deg.get(eid, mesh.degree[eid]) - 1
         rows, _ = tab.rows(eid)
         for nb in tab.act[tab.nb[rows]].tolist():
-            if deg.get(nb, mesh.elements[nb].degree) < low:
+            if deg.get(nb, mesh.degree[nb]) < low:
                 deg[nb] = low
                 work.append(nb)
     return mesh.with_degrees(deg)

@@ -10,10 +10,7 @@ from .mesh import Mesh
 def interval_mesh(n=1, degree=1, lo=0.0, hi=1.0):
     xs = np.linspace(lo, hi, n + 1)
     cells = [[i, i + 1] for i in range(n)]
-    m = Mesh.from_arrays(xs[:, None], cells, dim=1)
-    for e in m.elements:
-        e.degree = degree
-    return m
+    return Mesh.from_arrays(xs[:, None], cells, dim=1, degrees=degree)
 
 
 def square_mesh(n=1, degree=1, tagger=None, lo=0.0, hi=1.0):
@@ -25,9 +22,7 @@ def square_mesh(n=1, degree=1, tagger=None, lo=0.0, hi=1.0):
 
     cells = [[vid(i, j), vid(i, j + 1), vid(i + 1, j), vid(i + 1, j + 1)]
              for i in range(n) for j in range(n)]
-    m = Mesh.from_arrays(verts, cells, dim=2)
-    for e in m.elements:
-        e.degree = degree
+    m = Mesh.from_arrays(verts, cells, dim=2, degrees=degree)
     if tagger is not None:
         m.tag_boundary(tagger)
     return m
@@ -37,10 +32,7 @@ def l_shape_mesh(degree=1):
     """(-1,1)^2 minus the fourth quadrant, three unit squares, corner at 0."""
     verts = [[-1, -1], [0, -1], [-1, 0], [0, 0], [1, 0], [-1, 1], [0, 1], [1, 1]]
     cells = [[0, 2, 1, 3], [2, 5, 3, 6], [3, 6, 4, 7]]
-    m = Mesh.from_arrays(verts, cells, dim=2)
-    for e in m.elements:
-        e.degree = degree
-    return m
+    return Mesh.from_arrays(verts, cells, dim=2, degrees=degree)
 
 
 def cube_mesh(n=1, degree=1):
@@ -58,10 +50,7 @@ def cube_mesh(n=1, degree=1):
                               vid(i, j + 1, k), vid(i, j + 1, k + 1),
                               vid(i + 1, j, k), vid(i + 1, j, k + 1),
                               vid(i + 1, j + 1, k), vid(i + 1, j + 1, k + 1)])
-    m = Mesh.from_arrays(verts, cells, dim=3)
-    for e in m.elements:
-        e.degree = degree
-    return m
+    return Mesh.from_arrays(verts, cells, dim=3, degrees=degree)
 
 
 # ---------------------------------------------------------------------------

@@ -260,7 +260,7 @@ class ScalarSpace:
         self.mesh = mesh
         self.dim = mesh.dim
         act = mesh.active_ids()
-        deg = np.array([mesh.elements[e].degree for e in act], dtype=np.intp)
+        deg = mesh.degree[act]
         if not np.all((deg >= 1) & (deg <= MAX_DEGREE)):
             raise ValueError(f"polynomial degree must be in 1..{MAX_DEGREE}")
         self.degrees = dict(zip(act, deg.tolist()))
@@ -274,7 +274,7 @@ class ScalarSpace:
     def _build(self):
         mesh, d, act, deg = self.mesh, self.dim, self._act, self._deg
         n = len(act)
-        ids = mesh.corner_ids(act)
+        ids = mesh.corners[act]
         rows = facet_corner_rows(d)
         vids, vent = np.unique(ids, return_inverse=True)
         vent = vent.reshape(ids.shape)
@@ -307,9 +307,7 @@ class ScalarSpace:
             np.minimum.at(face_deg, fent, np.broadcast_to(deg[:, None], fent.shape))
 
         # Dirichlet entities: the closures of the Dirichlet facets
-        on = np.array([[tag == DIRICHLET for tag in mesh.elements[e].boundary_tags]
-                       for e in act.tolist()], dtype=bool).reshape(n, 2 * d)
-        di, df = np.nonzero(on)
+        di, df = np.nonzero(np.equal(mesh.tags[act], DIRICHLET))
         fixed_v = np.zeros(nv, dtype=bool)
         fixed_e = np.zeros(ne, dtype=bool)
         fixed_f = np.zeros(nf, dtype=bool)
@@ -343,7 +341,7 @@ class ScalarSpace:
                                       tab.flip[hang])
             fine = eent[fine_at[h], fedges[fine_f[h], e]]
             coarse = eent[coarse_at[h], fedges[coarse_f[h], k]]
-            level = np.array([mesh.elements[eid].level for eid in act[fine_at[h]]])
+            level = mesh.level[act[fine_at[h]]]
             for lev in np.unique(level)[::-1].tolist():
                 at_lev = level == lev
                 np.minimum.at(edge_deg, coarse[at_lev], edge_deg[fine[at_lev]])
@@ -553,7 +551,7 @@ class ScalarSpace:
         """Values at mesh vertices (for export); NaN where a vertex is unused."""
         vals = np.full(len(self.mesh.vertices), np.nan)
         corners_hat = 2.0 * corner_bits(self.dim) - 1.0
-        ids = self.mesh.corner_ids(self._act)
+        ids = self.mesh.corners[self._act]
         for p in np.unique(self._deg).tolist():
             sel = np.nonzero(self._deg == p)[0]
             V, _ = tensor_shape_eval(corners_hat, tensor_indices(p, self.dim),
@@ -603,7 +601,7 @@ class GaussPointSpace:
         self.dim = mesh.dim
         self.yield_stress = float(yield_stress)
         act = mesh.active_ids()
-        deg = np.array([mesh.elements[e].degree for e in act], dtype=np.intp)
+        deg = mesh.degree[act]
         self.degrees = dict(zip(act, deg.tolist()))
         counts = np.where(deg >= 2, deg ** self.dim, 1)
         self._act = np.array(act, dtype=np.intp)

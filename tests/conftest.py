@@ -20,10 +20,8 @@ def distorted_quad_mesh(degree=2):
     verts = [[0, 0], [1.05, -0.1], [2.1, 0.05],
              [-0.1, 1.0], [1.0, 1.15], [2.0, 1.0]]
     cells = [[0, 3, 1, 4], [1, 4, 2, 5]]
-    m = Mesh.from_arrays(verts, cells, dim=2, default_tag="neumann")
-    for e in m.elements:
-        e.degree = degree
-    return m
+    return Mesh.from_arrays(verts, cells, dim=2, degrees=degree,
+                            default_tag="neumann")
 
 
 def random_refined_mesh(rng, n=2, max_degree=4, refinements=2, dirichlet=False):
@@ -149,7 +147,7 @@ def rotated_roots_mesh(d, refine, degrees):
     else:
         cube = cube_mesh(2)
         verts = cube.vertices
-        cells = [list(e.corners) for e in cube.elements]
+        cells = cube.corners.tolist()
         cells[0] = _rotated(cells[0], [1, 2, 0], [1, 1, 1])
         cells[3] = _rotated(cells[3], [0, 2, 1], [1, -1, 1])
     m = Mesh.from_arrays(verts, cells, dim=d, default_tag="neumann")

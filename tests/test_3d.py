@@ -53,9 +53,7 @@ def test_3d_rotated_face_continuity(rng):
           vid(1, 0, 0), vid(1, 0, 1), vid(1, 1, 0), vid(1, 1, 1)]
     c1 = [vid(1, 0, 0), vid(1, 1, 0), vid(2, 0, 0), vid(2, 1, 0),
           vid(1, 0, 1), vid(1, 1, 1), vid(2, 0, 1), vid(2, 1, 1)]
-    m = Mesh.from_arrays(v3, [c0, c1], dim=3, default_tag="neumann")
-    for e in m.elements:
-        e.degree = 3
+    m = Mesh.from_arrays(v3, [c0, c1], dim=3, degrees=3, default_tag="neumann")
     for refine in (False, True):
         mm = m.refine_element(1) if refine else m
         spc = ScalarSpace(mm)
@@ -89,9 +87,7 @@ def test_3d_hanging_solve():
           vid(1, 0, 0), vid(1, 0, 1), vid(1, 1, 0), vid(1, 1, 1)]
     c1 = [vid(1, 0, 0), vid(1, 0, 1), vid(1, 1, 0), vid(1, 1, 1),
           vid(2, 0, 0), vid(2, 0, 1), vid(2, 1, 0), vid(2, 1, 1)]
-    m = Mesh.from_arrays(v3, [c0, c1], dim=3)
-    for e in m.elements:
-        e.degree = 2
+    m = Mesh.from_arrays(v3, [c0, c1], dim=3, degrees=2)
     m.tag_boundary(lambda c: "dirichlet" if c[0] < 1e-12 else "neumann")
     m = m.refine_element(1)
     mat = Material(lam=2.0, mu=1.0, hardening=0.5, yield_stress=1e6)

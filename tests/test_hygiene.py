@@ -1,5 +1,6 @@
-"""Source hygiene: every name a module of the package imports is used, and
-every function, class and method it defines is referenced somewhere."""
+"""Source hygiene: every name a module of the package imports is used,
+every function, class and method it defines is referenced somewhere, and
+no module but mesh.py reads the per-element view of a mesh."""
 
 import ast
 import os
@@ -121,3 +122,22 @@ def test_scan_finds_unreferenced_definitions():
 def test_every_definition_is_referenced(module):
     with open(os.path.join(SRC, module)) as fh:
         assert unreferenced(fh.read(), project_references()) == []
+
+
+def element_reads(source):
+    """Lines of a module that read an attribute named ``elements``."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Attribute) and node.attr == "elements")
+
+
+def test_scan_finds_element_reads():
+    src = "m.root[0]\nfor e in m.elements:\n    e.degree\nmesh.elements[3].level\n"
+    assert element_reads(src) == [2, 4]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "mesh.py"])
+def test_only_mesh_reads_elements(module):
+    """The mesh storage stays behind mesh.py: other modules read its
+    columns, never the per-element view."""
+    with open(os.path.join(SRC, module)) as fh:
+        assert element_reads(fh.read()) == []

@@ -135,10 +135,16 @@ class TestRefinement:
         expect = sorted([0.75 * 0.375, 0.75 * 0.625, 0.25 * 0.375, 0.25 * 0.625])
         np.testing.assert_allclose(vols, expect, atol=1e-12)
 
-    def test_boundary_dividing_point_rejected(self):
+    @pytest.mark.parametrize("zhat", [[1.0, 0.0], [np.nan, 0.0], [0.0, np.inf],
+                                      [0.25], [0.1, 0.2, 0.3], [[0.1, 0.2]]],
+                             ids=["boundary", "nan", "inf", "short", "long", "row"])
+    def test_boundary_dividing_point_rejected(self, zhat):
+        # on the boundary, not finite, or not one coordinate per axis
         m = square_mesh(1)
         with pytest.raises(ValueError):
-            m.refine_element(0, zhat=np.array([1.0, 0.0]))
+            m.refine_element(0, zhat=np.array(zhat))
+        with pytest.raises(ValueError):
+            m.refine_many([0], zhat=np.array(zhat))
 
     def test_already_refined_rejected(self):
         m = square_mesh(1).refine_element(0)
@@ -256,14 +262,37 @@ class TestSnapshots:
         children = named(after) & set(m2.elements[0].children)
         assert len(children) == 2 and named(after) == {3} | children
 
-    def test_tag_boundary_on_snapshot_leaves_parent(self):
-        m = square_mesh(2)
+    @pytest.mark.parametrize("derive", ["refine_many", "with_degrees",
+                                        "tag_boundary"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_tag_boundary_on_snapshot_leaves_parent(self, d, derive):
+        # a snapshot derived from another leaves every column of its source
+        # bit-identical, and its facet table too
+        m = {1: interval_mesh(2), 2: square_mesh(2), 3: cube_mesh(2)}[d]
+        m = m.refine_element(0, np.full(d, 0.25)).with_degrees({1: 2})
         tab = m.facet_table()
-        m2 = m.with_degrees({0: 2}).tag_boundary(lambda c: "neumann")
+        columns = ("vertices", "root", "level", "degree", "parent",
+                   "first_child", "corners", "boxes", "tags")
+        before = {c: getattr(m, c).copy() for c in columns}
+        if derive == "refine_many":
+            m2 = m.refine_many(m.active_ids()[:2], np.full(d, -0.5))
+            assert len(m2.root) > len(m.root)
+        elif derive == "with_degrees":
+            m2 = m.with_degrees({e: 3 for e in m.active_ids()})
+            assert m2.facet_table() is tab
+        else:
+            m2 = m.with_degrees({1: 3}).tag_boundary(lambda c: "neumann")
+            assert m2.facet_table() is not tab
+            assert set(m2.facet_table().b_tag) == {"neumann"}
+        for c in columns:
+            have, want = getattr(m, c), before[c]
+            assert have.shape == want.shape and have.dtype == want.dtype, c
+            if c == "tags":
+                assert have.tolist() == want.tolist()
+            else:
+                assert have.tobytes() == want.tobytes(), c
         assert m.facet_table() is tab
         assert set(tab.b_tag) == {DIRICHLET}
-        assert m2.facet_table() is not tab
-        assert set(m2.facet_table().b_tag) == {"neumann"}
 
 
 def _oracle_facet_neighbors(mesh, eid):
@@ -275,7 +304,7 @@ def _oracle_facet_neighbors(mesh, eid):
     d = mesh.dim
     idx = {}
     for el in mesh.elements:
-        if el.active:
+        if el.children is None:
             for k in range(d):
                 idx.setdefault((el.root, k, float(el.box_lo[k])), []).append((el.eid, 0))
                 idx.setdefault((el.root, k, float(el.box_hi[k])), []).append((el.eid, 1))

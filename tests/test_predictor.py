@@ -18,10 +18,8 @@ from hpfem.space import ScalarSpace
 
 def interval_mesh(n, degree=1):
     xs = np.linspace(0.0, 1.0, n + 1)
-    m = Mesh.from_arrays(xs[:, None], [[i, i + 1] for i in range(n)], dim=1)
-    for e in m.elements:
-        e.degree = degree
-    return m
+    return Mesh.from_arrays(xs[:, None], [[i, i + 1] for i in range(n)], dim=1,
+                            degrees=degree)
 
 
 UNIT_F = ScalarProblem(volume=lambda x: np.ones(len(x)))
@@ -239,8 +237,8 @@ class TestRepresentation:
         # the child loads use the quadrature order of the global load,
         # P + 1 + extra_order, which matters for non-polynomial data
         verts = [[0, 0], [1.0, -0.1], [-0.1, 1.0], [1.2, 1.1]]
-        m = Mesh.from_arrays(verts, [[0, 2, 1, 3]], dim=2, default_tag="neumann")
-        m.elements[0].degree = 2
+        m = Mesh.from_arrays(verts, [[0, 2, 1, 3]], dim=2, degrees=2,
+                             default_tag="neumann")
         sp = ScalarSpace(m)
 
         def f(x):
@@ -558,7 +556,7 @@ class TestChooserAndApply:
         best, _ = choose_enrichment(sp, UNIT_F, A, b, u,
                                     {0: [hp_enrichment(sp, 0)]})[0]
         m2 = apply_enrichment(m, best)
-        assert not m2.elements[0].active
+        assert m2.elements[0].children is not None
         kids = m2.elements[0].children
         assert len(kids) == 4
         assert all(m2.elements[c].degree == 2 for c in kids)
@@ -598,7 +596,7 @@ class TestChooserAndApply:
     def test_degree_comparability_enforced(self):
         m = square_mesh(2, degree=2, tagger=lambda c: "dirichlet")
         m2 = enforce_degree_comparability(m, {0: 5})
-        assert m2.degree(0) == 5
+        assert m2.degree[0] == 5
         for eid in m2.active_ids():
             p = m2.elements[eid].degree
             for info in m2.facet_neighbors(eid):
@@ -636,10 +634,10 @@ class TestChooserAndApply:
                 assert "non-nested facet overlap" in str(err)
                 continue
             assert new.active_ids() == old.active_ids()
-            assert ([new.degree(e) for e in new.active_ids()]
-                    == [old.degree(e) for e in old.active_ids()])
+            assert ([new.degree[e] for e in new.active_ids()]
+                    == [old.degree[e] for e in old.active_ids()])
             if cand.kind == "hp":
-                assert all(abs(new.degree(e) - new.degree(piece.neighbor)) <= 1
+                assert all(abs(new.degree[e] - new.degree[piece.neighbor]) <= 1
                            for e in new.active_ids()
                            for info in new.facet_neighbors(e) for piece in info.pieces)
             m = new

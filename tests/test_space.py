@@ -51,9 +51,7 @@ class TestDofCounts:
     def test_2x1_p2_free(self):
         verts = [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
         m = Mesh.from_arrays(verts, [[0, 3, 1, 4], [1, 4, 2, 5]], dim=2,
-                             default_tag="neumann")
-        for e in m.elements:
-            e.degree = 2
+                             degrees=2, default_tag="neumann")
         assert ScalarSpace(m).ndof == 15  # 6 vertices + 7 edges + 2 interiors
 
     def test_q_dimension(self, rng):
@@ -163,8 +161,7 @@ class TestBiorthogonality:
 
     def test_degenerate_element_rejected(self):
         m = Mesh.from_arrays([[0, 0], [1, 1], [1, 0], [0, 1]], [[0, 1, 2, 3]],
-                             dim=2, default_tag="neumann")
-        m.elements[0].degree = 2
+                             dim=2, degrees=2, default_tag="neumann")
         with pytest.raises(ValueError):
             GaussPointSpace(m, 1.0)
 
@@ -216,9 +213,8 @@ class TestContinuity:
               vid(1, 0, 0), vid(1, 0, 1), vid(1, 1, 0), vid(1, 1, 1)]
         c1 = [vid(1, 0, 0), vid(1, 0, 1), vid(1, 1, 0), vid(1, 1, 1),
               vid(2, 0, 0), vid(2, 0, 1), vid(2, 1, 0), vid(2, 1, 1)]
-        m = Mesh.from_arrays(v3, [c0, c1], dim=3, default_tag="neumann")
-        for e, p in zip(m.elements, (3, 2)):
-            e.degree = p
+        m = Mesh.from_arrays(v3, [c0, c1], dim=3, degrees=(3, 2),
+                             default_tag="neumann")
         m = m.refine_element(0)
         self.check(m, ScalarSpace(m), rng)
 
@@ -359,10 +355,10 @@ def _jittered_roots(d, n, rng):
     to a fifth of the mesh size on each axis."""
     m = square_mesh(n) if d == 2 else cube_mesh(n)
     h = 1.0 / n
-    m.vertices = [v + (0.2 * h * rng.uniform(-1, 1, d)
-                       if np.all((v > 1e-12) & (v < 1 - 1e-12)) else 0.0)
-                  for v in m.vertices]
-    return m
+    verts = [v + (0.2 * h * rng.uniform(-1, 1, d)
+                  if np.all((v > 1e-12) & (v < 1 - 1e-12)) else 0.0)
+             for v in m.vertices]
+    return Mesh.from_arrays(verts, m.corners, dim=d)
 
 
 def _refined_mesh(d, n, seed):
@@ -432,7 +428,7 @@ class TestRefinementProperties:
         m = cube_mesh(2).refine_many([0, 1, 5, 6])
         m = m.with_degrees({e: high if m.elements[e].root in (0, 4, 5) else low
                             for e in m.active_ids()})
-        assert all(abs(m.degree(e) - m.degree(piece.neighbor)) <= 1
+        assert all(abs(m.degree[e] - m.degree[piece.neighbor]) <= 1
                    for e in m.active_ids()
                    for info in m.facet_neighbors(e) for piece in info.pieces)
         _assert_continuous(m, 0)
