@@ -5,6 +5,8 @@ element-matrix kernels take optional leading element axes, so that assembly
 calls each of them once per group of elements of equal degree.
 """
 
+import math
+
 import numpy as np
 
 
@@ -58,6 +60,14 @@ def scalar_stiffness(dphi, w):
     *lead, nq, nb, d = dphi.shape
     G = np.swapaxes(dphi, -3, -2).reshape(*lead, nb, nq * d)
     return (G * np.repeat(w, d, axis=-1)[..., None, :]) @ np.swapaxes(G, -1, -2)
+
+
+def affine_stiffness(geo, T):
+    """Poisson stiffness (n, nb, nb) of n affine elements from their geometry
+    factors geo (n, d^2), the flattened det J (J^-1 J^-T), and the reference
+    tensor T (d^2, nb^2) of `polybasis.stiffness_tensor`."""
+    nb = math.isqrt(T.shape[1])
+    return (geo @ T).reshape(len(geo), nb, nb)
 
 
 def mass_matrix(phi, w):

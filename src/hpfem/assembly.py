@@ -122,17 +122,6 @@ class MixedSystem:
     non_affine: tuple = field(default_factory=tuple)
 
 
-def element_quadrature(mesh, eid, order):
-    """Reference points/weights and mapped geometry for one element: a
-    one-element view of `group_quadrature`, for checks element by element."""
-    emap = mesh.element_map(eid)
-    pts, wts = tensor_gauss(order, mesh.dim)
-    J = emap.jacobian(pts)
-    det = np.linalg.det(J)
-    Jinv = np.linalg.inv(J)
-    return emap, pts, wts, det, Jinv
-
-
 def element_groups(space, *keys):
     """Positions of the active elements grouped by degree and by further
     per-element keys (arrays in element order), as {(degree, *keys):

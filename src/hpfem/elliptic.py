@@ -10,9 +10,10 @@ import scipy.sparse as sp
 from . import _kernels
 from .assembly import (boundary_load, data_load, element_groups, galerkin,
                        group_quadrature)
-from .mesh import map_points
+from .mesh import is_affine, map_jacobians, map_points
 from .plasticity import factorize
-from .polybasis import tensor_indices, tensor_shape_eval
+from .polybasis import (stiffness_tensor, tensor_gauss, tensor_indices,
+                        tensor_shape_eval)
 
 
 @dataclass
@@ -28,20 +29,55 @@ class ScalarProblem:
     exact_grad: object = None   # optional reference gradient (callable)
 
 
+def poisson_blocks(corners, degree, order, volume=None, block=None):
+    """Poisson stiffness (n, nb, nb) and load (n, nb) of the maps of a corner
+    array (n, 2^d, d) in the tensor basis of a degree, by the Gauss rule of
+    order points per axis; the load is zero without volume data.
+
+    An affine map has a constant J, taken once at the centre: its stiffness
+    is det J (J^-1 J^-T) contracted with the cached `stiffness_tensor`. The
+    other maps take J at every point and `_kernels.scalar_stiffness`, at
+    most block physical gradient entries at a time when block is given. The
+    load uses the mapped points and the weights times det J on both."""
+    n, _, d = corners.shape
+    pts, wts = tensor_gauss(order, d)
+    V, G = tensor_shape_eval(pts, tensor_indices(degree, d), jmax=max(degree, 1))
+    nb = G.shape[1]
+    A = np.empty((n, nb, nb))
+    w = np.empty((n, len(wts)))
+    aff = is_affine(corners)
+    if aff.any():
+        J = map_jacobians(corners[aff], np.zeros((1, d)))[:, 0]
+        det, Jinv = np.linalg.det(J), np.linalg.inv(J)
+        geo = det[:, None, None] * (Jinv @ np.swapaxes(Jinv, 1, 2))
+        A[aff] = _kernels.affine_stiffness(geo.reshape(-1, d * d),
+                                           stiffness_tensor(degree, d, order))
+        w[aff] = det[:, None] * wts
+    if not aff.all():
+        _, wq, Jinv = group_quadrature(corners[~aff], order)
+        blocks = 1 if block is None else min(len(wq), -(-wq.size * G[0].size // block))
+        A[~aff] = np.concatenate([_kernels.scalar_stiffness(G @ Ji, wi) for Ji, wi in
+                                  zip(np.array_split(Jinv, blocks),
+                                      np.array_split(wq, blocks))])
+        w[~aff] = wq
+    if volume is None:
+        return A, np.zeros((n, nb))
+    return A, data_load(volume, map_points(corners, pts), w, V)
+
+
 def assemble_scalar(space, problem):
     """Stiffness matrix and load vector of the Poisson form, one group of
-    elements of equal degree at a time."""
+    elements of equal degree at a time, by `poisson_blocks`."""
     corners = space.mesh.corner_array(space.mesh.active_ids())
     A = sp.csr_matrix((space.ndof, space.ndof))
     b = np.zeros(space.ndof)
     for (p,), sel in element_groups(space).items():
-        pts, w, Jinv = group_quadrature(corners[sel], p + 1 + problem.extra_order)
-        V, G = tensor_shape_eval(pts, tensor_indices(p, space.dim), jmax=max(p, 1))
+        A_e, b_e = poisson_blocks(corners[sel], p, p + 1 + problem.extra_order,
+                                  problem.volume)
         rows = space.local_operator(1, sel)
-        A += galerkin(rows, _kernels.scalar_stiffness(G @ Jinv, w))
+        A += galerkin(rows, A_e)
         if problem.volume is not None:
-            b += rows.T @ data_load(problem.volume, map_points(corners[sel], pts),
-                                    w, V).ravel()
+            b += rows.T @ b_e.ravel()
     if problem.neumann is not None:
         b += boundary_load(space, corners, problem.neumann, problem.neumann_tags)
     return A, b

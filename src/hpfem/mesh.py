@@ -173,20 +173,9 @@ class ElementMap:
         J = self.jacobian(xhat)
         return np.linalg.det(J)
 
-    def hessian(self, xhat):
-        """Second derivatives d2F_m / dxhat_a dxhat_b; shape (m, d, d, d)."""
-        return map_hessians(self.corners, np.atleast_2d(xhat))
-
     def volume(self):
         pts, wts = tensor_gauss(3, self.dim)
         return float(wts @ self.det_jacobian(pts))
-
-    def is_valid(self):
-        """Positive Jacobian determinant at corners and a 3rd-order Gauss grid."""
-        corners_hat = 2.0 * corner_bits(self.dim) - 1.0
-        pts, _ = tensor_gauss(3, self.dim)
-        det = self.det_jacobian(np.vstack([corners_hat, pts]))
-        return bool(np.all(det > 0.0))
 
 
 def is_affine(corners, tol=1e-12):

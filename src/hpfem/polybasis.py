@@ -157,6 +157,20 @@ def tensor_shape_eval(points, indices, jmax=None):
                            [dv for _, dv in tables], indices)
 
 
+@reference_table
+def stiffness_tensor(degree, dim, order):
+    """The Poisson reference tensor of the tensor shapes of a degree by the
+    tensor Gauss rule of order points per axis: T (d^2, nb^2) with
+    T[a d + c, i nb + j] = sum_q w_q d_a psi-hat_i d_c psi-hat_j. On an
+    affine map the stiffness is det J sum_{a,c} (J^-1 J^-T)_{ac} T_{ac}."""
+    pts, wts = tensor_gauss(order, dim)
+    _, G = tensor_shape_eval(pts, tensor_indices(degree, dim), jmax=max(degree, 1))
+    m, nb, d = G.shape
+    X = G.reshape(m, nb * d)
+    T = ((X.T * wts) @ X).reshape(nb, d, nb, d)
+    return T.transpose(1, 3, 0, 2).reshape(d * d, nb * nb)
+
+
 def tensor_contract(tables, coef):
     """Sum factorization over per-point 1D tables: the values (r, m, k) of
     sum_j coef[r, j] prod_a tables[a][r, :, j_a], j running over the full

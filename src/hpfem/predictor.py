@@ -16,15 +16,16 @@ such group of elements.
 
 import itertools
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
-from . import _kernels
-from .assembly import data_load, group_quadrature
+from .elliptic import poisson_blocks
 from .estimator import TIE_RTOL
 from .mesh import corner_bits, map_points
-from .polybasis import reference_table, tensor_indices, tensor_shape_eval
+from .polybasis import reference_table, tensor_indices
 from .space import constraint_coeffs
 
 
@@ -190,27 +191,22 @@ def representation_matrices(space, candidate, eids=None):
         degree=max(candidate.degree_cap, p))
 
 
-# entries of the children's physical gradients evaluated at once, which
-# bounds the memory of a group's child stiffness to a few megabytes
+# entries of the children's physical gradients evaluated at once on
+# non-affine children, which bounds the memory of a group's child stiffness
+# to a few megabytes; affine children take the reference tensor
 CHILD_BLOCK = 2 ** 16
 
 
 def child_local_matrices(rep, problem):
     """Poisson stiffness (n 2^d, nb, nb) and load (n 2^d, nb) of the
     children over the unified representation basis, at the Gauss rule of
-    order P + 1 + problem.extra_order like the global load; the stiffness
-    one block of children at a time."""
+    order P + 1 + problem.extra_order like the global load, by
+    `poisson_blocks`: the affine children's stiffness from the cached
+    reference tensor, the others' by quadrature, one block of CHILD_BLOCK
+    gradient entries at a time."""
     P = rep.degree
-    idx = tensor_indices(P, rep.child_corners.shape[-1])
-    pts, w, Jinv = group_quadrature(rep.child_corners, P + 1 + problem.extra_order)
-    V, G = tensor_shape_eval(pts, idx, jmax=max(P, 1))
-    blocks = min(len(w), -(-w.size * G[0].size // CHILD_BLOCK))
-    A_loc = np.concatenate([_kernels.scalar_stiffness(G @ J, ww) for J, ww in
-                            zip(np.array_split(Jinv, blocks), np.array_split(w, blocks))])
-    if problem.volume is None:
-        return A_loc, np.zeros((len(w), len(idx)))
-    return A_loc, data_load(problem.volume, map_points(rep.child_corners, pts),
-                            w, V)
+    return poisson_blocks(rep.child_corners, P, P + 1 + problem.extra_order,
+                          problem.volume, CHILD_BLOCK)
 
 
 # ---------------------------------------------------------------------------
@@ -339,16 +335,26 @@ def choose_enrichment(space, problem, A_W, b_W, u_W, candidates):
     return {eid: _best([next(preds) for _ in cs]) for eid, cs in candidates.items()}
 
 
-def default_candidates(space, eid, menu="narrow"):
-    """One p- and one hp-candidate; the 'enrichment' menu uses the superset
-    index rules, which keep the candidate spaces above the local part."""
-    full = menu == "enrichment"
-    out = [p_enrichment(space, eid, full=full)]
+@lru_cache(maxsize=None)
+def _default_templates(dim, degree, full):
+    """The default candidates of the elements of one dimension and degree,
+    on a stand-in element -1 for `default_candidates` to replace."""
+    one = SimpleNamespace(dim=dim, degrees={-1: degree})
+    out = [p_enrichment(one, -1, full=full)]
     try:
-        out.append(hp_enrichment(space, eid, full=full))
+        out.append(hp_enrichment(one, -1, full=full))
     except ValueError:
         pass
-    return out
+    return tuple(out)
+
+
+def default_candidates(space, eid, menu="narrow"):
+    """One p- and one hp-candidate; the 'enrichment' menu uses the superset
+    index rules, which keep the candidate spaces above the local part. The
+    candidates are cached templates per dimension, degree and menu, stamped
+    with the element."""
+    return [replace(c, element=eid) for c in _default_templates(
+        space.dim, space.degrees[eid], menu == "enrichment")]
 
 
 def apply_enrichment(mesh, prediction):

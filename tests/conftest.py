@@ -3,16 +3,40 @@ import pytest
 
 from hpfem.assembly import Loads, Material
 from hpfem.elliptic import ScalarProblem
-from hpfem.mesh import Mesh
+from hpfem.mesh import Mesh, corner_bits, map_hessians
 from hpfem.problems import cube_mesh, interval_mesh, poisson_lshape
 from hpfem.problems import square_mesh  # noqa: F401  (re-exported to tests)
-from hpfem.polybasis import tensor_indices
+from hpfem.polybasis import tensor_gauss, tensor_indices
 from hpfem.space import GaussPointSpace, ScalarSpace, deviatoric_dim
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def element_quadrature(mesh, eid, order):
+    """Reference points/weights and mapped geometry for one element: a
+    one-element view of `assembly.group_quadrature`, for checks element by
+    element."""
+    emap = mesh.element_map(eid)
+    pts, wts = tensor_gauss(order, mesh.dim)
+    J = emap.jacobian(pts)
+    return emap, pts, wts, np.linalg.det(J), np.linalg.inv(J)
+
+
+def map_hessian(emap, xhat):
+    """Second derivatives d2F_m / dxhat_a dxhat_b (m, d, d, d) of the map of
+    an ElementMap at reference points (m, d)."""
+    return map_hessians(emap.corners, np.atleast_2d(xhat))
+
+
+def is_valid_map(emap):
+    """Whether the map of an ElementMap has a positive Jacobian determinant
+    at the corners and on a 3rd-order Gauss grid."""
+    corners_hat = 2.0 * corner_bits(emap.dim) - 1.0
+    pts, _ = tensor_gauss(3, emap.dim)
+    return bool(np.all(emap.det_jacobian(np.vstack([corners_hat, pts])) > 0.0))
 
 
 def distorted_quad_mesh(degree=2):

@@ -6,9 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_refined_mesh, square_mesh
-from hpfem.assembly import (Loads, Material, assemble_system, bilinear_value,
-                            element_quadrature)
+from conftest import element_quadrature, random_refined_mesh, square_mesh
+from hpfem.assembly import Loads, Material, assemble_system, bilinear_value
 from hpfem.config import RunConfig
 from hpfem.driver import (run_adaptive, refined_state_error, solve_elliptic,
                           solve_plastic)

@@ -6,10 +6,11 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import distorted_quad_mesh, random_refined_mesh, square_mesh
+from conftest import (distorted_quad_mesh, element_quadrature,
+                      random_refined_mesh, square_mesh)
 from hpfem.assembly import (Loads, Material, MixedSystem,
                             QuadratureAccuracyWarning, assemble_norm_matrices,
-                            assemble_system, bilinear_value, element_quadrature,
+                            assemble_system, bilinear_value,
                             export_matrix_market, plastic_functional, strain,
                             total_energy)
 from hpfem.plasticity import elastic_solve, plastic_field_at, strain_at

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (INDICATOR_CASES, INDICATOR_VARIANTS, indicator_case,
-                      square_mesh)
-from hpfem.assembly import (Loads, Material, assemble_system, bilinear_value,
-                            element_quadrature)
+from conftest import (INDICATOR_CASES, INDICATOR_VARIANTS, element_quadrature,
+                      indicator_case, square_mesh)
+from hpfem.assembly import Loads, Material, assemble_system, bilinear_value
 from hpfem.estimator import (ErrorIndicators, compute_indicators, mark_dorfler,
                              mu_star_at, solve_auxiliary,
                              stress_divergence_values)

@@ -1,11 +1,15 @@
 """The numpy kernels against independent formulations: numpy's Legendre
-series, and plain loop sums of the defining formulas."""
+series, plain loop sums of the defining formulas, and the quadrature of
+`scalar_stiffness` for the reference-tensor stiffness."""
 
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
 
 from hpfem import _kernels
+from hpfem.mesh import corner_bits, map_jacobians
+from hpfem.polybasis import (stiffness_tensor, tensor_gauss, tensor_indices,
+                             tensor_shape_eval)
 
 
 def _points(rng):
@@ -176,3 +180,45 @@ def test_chi_kernels_agree(rng, L):
         chi, dp, dl = _kernels.chi_blocks(p, lam, sigma, rho, want_jacobian=False)
         np.testing.assert_array_equal(chi, got[0])
         assert dp is None and dl is None
+
+
+def _affine_corners(rng, d, reverse):
+    """Corners (2^d, d) of a random affine map x0 + J xhat, with det J < 0
+    when reverse is set."""
+    J = np.eye(d) + 0.3 * rng.standard_normal((d, d))
+    if np.linalg.det(J) < 0:
+        J[:, 0] *= -1
+    if reverse:
+        J[:, 0] *= -1
+    return rng.standard_normal(d) + (2.0 * corner_bits(d) - 1.0) @ J.T
+
+
+@pytest.mark.parametrize("d, P", [(d, P) for d in (1, 2, 3)
+                                  for P in range(1, 6 if d < 3 else 4)])
+def test_affine_stiffness_matches_quadrature(rng, d, P):
+    """det J sum_ac (J^-1 J^-T)_ac T_ac against the quadrature of the same
+    Gauss rule, on random affine elements of either orientation."""
+    order = P + 3
+    corners = np.stack([_affine_corners(rng, d, reverse) for reverse in
+                        (False, True, False, True)])
+    pts, wts = tensor_gauss(order, d)
+    _, G = tensor_shape_eval(pts, tensor_indices(P, d), jmax=max(P, 1))
+    Jq = map_jacobians(corners, pts)
+    ref = _kernels.scalar_stiffness(G @ np.linalg.inv(Jq),
+                                    wts * np.linalg.det(Jq))
+    J = Jq[:, 0]
+    Jinv = np.linalg.inv(J)
+    geo = np.linalg.det(J)[:, None, None] * (Jinv @ np.swapaxes(Jinv, 1, 2))
+    got = _kernels.affine_stiffness(geo.reshape(-1, d * d),
+                                    stiffness_tensor(P, d, order))
+    assert (np.linalg.det(J) < 0).sum() == 2
+    assert got.shape == ref.shape == (4, (P + 1) ** d, (P + 1) ** d)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+def test_stiffness_tensor_is_cached_read_only():
+    T = stiffness_tensor(3, 2, 5)
+    assert T is stiffness_tensor(3, 2, 5)
+    assert T.shape == (4, 16 ** 2) and not T.flags.writeable
+    with pytest.raises(ValueError):
+        T[0, 0] = 1.0

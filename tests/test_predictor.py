@@ -1,11 +1,15 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import random_refined_mesh, square_mesh
-from hpfem.elliptic import ScalarProblem, energy_error_sq, solve_scalar
-from hpfem.mesh import ElementMap, Mesh, corner_bits
+from conftest import (distorted_quad_mesh, element_quadrature,
+                      random_refined_mesh, square_mesh)
+from hpfem import _kernels
+from hpfem.elliptic import (ScalarProblem, assemble_scalar, energy_error_sq,
+                            poisson_blocks, solve_scalar)
+from hpfem.mesh import ElementMap, Mesh, corner_bits, is_affine
 from hpfem.polybasis import tensor_gauss, tensor_indices, tensor_shape_eval
 from hpfem.predictor import (EnrichmentCandidate, Prediction, _best,
                              _solve_bordered, apply_enrichment, child_local_matrices,
@@ -13,6 +17,7 @@ from hpfem.predictor import (EnrichmentCandidate, Prediction, _best,
                              enforce_degree_comparability, hp_enrichment,
                              internal_nodes, local_split, p_enrichment,
                              predict_reduction, representation_matrices)
+from hpfem.problems import poisson_lshape
 from hpfem.space import ScalarSpace
 
 
@@ -652,3 +657,82 @@ class TestChooserAndApply:
         pred = predict_reduction(sp, UNIT_F, None, None, u, split,
                                  p_enrichment(sp, 0))
         assert pred.skipped == "entirely local solution"
+
+
+# -- the affine reference-tensor path and the quadrature path ---------------
+
+SMOOTH_F = ScalarProblem(volume=lambda x: np.sin(3.0 * x[:, 0]) + x[:, -1])
+
+
+def test_affine_groups_never_call_quadrature_stiffness(monkeypatch):
+    """On the all-affine L-shape, with an off-centre refinement, the scalar
+    assembly and the p and off-centre hp child matrices take only the
+    reference tensor; the distorted mesh still reaches the quadrature."""
+    def quadrature(*args):
+        raise AssertionError("quadrature stiffness called")
+
+    mesh, problem = poisson_lshape(degree=2)
+    space = ScalarSpace(mesh.refine_element(0, [0.3, -0.2]))
+    eids = space.mesh.active_ids()
+    monkeypatch.setattr(_kernels, "scalar_stiffness", quadrature)
+    assemble_scalar(space, problem)
+    for cand in (p_enrichment(space, eids[0]),
+                 hp_enrichment(space, eids[0], zhat=(0.25, -0.4))):
+        A_loc, _ = child_local_matrices(
+            representation_matrices(space, cand, eids), problem)
+        assert A_loc.shape[0] == 4 * len(eids)
+    with pytest.raises(AssertionError, match="quadrature stiffness"):
+        assemble_scalar(ScalarSpace(distorted_quad_mesh()), problem)
+
+
+def _mixed_affinity_mesh(degree):
+    """A unit square, a parallelogram and a bilinear quadrilateral in a row,
+    all of one degree."""
+    verts = [[0, 0], [1, 0], [2.2, 0.3], [3.0, 0.1],
+             [0, 1], [1, 1], [2.2, 1.3], [3.1, 1.6]]
+    cells = [[0, 4, 1, 5], [1, 5, 2, 6], [2, 6, 3, 7]]
+    mesh = Mesh.from_arrays(verts, cells, dim=2, degrees=degree,
+                            default_tag="neumann")
+    assert is_affine(mesh.corner_array(mesh.active_ids())).tolist() == [
+        True, True, False]
+    return mesh
+
+
+@pytest.mark.parametrize("degree", [1, 3])
+@pytest.mark.parametrize("block", [None, 200])
+def test_mixed_affinity_group_matches_element_quadrature(degree, block):
+    """A degree group split into its affine and non-affine elements gives
+    the stiffness and load of element-by-element quadrature."""
+    mesh = _mixed_affinity_mesh(degree)
+    eids = mesh.active_ids()
+    corners = mesh.corner_array(eids)
+    order = degree + 3
+    A, b = poisson_blocks(corners, degree, order, SMOOTH_F.volume, block)
+    for k, eid in enumerate(eids):
+        emap, pts, wts, det, Jinv = element_quadrature(mesh, eid, order)
+        V, G = tensor_shape_eval(pts, tensor_indices(degree, 2), jmax=degree)
+        dphi, w = G @ Jinv, wts * det
+        A_ref = np.einsum("q,qik,qjk->ij", w, dphi, dphi)
+        b_ref = (w * SMOOTH_F.volume(emap.map_point(pts))) @ V
+        np.testing.assert_allclose(A[k], A_ref, rtol=0,
+                                   atol=1e-13 * np.abs(A_ref).max())
+        np.testing.assert_allclose(b[k], b_ref, rtol=0,
+                                   atol=1e-13 * np.abs(b_ref).max())
+
+
+def test_mixed_affinity_children_match_one_element_views():
+    """The child matrices of a group of affine and non-affine elements are
+    those of each element alone."""
+    space = ScalarSpace(_mixed_affinity_mesh(2))
+    eids = space.mesh.active_ids()
+    for cand in (p_enrichment(space, eids[0]),
+                 hp_enrichment(space, eids[0], zhat=(0.25, -0.4))):
+        A, b = child_local_matrices(representation_matrices(space, cand, eids),
+                                    SMOOTH_F)
+        for k, eid in enumerate(eids):
+            A1, b1 = child_local_matrices(representation_matrices(
+                space, replace(cand, element=eid)), SMOOTH_F)
+            np.testing.assert_allclose(A[4 * k:4 * k + 4], A1, rtol=0,
+                                       atol=1e-13 * np.abs(A1).max())
+            np.testing.assert_allclose(b[4 * k:4 * k + 4], b1, rtol=0,
+                                       atol=1e-13 * np.abs(b1).max())
