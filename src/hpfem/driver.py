@@ -302,10 +302,7 @@ def run_elliptic_predictor(cfg, mesh, problem, outdir=None):
             break
         if cfg.run.tol > 0 and rec.estimate <= cfg.run.tol:
             break
-        for eid in marked:
-            if mesh.first_child[eid] >= 0:
-                continue  # consumed by an earlier closure refinement
-            mesh = pred.apply_enrichment(mesh, predictions[eid])
+        mesh = pred.apply_enrichment(mesh, [predictions[eid] for eid in marked])
     if outdir:
         write_records(records, outdir)
     return records, states

@@ -440,21 +440,34 @@ class Mesh:
         one-element view of `refine_many`."""
         if self.first_child[eid] >= 0:
             raise ValueError(f"element {eid} already refined")
-        return self.refine_many([eid], zhat)
+        return self.refine_many([eid], None if zhat is None else [zhat])
 
     def refine_many(self, eids, zhat=None):
         """New snapshot with the elements eids that are still active when
-        their turn comes refined at dividing point zhat (the centre by
-        default), in one pass. The closure keeps the mesh 1-irregular by
-        level: before an element is split, its active facet neighbors of a
-        lower level are refined, depth first, in facet and piece order, read
-        from this snapshot's facet table (children made by the pass are never
-        of a lower level than their neighbors)."""
+        their turn comes refined, in order, in one pass: at the centre
+        (zhat None), at one dividing point zhat (d,) for all of them, or at
+        zhat[i] for eids[i] (one point per element). The closure keeps the
+        mesh 1-irregular by level: before an element is split, its active
+        facet neighbors of a lower level are refined, depth first, in facet
+        and piece order, read from this snapshot's facet table (children made
+        by the pass are never of a lower level than their neighbors). The
+        pass splits the elements, at the same points and in the same order,
+        that one `refine_element` call per element, skipping those already
+        refined, splits, so both give the same snapshot as long as every
+        snapshot between them is nested."""
         d = self.dim
-        zhat = np.zeros(d) if zhat is None else np.asarray(zhat, dtype=float)
-        if zhat.shape != (d,) or not np.all(np.abs(zhat) < 1.0):  # NaN fails too
-            raise ValueError(f"dividing point must be {d} coordinates strictly "
-                             "inside the element, in (-1, 1)")
+        if zhat is None:
+            points = [np.zeros(d)] * len(eids)
+        elif np.ndim(zhat[0]) == 0:  # one point for all
+            points = [np.asarray(zhat, dtype=float)] * len(eids)
+        elif len(zhat) == len(eids):
+            points = [np.asarray(z, dtype=float) for z in zhat]
+        else:
+            raise ValueError(f"{len(zhat)} dividing points for {len(eids)} elements")
+        for eid, z in zip(eids, points):
+            if z.shape != (d,) or not np.all(np.abs(z) < 1.0):  # NaN fails too
+                raise ValueError(f"dividing point of element {eid} must be {d} "
+                                 "coordinates strictly inside it, in (-1, 1)")
         tab = self.facet_table()
         first = self.first_child.copy()
         split = []  # (eid, dividing point), in the order of the splits
@@ -468,9 +481,9 @@ class Mesh:
             first[eid] = len(first) + len(split) * 2**d
             split.append((eid, z))
 
-        for eid in eids:
+        for eid, z in zip(eids, points):
             if first[eid] < 0:
-                refine(eid, zhat)
+                refine(eid, z)
         return self._split(first, split)
 
     def uniformly_refined(self):
@@ -568,30 +581,6 @@ class Mesh:
             rows = f == fv
             out[rows] = self.facet_embed(fv, t[rows])
         return out
-
-    def piece_coords(self, eid, f, piece, xi):
-        """Matched facet coordinates on both sides of a facet piece of facet f
-        of element eid: the one-piece view of `FacetTable.coords`.
-
-        xi: (m, d-1) unit-box coordinates over the piece. Returns in-facet
-        coordinates (t_mine, t_nb) in each element's own facet frame.
-        """
-        r = self.dim - 1
-        t_mine, t_nb = _matched_coords(
-            np.array(piece.my_box, dtype=float).reshape(1, r, 2),
-            np.array(piece.nb_box, dtype=float).reshape(1, r, 2),
-            np.array(piece.perm, dtype=np.intp).reshape(1, r),
-            np.array(piece.flip, dtype=bool).reshape(1, r), xi)
-        return t_mine[0], t_nb[0]
-
-    def facet_area_element(self, eid, f, t_facet):
-        """Surface measure factor and unit outward normal at in-facet coords.
-
-        Returns (dS, normal): dS (m,) scales the reference facet measure,
-        normal (m, d) is the outward unit normal of element eid.
-        """
-        J = map_jacobians(self.corner_array([eid])[0], self.facet_embed(f, t_facet))
-        return facet_measure(J, f)
 
     # -- IO -------------------------------------------------------------------
 

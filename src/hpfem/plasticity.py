@@ -28,7 +28,8 @@ import scipy.sparse.linalg as spla
 from . import _kernels
 from .assembly import (element_groups, gauss_mass_matrix, group_quadrature,
                        plastic_functional)
-from .polybasis import gauss_lagrange_1d, tensor_contract, tensor_shape_eval
+from .polybasis import (gauss_lagrange_1d, tensor_contract, tensor_indices,
+                        tensor_shape_eval)
 from .space import deviatoric_basis, deviatoric_dim, gauss_point_basis
 
 
@@ -505,8 +506,8 @@ def tensor_values(vals, d):
 def strain_at(space, eid, u, pts, Jinv):
     """Symmetric gradient of the vector field u at reference points."""
     loc = space.element_coeffs([eid], np.asarray(u).reshape(-1, space.dim))[0]
-    _, G = tensor_shape_eval(pts, space.local_indices(eid),
-                             jmax=max(space.degrees[eid], 1))
+    p = space.degrees[eid]
+    _, G = tensor_shape_eval(pts, tensor_indices(p, space.dim), jmax=max(p, 1))
     return strain_values(loc.T @ G, Jinv)
 
 

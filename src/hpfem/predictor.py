@@ -357,16 +357,27 @@ def default_candidates(space, eid, menu="narrow"):
         space.dim, space.degrees[eid], menu == "enrichment")]
 
 
-def apply_enrichment(mesh, prediction):
-    """Apply the chosen enrichment: refine at the dividing point, or raise
-    the degree and with it the lagging neighbor degrees. Refinement keeps
-    comparable degrees comparable: children inherit their parent's degree,
-    and every new facet pair lies inside an old one."""
-    cand = prediction.candidate
-    eid = cand.element
-    if cand.kind == "hp":
-        return mesh.refine_element(eid, np.asarray(cand.zhat))
-    return enforce_degree_comparability(mesh, {eid: mesh.degree[eid] + 1})
+def apply_enrichment(mesh, predictions):
+    """Apply the chosen enrichments, in order, to the elements an earlier one
+    has not already refined: refine at the dividing point, or raise the
+    degree and with it the lagging neighbor degrees. Each maximal run of
+    refinements is one `Mesh.refine_many` pass, with one dividing point per
+    element; raises go one at a time, since a raise before a refinement
+    gives the children the raised degree, and a raise changes which
+    neighbors lag at the next. Refinement keeps comparable degrees
+    comparable: children inherit their parent's degree, and every new facet
+    pair lies inside an old one."""
+    for hp, run in itertools.groupby((pr.candidate for pr in predictions),
+                                     key=lambda cand: cand.kind == "hp"):
+        run = list(run)
+        if hp:
+            mesh = mesh.refine_many([c.element for c in run], [c.zhat for c in run])
+            continue
+        for cand in run:
+            eid = cand.element
+            if mesh.first_child[eid] < 0:
+                mesh = enforce_degree_comparability(mesh, {eid: mesh.degree[eid] + 1})
+    return mesh
 
 
 def enforce_degree_comparability(mesh, degrees):

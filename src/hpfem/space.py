@@ -203,6 +203,56 @@ def _edges_on_edges(box, perm, flip):
     return np.nonzero(on)
 
 
+@reference_table
+def _facet_shapes(d, p):
+    """The tensor shapes of a degree-p element in d dimensions on each local
+    facet: their rows in tensor_indices order (2d, (p + 1)^(d - 1)) and their
+    multi-indices over the facet's axes (2d, (p + 1)^(d - 1), d - 1)."""
+    idx = tensor_indices(p, d)
+    on = [np.nonzero(idx[:, f // 2] == f % 2)[0] for f in range(2 * d)]
+    return (np.array(on, dtype=np.intp),
+            np.array([np.delete(idx[rows], f // 2, axis=1)
+                      for f, rows in enumerate(on)], dtype=np.intp))
+
+
+def _constraint_rows(d, tab, hang, owner, slot, sign, in_degree, offsets, deg):
+    """Unresolved constraint rows (slots, master slots, coefficients) of the
+    hanging slots. Slot s hangs on interface owner[s], an index into the
+    interior rows hang of the facet table tab; its row restricts the coarse
+    facet's in-degree shapes to the fine facet, one 1D restriction per
+    coarse facet axis, with slots and signs on both sides from the shapes
+    at the element rows offsets. One pass per group of interfaces of one
+    (fine degree, coarse degree); the triples come in interface order, then
+    fine shape, then coarse shape."""
+    owns = np.unique(owner[owner >= 0])
+    rows = hang[owns]
+    pf, pc = deg[tab.el[rows]], deg[tab.nb[rows]]
+    parts = []
+    for fdeg, cdeg in sorted(set(zip(pf.tolist(), pc.tolist()))):
+        at = (pf == fdeg) & (pc == cdeg)
+        h, row = owns[at], rows[at]
+        fine, t = (a[tab.facet[row]] for a in _facet_shapes(d, fdeg))
+        coarse, m = (a[tab.nb_facet[row]] for a in _facet_shapes(d, cdeg))
+        fine = fine + offsets[tab.el[row], None]
+        coarse = coarse + offsets[tab.nb[row], None]
+        p = max(fdeg, cdeg)
+        vals = sign[fine][:, :, None] * sign[coarse][:, None, :]
+        for a in range(d - 1):
+            lohi = np.where(tab.flip[row, a, None], tab.nb_box[row, a, ::-1],
+                            tab.nb_box[row, a])
+            keys, which = np.unique(lohi, axis=0, return_inverse=True)
+            R = np.stack([_restriction(p, lo, hi) for lo, hi in keys.tolist()])
+            ta = np.take_along_axis(t, tab.perm[row, a, None, None], axis=2)
+            vals = vals * R[which.reshape(-1, 1, 1), m[:, None, :, a], ta]
+        keep = ((owner[slot[fine]] == h[:, None])[:, :, None]
+                & in_degree[slot[coarse]][:, None, :] & (np.abs(vals) > _DROP))
+        i, j, k = np.nonzero(keep)
+        parts.append((h[i], fine[i, j], coarse[i, k], vals[keep]))
+    h, fine, coarse, vals = (np.concatenate(part) for part in zip(*parts))
+    order = np.lexsort((coarse, fine, h))
+    return slot[fine[order]], slot[coarse[order]], vals[order]
+
+
 def _first_owner(fine, coarse, size):
     """For entity ids fine (H, k) of the fine sides of H hanging interfaces
     and ids coarse (H, k') of their coarse sides: per entity, the first
@@ -216,27 +266,53 @@ def _first_owner(fine, coarse, size):
     return owner
 
 
+def _ranges(starts, counts):
+    """The ranges starts[i] .. starts[i] + counts[i] - 1, concatenated."""
+    ends = np.cumsum(counts)
+    total = ends[-1] if ends.size else 0
+    return np.repeat(starts + counts - ends, counts) + np.arange(total)
+
+
 def _resolve_constraints(R, T):
-    """T (slots x dofs) with the rows of the slots that R (slots x slots)
-    constrains set to their resolved rows. Row s of R expresses slot s in
-    master slots, which may themselves be constrained, so the rows are
-    resolved in dependency order; entries of magnitude at most _DROP are
-    dropped from each resolved row."""
-    pending = np.unique(R.nonzero()[0])
-    waiting = np.zeros(R.shape[0])
-    waiting[pending] = 1.0
+    """T (slots x dofs, CSR with sorted indices) with the rows of the slots
+    that R (slots x slots, the same) constrains set to their resolved rows,
+    which T holds empty. Row s of R expresses slot s in master slots, which
+    may themselves be constrained, so the rows are resolved in dependency
+    order, one level at a time, as R's rows times T: each entry sums its
+    products from 0 in the order of R's row and then of T's rows, as the
+    sparse product does, and entries of magnitude at most _DROP are dropped
+    from each resolved row."""
+    indptr, cols, vals = T.indptr, T.indices, T.data
+    n, ncol = T.shape
+    nnz = np.diff(R.indptr)
+    pending = np.flatnonzero(nnz)
+    waiting = nnz > 0
     while pending.size:
-        blocked = abs(R[pending]) @ waiting > 0
+        masters = R.indices[_ranges(R.indptr[pending], nnz[pending])]
+        blocked = np.logical_or.reduceat(waiting[masters],
+                                         np.cumsum(nnz[pending]) - nnz[pending])
         ready = pending[~blocked]
         if not ready.size:
             raise RuntimeError("cyclic hanging-node constraints")
-        res = (R[ready] @ T).tocoo()
-        keep = np.abs(res.data) > _DROP
-        T = T + sp.csr_matrix((res.data[keep], (ready[res.row[keep]], res.col[keep])),
-                              shape=T.shape)
-        waiting[ready] = 0.0
+        at = _ranges(R.indptr[ready], nnz[ready])
+        count = np.diff(indptr)[R.indices[at]]
+        take = _ranges(indptr[R.indices[at]], count)
+        key, entry = np.unique(np.repeat(np.repeat(ready, nnz[ready]), count) * ncol
+                               + cols[take], return_inverse=True)
+        sums = np.bincount(entry, weights=np.repeat(R.data[at], count) * vals[take],
+                           minlength=len(key))
+        keep = np.abs(sums) > _DROP
+        # the resolved rows were empty: a stable sort by row puts each in
+        # place, its indices sorted
+        rows = np.concatenate([np.repeat(np.arange(n), np.diff(indptr)),
+                               key[keep] // ncol])
+        order = np.argsort(rows, kind="stable")
+        cols = np.concatenate([cols, key[keep] % ncol])[order]
+        vals = np.concatenate([vals, sums[keep]])[order]
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        waiting[ready] = False
         pending = pending[blocked]
-    return T
+    return sp.csr_matrix((vals, cols, indptr), shape=T.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -249,11 +325,11 @@ class ScalarSpace:
     The dof map is built with arrays, one pass per degree group. Each element
     shape sits on a "slot": a vertex value, an edge bubble j oriented from the
     lower to the higher vertex id, a face bubble (j1, j2) in a frame fixed by
-    the corner ids, or an interior mode. The local-to-global operator is
-    P = S T: S (shapes x slots) holds one orientation sign per shape, and T
-    (slots x free dofs) is the identity on free slots, empty on Dirichlet and
-    out-of-degree slots, and holds the resolved constraint rows on slots
-    hanging on a coarser neighbor's facet.
+    the corner ids, or an interior mode. T (slots x free dofs) is the
+    identity on free slots, empty on Dirichlet and out-of-degree slots, and
+    holds the resolved constraint rows on slots hanging on a coarser
+    neighbor's facet. Row r of the local-to-global operator P is the row of
+    T at the slot of shape r, times the shape's orientation sign.
     """
 
     def __init__(self, mesh):
@@ -272,6 +348,12 @@ class ScalarSpace:
     # -- the dof map -----------------------------------------------------------
 
     def _build(self):
+        """Number the entities and the free dofs, then form T and P: the
+        slot and sign of every shape in one pass per degree group, the
+        unresolved constraint rows of all hanging slots in one pass per
+        (fine degree, coarse degree) group of interfaces
+        (`_constraint_rows`), resolved into T (`_resolve_constraints`), and
+        P as T's rows gathered by slot and scaled by sign."""
         mesh, d, act, deg = self.mesh, self.dim, self._act, self._deg
         n = len(act)
         ids = mesh.corners[act]
@@ -384,7 +466,7 @@ class ScalarSpace:
         slot_dof[f0:i0][ok.ravel()] = fdof[ok]
         slot_dof[i0:] = np.arange(start[nv + ne + nf], self.ndof)
 
-        # S: the slot and orientation sign of every shape, per degree group
+        # the slot and orientation sign of every shape, per degree group
         nshape = int(self._shape_offsets[-1])
         slot = np.empty(nshape, dtype=np.intp)
         sign = np.ones(nshape)
@@ -414,7 +496,6 @@ class ScalarSpace:
             at_rows = _element_rows(self._shape_offsets, sel, 1)
             slot[at_rows] = s.ravel()
             sign[at_rows] = g.ravel()
-        S = sp.csr_matrix((sign, slot, np.arange(nshape + 1)), shape=(nshape, nslots))
 
         # T: identity on free slots, then the constraint rows of hanging
         # slots, resolved in dependency order (a master may itself hang)
@@ -422,50 +503,19 @@ class ScalarSpace:
         T = sp.csr_matrix((np.ones(len(free)), (free, slot_dof[free])),
                           shape=(nslots, self.ndof))
         vown[fixed_v], eown[fixed_e], fown[fixed_f] = -1, -1, -1
-
         owner = np.concatenate([vown, np.repeat(eown, q), np.repeat(fown, q * q),
                                 np.full(nslots - i0, -1, dtype=np.intp)])
-
-        def facet_shapes(j, f):
-            """The shape rows of element position j on its local facet f, with
-            their multi-indices over the facet's axes."""
-            k, s = divmod(f, 2)
-            idx = tensor_indices(int(deg[j]), d)
-            on = np.nonzero(idx[:, k] == s)[0]
-            return self._shape_offsets[j] + on, np.delete(idx[on], k, axis=1)
-
-        def constraint_rows(h):
-            """Unresolved constraint rows (slots, master slots, coefficients)
-            of the slots owned by interface h: the coarse facet's in-degree
-            shapes restricted to the fine facet, one 1D restriction per
-            coarse facet axis, with slots and signs from S on both sides."""
-            i, j, row = fine_at[h], coarse_at[h], hang[h]
-            fine, t = facet_shapes(i, fine_f[h])
-            mine = owner[slot[fine]] == h
-            fine, t = fine[mine], t[mine]
-            coarse, m = facet_shapes(j, coarse_f[h])
-            keep = in_degree[slot[coarse]]
-            coarse, m = coarse[keep], m[keep]
-            p = int(max(deg[i], deg[j]))
-            vals = sign[fine][:, None] * sign[coarse]
-            for a, ((lo, hi), flip) in enumerate(zip(tab.nb_box[row].tolist(),
-                                                     tab.flip[row].tolist())):
-                R = _restriction(p, hi, lo) if flip else _restriction(p, lo, hi)
-                vals = vals * R[m[None, :, a], t[:, tab.perm[row, a], None]]
-            rr = np.repeat(slot[fine], len(coarse))
-            cc = np.tile(slot[coarse], len(fine))
-            keep = np.abs(vals.ravel()) > _DROP
-            return rr[keep], cc[keep], vals.ravel()[keep]
-
-        raw = [constraint_rows(h) for h in np.unique(owner[owner >= 0]).tolist()]
-        if raw:
-            rr, cc, vals = (np.concatenate(part) for part in zip(*raw))
+        if (owner >= 0).any():
+            rr, cc, vals = _constraint_rows(d, tab, hang, owner, slot, sign,
+                                            in_degree, self._shape_offsets, deg)
             T = _resolve_constraints(
                 sp.csr_matrix((vals, (rr, cc)), shape=(nslots, nslots)), T)
         self._T = T
         self._vertex_ids = vids
         self._hanging_vertices = np.nonzero(vown >= 0)[0]
-        P = (S @ T).tocsr()
+        # P: row r is the row of T at the slot of shape r, times its sign
+        P = T[slot]
+        P.data *= np.repeat(sign, np.diff(P.indptr))
         P.sort_indices()
         self._operators = {1: P}
 
@@ -508,9 +558,6 @@ class ScalarSpace:
         k = (self._deg[np.ravel(i)[0]] - 1) ** self.dim
         return self._interior_start[i][..., None] + np.arange(k)
 
-    def local_indices(self, eid):
-        return tensor_indices(self.degrees[eid], self.dim)
-
     def local_operator(self, ncomp=1, positions=None):
         """The local-to-global operator P (sparse): one row per tensor shape
         of each active element, in element order, one column per free dof,
@@ -534,18 +581,6 @@ class ScalarSpace:
         pos = self._positions(eids)
         nb = (int(self._deg[pos[0]]) + 1) ** self.dim
         return (self.local_operator(1, pos) @ u).reshape((len(pos), nb) + u.shape[1:])
-
-    def eval_element(self, eid, u, xhat, gradient=False):
-        """Evaluate (and optionally differentiate, in reference coords) on one
-        element; u is a field (ndof,), or rows (ndof, k) of k fields when
-        only values are asked for."""
-        loc = self.element_coeffs([eid], u)[0]
-        idx = self.local_indices(eid)
-        V, G = tensor_shape_eval(np.atleast_2d(xhat), idx,
-                                 jmax=max(self.degrees[eid], 1))
-        if gradient:
-            return V @ loc, np.einsum("mbd,b->md", G, loc)
-        return V @ loc
 
     def vertex_values(self, u):
         """Values at mesh vertices (for export); NaN where a vertex is unused."""

@@ -3,10 +3,11 @@ import pytest
 
 from hpfem.assembly import Loads, Material
 from hpfem.elliptic import ScalarProblem
-from hpfem.mesh import Mesh, corner_bits, map_hessians
+from hpfem.mesh import (Mesh, _matched_coords, corner_bits, facet_measure,
+                        map_hessians, map_jacobians)
 from hpfem.problems import cube_mesh, interval_mesh, poisson_lshape
 from hpfem.problems import square_mesh  # noqa: F401  (re-exported to tests)
-from hpfem.polybasis import tensor_gauss, tensor_indices
+from hpfem.polybasis import tensor_gauss, tensor_indices, tensor_shape_eval
 from hpfem.space import GaussPointSpace, ScalarSpace, deviatoric_dim
 
 
@@ -37,6 +38,39 @@ def is_valid_map(emap):
     corners_hat = 2.0 * corner_bits(emap.dim) - 1.0
     pts, _ = tensor_gauss(3, emap.dim)
     return bool(np.all(emap.det_jacobian(np.vstack([corners_hat, pts])) > 0.0))
+
+
+def piece_coords(piece, xi):
+    """Matched in-facet coordinates (t_mine, t_nb) on both sides of a
+    `FacetPiece`, each in its element's own facet frame, at unit-box points
+    xi (m, d-1) over the piece: the one-piece view of `FacetTable.coords`."""
+    r = len(piece.perm)
+    t_mine, t_nb = _matched_coords(
+        np.array(piece.my_box, dtype=float).reshape(1, r, 2),
+        np.array(piece.nb_box, dtype=float).reshape(1, r, 2),
+        np.array(piece.perm, dtype=np.intp).reshape(1, r),
+        np.array(piece.flip, dtype=bool).reshape(1, r), xi)
+    return t_mine[0], t_nb[0]
+
+
+def facet_area_element(mesh, eid, f, t_facet):
+    """Surface measure factor dS (m,) and unit outward normal (m, d) of
+    element eid on its local facet f at in-facet coordinates (m, d-1)."""
+    J = map_jacobians(mesh.corner_array([eid])[0], mesh.facet_embed(f, t_facet))
+    return facet_measure(J, f)
+
+
+def eval_element(space, eid, u, xhat, gradient=False):
+    """Values (and with gradient=True reference gradients) of a field of a
+    ScalarSpace on one element at reference points xhat; u is a field
+    (ndof,), or rows (ndof, k) of k fields when only values are asked for."""
+    loc = space.element_coeffs([eid], u)[0]
+    p = space.degrees[eid]
+    V, G = tensor_shape_eval(np.atleast_2d(xhat), tensor_indices(p, space.dim),
+                             jmax=max(p, 1))
+    if gradient:
+        return V @ loc, np.einsum("mbd,b->md", G, loc)
+    return V @ loc
 
 
 def distorted_quad_mesh(degree=2):

@@ -4,6 +4,7 @@ two-dimensional; in 3D the numbers are computed but unverified)."""
 
 import numpy as np
 
+from conftest import eval_element, piece_coords
 from hpfem.assembly import Loads, Material, assemble_system
 from hpfem.estimator import compute_indicators
 from hpfem.plasticity import (NewtonConfig, check_complementarity, default_rho,
@@ -65,9 +66,9 @@ def test_3d_rotated_face_continuity(rng):
                     continue
                 for piece in info.pieces:
                     xi = rng.uniform(-1, 1, (8, 2))
-                    tm, tn = mm.piece_coords(eid, f, piece, xi)
-                    a = spc.eval_element(eid, u, mm.facet_embed(f, tm))
-                    b = spc.eval_element(piece.neighbor, u,
+                    tm, tn = piece_coords(piece, xi)
+                    a = eval_element(spc, eid, u, mm.facet_embed(f, tm))
+                    b = eval_element(spc, piece.neighbor, u,
                                          mm.facet_embed(piece.facet, tn))
                     worst = max(worst, np.abs(a - b).max())
         assert worst < 1e-11

@@ -6,7 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import element_quadrature, random_refined_mesh, square_mesh
+from conftest import (element_quadrature, eval_element, piece_coords,
+                      random_refined_mesh, square_mesh)
 from hpfem.assembly import Loads, Material, assemble_system, bilinear_value
 from hpfem.config import RunConfig
 from hpfem.driver import (run_adaptive, refined_state_error, solve_elliptic,
@@ -486,9 +487,9 @@ def test_criterion_13_structure(rng):
                     continue
                 for piece in info.pieces:
                     xi = rng.uniform(-1, 1, (5, 1))
-                    tm, tn = mr.piece_coords(eid, f, piece, xi)
-                    a = spc.eval_element(eid, u, mr.facet_embed(f, tm))
-                    b = spc.eval_element(piece.neighbor, u,
+                    tm, tn = piece_coords(piece, xi)
+                    a = eval_element(spc, eid, u, mr.facet_embed(f, tm))
+                    b = eval_element(spc, piece.neighbor, u,
                                          mr.facet_embed(piece.facet, tn))
                     worst_jump = max(worst_jump, np.abs(a - b).max())
     ok_cont = worst_jump < 1e-11

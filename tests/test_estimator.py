@@ -15,7 +15,7 @@ from hpfem.estimator import (ErrorIndicators, compute_indicators, mark_dorfler,
 from hpfem.mesh import map_hessians, map_jacobians
 from hpfem.plasticity import (NewtonConfig, default_rho, plastic_field_at,
                               solve_semismooth_newton)
-from hpfem.polybasis import tensor_shape_eval, tensor_shape_hessian
+from hpfem.polybasis import tensor_indices, tensor_shape_eval, tensor_shape_hessian
 from hpfem.problems import interval_mesh
 from hpfem.space import (GaussPointSpace, ScalarSpace, deviatoric_basis,
                          gauss_point_basis)
@@ -69,7 +69,7 @@ class TestVolumeResidual:
         u = _interp_vertex_field(m, space, lambda x: [0.1 * x[0], -0.05 * x[1]])
         pts = rng.uniform(-1, 1, (5, 2))
         corners = m.corner_array([0])
-        idx = space.local_indices(0)
+        idx = tensor_indices(space.degrees[0], 2)
         _, G = tensor_shape_eval(pts, idx, jmax=1)
         _, GL = gauss_point_basis(1, pts, gradient=True)
         div = stress_divergence_values(

@@ -3,8 +3,9 @@ import os
 import numpy as np
 import pytest
 
-from conftest import (ROTATED_CASES, distorted_quad_mesh, is_valid_map,
-                      map_hessian, rotated_roots_mesh, square_mesh)
+from conftest import (ROTATED_CASES, distorted_quad_mesh, facet_area_element,
+                      is_valid_map, map_hessian, piece_coords,
+                      rotated_roots_mesh, square_mesh)
 from hpfem.mesh import (DIRICHLET, ElementMap, FacetInfo, FacetPiece, Mesh,
                         check_det_affine)
 from hpfem.problems import cube_mesh, interval_mesh
@@ -139,12 +140,37 @@ class TestRefinement:
                                       [0.25], [0.1, 0.2, 0.3], [[0.1, 0.2]]],
                              ids=["boundary", "nan", "inf", "short", "long", "row"])
     def test_boundary_dividing_point_rejected(self, zhat):
-        # on the boundary, not finite, or not one coordinate per axis
+        # on the boundary, not finite, or not one coordinate per axis, as
+        # the point of one element or as its point in a list of one per
+        # element (where a row of one point is a point of the wrong shape)
         m = square_mesh(1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="element 0"):
             m.refine_element(0, zhat=np.array(zhat))
-        with pytest.raises(ValueError):
-            m.refine_many([0], zhat=np.array(zhat))
+        with pytest.raises(ValueError, match="element 0"):
+            m.refine_many([0], zhat=[np.array(zhat)])
+
+    @pytest.mark.parametrize("bad", [[1.0, 0.0], [np.nan, 0.0], [0.25],
+                                     [0.1, 0.2, 0.3], [[0.1, 0.2]]],
+                             ids=["boundary", "nan", "short", "long", "row"])
+    def test_per_element_dividing_points(self, bad):
+        # one point per element: each element is split at its own point, and
+        # a bad point raises naming its element
+        m = square_mesh(3)
+        eids, pts = [8, 0, 4], [[0.5, -0.25], [-0.3, 0.1], [0.0, 0.0]]
+        m2 = m.refine_many(eids, pts)
+        for eid, z in zip(eids, pts):
+            np.testing.assert_allclose(m2.boxes[m2.first_child[eid], :, 1], z,
+                                       rtol=0, atol=1e-15)
+        one = m
+        for eid, z in zip(eids, pts):
+            one = one.refine_element(eid, z)
+        for col in ("vertices", "root", "level", "parent", "first_child",
+                    "corners", "boxes"):
+            np.testing.assert_array_equal(getattr(m2, col), getattr(one, col))
+        with pytest.raises(ValueError, match="element 4"):
+            m.refine_many(eids, pts[:2] + [bad])
+        with pytest.raises(ValueError, match="2 dividing points for 3 elements"):
+            m.refine_many(eids, pts[:2])
 
     def test_already_refined_rejected(self):
         m = square_mesh(1).refine_element(0)
@@ -204,11 +230,11 @@ class TestNeighbors:
         assert len(i10) == 1 and i10[0].neighbor == 0
         # matched quadrature points agree physically
         xi = np.linspace(-0.7, 0.7, 5)[:, None]
-        tm, tn = m.piece_coords(0, i01[0].facet ^ 1, i01[0], xi)
+        tm, tn = piece_coords(i01[0], xi)
         # piece returned on element 0 facet index:
         f0 = [f for f, info in enumerate(m.facet_neighbors(0))
               if info.kind == "interior"][0]
-        tm, tn = m.piece_coords(0, f0, i01[0], xi)
+        tm, tn = piece_coords(i01[0], xi)
         a = m.element_map(0).map_point(m.facet_embed(f0, tm))
         b = m.element_map(1).map_point(m.facet_embed(i01[0].facet, tn))
         np.testing.assert_allclose(a, b, atol=1e-14)
@@ -231,9 +257,9 @@ class TestNeighbors:
                     continue
                 for piece in info.pieces:
                     xi = rng.uniform(-1, 1, (3, 1))
-                    tm, tn = m.piece_coords(eid, f, piece, xi)
-                    _, nm = m.facet_area_element(eid, f, tm)
-                    _, nn = m.facet_area_element(piece.neighbor, piece.facet, tn)
+                    tm, tn = piece_coords(piece, xi)
+                    _, nm = facet_area_element(m, eid, f, tm)
+                    _, nn = facet_area_element(m, piece.neighbor, piece.facet, tn)
                     np.testing.assert_allclose(nm, -nn, atol=1e-12)
 
 
@@ -448,7 +474,7 @@ class TestFacetTable:
         for eid in m.active_ids():
             for f, info in enumerate(m.facet_neighbors(eid)):
                 for piece in info.pieces:
-                    tm, tn = m.piece_coords(eid, f, piece, xi)
+                    tm, tn = piece_coords(piece, xi)
                     assert np.array_equal(tm, t_mine[r])
                     assert np.array_equal(tn, t_nb[r])
                     r += 1

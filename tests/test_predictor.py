@@ -4,8 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (distorted_quad_mesh, element_quadrature,
-                      random_refined_mesh, square_mesh)
+from conftest import (distorted_quad_mesh, element_quadrature, eval_element,
+                      facet_area_element, random_refined_mesh, square_mesh)
 from hpfem import _kernels
 from hpfem.elliptic import (ScalarProblem, assemble_scalar, energy_error_sq,
                             poisson_blocks, solve_scalar)
@@ -228,7 +228,7 @@ class TestRepresentation:
             ppts = lo + 0.5 * (cpts + 1.0) * (hi - lo)
             V, _ = tensor_shape_eval(cpts, idx, jmax=rep.degree)
             via_rep = V @ (rep.R[row] @ sp.element_coeffs([eid], u)[0])
-            direct = sp.eval_element(eid, u, ppts)
+            direct = eval_element(sp, eid, u, ppts)
             np.testing.assert_allclose(via_rep, direct, atol=1e-12)
 
     def test_child_maps_tile_parent(self):
@@ -276,7 +276,7 @@ def quadrature_prediction_oracle(space, problem, u_W, split, candidate,
     P = max(candidate.degree_cap, space.degrees[eid])
 
     def grad_of(vec, eid2, pts, Jinv):
-        _, g = space.eval_element(eid2, vec, pts, gradient=True)
+        _, g = eval_element(space, eid2, vec, pts, gradient=True)
         return np.einsum("qa,qam->qm", g, Jinv)
 
     # quadrature over the children of Q for everything local
@@ -313,8 +313,8 @@ def quadrature_prediction_oracle(space, problem, u_W, split, candidate,
         b_r_el = 0.0
         if problem.volume is not None:
             fv = np.asarray(problem.volume(cmap.map_point(pts)), dtype=float)
-            vals_rest = space.eval_element(eid, split.u_rest, ppts)
-            vals_loc = space.eval_element(eid, split.u_local, ppts)
+            vals_rest = eval_element(space, eid, split.u_rest, ppts)
+            vals_loc = eval_element(space, eid, split.u_local, ppts)
             vx = np.stack([eval_enrichment(space, candidate, k, ppts)[0]
                            for k in range(L)], axis=1)
             b_x += np.einsum("q,qk->k", w * fv, vx)
@@ -335,7 +335,7 @@ def quadrature_prediction_oracle(space, problem, u_W, split, candidate,
             if problem.volume is not None:
                 fv2 = np.asarray(problem.volume(emap2.map_point(pts2)),
                                  dtype=float)
-                b_r += float(w2 @ (fv2 * space.eval_element(e2, split.u_rest,
+                b_r += float(w2 @ (fv2 * eval_element(space, e2, split.u_rest,
                                                             pts2)))
         if problem.neumann is not None:
             for f, info in enumerate(mesh.facet_neighbors(e2)):
@@ -343,13 +343,13 @@ def quadrature_prediction_oracle(space, problem, u_W, split, candidate,
                     continue
                 qf, wf = tensor_gauss(space.degrees[e2] + quad_bump, d - 1)
                 ref = mesh.facet_embed(f, qf)
-                dS, _ = mesh.facet_area_element(e2, f, qf)
+                dS, _ = facet_area_element(mesh, e2, f, qf)
                 gv = np.asarray(problem.neumann(
                     mesh.element_map(e2).map_point(ref)), dtype=float)
                 b_r += float((wf * dS * gv)
-                             @ space.eval_element(e2, split.u_rest, ref))
+                             @ eval_element(space, e2, split.u_rest, ref))
                 b_l += float((wf * dS * gv)
-                             @ space.eval_element(e2, split.u_local, ref))
+                             @ eval_element(space, e2, split.u_local, ref))
     # u_rest inside Q via the children quadrature
     for row, b in enumerate(bits):
         cmap = maps[row]
@@ -551,7 +551,7 @@ class TestChooserAndApply:
         u, A, b = solve_scalar(sp, UNIT_F)
         best, _ = choose_enrichment(sp, UNIT_F, A, b, u,
                                     {0: [p_enrichment(sp, 0)]})[0]
-        m2 = apply_enrichment(m, best)
+        m2 = apply_enrichment(m, [best])
         assert m2.elements[0].degree == 3
 
     def test_apply_hp_choice_inherits_degree(self):
@@ -560,7 +560,7 @@ class TestChooserAndApply:
         u, A, b = solve_scalar(sp, UNIT_F)
         best, _ = choose_enrichment(sp, UNIT_F, A, b, u,
                                     {0: [hp_enrichment(sp, 0)]})[0]
-        m2 = apply_enrichment(m, best)
+        m2 = apply_enrichment(m, [best])
         assert m2.elements[0].children is not None
         kids = m2.elements[0].children
         assert len(kids) == 4
@@ -629,8 +629,8 @@ class TestChooserAndApply:
             else:
                 cand = EnrichmentCandidate(kind="p", element=eid, zhat=None)
                 old = m.with_degrees({eid: m.elements[eid].degree + 1})
-            new = apply_enrichment(m, Prediction(candidate=cand, delta_e2=0.0, eps=0.0,
-                                                 y=np.zeros(0), rho_w_yxi=0.0))
+            new = apply_enrichment(m, [Prediction(candidate=cand, delta_e2=0.0, eps=0.0,
+                                                  y=np.zeros(0), rho_w_yxi=0.0)])
             try:
                 old = _whole_mesh_comparability(old)
             except ValueError as err:

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (ROTATED_CASES, distorted_quad_mesh, random_refined_mesh,
-                      rotated_roots_mesh, square_mesh)
+from conftest import (ROTATED_CASES, distorted_quad_mesh, eval_element,
+                      piece_coords, random_refined_mesh, rotated_roots_mesh,
+                      square_mesh)
 from hpfem.mesh import Mesh, check_det_affine
 from hpfem.problems import cube_mesh
 from hpfem.polybasis import tensor_gauss, tensor_indices, tensor_shape_eval
@@ -191,9 +192,9 @@ class TestContinuity:
                     continue
                 for piece in info.pieces:
                     xi = rng.uniform(-1, 1, (5, m.dim - 1))
-                    tm, tn = m.piece_coords(eid, f, piece, xi)
-                    a = sp.eval_element(eid, u, m.facet_embed(f, tm))
-                    b = sp.eval_element(piece.neighbor, u,
+                    tm, tn = piece_coords(piece, xi)
+                    a = eval_element(sp, eid, u, m.facet_embed(f, tm))
+                    b = eval_element(sp, piece.neighbor, u,
                                         m.facet_embed(piece.facet, tn))
                     worst = max(worst, np.abs(a - b).max())
         assert worst < tol
@@ -224,7 +225,7 @@ class TestContinuity:
         u = np.ones(sp.ndof)
         x = rng.uniform(-1, 1, (7, 2))
         for eid in m.active_ids():
-            np.testing.assert_allclose(sp.eval_element(eid, u, x), 1.0,
+            np.testing.assert_allclose(eval_element(sp, eid, u, x), 1.0,
                                        atol=1e-13)
 
     def test_dirichlet_trace_zero(self, rng):
@@ -237,7 +238,7 @@ class TestContinuity:
             for f, info in enumerate(m.facet_neighbors(eid)):
                 if info.kind == "boundary" and info.tag == "dirichlet":
                     t = rng.uniform(-1, 1, (6, 1))
-                    vals = sp.eval_element(eid, u, m.facet_embed(f, t))
+                    vals = eval_element(sp, eid, u, m.facet_embed(f, t))
                     assert np.abs(vals).max() < 1e-12
 
 
@@ -247,7 +248,7 @@ class TestConnectivity:
         m = square_mesh(1, degree=3, tagger=lambda c: "neumann")
         sp = ScalarSpace(m)
         P = sp.local_operator(1, [0]).toarray()
-        idx = sp.local_indices(0)
+        idx = tensor_indices(3, 2)
         for i, slot in enumerate(sp.dofs):
             if slot[0] != "i":
                 continue
@@ -296,13 +297,13 @@ class TestConnectivity:
         for eid in m.active_ids():
             pts = rng.uniform(-1, 1, (6, 2))
             x = m.element_map(eid).map_point(pts)
-            np.testing.assert_allclose(sp.eval_element(eid, u, pts), lin(x),
+            np.testing.assert_allclose(eval_element(sp, eid, u, pts), lin(x),
                                        atol=1e-13)
 
     def test_zero_coefficients(self, rng):
         m = distorted_quad_mesh()
         sp = ScalarSpace(m)
-        vals = sp.eval_element(0, np.zeros(sp.ndof), rng.uniform(-1, 1, (4, 2)))
+        vals = eval_element(sp, 0, np.zeros(sp.ndof), rng.uniform(-1, 1, (4, 2)))
         assert np.abs(vals).max() == 0.0
 
     def test_unit_dev_coefficient_field(self, rng):
@@ -451,7 +452,7 @@ def _assert_continuous(m, seed):
     for eid in m.active_ids():
         for f, info in enumerate(m.facet_neighbors(eid)):
             for piece in info.pieces:
-                t_mine, t_nb = m.piece_coords(eid, f, piece, xi)
+                t_mine, t_nb = piece_coords(piece, xi)
                 ref_m = m.facet_embed(f, t_mine)
                 ref_n = m.facet_embed(piece.facet, t_nb)
                 np.testing.assert_allclose(
@@ -459,8 +460,8 @@ def _assert_continuous(m, seed):
                     m.element_map(piece.neighbor).map_point(ref_n),
                     rtol=0, atol=1e-12)
                 np.testing.assert_allclose(
-                    space.eval_element(eid, u, ref_m),
-                    space.eval_element(piece.neighbor, u, ref_n),
+                    eval_element(space, eid, u, ref_m),
+                    eval_element(space, piece.neighbor, u, ref_n),
                     rtol=0, atol=1e-12 * np.abs(u).max())
 
 
@@ -489,9 +490,9 @@ class TestRotatedRoots:
         for eid in mesh.active_ids():
             for f, info in enumerate(mesh.facet_neighbors(eid)):
                 for piece in info.pieces:
-                    tm, tn = mesh.piece_coords(eid, f, piece, xi)
-                    a = sp.eval_element(eid, u, mesh.facet_embed(f, tm))
-                    b = sp.eval_element(piece.neighbor, u,
+                    tm, tn = piece_coords(piece, xi)
+                    a = eval_element(sp, eid, u, mesh.facet_embed(f, tm))
+                    b = eval_element(sp, piece.neighbor, u,
                                         mesh.facet_embed(piece.facet, tn))
                     assert np.abs(a - b).max() <= 1e-13
 
@@ -509,7 +510,7 @@ class TestRotatedRoots:
         for eid in mesh.active_ids():
             pts = rng.uniform(-1, 1, (6, mesh.dim))
             x = mesh.element_map(eid).map_point(pts)
-            np.testing.assert_allclose(sp.eval_element(eid, u, pts), lin(x),
+            np.testing.assert_allclose(eval_element(sp, eid, u, pts), lin(x),
                                        rtol=0, atol=1e-13)
 
     def test_hanging_vertex_weights(self, mesh):
