@@ -15,7 +15,8 @@ With these blocks the stationarity system reads K u - B p = l and
 Every global matrix is R^T blockdiag(A_T) S and every load R^T (l_T), where
 R and S are rows of the local-to-global operators of the spaces
 (`ScalarSpace.local_operator`, which carries the hanging-node and Dirichlet
-constraints, and the identity of the discontinuous Gauss-point space). The
+constraints, and the identity of the discontinuous Gauss-point space),
+gathered once per space and element group. The
 element matrices A_T and loads l_T are computed one group of elements of
 equal degree (and affinity) at a time on the corner-array geometry of `mesh`.
 """
@@ -154,12 +155,15 @@ def data_load(data, x, w, V):
 def galerkin(rows, blocks, cols=None):
     """rows^T blockdiag(blocks) cols: the element blocks (n, r, c) of n
     elements scattered by the rows (n r, element by element) of one
-    local-to-global operator and the rows (n c) of another; cols defaults to
-    rows."""
+    local-to-global operator, as `OperatorRows`, whose cached transpose is
+    read, and the rows (n c) of another; cols defaults to rows. The block
+    diagonal is formed as CSR straight from the blocks."""
     n, r, c = blocks.shape
-    diag = sp.bsr_matrix((blocks, np.arange(n), np.arange(n + 1)),
-                         shape=(n * r, n * c)).tocsr()
-    out = rows.T.tocsr() @ (diag @ (rows if cols is None else cols))
+    cols_at = np.broadcast_to(c * np.arange(n)[:, None, None] + np.arange(c),
+                              blocks.shape)
+    diag = sp.csr_matrix((blocks.ravel(), cols_at.ravel(),
+                          np.arange(0, n * r * c + 1, c)), shape=(n * r, n * c))
+    out = rows.transposed @ (diag @ (rows if cols is None else cols))
     out.sort_indices()
     return out
 
@@ -292,28 +296,8 @@ def total_energy(system, qspace, vu, vp):
 
 
 # ---------------------------------------------------------------------------
-# norm matrices (for errors and witnesses)
+# the Gauss-point mass matrix
 # ---------------------------------------------------------------------------
-
-def assemble_norm_matrices(space, qspace=None):
-    """(vector mass, strain product, Q mass): the combined norm is
-    ||v||^2 + ||eps(v)||^2 + ||q||^2."""
-    d = space.dim
-    act = np.array(space.mesh.active_ids())
-    corners = space.mesh.corner_array(act)
-    Ms = sp.csr_matrix((space.ndof, space.ndof))
-    Sv = sp.csr_matrix((d * space.ndof, d * space.ndof))
-    for (p,), sel in element_groups(space).items():
-        pts, w, Jinv = group_quadrature(corners[sel], p + 2)
-        V, G = tensor_shape_eval(pts, tensor_indices(p, d), jmax=max(p, 1))
-        Ms += galerkin(space.local_operator(1, sel), _kernels.mass_matrix(V, w))
-        Sv += galerkin(space.local_operator(d, sel),
-                       _kernels.elastic_stiffness(G @ Jinv, w, 0.0, 0.5))
-    Mv = sp.kron(Ms, sp.identity(d), format="csr")
-    if qspace is None:
-        return Mv, Sv, None
-    return Mv, Sv, gauss_mass_matrix(qspace, deviatoric_dim(d))
-
 
 def gauss_mass_matrix(qspace, ncomp=1):
     """The mass matrix of ncomp-component fields (components interleaved) of

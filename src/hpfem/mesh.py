@@ -492,9 +492,10 @@ class Mesh:
     def _split(self, first_child, split):
         """New snapshot with the elements of split, (eid, dividing point)
         pairs, replaced by their 2^d children, appended in split order, with
-        the first children first_child. The vertices of the 3^d grid of each
-        split are mapped from the root element one at a time and registered
-        in split order."""
+        the first children first_child. The new vertices of the 3^d grid of
+        each split are mapped from the root element in one stacked product,
+        one (1, 2^d) by (2^d, d) product per point as a one-point map would
+        take it, and registered in split order."""
         d, nc = self.dim, 2**self.dim
         eid = np.array([e for e, _ in split], dtype=np.intp)
         z = np.array([z for _, z in split], dtype=float).reshape(-1, d)
@@ -507,16 +508,19 @@ class Mesh:
         ids = np.empty((len(eid), 3**d), dtype=np.intp)
         outer = (grid != 1).all(axis=1)
         ids[:, outer] = self.corners[eid]
+        inner = np.flatnonzero(~outer)
+        pts = ref[:, inner].reshape(-1, d)
+        roots = np.repeat(self.root[eid], len(inner))
+        xs = vertex_tables(pts[:, None])[0] @ self.corner_array(roots)
         vreg, new, nv = dict(self._vreg), [], len(self.vertices)
-        for s, root in enumerate(self.root[eid].tolist()):
-            root_map = self.element_map(root)
-            for g in np.flatnonzero(~outer).tolist():
-                x = root_map.map_point(ref[s, g])
-                key = _vkey(x)
-                if key not in vreg:
-                    vreg[key] = nv + len(new)
-                    new.append(x)
-                ids[s, g] = vreg[key]
+        vid = np.empty(len(xs), dtype=np.intp)
+        for k, x in enumerate(xs[:, 0]):
+            key = _vkey(x)
+            if key not in vreg:
+                vreg[key] = nv + len(new)
+                new.append(x)
+            vid[k] = vreg[key]
+        ids[:, inner] = vid.reshape(len(eid), len(inner))
         # corner c of child b is grid point b + c, and child b keeps the
         # parent's tags on the facets it shares with the parent
         bits = corner_bits(d)

@@ -28,8 +28,7 @@ import scipy.sparse.linalg as spla
 from . import _kernels
 from .assembly import (element_groups, gauss_mass_matrix, group_quadrature,
                        plastic_functional)
-from .polybasis import (gauss_lagrange_1d, tensor_contract, tensor_indices,
-                        tensor_shape_eval)
+from .polybasis import gauss_lagrange_1d, tensor_contract
 from .space import deviatoric_basis, deviatoric_dim, gauss_point_basis
 
 
@@ -153,12 +152,14 @@ class ElementBlocks:
 
     The pattern of the condensed matrix K + B X B^T (X block diagonal over
     the elements) is fixed once per system: every pair of displacement
-    unknowns one block reaches, and K's entries. `_pos` holds the position in
-    that CSC pattern of every entry of K.data and of every element product
+    unknowns one block reaches, and K's entries. K is scattered into that
+    CSC pattern once (`_K`, one past the end for padding), and `_pos` holds
+    the position in it of every entry of every element product
     B_e X_e B_e^T (padding rows: one past the end), so that each condensed
-    matrix is one np.bincount. The pattern and the positions come from
-    integer arrays and scipy's own sparse kernels, with no index keys formed,
-    so no product of two indices can overflow."""
+    matrix is a copy of `_K` with the products added in order. The pattern
+    and the positions come from integer arrays and scipy's own sparse
+    kernels, with no index keys formed, so no product of two indices can
+    overflow."""
 
     def __init__(self, system):
         L = system.L
@@ -202,16 +203,19 @@ class ElementBlocks:
         del union
         members = [np.flatnonzero(sizes == n) for n in np.unique(sizes)]
         width = [int(count[m].max()) for m in members]
-        self._pos = np.empty(K.nnz + sum(len(m) * r * r for m, r in
-                                         zip(members, width)), dtype=np.int64)
         onK = np.flatnonzero(kmark >= 0)
-        self._pos[kmark[onK]] = onK
+        posK = np.empty(K.nnz, dtype=np.int64)
+        posK[kmark[onK]] = onK
         del kmark, onK
+        self._K = np.bincount(posK, weights=K.data, minlength=nnz + 1)
+        del posK
+        self._pos = np.empty(sum(len(m) * r * r for m, r in zip(members, width)),
+                             dtype=np.int64)
         # position of the entry in CSC column c, row x: entry (c, x) of the
         # same arrays read as CSR, found by scipy within row c
         where = sp.csr_matrix((np.arange(nnz, dtype=np.int32), self._indices,
                                self._indptr), shape=K.shape)
-        at = K.nnz
+        at = 0
         self.groups = []
         slot = np.empty(len(sizes), dtype=np.int64)
         for m, r in zip(members, width):
@@ -245,20 +249,20 @@ class ElementBlocks:
 
     def condensed_matrix(self, X):
         """K + B X B^T in CSC for the element blocks X of each group (G, n, n):
-        the batched element products and K.data summed into the fixed pattern
-        by one np.bincount."""
-        K = self.system.K
-        nnz = len(self._indices)
+        the batched element products added to K's scatter into the fixed
+        pattern in order by one np.add.at, which sums each entry as
+        np.bincount over K.data and then the products would."""
         vals = np.empty(len(self._pos))
-        vals[:K.nnz] = K.data
-        at = K.nnz
+        at = 0
         for grp, Xg in zip(self.groups, X):
             G, r, _ = grp.B.shape
             np.matmul(grp.B @ Xg, grp.B.transpose(0, 2, 1),
                       out=vals[at:at + G * r * r].reshape(G, r, r))
             at += G * r * r
-        data = np.bincount(self._pos, weights=vals, minlength=nnz + 1)[:nnz]
-        return sp.csc_matrix((data, self._indices, self._indptr), shape=K.shape)
+        data = self._K.copy()
+        np.add.at(data, self._pos, vals)
+        return sp.csc_matrix((data[:-1], self._indices, self._indptr),
+                             shape=self.system.K.shape)
 
     def condensed_solve(self, mats, rhs, f, k_lu=None):
         """Solve K u - B q = f with q = g - X B^T u, where [X_e | g_e] =
@@ -501,25 +505,6 @@ def tensor_values(vals, d):
     over the deviatoric basis."""
     Phi = deviatoric_basis(d)
     return (vals @ Phi.reshape(len(Phi), d * d)).reshape(vals.shape[:-1] + (d, d))
-
-
-def strain_at(space, eid, u, pts, Jinv):
-    """Symmetric gradient of the vector field u at reference points."""
-    loc = space.element_coeffs([eid], np.asarray(u).reshape(-1, space.dim))[0]
-    p = space.degrees[eid]
-    _, G = tensor_shape_eval(pts, tensor_indices(p, space.dim), jmax=max(p, 1))
-    return strain_values(loc.T @ G, Jinv)
-
-
-def plastic_field_at(qspace, eid, p, pts, dual=False):
-    """Tensor field values (m, d, d) from coefficient rows (N, L)."""
-    rows = np.asarray(p, dtype=float).reshape(qspace.ndof,
-                                              deviatoric_dim(qspace.dim))
-    if dual:
-        vals = qspace.eval_dual(eid, rows, pts)
-    else:
-        vals = qspace.eval_primal(eid, rows, pts)
-    return tensor_values(vals, qspace.dim)
 
 
 class Fields:

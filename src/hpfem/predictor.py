@@ -282,7 +282,8 @@ def _predict(space, problem, A_W, b_W, u_W, u_int, candidates):
         norm_loc_sq = np.einsum("nk,nk->n", u_loc, Au[ids])
         delta = np.einsum("nk,nk->n", u_loc, b_W[ids]) - norm_loc_sq
         a00 = norm_W_sq - norm_loc_sq - 2.0 * delta
-        M = np.block([[a00[:, None, None], cvec[:, None]], [cvec[..., None], A]])
+        M = np.empty((n, L + 1, L + 1))
+        M[:, 0, 0], M[:, 0, 1:], M[:, 1:, 0], M[:, 1:, 1:] = a00, cvec, cvec, A
         rhs = np.concatenate([delta[:, None], bvec - cvec], axis=1)
         sol = _solve_bordered(M, rhs)
         scale = np.maximum(np.abs(rhs).max(axis=1), np.abs(M).max(axis=(1, 2)))

@@ -273,6 +273,11 @@ def _ranges(starts, counts):
     return np.repeat(starts + counts - ends, counts) + np.arange(total)
 
 
+def _indptr(counts):
+    """CSR row pointers of rows with counts entries."""
+    return np.concatenate([[0], np.cumsum(counts)])
+
+
 def _resolve_constraints(R, T):
     """T (slots x dofs, CSR with sorted indices) with the rows of the slots
     that R (slots x slots, the same) constrains set to their resolved rows,
@@ -309,7 +314,7 @@ def _resolve_constraints(R, T):
         order = np.argsort(rows, kind="stable")
         cols = np.concatenate([cols, key[keep] % ncol])[order]
         vals = np.concatenate([vals, sums[keep]])[order]
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+        indptr = _indptr(np.bincount(rows, minlength=n))
         waiting[ready] = False
         pending = pending[blocked]
     return sp.csr_matrix((vals, cols, indptr), shape=T.shape)
@@ -499,25 +504,32 @@ class ScalarSpace:
 
         # T: identity on free slots, then the constraint rows of hanging
         # slots, resolved in dependency order (a master may itself hang)
-        free = np.nonzero(slot_dof >= 0)[0]
-        T = sp.csr_matrix((np.ones(len(free)), (free, slot_dof[free])),
-                          shape=(nslots, self.ndof))
+        free = slot_dof >= 0
+        T = sp.csr_matrix((np.ones(np.count_nonzero(free)), slot_dof[free],
+                           _indptr(free)), shape=(nslots, self.ndof))
         vown[fixed_v], eown[fixed_e], fown[fixed_f] = -1, -1, -1
         owner = np.concatenate([vown, np.repeat(eown, q), np.repeat(fown, q * q),
                                 np.full(nslots - i0, -1, dtype=np.intp)])
         if (owner >= 0).any():
             rr, cc, vals = _constraint_rows(d, tab, hang, owner, slot, sign,
                                             in_degree, self._shape_offsets, deg)
-            T = _resolve_constraints(
-                sp.csr_matrix((vals, (rr, cc)), shape=(nslots, nslots)), T)
+            # one triple per (slot, master slot): sorted, they are R's CSR rows
+            order = np.lexsort((cc, rr))
+            R = sp.csr_matrix((vals[order], cc[order],
+                               _indptr(np.bincount(rr, minlength=nslots))),
+                              shape=(nslots, nslots))
+            T = _resolve_constraints(R, T)
         self._T = T
         self._vertex_ids = vids
         self._hanging_vertices = np.nonzero(vown >= 0)[0]
         # P: row r is the row of T at the slot of shape r, times its sign
-        P = T[slot]
-        P.data *= np.repeat(sign, np.diff(P.indptr))
+        count = np.diff(T.indptr)[slot]
+        take = _ranges(T.indptr[slot], count)
+        P = sp.csr_matrix((T.data[take] * np.repeat(sign, count), T.indices[take],
+                           _indptr(count)), shape=(nshape, self.ndof))
         P.sort_indices()
         self._operators = {1: P}
+        self._rows = {}
 
     # -- reading the dof map ---------------------------------------------------
 
@@ -565,22 +577,55 @@ class ScalarSpace:
         coefficients of u, and P^T blockdiag(A_T) P assembles element
         matrices A_T. With ncomp > 1 it is P (x) I_ncomp, for fields whose
         ncomp components are interleaved. With positions (of active elements
-        of one degree), only their rows, element by element."""
-        if ncomp not in self._operators:
-            self._operators[ncomp] = sp.kron(self._operators[1],
-                                             sp.identity(ncomp), format="csr")
-        op = self._operators[ncomp]
+        of one degree), only their rows, element by element, as
+        `OperatorRows` gathered from P once per (ncomp, positions)."""
         if positions is None:
-            return op
-        return op[_element_rows(self._shape_offsets, positions, ncomp)]
+            if ncomp not in self._operators:
+                self._operators[ncomp] = sp.kron(self._operators[1],
+                                                 sp.identity(ncomp), format="csr")
+            return self._operators[ncomp]
+        positions = np.asarray(positions, dtype=np.intp)
+        key = (ncomp, positions.tobytes())
+        if key not in self._rows:
+            self._rows[key] = _operator_rows(
+                self._operators[1], _element_rows(self._shape_offsets, positions,
+                                                  ncomp), ncomp)
+        return self._rows[key]
+
+    @cached_property
+    def _gather(self):
+        """P as a padded gather table: the entry count (rows,) of each row of
+        P, and its column indices and coefficients (rows, width) in CSR entry
+        order, padded with column ndof and coefficient 0."""
+        P = self._operators[1]
+        count = np.diff(P.indptr)
+        row = np.repeat(np.arange(len(count)), count)
+        at = np.arange(P.nnz) - np.repeat(P.indptr[:-1], count)
+        width = int(count.max(initial=0))
+        cols = np.full((len(count), width), self.ndof, dtype=np.intp)
+        coefs = np.zeros((len(count), width))
+        cols[row, at], coefs[row, at] = P.indices, P.data
+        return count, cols, coefs
 
     def element_coeffs(self, eids, u):
-        """Coefficients (n, nb, ...) of a global field u over the tensor
-        shapes of the elements eids, all of one degree, as one product of
-        their rows of P with u."""
+        """Coefficients (n, nb, ...) of a global field u (ndof,) or (ndof, k)
+        over the tensor shapes of the elements eids, all of one degree: their
+        rows of P times u, read through the gather table. Each entry sums
+        its products from 0 in CSR entry order, as scipy's CSR product does,
+        so the two agree bit for bit."""
         pos = self._positions(eids)
         nb = (int(self._deg[pos[0]]) + 1) ** self.dim
-        return (self.local_operator(1, pos) @ u).reshape((len(pos), nb) + u.shape[1:])
+        rows = _element_rows(self._shape_offsets, pos, 1)
+        count, cols, coefs = self._gather
+        width = int(count[rows].max())
+        cols, coefs = cols[rows, :width], coefs[rows, :width]
+        u = np.asarray(u)
+        coefs = coefs.reshape(coefs.shape + (1,) * (u.ndim - 1))
+        u = np.concatenate([u, np.zeros((1,) + u.shape[1:], dtype=u.dtype)])
+        out = np.zeros((len(rows),) + u.shape[1:], dtype=np.result_type(coefs, u))
+        for k in range(width):
+            out += coefs[:, k] * u[cols[:, k]]
+        return out.reshape((len(pos), nb) + u.shape[1:])
 
     def vertex_values(self, u):
         """Values at mesh vertices (for export); NaN where a vertex is unused."""
@@ -593,6 +638,32 @@ class ScalarSpace:
                                      jmax=max(p, 1))
             vals[ids[sel]] = self.element_coeffs(self._act[sel], u) @ V.T
         return vals
+
+
+class OperatorRows(sp.csr_matrix):
+    """Rows of a local-to-global operator (CSR), with their CSR transpose,
+    which `assembly.galerkin` reads, formed on first use and kept."""
+
+    @cached_property
+    def transposed(self):
+        return self.T.tocsr()
+
+
+def _operator_rows(P, rows, ncomp):
+    """The rows of P (x) I_ncomp (P CSR with sorted indices), gathered from
+    P's arrays with numpy, as OperatorRows with read-only arrays, since a
+    space hands the same rows to every caller. Row ncomp i + a holds P's
+    row i at the columns ncomp j + a, in the order and with the values of
+    the CSR form of scipy's Kronecker product."""
+    i, a = np.divmod(rows, ncomp)
+    count = np.diff(P.indptr)[i]
+    take = _ranges(P.indptr[i], count)
+    cols = ncomp * P.indices[take].astype(np.intp) + np.repeat(a, count)
+    out = OperatorRows((P.data[take], cols, _indptr(count)),
+                       shape=(len(rows), ncomp * P.shape[1]))
+    for arr in (out.data, out.indices, out.indptr):
+        arr.setflags(write=False)
+    return out
 
 
 def _element_rows(offsets, positions, ncomp):
@@ -688,11 +759,13 @@ class GaussPointSpace:
     def local_operator(self, ncomp=1, positions=None):
         """The identity on the dofs of ncomp-component fields, as the space is
         discontinuous and numbers its dofs element by element; with positions
-        (of active elements of one degree), only their rows."""
-        op = sp.identity(ncomp * self.ndof, format="csr")
-        if positions is None:
-            return op
-        return op[_element_rows(self.offsets, positions, ncomp)]
+        (of active elements of one degree), only their rows; formed directly
+        as `OperatorRows`."""
+        n = ncomp * self.ndof
+        rows = (np.arange(n) if positions is None
+                else _element_rows(self.offsets, positions, ncomp))
+        return OperatorRows((np.ones(len(rows)), rows, np.arange(len(rows) + 1)),
+                            shape=(len(rows), n))
 
     def dof_slice(self, eid):
         i = np.searchsorted(self._act, eid)

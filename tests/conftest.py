@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from hpfem.assembly import Loads, Material
+from hpfem import _kernels
+from hpfem.assembly import (Loads, Material, element_groups, galerkin,
+                            gauss_mass_matrix, group_quadrature)
 from hpfem.elliptic import ScalarProblem
 from hpfem.mesh import (Mesh, _matched_coords, corner_bits, facet_measure,
                         map_hessians, map_jacobians)
+from hpfem.plasticity import strain_values, tensor_values
 from hpfem.problems import cube_mesh, interval_mesh, poisson_lshape
 from hpfem.problems import square_mesh  # noqa: F401  (re-exported to tests)
 from hpfem.polybasis import tensor_gauss, tensor_indices, tensor_shape_eval
@@ -71,6 +75,45 @@ def eval_element(space, eid, u, xhat, gradient=False):
     if gradient:
         return V @ loc, np.einsum("mbd,b->md", G, loc)
     return V @ loc
+
+
+def strain_at(space, eid, u, pts, Jinv):
+    """Symmetric gradient of the vector field u at reference points."""
+    loc = space.element_coeffs([eid], np.asarray(u).reshape(-1, space.dim))[0]
+    p = space.degrees[eid]
+    _, G = tensor_shape_eval(pts, tensor_indices(p, space.dim), jmax=max(p, 1))
+    return strain_values(loc.T @ G, Jinv)
+
+
+def plastic_field_at(qspace, eid, p, pts, dual=False):
+    """Tensor field values (m, d, d) from coefficient rows (N, L)."""
+    rows = np.asarray(p, dtype=float).reshape(qspace.ndof,
+                                              deviatoric_dim(qspace.dim))
+    if dual:
+        vals = qspace.eval_dual(eid, rows, pts)
+    else:
+        vals = qspace.eval_primal(eid, rows, pts)
+    return tensor_values(vals, qspace.dim)
+
+
+def assemble_norm_matrices(space, qspace=None):
+    """(vector mass, strain product, Q mass): the combined norm is
+    ||v||^2 + ||eps(v)||^2 + ||q||^2."""
+    d = space.dim
+    act = np.array(space.mesh.active_ids())
+    corners = space.mesh.corner_array(act)
+    Ms = sp.csr_matrix((space.ndof, space.ndof))
+    Sv = sp.csr_matrix((d * space.ndof, d * space.ndof))
+    for (p,), sel in element_groups(space).items():
+        pts, w, Jinv = group_quadrature(corners[sel], p + 2)
+        V, G = tensor_shape_eval(pts, tensor_indices(p, d), jmax=max(p, 1))
+        Ms += galerkin(space.local_operator(1, sel), _kernels.mass_matrix(V, w))
+        Sv += galerkin(space.local_operator(d, sel),
+                       _kernels.elastic_stiffness(G @ Jinv, w, 0.0, 0.5))
+    Mv = sp.kron(Ms, sp.identity(d), format="csr")
+    if qspace is None:
+        return Mv, Sv, None
+    return Mv, Sv, gauss_mass_matrix(qspace, deviatoric_dim(d))
 
 
 def distorted_quad_mesh(degree=2):

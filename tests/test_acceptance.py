@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import (element_quadrature, eval_element, piece_coords,
-                      random_refined_mesh, square_mesh)
+                      plastic_field_at, random_refined_mesh, square_mesh)
 from hpfem.assembly import Loads, Material, assemble_system, bilinear_value
 from hpfem.config import RunConfig
 from hpfem.driver import (run_adaptive, refined_state_error, solve_elliptic,
@@ -16,8 +16,7 @@ from hpfem.elliptic import ScalarProblem, solve_scalar
 from hpfem.estimator import compute_indicators, mu_star_at
 from hpfem.plasticity import (NewtonConfig, check_complementarity, chi_coords,
                               default_rho, elastic_solve, in_admissible_gauss,
-                              in_admissible_weak, infsup_ratio,
-                              plastic_field_at, residual,
+                              in_admissible_weak, infsup_ratio, residual,
                               solve_semismooth_newton)
 from hpfem.polybasis import gauss_rule, tensor_gauss
 from hpfem.problems import plastic_square

@@ -6,14 +6,14 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from conftest import (distorted_quad_mesh, element_quadrature,
-                      random_refined_mesh, square_mesh)
+from conftest import (assemble_norm_matrices, distorted_quad_mesh,
+                      element_quadrature, plastic_field_at, random_refined_mesh,
+                      square_mesh, strain_at)
 from hpfem.assembly import (Loads, Material, MixedSystem,
-                            QuadratureAccuracyWarning, assemble_norm_matrices,
-                            assemble_system, bilinear_value,
-                            export_matrix_market, plastic_functional, strain,
-                            total_energy)
-from hpfem.plasticity import elastic_solve, plastic_field_at, strain_at
+                            QuadratureAccuracyWarning, assemble_system,
+                            bilinear_value, export_matrix_market,
+                            plastic_functional, strain, total_energy)
+from hpfem.plasticity import elastic_solve
 from hpfem.polybasis import tensor_gauss, tensor_shape_eval
 from hpfem.space import (GaussPointSpace, ScalarSpace, deviatoric_basis,
                          deviatoric_dim)

@@ -19,9 +19,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import ASSEMBLY_CASES, assembly_case
-from hpfem.assembly import (QuadratureAccuracyWarning, assemble_norm_matrices,
-                            assemble_system)
+from conftest import ASSEMBLY_CASES, assemble_norm_matrices, assembly_case
+from hpfem.assembly import QuadratureAccuracyWarning, assemble_system
 from hpfem.elliptic import assemble_scalar
 from hpfem.predictor import (child_local_matrices, hp_enrichment,
                              p_enrichment, representation_matrices)

@@ -7,14 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (INDICATOR_CASES, INDICATOR_VARIANTS, element_quadrature,
-                      indicator_case, square_mesh)
+                      indicator_case, plastic_field_at, square_mesh)
 from hpfem.assembly import Loads, Material, assemble_system, bilinear_value
 from hpfem.estimator import (ErrorIndicators, compute_indicators, mark_dorfler,
                              mu_star_at, solve_auxiliary,
                              stress_divergence_values)
 from hpfem.mesh import map_hessians, map_jacobians
-from hpfem.plasticity import (NewtonConfig, default_rho, plastic_field_at,
-                              solve_semismooth_newton)
+from hpfem.plasticity import NewtonConfig, default_rho, solve_semismooth_newton
 from hpfem.polybasis import tensor_indices, tensor_shape_eval, tensor_shape_hessian
 from hpfem.problems import interval_mesh
 from hpfem.space import (GaussPointSpace, ScalarSpace, deviatoric_basis,

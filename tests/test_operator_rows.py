@@ -1,0 +1,168 @@
+"""Reads and scatters through the local-to-global operator P against
+scipy's sparse kernels, kept here as the oracles, bit for bit.
+
+- `ScalarSpace.element_coeffs` reads u through a padded gather table of P;
+  it must equal the rows of P, sliced by scipy, times u, for 1-D and
+  2-column u, signed zeros included.
+- `ScalarSpace.local_operator(ncomp, positions)` gathers the rows of
+  P (x) I_ncomp from P once per (ncomp, positions) and space; they must
+  equal scipy's fancy row slicing of scipy's Kronecker product, and their
+  cached transpose must equal scipy's.
+- `GaussPointSpace.local_operator` forms its identity rows directly.
+- `assembly.galerkin` forms the block diagonal as CSR straight from the
+  blocks; its products must equal those over the BSR block diagonal.
+
+The meshes are the space-parity cases (2D and 3D meshes with hanging
+facets and mixed degrees, and a cube refined twice, whose hanging vertices
+hang on hanging vertices) and a square and a cube refined off-centre at
+high degrees, whose widest rows of P hold 16 entries.
+"""
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+import hpfem.space as space_module
+from conftest import assembly_case, square_mesh
+from hpfem.assembly import assemble_system, element_groups, galerkin
+from hpfem.elliptic import assemble_scalar
+from hpfem.problems import cube_mesh
+from hpfem.space import GaussPointSpace, ScalarSpace
+from test_space_parity import SPACE_CASES, space_case
+
+
+def _same_bits(have, want):
+    assert have.dtype == want.dtype and have.shape == want.shape
+    assert have.tobytes() == want.tobytes()
+
+
+def _same_csr(have, want):
+    assert have.shape == want.shape
+    for attr in ("indptr", "indices", "data"):
+        _same_bits(getattr(have, attr), getattr(want, attr))
+
+
+def _group_rows(space, sel, ncomp):
+    """The rows of P (x) I_ncomp of the elements at positions sel, sliced by
+    scipy."""
+    rows = space_module._element_rows(space._shape_offsets, sel, ncomp)
+    return space.local_operator(ncomp)[rows]
+
+
+def operator_case(name):
+    """(space, qspace) of a space-parity case, or of a mesh refined once at
+    an off-centre point with degrees up to 6 (2D) or 5 (3D), where rows of P
+    hold up to 16 entries, more than numpy's pairwise sums add in order."""
+    if name in SPACE_CASES:
+        return space_case(name)
+    if name == "square_offcentre":
+        m = square_mesh(2, 5).refine_element(0, [0.3, -0.2])
+        degrees = (4, 5, 6)
+    elif name == "cube_offcentre":
+        m = cube_mesh(2, 3).refine_element(0, [0.2, -0.1, 0.3])
+        degrees = (4, 5)
+    else:
+        raise ValueError(name)
+    m = m.with_degrees({e: degrees[i % len(degrees)]
+                        for i, e in enumerate(m.active_ids())})
+    return ScalarSpace(m), GaussPointSpace(m, 1.0)
+
+
+@pytest.fixture(params=SPACE_CASES + ("square_offcentre", "cube_offcentre"))
+def case(request):
+    return operator_case(request.param)
+
+
+def test_element_coeffs_match_scipy_product(case):
+    space, _ = case
+    act = np.array(space.mesh.active_ids())
+    rng = np.random.default_rng(7)
+    u1 = rng.standard_normal(space.ndof)
+    u2 = rng.standard_normal((space.ndof, 2))
+    # exact cancellations and negative zeros: every sum starts from +0.0
+    u1[::3] = -0.0
+    u2[1::4] = [-0.0, 0.0]
+    fields = [u1, u2, np.full(space.ndof, -0.0), np.ones((space.ndof, 2))]
+    for (p,), sel in element_groups(space).items():
+        nb = (p + 1) ** space.dim
+        for u in fields:
+            want = (_group_rows(space, sel, 1) @ u).reshape(
+                (len(sel), nb) + u.shape[1:])
+            _same_bits(space.element_coeffs(act[sel], u), want)
+
+
+def test_cached_rows_match_scipy_slicing(case):
+    space, qspace = case
+    for ncomp in (1, 2, 3):
+        for (p,), sel in element_groups(space).items():
+            rows = space.local_operator(ncomp, sel)
+            assert isinstance(rows, space_module.OperatorRows)
+            assert not rows.data.flags.writeable  # shared by every caller
+            _same_csr(rows, _group_rows(space, sel, ncomp))
+            _same_csr(rows.transposed, rows.T.tocsr())
+            assert space.local_operator(ncomp, list(sel)) is rows
+    n = 3 * qspace.ndof
+    for sel in element_groups(qspace).values():
+        rows = space_module._element_rows(qspace.offsets, sel, 3)
+        _same_csr(qspace.local_operator(3, sel),
+                  sp.identity(n, format="csr")[rows])
+    _same_csr(qspace.local_operator(3), sp.identity(n, format="csr"))
+
+
+def galerkin_oracle(rows, blocks, cols=None):
+    """rows^T blockdiag(blocks) cols over the BSR block diagonal, with the
+    transpose formed by scipy."""
+    n, r, c = blocks.shape
+    diag = sp.bsr_matrix((blocks, np.arange(n), np.arange(n + 1)),
+                         shape=(n * r, n * c)).tocsr()
+    out = sp.csr_matrix(rows).T.tocsr() @ (diag @ (rows if cols is None else cols))
+    out.sort_indices()
+    return out
+
+
+def test_galerkin_matches_bsr_oracle(case):
+    space, qspace = case
+    rng = np.random.default_rng(11)
+    d = space.dim
+    for (p,), sel in element_groups(space).items():
+        rows = space.local_operator(d, sel)
+        qrows = qspace.local_operator(2, sel)
+        n, nr, nq = len(sel), rows.shape[0] // len(sel), qrows.shape[0] // len(sel)
+        square = rng.standard_normal((n, nr, nr))
+        square[:, ::2, 1::3] = 0.0  # explicit zeros stay in the pattern
+        coupling = rng.standard_normal((n, nr, nq))
+        _same_csr(galerkin(rows, square), galerkin_oracle(rows, square))
+        _same_csr(galerkin(rows, coupling, qrows),
+                  galerkin_oracle(rows, coupling, qrows))
+        qblocks = rng.standard_normal((n, nq, nq))
+        _same_csr(galerkin(qrows, qblocks), galerkin_oracle(qrows, qblocks))
+
+
+def test_rows_are_gathered_once_per_space(monkeypatch):
+    """Assembling twice on one space gathers each group's rows once: the
+    second mixed and scalar assemblies gather nothing and give the same
+    matrices."""
+    space, qspace, material, loads, problem = assembly_case("lshape")
+    calls = []
+    gather = space_module._operator_rows
+
+    def counted(P, rows, ncomp):
+        calls.append(ncomp)
+        return gather(P, rows, ncomp)
+
+    monkeypatch.setattr(space_module, "_operator_rows", counted)
+    system = assemble_system(space, qspace, material, loads)
+    A, b = assemble_scalar(space, problem)
+    first = len(calls)
+    # one gather per degree group and component count, and per boundary
+    # facet group of the loads
+    groups = len(element_groups(space))
+    assert calls.count(1) >= groups and calls.count(space.dim) >= groups
+    assert first == len(space._rows)
+    again = assemble_system(space, qspace, material, loads)
+    A2, b2 = assemble_scalar(space, problem)
+    assert len(calls) == first
+    for have, want in ((again.K, system.K), (again.B, system.B),
+                       (again.C, system.C), (A2, A)):
+        _same_csr(have, want)
+    _same_bits(again.l, system.l)
+    _same_bits(b2, b)
