@@ -3,11 +3,18 @@
 Every contraction is a fixed reshape followed by one matrix product. The
 element-matrix kernels take optional leading element axes, so that assembly
 calls each of them once per group of elements of equal degree.
+
+The sparse kernels at the end run scipy's compiled CSR kernels on the CSR
+arrays (indptr, indices, data) of their operands, without scipy's matrix
+objects: on the small systems of an adaptive loop, the index-dtype checks,
+copies and validation around each product, sum and lookup cost more than
+the kernels. They give the arrays the matrix operations give.
 """
 
 import math
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 
 def _legendre_values(t, jmax):
@@ -151,3 +158,84 @@ def chi_blocks(p, lam, sigma, rho, want_jacobian=True):
         dl[active] = (nw[active] - sigma[active])[:, None, None] * eye + outer
         dp[active] += rho * outer
     return chi, dp, dl
+
+
+# ---------------------------------------------------------------------------
+# sparse kernels on CSR arrays
+# ---------------------------------------------------------------------------
+
+def _index_arrays(arrays, bound):
+    """The index arrays in one dtype: int32 unless one of them is int64 or
+    bound, a count of entries, needs int64, as scipy chooses."""
+    idx = np.result_type(np.int32, *arrays)
+    if bound > np.iinfo(np.int32).max:
+        idx = np.int64
+    return idx, [np.asarray(x, dtype=idx) for x in arrays]
+
+
+def _trimmed(indptr, indices, data):
+    """The CSR arrays with indices and data cut to the entries indptr
+    counts; copies when that is under half of them, as scipy's pruning does,
+    so that a bound far above the count holds no memory."""
+    nnz = indptr[-1]
+    if nnz < len(indices) // 2:
+        return indptr, indices[:nnz].copy(), data[:nnz].copy()
+    return indptr, indices[:nnz], data[:nnz]
+
+
+def csr_product(a, b, ncol):
+    """a @ b, b with ncol columns: the kernel of scipy's product, so each
+    entry sums its products from 0 in the order of a's row, and, as A @ B,
+    the indices come unsorted and exact zeros are dropped."""
+    n = len(a[0]) - 1
+    _, ia = _index_arrays((a[0], a[1], b[0], b[1]), 0)
+    nnz = _sparsetools.csr_matmat_maxnnz(n, ncol, *ia)
+    idx, (ap, ai, bp, bi) = _index_arrays(ia, nnz)
+    indptr = np.empty(n + 1, dtype=idx)
+    indices = np.empty(nnz, dtype=idx)
+    data = np.empty(nnz, dtype=np.result_type(a[2], b[2]))
+    _sparsetools.csr_matmat(n, ncol, ap, ai, a[2], bp, bi, b[2], indptr, indices,
+                            data)
+    return _trimmed(indptr, indices, data)
+
+
+def csr_sort(a):
+    """Sorts the indices of each row of a in place, with their data, by the
+    kernel A.sort_indices() runs."""
+    _sparsetools.csr_sort_indices(len(a[0]) - 1, a[0], a[1], a[2])
+
+
+def csr_transpose(a, ncol):
+    """The transpose of a, with ncol columns, by scipy's conversion kernel:
+    its rows' indices come sorted."""
+    n = len(a[0]) - 1
+    idx, (ap, ai) = _index_arrays((a[0], a[1]), max(len(a[1]), ncol))
+    indptr = np.empty(ncol + 1, dtype=idx)
+    indices = np.empty(len(ai), dtype=idx)
+    data = np.empty(len(ai), dtype=a[2].dtype)
+    _sparsetools.csr_tocsc(n, ncol, ap, ai, a[2], indptr, indices, data)
+    return indptr, indices, data
+
+
+def csr_sum(a, b, ncol):
+    """a + b, with ncol columns, by the kernel of scipy's sum: as A + B,
+    the rows come sorted when both operands' are, and exact zeros are
+    dropped."""
+    n = len(a[0]) - 1
+    idx, (ap, ai, bp, bi) = _index_arrays((a[0], a[1], b[0], b[1]),
+                                          len(a[1]) + len(b[1]))
+    indptr = np.empty(n + 1, dtype=idx)
+    indices = np.empty(len(ai) + len(bi), dtype=idx)
+    data = np.empty(len(indices), dtype=np.result_type(a[2], b[2]))
+    _sparsetools.csr_plus_csr(n, ncol, ap, ai, a[2], bp, bi, b[2], indptr, indices,
+                              data)
+    return _trimmed(indptr, indices, data)
+
+
+def csr_lookup(a, ncol, rows, cols, out):
+    """out[...] = A[rows, cols] for A given by its CSR arrays, by the kernel
+    A[rows, cols] runs once it has validated the indices, which are in range
+    here by construction. rows and cols (shaped as out) take A's index
+    dtype; out is contiguous, of A's data dtype."""
+    _sparsetools.csr_sample_values(len(a[0]) - 1, ncol, a[0], a[1], a[2], rows.size,
+                                   rows.ravel(), cols.ravel(), out.reshape(-1))

@@ -16,9 +16,14 @@ Every global matrix is R^T blockdiag(A_T) S and every load R^T (l_T), where
 R and S are rows of the local-to-global operators of the spaces
 (`ScalarSpace.local_operator`, which carries the hanging-node and Dirichlet
 constraints, and the identity of the discontinuous Gauss-point space),
-gathered once per space and element group. The
-element matrices A_T and loads l_T are computed one group of elements of
-equal degree (and affinity) at a time on the corner-array geometry of `mesh`.
+gathered once per space and element group. The identity rows only place
+entries, so products with them are formed from arrays: C and the Gauss-point
+mass matrix are block diagonal over the Gauss-point dofs, and B places its
+blocks at their q columns before its one product with R^T. The loads are
+scattered through P's arrays (`ScalarSpace.scatter`). The element matrices
+A_T and loads l_T are computed one group of elements of equal degree (and
+affinity) at a time on the corner-array geometry of `mesh`; the groups'
+matrices are summed in group order, starting from the first group's.
 """
 
 import warnings
@@ -30,7 +35,8 @@ import scipy.sparse as sp
 from . import _kernels
 from .mesh import facet_measure, is_affine, map_jacobians, map_points
 from .polybasis import tensor_gauss, tensor_indices, tensor_shape_eval
-from .space import deviatoric_basis, deviatoric_dim, gauss_point_basis
+from .space import (deviatoric_basis, deviatoric_dim, gauss_point_basis,
+                    require_same_degrees)
 
 
 class QuadratureAccuracyWarning(UserWarning):
@@ -127,12 +133,16 @@ def element_groups(space, *keys):
     """Positions of the active elements grouped by degree and by further
     per-element keys (arrays in element order), as {(degree, *keys):
     positions}, in ascending key order."""
-    deg = space.mesh.degree[space.mesh.active_ids()]
-    uniq, inv = np.unique(np.stack((deg,) + keys, axis=1), axis=0,
-                          return_inverse=True)
-    inv = inv.ravel()
-    return {tuple(int(v) for v in key): np.nonzero(inv == j)[0]
-            for j, key in enumerate(uniq)}
+    cols = np.stack((space.mesh.degree[space.mesh.active_ids()],) + keys, axis=1)
+    # one code per row, ordered as the rows' keys are: mixed-radix digits of
+    # the ranks of the row's values in each column
+    code = np.zeros(len(cols), dtype=np.int64)
+    for col in cols.T:
+        vals, rank = np.unique(col, return_inverse=True)
+        code = code * len(vals) + rank
+    _, first, inv = np.unique(code, return_index=True, return_inverse=True)
+    return {tuple(int(v) for v in cols[i]): np.nonzero(inv == j)[0]
+            for j, i in enumerate(first.tolist())}
 
 
 def group_quadrature(corners, order):
@@ -152,18 +162,31 @@ def data_load(data, x, w, V):
     return _kernels.load_vector(V, w, vals.reshape(w.shape + vals.shape[1:]))
 
 
-def galerkin(rows, blocks, cols=None):
-    """rows^T blockdiag(blocks) cols: the element blocks (n, r, c) of n
-    elements scattered by the rows (n r, element by element) of one
-    local-to-global operator, as `OperatorRows`, whose cached transpose is
-    read, and the rows (n c) of another; cols defaults to rows. The block
-    diagonal is formed as CSR straight from the blocks."""
+def galerkin(rows, blocks, cols=None, width=None):
+    """rows^T blockdiag(blocks) Q: the element blocks (n, r, c) of n elements
+    scattered by the rows (n r, element by element) of one local-to-global
+    operator, as `OperatorRows`, whose cached transpose is read. Q is the
+    same rows by default. Otherwise Q is identity rows, given by cols (n, c),
+    the columns, among width, of each block's columns: a product with them
+    only places entries, so the blocks are placed there directly. The block
+    diagonal is formed as CSR arrays straight from the blocks, and the
+    products run on arrays (`_kernels.csr_product`); the result has sorted
+    indices and no exact zeros, as scipy's product drops them."""
     n, r, c = blocks.shape
-    cols_at = np.broadcast_to(c * np.arange(n)[:, None, None] + np.arange(c),
-                              blocks.shape)
-    diag = sp.csr_matrix((blocks.ravel(), cols_at.ravel(),
-                          np.arange(0, n * r * c + 1, c)), shape=(n * r, n * c))
-    out = rows.transposed @ (diag @ (rows if cols is None else cols))
+    idx = rows.indices.dtype
+    square = cols is None
+    if square:
+        cols, width = c * np.arange(n)[:, None] + np.arange(c), rows.shape[1]
+    placed = (np.arange(0, n * r * c + 1, c, dtype=idx),
+              np.broadcast_to(cols[:, None, :], blocks.shape).ravel().astype(idx),
+              np.ascontiguousarray(blocks).ravel())
+    if square:
+        placed = _kernels.csr_product(placed, (rows.indptr, rows.indices, rows.data),
+                                      width)
+    T = rows.transposed
+    indptr, indices, data = _kernels.csr_product((T.indptr, T.indices, T.data),
+                                                 placed, width)
+    out = sp.csr_matrix((data, indices, indptr), shape=(T.shape[0], width))
     out.sort_indices()
     return out
 
@@ -187,8 +210,8 @@ def boundary_load(space, corners, data, tags, ncomp=1):
         ref = mesh.facet_embed(f, t)
         dS, _ = facet_measure(map_jacobians(corners[sel], ref), f)
         V, _ = tensor_shape_eval(ref, tensor_indices(p, d), jmax=max(p, 1))
-        out += space.local_operator(ncomp, sel).T @ data_load(
-            data, map_points(corners[sel], ref), wq * dS, V).ravel()
+        out += space.scatter(ncomp, sel, data_load(
+            data, map_points(corners[sel], ref), wq * dS, V).ravel())
     return out
 
 
@@ -217,22 +240,16 @@ def assemble_system(space, qspace, material, loads=None):
     loads = loads or Loads()
 
     S = np.array([material.apply_elasticity(Phi[l]) for l in range(L)])
-    G_CH = np.empty((L, L))
-    for k in range(L):
-        for l in range(L):
-            G_CH[k, l] = float(np.tensordot(
-                material.apply_elasticity(Phi[l]) + material.apply_hardening(Phi[l]),
-                Phi[k]))
+    CH = [material.apply_elasticity(Phi[l]) + material.apply_hardening(Phi[l])
+          for l in range(L)]
+    G_CH = np.array([[float(np.tensordot(CH[l], Phi[k])) for l in range(L)]
+                     for k in range(L)])
 
+    require_same_degrees(space, qspace)
     act = np.array(mesh.active_ids())
-    if any(qspace.degrees[e] != space.degrees[e] for e in act):
-        raise ValueError("the displacement and Gauss-point spaces must have "
-                         "the same element degrees")
     corners = mesh.corner_array(act)
     affine = is_affine(corners)
-    K = sp.csr_matrix((d * M, d * M))
-    B = sp.csr_matrix((d * M, L * N))
-    C = sp.csr_matrix((L * N, L * N))
+    K = B = None
     lvec = np.zeros(d * M)
     for (p, aff), sel in element_groups(space, affine).items():
         # the stiffness integrand is rational on non-affine maps: one more point
@@ -241,21 +258,21 @@ def assemble_system(space, qspace, material, loads=None):
         _, G = tensor_shape_eval(pts, idx, jmax=max(p, 1))
         dphi = G @ Jinv
         rows = space.local_operator(d, sel)
-        qrows = qspace.local_operator(L, sel)
         if material.elasticity is None:
-            K += galerkin(rows, _kernels.elastic_stiffness(dphi, w, material.lam,
+            Kg = galerkin(rows, _kernels.elastic_stiffness(dphi, w, material.lam,
                                                            material.mu))
         else:
-            K += galerkin(rows, _stiffness_general(dphi, w, material))
+            Kg = galerkin(rows, _stiffness_general(dphi, w, material))
         phiq = gauss_point_basis(p, pts)
-        B += galerkin(rows, _kernels.coupling_block(dphi, w, phiq, S), qrows)
-        mass = qspace.mass_blocks(sel)
-        C += galerkin(qrows, np.kron(mass, G_CH))
+        Bg = galerkin(rows, _kernels.coupling_block(dphi, w, phiq, S),
+                      qspace.element_dofs(sel, L), L * N)
+        K = Kg if K is None else K + Kg
+        B = Bg if B is None else B + Bg
         if loads.volume is not None:
             qpts, qw, _ = group_quadrature(corners[sel], p + 1 + loads.extra_order)
             V, _ = tensor_shape_eval(qpts, idx, jmax=max(p, 1))
-            lvec += rows.T @ data_load(loads.volume, map_points(corners[sel], qpts),
-                                       qw, V).ravel()
+            lvec += space.scatter(d, sel, data_load(
+                loads.volume, map_points(corners[sel], qpts), qw, V).ravel())
     if loads.traction is not None:
         lvec += boundary_load(space, corners, loads.traction, loads.neumann_tags, d)
 
@@ -265,6 +282,7 @@ def assemble_system(space, qspace, material, loads=None):
             f"{len(non_affine)} element(s) have non-affine det J; stiffness "
             "quadrature order bumped by one (inexact for rational integrands)",
             QuadratureAccuracyWarning, stacklevel=2)
+    C = gauss_mass_matrix(qspace, L, G_CH)
     D = np.repeat(qspace.weights, L)
     q_counts = np.diff(qspace.offsets)
     return MixedSystem(K=K, B=B, C=C, D=D, l=lvec, dim=d, ndof_u=M, ndof_q=N,
@@ -299,14 +317,29 @@ def total_energy(system, qspace, vu, vp):
 # the Gauss-point mass matrix
 # ---------------------------------------------------------------------------
 
-def gauss_mass_matrix(qspace, ncomp=1):
+def gauss_mass_matrix(qspace, ncomp=1, coupling=None):
     """The mass matrix of ncomp-component fields (components interleaved) of
-    the Gauss-point space, block diagonal over the elements."""
-    M = sp.csr_matrix((ncomp * qspace.ndof, ncomp * qspace.ndof))
+    the Gauss-point space, with the components coupled by coupling (ncomp,
+    ncomp), the identity by default: block diagonal over the elements, with
+    the block M_T (x) coupling on element T. It is formed as CSR straight
+    from the blocks, element by element, with the exact zeros dropped as
+    scipy's product through the identity rows of the space drops them."""
+    coupling = np.eye(ncomp) if coupling is None else coupling
+    start = ncomp * qspace.offsets[:-1]
+    size = ncomp * np.diff(qspace.offsets)
+    at = np.cumsum(size * size) - size * size
+    vals = np.empty(int(np.sum(size * size)))
     for sel in element_groups(qspace).values():
-        M += galerkin(qspace.local_operator(ncomp, sel),
-                      np.kron(qspace.mass_blocks(sel), np.eye(ncomp)))
-    return M
+        s = size[sel[0]]
+        vals[(at[sel][:, None] + np.arange(s * s)).ravel()] = np.kron(
+            qspace.mass_blocks(sel), coupling).ravel()
+    nz = np.flatnonzero(vals)
+    elem = np.repeat(np.arange(len(size)), size * size)[nz]
+    row, col = np.divmod(nz - at[elem], size[elem])
+    n = ncomp * qspace.ndof
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(start[elem] + row,
+                                                        minlength=n))])
+    return sp.csr_matrix((vals[nz], start[elem] + col, indptr), shape=(n, n))
 
 
 def export_matrix_market(matrix, path):

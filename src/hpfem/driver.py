@@ -444,14 +444,16 @@ def dump_predictions(predictions, marked, path):
 
 
 def dump_indicators(ind, marked, path):
-    marked = set(marked)
+    """One CSV row per element (id, the three parts in %.17g, marked or not),
+    as the csv module writes them, with \\r\\n line ends; formatted in one
+    operation."""
+    ids = np.asarray(ind.element_ids)
+    rows = np.column_stack([ids, ind.residual_part, ind.plastic_part,
+                            ind.oscillation, np.isin(ids, list(marked))])
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["element", "eta_sq", "plastic_sq", "osc_sq", "marked"])
-        for i, eid in enumerate(ind.element_ids):
-            wr.writerow([int(eid), f"{ind.residual_part[i]:.17g}",
-                         f"{ind.plastic_part[i]:.17g}",
-                         f"{ind.oscillation[i]:.17g}", int(int(eid) in marked)])
+        fh.write("element,eta_sq,plastic_sq,osc_sq,marked\r\n"
+                 + ("%d,%.17g,%.17g,%.17g,%d\r\n" * len(rows))
+                 % tuple(rows.ravel().tolist()))
 
 
 def export_plastic_state(state, indicators, outdir, marked=()):

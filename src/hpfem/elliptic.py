@@ -5,7 +5,6 @@ setting the local error-reduction predictor operates on."""
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _kernels
 from .assembly import (boundary_load, data_load, element_groups, galerkin,
@@ -67,17 +66,18 @@ def poisson_blocks(corners, degree, order, volume=None, block=None):
 
 def assemble_scalar(space, problem):
     """Stiffness matrix and load vector of the Poisson form, one group of
-    elements of equal degree at a time, by `poisson_blocks`."""
+    elements of equal degree at a time, by `poisson_blocks`; the groups'
+    matrices are summed in group order, starting from the first group's."""
     corners = space.mesh.corner_array(space.mesh.active_ids())
-    A = sp.csr_matrix((space.ndof, space.ndof))
+    A = None
     b = np.zeros(space.ndof)
     for (p,), sel in element_groups(space).items():
         A_e, b_e = poisson_blocks(corners[sel], p, p + 1 + problem.extra_order,
                                   problem.volume)
-        rows = space.local_operator(1, sel)
-        A += galerkin(rows, A_e)
+        A_g = galerkin(space.local_operator(1, sel), A_e)
+        A = A_g if A is None else A + A_g
         if problem.volume is not None:
-            b += rows.T @ b_e.ravel()
+            b += space.scatter(1, sel, b_e.ravel())
     if problem.neumann is not None:
         b += boundary_load(space, corners, problem.neumann, problem.neumann_tags)
     return A, b

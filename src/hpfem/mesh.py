@@ -41,6 +41,19 @@ NEUMANN = "neumann"
 _VTK_CELL = {1: (3, [0, 1]), 2: (9, [0, 2, 3, 1]), 3: (12, [0, 4, 6, 2, 1, 5, 7, 3])}
 
 
+def _lines(fmt, rows):
+    """One line of the %-format fmt per row of rows (n, k) or per entry of
+    rows (n,), in one format operation."""
+    rows = np.asarray(rows)
+    return ((fmt + "\n") * len(rows)) % tuple(rows.ravel().tolist())
+
+
+def _padded(rows):
+    """Rows (n, k) padded with zero columns to three entries, as VTK's points
+    and vectors are."""
+    return np.column_stack([rows, np.zeros((len(rows), max(0, 3 - rows.shape[1])))])
+
+
 @lru_cache(maxsize=None)
 def corner_bits(dim):
     """Rows of {0,1}^d in corner order (read-only)."""
@@ -589,22 +602,25 @@ class Mesh:
     # -- IO -------------------------------------------------------------------
 
     def write_text(self, path):
+        """The vertices, the active elements (corner ids and degree) and the
+        tagged facets (corner ids and tag) as text, one line each, with
+        coordinates in %.17g; each section is formatted in one operation."""
         d = self.dim
+        act = np.array(self.active_ids(), dtype=np.intp)
+        tags = self.tags[act]
+        i, f = np.nonzero(np.not_equal(tags, None))
+        ids = self.corners[act[i][:, None], facet_corner_rows(d)[f]]
+        facets = np.empty((len(i), ids.shape[1] + 1), dtype=object)
+        facets[:, :-1], facets[:, -1] = ids, tags[i, f]
+        text = [f"# hpfem mesh, dim = {d}\nVERTICES\n",
+                _lines(" ".join(["%.17g"] * d), self.vertices),
+                "ELEMENTS\n",
+                _lines(" ".join(["%d"] * (2 ** d + 1)),
+                       np.column_stack([self.corners[act], self.degree[act]])),
+                "BOUNDARY\n",
+                _lines(" ".join(["%d"] * ids.shape[1] + ["%s"]), facets)]
         with open(path, "w") as fh:
-            fh.write(f"# hpfem mesh, dim = {d}\n")
-            fh.write("VERTICES\n")
-            for v in self.vertices:
-                fh.write(" ".join(f"{x:.17g}" for x in v) + "\n")
-            fh.write("ELEMENTS\n")
-            act = np.array(self.active_ids(), dtype=np.intp)
-            for ids, p in zip(self.corners[act].tolist(), self.degree[act].tolist()):
-                fh.write(" ".join(str(c) for c in ids) + f" {p}\n")
-            fh.write("BOUNDARY\n")
-            tags = self.tags[act]
-            i, f = np.nonzero(np.not_equal(tags, None))
-            ids = self.corners[act[i][:, None], facet_corner_rows(d)[f]]
-            for row, tag in zip(ids.tolist(), tags[i, f]):
-                fh.write(" ".join(str(c) for c in row) + f" {tag}\n")
+            fh.write("".join(text))
 
     @classmethod
     def read_text(cls, path):
@@ -637,7 +653,8 @@ class Mesh:
         return cls.from_arrays(verts, cells, dim=dim, degrees=degs, boundary=bnd)
 
     def write_vtk(self, path, cell_data=None, point_data=None):
-        """VTK legacy ASCII export of the active mesh.
+        """VTK legacy ASCII export of the active mesh, with values in %.17g;
+        each block of lines is formatted in one operation.
 
         cell_data: dict name -> array over active elements;
         point_data: dict name -> (nv,) or (nv, k) array over vertices.
@@ -645,41 +662,35 @@ class Mesh:
         d = self.dim
         vtk_type, order = _VTK_CELL[d]
         act = self.active_ids()
+        ncell = len(act)
+        npts = 2**d
+        nv = len(self.vertices)
+        text = ["# vtk DataFile Version 3.0\nhpfem export\nASCII\n"
+                "DATASET UNSTRUCTURED_GRID\n"
+                f"POINTS {nv} double\n",
+                _lines("%.17g %.17g %.17g", _padded(self.vertices)),
+                f"CELLS {ncell} {ncell * (npts + 1)}\n",
+                _lines(" ".join([str(npts)] + ["%d"] * npts),
+                       self.corners[act][:, order]),
+                f"CELL_TYPES {ncell}\n", f"{vtk_type}\n" * ncell]
+        if cell_data:
+            text.append(f"CELL_DATA {ncell}\n")
+            for name, arr in cell_data.items():
+                text += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n",
+                         _lines("%.17g", np.asarray(arr, dtype=float))]
+        if point_data:
+            text.append(f"POINT_DATA {nv}\n")
+            for name, arr in point_data.items():
+                arr = np.asarray(arr, dtype=float)
+                if arr.ndim == 1:
+                    text += [f"SCALARS {name} double 1\nLOOKUP_TABLE default\n",
+                             _lines("%.17g", arr)]
+                else:
+                    arr = _padded(arr)
+                    text += [f"VECTORS {name} double\n",
+                             _lines(" ".join(["%.17g"] * arr.shape[1]), arr)]
         with open(path, "w") as fh:
-            fh.write("# vtk DataFile Version 3.0\nhpfem export\nASCII\n")
-            fh.write("DATASET UNSTRUCTURED_GRID\n")
-            fh.write(f"POINTS {len(self.vertices)} double\n")
-            for v in self.vertices:
-                coords = list(v) + [0.0] * (3 - d)
-                fh.write(" ".join(f"{x:.17g}" for x in coords) + "\n")
-            ncell = len(act)
-            npts = 2**d
-            fh.write(f"CELLS {ncell} {ncell * (npts + 1)}\n")
-            for ids in self.corners[act][:, order].tolist():
-                fh.write(f"{npts} " + " ".join(str(i) for i in ids) + "\n")
-            fh.write(f"CELL_TYPES {ncell}\n")
-            for _ in act:
-                fh.write(f"{vtk_type}\n")
-            if cell_data:
-                fh.write(f"CELL_DATA {ncell}\n")
-                for name, arr in cell_data.items():
-                    arr = np.asarray(arr, dtype=float)
-                    fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                    for x in arr:
-                        fh.write(f"{x:.17g}\n")
-            if point_data:
-                fh.write(f"POINT_DATA {len(self.vertices)}\n")
-                for name, arr in point_data.items():
-                    arr = np.asarray(arr, dtype=float)
-                    if arr.ndim == 1:
-                        fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                        for x in arr:
-                            fh.write(f"{x:.17g}\n")
-                    else:
-                        fh.write(f"VECTORS {name} double\n")
-                        for row in arr:
-                            coords = list(row) + [0.0] * (3 - len(row))
-                            fh.write(" ".join(f"{x:.17g}" for x in coords) + "\n")
+            fh.write("".join(text))
 
 
 # -- helpers ----------------------------------------------------------------

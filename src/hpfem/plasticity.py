@@ -18,7 +18,6 @@ which are affine, from one set of sparse products per step. Every sparse
 factorization of the package goes through `factorize`.
 """
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,8 @@ from . import _kernels
 from .assembly import (element_groups, gauss_mass_matrix, group_quadrature,
                        plastic_functional)
 from .polybasis import gauss_lagrange_1d, tensor_contract
-from .space import deviatoric_basis, deviatoric_dim, gauss_point_basis
+from .space import (_indptr, deviatoric_basis, deviatoric_dim,
+                    gauss_point_basis, require_same_degrees)
 
 
 def chi(p_i, lam_i, sigma_i, rho):
@@ -125,7 +125,9 @@ def factorize(A):
     scalar stiffness) every pivot is diagonal and the fill is Cholesky-like;
     an unsymmetric matrix is still partially pivoted. A singular matrix
     raises RuntimeError."""
-    return spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+    if A.format != "csc":
+        A = sp.csc_matrix(A)
+    return spla.splu(A, permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
 
 
@@ -156,51 +158,68 @@ class ElementBlocks:
     CSC pattern once (`_K`, one past the end for padding), and `_pos` holds
     the position in it of every entry of every element product
     B_e X_e B_e^T (padding rows: one past the end), so that each condensed
-    matrix is a copy of `_K` with the products added in order. The pattern
-    and the positions come from integer arrays and scipy's own sparse
-    kernels, with no index keys formed, so no product of two indices can
-    overflow."""
+    matrix is a copy of `_K` with the products added in order. The blocks
+    each displacement unknown reaches, and their transpose, come from B's
+    sorted rows with numpy; the pattern, the dense B_e and the positions
+    from scipy's sparse kernels on CSR arrays (`_kernels.csr_product`,
+    `csr_sort`, `csr_transpose`, `csr_sum` and `csr_lookup`), with no
+    sparse matrix formed. No index keys are formed, so no product of two
+    indices can overflow."""
 
     def __init__(self, system):
         L = system.L
         K, B, C = system.K, system.B, system.C
-        if not (K.has_canonical_format and C.has_canonical_format):
-            raise ValueError("K and C must be CSR matrices in canonical form")
+        if not (K.has_canonical_format and B.has_canonical_format
+                and C.has_canonical_format):
+            raise ValueError("K, B and C must be CSR matrices in canonical form")
         n_u = K.shape[0]
         n_q = C.shape[0]
         sizes = L * np.asarray(system.q_counts)
         if sizes.sum() != n_q:
             raise ValueError("q_counts do not cover the q unknowns")
         starts = np.cumsum(sizes) - sizes
-        block = np.repeat(np.arange(len(sizes)), sizes)
+        block = np.repeat(np.arange(len(sizes), dtype=np.int32), sizes)
         crow = np.repeat(np.arange(n_q), np.diff(C.indptr))  # C's CSR rows
         cblock = block[crow]
         if np.any(cblock != block[C.indices]):
             raise ValueError("C is not block diagonal over the elements")
         self.system = system
         self.Bt = B.T  # a view: B^T u without a copy of B
-        # row e: the displacement unknowns block e reaches through B, sorted
-        reach = (sp.csr_matrix((np.ones(B.nnz), B.indices, B.indptr), shape=B.shape)
-                 @ sp.csr_matrix((np.ones(n_q), block, np.arange(n_q + 1)),
-                                 shape=(n_q, len(sizes)))).T.tocsr()
-        count = np.diff(reach.indptr)
-        # the pattern: the pairs one block reaches (a symmetric pattern, so
-        # its CSR arrays are its CSC arrays) united with K's entries by one
-        # sparse add. A pair counts 0.5 and K's entry k counts k + 1, so the
-        # integer part of a sum is k + 1 on K's entries and 0 elsewhere.
-        pairs = reach.T @ reach
-        pairs.sort_indices()
-        pairs.data[:] = 0.5
-        union = (sp.csc_matrix((pairs.data, pairs.indices, pairs.indptr),
-                               shape=K.shape)
-                 + sp.csr_matrix((np.arange(1.0, K.nnz + 1), K.indices, K.indptr),
-                                 shape=K.shape).tocsc())
+        # the blocks of a row's entries of B ascend, as its columns do, so
+        # the first entry of each row and of each block in it marks one
+        # (unknown urow, block blk) pair, in row order with the blocks
+        # ascending: the CSR arrays of reach^T. Their stable sort by block
+        # gives reach: row e holds the unknowns block e reaches, ascending.
+        eb = block[B.indices]
+        first = np.ones(B.nnz, dtype=bool)
+        first[1:] = eb[1:] != eb[:-1]
+        first[B.indptr[:-1][B.indptr[:-1] < B.nnz]] = True
+        at = np.flatnonzero(first)
+        blk = eb[at]
+        urow = (np.searchsorted(B.indptr, at, side="right") - 1).astype(np.int32)
+        del eb, first, at
+        reach = urow[np.argsort(blk, kind="stable")]
+        count = np.bincount(blk, minlength=len(sizes))
+        one = np.ones(len(blk))
+        # the pattern: the pairs one block reaches, reach^T reach, united
+        # with K's entries by one sparse add of CSC arrays. The pairs'
+        # pattern is symmetric, so its CSR arrays are its CSC arrays, and
+        # K's CSR transpose has K's. A pair counts 0.5 and K's entry k counts
+        # k + 1, so the integer part of a sum is k + 1 on K's entries and 0
+        # elsewhere.
+        pairs = _kernels.csr_product(
+            (_indptr(np.bincount(urow, minlength=n_u)).astype(np.int32), blk, one),
+            (_indptr(count).astype(np.int32), reach, one), n_u)
+        _kernels.csr_sort(pairs)
+        pairs[2][:] = 0.5
+        up, ui, ud = _kernels.csr_sum(pairs, _kernels.csr_transpose(
+            (K.indptr, K.indices, np.arange(1.0, K.nnz + 1)), n_u), n_u)
         del pairs
-        nnz = union.nnz
-        self._indptr = union.indptr.astype(np.int32, copy=False)
-        self._indices = union.indices.astype(np.int32, copy=False)
-        kmark = union.data.astype(np.int64) - 1  # k on K's entry k, else -1
-        del union
+        nnz = len(ui)
+        self._indptr = up.astype(np.int32, copy=False)
+        self._indices = ui.astype(np.int32, copy=False)
+        kmark = ud.astype(np.int64) - 1  # k on K's entry k, else -1
+        del up, ui, ud
         members = [np.flatnonzero(sizes == n) for n in np.unique(sizes)]
         width = [int(count[m].max()) for m in members]
         onK = np.flatnonzero(kmark >= 0)
@@ -211,10 +230,6 @@ class ElementBlocks:
         del posK
         self._pos = np.empty(sum(len(m) * r * r for m, r in zip(members, width)),
                              dtype=np.int64)
-        # position of the entry in CSC column c, row x: entry (c, x) of the
-        # same arrays read as CSR, found by scipy within row c
-        where = sp.csr_matrix((np.arange(nnz, dtype=np.int32), self._indices,
-                               self._indptr), shape=K.shape)
         at = 0
         self.groups = []
         slot = np.empty(len(sizes), dtype=np.int64)
@@ -230,19 +245,20 @@ class ElementBlocks:
             # the lookups use B's index dtype, int32 like the pattern's, so
             # scipy makes no converted copies of them
             rows = np.zeros((G, r), dtype=B.indices.dtype)
-            rows[filled] = reach[m].indices
+            rows[filled] = reach[np.repeat(sizes == n, count)]
             # B_e[a, c] = B[rows[a], idx[c]]; the arrays kept are allocated
             # before the temporaries that fill them
             Be = np.empty((G, r, n))
-            Be[...] = np.asarray(B[np.repeat(rows, n, axis=1).ravel(),
-                                   np.tile(idx.astype(rows.dtype), r).ravel()]
-                                 ).reshape(G, r, n)
+            _kernels.csr_lookup((B.indptr, B.indices, B.data), n_q,
+                                np.repeat(rows, n, axis=1),
+                                np.tile(idx.astype(rows.dtype), r), Be)
             Be[~filled] = 0.0
-            # entry (a, b) of B_e X_e B_e^T lands in column rows[b], row rows[a]
+            # entry (a, b) of B_e X_e B_e^T lands in column rows[b], row
+            # rows[a]: entry (rows[b], rows[a]) of the CSC arrays read as CSR
             pos = self._pos[at:at + G * r * r].reshape(G, r, r)
-            pos[...] = np.asarray(where[np.tile(rows, r).ravel(),
-                                        np.repeat(rows, r, axis=1).ravel()]
-                                  ).reshape(G, r, r)
+            _kernels.csr_lookup((self._indptr, self._indices,
+                                 np.arange(nnz, dtype=np.int64)), n_u,
+                                np.tile(rows, r), np.repeat(rows, r, axis=1), pos)
             pos[~(filled[:, :, None] & filled[:, None, :])] = nnz
             at += G * r * r
             self.groups.append(BlockGroup(idx, Ce, Be))
@@ -473,12 +489,12 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
 
 
 def write_trace_csv(triple, path):
+    """The Newton trace as CSV, the floats in repr as the csv module writes
+    them, with \\r\\n line ends; formatted in one operation."""
+    rows = np.asarray(triple.trace, dtype=float).reshape(-1, 5)
     with open(path, "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["iteration", "residual_max", "merit", "step_length",
-                     "active_set"])
-        for row in triple.trace:
-            wr.writerow(row)
+        fh.write("iteration,residual_max,merit,step_length,active_set\r\n"
+                 + ("%d,%r,%r,%r,%d\r\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +533,8 @@ class Fields:
     def __init__(self, space, qspace, material, u, p, lam=None):
         d = space.dim
         L = deviatoric_dim(d)
+        require_same_degrees(space, qspace)
         act = space.mesh.active_ids()
-        if any(qspace.degrees[e] != space.degrees[e] for e in act):
-            raise ValueError("the displacement and Gauss-point spaces must have "
-                             "the same element degrees")
         self.material = material
         self.dim = d
         self.deg = space.mesh.degree[act]

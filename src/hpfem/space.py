@@ -592,6 +592,18 @@ class ScalarSpace:
                                                   ncomp), ncomp)
         return self._rows[key]
 
+    def scatter(self, ncomp, positions, values):
+        """The rows of P (x) I_ncomp of the active elements at positions (all
+        of one degree), transposed, times values (one per row): each entry
+        sums its products from 0 in CSR entry order, as scipy's product with
+        the transposed (CSC) rows does, so the two agree bit for bit. It
+        reads P's arrays and forms no sparse matrix."""
+        P = self._operators[1]
+        take, cols, count = _row_entries(
+            P, _element_rows(self._shape_offsets, positions, ncomp), ncomp)
+        return np.bincount(cols, weights=P.data[take] * np.repeat(values, count),
+                           minlength=ncomp * self.ndof)
+
     @cached_property
     def _gather(self):
         """P as a padded gather table: the entry count (rows,) of each row of
@@ -646,19 +658,28 @@ class OperatorRows(sp.csr_matrix):
 
     @cached_property
     def transposed(self):
-        return self.T.tocsr()
+        indptr, indices, data = _kernels.csr_transpose(
+            (self.indptr, self.indices, self.data), self.shape[1])
+        return sp.csr_matrix((data, indices, indptr), shape=self.shape[::-1])
 
 
-def _operator_rows(P, rows, ncomp):
-    """The rows of P (x) I_ncomp (P CSR with sorted indices), gathered from
-    P's arrays with numpy, as OperatorRows with read-only arrays, since a
-    space hands the same rows to every caller. Row ncomp i + a holds P's
-    row i at the columns ncomp j + a, in the order and with the values of
-    the CSR form of scipy's Kronecker product."""
+def _row_entries(P, rows, ncomp):
+    """The entries of rows of P (x) I_ncomp (P CSR with sorted indices), in
+    the order and at the columns of the CSR form of scipy's Kronecker
+    product: row ncomp i + a holds P's row i at the columns ncomp j + a.
+    Returns their positions in P's arrays, their columns and the count of
+    entries of each row."""
     i, a = np.divmod(rows, ncomp)
     count = np.diff(P.indptr)[i]
     take = _ranges(P.indptr[i], count)
-    cols = ncomp * P.indices[take].astype(np.intp) + np.repeat(a, count)
+    return take, ncomp * P.indices[take].astype(np.intp) + np.repeat(a, count), count
+
+
+def _operator_rows(P, rows, ncomp):
+    """The rows of P (x) I_ncomp gathered from P's arrays with numpy
+    (`_row_entries`), as OperatorRows with read-only arrays, since a space
+    hands the same rows to every caller."""
+    take, cols, count = _row_entries(P, rows, ncomp)
     out = OperatorRows((P.data[take], cols, _indptr(count)),
                        shape=(len(rows), ncomp * P.shape[1]))
     for arr in (out.data, out.indices, out.indptr):
@@ -678,6 +699,15 @@ def _element_rows(offsets, positions, ncomp):
 # ---------------------------------------------------------------------------
 # the discontinuous Gauss-point space with its biorthogonal dual
 # ---------------------------------------------------------------------------
+
+def require_same_degrees(space, qspace):
+    """Raise ValueError unless a displacement space and a Gauss-point space
+    have the same active elements with the same degrees."""
+    if not (np.array_equal(space._act, qspace._act)
+            and np.array_equal(space._deg, qspace._deg)):
+        raise ValueError("the displacement and Gauss-point spaces must have "
+                         "the same element degrees")
+
 
 def gauss_point_basis(p, xhat, gradient=False):
     """Values (m, n_T), and with gradient=True reference gradients
@@ -749,30 +779,16 @@ class GaussPointSpace:
         self.weights = D
         self.bounds = np.full(self.ndof, self.yield_stress)
 
-    def _basis_at(self, eid, xhat):
-        return gauss_point_basis(self.degrees[eid], xhat)
-
-    def _block(self, stacks, eid):
-        i = np.searchsorted(self._act, eid)
-        return stacks[int(self._deg[i])][self._slot[i]]
-
-    def local_operator(self, ncomp=1, positions=None):
-        """The identity on the dofs of ncomp-component fields, as the space is
-        discontinuous and numbers its dofs element by element; with positions
-        (of active elements of one degree), only their rows; formed directly
-        as `OperatorRows`."""
-        n = ncomp * self.ndof
-        rows = (np.arange(n) if positions is None
-                else _element_rows(self.offsets, positions, ncomp))
-        return OperatorRows((np.ones(len(rows)), rows, np.arange(len(rows) + 1)),
-                            shape=(len(rows), n))
+    def element_dofs(self, positions, ncomp=1):
+        """The unknowns (n, ncomp n_T) of ncomp-component fields (components
+        interleaved) on the active elements at positions, all of one degree,
+        element by element: the space is discontinuous and numbers its dofs
+        element by element."""
+        return _element_rows(self.offsets, positions, ncomp).reshape(len(positions), -1)
 
     def dof_slice(self, eid):
         i = np.searchsorted(self._act, eid)
         return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
-
-    def mass(self, eid):
-        return self._block(self._mass, eid)
 
     def mass_blocks(self, positions):
         """Mass blocks (n, n_T, n_T) of the active elements at positions, all
@@ -781,18 +797,8 @@ class GaussPointSpace:
 
     def dual_coefficients(self, eid):
         """(n_T, n_T): row i holds the biorthogonal function over the Lagrange basis."""
-        return self._block(self._dual, eid)
-
-    def eval_primal(self, eid, coeffs, xhat):
-        """Evaluate a field given by primal (Lagrange) coefficients: (m, ...)."""
-        V = self._basis_at(eid, xhat)
-        return np.tensordot(V, coeffs[self.dof_slice(eid)], axes=(1, 0))
-
-    def eval_dual(self, eid, coeffs, xhat):
-        """Evaluate a field given by coefficients over the biorthogonal basis."""
-        V = self._basis_at(eid, xhat)
-        C = self.dual_coefficients(eid)
-        return np.tensordot(V @ C.T, coeffs[self.dof_slice(eid)], axes=(1, 0))
+        i = np.searchsorted(self._act, eid)
+        return self._dual[int(self._deg[i])][self._slot[i]]
 
     def element_rows(self, eids, rows, dual=False):
         """Coefficient rows (n, n_T, k) of the elements eids, all of one

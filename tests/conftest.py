@@ -12,7 +12,8 @@ from hpfem.plasticity import strain_values, tensor_values
 from hpfem.problems import cube_mesh, interval_mesh, poisson_lshape
 from hpfem.problems import square_mesh  # noqa: F401  (re-exported to tests)
 from hpfem.polybasis import tensor_gauss, tensor_indices, tensor_shape_eval
-from hpfem.space import GaussPointSpace, ScalarSpace, deviatoric_dim
+from hpfem.space import (GaussPointSpace, OperatorRows, ScalarSpace,
+                         deviatoric_dim, gauss_point_basis)
 
 
 @pytest.fixture
@@ -85,15 +86,49 @@ def strain_at(space, eid, u, pts, Jinv):
     return strain_values(loc.T @ G, Jinv)
 
 
+def gauss_basis_at(qspace, eid, xhat):
+    """The Gauss-point basis of element eid of a GaussPointSpace at
+    reference points xhat (m, n_T)."""
+    return gauss_point_basis(qspace.degrees[eid], xhat)
+
+
+def gauss_mass(qspace, eid):
+    """The mass block (n_T, n_T) of element eid of a GaussPointSpace."""
+    return qspace.mass_blocks(np.searchsorted(qspace._act, [eid]))[0]
+
+
+def gauss_eval_primal(qspace, eid, coeffs, xhat):
+    """Values (m, ...) on element eid of a field of a GaussPointSpace given
+    by primal (Lagrange) coefficient rows (ndof, ...)."""
+    return np.tensordot(gauss_basis_at(qspace, eid, xhat),
+                        coeffs[qspace.dof_slice(eid)], axes=(1, 0))
+
+
+def gauss_eval_dual(qspace, eid, coeffs, xhat):
+    """Values (m, ...) on element eid of a field of a GaussPointSpace given
+    by coefficient rows over the biorthogonal basis."""
+    V = gauss_basis_at(qspace, eid, xhat)
+    return np.tensordot(V @ qspace.dual_coefficients(eid).T,
+                        coeffs[qspace.dof_slice(eid)], axes=(1, 0))
+
+
+def gauss_local_operator(qspace, ncomp=1, positions=None):
+    """The identity on the dofs of ncomp-component fields of a
+    GaussPointSpace as `OperatorRows`, or, with positions (of active
+    elements of one degree), its rows of those elements."""
+    n = ncomp * qspace.ndof
+    rows = (np.arange(n) if positions is None
+            else qspace.element_dofs(positions, ncomp).ravel())
+    return OperatorRows((np.ones(len(rows)), rows, np.arange(len(rows) + 1)),
+                        shape=(len(rows), n))
+
+
 def plastic_field_at(qspace, eid, p, pts, dual=False):
     """Tensor field values (m, d, d) from coefficient rows (N, L)."""
     rows = np.asarray(p, dtype=float).reshape(qspace.ndof,
                                               deviatoric_dim(qspace.dim))
-    if dual:
-        vals = qspace.eval_dual(eid, rows, pts)
-    else:
-        vals = qspace.eval_primal(eid, rows, pts)
-    return tensor_values(vals, qspace.dim)
+    evaluate = gauss_eval_dual if dual else gauss_eval_primal
+    return tensor_values(evaluate(qspace, eid, rows, pts), qspace.dim)
 
 
 def assemble_norm_matrices(space, qspace=None):

@@ -6,8 +6,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (element_quadrature, eval_element, piece_coords,
-                      plastic_field_at, random_refined_mesh, square_mesh)
+from conftest import (element_quadrature, eval_element, gauss_basis_at,
+                      gauss_eval_dual, piece_coords, plastic_field_at,
+                      random_refined_mesh, square_mesh)
 from hpfem.assembly import Loads, Material, assemble_system, bilinear_value
 from hpfem.config import RunConfig
 from hpfem.driver import (run_adaptive, refined_state_error, solve_elliptic,
@@ -48,7 +49,7 @@ def test_criterion_01_biorthogonality(rng):
             p = max(qs.degrees[eid], 1)
             pts, wts = tensor_gauss(p + 3, 2)
             det = emap.det_jacobian(pts)
-            V = qs._basis_at(eid, pts)
+            V = gauss_basis_at(qs, eid, pts)
             W = V @ qs.dual_coefficients(eid).T
             G = np.einsum("qi,q,qj->ij", V, wts * det, W)
             sl = qs.dof_slice(eid)
@@ -431,7 +432,7 @@ def test_criterion_12_estimator(rng):
             emap, pts, wts, det, Jinv = element_quadrature(st.mesh, eid, pdeg + 2)
             w = wts * det
             lam_vals = np.einsum("ql,lab->qab",
-                                 st.qspace.eval_dual(eid, lam_rows, pts), Phi)
+                                 gauss_eval_dual(st.qspace, eid, lam_rows, pts), Phi)
             pq = plastic_field_at(st.qspace, eid, st.solution.p, pts)
             mu = mu_of(eid, pts, lam_vals, pq)
             total += float(w @ (

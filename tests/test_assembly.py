@@ -7,8 +7,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from conftest import (assemble_norm_matrices, distorted_quad_mesh,
-                      element_quadrature, plastic_field_at, random_refined_mesh,
-                      square_mesh, strain_at)
+                      element_quadrature, gauss_eval_primal, plastic_field_at,
+                      random_refined_mesh, square_mesh, strain_at)
 from hpfem.assembly import (Loads, Material, MixedSystem,
                             QuadratureAccuracyWarning, assemble_system,
                             bilinear_value, export_matrix_market,
@@ -237,7 +237,7 @@ class TestPlasticFunctional:
             emap = m.element_map(eid)
             pts, wts = tensor_gauss(p, 2)
             det = np.abs(emap.det_jacobian(pts))
-            vals = qs.eval_primal(eid, q, pts)
+            vals = gauss_eval_primal(qs, eid, q, pts)
             field = np.einsum("ql,lab->qab", vals, Phi)
             total += float((wts * det) @ (1.3 * np.linalg.norm(field, axis=(1, 2))))
         assert abs(val - total) < 1e-12 * max(1.0, abs(val))

@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (INDICATOR_CASES, INDICATOR_VARIANTS, element_quadrature,
-                      indicator_case, plastic_field_at, square_mesh)
+                      gauss_eval_dual, indicator_case, plastic_field_at,
+                      square_mesh)
 from hpfem.assembly import Loads, Material, assemble_system, bilinear_value
 from hpfem.estimator import (ErrorIndicators, compute_indicators, mark_dorfler,
                              mu_star_at, solve_auxiliary,
@@ -253,7 +254,7 @@ class TestPlasticityIndicator:
                 emap, pts, wts, det, Jinv = element_quadrature(m, eid, pdeg + 2)
                 w = wts * det
                 lam_vals = np.einsum("ql,lab->qab",
-                                     qs.eval_dual(eid, lam_rows, pts), Phi)
+                                     gauss_eval_dual(qs, eid, lam_rows, pts), Phi)
                 pq = plastic_field_at(qs, eid, sol.p, pts)
                 mu = mu_of(eid, pts, lam_vals, pq)
                 total += float(w @ (

@@ -8,9 +8,11 @@ scipy's sparse kernels, kept here as the oracles, bit for bit.
   P (x) I_ncomp from P once per (ncomp, positions) and space; they must
   equal scipy's fancy row slicing of scipy's Kronecker product, and their
   cached transpose must equal scipy's.
-- `GaussPointSpace.local_operator` forms its identity rows directly.
+- `gauss_local_operator` (conftest) forms the identity rows of the
+  Gauss-point space directly.
 - `assembly.galerkin` forms the block diagonal as CSR straight from the
-  blocks; its products must equal those over the BSR block diagonal.
+  blocks, and places the blocks at their columns for identity rows; its
+  products must equal those over the BSR block diagonal.
 
 The meshes are the space-parity cases (2D and 3D meshes with hanging
 facets and mixed degrees, and a cube refined twice, whose hanging vertices
@@ -22,7 +24,7 @@ import pytest
 import scipy.sparse as sp
 
 import hpfem.space as space_module
-from conftest import assembly_case, square_mesh
+from conftest import assembly_case, gauss_local_operator, square_mesh
 from hpfem.assembly import assemble_system, element_groups, galerkin
 from hpfem.elliptic import assemble_scalar
 from hpfem.problems import cube_mesh
@@ -103,9 +105,9 @@ def test_cached_rows_match_scipy_slicing(case):
     n = 3 * qspace.ndof
     for sel in element_groups(qspace).values():
         rows = space_module._element_rows(qspace.offsets, sel, 3)
-        _same_csr(qspace.local_operator(3, sel),
+        _same_csr(gauss_local_operator(qspace, 3, sel),
                   sp.identity(n, format="csr")[rows])
-    _same_csr(qspace.local_operator(3), sp.identity(n, format="csr"))
+    _same_csr(gauss_local_operator(qspace, 3), sp.identity(n, format="csr"))
 
 
 def galerkin_oracle(rows, blocks, cols=None):
@@ -125,13 +127,18 @@ def test_galerkin_matches_bsr_oracle(case):
     d = space.dim
     for (p,), sel in element_groups(space).items():
         rows = space.local_operator(d, sel)
-        qrows = qspace.local_operator(2, sel)
+        qrows = gauss_local_operator(qspace, 2, sel)
         n, nr, nq = len(sel), rows.shape[0] // len(sel), qrows.shape[0] // len(sel)
         square = rng.standard_normal((n, nr, nr))
         square[:, ::2, 1::3] = 0.0  # explicit zeros stay in the pattern
         coupling = rng.standard_normal((n, nr, nq))
+        # placed at their q columns, zeros and negative zeros included, the
+        # blocks give what the product through the identity rows gives
+        coupling[:, 1::3, ::2] = 0.0
+        coupling[:, ::4, 1::2] = -0.0
         _same_csr(galerkin(rows, square), galerkin_oracle(rows, square))
-        _same_csr(galerkin(rows, coupling, qrows),
+        _same_csr(galerkin(rows, coupling, qspace.element_dofs(sel, 2),
+                           2 * qspace.ndof),
                   galerkin_oracle(rows, coupling, qrows))
         qblocks = rng.standard_normal((n, nq, nq))
         _same_csr(galerkin(qrows, qblocks), galerkin_oracle(qrows, qblocks))

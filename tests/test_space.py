@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (ROTATED_CASES, distorted_quad_mesh, eval_element,
-                      piece_coords, random_refined_mesh, rotated_roots_mesh,
-                      square_mesh)
+                      gauss_basis_at, gauss_eval_primal, piece_coords,
+                      random_refined_mesh, rotated_roots_mesh, square_mesh)
 from hpfem.mesh import Mesh, check_det_affine
 from hpfem.problems import cube_mesh
 from hpfem.polybasis import tensor_gauss, tensor_indices, tensor_shape_eval
@@ -174,7 +174,7 @@ def _biorth_defect(m, qs):
         p = max(qs.degrees[eid], 1)
         pts, wts = tensor_gauss(p + 3, m.dim)
         det = emap.det_jacobian(pts)
-        V = qs._basis_at(eid, pts)
+        V = gauss_basis_at(qs, eid, pts)
         W = V @ qs.dual_coefficients(eid).T
         G = np.einsum("qi,q,qj->ij", V, wts * det, W)
         sl = qs.dof_slice(eid)
@@ -315,7 +315,8 @@ class TestConnectivity:
         Phi = deviatoric_basis(2)
         for eid in m.active_ids():
             # the Gauss points that carry the element's dofs (degree 2)
-            vals = qs.eval_primal(eid, coeffs, tensor_gauss(qs.degrees[eid], 2)[0])
+            vals = gauss_eval_primal(qs, eid, coeffs,
+                                     tensor_gauss(qs.degrees[eid], 2)[0])
             field = np.einsum("ql,lab->qab", vals, Phi)
             np.testing.assert_allclose(np.linalg.norm(field, axis=(1, 2)), 1.0,
                                        atol=1e-13)
@@ -341,7 +342,7 @@ class TestProjection:
             pts, wts = tensor_gauss(max(qs.degrees[eid], 1) + 2, 2)
             emap = m.element_map(eid)
             det = emap.det_jacobian(pts)
-            V = qs._basis_at(eid, pts)
+            V = gauss_basis_at(qs, eid, pts)
             sl = qs.dof_slice(eid)
             f = V @ coeffs[sl]
             integ = np.einsum("qi,q,ql->il", V, wts * det, f)
