@@ -35,8 +35,8 @@ import scipy.sparse as sp
 from . import _kernels
 from .mesh import facet_measure, is_affine, map_jacobians, map_points
 from .polybasis import tensor_gauss, tensor_indices, tensor_shape_eval
-from .space import (deviatoric_basis, deviatoric_dim, gauss_point_basis,
-                    require_same_degrees)
+from .space import (deviatoric_basis, deviatoric_dim, element_groups,
+                    gauss_point_basis, require_same_degrees)
 
 
 class QuadratureAccuracyWarning(UserWarning):
@@ -127,22 +127,6 @@ class MixedSystem:
     L: int
     q_counts: np.ndarray  # dofs per element block of C, in q-dof order
     non_affine: tuple = field(default_factory=tuple)
-
-
-def element_groups(space, *keys):
-    """Positions of the active elements grouped by degree and by further
-    per-element keys (arrays in element order), as {(degree, *keys):
-    positions}, in ascending key order."""
-    cols = np.stack((space.mesh.degree[space.mesh.active_ids()],) + keys, axis=1)
-    # one code per row, ordered as the rows' keys are: mixed-radix digits of
-    # the ranks of the row's values in each column
-    code = np.zeros(len(cols), dtype=np.int64)
-    for col in cols.T:
-        vals, rank = np.unique(col, return_inverse=True)
-        code = code * len(vals) + rank
-    _, first, inv = np.unique(code, return_index=True, return_inverse=True)
-    return {tuple(int(v) for v in cols[i]): np.nonzero(inv == j)[0]
-            for j, i in enumerate(first.tolist())}
 
 
 def group_quadrature(corners, order):

@@ -21,7 +21,7 @@ from .assembly import (assemble_system, element_groups, group_quadrature,
                        strain, total_energy)
 from .config import RunConfig
 from .elliptic import energy_error_sq, solve_scalar
-from .mesh import Mesh, map_jacobians, map_points, point_set_diameters
+from .mesh import Mesh, map_jacobians, map_points, point_set_diameters, positions_of
 from .plasticity import (Fields, NewtonConfig, default_rho,
                          solve_semismooth_newton, strain_values,
                          write_trace_csv)
@@ -161,7 +161,7 @@ def plastic_error_sq(coarse, fine):
     anc, scale, shift = _coarse_maps(fine.mesh, act, coarse.mesh)
     fields, cfields = (Fields(s.space, s.qspace, s.material, s.solution.u,
                               s.solution.p, s.solution.lam) for s in (fine, coarse))
-    cpos = np.searchsorted(coarse.mesh.active_ids(), anc)
+    cpos = positions_of(coarse.mesh.active_ids(), anc)
     corners, ccorners = fine.mesh.corner_array(act), coarse.mesh.corner_array(anc)
     total = 0.0
     for (q,), sel in element_groups(fine.space).items():

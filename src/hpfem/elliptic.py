@@ -92,13 +92,12 @@ def solve_scalar(space, problem):
 def energy_error_sq(space, u, exact_grad):
     """|u_exact - u|^2 in the energy (H1-seminorm) sense by quadrature of
     order p + 4, one group of elements of equal degree at a time."""
-    act = np.array(space.mesh.active_ids())
-    corners = space.mesh.corner_array(act)
+    corners = space.mesh.corner_array(space.mesh.active_ids())
     total = 0.0
     for (p,), sel in element_groups(space).items():
         pts, w, Jinv = group_quadrature(corners[sel], p + 4)
         _, G = tensor_shape_eval(pts, tensor_indices(p, space.dim), jmax=max(p, 1))
-        coef = space.element_coeffs(act[sel], u)
+        coef = space.element_coeffs(sel, u)
         grad_h = ((coef[:, None, None, :] @ G) @ Jinv)[:, :, 0]
         x = map_points(corners[sel], pts)
         diff = np.asarray(exact_grad(x.reshape(-1, space.dim)),

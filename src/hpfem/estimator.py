@@ -31,7 +31,7 @@ from .mesh import (corner_bits, facet_corner_rows, facet_measure,
 from .plasticity import ElementBlocks, Fields, deviator, tensor_values
 from .polybasis import (tensor_gauss, tensor_indices, tensor_shape_eval,
                         tensor_shape_hessian)
-from .space import gauss_point_basis
+from .space import element_groups, gauss_point_basis
 
 # Gap, in units of the largest value, below which two indicators (or two
 # predicted reductions) count as tied. Mirror-image elements differ only by
@@ -116,13 +116,11 @@ def compute_indicators(space, qspace, material, loads, u, p, lam=None,
     act = mesh.active_ids()
     n = len(act)
     fields = Fields(space, qspace, material, u, p, lam)
-    deg = fields.deg
     corners = mesh.corner_array(act)
     res_part = np.zeros(n)
     pl_part = np.zeros(n)
     osc = np.zeros(n)
-    for pT in np.unique(deg).tolist():
-        sel = np.nonzero(deg == pT)[0]
+    for (pT,), sel in element_groups(space).items():
         res_part[sel], pl_part[sel], osc[sel] = _volume_terms(
             fields, loads, corners[sel], pT, sel, qspace.yield_stress, mu_mode)
     tab = mesh.facet_table()
@@ -256,7 +254,7 @@ def _jump_terms(mesh, fields, corners, tab, seq):
     else:
         h_e = np.ones(len(rows))  # the facet of an interval is a point
     terms = []
-    for pe in np.unique(p_e).tolist():
+    for pe in sorted(set(p_e.tolist())):
         sel = np.nonzero(p_e == pe)[0]
         k = len(sel)
         xi, wts = tensor_gauss(pe + 2, d - 1)

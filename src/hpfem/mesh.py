@@ -191,6 +191,16 @@ class ElementMap:
         return float(wts @ self.det_jacobian(pts))
 
 
+def positions_of(act, eids):
+    """The positions of element ids eids (one or an array) in the ascending
+    active ids act; ValueError naming the first id that is not active."""
+    pos = np.searchsorted(act, eids)
+    bad = np.asarray(act)[np.minimum(pos, len(act) - 1)] != eids
+    if np.any(bad):
+        raise ValueError(f"element {np.ravel(eids)[np.ravel(bad)][0]} is not active")
+    return pos
+
+
 def is_affine(corners, tol=1e-12):
     """Whether the maps of a corner array (n, 2^d, d), or of one element's
     corners (2^d, d), have constant Jacobians (parallelotopes)."""
@@ -283,9 +293,7 @@ class FacetTable:
     def rows(self, eid):
         """The interior rows and the boundary rows of active element eid, as
         two slices."""
-        i = int(np.searchsorted(self.act, eid))
-        if i == len(self.act) or self.act[i] != eid:
-            raise ValueError(f"element {eid} is not active")
+        i = int(positions_of(self.act, eid))
         return (slice(*np.searchsorted(self.el, [i, i + 1]).tolist()),
                 slice(*np.searchsorted(self.b_el, [i, i + 1]).tolist()))
 

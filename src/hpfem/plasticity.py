@@ -528,30 +528,27 @@ class Fields:
     in dual coefficients or None), gathered once: per element degree, the
     displacement coefficients over the tensor shapes and the p and lam rows
     over the Gauss-point (Lagrange) basis. Elements are addressed by their
-    positions in the active element list."""
+    positions in `mesh.active_ids()`, and grouped by `element_groups`."""
 
     def __init__(self, space, qspace, material, u, p, lam=None):
         d = space.dim
         L = deviatoric_dim(d)
         require_same_degrees(space, qspace)
-        act = space.mesh.active_ids()
         self.material = material
         self.dim = d
-        self.deg = space.mesh.degree[act]
+        self.deg = space.mesh.degree[space.mesh.active_ids()]
         self.with_lam = lam is not None
         U = np.asarray(u, dtype=float).reshape(-1, d)
         prows = np.asarray(p, dtype=float).reshape(qspace.ndof, L)
         lrows = None if lam is None else np.asarray(lam, dtype=float).reshape(
             qspace.ndof, L)
-        self.slot = np.empty(len(act), dtype=np.intp)
+        self.slot = np.empty(len(self.deg), dtype=np.intp)
         self.groups = {}
-        for q in np.unique(self.deg).tolist():
-            sel = np.nonzero(self.deg == q)[0]
-            eids = [act[i] for i in sel]
+        for (q,), sel in element_groups(space).items():
             self.slot[sel] = np.arange(len(sel))
             self.groups[q] = (
-                space.element_coeffs(eids, U), qspace.element_rows(eids, prows),
-                None if lrows is None else qspace.element_rows(eids, lrows,
+                space.element_coeffs(sel, U), qspace.element_rows(sel, prows),
+                None if lrows is None else qspace.element_rows(sel, lrows,
                                                                dual=True))
 
     def rows(self, q, els):
@@ -573,7 +570,7 @@ class Fields:
         (len(at), m, -1) table per axis, and the elements' field rows."""
         d = self.dim
         m = ref.shape[1]
-        for q in np.unique(self.deg[els]).tolist():
+        for q in sorted(set(self.deg[els].tolist())):
             at = np.nonzero(self.deg[els] == q)[0]
             t = ref[at].reshape(-1, d)
             shape = (len(at), m, -1)
@@ -635,8 +632,7 @@ def recover_multiplier(space, qspace, material, u, p):
     one group of elements of equal degree at a time, by the Gauss rule of
     order p + 2."""
     fields = Fields(space, qspace, material, u, p)
-    act = np.array(space.mesh.active_ids())
-    corners = space.mesh.corner_array(act)
+    corners = space.mesh.corner_array(space.mesh.active_ids())
     Phi = deviatoric_basis(space.dim)
     out = np.empty((qspace.ndof, len(Phi)))
     for (q,), sel in element_groups(space).items():
@@ -645,7 +641,7 @@ def recover_multiplier(space, qspace, material, u, p):
         sig, pq = fields.stress(gu, pv, Jinv)
         comps = np.einsum("nqab,lab->nql",
                           deviator(sig - material.apply_hardening(pq)), Phi)
-        dofs = qspace.element_rows(act[sel], np.arange(qspace.ndof))
+        dofs = qspace.element_dofs(sel)
         out[dofs] = np.einsum("qi,nq,nql->nil", gauss_point_basis(q, pts), w,
                               comps) / qspace.weights[dofs][..., None]
     return out.ravel()

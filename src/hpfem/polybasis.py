@@ -92,10 +92,6 @@ class GaussRule:
     points: np.ndarray
     weights: np.ndarray
 
-    @property
-    def n(self):
-        return len(self.points)
-
 
 @reference_table
 def gauss_rule(n):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .elliptic import poisson_blocks
 from .estimator import TIE_RTOL
-from .mesh import corner_bits, map_points
+from .mesh import corner_bits, map_points, positions_of
 from .polybasis import reference_table, tensor_indices
 from .space import constraint_coeffs
 
@@ -38,7 +38,7 @@ class LocalSplit:
 
 def local_split(space, u, eid):
     """Decompose u into the interior-supported part on eid and the rest."""
-    ids = space.interior_dofs(eid)
+    ids = space.interior_dofs(positions_of(space.mesh.active_ids(), [eid]))[0]
     u_local = np.zeros_like(u)
     u_local[ids] = u[ids]
     return LocalSplit(interior_dofs=ids, u_local=u_local, u_rest=u - u_local)
@@ -76,7 +76,7 @@ def p_enrichment(space, eid, rule=None, full=False):
     the candidate space contains the local part and the predicted reduction is
     guaranteed nonnegative (an enrichment rather than a replacement space).
     """
-    p = space.degrees[eid]
+    p = int(space.mesh.degree[eid])
     if rule is None:
         multis = tuple(m for m in itertools.product(range(2, p + 2),
                                                     repeat=space.dim)
@@ -110,7 +110,7 @@ def hp_enrichment(space, eid, zhat=None, degree_rule=None, full=False):
     boundary, and with it the local part: predictions become nonnegative.
     """
     d = space.dim
-    p = space.degrees[eid]
+    p = int(space.mesh.degree[eid])
     zhat = (0.0,) * d if zhat is None else tuple(float(z) for z in zhat)
     nodes = []
     for axes, loc in internal_nodes(d):
@@ -182,7 +182,7 @@ class RepresentationMatrices:
 def representation_matrices(space, candidate, eids=None):
     """The candidate's reference tables and the corner array of the
     children of its element, or of the elements eids of its degree."""
-    p = space.degrees[candidate.element]
+    p = int(space.mesh.degree[candidate.element])
     R, D, xhat = representation_table(space.dim, p, *candidate.content)
     corners = space.mesh.corner_array([candidate.element] if eids is None else eids)
     return RepresentationMatrices(
@@ -251,14 +251,15 @@ def _predict(space, problem, A_W, b_W, u_W, u_int, candidates):
     from batched contractions and one stacked solve. A candidate whose
     system is singular falls back to least squares, and is skipped if the
     residual stays above 1e-8 of the system's scale."""
+    elements = np.array([c.element for c in candidates], dtype=np.intp)
+    pos = positions_of(space.mesh.active_ids(), elements)
     groups = defaultdict(list)
-    for i, c in enumerate(candidates):
-        groups[(space.degrees[c.element],) + c.content].append(i)
-    elements = np.array([c.element for c in candidates])
+    for i, (c, p) in enumerate(zip(candidates, space.mesh.degree[elements].tolist())):
+        groups[(p,) + c.content].append(i)
     out = [None] * len(candidates)
     Au = None
     for idx in map(np.array, groups.values()):
-        ids = space.interior_dofs(elements[idx])
+        ids = space.interior_dofs(pos[idx])
         nnz = np.count_nonzero(u_int[ids], axis=1)
         local = (nnz > 0) & (nnz == np.count_nonzero(u_W))  # u_W - u_loc = 0
         for i in idx[local]:
@@ -276,7 +277,7 @@ def _predict(space, problem, A_W, b_W, u_W, u_int, candidates):
         A = (DA @ np.swapaxes(rep.D, 1, 2)).sum(axis=1)
         bvec = (rep.D @ b_loc.reshape(n, nc, nb, 1)).sum(axis=1)[..., 0]
         # the children's coefficients of the remainder and of the local part
-        U = space.element_coeffs(eids, np.stack([u_W - u_int, u_int], axis=1))
+        U = space.element_coeffs(pos[idx], np.stack([u_W - u_int, u_int], axis=1))
         cvec, cloc = np.moveaxis((DA @ (rep.R @ U[:, None])).sum(axis=1), -1, 0)
         u_loc = u_int[ids]
         norm_loc_sq = np.einsum("nk,nk->n", u_loc, Au[ids])
@@ -340,7 +341,7 @@ def choose_enrichment(space, problem, A_W, b_W, u_W, candidates):
 def _default_templates(dim, degree, full):
     """The default candidates of the elements of one dimension and degree,
     on a stand-in element -1 for `default_candidates` to replace."""
-    one = SimpleNamespace(dim=dim, degrees={-1: degree})
+    one = SimpleNamespace(dim=dim, mesh=SimpleNamespace(degree={-1: degree}))
     out = [p_enrichment(one, -1, full=full)]
     try:
         out.append(hp_enrichment(one, -1, full=full))
@@ -355,7 +356,7 @@ def default_candidates(space, eid, menu="narrow"):
     candidates are cached templates per dimension, degree and menu, stamped
     with the element."""
     return [replace(c, element=eid) for c in _default_templates(
-        space.dim, space.degrees[eid], menu == "enrichment")]
+        space.dim, int(space.mesh.degree[eid]), menu == "enrichment")]
 
 
 def apply_enrichment(mesh, predictions):

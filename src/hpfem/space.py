@@ -12,6 +12,11 @@ bubble ('e', key, j) oriented from the lower to the higher vertex id, a face
 bubble ('f', key, (j1, j2)) in a frame fixed by the corner ids, or an element
 interior mode ('i', eid, multi). A slot is a free dof, eliminated (Dirichlet),
 or constrained to master slots through a hanging interface.
+
+Both spaces address elements by their positions in `mesh.active_ids()`:
+every reader of element data takes positions of elements of one degree, as
+`element_groups` hands them out, and `mesh.positions_of` turns ids into
+positions.
 """
 
 import itertools
@@ -278,33 +283,34 @@ def _indptr(counts):
     return np.concatenate([[0], np.cumsum(counts)])
 
 
-def _resolve_constraints(R, T):
-    """T (slots x dofs, CSR with sorted indices) with the rows of the slots
-    that R (slots x slots, the same) constrains set to their resolved rows,
-    which T holds empty. Row s of R expresses slot s in master slots, which
-    may themselves be constrained, so the rows are resolved in dependency
-    order, one level at a time, as R's rows times T: each entry sums its
-    products from 0 in the order of R's row and then of T's rows, as the
-    sparse product does, and entries of magnitude at most _DROP are dropped
-    from each resolved row."""
-    indptr, cols, vals = T.indptr, T.indices, T.data
-    n, ncol = T.shape
-    nnz = np.diff(R.indptr)
+def _resolve_constraints(R, T, ncol):
+    """T (slots x ncol dofs, CSR arrays (indptr, indices, data) with sorted
+    indices) with the rows of the slots that R (slots x slots, the same)
+    constrains set to their resolved rows, which T holds empty, as CSR
+    arrays. Row s of R expresses slot s in master slots, which may
+    themselves be constrained, so the rows are resolved in dependency order,
+    one level at a time, as R's rows times T: each entry sums its products
+    from 0 in the order of R's row and then of T's rows, as the sparse
+    product does, and entries of magnitude at most _DROP are dropped from
+    each resolved row."""
+    (indptr, cols, vals), (r_indptr, r_cols, r_vals) = T, R
+    n = len(indptr) - 1
+    nnz = np.diff(r_indptr)
     pending = np.flatnonzero(nnz)
     waiting = nnz > 0
     while pending.size:
-        masters = R.indices[_ranges(R.indptr[pending], nnz[pending])]
+        masters = r_cols[_ranges(r_indptr[pending], nnz[pending])]
         blocked = np.logical_or.reduceat(waiting[masters],
                                          np.cumsum(nnz[pending]) - nnz[pending])
         ready = pending[~blocked]
         if not ready.size:
             raise RuntimeError("cyclic hanging-node constraints")
-        at = _ranges(R.indptr[ready], nnz[ready])
-        count = np.diff(indptr)[R.indices[at]]
-        take = _ranges(indptr[R.indices[at]], count)
+        at = _ranges(r_indptr[ready], nnz[ready])
+        count = np.diff(indptr)[r_cols[at]]
+        take = _ranges(indptr[r_cols[at]], count)
         key, entry = np.unique(np.repeat(np.repeat(ready, nnz[ready]), count) * ncol
                                + cols[take], return_inverse=True)
-        sums = np.bincount(entry, weights=np.repeat(R.data[at], count) * vals[take],
+        sums = np.bincount(entry, weights=np.repeat(r_vals[at], count) * vals[take],
                            minlength=len(key))
         keep = np.abs(sums) > _DROP
         # the resolved rows were empty: a stable sort by row puts each in
@@ -317,7 +323,18 @@ def _resolve_constraints(R, T):
         indptr = _indptr(np.bincount(rows, minlength=n))
         waiting[ready] = False
         pending = pending[blocked]
-    return sp.csr_matrix((vals, cols, indptr), shape=T.shape)
+    return indptr, cols, vals
+
+
+def element_groups(space, *keys):
+    """Positions of the active elements of a space grouped by degree and by
+    further per-element keys (arrays in element order), as {(degree,
+    *keys): positions}, in ascending key order, positions ascending."""
+    cols = np.stack((space._deg,) + keys, axis=1)
+    # a stable sort by the keys, the degree first, cut where the key changes
+    order = np.lexsort(cols.T[::-1])
+    cut = np.flatnonzero(np.diff(cols[order], axis=0).any(axis=1)) + 1
+    return {tuple(cols[at[0]].tolist()): at for at in np.split(order, cut)}
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +350,11 @@ class ScalarSpace:
     the corner ids, or an interior mode. T (slots x free dofs) is the
     identity on free slots, empty on Dirichlet and out-of-degree slots, and
     holds the resolved constraint rows on slots hanging on a coarser
-    neighbor's facet. Row r of the local-to-global operator P is the row of
-    T at the slot of shape r, times the shape's orientation sign.
+    neighbor's facet. Row r of the local-to-global operator P (CSR, one
+    row per tensor shape of each active element, in element order, one
+    column per free dof) is the row of T at the slot of shape r, times the
+    shape's orientation sign: P u stacks the element coefficients of u, and
+    P^T blockdiag(A_T) P assembles element matrices A_T.
     """
 
     def __init__(self, mesh):
@@ -344,7 +364,6 @@ class ScalarSpace:
         deg = mesh.degree[act]
         if not np.all((deg >= 1) & (deg <= MAX_DEGREE)):
             raise ValueError(f"polynomial degree must be in 1..{MAX_DEGREE}")
-        self.degrees = dict(zip(act, deg.tolist()))
         self._act = np.array(act, dtype=np.intp)
         self._deg = deg
         self._shape_offsets = np.concatenate([[0], np.cumsum((deg + 1) ** self.dim)])
@@ -445,7 +464,7 @@ class ScalarSpace:
                                  np.where(free_f, (face_deg - 1) ** 2, 0), icount])
         start = np.concatenate([[0], np.cumsum(counts)])
         self.ndof = int(start[-1])
-        self._interior_start = start[nv + ne + nf:-1]
+        self._interior_offsets = start[nv + ne + nf:]
         self._free_entities = (vids[free_v], ekeys[free_e], edge_deg[free_e],
                                fkeys[free_f], face_deg[free_f])
 
@@ -476,8 +495,7 @@ class ScalarSpace:
         slot = np.empty(nshape, dtype=np.intp)
         sign = np.ones(nshape)
         istart = np.concatenate([[0], np.cumsum(icount)])
-        for p in np.unique(deg).tolist():
-            sel = np.nonzero(deg == p)[0]
+        for (p,), sel in element_groups(self).items():
             kind, ent, jj = _shape_entities(d, p)
             s = np.empty((len(sel), len(kind)), dtype=np.intp)
             g = np.ones(s.shape)
@@ -502,11 +520,10 @@ class ScalarSpace:
             slot[at_rows] = s.ravel()
             sign[at_rows] = g.ravel()
 
-        # T: identity on free slots, then the constraint rows of hanging
-        # slots, resolved in dependency order (a master may itself hang)
+        # T as CSR arrays: identity on free slots, then the constraint rows of
+        # hanging slots, resolved in dependency order (a master may hang)
         free = slot_dof >= 0
-        T = sp.csr_matrix((np.ones(np.count_nonzero(free)), slot_dof[free],
-                           _indptr(free)), shape=(nslots, self.ndof))
+        T = _indptr(free), slot_dof[free], np.ones(np.count_nonzero(free))
         vown[fixed_v], eown[fixed_e], fown[fixed_f] = -1, -1, -1
         owner = np.concatenate([vown, np.repeat(eown, q), np.repeat(fown, q * q),
                                 np.full(nslots - i0, -1, dtype=np.intp)])
@@ -515,26 +532,21 @@ class ScalarSpace:
                                             in_degree, self._shape_offsets, deg)
             # one triple per (slot, master slot): sorted, they are R's CSR rows
             order = np.lexsort((cc, rr))
-            R = sp.csr_matrix((vals[order], cc[order],
-                               _indptr(np.bincount(rr, minlength=nslots))),
-                              shape=(nslots, nslots))
-            T = _resolve_constraints(R, T)
+            R = (_indptr(np.bincount(rr, minlength=nslots)), cc[order], vals[order])
+            T = _resolve_constraints(R, T, self.ndof)
         self._T = T
         self._vertex_ids = vids
         self._hanging_vertices = np.nonzero(vown >= 0)[0]
         # P: row r is the row of T at the slot of shape r, times its sign
-        count = np.diff(T.indptr)[slot]
-        take = _ranges(T.indptr[slot], count)
-        P = sp.csr_matrix((T.data[take] * np.repeat(sign, count), T.indices[take],
-                           _indptr(count)), shape=(nshape, self.ndof))
-        P.sort_indices()
-        self._operators = {1: P}
+        indptr, cols, vals = T
+        count = np.diff(indptr)[slot]
+        take = _ranges(indptr[slot], count)
+        self.P = sp.csr_matrix((vals[take] * np.repeat(sign, count), cols[take],
+                                _indptr(count)), shape=(nshape, self.ndof))
+        self.P.sort_indices()
         self._rows = {}
 
     # -- reading the dof map ---------------------------------------------------
-
-    def _positions(self, eids):
-        return np.searchsorted(self._act, eids)
 
     @cached_property
     def dofs(self):
@@ -556,40 +568,29 @@ class ScalarSpace:
     def hanging_vertices(self):
         """{vertex id: (dofs, coefficients)}: the resolved constraint row of
         each hanging vertex that is not on a Dirichlet facet."""
-        T = self._T
-        return {int(self._vertex_ids[v]): (T.indices[T.indptr[v]:T.indptr[v + 1]],
-                                           T.data[T.indptr[v]:T.indptr[v + 1]])
+        indptr, cols, vals = self._T
+        return {int(self._vertex_ids[v]): (cols[indptr[v]:indptr[v + 1]],
+                                           vals[indptr[v]:indptr[v + 1]])
                 for v in self._hanging_vertices.tolist()}
 
-    def interior_dofs(self, eids=None):
+    def interior_dofs(self, positions=None):
         """The dofs of the interior modes, numbered last, element by element:
-        all, those of one element (k,), or of elements of one degree (n, k)."""
-        if eids is None:
-            return np.arange(self._interior_start[0], self.ndof)
-        i = self._positions(eids)
-        k = (self._deg[np.ravel(i)[0]] - 1) ** self.dim
-        return self._interior_start[i][..., None] + np.arange(k)
-
-    def local_operator(self, ncomp=1, positions=None):
-        """The local-to-global operator P (sparse): one row per tensor shape
-        of each active element, in element order, one column per free dof,
-        and the connectivity matrices as entries. P u stacks the element
-        coefficients of u, and P^T blockdiag(A_T) P assembles element
-        matrices A_T. With ncomp > 1 it is P (x) I_ncomp, for fields whose
-        ncomp components are interleaved. With positions (of active elements
-        of one degree), only their rows, element by element, as
-        `OperatorRows` gathered from P once per (ncomp, positions)."""
+        all, or those (n, k) of the elements at positions, all of one degree."""
         if positions is None:
-            if ncomp not in self._operators:
-                self._operators[ncomp] = sp.kron(self._operators[1],
-                                                 sp.identity(ncomp), format="csr")
-            return self._operators[ncomp]
+            return np.arange(self._interior_offsets[0], self.ndof)
+        rows = _element_rows(self._interior_offsets, positions, 1)
+        return rows.reshape(len(positions), -1)
+
+    def local_operator(self, ncomp, positions):
+        """The rows of P (x) I_ncomp, for fields whose ncomp components are
+        interleaved, of the active elements at positions (all of one
+        degree), element by element, as `OperatorRows` gathered from P once
+        per (ncomp, positions)."""
         positions = np.asarray(positions, dtype=np.intp)
         key = (ncomp, positions.tobytes())
         if key not in self._rows:
             self._rows[key] = _operator_rows(
-                self._operators[1], _element_rows(self._shape_offsets, positions,
-                                                  ncomp), ncomp)
+                self.P, _element_rows(self._shape_offsets, positions, ncomp), ncomp)
         return self._rows[key]
 
     def scatter(self, ncomp, positions, values):
@@ -598,7 +599,7 @@ class ScalarSpace:
         sums its products from 0 in CSR entry order, as scipy's product with
         the transposed (CSC) rows does, so the two agree bit for bit. It
         reads P's arrays and forms no sparse matrix."""
-        P = self._operators[1]
+        P = self.P
         take, cols, count = _row_entries(
             P, _element_rows(self._shape_offsets, positions, ncomp), ncomp)
         return np.bincount(cols, weights=P.data[take] * np.repeat(values, count),
@@ -609,7 +610,7 @@ class ScalarSpace:
         """P as a padded gather table: the entry count (rows,) of each row of
         P, and its column indices and coefficients (rows, width) in CSR entry
         order, padded with column ndof and coefficient 0."""
-        P = self._operators[1]
+        P = self.P
         count = np.diff(P.indptr)
         row = np.repeat(np.arange(len(count)), count)
         at = np.arange(P.nnz) - np.repeat(P.indptr[:-1], count)
@@ -619,15 +620,13 @@ class ScalarSpace:
         cols[row, at], coefs[row, at] = P.indices, P.data
         return count, cols, coefs
 
-    def element_coeffs(self, eids, u):
+    def element_coeffs(self, positions, u):
         """Coefficients (n, nb, ...) of a global field u (ndof,) or (ndof, k)
-        over the tensor shapes of the elements eids, all of one degree: their
-        rows of P times u, read through the gather table. Each entry sums
-        its products from 0 in CSR entry order, as scipy's CSR product does,
-        so the two agree bit for bit."""
-        pos = self._positions(eids)
-        nb = (int(self._deg[pos[0]]) + 1) ** self.dim
-        rows = _element_rows(self._shape_offsets, pos, 1)
+        over the tensor shapes of the active elements at positions, all of
+        one degree: their rows of P times u, read through the gather table.
+        Each entry sums its products from 0 in CSR entry order, as scipy's
+        CSR product does, so the two agree bit for bit."""
+        rows = _element_rows(self._shape_offsets, positions, 1)
         count, cols, coefs = self._gather
         width = int(count[rows].max())
         cols, coefs = cols[rows, :width], coefs[rows, :width]
@@ -637,18 +636,17 @@ class ScalarSpace:
         out = np.zeros((len(rows),) + u.shape[1:], dtype=np.result_type(coefs, u))
         for k in range(width):
             out += coefs[:, k] * u[cols[:, k]]
-        return out.reshape((len(pos), nb) + u.shape[1:])
+        return out.reshape((len(positions), -1) + u.shape[1:])
 
     def vertex_values(self, u):
         """Values at mesh vertices (for export); NaN where a vertex is unused."""
         vals = np.full(len(self.mesh.vertices), np.nan)
         corners_hat = 2.0 * corner_bits(self.dim) - 1.0
         ids = self.mesh.corners[self._act]
-        for p in np.unique(self._deg).tolist():
-            sel = np.nonzero(self._deg == p)[0]
+        for (p,), sel in element_groups(self).items():
             V, _ = tensor_shape_eval(corners_hat, tensor_indices(p, self.dim),
                                      jmax=max(p, 1))
-            vals[ids[sel]] = self.element_coeffs(self._act[sel], u) @ V.T
+            vals[ids[sel]] = self.element_coeffs(sel, u) @ V.T
         return vals
 
 
@@ -689,11 +687,15 @@ def _operator_rows(P, rows, ncomp):
 
 def _element_rows(offsets, positions, ncomp):
     """Rows ncomp * offsets[i] + (0 .. ncomp * count - 1), element by element,
-    of the elements at positions i, which all have one count of rows
-    offsets[i + 1] - offsets[i]."""
-    start = offsets[np.asarray(positions, dtype=np.intp)]
-    count = offsets[positions[0] + 1] - start[0]
-    return (ncomp * start[:, None] + np.arange(ncomp * count)).ravel()
+    of the elements at positions i, which must all have one count of rows
+    offsets[i + 1] - offsets[i], that is one degree: ValueError otherwise."""
+    positions = np.asarray(positions, dtype=np.intp)
+    start = offsets[positions]
+    count = offsets[positions + 1] - start
+    if (count != count[0]).any():
+        raise ValueError(f"the elements at positions {positions[0]} and "
+                         f"{positions[count != count[0]][0]} differ in degree")
+    return (ncomp * start[:, None] + np.arange(ncomp * count[0])).ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -727,8 +729,9 @@ class GaussPointSpace:
     """Discontinuous space of degree p_T - 1 with Lagrange dofs at the tensor
     Gauss points (a single elementwise constant when p_T = 1). The mass
     blocks, the dual coefficients and the dof weights are built per degree
-    group, as stacks over its elements. The dofs of the i-th active element
-    are offsets[i] .. offsets[i + 1] - 1."""
+    group. The dofs of the i-th active element are offsets[i] ..
+    offsets[i + 1] - 1, and its mass and dual blocks are the entries
+    blocks[i] .. blocks[i + 1] - 1 of two flat arrays."""
 
     def __init__(self, mesh, yield_stress):
         if yield_stress <= 0:
@@ -738,20 +741,20 @@ class GaussPointSpace:
         self.yield_stress = float(yield_stress)
         act = mesh.active_ids()
         deg = mesh.degree[act]
-        self.degrees = dict(zip(act, deg.tolist()))
         counts = np.where(deg >= 2, deg ** self.dim, 1)
         self._act = np.array(act, dtype=np.intp)
         self._deg = deg
-        self.offsets = np.concatenate([[0], np.cumsum(counts)])
+        self.offsets = _indptr(counts)
+        self._blocks = _indptr(counts * counts)
         self.ndof = int(self.offsets[-1])
         self._build()
 
     def _build(self):
-        d, act, deg = self.dim, self._act, self._deg
+        d, act = self.dim, self._act
         corners = self.mesh.corner_array(act)
-        groups = {p: np.nonzero(deg == p)[0] for p in np.unique(deg).tolist()}
+        groups = element_groups(self)
         rules, bad = {}, []
-        for p, sel in groups.items():
+        for (p,), sel in groups.items():
             pts, wts = tensor_gauss(p + 1, d)
             det = np.linalg.det(map_jacobians(corners[sel], pts))
             rules[p] = (pts, wts * det)
@@ -760,20 +763,19 @@ class GaussPointSpace:
         if bad.size:
             raise ValueError(f"degenerate element {act[bad.min()]}: det J <= 0")
         D = np.empty(self.ndof)
-        self._mass, self._dual = {}, {}
-        self._slot = np.empty(len(act), dtype=np.intp)
-        for p, sel in groups.items():
+        self._mass, self._dual = np.empty((2, int(self._blocks[-1])))
+        for (p,), sel in groups.items():
             pts, w = rules[p]
             V = gauss_point_basis(p, pts)
             M = np.einsum("qi,nq,qj->nij", V, w, V)
             Dloc = (V.T @ w[:, :, None])[..., 0]
             D[_element_rows(self.offsets, sel, 1)] = Dloc.ravel()
-            self._mass[p] = M
-            # row i of dual: coefficients of the i-th biorthogonal function
-            # over the Lagrange basis: M @ c_i = D_i e_i
-            self._dual[p] = np.swapaxes(np.linalg.solve(
-                M, Dloc[:, :, None] * np.eye(V.shape[1])), 1, 2)
-            self._slot[sel] = np.arange(len(sel))
+            at = _element_rows(self._blocks, sel, 1)
+            self._mass[at] = M.ravel()
+            # column i of a dual block: the coefficients of the i-th
+            # biorthogonal function over the Lagrange basis, M c_i = D_i e_i
+            self._dual[at] = np.linalg.solve(
+                M, Dloc[:, :, None] * np.eye(V.shape[1])).ravel()
         if np.any(D <= 0):
             raise ValueError("nonpositive dof weight; mesh is degenerate")
         self.weights = D
@@ -786,29 +788,22 @@ class GaussPointSpace:
         element by element."""
         return _element_rows(self.offsets, positions, ncomp).reshape(len(positions), -1)
 
-    def dof_slice(self, eid):
-        i = np.searchsorted(self._act, eid)
-        return slice(int(self.offsets[i]), int(self.offsets[i + 1]))
+    def _block_stack(self, flat, positions):
+        """The blocks (n, n_T, n_T) of the elements at positions, all of one
+        degree, from the flat array of the mass or the dual blocks."""
+        k = self.offsets[positions[0] + 1] - self.offsets[positions[0]]
+        return flat[_element_rows(self._blocks, positions, 1)].reshape(-1, k, k)
 
     def mass_blocks(self, positions):
         """Mass blocks (n, n_T, n_T) of the active elements at positions, all
         of one degree."""
-        return self._mass[int(self._deg[positions[0]])][self._slot[positions]]
+        return self._block_stack(self._mass, positions)
 
-    def dual_coefficients(self, eid):
-        """(n_T, n_T): row i holds the biorthogonal function over the Lagrange basis."""
-        i = np.searchsorted(self._act, eid)
-        return self._dual[int(self._deg[i])][self._slot[i]]
-
-    def element_rows(self, eids, rows, dual=False):
-        """Coefficient rows (n, n_T, k) of the elements eids, all of one
-        degree, from rows (ndof, k); dual=True takes rows over the
-        biorthogonal basis and returns them over the Lagrange basis."""
-        pos = np.searchsorted(self._act, eids)
-        count = self.offsets[pos[0] + 1] - self.offsets[pos[0]]
-        out = rows[_element_rows(self.offsets, pos, 1)].reshape(
-            (len(pos), count) + rows.shape[1:])
+    def element_rows(self, positions, rows, dual=False):
+        """Coefficient rows (n, n_T, k) of the active elements at positions,
+        all of one degree, from rows (ndof, k); dual=True takes rows over
+        the biorthogonal basis and returns them over the Lagrange basis."""
+        out = rows[self.element_dofs(positions)]
         if dual:
-            out = np.swapaxes(self._dual[int(self._deg[pos[0]])][self._slot[pos]],
-                              1, 2) @ out
+            out = self._block_stack(self._dual, positions) @ out
         return out

@@ -7,7 +7,7 @@ from hpfem.assembly import (Loads, Material, element_groups, galerkin,
                             gauss_mass_matrix, group_quadrature)
 from hpfem.elliptic import ScalarProblem
 from hpfem.mesh import (Mesh, _matched_coords, corner_bits, facet_measure,
-                        map_hessians, map_jacobians)
+                        map_hessians, map_jacobians, positions_of)
 from hpfem.plasticity import strain_values, tensor_values
 from hpfem.problems import cube_mesh, interval_mesh, poisson_lshape
 from hpfem.problems import square_mesh  # noqa: F401  (re-exported to tests)
@@ -69,8 +69,8 @@ def eval_element(space, eid, u, xhat, gradient=False):
     """Values (and with gradient=True reference gradients) of a field of a
     ScalarSpace on one element at reference points xhat; u is a field
     (ndof,), or rows (ndof, k) of k fields when only values are asked for."""
-    loc = space.element_coeffs([eid], u)[0]
-    p = space.degrees[eid]
+    loc = space.element_coeffs(positions_of(space.mesh.active_ids(), [eid]), u)[0]
+    p = space.mesh.degree[eid]
     V, G = tensor_shape_eval(np.atleast_2d(xhat), tensor_indices(p, space.dim),
                              jmax=max(p, 1))
     if gradient:
@@ -80,8 +80,9 @@ def eval_element(space, eid, u, xhat, gradient=False):
 
 def strain_at(space, eid, u, pts, Jinv):
     """Symmetric gradient of the vector field u at reference points."""
-    loc = space.element_coeffs([eid], np.asarray(u).reshape(-1, space.dim))[0]
-    p = space.degrees[eid]
+    loc = space.element_coeffs(positions_of(space.mesh.active_ids(), [eid]),
+                               np.asarray(u).reshape(-1, space.dim))[0]
+    p = space.mesh.degree[eid]
     _, G = tensor_shape_eval(pts, tensor_indices(p, space.dim), jmax=max(p, 1))
     return strain_values(loc.T @ G, Jinv)
 
@@ -89,27 +90,28 @@ def strain_at(space, eid, u, pts, Jinv):
 def gauss_basis_at(qspace, eid, xhat):
     """The Gauss-point basis of element eid of a GaussPointSpace at
     reference points xhat (m, n_T)."""
-    return gauss_point_basis(qspace.degrees[eid], xhat)
+    return gauss_point_basis(qspace.mesh.degree[eid], xhat)
 
 
 def gauss_mass(qspace, eid):
     """The mass block (n_T, n_T) of element eid of a GaussPointSpace."""
-    return qspace.mass_blocks(np.searchsorted(qspace._act, [eid]))[0]
+    return qspace.mass_blocks(positions_of(qspace.mesh.active_ids(), [eid]))[0]
 
 
 def gauss_eval_primal(qspace, eid, coeffs, xhat):
     """Values (m, ...) on element eid of a field of a GaussPointSpace given
     by primal (Lagrange) coefficient rows (ndof, ...)."""
+    pos = positions_of(qspace.mesh.active_ids(), [eid])
     return np.tensordot(gauss_basis_at(qspace, eid, xhat),
-                        coeffs[qspace.dof_slice(eid)], axes=(1, 0))
+                        qspace.element_rows(pos, coeffs)[0], axes=(1, 0))
 
 
 def gauss_eval_dual(qspace, eid, coeffs, xhat):
     """Values (m, ...) on element eid of a field of a GaussPointSpace given
     by coefficient rows over the biorthogonal basis."""
-    V = gauss_basis_at(qspace, eid, xhat)
-    return np.tensordot(V @ qspace.dual_coefficients(eid).T,
-                        coeffs[qspace.dof_slice(eid)], axes=(1, 0))
+    pos = positions_of(qspace.mesh.active_ids(), [eid])
+    return np.tensordot(gauss_basis_at(qspace, eid, xhat),
+                        qspace.element_rows(pos, coeffs, dual=True)[0], axes=(1, 0))
 
 
 def gauss_local_operator(qspace, ncomp=1, positions=None):

@@ -192,7 +192,7 @@ def direct_bilinear(space, qs, mat, vu1, vp1, vu2, vp2):
     tot = 0.0
     for eid in mesh.active_ids():
         emap, pts, wts, det, Jinv = element_quadrature(mesh, eid,
-                                                       space.degrees[eid] + 4)
+                                                       space.mesh.degree[eid] + 4)
         w = wts * det
 
         def fields(vu, vp):
@@ -233,7 +233,7 @@ class TestPlasticFunctional:
         Phi = deviatoric_basis(2)
         total = 0.0
         for eid in m.active_ids():
-            p = qs.degrees[eid]
+            p = qs.mesh.degree[eid]
             emap = m.element_map(eid)
             pts, wts = tensor_gauss(p, 2)
             det = np.abs(emap.det_jacobian(pts))

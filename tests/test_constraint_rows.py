@@ -101,11 +101,14 @@ def checked(monkeypatch):
         calls.append((len(got[0]), bool(np.isin(got[1], got[0]).any())))
         return got
 
-    def compare_resolve(R, T):
-        got = resolve(R, T)
-        want = resolve_oracle(R, T)
+    def compare_resolve(R, T, ncol):
+        got = resolve(R, T, ncol)
+        n = len(T[0]) - 1
+        want = resolve_oracle(sp.csr_matrix(R[::-1], shape=(n, n)),
+                              sp.csr_matrix(T[::-1], shape=(n, ncol)))
+        have = sp.csr_matrix(got[::-1], shape=(n, ncol))
         for attr in ("indptr", "indices", "data"):
-            _same_bits(getattr(got, attr), getattr(want, attr))
+            _same_bits(getattr(have, attr), getattr(want, attr))
         return got
 
     monkeypatch.setattr(space_module, "_constraint_rows", compare_rows)

@@ -207,8 +207,8 @@ class TestExports:
         got = np.array(text[at:at + len(mesh.active_ids())], dtype=float)
         rows = state.solution.p.reshape(state.qspace.ndof, -1)
         want = []
-        for eid in mesh.active_ids():
-            sl = state.qspace.dof_slice(eid)
+        for i in range(len(mesh.active_ids())):
+            sl = slice(*state.qspace.offsets[i:i + 2])
             w = state.qspace.weights[sl]
             want.append((w * np.linalg.norm(rows[sl], axis=1)).sum() / w.sum())
         assert max(want) > 0.0

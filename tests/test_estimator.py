@@ -69,7 +69,7 @@ class TestVolumeResidual:
         u = _interp_vertex_field(m, space, lambda x: [0.1 * x[0], -0.05 * x[1]])
         pts = rng.uniform(-1, 1, (5, 2))
         corners = m.corner_array([0])
-        idx = tensor_indices(space.degrees[0], 2)
+        idx = tensor_indices(space.mesh.degree[0], 2)
         _, G = tensor_shape_eval(pts, idx, jmax=1)
         _, GL = gauss_point_basis(1, pts, gradient=True)
         div = stress_divergence_values(
@@ -250,7 +250,7 @@ class TestPlasticityIndicator:
         def energy(mu_of):
             total = 0.0
             for eid in m.active_ids():
-                pdeg = qs.degrees[eid]
+                pdeg = qs.mesh.degree[eid]
                 emap, pts, wts, det, Jinv = element_quadrature(m, eid, pdeg + 2)
                 w = wts * det
                 lam_vals = np.einsum("ql,lab->qab",

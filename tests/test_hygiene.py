@@ -1,6 +1,8 @@
 """Source hygiene: every name a module of the package imports is used,
-every function, class and method it defines is referenced somewhere, and
-no module but mesh.py reads the per-element view of a mesh."""
+every function, class and method it defines is referenced by the package
+or the benchmark (tests alone do not keep a definition alive, unless it is
+on the allow-list below), and no module but mesh.py reads the per-element
+view of a mesh."""
 
 import ast
 import os
@@ -13,6 +15,37 @@ SRC = os.path.join(ROOT, "src", "hpfem")
 MODULES = sorted(f for f in os.listdir(SRC)
                  if f.endswith(".py") and f != "__init__.py")
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+# Definitions of the package that only tests read, each with the reason to
+# keep it: paper features the adaptive loops do not call, views the
+# acceptance tests check the method through, and diagnostics.
+TEST_ONLY = {
+    "estimator.solve_auxiliary": "the auxiliary problem of the estimate's "
+                                 "multiplier term (paper feature)",
+    "estimator.global_oscillation": "the data oscillation of the estimate "
+                                    "(paper feature, criterion 12)",
+    "plasticity.infsup_ratio": "the discrete inf-sup ratio of the Gauss-point "
+                               "space (paper feature, criterion 8)",
+    "plasticity.in_admissible_gauss": "membership in the admissible set by "
+                                      "the Gauss-point bound (criterion 7)",
+    "plasticity.in_admissible_weak": "membership in the admissible set "
+                                     "tested against psi_hp (criterion 7)",
+    "plasticity.recover_multiplier": "the blockwise recovery of the "
+                                     "multiplier from (u, p) (paper feature)",
+    "plasticity.generalized_jacobian": "a Clarke Jacobian of the residual, "
+                                       "the reference of the condensed step",
+    "plasticity.n_elastic": "count of the complementarity report",
+    "plasticity.n_plastic": "count of the complementarity report",
+    "mesh.read_text": "reads back the mesh format that write_text exports",
+    "mesh.elements": "per-element view of the mesh columns (criterion 11)",
+    "mesh.element_map": "one element's map, for element-by-element checks "
+                        "(criteria 1 and 12)",
+    "mesh.map_point": "the physical image of reference points of an element "
+                      "map (criterion 12)",
+    "mesh.total_volume": "the mesh volume (criterion 13)",
+    "space.hanging_vertices": "the resolved constraint rows of the hanging "
+                              "vertices (constraint diagnostic)",
+}
 
 
 def unused_imports(source):
@@ -91,10 +124,11 @@ def unreferenced(source, used):
 
 
 @lru_cache(maxsize=None)
-def project_references():
-    """The references of the package, the tests and the benchmark."""
+def project_references(tops=("src", "tests", "perfbench")):
+    """The references of the package, the tests and the benchmark, or of
+    the top-level folders tops."""
     used = set()
-    for top in ("src", "tests", "perfbench"):
+    for top in tops:
         for folder, _, files in os.walk(os.path.join(ROOT, top)):
             for name in files:
                 if name.endswith(".py"):
@@ -122,6 +156,31 @@ def test_scan_finds_unreferenced_definitions():
 def test_every_definition_is_referenced(module):
     with open(os.path.join(SRC, module)) as fh:
         assert unreferenced(fh.read(), project_references()) == []
+
+
+def only_read_by_tests(module, source):
+    """The definitions of a module that only tests read, and not allowed."""
+    stem = module[:-len(".py")]
+    return [(line, name) for line, name in
+            unreferenced(source, project_references(("src", "perfbench")))
+            if f"{stem}.{name}" not in TEST_ONLY]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_definition_only_tests_read(module):
+    with open(os.path.join(SRC, module)) as fh:
+        assert only_read_by_tests(module, fh.read()) == []
+
+
+def test_allow_list_is_current():
+    """Every allowed name is defined in its module, and only tests read it."""
+    found = set()
+    for module in MODULES:
+        with open(os.path.join(SRC, module)) as fh:
+            stem = module[:-len(".py")]
+            found |= {f"{stem}.{name}" for _, name in unreferenced(
+                fh.read(), project_references(("src", "perfbench")))}
+    assert set(TEST_ONLY) <= found
 
 
 def element_reads(source):

@@ -9,7 +9,7 @@ from conftest import (distorted_quad_mesh, element_quadrature, eval_element,
 from hpfem import _kernels
 from hpfem.elliptic import (ScalarProblem, assemble_scalar, energy_error_sq,
                             poisson_blocks, solve_scalar)
-from hpfem.mesh import ElementMap, Mesh, corner_bits, is_affine
+from hpfem.mesh import ElementMap, Mesh, corner_bits, is_affine, positions_of
 from hpfem.polybasis import tensor_gauss, tensor_indices, tensor_shape_eval
 from hpfem.predictor import (EnrichmentCandidate, Prediction, _best,
                              _solve_bordered, apply_enrichment, child_local_matrices,
@@ -227,7 +227,8 @@ class TestRepresentation:
             hi = np.where(b == 0, zhat, 1.0)
             ppts = lo + 0.5 * (cpts + 1.0) * (hi - lo)
             V, _ = tensor_shape_eval(cpts, idx, jmax=rep.degree)
-            via_rep = V @ (rep.R[row] @ sp.element_coeffs([eid], u)[0])
+            pos = positions_of(sp.mesh.active_ids(), [eid])
+            via_rep = V @ (rep.R[row] @ sp.element_coeffs(pos, u)[0])
             direct = eval_element(sp, eid, u, ppts)
             np.testing.assert_allclose(via_rep, direct, atol=1e-12)
 
@@ -273,7 +274,7 @@ def quadrature_prediction_oracle(space, problem, u_W, split, candidate,
     d = space.dim
     maps = child_maps(space, candidate)
     L = candidate.size
-    P = max(candidate.degree_cap, space.degrees[eid])
+    P = max(candidate.degree_cap, space.mesh.degree[eid])
 
     def grad_of(vec, eid2, pts, Jinv):
         _, g = eval_element(space, eid2, vec, pts, gradient=True)
@@ -324,7 +325,7 @@ def quadrature_prediction_oracle(space, problem, u_W, split, candidate,
     # contributions of u_rest outside Q (norm and load)
     for e2 in mesh.active_ids():
         if e2 != eid:
-            p2 = space.degrees[e2]
+            p2 = space.mesh.degree[e2]
             emap2 = mesh.element_map(e2)
             pts2, wts2 = tensor_gauss(p2 + quad_bump, d)
             J2 = emap2.jacobian(pts2)
@@ -341,7 +342,7 @@ def quadrature_prediction_oracle(space, problem, u_W, split, candidate,
             for f, info in enumerate(mesh.facet_neighbors(e2)):
                 if info.kind != "boundary" or info.tag not in problem.neumann_tags:
                     continue
-                qf, wf = tensor_gauss(space.degrees[e2] + quad_bump, d - 1)
+                qf, wf = tensor_gauss(space.mesh.degree[e2] + quad_bump, d - 1)
                 ref = mesh.facet_embed(f, qf)
                 dS, _ = facet_area_element(mesh, e2, f, qf)
                 gv = np.asarray(problem.neumann(

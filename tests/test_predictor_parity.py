@@ -71,7 +71,7 @@ def prediction_case(name):
              for eid in m.active_ids()}
     if name == "custom":
         for eid in m.active_ids():
-            p = space.degrees[eid]
+            p = space.mesh.degree[eid]
             cands[eid] += [
                 hp_enrichment(space, eid, zhat=(0.3, -0.2)),
                 hp_enrichment(space, eid, zhat=(-0.5, 0.25), degree_rule=lambda
