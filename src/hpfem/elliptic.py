@@ -9,7 +9,7 @@ import numpy as np
 from . import _kernels
 from .assembly import (boundary_load, data_load, element_groups, galerkin,
                        group_quadrature)
-from .mesh import is_affine, map_jacobians, map_points
+from .mesh import is_affine, map_jacobians, map_points, require_dirichlet
 from .plasticity import factorize
 from .polybasis import (stiffness_tensor, tensor_gauss, tensor_indices,
                         tensor_shape_eval)
@@ -84,6 +84,7 @@ def assemble_scalar(space, problem):
 
 
 def solve_scalar(space, problem):
+    require_dirichlet(space.mesh)
     A, b = assemble_scalar(space, problem)
     u = factorize(A).solve(b)
     return u, A, b

@@ -201,6 +201,12 @@ def positions_of(act, eids):
     return pos
 
 
+def require_dirichlet(mesh):
+    """ValueError unless an active facet of mesh is tagged Dirichlet."""
+    if not np.equal(mesh.tags[mesh.active_ids()], DIRICHLET).any():
+        raise ValueError("no Dirichlet boundary: the system is singular")
+
+
 def is_affine(corners, tol=1e-12):
     """Whether the maps of a corner array (n, 2^d, d), or of one element's
     corners (2^d, d), have constant Jacobians (parallelotopes)."""

@@ -12,10 +12,11 @@ batched dense solve per block size) and each step factorizes only the
 symmetric displacement-sized matrix K + B X B^T. Semi-smooth Newton is a
 primal-dual active-set method (Hintermueller, Ito & Kunisch, SIAM J. Optim.
 13, 2002): at an iterate with no active dof X = 0, so that step's matrix is
-K, and the first step from the elastic start solves with the factorization
-of K that the elastic start made. The step-length probes evaluate r1 and r2,
-which are affine, from one set of sparse products per step. Every sparse
-factorization of the package goes through `factorize`.
+K, and the first step from the elastic start reuses that start's
+factorization of K. The step-length probes evaluate r1 and r2, which are
+affine, from one set of sparse products per step. Every sparse factorization
+of the package goes through `factorize`, and the condensed matrices of one
+system, which share a pattern, share one ordering.
 """
 
 from dataclasses import dataclass, field
@@ -27,6 +28,7 @@ import scipy.sparse.linalg as spla
 from . import _kernels
 from .assembly import (element_groups, gauss_mass_matrix, group_quadrature,
                        plastic_functional)
+from .mesh import require_dirichlet
 from .polybasis import gauss_lagrange_1d, tensor_contract
 from .space import (_indptr, deviatoric_basis, deviatoric_dim,
                     gauss_point_basis, require_same_degrees)
@@ -117,17 +119,18 @@ def generalized_jacobian(system, qspace, p, lam, rho):
     ], format="csc")
 
 
-def factorize(A):
+def factorize(A, ordered=False):
     """Sparse LU of A in SuperLU's symmetric mode (Li, ACM TOMS 31, 2005):
     minimum-degree ordering on A + A^T, and the diagonal pivot wherever it is
     at least 0.1 of its column's largest entry. On the symmetric positive
     definite systems of the package (K, the condensed Newton matrix, the
     scalar stiffness) every pivot is diagonal and the fill is Cholesky-like;
-    an unsymmetric matrix is still partially pivoted. A singular matrix
-    raises RuntimeError."""
+    an unsymmetric matrix is still partially pivoted. An ordered matrix (see
+    `ElementBlocks`) is factorized in its own order, with no ordering
+    computed. A singular matrix raises RuntimeError."""
     if A.format != "csc":
         A = sp.csc_matrix(A)
-    return spla.splu(A, permc_spec="MMD_AT_PLUS_A",
+    return spla.splu(A, permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
 
 
@@ -164,7 +167,10 @@ class ElementBlocks:
     from scipy's sparse kernels on CSR arrays (`_kernels.csr_product`,
     `csr_sort`, `csr_transpose`, `csr_sum` and `csr_lookup`), with no
     sparse matrix formed. No index keys are formed, so no product of two
-    indices can overflow."""
+    indices can overflow. The blocks are renumbered once into the ordering
+    of their first factorization, and every later condensed matrix is
+    written and factorized in it (Davis, Direct Methods for Sparse Linear
+    Systems, SIAM 2006, ch. 7)."""
 
     def __init__(self, system):
         L = system.L
@@ -185,6 +191,7 @@ class ElementBlocks:
             raise ValueError("C is not block diagonal over the elements")
         self.system = system
         self.Bt = B.T  # a view: B^T u without a copy of B
+        self._order = self._next = None  # see factorization
         # the blocks of a row's entries of B ascend, as its columns do, so
         # the first entry of each row and of each block in it marks one
         # (unknown urow, block blk) pair, in row order with the blocks
@@ -263,22 +270,50 @@ class ElementBlocks:
             at += G * r * r
             self.groups.append(BlockGroup(idx, Ce, Be))
 
-    def condensed_matrix(self, X):
-        """K + B X B^T in CSC for the element blocks X of each group (G, n, n):
-        the batched element products added to K's scatter into the fixed
-        pattern in order by one np.add.at, which sums each entry as
-        np.bincount over K.data and then the products would."""
-        vals = np.empty(len(self._pos))
-        at = 0
-        for grp, Xg in zip(self.groups, X):
-            G, r, _ = grp.B.shape
-            np.matmul(grp.B @ Xg, grp.B.transpose(0, 2, 1),
-                      out=vals[at:at + G * r * r].reshape(G, r, r))
-            at += G * r * r
+    def condensed_matrix(self, X=None):
+        """K + B X B^T (K for X None) in CSC, in the blocks' order: the
+        batched products of each group's blocks X (G, n, n) added to K's
+        scatter into the fixed pattern in order by one np.add.at, which sums
+        each entry as np.bincount over K.data and then the products would."""
         data = self._K.copy()
-        np.add.at(data, self._pos, vals)
+        if X is not None:
+            vals = np.empty(len(self._pos))
+            at = 0
+            for grp, Xg in zip(self.groups, X):
+                G, r, _ = grp.B.shape
+                np.matmul(grp.B @ Xg, grp.B.transpose(0, 2, 1),
+                          out=vals[at:at + G * r * r].reshape(G, r, r))
+                at += G * r * r
+            np.add.at(data, self._pos, vals)
         return sp.csc_matrix((data[:-1], self._indices, self._indptr),
                              shape=self.system.K.shape)
+
+    def factorization(self, X=None):
+        """The factorization of `condensed_matrix(X)`, solving in the
+        unknowns' order. The first that succeeds computes the ordering; the
+        next renumbers the blocks first (beside the first it raised peak RSS)."""
+        if self._next is not None:
+            self._reorder(self._next)
+        ordered = self._order is not None
+        lu = factorize(self.condensed_matrix(X), ordered)
+        if not ordered:
+            self._next = lu.perm_c.copy()  # the view would keep lu alive
+        return Factorization(lu, self._order if ordered else slice(None))
+
+    def _reorder(self, order):
+        """Renumbers unknown i to order[i]: two transposes of the renamed CSC
+        arrays give new ones (matrices share the old) and each new entry's
+        old position k, by which `_K` and `_pos` are re-indexed in place."""
+        n, nnz = len(self._indptr) - 1, len(self._indices)
+        p, i, k = _kernels.csr_transpose((self._indptr, order[self._indices],
+                                          np.arange(nnz, dtype=self._indices.dtype)), n)
+        self._indptr, self._indices, k = _kernels.csr_transpose((p, order[i], k), n)
+        del p, i
+        self._K[:-1] = self._K[k]  # the padding slot stays last
+        new = np.empty(nnz + 1, dtype=k.dtype)
+        new[k], new[nnz] = np.arange(nnz), nnz
+        self._pos[:] = new[self._pos]
+        self._order, self._next = order, None
 
     def condensed_solve(self, mats, rhs, f, k_lu=None):
         """Solve K u - B q = f with q = g - X B^T u, where [X_e | g_e] =
@@ -295,13 +330,26 @@ class ElementBlocks:
         if k_lu is not None and not any(x.any() for x in X):
             lu = k_lu
         else:
-            lu = factorize(self.condensed_matrix(X))
+            lu = self.factorization(X)
         u = lu.solve(f + system.B @ g)
         Btu = self.Bt @ u
         q = np.empty_like(g)
         for grp, s in zip(self.groups, sols):
             q[grp.idx] = s[..., -1] - (s[..., :-1] @ Btu[grp.idx][..., None])[..., 0]
         return u, q
+
+
+@dataclass
+class Factorization:
+    """A sparse LU of a matrix with unknown i in row and column order[i]
+    (slice(None): not renumbered), solving in the unknowns' order."""
+    lu: object
+    order: object
+
+    def solve(self, b):
+        bo = np.empty_like(b)
+        bo[self.order] = b
+        return self.lu.solve(bo)[self.order]
 
 
 def _dof_block_diagonal(a):
@@ -399,12 +447,13 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
     active-set size).
     From the elastic start (p = lam = 0) the first active set is empty, so
     the first step's condensed matrix is K, and that step solves with the
-    factorization of K that the elastic start made; it is released once the
-    step returns. Every other step factorizes its own condensed matrix.
+    elastic start's factorization of K, released once the step returns;
+    every other step factorizes its own, in the order the first computed.
     A step whose factorization or element-block solve fails, or that is not
     finite, is retried once with rho shifted to 2 rho + 1 and counted in
     `retries`; a second failure raises.
     """
+    require_dirichlet(qspace.mesh)
     cfg = config or NewtonConfig()
     rho = cfg.rho
     L = system.L
@@ -412,7 +461,7 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
     blocks = ElementBlocks(system)
     k_lu = None  # K's factorization, while a step may still reuse it
     if initial is None:
-        k_lu = factorize(system.K)
+        k_lu = blocks.factorization()
         u = k_lu.solve(system.l)
         p = np.zeros(n_q)
         lam = np.zeros(n_q)

@@ -5,13 +5,15 @@ import sys
 import numpy as np
 import pytest
 
+import hpfem.plasticity as plasticity
 from hpfem.config import (ConfigError, RunConfig, dump_config, load_config,
                           parse_config)
 from hpfem.driver import (RunRecord, convergence_table, format_table,
                           plastic_error_sq, read_records, run_adaptive,
                           run_elliptic_predictor, run_plastic_estimator,
-                          run_uniform, solve_plastic, write_records)
-from hpfem.problems import plastic_square
+                          run_uniform, solve_elliptic, solve_plastic,
+                          write_records)
+from hpfem.problems import plastic_square, poisson_lshape
 
 
 class TestConfig:
@@ -106,6 +108,31 @@ class TestLoops:
         cfg.run.loop = "plastic-estimator"
         with pytest.raises(ValueError):
             run_adaptive(cfg)
+
+
+class TestDirichletRequired:
+    """Without a Dirichlet facet the Poisson and elasticity systems are
+    singular; both solves refuse them before any factorization (before, the
+    L-shape returned max |u| = 6.8e15 and the plastic solve ran 60 Newton
+    iterations)."""
+
+    @pytest.fixture
+    def no_factorization(self, monkeypatch):
+        class Refuse:
+            def splu(self, *args, **kwargs):
+                raise AssertionError("factorized")
+        monkeypatch.setattr(plasticity, "spla", Refuse())
+
+    def test_scalar_path(self, no_factorization):
+        mesh, problem = poisson_lshape(degree=2)
+        with pytest.raises(ValueError, match="no Dirichlet boundary"):
+            solve_elliptic(mesh.tag_boundary(lambda c: "neumann"), problem)
+
+    def test_mixed_path(self, no_factorization):
+        mesh, material, loads = plastic_square(n=2, degree=2)
+        with pytest.raises(ValueError, match="no Dirichlet boundary"):
+            solve_plastic(mesh.tag_boundary(lambda c: "neumann"), material,
+                          loads)
 
 
 class TestDeterminism:

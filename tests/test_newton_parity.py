@@ -1,7 +1,12 @@
-"""The semi-smooth Newton solve and the condensed Newton matrix against values
-recorded from commit e6b84f1, whose Newton loop factorized the condensed
-matrix at every step, the first one included, and evaluated every step-length
-probe as a full residual:
+"""The semi-smooth Newton solve and the condensed Newton matrix against
+recorded values. The solve cases were recorded from the code that computes
+one minimum-degree ordering per mixed system and factorizes every later
+condensed matrix in that order; that changed only SuperLU's arithmetic
+order, and tests/equivalence.py showed the runs equivalent to those of
+commit b4b049c (same iterations, step lengths and active sets, energies
+within 1e-12 relative), which had computed the ordering at every
+factorization. The matrix cases are unchanged since commit e6b84f1. The
+cases:
 
 - criterion 3's case (`plastic_square(n=2, degree=3)` refined twice) at
   rho = 1, 10 and 100 (rho = 100 takes damped steps), `plastic_square(n=4,

@@ -394,6 +394,9 @@ SCATTER_MESHES = {**CONDENSATION_MESHES,
 
 @lru_cache(maxsize=None)
 def _condensation_case(name):
+    """The system, its Gauss-point space and one ElementBlocks, shared by the
+    tests: its first factorization reorders the blocks, so a test that reads
+    the condensed matrix in the unknowns' order builds its own."""
     mesh = SCATTER_MESHES[name]()
     mat = Material(lam=10.0, mu=5.0, hardening=1.0, yield_stress=0.35)
     qs = GaussPointSpace(mesh, mat.yield_stress)
@@ -459,7 +462,8 @@ class TestCondensedStep:
         assert np.abs(step - full).max() <= 1e-9 * np.abs(full).max()
 
     def test_condensed_matrix_is_displacement_sized_and_symmetric(self, monkeypatch):
-        system, qs, blocks = _condensation_case("hex-hanging-p2")
+        system, qs, _ = _condensation_case("hex-hanging-p2")
+        blocks = ElementBlocks(system)  # the cached blocks may be reordered
         rng = np.random.default_rng(3)
         L = system.L
         p, lam = _mixed_rows(rng, qs.ndof, L, qs.bounds, 1.0)
@@ -482,7 +486,8 @@ class TestCondensedStep:
 
     @pytest.mark.parametrize("name", sorted(SCATTER_MESHES))
     def test_scattered_matrix_matches_sparse_products(self, name, monkeypatch):
-        system, qs, blocks = _condensation_case(name)
+        system, qs, _ = _condensation_case(name)
+        blocks = ElementBlocks(system)  # the cached blocks may be reordered
         rng = np.random.default_rng(13)
         mats = [5 * np.eye(grp.C.shape[1]) + rng.random(grp.C.shape)
                 for grp in blocks.groups]
@@ -553,6 +558,106 @@ class TestCondensedStep:
         ref = spla.spsolve(full, np.concatenate([f, g]))
         assert np.abs(u - ref[:n_u]).max() <= 1e-10 * np.abs(ref[:n_u]).max()
         assert np.abs(q - ref[n_u:]).max() <= 1e-10 * np.abs(ref[n_u:]).max()
+
+
+class _Recorder(_FailingLinalg):
+    """_FailingLinalg that records every call: [matrix, permc_spec,
+    factorization], the factorization None for a failed call."""
+
+    def __init__(self, failures):
+        super().__init__(failures)
+        self.calls = []
+
+    def splu(self, A, *args, **kwargs):
+        self.calls.append([A, kwargs["permc_spec"], None])
+        self.calls[-1][2] = super().splu(A, *args, **kwargs)
+        return self.calls[-1][2]
+
+
+def _fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+def _ordering_system(name):
+    """The plastic square (n=4, p=2) or the hanging-face cube (p=2), loaded
+    so that the solve has active dofs."""
+    if name == "square":
+        _, mat, _, qs, system = _benchmark()
+        return system, qs, mat
+    mesh = _hex_hanging_mesh()
+    mat = Material(lam=10.0, mu=5.0, hardening=1.0, yield_stress=0.3)
+    loads = Loads(traction=lambda x: np.where(np.abs(x[:, :1] - 1.0) < 1e-9,
+                                              [0.5, 0.0, 0.1], 0.0))
+    qs = GaussPointSpace(mesh, mat.yield_stress)
+    return assemble_system(ScalarSpace(mesh), qs, mat, loads), qs, mat
+
+
+class TestOrdering:
+    """One minimum-degree ordering per mixed system: the first factorization
+    orders the pattern, every later one is factorized in that order."""
+
+    @pytest.mark.parametrize("name", ["square", "cube-hanging"])
+    def test_one_ordering_per_solve(self, name, monkeypatch):
+        system, qs, mat = _ordering_system(name)
+        rec = _Recorder(0)
+        monkeypatch.setattr(plasticity, "spla", rec)
+        sol = solve_semismooth_newton(system, qs,
+                                      NewtonConfig(rho=default_rho(mat)))
+        monkeypatch.undo()
+        assert sol.converged and max(row[4] for row in sol.trace) > 0
+        specs = [spec for _, spec, _ in rec.calls]
+        assert len(specs) == sol.iterations > 2
+        assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(specs) - 1)
+        # the ordering factorization is the elastic start's, of K itself
+        A, _, first = rec.calls[0]
+        assert abs(A - system.K).max() == 0.0
+        order = first.perm_c
+        for A, spec, lu in rec.calls:
+            np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
+            if spec == "NATURAL":
+                np.testing.assert_array_equal(lu.perm_c, np.arange(A.shape[0]))
+                # in the unknowns' order, factorized as before the ordering
+                ref = factorize(A[order][:, order])
+                assert abs(_fill(lu) - _fill(ref)) <= 1e-3 * _fill(ref)
+
+    def test_failed_ordering_leaves_the_pattern_unpermuted(self, monkeypatch):
+        m, mat, space, qs, system = _benchmark()
+        zeros = np.zeros(system.C.shape[0])
+        initial = (elastic_solve(system), zeros, zeros)
+        rec = _Recorder(1)
+        monkeypatch.setattr(plasticity, "spla", rec)
+        sol = solve_semismooth_newton(system, qs,
+                                      NewtonConfig(rho=default_rho(mat)),
+                                      initial=initial)
+        monkeypatch.undo()
+        assert sol.converged and sol.retries == 1
+        specs = [spec for _, spec, _ in rec.calls]
+        assert specs == ["MMD_AT_PLUS_A"] * 2 + ["NATURAL"] * (len(specs) - 2)
+        assert rec.calls[0][2] is None
+        # the failed ordering and its retry both see the unknowns' order
+        fresh = ElementBlocks(system).condensed_matrix()
+        for A, _, _ in rec.calls[:2]:
+            np.testing.assert_array_equal(A.indptr, fresh.indptr)
+            np.testing.assert_array_equal(A.indices, fresh.indices)
+        assert not np.array_equal(rec.calls[2][0].indices, fresh.indices)
+
+    @pytest.mark.parametrize("name", sorted(SCATTER_MESHES))
+    def test_ordered_matrix_is_the_permuted_one_bit_for_bit(self, name):
+        system, _, _ = _condensation_case(name)
+        blocks = ElementBlocks(system)
+        rng = np.random.default_rng(17)
+        X = [rng.standard_normal(grp.C.shape) for grp in blocks.groups]
+        A = blocks.condensed_matrix(X)
+        first = blocks.factorization()
+        assert first.order == slice(None)
+        lu = blocks.factorization(X)
+        order = lu.order
+        permuted = blocks.condensed_matrix(X)
+        back = permuted[order][:, order]
+        assert back.nnz == A.nnz and (back != A).nnz == 0
+        b = rng.standard_normal(A.shape[0])
+        ref = spla.spsolve(A, b)
+        assert np.abs(lu.solve(b) - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 class TestResidualEvaluations:
