@@ -15,14 +15,14 @@ With these blocks the stationarity system reads K u - B p = l and
 Every global matrix is R^T blockdiag(A_T) S and every load R^T (l_T), where
 R and S are rows of the local-to-global operators of the spaces
 (`ScalarSpace.local_operator`, which carries the hanging-node and Dirichlet
-constraints, and the identity of the discontinuous Gauss-point space),
-gathered once per space and element group. The identity rows only place
-entries, so products with them are formed from arrays: C and the Gauss-point
-mass matrix are block diagonal over the Gauss-point dofs, and B places its
-blocks at their q columns before its one product with R^T. The loads are
-scattered through P's arrays (`ScalarSpace.scatter`). The element matrices
-A_T and loads l_T are computed one group of elements of equal degree (and
-affinity) at a time on the corner-array geometry of `mesh`; the groups'
+constraints, and the identity of the discontinuous Gauss-point space). R and
+its transpose are gathered once per assembly and element group. The identity
+rows only place entries, so products with them are formed from arrays: C and
+the Gauss-point mass matrix are block diagonal over the Gauss-point dofs, and
+B places its blocks at their q columns before its one product with R^T. The
+loads are scattered through P's arrays (`ScalarSpace.scatter`). The element
+matrices A_T and loads l_T are computed one group of elements of equal degree
+(and affinity) at a time on the corner-array geometry of `mesh`; the groups'
 matrices are summed in group order, starting from the first group's.
 """
 
@@ -147,30 +147,29 @@ def data_load(data, x, w, V):
 
 
 def galerkin(rows, blocks, cols=None, width=None):
-    """rows^T blockdiag(blocks) Q: the element blocks (n, r, c) of n elements
-    scattered by the rows (n r, element by element) of one local-to-global
-    operator, as `OperatorRows`, whose cached transpose is read. Q is the
-    same rows by default. Otherwise Q is identity rows, given by cols (n, c),
-    the columns, among width, of each block's columns: a product with them
-    only places entries, so the blocks are placed there directly. The block
-    diagonal is formed as CSR arrays straight from the blocks, and the
-    products run on arrays (`_kernels.csr_product`); the result has sorted
-    indices and no exact zeros, as scipy's product drops them."""
+    """R^T blockdiag(blocks) Q: the element blocks (n, r, c) of n elements
+    scattered by the rows R (n r, element by element) of one local-to-global
+    operator, given as `ScalarSpace.local_operator` returns them: the CSR
+    arrays of R and of R^T. Q is R by default. Otherwise Q is identity rows,
+    given by cols (n, c), the columns, among width, of each block's columns:
+    a product with them only places entries, so the blocks are placed there
+    directly. The block diagonal is formed as CSR arrays straight from the
+    blocks, and the products run on arrays (`_kernels.csr_product`); the
+    result has sorted indices and no exact zeros, as scipy's product drops
+    them."""
+    R, RT = rows
     n, r, c = blocks.shape
-    idx = rows.indices.dtype
+    idx = R[1].dtype
     square = cols is None
     if square:
-        cols, width = c * np.arange(n)[:, None] + np.arange(c), rows.shape[1]
+        cols, width = c * np.arange(n)[:, None] + np.arange(c), len(RT[0]) - 1
     placed = (np.arange(0, n * r * c + 1, c, dtype=idx),
               np.broadcast_to(cols[:, None, :], blocks.shape).ravel().astype(idx),
               np.ascontiguousarray(blocks).ravel())
     if square:
-        placed = _kernels.csr_product(placed, (rows.indptr, rows.indices, rows.data),
-                                      width)
-    T = rows.transposed
-    indptr, indices, data = _kernels.csr_product((T.indptr, T.indices, T.data),
-                                                 placed, width)
-    out = sp.csr_matrix((data, indices, indptr), shape=(T.shape[0], width))
+        placed = _kernels.csr_product(placed, R, width)
+    indptr, indices, data = _kernels.csr_product(RT, placed, width)
+    out = sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, width))
     out.sort_indices()
     return out
 

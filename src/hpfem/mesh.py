@@ -26,14 +26,13 @@ between descendants of a common ancestor uses exact float comparisons.
 
 import copy
 import itertools
-from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .polybasis import (gauss_rule, tensor_gauss, tensor_indices,
-                        tensor_shape_eval, tensor_shape_hessian)
+from .polybasis import (tensor_gauss, tensor_indices, tensor_shape_eval,
+                        tensor_shape_hessian)
 
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
@@ -157,40 +156,6 @@ def point_set_diameters(x):
     return np.sqrt((diff * diff).sum(axis=-1)).max(axis=(1, 2))
 
 
-class ElementMap:
-    """Multilinear map from [-1,1]^d onto a transformed hexahedron."""
-
-    def __init__(self, corners, dim=None):
-        corners = np.asarray(corners, dtype=float)
-        if dim is None:
-            dim = corners.shape[1]
-        if corners.shape != (2**dim, dim):
-            raise ValueError(f"expected {2**dim} corners of dim {dim}")
-        self.dim = dim
-        self.corners = corners
-
-    def _at(self, geometry, xhat):
-        single = np.asarray(xhat).ndim == 1
-        out = geometry(self.corners, np.atleast_2d(xhat))
-        return out[0] if single else out
-
-    def map_point(self, xhat):
-        """Physical image of reference point(s); shape (d,) or (m, d)."""
-        return self._at(map_points, xhat)
-
-    def jacobian(self, xhat):
-        """Jacobian dF/dxhat; shape (d, d) or (m, d, d)."""
-        return self._at(map_jacobians, xhat)
-
-    def det_jacobian(self, xhat):
-        J = self.jacobian(xhat)
-        return np.linalg.det(J)
-
-    def volume(self):
-        pts, wts = tensor_gauss(3, self.dim)
-        return float(wts @ self.det_jacobian(pts))
-
-
 def positions_of(act, eids):
     """The positions of element ids eids (one or an array) in the ascending
     active ids act; ValueError naming the first id that is not active."""
@@ -216,21 +181,20 @@ def is_affine(corners, tol=1e-12):
     return np.abs(J - J[..., :1, :, :]).max(axis=(-3, -2, -1)) <= tol * scale
 
 
-def check_det_affine(emap, n_samples=4, tol=1e-12):
-    """True iff det(dF) is reproduced exactly by its multilinear interpolant.
-
-    Sampled on a tensor grid of n_samples >= 4 points per direction; compared
-    against the least-squares multilinear fit with relative tolerance tol.
-    """
-    d = emap.dim
-    pts1 = gauss_rule(max(n_samples, 4)).points
-    pts = np.array(list(itertools.product(pts1, repeat=d)))
-    det = emap.det_jacobian(pts)
+def check_det_affine(corners, n_samples=4, tol=1e-12):
+    """Whether det(dF) of the maps of a corner array (n, 2^d, d), or of one
+    element's corners (2^d, d), is reproduced exactly by its multilinear
+    interpolant: sampled on a tensor grid of n_samples >= 4 Gauss points per
+    direction, and compared against the least-squares multilinear fit with
+    relative tolerance tol."""
+    corners = np.asarray(corners, dtype=float)
+    d = corners.shape[-1]
+    pts, _ = tensor_gauss(max(n_samples, 4), d)
+    det = np.linalg.det(map_jacobians(corners, pts)).T
     basis, _ = tensor_shape_eval(pts, corner_bits(d), jmax=1)
     coef, *_ = np.linalg.lstsq(basis, det, rcond=None)
-    resid = np.abs(basis @ coef - det).max()
-    scale = max(np.abs(det).max(), 1e-300)
-    return bool(resid <= tol * scale)
+    resid = np.abs(basis @ coef - det).max(axis=0)
+    return resid <= tol * np.maximum(np.abs(det).max(axis=0), 1e-300)
 
 
 @dataclass(frozen=True)
@@ -309,32 +273,6 @@ class FacetTable:
         each piece, in each element's own facet frame."""
         return _matched_coords(self.my_box[rows], self.nb_box[rows],
                                self.perm[rows], self.flip[rows], xi)
-
-
-# One element of a `Mesh`, read from its columns: a read-only view for tests
-# and inspection. parent is None on a root and children None while active.
-ElementView = namedtuple("ElementView", "eid root level degree parent children "
-                         "corners box_lo box_hi boundary_tags")
-
-
-class _ElementViews:
-    """The `ElementView` of every element of a mesh, built on access."""
-
-    def __init__(self, mesh):
-        self._mesh = mesh
-
-    def __len__(self):
-        return len(self._mesh.root)
-
-    def __getitem__(self, eid):
-        m, eid = self._mesh, range(len(self))[eid]
-        first, parent = int(m.first_child[eid]), int(m.parent[eid])
-        return ElementView(
-            eid=eid, root=int(m.root[eid]), level=int(m.level[eid]),
-            degree=int(m.degree[eid]), parent=None if parent < 0 else parent,
-            children=None if first < 0 else tuple(range(first, first + 2**m.dim)),
-            corners=tuple(m.corners[eid].tolist()), box_lo=m.boxes[eid, :, 0].copy(),
-            box_hi=m.boxes[eid, :, 1].copy(), boundary_tags=tuple(m.tags[eid]))
 
 
 def _frozen(a):
@@ -419,20 +357,12 @@ class Mesh:
 
     # -- basic queries -------------------------------------------------------
 
-    @property
-    def elements(self):
-        """Read-only per-element views of the columns (`ElementView`)."""
-        return _ElementViews(self)
-
     def active_ids(self):
         return np.flatnonzero(self.first_child < 0).tolist()
 
     def corner_array(self, eids):
         """Corner coordinates (n, 2^d, d) of elements eids, in tensor order."""
         return self.vertices[self.corners[np.asarray(eids, dtype=np.intp)]]
-
-    def element_map(self, eid):
-        return ElementMap(self.corner_array([eid])[0], self.dim)
 
     def with_degrees(self, degrees):
         """New snapshot with per-active-element degrees (dict eid -> p). It

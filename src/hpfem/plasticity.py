@@ -47,16 +47,6 @@ def chi(p_i, lam_i, sigma_i, rho):
     return m * lam_i - sigma_i * w
 
 
-def chi_coords(p, lam, sigma, rho, want_jacobian=False):
-    """Vectorized chi over coefficient rows (N, L); optionally with the Clarke
-    element blocks (at the kink the active branch is selected)."""
-    return _kernels.chi_blocks(
-        np.ascontiguousarray(p, dtype=float),
-        np.ascontiguousarray(lam, dtype=float),
-        np.ascontiguousarray(sigma, dtype=float), float(rho),
-        want_jacobian)
-
-
 # From the STAGNATION-th residual evaluation of a solve on, and after a
 # full step that blows up, a Newton step also probes the step lengths
 # t = 2^-1, ..., 2^-10 and takes the one of least merit.
@@ -91,8 +81,8 @@ def residual(system, qspace, u, p, lam, rho):
     L = system.L
     r1 = system.K @ u - system.B @ p - system.l
     r2 = -(system.B.T @ u) + system.C @ p + system.D * lam
-    ch, _, _ = chi_coords(p.reshape(-1, L), lam.reshape(-1, L),
-                          qspace.bounds, rho, want_jacobian=False)
+    ch, _, _ = _kernels.chi_blocks(p.reshape(-1, L), lam.reshape(-1, L),
+                                   qspace.bounds, rho, want_jacobian=False)
     return np.concatenate([r1, r2, ch.ravel()])
 
 
@@ -101,8 +91,8 @@ def generalized_jacobian(system, qspace, p, lam, rho):
     active branch is selected at the kink). The Newton iteration never builds
     it; it is the reference for the condensed step."""
     L = system.L
-    _, dp, dl = chi_coords(p.reshape(-1, L), lam.reshape(-1, L),
-                           qspace.bounds, rho, want_jacobian=True)
+    _, dp, dl = _kernels.chi_blocks(p.reshape(-1, L), lam.reshape(-1, L),
+                                    qspace.bounds, rho)
     n_u = system.K.shape[0]
     n_q = system.C.shape[0]
     N = n_q // L

@@ -9,7 +9,6 @@ argument list from a bounded LRU cache, and the element loops in `assembly`,
 """
 
 import itertools
-from dataclasses import dataclass, fields, is_dataclass
 from functools import lru_cache, wraps
 
 import numpy as np
@@ -50,9 +49,6 @@ def _read_only(out):
     elif isinstance(out, tuple):
         for item in out:
             _read_only(item)
-    elif is_dataclass(out):
-        for f in fields(out):
-            _read_only(getattr(out, f.name))
     return out
 
 
@@ -85,20 +81,12 @@ def shape1d_second(t, jmax):
     return out
 
 
-@dataclass(frozen=True)
-class GaussRule:
-    """1D Gauss-Legendre rule on [-1,1]."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-
 @reference_table
 def gauss_rule(n):
+    """1D Gauss-Legendre rule on [-1,1]: points (n,), weights (n,)."""
     if n < 1:
         raise ValueError("Gauss rule needs n >= 1")
-    x, w = np.polynomial.legendre.leggauss(n)
-    return GaussRule(points=x, weights=w)
+    return np.polynomial.legendre.leggauss(n)
 
 
 @reference_table
@@ -113,9 +101,9 @@ def tensor_gauss(n, dim):
     """Tensor-product Gauss rule: points (n^d, d), weights (n^d,); last axis
     fastest. For dim = 0 (the facets of an interval) it is one point of
     weight 1."""
-    rule = gauss_rule(n)
-    pts = np.array(list(itertools.product(rule.points, repeat=dim)))
-    wts = np.array([np.prod(c) for c in itertools.product(rule.weights, repeat=dim)])
+    x, w = gauss_rule(n)
+    pts = np.array(list(itertools.product(x, repeat=dim)))
+    wts = np.array([np.prod(c) for c in itertools.product(w, repeat=dim)])
     return pts.reshape(len(wts), dim), wts
 
 
@@ -217,7 +205,7 @@ def tensor_shape_hessian(points, indices, jmax=None):
 
 @reference_table
 def _bary_weights(p):
-    x = gauss_rule(p).points
+    x, _ = gauss_rule(p)
     w = np.ones(p)
     for i in range(p):
         w[i] = 1.0 / np.prod(x[i] - np.delete(x, i))

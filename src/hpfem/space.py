@@ -544,7 +544,6 @@ class ScalarSpace:
         self.P = sp.csr_matrix((vals[take] * np.repeat(sign, count), cols[take],
                                 _indptr(count)), shape=(nshape, self.ndof))
         self.P.sort_indices()
-        self._rows = {}
 
     # -- reading the dof map ---------------------------------------------------
 
@@ -584,14 +583,14 @@ class ScalarSpace:
     def local_operator(self, ncomp, positions):
         """The rows of P (x) I_ncomp, for fields whose ncomp components are
         interleaved, of the active elements at positions (all of one
-        degree), element by element, as `OperatorRows` gathered from P once
-        per (ncomp, positions)."""
-        positions = np.asarray(positions, dtype=np.intp)
-        key = (ncomp, positions.tobytes())
-        if key not in self._rows:
-            self._rows[key] = _operator_rows(
-                self.P, _element_rows(self._shape_offsets, positions, ncomp), ncomp)
-        return self._rows[key]
+        degree), element by element, gathered from P's arrays
+        (`_row_entries`): the CSR arrays (indptr, indices, data) of the rows
+        and of their transpose, which `assembly.galerkin` reads."""
+        P = self.P
+        take, cols, count = _row_entries(
+            P, _element_rows(self._shape_offsets, positions, ncomp), ncomp)
+        rows = (_indptr(count), cols, P.data[take])
+        return rows, _kernels.csr_transpose(rows, ncomp * self.ndof)
 
     def scatter(self, ncomp, positions, values):
         """The rows of P (x) I_ncomp of the active elements at positions (all
@@ -650,17 +649,6 @@ class ScalarSpace:
         return vals
 
 
-class OperatorRows(sp.csr_matrix):
-    """Rows of a local-to-global operator (CSR), with their CSR transpose,
-    which `assembly.galerkin` reads, formed on first use and kept."""
-
-    @cached_property
-    def transposed(self):
-        indptr, indices, data = _kernels.csr_transpose(
-            (self.indptr, self.indices, self.data), self.shape[1])
-        return sp.csr_matrix((data, indices, indptr), shape=self.shape[::-1])
-
-
 def _row_entries(P, rows, ncomp):
     """The entries of rows of P (x) I_ncomp (P CSR with sorted indices), in
     the order and at the columns of the CSR form of scipy's Kronecker
@@ -671,18 +659,6 @@ def _row_entries(P, rows, ncomp):
     count = np.diff(P.indptr)[i]
     take = _ranges(P.indptr[i], count)
     return take, ncomp * P.indices[take].astype(np.intp) + np.repeat(a, count), count
-
-
-def _operator_rows(P, rows, ncomp):
-    """The rows of P (x) I_ncomp gathered from P's arrays with numpy
-    (`_row_entries`), as OperatorRows with read-only arrays, since a space
-    hands the same rows to every caller."""
-    take, cols, count = _row_entries(P, rows, ncomp)
-    out = OperatorRows((P.data[take], cols, _indptr(count)),
-                       shape=(len(rows), ncomp * P.shape[1]))
-    for arr in (out.data, out.indices, out.indptr):
-        arr.setflags(write=False)
-    return out
 
 
 def _element_rows(offsets, positions, ncomp):

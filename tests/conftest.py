@@ -7,13 +7,13 @@ from hpfem.assembly import (Loads, Material, element_groups, galerkin,
                             gauss_mass_matrix, group_quadrature)
 from hpfem.elliptic import ScalarProblem
 from hpfem.mesh import (Mesh, _matched_coords, corner_bits, facet_measure,
-                        map_hessians, map_jacobians, positions_of)
+                        map_jacobians, positions_of)
 from hpfem.plasticity import strain_values, tensor_values
 from hpfem.problems import cube_mesh, interval_mesh, poisson_lshape
 from hpfem.problems import square_mesh  # noqa: F401  (re-exported to tests)
 from hpfem.polybasis import tensor_gauss, tensor_indices, tensor_shape_eval
-from hpfem.space import (GaussPointSpace, OperatorRows, ScalarSpace,
-                         deviatoric_dim, gauss_point_basis)
+from hpfem.space import (GaussPointSpace, ScalarSpace, deviatoric_dim,
+                         gauss_point_basis)
 
 
 @pytest.fixture
@@ -22,27 +22,34 @@ def rng():
 
 
 def element_quadrature(mesh, eid, order):
-    """Reference points/weights and mapped geometry for one element: a
-    one-element view of `assembly.group_quadrature`, for checks element by
-    element."""
-    emap = mesh.element_map(eid)
+    """Corners (2^d, d), reference points/weights and mapped geometry for one
+    element: a one-element view of `assembly.group_quadrature`, for checks
+    element by element."""
+    corners = mesh.corner_array([eid])[0]
     pts, wts = tensor_gauss(order, mesh.dim)
-    J = emap.jacobian(pts)
-    return emap, pts, wts, np.linalg.det(J), np.linalg.inv(J)
+    J = map_jacobians(corners, pts)
+    return corners, pts, wts, np.linalg.det(J), np.linalg.inv(J)
 
 
-def map_hessian(emap, xhat):
-    """Second derivatives d2F_m / dxhat_a dxhat_b (m, d, d, d) of the map of
-    an ElementMap at reference points (m, d)."""
-    return map_hessians(emap.corners, np.atleast_2d(xhat))
+def map_dets(corners, xhat):
+    """Jacobian determinants (m,) of the map of one element's corners
+    (2^d, d) at reference points xhat (m, d)."""
+    return np.linalg.det(map_jacobians(corners, np.atleast_2d(xhat)))
 
 
-def is_valid_map(emap):
-    """Whether the map of an ElementMap has a positive Jacobian determinant
-    at the corners and on a 3rd-order Gauss grid."""
-    corners_hat = 2.0 * corner_bits(emap.dim) - 1.0
-    pts, _ = tensor_gauss(3, emap.dim)
-    return bool(np.all(emap.det_jacobian(np.vstack([corners_hat, pts])) > 0.0))
+def map_volume(corners):
+    """The volume of the map of one element's corners (2^d, d)."""
+    pts, wts = tensor_gauss(3, corners.shape[-1])
+    return float(wts @ map_dets(corners, pts))
+
+
+def is_valid_map(corners):
+    """Whether the map of one element's corners (2^d, d) has a positive
+    Jacobian determinant at the corners and on a 3rd-order Gauss grid."""
+    d = corners.shape[-1]
+    pts, _ = tensor_gauss(3, d)
+    return bool(np.all(map_dets(corners, np.vstack([2.0 * corner_bits(d) - 1.0,
+                                                    pts])) > 0.0))
 
 
 def piece_coords(piece, xi):
@@ -116,13 +123,27 @@ def gauss_eval_dual(qspace, eid, coeffs, xhat):
 
 def gauss_local_operator(qspace, ncomp=1, positions=None):
     """The identity on the dofs of ncomp-component fields of a
-    GaussPointSpace as `OperatorRows`, or, with positions (of active
-    elements of one degree), its rows of those elements."""
+    GaussPointSpace as a CSR matrix, or, with positions (of active elements
+    of one degree), its rows of those elements."""
     n = ncomp * qspace.ndof
     rows = (np.arange(n) if positions is None
             else qspace.element_dofs(positions, ncomp).ravel())
-    return OperatorRows((np.ones(len(rows)), rows, np.arange(len(rows) + 1)),
-                        shape=(len(rows), n))
+    return sp.csr_matrix((np.ones(len(rows)), rows, np.arange(len(rows) + 1)),
+                         shape=(len(rows), n))
+
+
+def operator_rows(matrix):
+    """The CSR arrays of a CSR matrix and of its transpose: the form of
+    `ScalarSpace.local_operator` that `assembly.galerkin` reads."""
+    rows = (matrix.indptr, matrix.indices, matrix.data)
+    return rows, _kernels.csr_transpose(rows, matrix.shape[1])
+
+
+def operator_matrix(rows):
+    """Rows in the form of `ScalarSpace.local_operator` as a CSR matrix."""
+    (indptr, indices, data), (t_indptr, _, _) = rows
+    return sp.csr_matrix((data, indices, indptr),
+                         shape=(len(indptr) - 1, len(t_indptr) - 1))
 
 
 def plastic_field_at(qspace, eid, p, pts, dual=False):
@@ -289,8 +310,8 @@ def rotated_roots_mesh(d, refine, degrees):
         cells[0] = _rotated(cells[0], [1, 2, 0], [1, 1, 1])
         cells[3] = _rotated(cells[3], [0, 2, 1], [1, -1, 1])
     m = Mesh.from_arrays(verts, cells, dim=d, default_tag="neumann")
-    assert all(m.element_map(e).det_jacobian(np.zeros((1, d)))[0] > 0
-               for e in m.active_ids())
+    assert (np.linalg.det(map_jacobians(m.corner_array(m.active_ids()),
+                                        np.zeros((1, d)))) > 0).all()
     m = m.refine_many(refine)
     return m.with_degrees({e: degrees[i % len(degrees)]
                            for i, e in enumerate(m.active_ids())})

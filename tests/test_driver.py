@@ -153,7 +153,7 @@ class TestReferenceError:
     def _states(self):
         mesh, material, loads = plastic_square(n=2)
         coarse = solve_plastic(mesh.refine_element(0), material, loads)
-        child = coarse.mesh.elements[0].children[0]
+        child = coarse.mesh.first_child[0]
         fine = solve_plastic(coarse.mesh.refine_element(child), material, loads)
         return coarse, fine
 
@@ -250,10 +250,10 @@ class TestExports:
         back = Mesh.read_text(path)
         assert len(back.active_ids()) == len(mesh.active_ids())
         a = sorted(tuple(np.round(np.mean(
-            [mesh.vertices[c] for c in mesh.elements[e].corners], axis=0), 12))
+            mesh.corner_array([e])[0], axis=0), 12))
             for e in mesh.active_ids())
         b = sorted(tuple(np.round(np.mean(
-            [back.vertices[c] for c in back.elements[e].corners], axis=0), 12))
+            back.corner_array([e])[0], axis=0), 12))
             for e in back.active_ids())
         assert a == b
 

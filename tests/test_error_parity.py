@@ -93,7 +93,7 @@ def record(case):
     coarse = random_state(mesh, material, rng)
     fine_mesh = mesh.uniformly_refined()
     fine_mesh = fine_mesh.with_degrees(
-        {e: fine_mesh.elements[e].degree + 1 for e in fine_mesh.active_ids()})
+        {e: int(fine_mesh.degree[e]) + 1 for e in fine_mesh.active_ids()})
     fine = random_state(fine_mesh, material, rng)
     u_scalar = rng.standard_normal(coarse.space.ndof)
     return {

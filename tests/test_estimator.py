@@ -13,7 +13,7 @@ from hpfem.assembly import Loads, Material, assemble_system, bilinear_value
 from hpfem.estimator import (ErrorIndicators, compute_indicators, mark_dorfler,
                              mu_star_at, solve_auxiliary,
                              stress_divergence_values)
-from hpfem.mesh import map_hessians, map_jacobians
+from hpfem.mesh import map_hessians, map_jacobians, map_points
 from hpfem.plasticity import NewtonConfig, default_rho, solve_semismooth_newton
 from hpfem.polybasis import tensor_indices, tensor_shape_eval, tensor_shape_hessian
 from hpfem.problems import interval_mesh
@@ -251,7 +251,7 @@ class TestPlasticityIndicator:
             total = 0.0
             for eid in m.active_ids():
                 pdeg = qs.mesh.degree[eid]
-                emap, pts, wts, det, Jinv = element_quadrature(m, eid, pdeg + 2)
+                _, pts, wts, det, _ = element_quadrature(m, eid, pdeg + 2)
                 w = wts * det
                 lam_vals = np.einsum("ql,lab->qab",
                                      gauss_eval_dual(qs, eid, lam_rows, pts), Phi)
@@ -268,7 +268,7 @@ class TestPlasticityIndicator:
             coef = rng.standard_normal((3, L))
 
             def feasible(eid, pts, lam, pq, coef=coef):
-                x = m.element_map(eid).map_point(pts)
+                x = map_points(m.corner_array([eid])[0], pts)
                 comp = (coef[0][None, :] + x[:, [0]] * coef[1][None, :]
                         + x[:, [1]] * coef[2][None, :])
                 field = np.einsum("ql,lab->qab", comp, Phi)

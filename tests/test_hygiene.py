@@ -1,8 +1,8 @@
-"""Source hygiene: every name a module of the package imports is used,
+"""Source hygiene: every name a module of the package imports is used, and
 every function, class and method it defines is referenced by the package
 or the benchmark (tests alone do not keep a definition alive, unless it is
-on the allow-list below), and no module but mesh.py reads the per-element
-view of a mesh."""
+on the allow-list below; nor do the re-exports of the package's
+`__init__.py`)."""
 
 import ast
 import os
@@ -12,6 +12,7 @@ import pytest
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
 SRC = os.path.join(ROOT, "src", "hpfem")
+INIT = os.path.join(SRC, "__init__.py")
 MODULES = sorted(f for f in os.listdir(SRC)
                  if f.endswith(".py") and f != "__init__.py")
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -37,11 +38,8 @@ TEST_ONLY = {
     "plasticity.n_elastic": "count of the complementarity report",
     "plasticity.n_plastic": "count of the complementarity report",
     "mesh.read_text": "reads back the mesh format that write_text exports",
-    "mesh.elements": "per-element view of the mesh columns (criterion 11)",
-    "mesh.element_map": "one element's map, for element-by-element checks "
-                        "(criteria 1 and 12)",
-    "mesh.map_point": "the physical image of reference points of an element "
-                      "map (criterion 12)",
+    "mesh.check_det_affine": "the det-affine check behind dual = primal of "
+                             "the Gauss-point space",
     "mesh.total_volume": "the mesh volume (criterion 13)",
     "space.hanging_vertices": "the resolved constraint rows of the hanging "
                               "vertices (constraint diagnostic)",
@@ -126,13 +124,15 @@ def unreferenced(source, used):
 @lru_cache(maxsize=None)
 def project_references(tops=("src", "tests", "perfbench")):
     """The references of the package, the tests and the benchmark, or of
-    the top-level folders tops."""
+    the top-level folders tops; the re-exports of the package's
+    `__init__.py` read nothing."""
     used = set()
     for top in tops:
         for folder, _, files in os.walk(os.path.join(ROOT, top)):
             for name in files:
-                if name.endswith(".py"):
-                    with open(os.path.join(folder, name)) as fh:
+                path = os.path.join(folder, name)
+                if name.endswith(".py") and path != INIT:
+                    with open(path) as fh:
                         used |= references(ast.parse(fh.read()))
     return used
 
@@ -182,21 +182,3 @@ def test_allow_list_is_current():
                 fh.read(), project_references(("src", "perfbench")))}
     assert set(TEST_ONLY) <= found
 
-
-def element_reads(source):
-    """Lines of a module that read an attribute named ``elements``."""
-    return sorted(node.lineno for node in ast.walk(ast.parse(source))
-                  if isinstance(node, ast.Attribute) and node.attr == "elements")
-
-
-def test_scan_finds_element_reads():
-    src = "m.root[0]\nfor e in m.elements:\n    e.degree\nmesh.elements[3].level\n"
-    assert element_reads(src) == [2, 4]
-
-
-@pytest.mark.parametrize("module", [m for m in MODULES if m != "mesh.py"])
-def test_only_mesh_reads_elements(module):
-    """The mesh storage stays behind mesh.py: other modules read its
-    columns, never the per-element view."""
-    with open(os.path.join(SRC, module)) as fh:
-        assert element_reads(fh.read()) == []

@@ -4,88 +4,100 @@ import numpy as np
 import pytest
 
 from conftest import (ROTATED_CASES, distorted_quad_mesh, facet_area_element,
-                      is_valid_map, map_hessian, piece_coords,
+                      is_valid_map, map_dets, map_volume, piece_coords,
                       rotated_roots_mesh, square_mesh)
-from hpfem.mesh import (DIRICHLET, ElementMap, FacetInfo, FacetPiece, Mesh,
-                        check_det_affine)
+from hpfem.mesh import (DIRICHLET, FacetInfo, FacetPiece, Mesh, check_det_affine,
+                        map_hessians, map_jacobians, map_points)
 from hpfem.problems import cube_mesh, interval_mesh
+
+
+def map_point(corners, xhat):
+    """The image (d,) of one reference point under the map of corners."""
+    return map_points(corners, np.atleast_2d(xhat))[0]
 
 
 class TestElementMap:
     def test_unit_square_corners_and_midpoint(self):
-        em = ElementMap(np.array([[0, 0], [0, 1], [1, 0], [1, 1]], float))
-        np.testing.assert_allclose(em.map_point(np.array([-1.0, -1.0])), [0, 0])
-        np.testing.assert_allclose(em.map_point(np.array([0.0, 0.0])), [0.5, 0.5])
+        corners = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], float)
+        np.testing.assert_allclose(map_point(corners, [-1.0, -1.0]), [0, 0])
+        np.testing.assert_allclose(map_point(corners, [0.0, 0.0]), [0.5, 0.5])
 
     def test_stretched_quad_center(self):
-        em = ElementMap(np.array([[0, 0], [0, 1], [2, 0], [2, 1]], float))
-        np.testing.assert_allclose(em.map_point(np.array([0.0, 0.0])), [1.0, 0.5])
-        assert abs(em.det_jacobian(np.array([0.0, 0.0])) - 0.5) < 1e-15
+        corners = np.array([[0, 0], [0, 1], [2, 0], [2, 1]], float)
+        np.testing.assert_allclose(map_point(corners, [0.0, 0.0]), [1.0, 0.5])
+        assert abs(map_dets(corners, [0.0, 0.0])[0] - 0.5) < 1e-15
 
     def test_jacobian_against_fd(self, rng):
         corners = np.array([[0, 0], [0.1, 1.2], [1.1, -0.1], [1.3, 1.0]])
-        em = ElementMap(corners)
         x = rng.uniform(-0.9, 0.9, (4, 2))
-        J = em.jacobian(x)
+        J = map_jacobians(corners, x)
         h = 1e-7
         for a in range(2):
             e = np.zeros(2)
             e[a] = h
-            fd = (em.map_point(x + e) - em.map_point(x - e)) / (2 * h)
+            fd = (map_points(corners, x + e) - map_points(corners, x - e)) / (2 * h)
             np.testing.assert_allclose(J[:, :, a], fd, atol=1e-8)
 
     def test_hessian_against_fd(self, rng):
         corners = np.array([[0, 0], [0.1, 1.2], [1.1, -0.1], [1.5, 1.4]])
-        em = ElementMap(corners)
         x = rng.uniform(-0.8, 0.8, (3, 2))
-        H = map_hessian(em, x)
+        H = map_hessians(corners, x)
         h = 1e-5
         for a in range(2):
             for b in range(2):
                 ea, eb = np.zeros(2), np.zeros(2)
                 ea[a] = h
                 eb[b] = h
-                fd = (em.map_point(x + ea + eb) - em.map_point(x + ea - eb)
-                      - em.map_point(x - ea + eb) + em.map_point(x - ea - eb)) / (4 * h * h)
+                fd = (map_points(corners, x + ea + eb) - map_points(corners, x + ea - eb)
+                      - map_points(corners, x - ea + eb)
+                      + map_points(corners, x - ea - eb)) / (4 * h * h)
                 np.testing.assert_allclose(H[:, :, a, b], fd, atol=1e-6)
 
     def test_validity(self):
-        good = ElementMap(np.array([[0, 0], [0, 1], [1, 0], [1, 1]], float))
-        assert is_valid_map(good)
-        bad = ElementMap(np.array([[0, 0], [1, 1], [1, 0], [0, 1]], float))
-        assert not is_valid_map(bad)
+        assert is_valid_map(np.array([[0, 0], [0, 1], [1, 0], [1, 1]], float))
+        assert not is_valid_map(np.array([[0, 0], [1, 1], [1, 0], [0, 1]], float))
+
+
+def det_affine(*corners):
+    """check_det_affine of each element's corners, one call each, after
+    checking that one call on the stacked corner array gives, element by
+    element, the same answers."""
+    one = [check_det_affine(c) for c in corners]
+    np.testing.assert_array_equal(check_det_affine(np.stack(corners)), one)
+    return one
+
+
+PARALLELOGRAM = np.array([[0, 0], [0.3, 1], [2, 0.1], [2.3, 1.1]])
+TRAPEZOID = np.array([[0, 0], [0, 1], [2, 0], [1.5, 1]], float)
 
 
 class TestDetAffine:
     def test_parallelogram(self):
-        em = ElementMap(np.array([[0, 0], [0.3, 1], [2, 0.1], [2.3, 1.1]]))
-        assert check_det_affine(em)
+        assert det_affine(PARALLELOGRAM) == [True]
 
     def test_trapezoid(self):
         # bilinear maps of any 2D quad have multilinear det J
-        em = ElementMap(np.array([[0, 0], [0, 1], [2, 0], [1.5, 1]], float))
-        assert check_det_affine(em)
+        assert det_affine(TRAPEZOID, PARALLELOGRAM) == [True, True]
 
     def test_all_2d_convex_quads(self, rng):
+        quads = []
         for _ in range(25):
             base = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], float)
             quad = base + rng.uniform(-0.2, 0.2, (4, 2))
-            em = ElementMap(quad)
-            if is_valid_map(em):
-                assert check_det_affine(em)
+            if is_valid_map(quad):
+                quads.append(quad)
+        assert quads and all(det_affine(*quads))
 
     def test_generic_hexahedron_not_det_affine(self, rng):
         cube = np.array(
             [[0, 0, 0], [0, 0, 1], [0, 1, 0], [0, 1, 1],
              [1, 0, 0], [1, 0, 1], [1, 1, 0], [1, 1, 1]], float)
-        assert check_det_affine(ElementMap(cube))
         # a single perturbed corner of a parallelepiped is a rank-one update of
         # the map and keeps det J multilinear; a generic hexahedron does not
         pert = cube + rng.uniform(-0.15, 0.15, (8, 3))
         pert[7] += [0.3, 0.25, 0.2]
-        em = ElementMap(pert)
-        assert is_valid_map(em)
-        assert not check_det_affine(em)
+        assert is_valid_map(pert)
+        assert det_affine(cube, pert, cube) == [True, False, True]
 
 
 class TestRefinement:
@@ -94,7 +106,7 @@ class TestRefinement:
         m2 = m.refine_element(0)
         act = m2.active_ids()
         assert len(act) == 2
-        vols = [m2.element_map(e).volume() for e in act]
+        vols = [map_volume(m2.corner_array([e])[0]) for e in act]
         np.testing.assert_allclose(vols, [0.5, 0.5], atol=1e-15)
 
     def test_2d_split_counts(self):
@@ -114,12 +126,12 @@ class TestRefinement:
         hanging = []
         for vid, v in enumerate(m2.vertices):
             for eid in m2.active_ids():
-                el = m2.elements[eid]
-                if vid in el.corners:
+                corners = m2.corners[eid].tolist()
+                if vid in corners:
                     continue
                 from hpfem.mesh import _facet_corner_ids
                 for f in range(4):
-                    ids = _facet_corner_ids(el.corners, 2, f)
+                    ids = _facet_corner_ids(corners, 2, f)
                     a, b = (m2.vertices[i] for i in ids)
                     t = np.dot(v - a, b - a) / np.dot(b - a, b - a)
                     if 1e-9 < t < 1 - 1e-9 and \
@@ -130,7 +142,7 @@ class TestRefinement:
     def test_dividing_point_off_center(self):
         m = square_mesh(1)
         m2 = m.refine_element(0, zhat=np.array([0.5, -0.25]))
-        vols = sorted(m2.element_map(e).volume() for e in m2.active_ids())
+        vols = sorted(map_volume(m2.corner_array([e])[0]) for e in m2.active_ids())
         assert abs(sum(vols) - 1.0) < 1e-12
         # areas: x split at 0.75, y at 0.375
         expect = sorted([0.75 * 0.375, 0.75 * 0.625, 0.25 * 0.375, 0.25 * 0.625])
@@ -188,7 +200,7 @@ class TestRefinement:
     def test_one_irregularity_closure(self):
         m = square_mesh(2)
         m = m.refine_element(0)
-        child = m.elements[0].children[3]
+        child = m.first_child[0] + 3
         m = m.refine_element(child)  # neighbors must be refined by closure
         for eid in m.active_ids():
             for info in m.facet_neighbors(eid):
@@ -235,8 +247,8 @@ class TestNeighbors:
         f0 = [f for f, info in enumerate(m.facet_neighbors(0))
               if info.kind == "interior"][0]
         tm, tn = piece_coords(i01[0], xi)
-        a = m.element_map(0).map_point(m.facet_embed(f0, tm))
-        b = m.element_map(1).map_point(m.facet_embed(i01[0].facet, tn))
+        a = map_points(m.corner_array([0])[0], m.facet_embed(f0, tm))
+        b = map_points(m.corner_array([1])[0], m.facet_embed(i01[0].facet, tn))
         np.testing.assert_allclose(a, b, atol=1e-14)
 
     def test_parent_facet_lists_child_facets(self):
@@ -247,7 +259,7 @@ class TestNeighbors:
                   for p in info.pieces]
         children = {p.neighbor for p in pieces}
         assert len(pieces) == 2
-        assert children <= set(m.elements[0].children)
+        assert children <= set(range(m.first_child[0], m.first_child[0] + 4))
 
     def test_normals_outward_and_opposite(self, rng):
         m = distorted_quad_mesh()
@@ -285,7 +297,7 @@ class TestSnapshots:
             return set(tab.act[tab.nb[rows]].tolist())
 
         assert named(before) == {0, 3}
-        children = named(after) & set(m2.elements[0].children)
+        children = named(after) & set(range(m2.first_child[0], m2.first_child[0] + 4))
         assert len(children) == 2 and named(after) == {3} | children
 
     @pytest.mark.parametrize("derive", ["refine_many", "with_degrees",
@@ -328,12 +340,12 @@ def _oracle_facet_neighbors(mesh, eid):
     other side of its plane, or on the paired root facet, mapped there
     through the pairing's perm and flip."""
     d = mesh.dim
+    box, root = mesh.boxes, mesh.root.tolist()
     idx = {}
-    for el in mesh.elements:
-        if el.children is None:
-            for k in range(d):
-                idx.setdefault((el.root, k, float(el.box_lo[k])), []).append((el.eid, 0))
-                idx.setdefault((el.root, k, float(el.box_hi[k])), []).append((el.eid, 1))
+    for e in mesh.active_ids():
+        for k in range(d):
+            for side in (0, 1):
+                idx.setdefault((root[e], k, float(box[e, k, side])), []).append((e, side))
     nb_roots, nb_facets, perms, flips = mesh._root_pairing
     pairings = {(r, f): {"element": int(nb_roots[r, f]), "facet": int(nb_facets[r, f]),
                          "perm": tuple(perms[r, f].tolist()),
@@ -354,7 +366,7 @@ def _oracle_facet_neighbors(mesh, eid):
         return out
 
     def make_piece(el, nel, nb_f, my_axes, nb_axes, overlap, perm, flip):
-        nb_box = tuple(to_ref(*overlap[j], nel.box_lo[a], nel.box_hi[a])
+        nb_box = tuple(to_ref(*overlap[j], *box[nel, a])
                        for j, a in enumerate(nb_axes))
         my_box = []
         for p, a in enumerate(my_axes):
@@ -362,35 +374,35 @@ def _oracle_facet_neighbors(mesh, eid):
             lo, hi = overlap[j]
             if flip[j]:
                 lo, hi = -hi, -lo
-            my_box.append(to_ref(lo, hi, el.box_lo[a], el.box_hi[a]))
+            my_box.append(to_ref(lo, hi, *box[el, a]))
         full = 2.0 ** (d - 1) - 1e-12
         my_full = np.prod([b[1] - b[0] for b in my_box]) >= full
         nb_full = np.prod([b[1] - b[0] for b in nb_box]) >= full
         rel = ("equal" if nb_full else "coarse_nb") if my_full else (
             "fine_nb" if nb_full else "partial")
-        return FacetPiece(neighbor=nel.eid, facet=nb_f, my_box=tuple(my_box),
+        return FacetPiece(neighbor=nel, facet=nb_f, my_box=tuple(my_box),
                           nb_box=nb_box, perm=tuple(perm), flip=tuple(flip),
                           relation=rel)
 
-    el = mesh.elements[eid]
+    def interval(e, a):
+        return tuple(box[e, a].tolist())
+
     out = []
     for f in range(2 * d):
         k, s = divmod(f, 2)
-        if el.boundary_tags[f] is not None:
-            out.append(FacetInfo(kind="boundary", tag=el.boundary_tags[f]))
+        if mesh.tags[eid, f] is not None:
+            out.append(FacetInfo(kind="boundary", tag=mesh.tags[eid, f]))
             continue
-        plane = float(el.box_hi[k]) if s == 1 else float(el.box_lo[k])
+        plane = float(box[eid, k, s])
         axes = [a for a in range(d) if a != k]
-        my_iv = [(float(el.box_lo[a]), float(el.box_hi[a])) for a in axes]
+        my_iv = [interval(eid, a) for a in axes]
         pieces = []
-        pa = pairings.get((el.root, f)) if abs(plane) == 1.0 else None
+        pa = pairings.get((root[eid], f)) if abs(plane) == 1.0 else None
         if pa is None:
-            for nb, ns in idx.get((el.root, k, plane), ()):
-                nel = mesh.elements[nb]
-                ov = intersect(my_iv, [(float(nel.box_lo[a]), float(nel.box_hi[a]))
-                                       for a in axes])
+            for nb, ns in idx.get((root[eid], k, plane), ()):
+                ov = intersect(my_iv, [interval(nb, a) for a in axes])
                 if nb != eid and ns != s and ov is not None:
-                    pieces.append(make_piece(el, nel, 2 * k + 1 - s, axes, axes, ov,
+                    pieces.append(make_piece(eid, nb, 2 * k + 1 - s, axes, axes, ov,
                                              tuple(range(d - 1)), (False,) * (d - 1)))
         else:
             nk, ns = divmod(pa["facet"], 2)
@@ -400,11 +412,9 @@ def _oracle_facet_neighbors(mesh, eid):
                 a, b = my_iv[pa["perm"][j]]
                 tr_iv.append((-b, -a) if pa["flip"][j] else (a, b))
             for nb, nss in idx.get((pa["element"], nk, 2.0 * ns - 1.0), ()):
-                nel = mesh.elements[nb]
-                ov = intersect(tr_iv, [(float(nel.box_lo[a]), float(nel.box_hi[a]))
-                                       for a in nb_axes])
+                ov = intersect(tr_iv, [interval(nb, a) for a in nb_axes])
                 if nss == ns and ov is not None:
-                    pieces.append(make_piece(el, nel, pa["facet"], axes, nb_axes, ov,
+                    pieces.append(make_piece(eid, nb, pa["facet"], axes, nb_axes, ov,
                                              pa["perm"], pa["flip"]))
         out.append(FacetInfo(kind="interior", pieces=tuple(pieces)))
     return out
@@ -492,8 +502,8 @@ class TestIO:
         m2 = Mesh.read_text(path)
         assert len(m2.active_ids()) == len(m.active_ids())
         assert abs(m2.total_volume() - m.total_volume()) < 1e-12
-        degs = sorted(m.elements[e].degree for e in m.active_ids())
-        degs2 = sorted(m2.elements[e].degree for e in m2.active_ids())
+        degs = sorted(m.degree[m.active_ids()].tolist())
+        degs2 = sorted(m2.degree[m2.active_ids()].tolist())
         assert degs == degs2
         # boundary facet count must match
         def nb(mm):

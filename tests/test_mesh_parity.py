@@ -99,16 +99,14 @@ def record(mesh):
         mesh.write_text(path)
         with open(path) as fh:
             text = fh.read()
-    els = [mesh.elements[e] for e in range(len(mesh.elements))]
     return {
         "text": text,
-        "root": [int(e.root) for e in els],
-        "level": [int(e.level) for e in els],
-        "parent": [None if e.parent is None else int(e.parent) for e in els],
-        "children": [None if e.children is None else [int(c) for c in e.children]
-                     for e in els],
-        "box": [np.stack([e.box_lo, e.box_hi], axis=-1).astype(float)
-                .tobytes().hex() for e in els],
+        "root": mesh.root.tolist(),
+        "level": mesh.level.tolist(),
+        "parent": [None if p < 0 else p for p in mesh.parent.tolist()],
+        "children": [None if c < 0 else list(range(c, c + 2**mesh.dim))
+                     for c in mesh.first_child.tolist()],
+        "box": [box.astype(float).tobytes().hex() for box in mesh.boxes],
     }
 
 

@@ -5,9 +5,9 @@ scipy's sparse kernels, kept here as the oracles, bit for bit.
   it must equal the rows of P, sliced by scipy, times u, for 1-D and
   2-column u, signed zeros included.
 - `ScalarSpace.local_operator(ncomp, positions)` gathers the rows of
-  P (x) I_ncomp from P once per (ncomp, positions) and space; they must
-  equal scipy's fancy row slicing of scipy's Kronecker product, and their
-  cached transpose must equal scipy's.
+  P (x) I_ncomp from P's arrays, with their transpose, once per call; they
+  must equal scipy's fancy row slicing of scipy's Kronecker product, and
+  the transpose must equal scipy's.
 - `gauss_local_operator` (conftest) forms the identity rows of the
   Gauss-point space directly.
 - `assembly.galerkin` forms the block diagonal as CSR straight from the
@@ -24,9 +24,11 @@ import pytest
 import scipy.sparse as sp
 
 import hpfem.space as space_module
-from conftest import assembly_case, gauss_local_operator, square_mesh
+from conftest import (assembly_case, gauss_local_operator, operator_matrix,
+                      operator_rows, square_mesh)
 from hpfem.assembly import assemble_system, element_groups, galerkin
 from hpfem.elliptic import assemble_scalar
+from hpfem.mesh import is_affine
 from hpfem.problems import cube_mesh
 from hpfem.space import GaussPointSpace, ScalarSpace
 from test_space_parity import SPACE_CASES, space_case
@@ -97,11 +99,11 @@ def test_cached_rows_match_scipy_slicing(case):
     for ncomp in (1, 2, 3):
         for (p,), sel in element_groups(space).items():
             rows = space.local_operator(ncomp, sel)
-            assert isinstance(rows, space_module.OperatorRows)
-            assert not rows.data.flags.writeable  # shared by every caller
-            _same_csr(rows, _group_rows(space, sel, ncomp))
-            _same_csr(rows.transposed, rows.T.tocsr())
-            assert space.local_operator(ncomp, list(sel)) is rows
+            want = _group_rows(space, sel, ncomp)
+            _same_csr(operator_matrix(rows), want)
+            indptr, indices, data = rows[1]
+            _same_csr(sp.csr_matrix((data, indices, indptr), shape=want.shape[::-1]),
+                      want.T.tocsr())
     n = 3 * qspace.ndof
     for sel in element_groups(qspace).values():
         rows = space_module._element_rows(qspace.offsets, sel, 3)
@@ -127,8 +129,8 @@ def test_galerkin_matches_bsr_oracle(case):
     d = space.dim
     for (p,), sel in element_groups(space).items():
         rows = space.local_operator(d, sel)
-        qrows = gauss_local_operator(qspace, 2, sel)
-        n, nr, nq = len(sel), rows.shape[0] // len(sel), qrows.shape[0] // len(sel)
+        matrix, qrows = operator_matrix(rows), gauss_local_operator(qspace, 2, sel)
+        n, nr, nq = len(sel), matrix.shape[0] // len(sel), qrows.shape[0] // len(sel)
         square = rng.standard_normal((n, nr, nr))
         square[:, ::2, 1::3] = 0.0  # explicit zeros stay in the pattern
         coupling = rng.standard_normal((n, nr, nq))
@@ -136,38 +138,38 @@ def test_galerkin_matches_bsr_oracle(case):
         # blocks give what the product through the identity rows gives
         coupling[:, 1::3, ::2] = 0.0
         coupling[:, ::4, 1::2] = -0.0
-        _same_csr(galerkin(rows, square), galerkin_oracle(rows, square))
+        _same_csr(galerkin(rows, square), galerkin_oracle(matrix, square))
         _same_csr(galerkin(rows, coupling, qspace.element_dofs(sel, 2),
                            2 * qspace.ndof),
-                  galerkin_oracle(rows, coupling, qrows))
+                  galerkin_oracle(matrix, coupling, qrows))
         qblocks = rng.standard_normal((n, nq, nq))
-        _same_csr(galerkin(qrows, qblocks), galerkin_oracle(qrows, qblocks))
+        _same_csr(galerkin(operator_rows(qrows), qblocks),
+                  galerkin_oracle(qrows, qblocks))
 
 
 def test_rows_are_gathered_once_per_space(monkeypatch):
-    """Assembling twice on one space gathers each group's rows once: the
-    second mixed and scalar assemblies gather nothing and give the same
-    matrices."""
+    """An assembly on a space gathers each group's rows once, and the loads
+    gather none: the mixed assembly the displacement rows of each (degree,
+    affinity) group, the scalar one the rows of each degree group. Assembling
+    again gathers as many and gives the same matrices."""
     space, qspace, material, loads, problem = assembly_case("lshape")
     calls = []
-    gather = space_module._operator_rows
+    gather = ScalarSpace.local_operator
 
-    def counted(P, rows, ncomp):
+    def counted(self, ncomp, positions):
         calls.append(ncomp)
-        return gather(P, rows, ncomp)
+        return gather(self, ncomp, positions)
 
-    monkeypatch.setattr(space_module, "_operator_rows", counted)
+    monkeypatch.setattr(ScalarSpace, "local_operator", counted)
     system = assemble_system(space, qspace, material, loads)
     A, b = assemble_scalar(space, problem)
-    first = len(calls)
-    # one gather per degree group and component count, and per boundary
-    # facet group of the loads
-    groups = len(element_groups(space))
-    assert calls.count(1) >= groups and calls.count(space.dim) >= groups
-    assert first == len(space._rows)
+    affine = is_affine(space.mesh.corner_array(space.mesh.active_ids()))
+    want = ([space.dim] * len(element_groups(space, affine))
+            + [1] * len(element_groups(space)))
+    assert calls == want
     again = assemble_system(space, qspace, material, loads)
     A2, b2 = assemble_scalar(space, problem)
-    assert len(calls) == first
+    assert calls == 2 * want
     for have, want in ((again.K, system.K), (again.B, system.B),
                        (again.C, system.C), (A2, A)):
         _same_csr(have, want)

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 import hpfem.plasticity as plasticity
 from conftest import distorted_quad_mesh, random_refined_mesh, square_mesh
+from hpfem._kernels import chi_blocks
 from hpfem.assembly import (Loads, Material, MixedSystem,
                             QuadratureAccuracyWarning,
                             assemble_system, bilinear_value,
                             plastic_functional, total_energy)
 from hpfem.plasticity import (ElementBlocks, NewtonConfig,
-                              check_complementarity, chi, chi_coords,
+                              check_complementarity, chi,
                               condensed_newton_step, default_rho,
                               elastic_solve, factorize, generalized_jacobian,
                               in_admissible_gauss, in_admissible_weak,
@@ -62,8 +63,8 @@ class TestChi:
             pm = np.einsum("l,lab->ab", pc, Phi)
             lm = np.einsum("l,lab->ab", lc, Phi)
             cm = chi(pm, lm, sigma, rho)
-            cc, _, _ = chi_coords(pc[None, :], lc[None, :],
-                                  np.array([sigma]), rho)
+            cc, _, _ = chi_blocks(pc[None, :], lc[None, :],
+                                   np.array([sigma]), rho)
             np.testing.assert_allclose(np.einsum("l,lab->ab", cc[0], Phi), cm,
                                        atol=1e-13)
 
@@ -102,8 +103,8 @@ class TestGeneralizedJacobian:
         return system, qs
 
     def test_interior_branch_blocks(self, rng):
-        _, dp, dl = chi_coords(np.zeros((3, 2)), 0.1 * np.ones((3, 2)),
-                               np.ones(3), 2.5, want_jacobian=True)
+        _, dp, dl = chi_blocks(np.zeros((3, 2)), 0.1 * np.ones((3, 2)),
+                                np.ones(3), 2.5, want_jacobian=True)
         for i in range(3):
             np.testing.assert_allclose(dp[i], -2.5 * np.eye(2), atol=1e-15)
             np.testing.assert_allclose(dl[i], 0.0, atol=1e-15)
@@ -120,17 +121,17 @@ class TestGeneralizedJacobian:
             w = lam + rho * p
             if np.linalg.norm(w) < sigma + 0.1:
                 p *= (sigma + 0.5) / np.linalg.norm(w)
-            _, dp, dl = chi_coords(p[None], lam[None], np.array([sigma]), rho,
-                                   want_jacobian=True)
+            _, dp, dl = chi_blocks(p[None], lam[None], np.array([sigma]), rho,
+                                    want_jacobian=True)
             for a in range(L):
                 e = np.zeros(L)
                 e[a] = h
-                cp, _, _ = chi_coords((p + e)[None], lam[None], np.array([sigma]), rho)
-                cm, _, _ = chi_coords((p - e)[None], lam[None], np.array([sigma]), rho)
+                cp, _, _ = chi_blocks((p + e)[None], lam[None], np.array([sigma]), rho)
+                cm, _, _ = chi_blocks((p - e)[None], lam[None], np.array([sigma]), rho)
                 np.testing.assert_allclose(dp[0][:, a], (cp - cm)[0] / (2 * h),
                                            atol=1e-5)
-                cp, _, _ = chi_coords(p[None], (lam + e)[None], np.array([sigma]), rho)
-                cm, _, _ = chi_coords(p[None], (lam - e)[None], np.array([sigma]), rho)
+                cp, _, _ = chi_blocks(p[None], (lam + e)[None], np.array([sigma]), rho)
+                cm, _, _ = chi_blocks(p[None], (lam - e)[None], np.array([sigma]), rho)
                 np.testing.assert_allclose(dl[0][:, a], (cp - cm)[0] / (2 * h),
                                            atol=1e-5)
 
@@ -139,8 +140,8 @@ class TestGeneralizedJacobian:
         sigma, rho = 1.0, 2.0
         lam = np.array([sigma, 0.0])
         p = np.zeros(2)
-        _, dp, dl = chi_coords(p[None], lam[None], np.array([sigma]), rho,
-                               want_jacobian=True)
+        _, dp, dl = chi_blocks(p[None], lam[None], np.array([sigma]), rho,
+                                want_jacobian=True)
         what = np.array([1.0, 0.0])
         proj_active_dl = (np.linalg.norm(lam) - sigma) * np.eye(2) \
             + np.outer(lam, what)
@@ -434,7 +435,7 @@ class TestProjectionRows:
         sigma = rng.uniform(0.2, 2.0, N)
         p, lam = (v.reshape(N, L) for v in _mixed_rows(rng, N, L, sigma, rho))
         pi, ch, _, _, act = plasticity._projection_rows(p, lam, sigma, rho)
-        ref, _, _ = chi_coords(p, lam, sigma, rho)
+        ref, _, _ = chi_blocks(p, lam, sigma, rho)
         np.testing.assert_array_equal(ch, ref)
         nw = np.linalg.norm(lam + rho * p, axis=1)
         np.testing.assert_array_equal(act, nw >= sigma)
@@ -454,8 +455,8 @@ class TestCondensedStep:
         p, lam = _mixed_rows(rng, qs.ndof, L, qs.bounds, rho)
         u = rng.standard_normal(system.K.shape[0])
         F = residual(system, qs, u, p, lam, rho)
-        _, dp, dl = chi_coords(p.reshape(-1, L), lam.reshape(-1, L), qs.bounds,
-                               rho, want_jacobian=True)
+        _, dp, dl = chi_blocks(p.reshape(-1, L), lam.reshape(-1, L), qs.bounds,
+                                rho, want_jacobian=True)
         step = condensed_newton_step(blocks, dp, dl, F)
         full = np.linalg.solve(
             generalized_jacobian(system, qs, p, lam, rho).toarray(), -F)

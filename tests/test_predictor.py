@@ -5,11 +5,13 @@ import numpy as np
 import pytest
 
 from conftest import (distorted_quad_mesh, element_quadrature, eval_element,
-                      facet_area_element, random_refined_mesh, square_mesh)
+                      facet_area_element, map_dets, map_volume,
+                      random_refined_mesh, square_mesh)
 from hpfem import _kernels
 from hpfem.elliptic import (ScalarProblem, assemble_scalar, energy_error_sq,
                             poisson_blocks, solve_scalar)
-from hpfem.mesh import ElementMap, Mesh, corner_bits, is_affine, positions_of
+from hpfem.mesh import (Mesh, corner_bits, is_affine, map_jacobians, map_points,
+                        positions_of)
 from hpfem.polybasis import tensor_gauss, tensor_indices, tensor_shape_eval
 from hpfem.predictor import (EnrichmentCandidate, Prediction, _best,
                              _solve_bordered, apply_enrichment, child_local_matrices,
@@ -38,10 +40,10 @@ def _whole_mesh_comparability(mesh):
     for _ in range(100):
         raises = {}
         for eid in mesh.active_ids():
-            p = mesh.elements[eid].degree
+            p = mesh.degree[eid]
             for info in mesh.facet_neighbors(eid):
                 for piece in info.pieces:
-                    q = mesh.elements[piece.neighbor].degree
+                    q = mesh.degree[piece.neighbor]
                     if p - q > 1:
                         raises[piece.neighbor] = max(raises.get(piece.neighbor, 0), p - 1)
         if not raises:
@@ -140,13 +142,14 @@ def child_box(bits, zhat):
 
 
 def child_maps(space, candidate):
-    """The maps of the children of the candidate's element (at the centre
-    for a p-candidate): the parent map at the corners of each child box."""
+    """The corners (2^d, d) of the children of the candidate's element (at
+    the centre for a p-candidate): the parent map at the corners of each
+    child box."""
     d = space.dim
     zhat = np.zeros(d) if candidate.zhat is None else np.asarray(candidate.zhat)
-    emap = space.mesh.element_map(candidate.element)
+    corners = space.mesh.corner_array([candidate.element])[0]
     bits = corner_bits(d)
-    return [ElementMap(emap.map_point(np.where(bits == 0, *child_box(b, zhat))))
+    return [map_points(corners, np.where(bits == 0, *child_box(b, zhat)))
             for b in bits]
 
 
@@ -159,11 +162,10 @@ def eval_enrichment(space, candidate, which, pts_parent):
     mesh = space.mesh
     eid = candidate.element
     d = space.dim
-    emap = mesh.element_map(eid)
     if candidate.kind == "p":
         multi = np.array([candidate.p_multis[which]])
         V, G = tensor_shape_eval(pts_parent, multi, jmax=candidate.degree_cap)
-        Jinv = np.linalg.inv(emap.jacobian(pts_parent))
+        Jinv = np.linalg.inv(map_jacobians(mesh.corner_array([eid])[0], pts_parent))
         return V[:, 0], np.einsum("qa,qam->qm", G[:, 0, :], Jinv)
     axes, loc, dist = candidate.hp_nodes[which]
     zhat = np.asarray(candidate.zhat)
@@ -181,7 +183,7 @@ def eval_enrichment(space, candidate, which, pts_parent):
         multi = np.array([[dist[axes.index(k)] if k in axes else 1 - b[k]
                            for k in range(d)]])
         V, G = tensor_shape_eval(child_pts, multi, jmax=candidate.degree_cap)
-        Jinv = np.linalg.inv(cmap.jacobian(child_pts))
+        Jinv = np.linalg.inv(map_jacobians(cmap, child_pts))
         vals[inside] = V[:, 0]
         grads[inside] = np.einsum("qa,qam->qm", G[:, 0, :], Jinv)
     return vals, grads
@@ -214,7 +216,7 @@ class TestRepresentation:
         m = square_mesh(2, degree=2, tagger=lambda c: "neumann")
         m = m.refine_element(0)  # include hanging constraints
         sp = ScalarSpace(m)
-        eid = [e for e in m.active_ids() if m.elements[e].level == 0][0]
+        eid = [e for e in m.active_ids() if m.level[e] == 0][0]
         cand = p_enrichment(sp, eid)
         rep = representation_matrices(sp, cand)
         idx = tensor_indices(rep.degree, 2)
@@ -236,8 +238,7 @@ class TestRepresentation:
         m = square_mesh(1, degree=1, tagger=lambda c: "neumann")
         sp = ScalarSpace(m)
         rep = representation_matrices(sp, hp_enrichment(sp, 0, zhat=(0.25, -0.5)))
-        maps = [ElementMap(c) for c in rep.child_corners]
-        assert abs(sum(cm.volume() for cm in maps) - 1.0) < 1e-14
+        assert abs(sum(map(map_volume, rep.child_corners)) - 1.0) < 1e-14
 
     def test_child_loads_follow_problem_extra_order(self):
         # the child loads use the quadrature order of the global load,
@@ -257,9 +258,8 @@ class TestRepresentation:
         pts, wts = tensor_gauss(P + 1 + 5, 2)
         V, _ = tensor_shape_eval(pts, tensor_indices(P, 2), jmax=P)
         for row, corners in enumerate(rep.child_corners):
-            cmap = ElementMap(corners)
-            w = wts * cmap.det_jacobian(pts)
-            direct = V.T @ (w * f(cmap.map_point(pts)))
+            w = wts * map_dets(corners, pts)
+            direct = V.T @ (w * f(map_points(corners, pts)))
             np.testing.assert_allclose(b_loc[row], direct, rtol=0,
                                        atol=1e-14 * np.abs(direct).max())
 
@@ -273,6 +273,7 @@ def quadrature_prediction_oracle(space, problem, u_W, split, candidate,
     eid = candidate.element
     d = space.dim
     maps = child_maps(space, candidate)
+    parent = mesh.corner_array([eid])[0]
     L = candidate.size
     P = max(candidate.degree_cap, space.mesh.degree[eid])
 
@@ -295,13 +296,13 @@ def quadrature_prediction_oracle(space, problem, u_W, split, candidate,
     b_l = 0.0
     for row, b in enumerate(bits):
         cmap = maps[row]
-        J = cmap.jacobian(pts)
+        J = map_jacobians(cmap, pts)
         det = np.linalg.det(J)
         w = wts * det
         lo = np.where(np.asarray(b) == 0, -1.0, zhat)
         hi = np.where(np.asarray(b) == 0, zhat, 1.0)
         ppts = lo + 0.5 * (pts + 1.0) * (hi - lo)
-        Jinv_parent = np.linalg.inv(mesh.element_map(eid).jacobian(ppts))
+        Jinv_parent = np.linalg.inv(map_jacobians(parent, ppts))
         g_rest = grad_of(split.u_rest, eid, ppts, Jinv_parent)
         g_loc = grad_of(split.u_local, eid, ppts, Jinv_parent)
         gx = np.stack([eval_enrichment(space, candidate, k, ppts)[1]
@@ -313,7 +314,7 @@ def quadrature_prediction_oracle(space, problem, u_W, split, candidate,
         a_ll += float(np.einsum("q,qm,qm->", w, g_loc, g_loc))
         b_r_el = 0.0
         if problem.volume is not None:
-            fv = np.asarray(problem.volume(cmap.map_point(pts)), dtype=float)
+            fv = np.asarray(problem.volume(map_points(cmap, pts)), dtype=float)
             vals_rest = eval_element(space, eid, split.u_rest, ppts)
             vals_loc = eval_element(space, eid, split.u_local, ppts)
             vx = np.stack([eval_enrichment(space, candidate, k, ppts)[0]
@@ -326,15 +327,15 @@ def quadrature_prediction_oracle(space, problem, u_W, split, candidate,
     for e2 in mesh.active_ids():
         if e2 != eid:
             p2 = space.mesh.degree[e2]
-            emap2 = mesh.element_map(e2)
+            corners2 = mesh.corner_array([e2])[0]
             pts2, wts2 = tensor_gauss(p2 + quad_bump, d)
-            J2 = emap2.jacobian(pts2)
+            J2 = map_jacobians(corners2, pts2)
             det2 = np.linalg.det(J2)
             w2 = wts2 * det2
             g2 = grad_of(split.u_rest, e2, pts2, np.linalg.inv(J2))
             a_rr += float(np.einsum("q,qm,qm->", w2, g2, g2))
             if problem.volume is not None:
-                fv2 = np.asarray(problem.volume(emap2.map_point(pts2)),
+                fv2 = np.asarray(problem.volume(map_points(corners2, pts2)),
                                  dtype=float)
                 b_r += float(w2 @ (fv2 * eval_element(space, e2, split.u_rest,
                                                             pts2)))
@@ -346,7 +347,7 @@ def quadrature_prediction_oracle(space, problem, u_W, split, candidate,
                 ref = mesh.facet_embed(f, qf)
                 dS, _ = facet_area_element(mesh, e2, f, qf)
                 gv = np.asarray(problem.neumann(
-                    mesh.element_map(e2).map_point(ref)), dtype=float)
+                    map_points(mesh.corner_array([e2])[0], ref)), dtype=float)
                 b_r += float((wf * dS * gv)
                              @ eval_element(space, e2, split.u_rest, ref))
                 b_l += float((wf * dS * gv)
@@ -354,13 +355,13 @@ def quadrature_prediction_oracle(space, problem, u_W, split, candidate,
     # u_rest inside Q via the children quadrature
     for row, b in enumerate(bits):
         cmap = maps[row]
-        J = cmap.jacobian(pts)
+        J = map_jacobians(cmap, pts)
         det = np.linalg.det(J)
         w = wts * det
         lo = np.where(np.asarray(b) == 0, -1.0, zhat)
         hi = np.where(np.asarray(b) == 0, zhat, 1.0)
         ppts = lo + 0.5 * (pts + 1.0) * (hi - lo)
-        Jinv_parent = np.linalg.inv(mesh.element_map(eid).jacobian(ppts))
+        Jinv_parent = np.linalg.inv(map_jacobians(parent, ppts))
         g_rest = grad_of(split.u_rest, eid, ppts, Jinv_parent)
         a_rr += float(np.einsum("q,qm,qm->", w, g_rest, g_rest))
     # dense Galerkin solve on Y = span{u_rest, xi}
@@ -553,7 +554,7 @@ class TestChooserAndApply:
         best, _ = choose_enrichment(sp, UNIT_F, A, b, u,
                                     {0: [p_enrichment(sp, 0)]})[0]
         m2 = apply_enrichment(m, [best])
-        assert m2.elements[0].degree == 3
+        assert m2.degree[0] == 3
 
     def test_apply_hp_choice_inherits_degree(self):
         m = square_mesh(2, degree=2, tagger=lambda c: "dirichlet")
@@ -562,10 +563,9 @@ class TestChooserAndApply:
         best, _ = choose_enrichment(sp, UNIT_F, A, b, u,
                                     {0: [hp_enrichment(sp, 0)]})[0]
         m2 = apply_enrichment(m, [best])
-        assert m2.elements[0].children is not None
-        kids = m2.elements[0].children
-        assert len(kids) == 4
-        assert all(m2.elements[c].degree == 2 for c in kids)
+        first = m2.first_child[0]
+        assert first >= 0
+        assert (m2.degree[first:first + 4] == 2).all()
 
     def test_ties_prefer_p_then_earlier(self):
         m = square_mesh(1, degree=2, tagger=lambda c: "neumann")
@@ -604,12 +604,12 @@ class TestChooserAndApply:
         m2 = enforce_degree_comparability(m, {0: 5})
         assert m2.degree[0] == 5
         for eid in m2.active_ids():
-            p = m2.elements[eid].degree
+            p = m2.degree[eid]
             for info in m2.facet_neighbors(eid):
                 if info.kind != "interior":
                     continue
                 for piece in info.pieces:
-                    q = m2.elements[piece.neighbor].degree
+                    q = m2.degree[piece.neighbor]
                     assert abs(p - q) <= 1
 
     @pytest.mark.parametrize("seed", range(6))
@@ -629,7 +629,7 @@ class TestChooserAndApply:
                 old = m.refine_element(eid, np.asarray(zhat))
             else:
                 cand = EnrichmentCandidate(kind="p", element=eid, zhat=None)
-                old = m.with_degrees({eid: m.elements[eid].degree + 1})
+                old = m.with_degrees({eid: int(m.degree[eid]) + 1})
             new = apply_enrichment(m, [Prediction(candidate=cand, delta_e2=0.0, eps=0.0,
                                                   y=np.zeros(0), rho_w_yxi=0.0)])
             try:
@@ -710,11 +710,11 @@ def test_mixed_affinity_group_matches_element_quadrature(degree, block):
     order = degree + 3
     A, b = poisson_blocks(corners, degree, order, SMOOTH_F.volume, block)
     for k, eid in enumerate(eids):
-        emap, pts, wts, det, Jinv = element_quadrature(mesh, eid, order)
+        one, pts, wts, det, Jinv = element_quadrature(mesh, eid, order)
         V, G = tensor_shape_eval(pts, tensor_indices(degree, 2), jmax=degree)
         dphi, w = G @ Jinv, wts * det
         A_ref = np.einsum("q,qik,qjk->ij", w, dphi, dphi)
-        b_ref = (w * SMOOTH_F.volume(emap.map_point(pts))) @ V
+        b_ref = (w * SMOOTH_F.volume(map_points(one, pts))) @ V
         np.testing.assert_allclose(A[k], A_ref, rtol=0,
                                    atol=1e-13 * np.abs(A_ref).max())
         np.testing.assert_allclose(b[k], b_ref, rtol=0,

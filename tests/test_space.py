@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (ROTATED_CASES, distorted_quad_mesh, eval_element,
-                      gauss_basis_at, gauss_eval_primal, piece_coords,
-                      random_refined_mesh, rotated_roots_mesh, square_mesh)
-from hpfem.mesh import Mesh, check_det_affine
+                      gauss_basis_at, gauss_eval_primal, map_dets, map_volume,
+                      operator_matrix, piece_coords, random_refined_mesh,
+                      rotated_roots_mesh, square_mesh)
+from hpfem.mesh import Mesh, check_det_affine, map_points
 from hpfem.problems import cube_mesh
 from hpfem.polybasis import tensor_gauss, tensor_indices, tensor_shape_eval
 from hpfem.predictor import enforce_degree_comparability
@@ -144,7 +145,7 @@ class TestBiorthogonality:
         # p = 1: indicator functions, weight = element volume
         for i, eid in enumerate(m.active_ids()):
             sl = slice(*qs.offsets[i:i + 2])
-            assert abs(qs.weights[sl][0] - m.element_map(eid).volume()) < 1e-12
+            assert abs(qs.weights[sl][0] - map_volume(m.corner_array([eid])[0])) < 1e-12
 
     def test_affine_p2_weights(self):
         m = square_mesh(1, degree=2, tagger=lambda c: "neumann")
@@ -153,8 +154,7 @@ class TestBiorthogonality:
 
     def test_dual_equals_primal_on_det_affine(self, rng):
         m = square_mesh(2, degree=3, tagger=lambda c: "neumann")
-        for eid in m.active_ids():
-            assert check_det_affine(m.element_map(eid))
+        assert check_det_affine(m.corner_array(m.active_ids())).all()
         qs = GaussPointSpace(m, 1.0)
         for i in range(len(m.active_ids())):
             sl = slice(*qs.offsets[i:i + 2])
@@ -172,10 +172,9 @@ def _biorth_defect(m, qs):
     worst = 0.0
     eye = np.eye(qs.ndof)
     for i, eid in enumerate(m.active_ids()):
-        emap = m.element_map(eid)
         p = max(qs.mesh.degree[eid], 1)
         pts, wts = tensor_gauss(p + 3, m.dim)
-        det = emap.det_jacobian(pts)
+        det = map_dets(m.corner_array([eid])[0], pts)
         V = gauss_basis_at(qs, eid, pts)
         sl = slice(*qs.offsets[i:i + 2])
         W = V @ qs.element_rows([i], eye[:, sl], dual=True)[0]
@@ -249,7 +248,7 @@ class TestConnectivity:
         # the element's rows of P: an interior dof enters its own shape only
         m = square_mesh(1, degree=3, tagger=lambda c: "neumann")
         sp = ScalarSpace(m)
-        P = sp.local_operator(1, [0]).toarray()
+        P = operator_matrix(sp.local_operator(1, [0])).toarray()
         idx = tensor_indices(3, 2)
         for i, slot in enumerate(sp.dofs):
             if slot[0] != "i":
@@ -274,10 +273,10 @@ class TestConnectivity:
         # the vertex shape of that corner (at degree 1, shape = corner)
         touching = 0
         for pos, eid in enumerate(m.active_ids()):
-            corners = list(m.elements[eid].corners)
+            corners = m.corners[eid].tolist()
             if vid not in corners:
                 continue
-            row = sp.local_operator(1, [pos])[corners.index(vid)]
+            row = operator_matrix(sp.local_operator(1, [pos]))[corners.index(vid)]
             assert sorted(row.indices) == sorted(dofs)
             np.testing.assert_allclose(sorted(abs(row.data)), [0.5, 0.5],
                                        atol=1e-13)
@@ -298,7 +297,7 @@ class TestConnectivity:
                 u[i] = lin(np.asarray(m.vertices[slot[1]])[None, :])[0]
         for eid in m.active_ids():
             pts = rng.uniform(-1, 1, (6, 2))
-            x = m.element_map(eid).map_point(pts)
+            x = map_points(m.corner_array([eid])[0], pts)
             np.testing.assert_allclose(eval_element(sp, eid, u, pts), lin(x),
                                        atol=1e-13)
 
@@ -332,18 +331,11 @@ class TestProjection:
         coeffs = rng.standard_normal((qs.ndof, L))
         Phi = deviatoric_basis(2)
 
-        def sampler(eid, x):
-            emap = m.element_map(eid)
-            # invert physical points back is avoidable: evaluate via primal
-            # basis at the known reference points
-            raise NotImplementedError
-
         # projection of a Q_hp member reproduces its coefficients: use the
         # identity (P f)_i = D_i^{-1} (f, phi_i) on f = sum c phi
         for i, eid in enumerate(m.active_ids()):
             pts, wts = tensor_gauss(max(qs.mesh.degree[eid], 1) + 2, 2)
-            emap = m.element_map(eid)
-            det = emap.det_jacobian(pts)
+            det = map_dets(m.corner_array([eid])[0], pts)
             V = gauss_basis_at(qs, eid, pts)
             sl = slice(*qs.offsets[i:i + 2])
             f = V @ coeffs[sl]
@@ -431,7 +423,7 @@ class TestRefinementProperties:
         # the children of root 1 meet root 4 along an edge only, and their
         # half-edges hang on root 4's edge: that edge takes their degree
         m = cube_mesh(2).refine_many([0, 1, 5, 6])
-        m = m.with_degrees({e: high if m.elements[e].root in (0, 4, 5) else low
+        m = m.with_degrees({e: high if m.root[e] in (0, 4, 5) else low
                             for e in m.active_ids()})
         assert all(abs(m.degree[e] - m.degree[piece.neighbor]) <= 1
                    for e in m.active_ids()
@@ -460,8 +452,8 @@ def _assert_continuous(m, seed):
                 ref_m = m.facet_embed(f, t_mine)
                 ref_n = m.facet_embed(piece.facet, t_nb)
                 np.testing.assert_allclose(
-                    m.element_map(eid).map_point(ref_m),
-                    m.element_map(piece.neighbor).map_point(ref_n),
+                    map_points(m.corner_array([eid])[0], ref_m),
+                    map_points(m.corner_array([piece.neighbor])[0], ref_n),
                     rtol=0, atol=1e-12)
                 np.testing.assert_allclose(
                     eval_element(space, eid, u, ref_m),
@@ -513,7 +505,7 @@ class TestRotatedRoots:
                 u[i] = lin(mesh.vertices[slot[1]])
         for eid in mesh.active_ids():
             pts = rng.uniform(-1, 1, (6, mesh.dim))
-            x = mesh.element_map(eid).map_point(pts)
+            x = map_points(mesh.corner_array([eid])[0], pts)
             np.testing.assert_allclose(eval_element(sp, eid, u, pts), lin(x),
                                        rtol=0, atol=1e-13)
 

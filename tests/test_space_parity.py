@@ -110,7 +110,7 @@ def test_cube_case_nests_constraints():
     nested = [v for eid in mesh.active_ids()
               for f, info in enumerate(mesh.facet_neighbors(eid))
               for piece in info.pieces if piece.relation == "coarse_nb"
-              for v in _facet_corner_ids(mesh.elements[piece.neighbor].corners,
+              for v in _facet_corner_ids(mesh.corners[piece.neighbor].tolist(),
                                          mesh.dim, piece.facet)
               if v in hanging]
     assert nested, "cube_nested has no constraint resolving through another"
