@@ -181,20 +181,19 @@ def is_affine(corners, tol=1e-12):
     return np.abs(J - J[..., :1, :, :]).max(axis=(-3, -2, -1)) <= tol * scale
 
 
-def check_det_affine(corners, n_samples=4, tol=1e-12):
+def check_det_affine(corners):
     """Whether det(dF) of the maps of a corner array (n, 2^d, d), or of one
-    element's corners (2^d, d), is reproduced exactly by its multilinear
-    interpolant: sampled on a tensor grid of n_samples >= 4 Gauss points per
-    direction, and compared against the least-squares multilinear fit with
-    relative tolerance tol."""
+    element's corners (2^d, d), is multilinear: sampled on the tensor grid of
+    4 Gauss points per direction, it must match its least-squares multilinear
+    fit to 1e-12 relative to its largest value."""
     corners = np.asarray(corners, dtype=float)
     d = corners.shape[-1]
-    pts, _ = tensor_gauss(max(n_samples, 4), d)
+    pts, _ = tensor_gauss(4, d)
     det = np.linalg.det(map_jacobians(corners, pts)).T
     basis, _ = tensor_shape_eval(pts, corner_bits(d), jmax=1)
     coef, *_ = np.linalg.lstsq(basis, det, rcond=None)
     resid = np.abs(basis @ coef - det).max(axis=0)
-    return resid <= tol * np.maximum(np.abs(det).max(axis=0), 1e-300)
+    return resid <= 1e-12 * np.maximum(np.abs(det).max(axis=0), 1e-300)
 
 
 @dataclass(frozen=True)
@@ -293,7 +292,7 @@ class Mesh:
                      "corners", "boxes", "tags"):
             setattr(self, name, _frozen(columns[name]))
         # per (root, local facet): the paired root and its facet (-1 where
-        # none), and the perm and flip of `_facet_pairing`; read-only
+        # none), and the perm and flip of `_pair_root_facets`; read-only
         self._root_pairing = root_pairing
         self._vreg = vertex_registry
         # a one-slot holder of the facet table, shared by degree snapshots,
@@ -314,46 +313,22 @@ class Mesh:
         vertices = np.atleast_2d(np.asarray(vertices, dtype=float))
         if dim is None:
             dim = vertices.shape[1]
-        nfacets = 2 * dim
         corners = np.asarray(cells, dtype=np.intp).reshape(-1, 2**dim)
         n = len(corners)
-        cells = corners.tolist()
-        tags = np.full((n, nfacets), None, dtype=object)
-        # facet-key matching between roots
-        r = dim - 1
-        nb_root = np.full((n, nfacets), -1, dtype=np.intp)
-        nb_facet = np.zeros((n, nfacets), dtype=np.intp)
-        perm = np.zeros((n, nfacets, r), dtype=np.intp)
-        flip = np.zeros((n, nfacets, r), dtype=bool)
-        key_map = {}
-        for eid, cell in enumerate(cells):
-            for f in range(nfacets):
-                key = frozenset(_facet_corner_ids(cell, dim, f))
-                key_map.setdefault(key, []).append((eid, f))
-        tag_lookup = {frozenset(int(v) for v in ids): tag
-                      for ids, tag in boundary or ()}
-        for key, entries in key_map.items():
-            if len(entries) == 1:
-                eid, f = entries[0]
-                tags[eid, f] = tag_lookup.get(key, default_tag)
-            elif len(entries) == 2:
-                (ea, fa), (eb, fb) = entries
-                pa, fl = _facet_pairing(cells[ea], fa, cells[eb], fb, dim)
-                nb_root[ea, fa], nb_facet[ea, fa] = eb, fb
-                nb_root[eb, fb], nb_facet[eb, fb] = ea, fa
-                perm[ea, fa], flip[ea, fa] = pa, fl
-                perm[eb, fb] = np.argsort(pa)
-                flip[eb, fb] = np.asarray(fl, dtype=bool)[perm[eb, fb]]
-            else:
-                raise ValueError("facet shared by more than two root elements")
+        ids = corners[:, facet_corner_rows(dim)].reshape(n * 2 * dim, -1)
+        pairing, single = _pair_root_facets(ids, dim)
+        tag_lookup = {frozenset(int(v) for v in vids): tag
+                      for vids, tag in boundary or ()}
+        tags = np.full(n * 2 * dim, None, dtype=object)
+        tags[single] = [tag_lookup.get(frozenset(vids), default_tag)
+                        for vids in ids[single].tolist()]
         vreg = {_vkey(v): i for i, v in enumerate(vertices)}
-        pairing = tuple(_frozen(a) for a in (nb_root, nb_facet, perm, flip))
         return cls(dim, vertices, pairing, vreg,
                    root=np.arange(n), level=np.zeros(n, dtype=np.intp),
                    degree=np.broadcast_to(np.asarray(degrees, dtype=np.intp), n).copy(),
                    parent=np.full(n, -1), first_child=np.full(n, -1),
                    corners=corners, boxes=np.tile([-1.0, 1.0], (n, dim, 1)),
-                   tags=tags)
+                   tags=tags.reshape(n, 2 * dim))
 
     # -- basic queries -------------------------------------------------------
 
@@ -749,30 +724,32 @@ def _closure_point(nb_box, nb_facet):
     return np.insert(z, nb_facet // 2, 0.0)
 
 
-def _facet_corner_ids(corners, dim, f):
-    """Corner vertex ids of local facet f, in the facet's own tensor order."""
-    return [corners[r] for r in facet_corner_rows(dim)[f].tolist()]
-
-
-def _facet_pairing(cell_a, fa, cell_b, fb, dim):
-    """In-facet axis correspondence between two conforming root facets, of
-    cells with corner ids cell_a and cell_b: for each in-facet position j of
-    the neighbor frame, the providing position perm[j] of this frame and a
-    flip flag."""
-    ids_a = _facet_corner_ids(cell_a, dim, fa)
-    ids_b = _facet_corner_ids(cell_b, dim, fb)
-    if dim == 1:
-        return (), ()
-    fbits = corner_bits(dim - 1)
-    pos_b = {vid: tuple(fbits[i]) for i, vid in enumerate(ids_b)}
-    origin_b = pos_b[ids_a[0]]
-    r = dim - 1
-    perm = [None] * r
-    flip = [bool(origin_b[j]) for j in range(r)]
-    for pa in range(r):
-        moved_b = pos_b[ids_a[1 << (r - 1 - pa)]]  # the corner one step along pa
-        changed = [j for j in range(r) if moved_b[j] != origin_b[j]]
-        if len(changed) != 1:
-            raise ValueError("root facets are not conforming")
-        perm[changed[0]] = pa
-    return tuple(perm), tuple(flip)
+def _pair_root_facets(ids, dim):
+    """`Mesh._root_pairing` of the root facets with corner ids ids (row
+    root * 2d + local facet, in the facet's tensor order), and the rows no
+    other root shares. Facets match by their sorted ids; perm[j] is the axis
+    of this facet that runs along axis j of the neighbor's, and flip[j]
+    whether it runs backwards. ValueError unless each step along an axis
+    from a facet's first corner is one step along one axis of its pair's."""
+    nf, r, m = 2 * dim, dim - 1, len(ids)
+    key = np.sort(ids, axis=1)
+    order = np.lexsort(key.T[::-1])
+    start = np.flatnonzero(np.r_[True, (key[order[1:]] != key[order[:-1]]).any(axis=1)])
+    size = np.diff(np.r_[start, m])
+    if (size > 2).any():
+        raise ValueError("facet shared by more than two root elements")
+    a, b = order[start[size == 2]], order[start[size == 2] + 1]
+    x, y = np.r_[a, b], np.r_[b, a]
+    # the bits of each corner of x's facet in the tensor order of y's facet
+    at = (ids[x][:, :, None] == ids[y][:, None, :]).argmax(axis=2)
+    bits = (at[:, :, None] >> np.arange(r - 1, -1, -1)) & 1
+    steps = bits[:, 1 << np.arange(r - 1, -1, -1)] != bits[:, :1]
+    if not ((steps.sum(axis=1) == 1).all() and (steps.sum(axis=2) == 1).all()):
+        raise ValueError("root facets are not conforming")
+    nb_root, nb_facet = np.full(m, -1, dtype=np.intp), np.zeros(m, dtype=np.intp)
+    perm, flip = np.zeros((m, r), dtype=np.intp), np.zeros((m, r), dtype=bool)
+    nb_root[x], nb_facet[x], flip[x] = y // nf, y % nf, bits[:, 0] == 1
+    p, pa, j = np.nonzero(steps)
+    perm[x[p], j] = pa
+    return (tuple(_frozen(v.reshape((m // nf, nf) + v.shape[1:]))
+                  for v in (nb_root, nb_facet, perm, flip)), order[start[size == 1]])

@@ -16,14 +16,19 @@ K, and the first step from the elastic start reuses that start's
 factorization of K. The step-length probes evaluate r1 and r2, which are
 affine, from one set of sparse products per step. Every sparse factorization
 of the package goes through `factorize`, and the condensed matrices of one
-system, which share a pattern, share one ordering.
+system, which share a pattern, share one ordering. `factorize` calls
+SuperLU's `gstrf` directly, as `scipy.sparse.linalg.splu` does.
 """
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import _kernels
 from .assembly import (element_groups, gauss_mass_matrix, group_quadrature,
@@ -107,6 +112,51 @@ def generalized_jacobian(system, qspace, p, lam, rho):
         [-system.B.T, system.C, sp.diags(system.D)],
         [Z.T, Jp, Jl],
     ], format="csc")
+
+
+SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
+
+
+def load_superlu(where):
+    """scipy's SuperLU extension in the directory `where`, loaded by its
+    file, without `scipy.sparse.linalg`'s package `__init__` (the iterative
+    solvers and `scipy.linalg`, about 0.05 s of a process start), and
+    registered as SUPERLU for a later import. ImportError if none is there."""
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        spec = importlib.util.spec_from_file_location(
+            SUPERLU, os.path.join(where, "_superlu" + suffix))
+        if os.path.isfile(spec.origin):
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[SUPERLU] = module
+            return module
+    raise ImportError(f"no SuperLU extension (_superlu) in {where}")
+
+
+_superlu = sys.modules.get(SUPERLU) or load_superlu(
+    os.path.join(os.path.dirname(sp.__file__), "linalg", "_dsolve"))
+
+
+def _splu(A, permc_spec, diag_pivot_thresh, options):
+    """`scipy.sparse.linalg.splu(A, permc_spec, diag_pivot_thresh,
+    options=options)` on a CSC matrix: the same input handling and the same
+    `gstrf` call."""
+    A.sum_duplicates()
+    A = A.astype(np.float64, copy=False)
+    n, m = A.shape
+    if n != m:
+        raise ValueError("can only factor square matrices")
+    if max(n, A.indptr[-1]) > np.iinfo(np.intc).max:
+        raise ValueError("index values too large for SuperLU")
+    options = dict(DiagPivotThresh=diag_pivot_thresh, ColPerm=permc_spec,
+                   PanelSize=None, Relax=None) | options
+    return _superlu.gstrf(n, A.nnz, A.data, A.indices.astype(np.intc, copy=False),
+                          A.indptr.astype(np.intc, copy=False), ilu=False,
+                          csc_construct_func=sp.csc_array, options=options)
+
+
+# the seam of every factorization, which tests and the benchmark's tracer replace
+spla = SimpleNamespace(splu=_splu)
 
 
 def factorize(A, ordered=False):

@@ -2,10 +2,14 @@
 every function, class and method it defines is referenced by the package
 or the benchmark (tests alone do not keep a definition alive, unless it is
 on the allow-list below; nor do the re-exports of the package's
-`__init__.py`)."""
+`__init__.py`); and importing the package loads neither scipy.linalg nor
+scipy.sparse.linalg."""
 
 import ast
+import json
 import os
+import subprocess
+import sys
 from functools import lru_cache
 
 import pytest
@@ -182,3 +186,66 @@ def test_allow_list_is_current():
                 fh.read(), project_references(("src", "perfbench")))}
     assert set(TEST_ONLY) <= found
 
+
+
+# Packages whose import costs a process start more than hpfem uses of them:
+# scipy.sparse.linalg's `__init__` imports the iterative solvers and
+# scipy.linalg, and hpfem only calls SuperLU, which `plasticity` loads by file.
+HEAVY = ("scipy.linalg", "scipy.sparse.linalg")
+
+
+def module_level_imports(source):
+    """(line, dotted name) of every module or name imported outside the
+    functions and classes of a module; `from a import b` gives a.b."""
+    out = []
+
+    def walk(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                out.extend((child.lineno, a.name) for a in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                out.extend((child.lineno, f"{child.module}.{a.name}")
+                           for a in child.names)
+            elif not isinstance(child, DEFS):
+                walk(child)
+
+    walk(ast.parse(source))
+    return out
+
+
+def heavy_imports(source):
+    return [(line, name) for line, name in module_level_imports(source)
+            if any(name == h or name.startswith(h + ".") for h in HEAVY)]
+
+
+def test_scan_finds_heavy_imports():
+    src = ("import scipy.sparse.linalg as spla\nfrom scipy import linalg\n"
+           "from scipy.sparse import csc_array\nimport scipy.linalgx\n"
+           "try:\n    from scipy.linalg import lu\nexcept ImportError:\n    pass\n"
+           "def f():\n    import scipy.linalg\n")
+    assert heavy_imports(src) == [(1, "scipy.sparse.linalg"), (2, "scipy.linalg"),
+                                  (6, "scipy.linalg.lu")]
+
+
+@pytest.mark.parametrize("module", MODULES + ["__init__.py"])
+def test_no_module_level_heavy_import(module):
+    with open(os.path.join(SRC, module)) as fh:
+        assert heavy_imports(fh.read()) == []
+
+
+def test_fresh_import_loads_no_scipy_linalg():
+    """In a fresh process, hpfem and its driver import neither package, and
+    a later import of scipy.sparse.linalg reuses the SuperLU extension that
+    hpfem loaded."""
+    code = (
+        "import json, sys\n"
+        "import hpfem, hpfem.driver\n"
+        f"loaded = [m for m in {HEAVY!r} if m in sys.modules]\n"
+        "import scipy.sparse.linalg as spla\n"
+        "from hpfem import plasticity\n"
+        "same = spla._dsolve.linsolve._superlu is plasticity._superlu\n"
+        "print(json.dumps([loaded, same]))\n")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert json.loads(out.splitlines()[-1]) == [[], True]

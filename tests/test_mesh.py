@@ -3,12 +3,13 @@ import os
 import numpy as np
 import pytest
 
-from conftest import (ROTATED_CASES, distorted_quad_mesh, facet_area_element,
-                      is_valid_map, map_dets, map_volume, piece_coords,
-                      rotated_roots_mesh, square_mesh)
-from hpfem.mesh import (DIRICHLET, FacetInfo, FacetPiece, Mesh, check_det_affine,
+from conftest import (ROTATED_CASES, _rotated, distorted_quad_mesh,
+                      facet_area_element, is_valid_map, map_dets, map_volume,
+                      piece_coords, rotated_roots_mesh, square_mesh)
+from hpfem.mesh import (DIRICHLET, NEUMANN, FacetInfo, FacetPiece, Mesh,
+                        check_det_affine, corner_bits, facet_corner_rows,
                         map_hessians, map_jacobians, map_points)
-from hpfem.problems import cube_mesh, interval_mesh
+from hpfem.problems import cube_mesh, interval_mesh, l_shape_mesh
 
 
 def map_point(corners, xhat):
@@ -129,7 +130,6 @@ class TestRefinement:
                 corners = m2.corners[eid].tolist()
                 if vid in corners:
                     continue
-                from hpfem.mesh import _facet_corner_ids
                 for f in range(4):
                     ids = _facet_corner_ids(corners, 2, f)
                     a, b = (m2.vertices[i] for i in ids)
@@ -222,6 +222,143 @@ class TestRefinement:
         assert len(info.pieces) == 2
         for piece in info.pieces:
             assert piece.relation == "fine_nb"
+
+
+def _facet_corner_ids(corners, dim, f):
+    """Corner vertex ids of local facet f, in the facet's own tensor order."""
+    return [corners[r] for r in facet_corner_rows(dim)[f].tolist()]
+
+
+def _facet_pairing(cell_a, fa, cell_b, fb, dim):
+    """In-facet axis correspondence between two conforming root facets, of
+    cells with corner ids cell_a and cell_b: for each in-facet position j of
+    the neighbor frame, the providing position perm[j] of this frame and a
+    flip flag."""
+    ids_a = _facet_corner_ids(cell_a, dim, fa)
+    ids_b = _facet_corner_ids(cell_b, dim, fb)
+    if dim == 1:
+        return (), ()
+    fbits = corner_bits(dim - 1)
+    pos_b = {vid: tuple(fbits[i]) for i, vid in enumerate(ids_b)}
+    origin_b = pos_b[ids_a[0]]
+    r = dim - 1
+    perm = [None] * r
+    flip = [bool(origin_b[j]) for j in range(r)]
+    for pa in range(r):
+        moved_b = pos_b[ids_a[1 << (r - 1 - pa)]]  # the corner one step along pa
+        changed = [j for j in range(r) if moved_b[j] != origin_b[j]]
+        if len(changed) != 1:
+            raise ValueError("root facets are not conforming")
+        perm[changed[0]] = pa
+    return tuple(perm), tuple(flip)
+
+
+def _oracle_root_pairing(cells, dim, boundary=None, default_tag=DIRICHLET):
+    """The per-root-facet loop that `Mesh.from_arrays` ran before it paired
+    root facets in arrays, kept as its oracle: (nb_root, nb_facet, perm,
+    flip) and the tags of the root cells with corner ids cells."""
+    cells = np.asarray(cells).tolist()
+    n, nfacets, r = len(cells), 2 * dim, dim - 1
+    tags = np.full((n, nfacets), None, dtype=object)
+    nb_root = np.full((n, nfacets), -1, dtype=np.intp)
+    nb_facet = np.zeros((n, nfacets), dtype=np.intp)
+    perm = np.zeros((n, nfacets, r), dtype=np.intp)
+    flip = np.zeros((n, nfacets, r), dtype=bool)
+    key_map = {}
+    for eid, cell in enumerate(cells):
+        for f in range(nfacets):
+            key = frozenset(_facet_corner_ids(cell, dim, f))
+            key_map.setdefault(key, []).append((eid, f))
+    tag_lookup = {frozenset(int(v) for v in ids): tag for ids, tag in boundary or ()}
+    for key, entries in key_map.items():
+        if len(entries) == 1:
+            eid, f = entries[0]
+            tags[eid, f] = tag_lookup.get(key, default_tag)
+        elif len(entries) == 2:
+            (ea, fa), (eb, fb) = entries
+            pa, fl = _facet_pairing(cells[ea], fa, cells[eb], fb, dim)
+            nb_root[ea, fa], nb_facet[ea, fa] = eb, fb
+            nb_root[eb, fb], nb_facet[eb, fb] = ea, fa
+            perm[ea, fa], flip[ea, fa] = pa, fl
+            perm[eb, fb] = np.argsort(pa)
+            flip[eb, fb] = np.asarray(fl, dtype=bool)[perm[eb, fb]]
+        else:
+            raise ValueError("facet shared by more than two root elements")
+    return (nb_root, nb_facet, perm, flip), tags
+
+
+def _shuffled_corners(mesh, rng):
+    """The root cells of mesh, each with its corners in the order of a
+    random symmetry of the reference element (a rotation or a mirror)."""
+    d = mesh.dim
+    return [_rotated(cell, rng.permutation(d), rng.choice([-1, 1], d))
+            for cell in mesh.corners.tolist()]
+
+
+def _strip_3d():
+    """Two unit cubes side by side along x: vertices and corner ids."""
+    def vid(i, j, k):
+        return (i * 2 + j) * 2 + k
+
+    verts = [[i, j, k] for i in range(3) for j in range(2) for k in range(2)]
+    cells = [[vid(i + a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+             for i in range(2)]
+    return verts, cells
+
+
+class TestRootPairing:
+    """The array pairing of root facets in `Mesh.from_arrays` against the
+    per-facet loop it replaced."""
+
+    @staticmethod
+    def check(verts, cells, dim, **kwargs):
+        m = Mesh.from_arrays(verts, cells, dim=dim, **kwargs)
+        want, tags = _oracle_root_pairing(cells, dim, **kwargs)
+        for have, ref in zip(m._root_pairing, want, strict=True):
+            assert have.dtype == ref.dtype and have.shape == ref.shape
+            assert np.array_equal(have, ref)
+            assert not have.flags.writeable
+        assert m.tags.tolist() == tags.tolist()
+        return m
+
+    @pytest.mark.parametrize("mesh", [
+        lambda: interval_mesh(3), lambda: square_mesh(4), l_shape_mesh,
+        lambda: cube_mesh(2), lambda: cube_mesh(3)])
+    def test_matches_oracle(self, mesh):
+        m = mesh()
+        self.check(m.vertices, m.corners, m.dim)
+
+    @pytest.mark.parametrize("mesh", [
+        lambda: square_mesh(4), l_shape_mesh, lambda: cube_mesh(2)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_rotated_and_mirrored_roots_match_oracle(self, mesh, seed):
+        m = mesh()
+        cells = _shuffled_corners(m, np.random.default_rng(seed))
+        nb_root, _, perm, flip = self.check(m.vertices, cells, m.dim)._root_pairing
+        assert flip[nb_root >= 0].any()
+        assert m.dim == 2 or (perm[nb_root >= 0] != [0, 1]).any()
+
+    def test_boundary_tags_match_oracle(self):
+        m = square_mesh(3)
+        boundary = [((1, 0), NEUMANN), ((3, 2), "top")]
+        self.check(m.vertices, m.corners, 2, boundary=boundary, default_tag="wall")
+
+    def test_facet_shared_by_three_roots_raises(self):
+        verts = [[0, 0], [1, 0], [0, 1], [1, 1], [-1, 0], [-1, 1], [2, 0], [2, 1]]
+        cells = [[0, 2, 1, 3], [4, 5, 0, 2], [0, 2, 6, 7]]
+        with pytest.raises(ValueError, match="more than two root elements"):
+            _oracle_root_pairing(cells, 2)
+        with pytest.raises(ValueError, match="more than two root elements"):
+            Mesh.from_arrays(verts, cells, dim=2)
+
+    def test_twisted_shared_face_raises(self):
+        verts, cells = _strip_3d()
+        self.check(verts, cells, 3)
+        cells[1][2], cells[1][3] = cells[1][3], cells[1][2]
+        with pytest.raises(ValueError, match="not conforming"):
+            _oracle_root_pairing(cells, 3)
+        with pytest.raises(ValueError, match="not conforming"):
+            Mesh.from_arrays(verts, cells, dim=3)
 
 
 class TestNeighbors:

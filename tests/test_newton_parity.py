@@ -28,7 +28,6 @@ import os
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 
 import hpfem.plasticity as plasticity
 from hpfem.assembly import Loads, Material, assemble_system
@@ -46,19 +45,18 @@ MATRIX_CASES = ("matrix_square_hanging", "matrix_cube_hanging")
 
 
 class FailingLinalg:
-    """scipy.sparse.linalg whose splu raises for its first call."""
+    """A stand-in for `plasticity.spla` whose splu raises for its first call
+    and then runs the package's own, `splu`."""
 
-    def __init__(self):
+    def __init__(self, splu):
         self.failures = 1
+        self._splu = splu
 
     def splu(self, A, *args, **kwargs):
         if self.failures:
             self.failures -= 1
             raise RuntimeError("Factor is exactly singular")
-        return spla.splu(A, *args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(spla, name)
+        return self._splu(A, *args, **kwargs)
 
 
 def cube_system(degree):
@@ -118,7 +116,7 @@ def solve(case):
     zeros = np.zeros(system.C.shape[0])
     initial = (elastic_solve(system), zeros, zeros)
     saved = plasticity.spla
-    plasticity.spla = FailingLinalg()
+    plasticity.spla = FailingLinalg(saved.splu)
     try:
         return solve_semismooth_newton(system, qs, config, initial=initial)
     finally:

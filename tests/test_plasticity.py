@@ -1,3 +1,5 @@
+import re
+import sys
 import warnings
 from functools import lru_cache
 
@@ -268,8 +270,13 @@ class TestNewton:
         assert sol.iterations == 1
 
 
+# the package's own factorization, saved before any test replaces the seam
+PACKAGE_SPLU = plasticity.spla.splu
+
+
 class _FailingLinalg:
-    """scipy.sparse.linalg whose splu raises for the first `failures` calls."""
+    """A stand-in for `plasticity.spla` whose splu raises for the first
+    `failures` calls and then runs the package's own."""
 
     def __init__(self, failures):
         self.failures = failures
@@ -278,10 +285,7 @@ class _FailingLinalg:
         if self.failures:
             self.failures -= 1
             raise RuntimeError("Factor is exactly singular")
-        return spla.splu(A, *args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(spla, name)
+        return PACKAGE_SPLU(A, *args, **kwargs)
 
 
 class TestRhoShiftRetry:
@@ -659,6 +663,106 @@ class TestOrdering:
         b = rng.standard_normal(A.shape[0])
         ref = spla.spsolve(A, b)
         assert np.abs(lu.solve(b) - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+@lru_cache(maxsize=None)
+def _newton_matrices():
+    """K, the last (ordered) condensed matrix of one Newton solve on the
+    plastic square (n=4, p=2), as the package factorized them, and an
+    unsymmetric generalized Jacobian of that system, on which SuperLU's
+    symmetric mode changes the factorization."""
+    _, mat, _, qs, system = _benchmark()
+    rec, saved = _Recorder(0), plasticity.spla
+    plasticity.spla = rec
+    try:
+        sol = solve_semismooth_newton(system, qs, NewtonConfig(rho=default_rho(mat)))
+    finally:
+        plasticity.spla = saved
+    assert sol.converged and rec.calls[-1][1] == "NATURAL"
+    n_q = system.C.shape[0]
+    rng = np.random.default_rng(5)
+    J = generalized_jacobian(system, qs, 0.01 * rng.standard_normal(n_q),
+                             qs.yield_stress * rng.standard_normal(n_q), 1.0)
+    return sp.csc_matrix(system.K), rec.calls[-1][0], J
+
+
+def _duplicated(A):
+    """A in CSC with every entry stored as two halves, in a shuffled order
+    within each column: the same matrix, in non-canonical form."""
+    A = A.tocoo()
+    rows, cols = np.tile(A.row, 2), np.tile(A.col, 2)
+    order = np.random.default_rng(4).permutation(len(rows))
+    order = order[np.argsort(cols[order], kind="stable")]
+    indptr = np.searchsorted(cols[order], np.arange(A.shape[1] + 1))
+    out = sp.csc_matrix((np.tile(0.5 * A.data, 2)[order], rows[order], indptr),
+                        shape=A.shape)
+    assert not out.has_canonical_format
+    return out
+
+
+def _assert_same_lu(a, b):
+    """Two SuperLU factorizations are the same bit for bit."""
+    assert np.array_equal(a.perm_r, b.perm_r)
+    assert np.array_equal(a.perm_c, b.perm_c)
+    for x, y in ((a.L, b.L), (a.U, b.U)):
+        assert type(x) is type(y) and x.shape == y.shape
+        for part in ("data", "indices", "indptr"):
+            assert getattr(x, part).tobytes() == getattr(y, part).tobytes()
+    rhs = np.random.default_rng(8).standard_normal((a.shape[0], 2))
+    assert a.solve(rhs).tobytes() == b.solve(rhs).tobytes()
+
+
+class TestDirectGstrf:
+    """`factorize` calls SuperLU's gstrf itself; it must factorize exactly
+    as scipy.sparse.linalg.splu does under the same options."""
+
+    @staticmethod
+    def scipy_lu(A, ordered=False):
+        return spla.splu(sp.csc_matrix(A),
+                         permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
+                         diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
+
+    @pytest.mark.parametrize("case", ["K", "condensed", "ordered", "csr",
+                                      "duplicates", "unsymmetric"])
+    def test_matches_splu_bit_for_bit(self, case):
+        K, C, J = _newton_matrices()
+        A = {"K": K, "unsymmetric": J}.get(case, C)
+        ordered = case == "ordered"
+        if case == "csr":
+            given = A.tocsr()
+        elif case == "duplicates":
+            given = _duplicated(A)
+            _assert_same_lu(factorize(given.copy()), factorize(A.copy()))
+        else:
+            given = A.copy()
+        _assert_same_lu(factorize(given, ordered), self.scipy_lu(A, ordered))
+        if case == "duplicates":
+            assert given.has_canonical_format  # summed in place, as splu does
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            factorize(sp.csc_matrix(np.ones((2, 3))))
+
+    def test_indices_too_large_for_intc(self):
+        """An index array that does not fit in intc raises ValueError before
+        gstrf runs. The matrix claims 2^31 entries in its last column
+        without storing them, so that nothing reads past its arrays."""
+        def tampered():
+            A = sp.csc_matrix(np.eye(2))
+            A.has_canonical_format = True
+            A.indptr = np.array([0, 1, 2**31], dtype=np.int64)
+            return A
+
+        with pytest.raises(ValueError, match="too large for SuperLU"):
+            factorize(tampered())
+        with pytest.raises(ValueError, match="too large for SuperLU"):
+            spla.splu(tampered())
+
+    def test_loader_names_the_directory_without_an_extension(self, tmp_path):
+        loaded = sys.modules[plasticity.SUPERLU]
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
+            plasticity.load_superlu(str(tmp_path))
+        assert sys.modules[plasticity.SUPERLU] is loaded
 
 
 class TestResidualEvaluations:

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from conftest import ASSEMBLY_CASES, assembly_case, gauss_mass
-from hpfem.mesh import _facet_corner_ids
+from hpfem.mesh import facet_corner_rows
 from hpfem.problems import cube_mesh, interval_mesh
 from hpfem.space import GaussPointSpace, ScalarSpace
 
@@ -110,8 +110,8 @@ def test_cube_case_nests_constraints():
     nested = [v for eid in mesh.active_ids()
               for f, info in enumerate(mesh.facet_neighbors(eid))
               for piece in info.pieces if piece.relation == "coarse_nb"
-              for v in _facet_corner_ids(mesh.corners[piece.neighbor].tolist(),
-                                         mesh.dim, piece.facet)
+              for v in mesh.corners[piece.neighbor,
+                                    facet_corner_rows(mesh.dim)[piece.facet]].tolist()
               if v in hanging]
     assert nested, "cube_nested has no constraint resolving through another"
 
