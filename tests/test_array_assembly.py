@@ -22,7 +22,8 @@ The cases are the assembly-parity meshes (a 2D mesh with hanging nodes and
 mixed degrees, the L-shape refined off-centre, a distorted non-affine mesh,
 the cube with hanging faces) under volume and traction loads, the first
 also with a material given by callbacks, and random refinements with random
-degrees.
+degrees. Every assembly gathers the displacement rows of P once per
+(degree, affinity) group, and a second one gives the same system.
 """
 import warnings
 
@@ -358,6 +359,30 @@ def test_element_blocks_match_scipy_construction(case):
         _same_bits(grp.idx, idx)
         _same_bits(grp.C, Ce)
         _same_bits(grp.B, Be)
+
+
+def test_second_assembly_gathers_no_operator_rows(monkeypatch):
+    """Each mixed assembly gathers the displacement rows of each (degree,
+    affinity) group once, and none for the loads; a second one on the same
+    spaces gathers as many again and gives the same system."""
+    space, qspace, material, loads, _ = mixed_case("lshape")
+    built = []
+    gather = ScalarSpace.local_operator
+
+    def counted(self, *args):
+        built.append(1)
+        return gather(self, *args)
+
+    monkeypatch.setattr(ScalarSpace, "local_operator", counted)
+    first = _system(space, qspace, material, loads)
+    groups = len(element_groups(space, is_affine(
+        space.mesh.corner_array(space.mesh.active_ids()))))
+    assert len(built) == groups
+    again = _system(space, qspace, material, loads)
+    assert len(built) == 2 * groups
+    for key in ("K", "B", "C"):
+        _same_sparse(getattr(again, key), getattr(first, key))
+    _same_bits(again.l, first.l)
 
 
 def test_degree_mismatch_raises():

@@ -147,12 +147,12 @@ def test_galerkin_matches_bsr_oracle(case):
                   galerkin_oracle(qrows, qblocks))
 
 
-def test_each_assembly_gathers_rows_once_per_group(monkeypatch):
-    """Every assembly gathers each group's rows once, and the loads gather
-    none: the mixed assembly the displacement rows of each (degree, affinity)
-    group, the scalar one the rows of each degree group. Assembling again on
-    the same spaces gathers as many and gives the same matrices, formats and
-    format flags included, and the same loads."""
+def test_rows_are_gathered_once_per_space(monkeypatch):
+    """An assembly on a space gathers each group's rows once, and the loads
+    gather none: the mixed assembly the displacement rows of each (degree,
+    affinity) group, the scalar one the rows of each degree group. Assembling
+    again gathers as many and gives the same matrices, formats and format
+    flags included, and the same loads."""
     space, qspace, material, loads, problem = assembly_case("lshape")
     calls = []
     gather = ScalarSpace.local_operator
