@@ -192,7 +192,7 @@ def boundary_load(space, corners, data, tags, ncomp=1):
         t, wq = tensor_gauss(p + 2, d - 1)
         ref = mesh.facet_embed(f, t)
         dS, _ = facet_measure(map_jacobians(corners[sel], ref), f)
-        V, _ = tensor_shape_eval(ref, tensor_indices(p, d), jmax=max(p, 1))
+        V, _ = tensor_shape_eval(ref, tensor_indices(p, d))
         out += space.scatter(ncomp, sel, data_load(
             data, map_points(corners[sel], ref), wq * dS, V).ravel())
     return out
@@ -238,7 +238,7 @@ def assemble_system(space, qspace, material, loads=None):
         # the stiffness integrand is rational on non-affine maps: one more point
         pts, w, Jinv = group_quadrature(corners[sel], p + 2 - aff)
         idx = tensor_indices(p, d)
-        _, G = tensor_shape_eval(pts, idx, jmax=max(p, 1))
+        _, G = tensor_shape_eval(pts, idx)
         dphi = G @ Jinv
         rows = space.local_operator(d, sel)
         if material.elasticity is None:
@@ -253,7 +253,7 @@ def assemble_system(space, qspace, material, loads=None):
         B = Bg if B is None else B + Bg
         if loads.volume is not None:
             qpts, qw, _ = group_quadrature(corners[sel], p + 1 + loads.extra_order)
-            V, _ = tensor_shape_eval(qpts, idx, jmax=max(p, 1))
+            V, _ = tensor_shape_eval(qpts, idx)
             lvec += space.scatter(d, sel, data_load(
                 loads.volume, map_points(corners[sel], qpts), qw, V).ravel())
     if loads.traction is not None:

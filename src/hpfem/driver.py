@@ -259,7 +259,7 @@ def run_plastic_estimator(cfg, mesh, material, loads, outdir=None,
             break
         if cfg.run.tol > 0 and ind.global_estimate <= cfg.run.tol:
             break
-        if it == cfg.run.max_iterations - 1:
+        if not marked or it == cfg.run.max_iterations - 1:
             break
         mesh = mesh.refine_many(marked)
     if outdir:
@@ -300,7 +300,7 @@ def run_elliptic_predictor(cfg, mesh, problem, outdir=None):
                              os.path.join(outdir, f"pred{it:03d}.csv"))
         if space.ndof >= cfg.run.max_dofs or it == cfg.run.max_iterations - 1:
             break
-        if cfg.run.tol > 0 and rec.estimate <= cfg.run.tol:
+        if not marked or cfg.run.tol > 0 and rec.estimate <= cfg.run.tol:
             break
         mesh = pred.apply_enrichment(mesh, [predictions[eid] for eid in marked])
     if outdir:

@@ -40,7 +40,7 @@ def poisson_blocks(corners, degree, order, volume=None, block=None):
     load uses the mapped points and the weights times det J on both."""
     n, _, d = corners.shape
     pts, wts = tensor_gauss(order, d)
-    V, G = tensor_shape_eval(pts, tensor_indices(degree, d), jmax=max(degree, 1))
+    V, G = tensor_shape_eval(pts, tensor_indices(degree, d))
     nb = G.shape[1]
     A = np.empty((n, nb, nb))
     w = np.empty((n, len(wts)))
@@ -97,7 +97,7 @@ def energy_error_sq(space, u, exact_grad):
     total = 0.0
     for (p,), sel in element_groups(space).items():
         pts, w, Jinv = group_quadrature(corners[sel], p + 4)
-        _, G = tensor_shape_eval(pts, tensor_indices(p, space.dim), jmax=max(p, 1))
+        _, G = tensor_shape_eval(pts, tensor_indices(p, space.dim))
         coef = space.element_coeffs(sel, u)
         grad_h = ((coef[:, None, None, :] @ G) @ Jinv)[:, :, 0]
         x = map_points(corners[sel], pts)

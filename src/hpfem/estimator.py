@@ -152,22 +152,21 @@ def _volume_terms(fields, loads, C, pT, sel, sigma_y, mu_mode):
     d = fields.dim
     material = fields.material
     idx = tensor_indices(pT, d)
-    jmax = max(pT, 1)
     pts, wts = tensor_gauss(pT + 2, d)
-    V, G = tensor_shape_eval(pts, idx, jmax=jmax)
+    V, G = tensor_shape_eval(pts, idx)
     VL, GL = gauss_point_basis(pT, pts, gradient=True)
     J = map_jacobians(C, pts)
     Jinv = np.linalg.inv(J)
     w = wts * np.linalg.det(J)
     coef, prows, lrows = fields.rows(pT, sel)
     resid = stress_divergence_values(
-        material, coef, prows, G, tensor_shape_hessian(pts, idx, jmax=jmax),
+        material, coef, prows, G, tensor_shape_hessian(pts, idx),
         GL, Jinv, map_hessians(C, pts))
     scale = (point_set_diameters(C) / pT) ** 2
     osc = np.zeros(len(sel))
     if loads.volume is not None:
         qpts, qwts = tensor_gauss(pT + 3, d)
-        Vq, _ = tensor_shape_eval(qpts, idx, jmax=jmax)
+        Vq, _ = tensor_shape_eval(qpts, idx)
         x = map_points(C, qpts)
         vals = np.asarray(loads.volume(x.reshape(-1, d)), dtype=float)
         fN, fdef = _l2_projections(
@@ -209,7 +208,7 @@ def _neumann_terms(mesh, fields, loads, corners, tab, seq):
         ref = mesh.facet_embed(f, t)
         J = map_jacobians(C, ref)
         dS, nrm = facet_measure(J, f)
-        _, G = tensor_shape_eval(ref, tensor_indices(pT, d), jmax=max(pT, 1))
+        _, G = tensor_shape_eval(ref, tensor_indices(pT, d))
         coef, prows, _ = fields.rows(pT, els)
         sig, _ = fields.stress(np.swapaxes(coef, 1, 2)[:, None] @ G,
                                gauss_point_basis(pT, ref) @ prows,
@@ -222,8 +221,8 @@ def _neumann_terms(mesh, fields, loads, corners, tab, seq):
             x = map_points(C, qref)
             vals = np.asarray(loads.traction(x.reshape(-1, d)), dtype=float)
             fidx = tensor_indices(pT, d - 1)
-            Vq, _ = tensor_shape_eval(qpts, fidx, jmax=max(pT, 1))
-            Ve, _ = tensor_shape_eval(t, fidx, jmax=max(pT, 1))
+            Vq, _ = tensor_shape_eval(qpts, fidx)
+            Ve, _ = tensor_shape_eval(t, fidx)
             gN, gdef = _l2_projections(
                 Vq, qwts * facet_measure(map_jacobians(C, qref), f)[0],
                 vals.reshape(x.shape), Ve)

@@ -87,12 +87,12 @@ def vertex_tables(xhat, second=False):
     d = x.shape[-1]
     bits = corner_bits(d)
     if x.ndim == 2:
-        out = tensor_shape_eval(x, bits, jmax=1)
-        return out + (tensor_shape_hessian(x, bits, jmax=1),) if second else out
+        out = tensor_shape_eval(x, bits)
+        return out + (tensor_shape_hessian(x, bits),) if second else out
     flat = x.reshape(-1, d)
-    out = tensor_shape_eval.__wrapped__(flat, bits, jmax=1)
+    out = tensor_shape_eval.__wrapped__(flat, bits)
     if second:
-        out += (tensor_shape_hessian.__wrapped__(flat, bits, jmax=1),)
+        out += (tensor_shape_hessian.__wrapped__(flat, bits),)
     return tuple(t.reshape(x.shape[:-1] + t.shape[1:]) for t in out)
 
 
@@ -190,7 +190,7 @@ def check_det_affine(corners):
     d = corners.shape[-1]
     pts, _ = tensor_gauss(4, d)
     det = np.linalg.det(map_jacobians(corners, pts)).T
-    basis, _ = tensor_shape_eval(pts, corner_bits(d), jmax=1)
+    basis, _ = tensor_shape_eval(pts, corner_bits(d))
     coef, *_ = np.linalg.lstsq(basis, det, rcond=None)
     resid = np.abs(basis @ coef - det).max(axis=0)
     return resid <= 1e-12 * np.maximum(np.abs(det).max(axis=0), 1e-300)
@@ -377,21 +377,18 @@ class Mesh:
     def refine_many(self, eids, zhat=None):
         """New snapshot with the elements eids that are still active when
         their turn comes refined, in order, in one pass: at the centre
-        (zhat None), at one dividing point zhat (d,) for all of them, or at
-        zhat[i] for eids[i] (one point per element). The closure keeps the
-        mesh 1-irregular by level: before an element is split, its active
-        facet neighbors of a lower level are refined, depth first, in facet
-        and piece order, read from this snapshot's facet table (children made
-        by the pass are never of a lower level than their neighbors). The
-        pass splits the elements, at the same points and in the same order,
-        that one `refine_element` call per element, skipping those already
-        refined, splits, so both give the same snapshot as long as every
-        snapshot between them is nested."""
+        (zhat None) or at the dividing point zhat[i] (d,) of eids[i]. The
+        closure keeps the mesh 1-irregular by level: before an element is
+        split, its active facet neighbors of a lower level are refined, depth
+        first, in facet and piece order, read from this snapshot's facet table
+        (children made by the pass are never of a lower level than their
+        neighbors). The pass splits the elements, at the same points and in
+        the same order, that one `refine_element` call per element, skipping
+        those already refined, splits, so both give the same snapshot as long
+        as every snapshot between them is nested."""
         d = self.dim
         if zhat is None:
             points = [np.zeros(d)] * len(eids)
-        elif np.ndim(zhat[0]) == 0:  # one point for all
-            points = [np.asarray(zhat, dtype=float)] * len(eids)
         elif len(zhat) == len(eids):
             points = [np.asarray(z, dtype=float) for z in zhat]
         else:

@@ -39,19 +39,6 @@ from .space import (_indptr, deviatoric_basis, deviatoric_dim,
                     gauss_point_basis, require_same_degrees)
 
 
-def chi(p_i, lam_i, sigma_i, rho):
-    """Per-dof complementarity residual on trace-free symmetric matrices.
-
-    chi = max(sigma_i, |lam_i + rho p_i|_F) lam_i - sigma_i (lam_i + rho p_i);
-    it vanishes exactly when |lam_i|_F <= sigma_i and lam_i : p_i = sigma_i |p_i|_F.
-    """
-    p_i = np.asarray(p_i, dtype=float)
-    lam_i = np.asarray(lam_i, dtype=float)
-    w = lam_i + rho * p_i
-    m = max(sigma_i, float(np.linalg.norm(w)))
-    return m * lam_i - sigma_i * w
-
-
 # From the STAGNATION-th residual evaluation of a solve on, and after a
 # full step that blows up, a Newton step also probes the step lengths
 # t = 2^-1, ..., 2^-10 and takes the one of least merit.
@@ -668,7 +655,7 @@ class Fields:
                 v, dv = _kernels.shape_table(t[:, a], max(q, 1))
                 vals.append(v.reshape(shape))
                 ders.append(dv.reshape(shape))
-            lag = [gauss_lagrange_1d(q, t[:, a]).reshape(shape) for a in range(d)]
+            lag = [gauss_lagrange_1d(q, t[:, a])[0].reshape(shape) for a in range(d)]
             yield at, vals, ders, lag, self.rows(q, els[at])
 
     def values_at(self, els, ref):

@@ -2,6 +2,14 @@
 tensor products on the reference cube [-1,1]^d, Gauss rules and the Lagrange
 basis at Gauss nodes.
 
+Every tensor table is formed by one product rule, `_tensor_product`: the
+entry of a multi-index j for a derivative of order k multiplies, along each
+axis a, the 1D table of the derivative order taken along a, at column j_a.
+It multiplies the tables of the differentiated axes first, in ascending axis
+order, then the value tables of the other axes, in ascending order, so
+values, gradients and Hessians of the integrated-Legendre shapes and of the
+Gauss-node Lagrange basis are each one fixed sequence of products.
+
 The tables depend only on (degree, points, dimension), so every builder is
 wrapped in `reference_table`: it returns one read-only result per distinct
 argument list from a bounded LRU cache, and the element loops in `assembly`,
@@ -70,17 +78,6 @@ def reference_table(fn):
     return cached
 
 
-def shape1d_second(t, jmax):
-    """Second derivatives of psi_0..psi_jmax: psi_j'' = L_{j-1}' for j >= 2."""
-    t = np.ascontiguousarray(np.asarray(t, dtype=float).ravel())
-    jmax = max(jmax, 1)
-    out = np.zeros((t.shape[0], jmax + 1))
-    if jmax >= 2:
-        _, ld = _kernels.legendre_table(t, jmax - 1)
-        out[:, 2:] = ld[:, 1:jmax]
-    return out
-
-
 @reference_table
 def gauss_rule(n):
     """1D Gauss-Legendre rule on [-1,1]: points (n,), weights (n,)."""
@@ -107,38 +104,56 @@ def tensor_gauss(n, dim):
     return pts.reshape(len(wts), dim), wts
 
 
-def _tensor_product(m, axis_vals, axis_ders, indices):
-    """Values (m, nb) and gradients (m, nb, d) of the tensor products of the
-    per-axis tables (m, n) picked out by the multi-index rows (nb, d)."""
-    d = len(axis_vals)
-    vals = np.ones((m, indices.shape[0]))
-    for a in range(d):
-        vals *= axis_vals[a][:, indices[:, a]]
-    grads = np.empty(vals.shape + (d,))
-    for a in range(d):
-        g = axis_ders[a][:, indices[:, a]].copy()
-        for b in range(d):
-            if b != a:
-                g *= axis_vals[b][:, indices[:, b]]
-        grads[:, :, a] = g
-    return vals, grads
+def _tensor_product(m, tables, indices, order):
+    """The derivatives of one order (0 values, 1 gradients, 2 Hessians) of
+    the tensor products picked out by the multi-index rows indices (nb, d),
+    as an array (m, nb) + (d,) * order. tables[a][k] (m, n) is the k-th
+    derivative table along axis a; each entry multiplies the tables of the
+    differentiated axes, in ascending order, then the value tables of the
+    other axes, in ascending order."""
+    d = len(tables)
+    out = np.empty((m, len(indices)) + (d,) * order)
+    for axes in itertools.combinations_with_replacement(range(d), order):
+        picked = [tables[a][axes.count(a)][:, indices[:, a]]
+                  for a in sorted(range(d), key=lambda a: a not in axes)]
+        g = picked[0] if picked else np.ones((m, len(indices)))
+        for f in picked[1:]:
+            g *= f
+        for entry in set(itertools.permutations(axes)):
+            out[(Ellipsis,) + entry] = g
+    return out
+
+
+def _shape_tables(points, indices, order):
+    """Points (m, d) and multi-index rows (nb, d) as arrays, and the 1D
+    shape tables psi_0..psi_jmax of each axis with their derivatives up to
+    order (at most 2; psi_j'' = L_{j-1}' for j >= 2), jmax the largest index
+    and at least 1: each column comes from a recurrence that does not depend
+    on jmax."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    indices = np.atleast_2d(np.asarray(indices, dtype=np.intp))
+    jmax = int(indices.max(initial=1))
+    tables = []
+    for a in range(points.shape[1]):
+        t = np.ascontiguousarray(points[:, a])
+        tables.append(_kernels.shape_table(t, jmax))
+        if order == 2:
+            second = np.zeros((len(t), jmax + 1))
+            if jmax >= 2:
+                second[:, 2:] = _kernels.legendre_table(t, jmax - 1)[1][:, 1:]
+            tables[-1] += (second,)
+    return points, indices, tables
 
 
 @reference_table
-def tensor_shape_eval(points, indices, jmax=None):
+def tensor_shape_eval(points, indices):
     """Evaluate tensor shapes psi-hat_j at reference points.
 
     points: (m, d); indices: (nb, d) multi-index rows.
     Returns vals (m, nb) and grads (m, nb, d).
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    indices = np.atleast_2d(np.asarray(indices, dtype=np.intp))
-    if jmax is None:
-        jmax = int(indices.max()) if indices.size else 1
-    tables = [_kernels.shape_table(np.ascontiguousarray(points[:, a]), max(jmax, 1))
-              for a in range(points.shape[1])]
-    return _tensor_product(len(points), [v for v, _ in tables],
-                           [dv for _, dv in tables], indices)
+    points, indices, tables = _shape_tables(points, indices, 1)
+    return tuple(_tensor_product(len(points), tables, indices, k) for k in (0, 1))
 
 
 @reference_table
@@ -148,7 +163,7 @@ def stiffness_tensor(degree, dim, order):
     T[a d + c, i nb + j] = sum_q w_q d_a psi-hat_i d_c psi-hat_j. On an
     affine map the stiffness is det J sum_{a,c} (J^-1 J^-T)_{ac} T_{ac}."""
     pts, wts = tensor_gauss(order, dim)
-    _, G = tensor_shape_eval(pts, tensor_indices(degree, dim), jmax=max(degree, 1))
+    _, G = tensor_shape_eval(pts, tensor_indices(degree, dim))
     m, nb, d = G.shape
     X = G.reshape(m, nb * d)
     T = ((X.T * wts) @ X).reshape(nb, d, nb, d)
@@ -169,34 +184,10 @@ def tensor_contract(tables, coef):
 
 
 @reference_table
-def tensor_shape_hessian(points, indices, jmax=None):
+def tensor_shape_hessian(points, indices):
     """Reference second derivatives of tensor shapes: array (m, nb, d, d)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    indices = np.atleast_2d(np.asarray(indices, dtype=np.intp))
-    m, d = points.shape
-    nb = indices.shape[0]
-    if jmax is None:
-        jmax = int(indices.max()) if indices.size else 1
-    jmax = max(jmax, 1)
-    V, D, S = [], [], []
-    for a in range(d):
-        v, dv = _kernels.shape_table(np.ascontiguousarray(points[:, a]), jmax)
-        V.append(v)
-        D.append(dv)
-        S.append(shape1d_second(points[:, a], jmax))
-    H = np.empty((m, nb, d, d))
-    for a in range(d):
-        for b in range(a, d):
-            if a == b:
-                g = S[a][:, indices[:, a]].copy()
-            else:
-                g = D[a][:, indices[:, a]] * D[b][:, indices[:, b]]
-            for c in range(d):
-                if c != a and c != b:
-                    g = g * V[c][:, indices[:, c]]
-            H[:, :, a, b] = g
-            H[:, :, b, a] = g
-    return H
+    points, indices, tables = _shape_tables(points, indices, 2)
+    return _tensor_product(len(points), tables, indices, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -205,52 +196,40 @@ def tensor_shape_hessian(points, indices, jmax=None):
 
 @reference_table
 def _bary_weights(p):
+    """The p Gauss nodes x, their barycentric weights w and the derivatives
+    D[k, i] of the Lagrange polynomial i at the node k."""
     x, _ = gauss_rule(p)
     w = np.ones(p)
     for i in range(p):
         w[i] = 1.0 / np.prod(x[i] - np.delete(x, i))
-    return x, w
+    D = np.zeros((p, p))
+    for k in range(p):
+        off = np.arange(p) != k
+        D[k, off] = (w[off] / w[k]) / (x[k] - x[off])
+        D[k, k] = -D[k].sum()
+    return x, w, D
 
 
 def gauss_lagrange_1d(p, t):
-    """Values of the p Lagrange polynomials on the Gauss nodes, at points t: (m, p)."""
-    x, w = _bary_weights(p)
+    """Values and derivatives (m, p) of the p Lagrange polynomials on the
+    Gauss nodes at points t, by the barycentric formula away from the nodes
+    and from the node rows of `_bary_weights` on them."""
+    x, w, D = _bary_weights(p)
     t = np.atleast_1d(np.asarray(t, dtype=float))
     diff = t[:, None] - x[None, :]
-    out = np.empty((len(t), p))
+    val = np.empty((len(t), p))
+    der = np.empty((len(t), p))
     hit = np.abs(diff) < _NODE_TOL
     reg = ~hit.any(axis=1)
     if reg.any():
-        r = w[None, :] / diff[reg]
-        out[reg] = r / r.sum(axis=1, keepdims=True)
-    for row in np.nonzero(~reg)[0]:
-        out[row] = hit[row].astype(float)
-    return out
-
-
-def gauss_lagrange_1d_deriv(p, t):
-    """Derivatives of the Gauss-node Lagrange polynomials at points t: (m, p)."""
-    x, w = _bary_weights(p)
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    diff = t[:, None] - x[None, :]
-    out = np.empty((len(t), p))
-    hit = np.abs(diff) < _NODE_TOL
-    reg = ~hit.any(axis=1)
-    if reg.any():
-        r = w[None, :] / diff[reg]
+        dr = diff[reg]
+        r = w[None, :] / dr
         s = r.sum(axis=1, keepdims=True)
-        s2 = (r / diff[reg]).sum(axis=1, keepdims=True)
-        out[reg] = (r / s) * (s2 / s - 1.0 / diff[reg])
-    for row in np.nonzero(~reg)[0]:
-        k = int(np.nonzero(hit[row])[0][0])
-        drow = np.empty(p)
-        for i in range(p):
-            if i != k:
-                drow[i] = (w[i] / w[k]) / (x[k] - x[i])
-        drow[k] = 0.0
-        drow[k] = -drow.sum()
-        out[row] = drow
-    return out
+        val[reg] = q = r / s
+        der[reg] = q * ((r / dr).sum(axis=1, keepdims=True) / s - 1.0 / dr)
+    val[~reg] = hit[~reg]
+    der[~reg] = D[hit[~reg].argmax(axis=1)]
+    return val, der
 
 
 @reference_table
@@ -261,8 +240,6 @@ def gauss_lagrange_tensor(p, points):
     matches tensor_gauss(p, d).
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
-    d = points.shape[1]
-    return _tensor_product(len(points),
-                           [gauss_lagrange_1d(p, points[:, a]) for a in range(d)],
-                           [gauss_lagrange_1d_deriv(p, points[:, a]) for a in range(d)],
-                           tensor_indices(p - 1, d))
+    tables = [gauss_lagrange_1d(p, t) for t in points.T]
+    idx = tensor_indices(p - 1, points.shape[1])
+    return tuple(_tensor_product(len(points), tables, idx, k) for k in (0, 1))

@@ -70,7 +70,7 @@ def _expansion_operator(degree):
     """Gauss points (degree + 1, 1) and the inverse of the 1D shape table on
     them, which maps point values to shape coefficients."""
     pts, _ = tensor_gauss(degree + 1, 1)
-    V, _ = tensor_shape_eval(pts, tensor_indices(degree, 1), jmax=max(degree, 1))
+    V, _ = tensor_shape_eval(pts, tensor_indices(degree, 1))
     return pts, np.linalg.inv(V)
 
 
@@ -643,8 +643,7 @@ class ScalarSpace:
         corners_hat = 2.0 * corner_bits(self.dim) - 1.0
         ids = self.mesh.corners[self._act]
         for (p,), sel in element_groups(self).items():
-            V, _ = tensor_shape_eval(corners_hat, tensor_indices(p, self.dim),
-                                     jmax=max(p, 1))
+            V, _ = tensor_shape_eval(corners_hat, tensor_indices(p, self.dim))
             vals[ids[sel]] = self.element_coeffs(sel, u) @ V.T
         return vals
 

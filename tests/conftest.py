@@ -78,8 +78,7 @@ def eval_element(space, eid, u, xhat, gradient=False):
     (ndof,), or rows (ndof, k) of k fields when only values are asked for."""
     loc = space.element_coeffs(positions_of(space.mesh.active_ids(), [eid]), u)[0]
     p = space.mesh.degree[eid]
-    V, G = tensor_shape_eval(np.atleast_2d(xhat), tensor_indices(p, space.dim),
-                             jmax=max(p, 1))
+    V, G = tensor_shape_eval(np.atleast_2d(xhat), tensor_indices(p, space.dim))
     if gradient:
         return V @ loc, np.einsum("mbd,b->md", G, loc)
     return V @ loc
@@ -90,7 +89,7 @@ def strain_at(space, eid, u, pts, Jinv):
     loc = space.element_coeffs(positions_of(space.mesh.active_ids(), [eid]),
                                np.asarray(u).reshape(-1, space.dim))[0]
     p = space.mesh.degree[eid]
-    _, G = tensor_shape_eval(pts, tensor_indices(p, space.dim), jmax=max(p, 1))
+    _, G = tensor_shape_eval(pts, tensor_indices(p, space.dim))
     return strain_values(loc.T @ G, Jinv)
 
 
@@ -164,7 +163,7 @@ def assemble_norm_matrices(space, qspace=None):
     Sv = sp.csr_matrix((d * space.ndof, d * space.ndof))
     for (p,), sel in element_groups(space).items():
         pts, w, Jinv = group_quadrature(corners[sel], p + 2)
-        V, G = tensor_shape_eval(pts, tensor_indices(p, d), jmax=max(p, 1))
+        V, G = tensor_shape_eval(pts, tensor_indices(p, d))
         Ms += galerkin(space.local_operator(1, sel), _kernels.mass_matrix(V, w))
         Sv += galerkin(space.local_operator(d, sel),
                        _kernels.elastic_stiffness(G @ Jinv, w, 0.0, 0.5))

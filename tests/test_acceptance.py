@@ -9,12 +9,11 @@ import pytest
 from conftest import (element_quadrature, eval_element, gauss_basis_at,
                       gauss_eval_dual, map_dets, piece_coords, plastic_field_at,
                       random_refined_mesh, square_mesh)
-from hpfem.assembly import Loads, Material, assemble_system, bilinear_value
+from hpfem.assembly import assemble_system, bilinear_value
 from hpfem.config import RunConfig
-from hpfem.driver import (run_adaptive, refined_state_error, solve_elliptic,
-                          solve_plastic)
+from hpfem.driver import run_adaptive, solve_elliptic
 from hpfem.elliptic import ScalarProblem, solve_scalar
-from hpfem.estimator import compute_indicators, mu_star_at
+from hpfem.estimator import mu_star_at
 from hpfem.mesh import map_points
 from hpfem.plasticity import (NewtonConfig, check_complementarity, default_rho,
                               elastic_solve, in_admissible_gauss,

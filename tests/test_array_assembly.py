@@ -83,7 +83,7 @@ def boundary_load_oracle(space, corners, data, tags, ncomp=1):
         t, wq = tensor_gauss(p + 2, d - 1)
         ref = mesh.facet_embed(f, t)
         dS, _ = facet_measure(map_jacobians(corners[sel], ref), f)
-        V, _ = tensor_shape_eval(ref, tensor_indices(p, d), jmax=max(p, 1))
+        V, _ = tensor_shape_eval(ref, tensor_indices(p, d))
         out += operator_matrix(space.local_operator(ncomp, sel)).T @ data_load(
             data, map_points(corners[sel], ref), wq * dS, V).ravel()
     return out
@@ -122,7 +122,7 @@ def assemble_system_oracle(space, qspace, material, loads):
     for (p, aff), sel in element_groups_oracle(space, affine).items():
         pts, w, Jinv = group_quadrature(corners[sel], p + 2 - aff)
         idx = tensor_indices(p, d)
-        _, G = tensor_shape_eval(pts, idx, jmax=max(p, 1))
+        _, G = tensor_shape_eval(pts, idx)
         dphi = G @ Jinv
         rows = operator_matrix(space.local_operator(d, sel))
         qrows = gauss_local_operator(qspace, L, sel)
@@ -136,7 +136,7 @@ def assemble_system_oracle(space, qspace, material, loads):
         C += galerkin_oracle(qrows, np.kron(qspace.mass_blocks(sel), G_CH))
         if loads.volume is not None:
             qpts, qw, _ = group_quadrature(corners[sel], p + 1 + loads.extra_order)
-            V, _ = tensor_shape_eval(qpts, idx, jmax=max(p, 1))
+            V, _ = tensor_shape_eval(qpts, idx)
             lvec += rows.T @ data_load(loads.volume, map_points(corners[sel], qpts),
                                        qw, V).ravel()
     if loads.traction is not None:

@@ -1,23 +1,18 @@
-import io
-import warnings
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from conftest import (assemble_norm_matrices, distorted_quad_mesh,
                       element_quadrature, gauss_eval_primal, map_dets,
                       plastic_field_at, random_refined_mesh, square_mesh,
                       strain_at)
-from hpfem.assembly import (Loads, Material, MixedSystem,
-                            QuadratureAccuracyWarning, assemble_system,
-                            bilinear_value, export_matrix_market,
-                            plastic_functional, strain, total_energy)
+from hpfem.assembly import (Loads, Material, QuadratureAccuracyWarning,
+                            assemble_system, bilinear_value,
+                            export_matrix_market, plastic_functional, strain,
+                            total_energy)
 from hpfem.plasticity import elastic_solve
-from hpfem.polybasis import tensor_gauss, tensor_shape_eval
-from hpfem.space import (GaussPointSpace, ScalarSpace, deviatoric_basis,
-                         deviatoric_dim)
+from hpfem.polybasis import tensor_gauss
+from hpfem.space import GaussPointSpace, ScalarSpace, deviatoric_basis
 
 
 class TestPointwise:

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import hpfem.plasticity as plasticity
-from hpfem.config import (ConfigError, RunConfig, dump_config, load_config,
-                          parse_config)
+from hpfem.config import ConfigError, RunConfig, dump_config, parse_config
 from hpfem.driver import (RunRecord, convergence_table, format_table,
                           plastic_error_sq, read_records, run_adaptive,
                           run_elliptic_predictor, run_plastic_estimator,
@@ -96,6 +95,22 @@ class TestLoops:
         errs = [r.error_sq for r in records]
         assert errs[-1] < errs[0]
         assert all(e == e for e in errs)  # exact solution known: no NaN
+
+    def test_estimator_loop_stops_when_nothing_is_marked(self):
+        # without load every indicator is zero, so no element is marked and
+        # a next step would solve the same mesh again
+        cfg = _small_cfg(iters=4)
+        mesh, material, loads = plastic_square(n=2, pull=0.0, shear=0.0)
+        records, _ = run_plastic_estimator(cfg, mesh, material, loads)
+        assert [(r.marked, r.estimate) for r in records] == [(0, 0.0)]
+
+    def test_predictor_loop_stops_when_nothing_is_marked(self):
+        # f = 0 gives u = 0 and no predicted reduction on any element
+        cfg = _small_cfg(iters=4)
+        mesh, problem = poisson_lshape()
+        problem.volume = lambda x: np.zeros(len(x))
+        records, _ = run_elliptic_predictor(cfg, mesh, problem)
+        assert [(r.marked, r.estimate) for r in records] == [(0, 0.0)]
 
     def test_loop_separation_flags(self):
         assert run_plastic_estimator.consults == ("estimator",)

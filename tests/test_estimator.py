@@ -70,12 +70,12 @@ class TestVolumeResidual:
         pts = rng.uniform(-1, 1, (5, 2))
         corners = m.corner_array([0])
         idx = tensor_indices(space.mesh.degree[0], 2)
-        _, G = tensor_shape_eval(pts, idx, jmax=1)
+        _, G = tensor_shape_eval(pts, idx)
         _, GL = gauss_point_basis(1, pts, gradient=True)
         div = stress_divergence_values(
             mat, space.element_coeffs([0], u.reshape(-1, 2)),
             qs.element_rows([0], np.zeros((qs.ndof, 2))), G,
-            tensor_shape_hessian(pts, idx, jmax=1), GL,
+            tensor_shape_hessian(pts, idx), GL,
             np.linalg.inv(map_jacobians(corners, pts)),
             map_hessians(corners, pts))
         assert div.shape == (1, 5, 2)

@@ -1,9 +1,10 @@
 """Source hygiene: every name a module of the package imports is used, and
-every function, class and method it defines is referenced by the package
-or the benchmark (tests alone do not keep a definition alive, unless it is
-on the allow-list below; nor do the re-exports of the package's
-`__init__.py`); and importing the package loads neither scipy.linalg nor
-scipy.sparse.linalg."""
+so is every name a test module imports, unless another test imports it from
+there; every function, class and method the package defines is referenced
+by the package or the benchmark (tests alone do not keep a definition
+alive, unless it is on the allow-list below; nor do the re-exports of the
+package's `__init__.py`); and importing the package loads neither
+scipy.linalg nor scipy.sparse.linalg."""
 
 import ast
 import json
@@ -19,6 +20,8 @@ SRC = os.path.join(ROOT, "src", "hpfem")
 INIT = os.path.join(SRC, "__init__.py")
 MODULES = sorted(f for f in os.listdir(SRC)
                  if f.endswith(".py") and f != "__init__.py")
+TESTS = os.path.dirname(os.path.abspath(__file__))
+TEST_MODULES = sorted(f for f in os.listdir(TESTS) if f.endswith(".py"))
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 # Definitions of the package that only tests read, each with the reason to
@@ -75,6 +78,29 @@ def test_no_unused_imports(module):
         assert unused_imports(fh.read()) == []
 
 
+@lru_cache(maxsize=None)
+def reexports():
+    """{test module: the names other test modules import from it}."""
+    out = {}
+    for name in TEST_MODULES:
+        with open(os.path.join(TESTS, name)) as fh:
+            for node in ast.walk(ast.parse(fh.read())):
+                if isinstance(node, ast.ImportFrom) and node.level == 0:
+                    out.setdefault(node.module, set()).update(
+                        a.name for a in node.names)
+    return out
+
+
+@pytest.mark.parametrize("module", TEST_MODULES)
+def test_no_unused_imports_in_tests(module):
+    # a name that other tests import from this module is a re-export
+    with open(os.path.join(TESTS, module)) as fh:
+        source = fh.read()
+    kept = reexports().get(module[:-len(".py")], set())
+    assert [(line, name) for line, name in unused_imports(source)
+            if name not in kept] == []
+
+
 def definitions(tree):
     """(line, name, is_method) of the top-level functions and classes of a
     module and of the methods of its classes, dunder methods left out."""
@@ -89,19 +115,42 @@ def definitions(tree):
     return out
 
 
+def bound_names(function):
+    """The names a function binds: its parameters and the names it assigns
+    outside its nested definitions, less those it declares global or
+    nonlocal."""
+    args = function.args
+    names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+             + [args.vararg, args.kwarg] if a is not None}
+    free = set()
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, (ast.Global, ast.Nonlocal)):
+            free.update(node.names)
+        if not isinstance(node, DEFS + (ast.Lambda,)):
+            stack.extend(ast.iter_child_nodes(node))
+    return names - free
+
+
 def references(tree):
     """What a module reads, as ("name", bare name) and ("attr", attribute
     name or string constant) pairs, each counted only outside the
-    definitions of that name."""
+    definitions of that name; a bare name is not counted inside a function
+    that binds it, where it is a local variable."""
     found = set()
 
-    def walk(node, inside):
+    def walk(node, inside, local):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, DEFS):
-                walk(child, inside | {child.name})
+                binds = (set() if isinstance(child, ast.ClassDef)
+                         else bound_names(child))
+                walk(child, inside | {child.name}, local | binds)
                 continue
             if isinstance(child, ast.Name):
-                ref = ("name", child.id)
+                ref = None if child.id in local else ("name", child.id)
             elif isinstance(child, ast.Attribute):
                 ref = ("attr", child.attr)
             elif isinstance(child, ast.Constant) and isinstance(child.value, str):
@@ -110,9 +159,9 @@ def references(tree):
                 ref = None
             if ref is not None and ref[1] not in inside:
                 found.add(ref)
-            walk(child, inside)
+            walk(child, inside, local)
 
-    walk(tree, frozenset())
+    walk(tree, frozenset(), frozenset())
     return found
 
 
@@ -154,6 +203,15 @@ def test_scan_finds_unreferenced_definitions():
     # a local variable named like a method does not read the method
     shadow = references(ast.parse("g()\nA\n\n\ndef h():\n    n = 1\n    return n\n"))
     assert unreferenced(src, used | shadow) == [(1, "f"), (16, "n")]
+    # nor does a parameter or an assigned local named like a function read
+    # the function, as `_kernels.chi_blocks`'s local `chi` did not read the
+    # old `plasticity.chi`; a read of the global from another function does
+    local = ("A.n\n\n\ndef h(g):\n    return g\n\n\n"
+             "def k():\n    for f in []:\n        pass\n    return f\n")
+    assert unreferenced(src, used | references(ast.parse(local))) == [
+        (1, "f"), (5, "g")]
+    glob = local + "\n\ndef q():\n    global g\n    g = 1\n    return g\n"
+    assert unreferenced(src, used | references(ast.parse(glob))) == [(1, "f")]
 
 
 @pytest.mark.parametrize("module", MODULES)

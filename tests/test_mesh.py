@@ -450,7 +450,7 @@ class TestSnapshots:
                    "first_child", "corners", "boxes", "tags")
         before = {c: getattr(m, c).copy() for c in columns}
         if derive == "refine_many":
-            m2 = m.refine_many(m.active_ids()[:2], np.full(d, -0.5))
+            m2 = m.refine_many(m.active_ids()[:2], [np.full(d, -0.5)] * 2)
             assert len(m2.root) > len(m.root)
         elif derive == "with_degrees":
             m2 = m.with_degrees({e: 3 for e in m.active_ids()})

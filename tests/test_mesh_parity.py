@@ -75,7 +75,8 @@ def _random_meshes(d, steps=10):
         act = mesh.active_ids()
         pick = rng.choice(act, size=min(len(act), int(rng.integers(1, 4))),
                           replace=False)
-        nxt = mesh.refine_many([int(e) for e in pick], rng.uniform(-0.6, 0.6, d))
+        z = rng.uniform(-0.6, 0.6, d)  # one dividing point for the whole pick
+        nxt = mesh.refine_many([int(e) for e in pick], [z] * len(pick))
         try:
             nxt.facet_table()
         except ValueError:

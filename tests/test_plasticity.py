@@ -18,7 +18,7 @@ from hpfem.assembly import (Loads, Material, MixedSystem,
                             assemble_system, bilinear_value,
                             plastic_functional, total_energy)
 from hpfem.plasticity import (ElementBlocks, NewtonConfig,
-                              check_complementarity, chi,
+                              check_complementarity,
                               condensed_newton_step, default_rho,
                               elastic_solve, factorize, generalized_jacobian,
                               in_admissible_gauss, in_admissible_weak,
@@ -26,6 +26,20 @@ from hpfem.plasticity import (ElementBlocks, NewtonConfig,
                               solve_semismooth_newton)
 from hpfem.problems import cube_mesh, plastic_square
 from hpfem.space import GaussPointSpace, ScalarSpace, deviatoric_basis
+
+
+def chi(p_i, lam_i, sigma_i, rho):
+    """Per-dof complementarity residual on trace-free symmetric matrices, the
+    scalar reference of `_kernels.chi_blocks`.
+
+    chi = max(sigma_i, |lam_i + rho p_i|_F) lam_i - sigma_i (lam_i + rho p_i);
+    it vanishes exactly when |lam_i|_F <= sigma_i and lam_i : p_i = sigma_i |p_i|_F.
+    """
+    p_i = np.asarray(p_i, dtype=float)
+    lam_i = np.asarray(lam_i, dtype=float)
+    w = lam_i + rho * p_i
+    m = max(sigma_i, float(np.linalg.norm(w)))
+    return m * lam_i - sigma_i * w
 
 
 def complementarity_predicate(p, lam, sigma, tol=1e-10):

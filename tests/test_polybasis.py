@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,7 +154,7 @@ class TestGaussLagrange:
         # basis function of the node -1/sqrt(3): (1 - sqrt(3) t)/2
         assert abs(gauss_lagrange_tensor(2, np.array([[0.0]]))[0][0, 0] - 0.5) < 1e-14
         t = 0.4
-        assert abs(gauss_lagrange_1d(2, np.array([t]))[0, 0]
+        assert abs(gauss_lagrange_1d(2, np.array([t]))[0][0, 0]
                    - (1 - np.sqrt(3) * t) / 2) < 1e-14
 
     def test_gradient_against_fd(self, rng):
@@ -183,13 +185,13 @@ class TestTensorShapes:
         coef = np.kron(*(_expansion_operator(r)[1],) * d) @ poly(pts)
         idx = tensor_indices(r, d)
         x = rng.uniform(-1, 1, (25, d))
-        V, _ = tensor_shape_eval(x, idx, jmax=r)
+        V, _ = tensor_shape_eval(x, idx)
         np.testing.assert_allclose(V @ coef, poly(x), atol=1e-12)
 
     def test_boundary_vanishing_iff_bubbles(self):
         idx = np.array([[2, 3], [1, 2], [3, 3]])
         edge_pts = np.array([[-1.0, 0.3], [1.0, -0.2], [0.5, 1.0], [0.1, -1.0]])
-        V, _ = tensor_shape_eval(edge_pts, idx, jmax=3)
+        V, _ = tensor_shape_eval(edge_pts, idx)
         assert np.abs(V[:, 0]).max() < 1e-15  # all bubble components
         assert np.abs(V[:, 2]).max() < 1e-15
         assert np.abs(V[:, 1]).max() > 1e-3  # contains a vertex factor
@@ -209,13 +211,17 @@ def _leaves(out):
     return [out]
 
 
-def _assert_bitwise(cached, plain):
-    got, want = _leaves(cached), _leaves(plain)
+def _assert_same_bits(got, want):
+    got, want = _leaves(got), _leaves(want)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert (a.dtype, a.shape) == (b.dtype, b.shape)
         assert a.tobytes() == b.tobytes()
-        assert not a.flags.writeable
+
+
+def _assert_bitwise(cached, plain):
+    _assert_same_bits(cached, plain)
+    assert not any(a.flags.writeable for a in _leaves(cached))
 
 
 def _check(builder, *args, **kwargs):
@@ -246,9 +252,8 @@ class TestReferenceTableCache:
         facet_pts = _MESHES[d].facet_embed(
             f, tensor_gauss(degree + 2, d - 1)[0] if d > 1 else np.zeros((1, 0)))
         for x in (pts, facet_pts):
-            _check(tensor_shape_eval, x, idx, jmax=degree)
             _check(tensor_shape_eval, x, idx)
-            _check(tensor_shape_hessian, x, idx, jmax=degree)
+            _check(tensor_shape_hessian, x, idx)
             _check(gauss_lagrange_tensor, degree, x)
 
     @given(st.integers(1, 3), st.integers(1, 6),
@@ -287,3 +292,147 @@ class TestReferenceTableCache:
         for t in np.linspace(-1.0, 1.0, bound + 50):
             tensor_shape_eval(np.array([[t]]), idx)
         assert tensor_shape_eval.cache_info().currsize == bound
+
+
+# ---------------------------------------------------------------------------
+# the product rule against the tabulation it replaced, bit for bit
+# ---------------------------------------------------------------------------
+
+def _old_tensor_product(m, axis_vals, axis_ders, indices):
+    """Values and gradients as the two-table product formed them."""
+    d = len(axis_vals)
+    vals = np.ones((m, indices.shape[0]))
+    for a in range(d):
+        vals *= axis_vals[a][:, indices[:, a]]
+    grads = np.empty(vals.shape + (d,))
+    for a in range(d):
+        g = axis_ders[a][:, indices[:, a]].copy()
+        for b in range(d):
+            if b != a:
+                g *= axis_vals[b][:, indices[:, b]]
+        grads[:, :, a] = g
+    return vals, grads
+
+
+def _old_shape_eval(points, indices, jmax):
+    tables = [shape_table(np.ascontiguousarray(points[:, a]), jmax)
+              for a in range(points.shape[1])]
+    return _old_tensor_product(len(points), [v for v, _ in tables],
+                               [dv for _, dv in tables], indices)
+
+
+def _old_shape1d_second(t, jmax):
+    out = np.zeros((t.shape[0], jmax + 1))
+    if jmax >= 2:
+        _, ld = legendre_table(np.ascontiguousarray(t), jmax - 1)
+        out[:, 2:] = ld[:, 1:jmax]
+    return out
+
+
+def _old_shape_hessian(points, indices, jmax):
+    """The Hessian's own triple product loop."""
+    m, d = points.shape
+    V, D, S = [], [], []
+    for a in range(d):
+        v, dv = shape_table(np.ascontiguousarray(points[:, a]), jmax)
+        V.append(v)
+        D.append(dv)
+        S.append(_old_shape1d_second(points[:, a], jmax))
+    H = np.empty((m, indices.shape[0], d, d))
+    for a in range(d):
+        for b in range(a, d):
+            if a == b:
+                g = S[a][:, indices[:, a]].copy()
+            else:
+                g = D[a][:, indices[:, a]] * D[b][:, indices[:, b]]
+            for c in range(d):
+                if c != a and c != b:
+                    g = g * V[c][:, indices[:, c]]
+            H[:, :, a, b] = g
+            H[:, :, b, a] = g
+    return H
+
+
+def _old_lagrange_1d(p, t):
+    x, w, _ = polybasis._bary_weights(p)
+    diff = t[:, None] - x[None, :]
+    out = np.empty((len(t), p))
+    hit = np.abs(diff) < polybasis._NODE_TOL
+    reg = ~hit.any(axis=1)
+    if reg.any():
+        r = w[None, :] / diff[reg]
+        out[reg] = r / r.sum(axis=1, keepdims=True)
+    for row in np.nonzero(~reg)[0]:
+        out[row] = hit[row].astype(float)
+    return out
+
+
+def _old_lagrange_1d_deriv(p, t):
+    """The separate barycentric derivative, with its own node handling."""
+    x, w, _ = polybasis._bary_weights(p)
+    diff = t[:, None] - x[None, :]
+    out = np.empty((len(t), p))
+    hit = np.abs(diff) < polybasis._NODE_TOL
+    reg = ~hit.any(axis=1)
+    if reg.any():
+        r = w[None, :] / diff[reg]
+        s = r.sum(axis=1, keepdims=True)
+        s2 = (r / diff[reg]).sum(axis=1, keepdims=True)
+        out[reg] = (r / s) * (s2 / s - 1.0 / diff[reg])
+    for row in np.nonzero(~reg)[0]:
+        k = int(np.nonzero(hit[row])[0][0])
+        drow = np.empty(p)
+        for i in range(p):
+            if i != k:
+                drow[i] = (w[i] / w[k]) / (x[k] - x[i])
+        drow[k] = 0.0
+        drow[k] = -drow.sum()
+        out[row] = drow
+    return out
+
+
+def _oracle_points(rng, d, degree):
+    """Random points, the corners, the Gauss nodes of the Lagrange basis
+    (on them and 1e-15 off them) and of one order more, in d dimensions."""
+    nodes = tensor_gauss(degree, d)[0]
+    return np.concatenate([rng.uniform(-1.0, 1.0, (7, d)),
+                           np.array(list(itertools.product((-1.0, 1.0), repeat=d)),
+                                    dtype=float).reshape(2**d, d),
+                           nodes, nodes + 1e-15, tensor_gauss(degree + 1, d)[0]])
+
+
+class TestProductRuleOracle:
+    @pytest.mark.parametrize("degree", range(1, 7))
+    @pytest.mark.parametrize("d", range(4))
+    def test_tables_match_old_tabulation(self, rng, d, degree):
+        x = _oracle_points(rng, d, degree)
+        idx = tensor_indices(degree, d)
+        _assert_same_bits(tensor_shape_eval.__wrapped__(x, idx),
+                          _old_shape_eval(x, idx, degree))
+        _assert_same_bits(tensor_shape_hessian.__wrapped__(x, idx),
+                          _old_shape_hessian(x, idx, degree))
+        lag = [(_old_lagrange_1d(degree, t), _old_lagrange_1d_deriv(degree, t))
+               for t in x.T]
+        _assert_same_bits(gauss_lagrange_tensor.__wrapped__(degree, x),
+                          _old_tensor_product(len(x), [v for v, _ in lag],
+                                              [dv for _, dv in lag],
+                                              tensor_indices(degree - 1, d)))
+        t = x.ravel() if d else tensor_gauss(degree, 1)[0].ravel()
+        _assert_same_bits(gauss_lagrange_1d(degree, t),
+                          (_old_lagrange_1d(degree, t),
+                           _old_lagrange_1d_deriv(degree, t)))
+
+    @pytest.mark.parametrize("d", range(1, 4))
+    def test_larger_jmax_gave_the_same_tables(self, rng, d):
+        # the 1D tables reach the largest index; a larger jmax, as callers
+        # passed, only adds columns that no index picks, for full, partial
+        # and vertex index sets
+        x = _oracle_points(rng, d, 3)
+        for idx in (tensor_indices(3, d), tensor_indices(3, d)[:-1],
+                    tensor_indices(1, d), tensor_indices(2, d)[::3]):
+            top = max(int(idx.max()), 1)
+            for jmax in (top + 1, top + 4):
+                _assert_same_bits(tensor_shape_eval.__wrapped__(x, idx),
+                                  _old_shape_eval(x, idx, jmax))
+                _assert_same_bits(tensor_shape_hessian.__wrapped__(x, idx),
+                                  _old_shape_hessian(x, idx, jmax))

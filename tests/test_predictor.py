@@ -1,4 +1,3 @@
-import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -8,8 +7,8 @@ from conftest import (distorted_quad_mesh, element_quadrature, eval_element,
                       facet_area_element, map_dets, map_volume,
                       random_refined_mesh, square_mesh)
 from hpfem import _kernels
-from hpfem.elliptic import (ScalarProblem, assemble_scalar, energy_error_sq,
-                            poisson_blocks, solve_scalar)
+from hpfem.elliptic import (ScalarProblem, assemble_scalar, poisson_blocks,
+                            solve_scalar)
 from hpfem.mesh import (Mesh, corner_bits, is_affine, map_jacobians, map_points,
                         positions_of)
 from hpfem.polybasis import tensor_gauss, tensor_indices, tensor_shape_eval
@@ -164,7 +163,7 @@ def eval_enrichment(space, candidate, which, pts_parent):
     d = space.dim
     if candidate.kind == "p":
         multi = np.array([candidate.p_multis[which]])
-        V, G = tensor_shape_eval(pts_parent, multi, jmax=candidate.degree_cap)
+        V, G = tensor_shape_eval(pts_parent, multi)
         Jinv = np.linalg.inv(map_jacobians(mesh.corner_array([eid])[0], pts_parent))
         return V[:, 0], np.einsum("qa,qam->qm", G[:, 0, :], Jinv)
     axes, loc, dist = candidate.hp_nodes[which]
@@ -182,7 +181,7 @@ def eval_enrichment(space, candidate, which, pts_parent):
         child_pts = 2.0 * (pts_parent[inside] - lo) / (hi - lo) - 1.0
         multi = np.array([[dist[axes.index(k)] if k in axes else 1 - b[k]
                            for k in range(d)]])
-        V, G = tensor_shape_eval(child_pts, multi, jmax=candidate.degree_cap)
+        V, G = tensor_shape_eval(child_pts, multi)
         Jinv = np.linalg.inv(map_jacobians(cmap, child_pts))
         vals[inside] = V[:, 0]
         grads[inside] = np.einsum("qa,qam->qm", G[:, 0, :], Jinv)
@@ -204,7 +203,7 @@ class TestRepresentation:
                 lo = np.where(b == 0, -1.0, zhat)
                 hi = np.where(b == 0, zhat, 1.0)
                 ppts = lo + 0.5 * (cpts + 1.0) * (hi - lo)
-                V, _ = tensor_shape_eval(cpts, idx, jmax=rep.degree)
+                V, _ = tensor_shape_eval(cpts, idx)
                 direct = np.stack([
                     eval_enrichment(sp, cand, k, ppts)[0]
                     for k in range(cand.size)], axis=1)
@@ -228,7 +227,7 @@ class TestRepresentation:
             lo = np.where(b == 0, -1.0, zhat)
             hi = np.where(b == 0, zhat, 1.0)
             ppts = lo + 0.5 * (cpts + 1.0) * (hi - lo)
-            V, _ = tensor_shape_eval(cpts, idx, jmax=rep.degree)
+            V, _ = tensor_shape_eval(cpts, idx)
             pos = positions_of(sp.mesh.active_ids(), [eid])
             via_rep = V @ (rep.R[row] @ sp.element_coeffs(pos, u)[0])
             direct = eval_element(sp, eid, u, ppts)
@@ -256,7 +255,7 @@ class TestRepresentation:
         _, b_loc = child_local_matrices(rep, prob)
         P = rep.degree
         pts, wts = tensor_gauss(P + 1 + 5, 2)
-        V, _ = tensor_shape_eval(pts, tensor_indices(P, 2), jmax=P)
+        V, _ = tensor_shape_eval(pts, tensor_indices(P, 2))
         for row, corners in enumerate(rep.child_corners):
             w = wts * map_dets(corners, pts)
             direct = V.T @ (w * f(map_points(corners, pts)))
@@ -711,7 +710,7 @@ def test_mixed_affinity_group_matches_element_quadrature(degree, block):
     A, b = poisson_blocks(corners, degree, order, SMOOTH_F.volume, block)
     for k, eid in enumerate(eids):
         one, pts, wts, det, Jinv = element_quadrature(mesh, eid, order)
-        V, G = tensor_shape_eval(pts, tensor_indices(degree, 2), jmax=degree)
+        V, G = tensor_shape_eval(pts, tensor_indices(degree, 2))
         dphi, w = G @ Jinv, wts * det
         A_ref = np.einsum("q,qik,qjk->ij", w, dphi, dphi)
         b_ref = (w * SMOOTH_F.volume(map_points(one, pts))) @ V

@@ -92,9 +92,9 @@ class TestConstraintCoeffs:
         for k in range(d):
             lo, hi = (-1.0, z[k]) if not bits[k] else (z[k], 1.0)
             parent[:, k] = lo + 0.5 * (pts[:, k] + 1.0) * (hi - lo)
-        Vp, _ = tensor_shape_eval(parent, np.array([multi]), jmax=deg)
+        Vp, _ = tensor_shape_eval(parent, np.array([multi]))
         idx = tensor_indices(deg, d)
-        Vc, _ = tensor_shape_eval(pts, idx, jmax=deg)
+        Vc, _ = tensor_shape_eval(pts, idx)
         np.testing.assert_allclose(Vc @ row, Vp[:, 0], atol=1e-12)
 
     @pytest.mark.parametrize("bits,zhat,deg", [
@@ -114,8 +114,8 @@ class TestConstraintCoeffs:
         for k in range(d):
             lo, hi = (-1.0, z[k]) if not bits[k] else (z[k], 1.0)
             parent[:, k] = lo + 0.5 * (pts[:, k] + 1.0) * (hi - lo)
-        Vp, _ = tensor_shape_eval(parent, idx, jmax=deg)
-        Vc, _ = tensor_shape_eval(pts, idx, jmax=deg)
+        Vp, _ = tensor_shape_eval(parent, idx)
+        Vc, _ = tensor_shape_eval(pts, idx)
         np.testing.assert_allclose(Vc @ rows.T, Vp, atol=1e-12)
 
     def test_least_squares_residual_of_bubble(self, rng):
@@ -123,8 +123,8 @@ class TestConstraintCoeffs:
         row = constraint_coeffs((4,), (0,), 0.0, degree=4)
         pts = rng.uniform(-1, 1, (30, 1))
         parent = -1.0 + 0.5 * (pts + 1.0)
-        Vp, _ = tensor_shape_eval(parent, np.array([[4]]), jmax=4)
-        Vc, _ = tensor_shape_eval(pts, tensor_indices(4, 1), jmax=4)
+        Vp, _ = tensor_shape_eval(parent, np.array([[4]]))
+        Vc, _ = tensor_shape_eval(pts, tensor_indices(4, 1))
         resid = np.linalg.norm(Vc @ row - Vp[:, 0])
         assert resid < 1e-12
 
