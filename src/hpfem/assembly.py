@@ -49,10 +49,11 @@ def strain(grad):
     return 0.5 * (grad + np.swapaxes(grad, -1, -2))
 
 
-@dataclass
+@dataclass(frozen=True)
 class Material:
     """Isotropic elasticity with scalar kinematic hardening by default; general
-    symmetric tensors enter through callbacks acting on (batched) matrices."""
+    symmetric tensors enter through callbacks acting on (batched) matrices.
+    Frozen, so that the checks of __post_init__ hold for its lifetime."""
 
     lam: float = 1.0
     mu: float = 1.0

@@ -2,16 +2,17 @@
 h-adaptive loop, the predictor-driven elliptic hp-adaptive loop, uniform
 refinement loops, convergence tables and exports.
 
-The two adaptive loops are deliberately independent: the elastoplastic loop is
-steered by the residual estimator only, the elliptic loop by predicted error
-reductions only (each function advertises what it consults in its `consults`
-attribute).
+All run kinds share one loop, `_loop`, with one stop rule and one record
+format; each run kind supplies only its step. The two adaptive steps are
+deliberately independent: the elastoplastic step is steered by the residual
+estimator only, the elliptic step by predicted error reductions only (each
+loop advertises what it consults in its `consults` attribute).
 """
 
 import csv
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -19,7 +20,7 @@ from . import estimator as est
 from . import predictor as pred
 from .assembly import (assemble_system, element_groups, group_quadrature,
                        strain, total_energy)
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .elliptic import energy_error_sq, solve_scalar
 from .mesh import Mesh, map_jacobians, map_points, point_set_diameters, positions_of
 from .plasticity import (Fields, NewtonConfig, default_rho,
@@ -77,6 +78,8 @@ class EllipticState:
 
 @dataclass
 class RunRecord:
+    """One step of a run. records.csv holds the fields that records compare
+    by, in this order; timings.csv holds the iteration and the wall time."""
     iteration: int
     dofs: int
     h_max: float
@@ -85,15 +88,11 @@ class RunRecord:
     estimate: float
     error_sq: float
     marked: int
-    wall_time: float = 0.0
+    wall_time: float = field(default=0.0, compare=False)
 
-    CSV_FIELDS = ("iteration", "dofs", "h_max", "energy",
-                  "newton_iterations", "estimate", "error_sq", "marked")
 
-    def csv_row(self):
-        return [self.iteration, self.dofs, f"{self.h_max:.17g}",
-                f"{self.energy:.17g}", self.newton_iterations,
-                f"{self.estimate:.17g}", f"{self.error_sq:.17g}", self.marked]
+_COLUMNS = tuple(f for f in fields(RunRecord) if f.compare)
+_TIMINGS = _COLUMNS[:1] + tuple(f for f in fields(RunRecord) if not f.compare)
 
 
 def solve_plastic(mesh, material, loads, newton=None):
@@ -183,30 +182,29 @@ def plastic_error_sq(coarse, fine):
 
 def _build_problem(cfg: RunConfig):
     pb, ms, mt = cfg.problem, cfg.mesh, cfg.material
+    material = loads = extra = None
     if pb.preset == "plastic-square":
+        kind = "plastic"
         mesh, material, loads = plastic_square(
             n=ms.initial_cells, degree=ms.degree, lam=mt.lam, mu=mt.mu,
             hardening=mt.hardening, yield_stress=mt.yield_stress,
             pull=pb.pull, shear=pb.shear)
-        for _ in range(ms.initial_refinements):
-            mesh = mesh.uniformly_refined()
-        return ("plastic", mesh, material, loads, None)
-    if pb.preset == "elastic-square":
-        mesh, material, loads, disp, dgrad = elastic_square_manufactured(
+    elif pb.preset == "elastic-square":
+        kind = "elastic"
+        mesh, material, loads, *extra = elastic_square_manufactured(
             n=ms.initial_cells, degree=ms.degree, lam=mt.lam, mu=mt.mu)
-        for _ in range(ms.initial_refinements):
-            mesh = mesh.uniformly_refined()
-        return ("elastic", mesh, material, loads, (disp, dgrad))
-    if pb.preset == "poisson-1d":
-        mesh, problem = poisson_1d_singular(alpha=pb.alpha, n=ms.initial_cells,
-                                            degree=ms.degree)
+    elif pb.preset == "poisson-1d":
+        kind = "elliptic"
+        mesh, extra = poisson_1d_singular(alpha=pb.alpha, n=ms.initial_cells,
+                                          degree=ms.degree)
     elif pb.preset == "poisson-lshape":
-        mesh, problem = poisson_lshape(degree=ms.degree)
+        kind = "elliptic"
+        mesh, extra = poisson_lshape(degree=ms.degree)
     else:
-        raise ValueError(pb.preset)
+        raise ConfigError(f"unknown preset '{pb.preset}'")
     for _ in range(ms.initial_refinements):
         mesh = mesh.uniformly_refined()
-    return ("elliptic", mesh, None, None, problem)
+    return kind, mesh, material, loads, extra
 
 
 def _newton_config(cfg: RunConfig, material):
@@ -218,63 +216,69 @@ def run_adaptive(cfg: RunConfig, outdir=None, reference_errors=False):
     """Dispatch on the configured loop; returns (records, final_state)."""
     kind, mesh, material, loads, extra = _build_problem(cfg)
     loop = cfg.run.loop
-    if loop in ("plastic-estimator",):
+    if loop == "plastic-estimator":
         if kind != "plastic":
-            raise ValueError("plastic-estimator needs the plastic-square preset")
+            raise ConfigError("plastic-estimator needs the plastic-square preset")
         return run_plastic_estimator(cfg, mesh, material, loads, outdir,
                                      reference_errors)
     if loop == "elliptic-predictor":
         if kind != "elliptic":
-            raise ValueError("elliptic-predictor needs a Poisson preset")
+            raise ConfigError("elliptic-predictor needs a Poisson preset")
         return run_elliptic_predictor(cfg, mesh, extra, outdir)
     return run_uniform(cfg, kind, mesh, material, loads, extra, outdir)
 
 
-def run_plastic_estimator(cfg, mesh, material, loads, outdir=None,
-                          reference_errors=False):
-    records = []
-    states = []
-    for it in range(cfg.run.max_iterations):
+def _loop(cfg, mesh, step, outdir):
+    """SOLVE-ESTIMATE-MARK-REFINE, shared by all run kinds; returns (records,
+    states). step(it, mesh) returns the record's (dofs, energy,
+    newton_iterations, estimate, error_sq), the state to keep, the marked
+    elements, a function writing the step's files under outdir (or None)
+    and a function building the next mesh. A record's wall time runs from
+    the start of its step until it is built, without the exports. The loop
+    stops when dofs reach max_dofs, at the last iteration, when nothing is
+    marked, or when tol > 0 and the estimate is at most tol."""
+    run = cfg.run
+    records, states = [], []
+    for it in range(run.max_iterations):
         t0 = time.perf_counter()
-        state = solve_plastic(mesh, material, loads, _newton_config(cfg, material))
-        ind = est.compute_indicators(state.space, state.qspace, material, loads,
-                                     state.solution.u, state.solution.p,
-                                     state.solution.lam)
-        err_sq = float("nan")
-        if reference_errors:
-            err_sq, _ = refined_state_error(state)
-        marked = est.mark_dorfler(ind, cfg.run.theta)
-        rec = RunRecord(iteration=it, dofs=state.total_dofs,
-                        h_max=_h_max(mesh),
-                        energy=state.energy(),
-                        newton_iterations=state.solution.iterations,
-                        estimate=ind.global_estimate, error_sq=err_sq,
-                        marked=len(marked), wall_time=time.perf_counter() - t0)
+        (dofs, *values), state, marked, export, refine = step(it, mesh)
+        rec = RunRecord(it, dofs, _h_max(mesh), *values, len(marked),
+                        time.perf_counter() - t0)
         records.append(rec)
-        states.append((state, ind))
-        if outdir:
-            export_plastic_state(state, ind, os.path.join(outdir, f"iter{it:03d}"),
-                                 marked=marked)
-        if state.total_dofs >= cfg.run.max_dofs:
+        states.append(state)
+        if outdir and export:
+            export(outdir)
+        if (dofs >= run.max_dofs or it == run.max_iterations - 1
+                or not rec.marked or run.tol > 0 and rec.estimate <= run.tol):
             break
-        if cfg.run.tol > 0 and ind.global_estimate <= cfg.run.tol:
-            break
-        if not marked or it == cfg.run.max_iterations - 1:
-            break
-        mesh = mesh.refine_many(marked)
+        mesh = refine()
     if outdir:
         write_records(records, outdir)
     return records, states
+
+
+def run_plastic_estimator(cfg, mesh, material, loads, outdir=None,
+                          reference_errors=False):
+    def step(it, mesh):
+        state = solve_plastic(mesh, material, loads, _newton_config(cfg, material))
+        sol = state.solution
+        ind = est.compute_indicators(state.space, state.qspace, material, loads,
+                                     sol.u, sol.p, sol.lam)
+        err_sq = refined_state_error(state)[0] if reference_errors else np.nan
+        marked = est.mark_dorfler(ind, cfg.run.theta)
+        return ((state.total_dofs, state.energy(), sol.iterations,
+                 ind.global_estimate, err_sq), (state, ind), marked,
+                lambda out: export_plastic_state(
+                    state, ind, os.path.join(out, f"iter{it:03d}"), marked=marked),
+                lambda: mesh.refine_many(marked))
+    return _loop(cfg, mesh, step, outdir)
 
 
 run_plastic_estimator.consults = ("estimator",)
 
 
 def run_elliptic_predictor(cfg, mesh, problem, outdir=None):
-    records = []
-    states = []
-    for it in range(cfg.run.max_iterations):
-        t0 = time.perf_counter()
+    def step(it, mesh):
         state = solve_elliptic(mesh, problem)
         space = state.space
         chosen = pred.choose_enrichment(
@@ -284,75 +288,43 @@ def run_elliptic_predictor(cfg, mesh, problem, outdir=None):
         predictions = {eid: best for eid, (best, _) in chosen.items()}
         gains = {eid: max(pr.delta_e2, 0.0) for eid, pr in predictions.items()}
         marked = est.mark_dorfler(gains, cfg.run.theta)
-        err_sq = float("nan")
-        if problem.exact_grad is not None:
-            err_sq = energy_error_sq(space, state.u, problem.exact_grad)
-        rec = RunRecord(iteration=it, dofs=space.ndof,
-                        h_max=_h_max(mesh),
-                        energy=state.energy_sq(),
-                        newton_iterations=0,
-                        estimate=sum(gains.values()), error_sq=err_sq,
-                        marked=len(marked), wall_time=time.perf_counter() - t0)
-        records.append(rec)
-        states.append((state, predictions))
-        if outdir:
-            dump_predictions(predictions, marked,
-                             os.path.join(outdir, f"pred{it:03d}.csv"))
-        if space.ndof >= cfg.run.max_dofs or it == cfg.run.max_iterations - 1:
-            break
-        if not marked or cfg.run.tol > 0 and rec.estimate <= cfg.run.tol:
-            break
-        mesh = pred.apply_enrichment(mesh, [predictions[eid] for eid in marked])
-    if outdir:
-        write_records(records, outdir)
-    return records, states
+        return ((space.ndof, state.energy_sq(), 0, sum(gains.values()),
+                 _scalar_error_sq(state)), (state, predictions), marked,
+                lambda out: dump_predictions(
+                    predictions, marked, os.path.join(out, f"pred{it:03d}.csv")),
+                lambda: pred.apply_enrichment(
+                    mesh, [predictions[eid] for eid in marked]))
+    return _loop(cfg, mesh, step, outdir)
 
 
 run_elliptic_predictor.consults = ("predictor",)
 
 
 def run_uniform(cfg, kind, mesh, material, loads, extra, outdir=None):
-    records = []
-    states = []
-    for it in range(cfg.run.max_iterations):
-        t0 = time.perf_counter()
-        if kind in ("plastic", "elastic"):
+    def step(it, mesh):
+        if kind == "elliptic":
+            state = solve_elliptic(mesh, extra)
+            values = (state.energy_sq(), 0, np.nan, _scalar_error_sq(state))
+        else:
             state = solve_plastic(mesh, material, loads,
                                   _newton_config(cfg, material))
-            dofs = state.total_dofs
-            energy = state.energy()
-            nit = state.solution.iterations
-            err_sq = float("nan")
-            if kind == "elastic" and extra is not None:
-                err_sq = elastic_energy_error_sq(state, extra[0], extra[1])
-        else:
-            state = solve_elliptic(mesh, extra)
-            dofs = state.total_dofs
-            energy = state.energy_sq()
-            nit = 0
-            err_sq = (energy_error_sq(state.space, state.u, extra.exact_grad)
-                      if extra.exact_grad is not None else float("nan"))
-        rec = RunRecord(iteration=it, dofs=dofs,
-                        h_max=_h_max(mesh),
-                        energy=energy, newton_iterations=nit,
-                        estimate=float("nan"), error_sq=err_sq,
-                        marked=len(mesh.active_ids()),
-                        wall_time=time.perf_counter() - t0)
-        records.append(rec)
-        states.append(state)
-        if dofs >= cfg.run.max_dofs or it == cfg.run.max_iterations - 1:
-            break
-        if cfg.run.loop == "uniform-h":
-            mesh = mesh.uniformly_refined()
-        else:
-            act = mesh.active_ids()
-            mesh = mesh.with_degrees(dict(zip(act, mesh.degree[act] + 1)))
-    if outdir:
-        write_records(records, outdir)
-    return records, states
+            err_sq = (np.nan if extra is None
+                      else elastic_energy_error_sq(state, *extra))
+            values = (state.energy(), state.solution.iterations, np.nan, err_sq)
+        act = mesh.active_ids()
+        refine = (mesh.uniformly_refined if cfg.run.loop == "uniform-h" else
+                  lambda: mesh.with_degrees(dict(zip(act, mesh.degree[act] + 1))))
+        return (state.total_dofs, *values), state, act, None, refine
+    return _loop(cfg, mesh, step, outdir)
 
 
 run_uniform.consults = ()
+
+
+def _scalar_error_sq(state):
+    """The energy error of an elliptic state, NaN without an exact gradient."""
+    grad = state.problem.exact_grad
+    return np.nan if grad is None else energy_error_sq(state.space, state.u, grad)
 
 
 def elastic_energy_error_sq(state, disp, disp_grad):
@@ -388,10 +360,10 @@ def convergence_table(records, use="error_sq"):
         rate = float("nan")
         if i > 0 and vals[i] > 0 and vals[i - 1] > 0:
             h0, h1 = records[i - 1].h_max, r.h_max
+            d0, d1 = records[i - 1].dofs, r.dofs
             if abs(h0 - h1) > 1e-14 * max(h0, h1):
                 rate = np.log(vals[i - 1] / vals[i]) / np.log(h0 / h1)
-            else:
-                d0, d1 = records[i - 1].dofs, r.dofs
+            elif d0 > 0 and d1 > 0 and d0 != d1:
                 rate = np.log(vals[i - 1] / vals[i]) / np.log(d1 / d0)
         rows.append((r.dofs, vals[i], rate))
     return rows
@@ -405,30 +377,23 @@ def format_table(rows):
 
 
 def write_records(records, outdir):
+    """records.csv with floats in %.17g, so that it is byte-deterministic,
+    and timings.csv with the wall times in %.6f."""
     os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "records.csv"), "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(RunRecord.CSV_FIELDS)
-        for r in records:
-            wr.writerow(r.csv_row())
-    with open(os.path.join(outdir, "timings.csv"), "w", newline="") as fh:
-        wr = csv.writer(fh)
-        wr.writerow(["iteration", "wall_time"])
-        for r in records:
-            wr.writerow([r.iteration, f"{r.wall_time:.6f}"])
+    for name, columns, spec in (("records.csv", _COLUMNS, ".17g"),
+                                ("timings.csv", _TIMINGS, ".6f")):
+        with open(os.path.join(outdir, name), "w", newline="") as fh:
+            wr = csv.writer(fh)
+            wr.writerow(f.name for f in columns)
+            wr.writerows([format(getattr(r, f.name), spec) if f.type is float
+                          else getattr(r, f.name) for f in columns]
+                         for r in records)
 
 
 def read_records(path):
-    records = []
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            records.append(RunRecord(
-                iteration=int(row["iteration"]), dofs=int(row["dofs"]),
-                h_max=float(row["h_max"]), energy=float(row["energy"]),
-                newton_iterations=int(row["newton_iterations"]),
-                estimate=float(row["estimate"]),
-                error_sq=float(row["error_sq"]), marked=int(row["marked"])))
-    return records
+        return [RunRecord(**{f.name: f.type(row[f.name]) for f in _COLUMNS})
+                for row in csv.DictReader(fh)]
 
 
 def dump_predictions(predictions, marked, path):

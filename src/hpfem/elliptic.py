@@ -28,7 +28,12 @@ class ScalarProblem:
     exact_grad: object = None   # optional reference gradient (callable)
 
 
-def poisson_blocks(corners, degree, order, volume=None, block=None):
+# entries of the physical gradients evaluated at once on non-affine elements,
+# which bounds the memory of a group's stiffness to a few megabytes
+GRADIENT_BLOCK = 2 ** 16
+
+
+def poisson_blocks(corners, degree, order, volume=None):
     """Poisson stiffness (n, nb, nb) and load (n, nb) of the maps of a corner
     array (n, 2^d, d) in the tensor basis of a degree, by the Gauss rule of
     order points per axis; the load is zero without volume data.
@@ -36,8 +41,8 @@ def poisson_blocks(corners, degree, order, volume=None, block=None):
     An affine map has a constant J, taken once at the centre: its stiffness
     is det J (J^-1 J^-T) contracted with the cached `stiffness_tensor`. The
     other maps take J at every point and `_kernels.scalar_stiffness`, at
-    most block physical gradient entries at a time when block is given. The
-    load uses the mapped points and the weights times det J on both."""
+    most GRADIENT_BLOCK physical gradient entries at a time. The load uses
+    the mapped points and the weights times det J on both."""
     n, _, d = corners.shape
     pts, wts = tensor_gauss(order, d)
     V, G = tensor_shape_eval(pts, tensor_indices(degree, d))
@@ -54,7 +59,7 @@ def poisson_blocks(corners, degree, order, volume=None, block=None):
         w[aff] = det[:, None] * wts
     if not aff.all():
         _, wq, Jinv = group_quadrature(corners[~aff], order)
-        blocks = 1 if block is None else min(len(wq), -(-wq.size * G[0].size // block))
+        blocks = min(len(wq), -(-wq.size * G[0].size // GRADIENT_BLOCK))
         A[~aff] = np.concatenate([_kernels.scalar_stiffness(G @ Ji, wi) for Ji, wi in
                                   zip(np.array_split(Jinv, blocks),
                                       np.array_split(wq, blocks))])

@@ -191,22 +191,16 @@ def representation_matrices(space, candidate, eids=None):
         degree=max(candidate.degree_cap, p))
 
 
-# entries of the children's physical gradients evaluated at once on
-# non-affine children, which bounds the memory of a group's child stiffness
-# to a few megabytes; affine children take the reference tensor
-CHILD_BLOCK = 2 ** 16
-
-
 def child_local_matrices(rep, problem):
     """Poisson stiffness (n 2^d, nb, nb) and load (n 2^d, nb) of the
     children over the unified representation basis, at the Gauss rule of
     order P + 1 + problem.extra_order like the global load, by
     `poisson_blocks`: the affine children's stiffness from the cached
-    reference tensor, the others' by quadrature, one block of CHILD_BLOCK
-    gradient entries at a time."""
+    reference tensor, the others' by quadrature, in blocks of
+    `elliptic.GRADIENT_BLOCK` gradient entries."""
     P = rep.degree
     return poisson_blocks(rep.child_corners, P, P + 1 + problem.extra_order,
-                          problem.volume, CHILD_BLOCK)
+                          problem.volume)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -49,6 +51,14 @@ class TestPointwise:
                                      t, axes=2)
         with pytest.raises(ValueError):
             Material(elasticity=bad)
+
+    def test_material_is_frozen(self):
+        # a field set after the checks of __post_init__ would go unchecked:
+        # hardening = -1.0 gave a "converged" solve with no error
+        mat = Material()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mat.hardening = -1.0
+        assert mat.hardening == 1.0
 
 
 def _fixture_system(mesh, mat, loads=None):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -125,6 +126,46 @@ class TestLoops:
             run_adaptive(cfg)
 
 
+# (loop, preset): the dofs of the first four steps of each loop at its
+# defaults, from 2 cells of degree 1:
+#   plastic-estimator  28, 44, 78, 146  (estimates 1.82, 1.82, 1.58, 1.42)
+#   elliptic-predictor  1,  2,  4,   5  (estimates 5.8e-2, 5.6e-4, ...)
+#   uniform-h          18, 82, 354, 1474
+#   uniform-p           1,  3,  5,   7
+STOP_CASES = {
+    "plastic-estimator": ("plastic-square",
+                          {"max_dofs": (44, 2, 44), "tol": (1.6, 3, 78)}),
+    "elliptic-predictor": ("poisson-1d",
+                           {"max_dofs": (2, 2, 2), "tol": (1e-3, 2, 2)}),
+    "uniform-h": ("elastic-square",
+                  {"max_dofs": (82, 2, 82), "tol": (1e300, 4, 1474)}),
+    "uniform-p": ("poisson-1d",
+                  {"max_dofs": (3, 2, 3), "tol": (1e300, 4, 7)}),
+}
+LAST_OF_THREE = {"plastic-estimator": 78, "elliptic-predictor": 4,
+                 "uniform-h": 354, "uniform-p": 5}
+
+
+@pytest.mark.parametrize("loop", sorted(STOP_CASES))
+@pytest.mark.parametrize("stop", ["max_iterations", "max_dofs", "tol"])
+def test_stop_rule(loop, stop):
+    """Every loop stops at the first step whose dofs reach max_dofs, at its
+    last iteration, or when tol > 0 and the estimate is at most tol; the
+    uniform loops have no estimate, so tol never stops them."""
+    cfg = _small_cfg(iters=4)
+    cfg.run.loop = loop
+    cfg.problem.preset, cases = STOP_CASES[loop]
+    if stop == "max_iterations":
+        cfg.run.max_iterations = 3
+        n, last = 3, LAST_OF_THREE[loop]
+    else:
+        value, n, last = cases[stop]
+        setattr(cfg.run, stop, value)
+    records, states = run_adaptive(cfg)
+    assert (len(records), records[-1].dofs) == (n, last)
+    assert len(states) == n
+
+
 class TestDirichletRequired:
     """Without a Dirichlet facet the Poisson and elasticity systems are
     singular; both solves refuse them before any factorization (before, the
@@ -205,6 +246,22 @@ class TestTables:
         rows = convergence_table(records)
         for dofs, val, rate in rows[1:]:
             assert abs(rate - 2.0) < 1e-12
+
+    def test_zero_and_equal_dofs_give_no_rate(self):
+        # the L-shape at degree 1 has no free dof at step 0: every vertex
+        # is on the Dirichlet boundary
+        records = [RunRecord(iteration=i, dofs=d, h_max=1.0, energy=0.0,
+                             newton_iterations=0, estimate=0.1 / (i + 1),
+                             error_sq=np.nan, marked=1)
+                   for i, d in enumerate([0, 3, 3, 12])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = convergence_table(records, use="estimate")
+        rates = [rate for _, _, rate in rows]
+        assert np.isnan(rates[:3]).all()
+        # sqrt(estimate) falls by sqrt(4/3) while the dofs grow by 4
+        assert rates[3] == pytest.approx(0.5 * np.log(4 / 3) / np.log(4))
+        assert "nan" in format_table(rows)
 
     def test_empty_run_header_only(self, tmp_path):
         write_records([], str(tmp_path))
@@ -352,6 +409,14 @@ class TestCLI:
         cfgfile.write_text("[run]\nbogus = 1\n")
         r = self._run("solve", "--config", str(cfgfile))
         assert r.returncode == 3
+
+    def test_loop_preset_mismatch_exit_3(self, tmp_path):
+        cfgfile = tmp_path / "lshape.cfg"
+        cfgfile.write_text("[problem]\npreset = poisson-lshape\n")
+        r = self._run("adapt", "--config", str(cfgfile), "--out",
+                      str(tmp_path / "o"), "--loop", "plastic-estimator")
+        assert r.returncode == 3
+        assert "plastic-estimator needs the plastic-square preset" in r.stderr
 
     def test_solver_failure_exit_2(self, tmp_path):
         cfgfile = tmp_path / "hard.cfg"

@@ -40,8 +40,6 @@ TEST_ONLY = {
                                      "tested against psi_hp (criterion 7)",
     "plasticity.recover_multiplier": "the blockwise recovery of the "
                                      "multiplier from (u, p) (paper feature)",
-    "plasticity.generalized_jacobian": "a Clarke Jacobian of the residual, "
-                                       "the reference of the condensed step",
     "plasticity.n_elastic": "count of the complementarity report",
     "plasticity.n_plastic": "count of the complementarity report",
     "mesh.read_text": "reads back the mesh format that write_text exports",

@@ -20,12 +20,35 @@ from hpfem.assembly import (Loads, Material, MixedSystem,
 from hpfem.plasticity import (ElementBlocks, NewtonConfig,
                               check_complementarity,
                               condensed_newton_step, default_rho,
-                              elastic_solve, factorize, generalized_jacobian,
+                              elastic_solve, factorize,
                               in_admissible_gauss, in_admissible_weak,
                               infsup_ratio, recover_multiplier, residual,
                               solve_semismooth_newton)
 from hpfem.problems import cube_mesh, plastic_square
 from hpfem.space import GaussPointSpace, ScalarSpace, deviatoric_basis
+
+
+def generalized_jacobian(system, qspace, p, lam, rho):
+    """One Clarke element of the decoupled residual as a sparse matrix (the
+    active branch is selected at the kink). The Newton iteration never builds
+    it; it is the oracle of the condensed step."""
+    L = system.L
+    _, dp, dl = chi_blocks(p.reshape(-1, L), lam.reshape(-1, L),
+                           qspace.bounds, rho)
+    n_u = system.K.shape[0]
+    n_q = system.C.shape[0]
+    N = n_q // L
+    base = L * np.arange(N)[:, None, None]
+    rows = np.broadcast_to(base + np.arange(L)[None, :, None], (N, L, L)).ravel()
+    cols = np.broadcast_to(base + np.arange(L)[None, None, :], (N, L, L)).ravel()
+    Jp = sp.csr_matrix((dp.ravel(), (rows, cols)), shape=(n_q, n_q))
+    Jl = sp.csr_matrix((dl.ravel(), (rows, cols)), shape=(n_q, n_q))
+    Z = sp.csr_matrix((n_u, n_q))
+    return sp.bmat([
+        [system.K, -system.B, Z],
+        [-system.B.T, system.C, sp.diags(system.D)],
+        [Z.T, Jp, Jl],
+    ], format="csc")
 
 
 def chi(p_i, lam_i, sigma_i, rho):

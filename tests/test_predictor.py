@@ -700,14 +700,18 @@ def _mixed_affinity_mesh(degree):
 
 @pytest.mark.parametrize("degree", [1, 3])
 @pytest.mark.parametrize("block", [None, 200])
-def test_mixed_affinity_group_matches_element_quadrature(degree, block):
+def test_mixed_affinity_group_matches_element_quadrature(degree, block,
+                                                         monkeypatch):
     """A degree group split into its affine and non-affine elements gives
-    the stiffness and load of element-by-element quadrature."""
+    the stiffness and load of element-by-element quadrature, in the default
+    blocks of gradient entries (None) or in blocks of 200."""
+    if block is not None:
+        monkeypatch.setattr("hpfem.elliptic.GRADIENT_BLOCK", block)
     mesh = _mixed_affinity_mesh(degree)
     eids = mesh.active_ids()
     corners = mesh.corner_array(eids)
     order = degree + 3
-    A, b = poisson_blocks(corners, degree, order, SMOOTH_F.volume, block)
+    A, b = poisson_blocks(corners, degree, order, SMOOTH_F.volume)
     for k, eid in enumerate(eids):
         one, pts, wts, det, Jinv = element_quadrature(mesh, eid, order)
         V, G = tensor_shape_eval(pts, tensor_indices(degree, 2))
