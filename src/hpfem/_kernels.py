@@ -128,36 +128,15 @@ def coupling_block(dphi, w, phiq, S):
     return np.swapaxes(B, -3, -2).reshape(*lead, nb * d, nm * L)
 
 
-def chi_blocks(p, lam, sigma, rho, want_jacobian=True):
-    """Decoupled plastic complementarity residual and its Clarke-element blocks.
-
-    p, lam: (N, L) coefficient rows; sigma: (N,). Returns chi (N, L) and, when
-    requested, dchi/dp, dchi/dlam of shape (N, L, L). At the kink the active
-    (norm) branch is selected.
-    """
+def chi_blocks(p, lam, sigma, rho):
+    """Decoupled plastic complementarity residual chi (N, L) of coefficient
+    rows p, lam (N, L) with bounds sigma (N,):
+    chi = max(sigma, |lam + rho p|) lam - sigma (lam + rho p), row by row."""
     p = np.asarray(p, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    N, L = p.shape
     w = lam + rho * p
-    nw = np.linalg.norm(w, axis=1)
-    m = np.maximum(sigma, nw)
-    chi = m[:, None] * lam - sigma[:, None] * w
-    if not want_jacobian:
-        return chi, None, None
-    active = nw >= sigma
-    eye = np.eye(L)
-    dp = np.empty((N, L, L))
-    dl = np.empty((N, L, L))
-    dp[:] = -(sigma * rho)[:, None, None] * eye
-    dl[:] = 0.0
-    if np.any(active):
-        wa = w[active]
-        nwa = nw[active][:, None]
-        what = wa / nwa
-        outer = lam[active][:, :, None] * what[:, None, :]
-        dl[active] = (nw[active] - sigma[active])[:, None, None] * eye + outer
-        dp[active] += rho * outer
-    return chi, dp, dl
+    m = np.maximum(sigma, np.linalg.norm(w, axis=1))
+    return m[:, None] * lam - sigma[:, None] * w
 
 
 # ---------------------------------------------------------------------------

@@ -28,10 +28,7 @@ def build_parser():
 
 
 def _load(args):
-    if args.config:
-        cfg = load_config(args.config)
-    else:
-        cfg = RunConfig()
+    cfg = load_config(args.config) if args.config else RunConfig()
     if args.loop is not None:
         cfg.run.loop = args.loop
     return cfg
@@ -49,14 +46,10 @@ def main(argv=None):
             cmd_solve(cfg, args.out)
         elif args.command == "adapt":
             records, _ = run_adaptive(cfg, outdir=args.out)
-            print(format_table(convergence_table(records, use="estimate")))
+            print(format_table(convergence_table(records)))
         elif args.command == "table":
-            path = os.path.join(args.out, "records.csv")
-            records = read_records(path)
-            use = "error_sq"
-            if all(r.error_sq != r.error_sq for r in records):  # all NaN
-                use = "estimate"
-            print(format_table(convergence_table(records, use=use)))
+            records = read_records(os.path.join(args.out, "records.csv"))
+            print(format_table(convergence_table(records)))
         elif args.command == "export":
             cmd_export(cfg, args.out)
     except SolverFailure as exc:

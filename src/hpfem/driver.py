@@ -180,7 +180,21 @@ def plastic_error_sq(coarse, fine):
 # adaptive loops
 # ---------------------------------------------------------------------------
 
+# the [problem], [material], [mesh] and [newton] keys each preset reads
+_PRESET_KEYS = {
+    "plastic-square": ("pull", "shear", "lam", "mu", "hardening", "yield_stress",
+                       "initial_cells", "rho", "tol", "max_iter"),
+    "elastic-square": ("lam", "mu", "initial_cells", "rho", "tol", "max_iter"),
+    "poisson-1d": ("alpha", "initial_cells"),
+    "poisson-lshape": (),
+}
+_ALL_PRESETS_READ = ("preset", "initial_refinements", "degree")
+
+
 def _build_problem(cfg: RunConfig):
+    """(kind, mesh, material, loads, extra) of the configured preset;
+    ConfigError for an unknown preset or for a key set away from its default
+    that the preset does not read."""
     pb, ms, mt = cfg.problem, cfg.mesh, cfg.material
     material = loads = extra = None
     if pb.preset == "plastic-square":
@@ -202,6 +216,13 @@ def _build_problem(cfg: RunConfig):
         mesh, extra = poisson_lshape(degree=ms.degree)
     else:
         raise ConfigError(f"unknown preset '{pb.preset}'")
+    default, reads = RunConfig(), _PRESET_KEYS[pb.preset] + _ALL_PRESETS_READ
+    for name in ("problem", "material", "mesh", "newton"):
+        section, base = getattr(cfg, name), getattr(default, name)
+        for key in (f.name for f in fields(section) if f.name not in reads):
+            if getattr(section, key) != getattr(base, key):
+                raise ConfigError(f"[{name}] {key} is not read by the preset "
+                                  f"'{pb.preset}'")
     for _ in range(ms.initial_refinements):
         mesh = mesh.uniformly_refined()
     return kind, mesh, material, loads, extra
@@ -348,11 +369,15 @@ def elastic_energy_error_sq(state, disp, disp_grad):
 # tables and exports
 # ---------------------------------------------------------------------------
 
-def convergence_table(records, use="error_sq"):
-    """Rows (dofs, value, rate); the rate compares successive records through
-    log(e_i/e_{i+1}) / log(h_i/h_{i+1}) when h changes, else against dofs."""
-    rows = []
-    vals = []
+def convergence_table(records, use=None):
+    """Rows (dofs, value, rate) of the record field use; None takes error_sq
+    when a record has a finite one, else the estimate. The rate compares
+    successive records through log(e_i/e_{i+1}) / log(h_i/h_{i+1}) when h
+    changes, else against dofs."""
+    if use is None:
+        use = ("error_sq" if any(np.isfinite(r.error_sq) for r in records)
+               else "estimate")
+    rows, vals = [], []
     for r in records:
         v = getattr(r, use)
         vals.append(np.sqrt(v) if use in ("error_sq", "estimate") else v)

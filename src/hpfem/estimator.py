@@ -16,18 +16,19 @@ polynomial degree; their defects enter the oscillation terms.
 
 The indicators are computed in one batched pass. The fields are gathered once
 per element, and every table, map derivative and field value is evaluated for
-a whole group at a time: the volume terms per element degree, the Neumann
-terms per (degree, facet) and the jump terms per facet degree p_e, with one
-stress evaluation per element degree for both sides of the facet pieces.
+a whole group at a time: the volume terms per element degree, and all facet
+terms per facet degree p_e. A Neumann facet is a one-sided facet piece over
+the whole facet, so the jump and Neumann terms of one p_e share one batch:
+one map evaluation, one h_e formula and one stress evaluation
+(`Fields.stress_at`) for every side of every piece.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import (corner_bits, facet_corner_rows, facet_measure,
-                   map_hessians, map_jacobians, map_points,
-                   point_set_diameters)
+from .mesh import (corner_bits, facet_measure, map_hessians, map_jacobians,
+                   map_points, point_set_diameters)
 from .plasticity import ElementBlocks, Fields, deviator, tensor_values
 from .polybasis import (tensor_gauss, tensor_indices, tensor_shape_eval,
                         tensor_shape_hessian)
@@ -117,9 +118,7 @@ def compute_indicators(space, qspace, material, loads, u, p, lam=None,
     n = len(act)
     fields = Fields(space, qspace, material, u, p, lam)
     corners = mesh.corner_array(act)
-    res_part = np.zeros(n)
-    pl_part = np.zeros(n)
-    osc = np.zeros(n)
+    res_part, pl_part, osc = np.zeros((3, n))
     for (pT,), sel in element_groups(space).items():
         res_part[sel], pl_part[sel], osc[sel] = _volume_terms(
             fields, loads, corners[sel], pT, sel, qspace.yield_stress, mu_mode)
@@ -130,10 +129,7 @@ def compute_indicators(space, qspace, material, loads, u, p, lam=None,
         [tab.b_facet, tab.facet])
     seq = np.empty(len(code), dtype=np.intp)
     seq[np.argsort(code, kind="stable")] = np.arange(len(code))
-    nb = len(tab.b_el)
-    res_terms, osc_terms = _neumann_terms(mesh, fields, loads, corners, tab,
-                                          seq[:nb])
-    res_terms += _jump_terms(mesh, fields, corners, tab, seq[nb:])
+    res_terms, osc_terms = _facet_terms(mesh, fields, loads, corners, tab, seq)
     # each element adds its facet terms in sweep order, so that elements
     # related by a symmetry of the mesh add equal terms in the same order
     for part, terms in ((res_part, res_terms), (osc, osc_terms)):
@@ -191,86 +187,71 @@ def _volume_terms(fields, loads, C, pT, sel, sigma_y, mu_mode):
     return res, plastic, osc
 
 
-def _neumann_terms(mesh, fields, loads, corners, tab, seq):
-    """Terms h_e/p_e ||sigma n - g_N||^2 and the traction oscillation of the
-    Neumann facets among the boundary rows of the facet table tab, with
-    sweep numbers seq, one batch per (degree, facet), as (sweep key, element
-    position, value) arrays for the residual and the oscillation."""
-    d = mesh.dim
-    res_terms, osc_terms = [], []
-    neumann = np.array([tag in loads.neumann_tags for tag in tab.b_tag], dtype=bool)
-    group = 2 * d * fields.deg[tab.b_el] + tab.b_facet
-    for g in np.unique(group[neumann]).tolist():
-        sel = np.nonzero(neumann & (group == g))[0]
-        (pT, f), els, order = divmod(g, 2 * d), tab.b_el[sel], seq[sel]
-        C = corners[els]
-        t, wq = tensor_gauss(pT + 2, d - 1)
-        ref = mesh.facet_embed(f, t)
-        J = map_jacobians(C, ref)
-        dS, nrm = facet_measure(J, f)
-        _, G = tensor_shape_eval(ref, tensor_indices(pT, d))
-        coef, prows, _ = fields.rows(pT, els)
-        sig, _ = fields.stress(np.swapaxes(coef, 1, 2)[:, None] @ G,
-                               gauss_point_basis(pT, ref) @ prows,
-                               np.linalg.inv(J))
-        diff = (sig @ nrm[..., None])[..., 0]
-        gdef = np.zeros(len(els))
-        if loads.traction is not None:
-            qpts, qwts = tensor_gauss(pT + 3, d - 1)
-            qref = mesh.facet_embed(f, qpts)
-            x = map_points(C, qref)
-            vals = np.asarray(loads.traction(x.reshape(-1, d)), dtype=float)
-            fidx = tensor_indices(pT, d - 1)
-            Vq, _ = tensor_shape_eval(qpts, fidx)
-            Ve, _ = tensor_shape_eval(t, fidx)
-            gN, gdef = _l2_projections(
-                Vq, qwts * facet_measure(map_jacobians(C, qref), f)[0],
-                vals.reshape(x.shape), Ve)
-            diff -= gN
-        # the facet of an interval is a point, taken with h_e = 1
-        h_e = point_set_diameters(C[:, facet_corner_rows(d)[f]]) if d > 1 else 1.0
-        res_terms.append((2 * order, els, h_e / pT * np.einsum(
-            "nq,nqk,nqk->n", wq * dS, diff, diff)))
-        osc_terms.append((order, els, h_e / pT * gdef))
-    return res_terms, osc_terms
+def _facet_terms(mesh, fields, loads, corners, tab, seq):
+    """Facet terms of the facet table tab, whose boundary rows and then
+    interior rows have sweep numbers seq, one batch per p_e, as (sweep key,
+    element position, value) arrays for the residual and the oscillation.
 
-
-def _jump_terms(mesh, fields, corners, tab, seq):
-    """Terms h_e/(2 p_e) ||[sigma n]||^2 of the interior facet pieces of the
-    facet table tab, with sweep numbers seq, one batch per p_e, added to both
-    sides, as (sweep key, element position, value) arrays. A piece is taken
-    once, from the side the sweep finds first."""
+    An interior piece, taken once from the side the sweep finds first, adds
+    h_e/(2 p_e) ||[sigma n]||^2 to both sides, with p_e the larger degree. A
+    Neumann facet is a one-sided piece over the whole facet: it adds
+    h_e/p_e ||sigma n - g_N||^2 and the traction oscillation to its element,
+    with p_e the element degree."""
     d = mesh.dim
-    rows = np.nonzero(np.arange(len(tab.twin)) < tab.twin)[0]
-    mine, f_mine, box = tab.el[rows], tab.facet[rows], tab.my_box[rows]
-    other, f_other, order = tab.nb[rows], tab.nb_facet[rows], seq[rows]
-    p_e = np.maximum(fields.deg[mine], fields.deg[other])
+    inner = np.nonzero(np.arange(len(tab.twin)) < tab.twin)[0]
+    neumann = np.nonzero(np.array([tag in loads.neumann_tags for tag in tab.b_tag],
+                                  dtype=bool))[0]
+    k = len(inner)
+    mine = np.concatenate([tab.el[inner], tab.b_el[neumann]])
+    f_mine = np.concatenate([tab.facet[inner], tab.b_facet[neumann]])
+    box = np.concatenate([tab.my_box[inner],
+                          np.broadcast_to([-1.0, 1.0], (len(neumann), d - 1, 2))])
+    other, f_other = tab.nb[inner], tab.nb_facet[inner]
+    order = np.concatenate([seq[len(tab.b_el) + inner], seq[neumann]])
+    p_e = fields.deg[mine]
+    p_e[:k] = np.maximum(p_e[:k], fields.deg[other])
     if d > 1:
         fb = corner_bits(d - 1).astype(bool)
         ends = np.where(fb[None], box[:, None, :, 1], box[:, None, :, 0])
         h_e = point_set_diameters(map_points(
             corners[mine], mesh.facet_embed(f_mine, ends)))
     else:
-        h_e = np.ones(len(rows))  # the facet of an interval is a point
-    terms = []
+        h_e = np.ones(len(mine))  # the facet of an interval is a point
+    res_terms, osc_terms = [], []
     for pe in sorted(set(p_e.tolist())):
         sel = np.nonzero(p_e == pe)[0]
-        k = len(sel)
+        pair, bnd = sel[sel < k], sel[sel >= k]
+        n, npair = len(sel), len(pair)
         xi, wts = tensor_gauss(pe + 2, d - 1)
-        t_mine, t_nb = tab.coords(rows[sel], xi)
+        t_mine, t_nb = tab.coords(inner[pair], xi)
+        t_mine = np.concatenate([t_mine, np.broadcast_to(xi, (len(bnd),) + xi.shape)])
         ref = np.concatenate([mesh.facet_embed(f_mine[sel], t_mine),
-                              mesh.facet_embed(f_other[sel], t_nb)])
-        els = np.concatenate([mine[sel], other[sel]])
+                              mesh.facet_embed(f_other[pair], t_nb)])
+        els = np.concatenate([mine[sel], other[pair]])
         J = map_jacobians(corners[els], ref)
-        dS, nrm = facet_measure(J[:k], f_mine[sel])
+        dS, nrm = facet_measure(J[:n], f_mine[sel])
         sig = fields.stress_at(els, ref, np.linalg.inv(J))
-        jump = ((sig[:k] - sig[k:]) @ nrm[..., None])[..., 0]
+        sig[:npair] -= sig[n:]
+        flux = (sig[:n] @ nrm[..., None])[..., 0]
+        if loads.traction is not None and len(bnd):
+            C, f = corners[mine[bnd]], f_mine[bnd]
+            qpts, qwts = tensor_gauss(pe + 3, d - 1)
+            qref = mesh.facet_embed(f, np.broadcast_to(qpts, (len(bnd),) + qpts.shape))
+            x = map_points(C, qref)
+            vals = np.asarray(loads.traction(x.reshape(-1, d)), dtype=float)
+            fidx = tensor_indices(pe, d - 1)
+            gN, gdef = _l2_projections(
+                tensor_shape_eval(qpts, fidx)[0],
+                qwts * facet_measure(map_jacobians(C, qref), f)[0],
+                vals.reshape(x.shape), tensor_shape_eval(xi, fidx)[0])
+            flux[npair:] -= gN
+            osc_terms.append((order[bnd], mine[bnd], h_e[bnd] / pe * gdef))
         wq = wts * np.prod(0.5 * (box[sel, :, 1] - box[sel, :, 0]), axis=1)[:, None]
-        val = h_e[sel] / (2.0 * pe) * np.einsum("nq,nqk,nqk->n", wq * dS, jump,
-                                                jump)
-        terms += [(2 * order[sel], mine[sel], val),
-                  (2 * order[sel] + 1, other[sel], val)]
-    return terms
+        val = h_e[sel] / (np.where(sel < k, 2.0, 1.0) * pe) * np.einsum(
+            "nq,nqk,nqk->n", wq * dS, flux, flux)
+        res_terms += [(2 * order[sel], mine[sel], val),
+                      (2 * order[pair] + 1, other[pair], val[:npair])]
+    return res_terms, osc_terms
 
 
 # ---------------------------------------------------------------------------

@@ -73,8 +73,8 @@ def residual(system, qspace, u, p, lam, rho):
     L = system.L
     r1 = system.K @ u - system.B @ p - system.l
     r2 = -(system.B.T @ u) + system.C @ p + system.D * lam
-    ch, _, _ = _kernels.chi_blocks(p.reshape(-1, L), lam.reshape(-1, L),
-                                   qspace.bounds, rho, want_jacobian=False)
+    ch = _kernels.chi_blocks(p.reshape(-1, L), lam.reshape(-1, L),
+                             qspace.bounds, rho)
     return np.concatenate([r1, r2, ch.ravel()])
 
 

@@ -21,12 +21,15 @@ For every case it checks that
 - the energies of every solve agree within 1e-12 relative;
 - the dof trajectories, the marked element sets and the failed benchmark
   checks (the seed-0 reference checks included) are identical;
+- the values each marking step is given (the indicator totals, or the
+  predicted gains) agree within 1e-12 of that step's largest value;
 - the condensed matrices of the matrix cases are bit-identical.
 
 It prints, per case, the largest final |F| of the working tree and the
 largest relative deviations of |F|, of the merit (over all trace rows, and
-over the rows with |F| above 1e-8, which are not rounding noise) and of the
-energy, over all solves, and exits with status 1 if a check fails. It is not
+over the rows with |F| above 1e-8, which are not rounding noise), of the
+energy, over all solves, and of the marked values, relative to each step's
+largest value, and exits with status 1 if a check fails. It is not
 a test module, so pytest does not collect it.
 """
 
@@ -38,16 +41,18 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("plastic-estimator-2d", "plastic-solve-large", "hex-estimator-3d")
 SEEDS = (0, 9173)
 F_TOL = 1e-11
 SIGNAL = 1e-8  # trace rows with |F| above it are not rounding noise
 ENERGY_RTOL = 1e-12
+MARK_RTOL = 1e-12  # marked values, relative to each step's largest value
 
 
 def _digest(a):
-    import numpy as np
     a = np.ascontiguousarray(a)
     return f"{a.dtype.str}:{hashlib.sha256(a.tobytes()).hexdigest()}"
 
@@ -66,7 +71,7 @@ def run_cases(root):
     import workloads
     from hpfem.assembly import total_energy
 
-    solves, marked = [], []
+    solves, marked, values = [], [], []
     real_solve, real_mark = pl.solve_semismooth_newton, est.mark_dorfler
 
     def solve(system, qspace, *args, **kwargs):
@@ -76,9 +81,12 @@ def run_cases(root):
                        "energy": total_energy(system, qspace, sol.u, sol.p)})
         return sol
 
-    def mark(*args, **kwargs):
-        out = real_mark(*args, **kwargs)
+    def mark(indicators, *args, **kwargs):
+        out = real_mark(indicators, *args, **kwargs)
         marked.append(sorted(int(e) for e in out))
+        values.append([float(v) for v in (
+            indicators.total if isinstance(indicators, est.ErrorIndicators)
+            else (indicators[e] for e in sorted(indicators)))])
         return out
 
     for module in (pl, drv, parity):
@@ -98,13 +106,14 @@ def run_cases(root):
         for seed in SEEDS:
             solves.clear()
             marked.clear()
+            values.clear()
             with tempfile.TemporaryDirectory() as outdir:
                 out = workloads.prepare(name, seed).run(outdir)
             if seed == 0:
                 workloads.check_reference(name, out)
             results[f"{name}@{seed}"] = {
                 "solves": list(solves), "dofs": out.dofs, "marked": list(marked),
-                "failures": sorted(map(list, out.failures))}
+                "values": list(values), "failures": sorted(map(list, out.failures))}
     return results
 
 
@@ -133,7 +142,18 @@ def compare(old, new):
         if old.get(key) != new.get(key):
             problems.append(f"{key} differ: {old.get(key)} != {new.get(key)}")
     figs = {"final_F": 0.0, "F_dev": 0.0, "merit_dev": 0.0, "merit_dev_8": 0.0,
-            "energy_dev": 0.0}
+            "energy_dev": 0.0, "mark_dev": 0.0}
+    for k, (a, b) in enumerate(zip(old.get("values", []), new.get("values", []))):
+        if len(a) != len(b):
+            problems.append(f"marking {k}: {len(a)} != {len(b)} values")
+            continue
+        if a:
+            a, b = np.array(a), np.array(b)
+            scale = np.abs(a).max()
+            dev = float(np.abs(b - a).max() / scale if scale else np.abs(b - a).max())
+            figs["mark_dev"] = max(figs["mark_dev"], dev)
+            if not dev <= MARK_RTOL:
+                problems.append(f"marking {k}: values {dev:.3g} relative off")
     if len(old["solves"]) != len(new["solves"]):
         problems.append(f"{len(old['solves'])} != {len(new['solves'])} solves")
         return problems, figs
@@ -182,15 +202,17 @@ def main():
     new = _in_subprocess(ROOT)
     failed = False
     print(f"{'case':26s} {'solves':>6s} {'final |F|':>10s} {'|F| dev':>9s} "
-          f"{'merit dev':>9s} {'(|F|>1e-8)':>10s} {'energy dev':>10s}  result")
+          f"{'merit dev':>9s} {'(|F|>1e-8)':>10s} {'energy dev':>10s} "
+          f"{'mark dev':>9s}  result")
     for case in old:
         problems, figs = compare(old[case], new[case])
         failed |= bool(problems)
         cols = (f"{len(new[case].get('solves', [])):6d} "
                 + (" ".join(f"{figs[k]:{w}.2e}" for k, w in
                             (("final_F", 10), ("F_dev", 9), ("merit_dev", 9),
-                             ("merit_dev_8", 10), ("energy_dev", 10)))
-                  if figs else f"{'':50s}"))
+                             ("merit_dev_8", 10), ("energy_dev", 10),
+                             ("mark_dev", 9)))
+                  if figs else f"{'':60s}"))
         print(f"{case:26s} {cols}  {'; '.join(problems) or 'equivalent'}")
     return 1 if failed else 0
 

@@ -8,11 +8,11 @@ import pytest
 
 import hpfem.plasticity as plasticity
 from hpfem.config import ConfigError, RunConfig, dump_config, parse_config
-from hpfem.driver import (RunRecord, convergence_table, format_table,
-                          plastic_error_sq, read_records, run_adaptive,
-                          run_elliptic_predictor, run_plastic_estimator,
-                          run_uniform, solve_elliptic, solve_plastic,
-                          write_records)
+from hpfem.driver import (RunRecord, _build_problem, convergence_table,
+                          format_table, plastic_error_sq, read_records,
+                          run_adaptive, run_elliptic_predictor,
+                          run_plastic_estimator, run_uniform, solve_elliptic,
+                          solve_plastic, write_records)
 from hpfem.problems import plastic_square, poisson_lshape
 
 
@@ -43,6 +43,21 @@ class TestConfig:
     def test_bad_loop_rejected(self):
         with pytest.raises(ConfigError, match="unknown loop"):
             parse_config("[run]\nloop = nonsense\n")
+
+    @pytest.mark.parametrize("preset, section, key, value", [
+        ("poisson-lshape", "mesh", "initial_cells", 5),
+        ("poisson-1d", "material", "lam", 2.0),
+        ("plastic-square", "problem", "alpha", 2.0),
+    ])
+    def test_key_the_preset_does_not_read(self, preset, section, key, value):
+        cfg = RunConfig()
+        cfg.problem.preset = preset
+        setattr(getattr(cfg, section), key, value)
+        with pytest.raises(ConfigError, match=rf"\[{section}\] {key} is not read"):
+            _build_problem(cfg)
+        # the default value is accepted, as it changes nothing
+        setattr(getattr(cfg, section), key, getattr(getattr(RunConfig(), section), key))
+        _build_problem(cfg)
 
     def test_comments_and_blanks(self):
         cfg = parse_config("# leading\n[run]\n\ntheta = 0.75  # trailing\n")
@@ -393,16 +408,41 @@ class TestCLI:
         assert r.returncode == 0, r.stderr
         assert "solved" in r.stdout
 
-    def test_adapt_and_table(self, tmp_path):
+    def _adapt_and_table(self, tmp_path, text):
+        """The stdouts of `hpfem adapt` on config text and of `hpfem table`
+        on its output, which must be equal."""
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("[mesh]\ninitial_cells = 2\n"
-                           "[run]\nmax_iterations = 2\n")
+        cfgfile.write_text(text)
         out = str(tmp_path / "out")
         r = self._run("adapt", "--config", str(cfgfile), "--out", out)
         assert r.returncode == 0, r.stderr
         r2 = self._run("table", "--out", out)
-        assert r2.returncode == 0
+        assert r2.returncode == 0, r2.stderr
         assert "dofs" in r2.stdout
+        assert r.stdout == r2.stdout
+        return r2.stdout
+
+    def test_adapt_and_table(self, tmp_path):
+        self._adapt_and_table(tmp_path, "[mesh]\ninitial_cells = 2\n"
+                                        "[run]\nmax_iterations = 2\n")
+
+    def test_adapt_and_table_uniform_p(self, tmp_path):
+        # the estimate of a uniform loop is NaN: both tables show error_sq
+        out = self._adapt_and_table(
+            tmp_path, "[problem]\npreset = elastic-square\n"
+                      "[run]\nloop = uniform-p\nmax_iterations = 3\n")
+        values = [float(line.split()[1]) for line in out.splitlines()[1:]]
+        assert len(values) == 3 and np.isfinite(values).all()
+        assert values[0] > values[1] > values[2] > 0.0
+
+    def test_unread_key_exit_3(self, tmp_path):
+        cfgfile = tmp_path / "lshape.cfg"
+        cfgfile.write_text("[problem]\npreset = poisson-lshape\n"
+                           "[mesh]\ninitial_cells = 5\n")
+        r = self._run("adapt", "--config", str(cfgfile), "--out",
+                      str(tmp_path / "o"), "--loop", "elliptic-predictor")
+        assert r.returncode == 3
+        assert "[mesh] initial_cells is not read by the preset" in r.stderr
 
     def test_config_error_exit_3(self, tmp_path):
         cfgfile = tmp_path / "bad.cfg"

@@ -157,6 +157,72 @@ class TestJumpTerm:
         assert np.isfinite(ind.total).all()
 
 
+class TestNeumannRows:
+    """A boundary facet adds a facet term exactly when its tag is in
+    loads.neumann_tags: being a boundary facet that is not Dirichlet is not
+    enough."""
+
+    def test_closed_form_with_other_tag(self):
+        # TestJumpTerm's kink, every boundary facet tagged "symmetry": only the
+        # jump term is left, until "symmetry" becomes a Neumann tag
+        from hpfem.mesh import Mesh
+        verts = [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
+        m = Mesh.from_arrays(verts, [[0, 3, 1, 4], [1, 4, 2, 5]], dim=2,
+                             default_tag="symmetry")
+        mat = Material(lam=1.0, mu=1.0, hardening=1.0, yield_stress=1e9)
+        space = ScalarSpace(m)
+        qs = GaussPointSpace(m, mat.yield_stress)
+        a = 3.0
+        u = _interp_vertex_field(
+            m, space,
+            lambda x: [x[0] if x[0] <= 1 else 1 + a * (x[0] - 1), 0.0])
+        s = (mat.lam + 2 * mat.mu) * (a - 1.0)
+        jump = 0.5 * s**2
+        left = jump + (mat.lam + 2 * mat.mu) ** 2 + 2 * mat.lam**2
+        right = jump + ((mat.lam + 2 * mat.mu) * a) ** 2 + 2 * (mat.lam * a) ** 2
+        for tags, want in (((), [jump, jump]), (("neumann",), [jump, jump]),
+                           (("neumann", "symmetry"), [left, right])):
+            ind = compute_indicators(space, qs, mat, Loads(neumann_tags=tags), u,
+                                     np.zeros(2 * qs.ndof), lam=None)
+            np.testing.assert_allclose(sorted(ind.residual_part), sorted(want),
+                                       rtol=1e-12, err_msg=str(tags))
+            assert np.all(ind.oscillation == 0.0)
+
+    def test_tag_changes_exactly_the_touching_elements(self, rng):
+        def tag(c):
+            if c[0] < 1e-12:
+                return "dirichlet"
+            return "neumann" if c[0] > 1.0 - 1e-12 else "symmetry"
+
+        m = square_mesh(3, degree=1, tagger=tag).refine_element(4).refine_element(0)
+        m = m.with_degrees({e: 1 + i % 3 for i, e in enumerate(m.active_ids())})
+        mat = Material(lam=10.0, mu=5.0, hardening=1.0, yield_stress=0.35)
+        space = ScalarSpace(m)
+        qs = GaussPointSpace(m, mat.yield_stress)
+        u = 0.05 * rng.standard_normal(2 * space.ndof)
+        p = 0.05 * rng.standard_normal(2 * qs.ndof)
+        lam = 0.3 * rng.standard_normal(2 * qs.ndof)
+
+        def traction(x):
+            return np.stack([np.sin(5.0 * x[:, 0]) + x[:, 1],
+                             np.cos(4.0 * x[:, 1]) * x[:, 0]], axis=1)
+
+        old, new = (compute_indicators(space, qs, mat,
+                                       Loads(traction=traction, neumann_tags=tags),
+                                       u, p, lam)
+                    for tags in (("neumann",), ("neumann", "symmetry")))
+        act = m.active_ids()
+        touching = np.array([("symmetry" in m.tags[e].tolist()) for e in act])
+        assert 0 < touching.sum() < len(act)
+        for part in ("residual_part", "oscillation"):
+            diff = getattr(new, part) - getattr(old, part)
+            scale = getattr(new, part).max()
+            assert np.all(diff[touching] > 1e-12 * scale), part
+            np.testing.assert_allclose(diff[~touching], 0.0, rtol=0,
+                                       atol=1e-14 * scale, err_msg=part)
+        np.testing.assert_array_equal(new.plastic_part, old.plastic_part)
+
+
 class TestMuStar:
     def test_feasible_identity(self, rng):
         lam = rng.standard_normal((10, 2, 2)) * 0.1

@@ -28,12 +28,35 @@ from hpfem.problems import cube_mesh, plastic_square
 from hpfem.space import GaussPointSpace, ScalarSpace, deviatoric_basis
 
 
+def clarke_blocks(p, lam, sigma, rho):
+    """The blocks dchi/dp and dchi/dlam (N, L, L) of one Clarke element of
+    the rows chi of `_kernels.chi_blocks` at coefficient rows p, lam (N, L)
+    with bounds sigma (N,); at the kink the active (norm) branch is
+    selected. The Newton iteration differentiates the projection form
+    instead; these blocks are the oracle of the condensed step."""
+    N, L = p.shape
+    w = lam + rho * p
+    nw = np.linalg.norm(w, axis=1)
+    active = nw >= sigma
+    eye = np.eye(L)
+    dp = np.empty((N, L, L))
+    dl = np.empty((N, L, L))
+    dp[:] = -(sigma * rho)[:, None, None] * eye
+    dl[:] = 0.0
+    if np.any(active):
+        what = w[active] / nw[active][:, None]
+        outer = lam[active][:, :, None] * what[:, None, :]
+        dl[active] = (nw[active] - sigma[active])[:, None, None] * eye + outer
+        dp[active] += rho * outer
+    return dp, dl
+
+
 def generalized_jacobian(system, qspace, p, lam, rho):
     """One Clarke element of the decoupled residual as a sparse matrix (the
     active branch is selected at the kink). The Newton iteration never builds
     it; it is the oracle of the condensed step."""
     L = system.L
-    _, dp, dl = chi_blocks(p.reshape(-1, L), lam.reshape(-1, L),
+    dp, dl = clarke_blocks(p.reshape(-1, L), lam.reshape(-1, L),
                            qspace.bounds, rho)
     n_u = system.K.shape[0]
     n_q = system.C.shape[0]
@@ -102,8 +125,7 @@ class TestChi:
             pm = np.einsum("l,lab->ab", pc, Phi)
             lm = np.einsum("l,lab->ab", lc, Phi)
             cm = chi(pm, lm, sigma, rho)
-            cc, _, _ = chi_blocks(pc[None, :], lc[None, :],
-                                   np.array([sigma]), rho)
+            cc = chi_blocks(pc[None, :], lc[None, :], np.array([sigma]), rho)
             np.testing.assert_allclose(np.einsum("l,lab->ab", cc[0], Phi), cm,
                                        atol=1e-13)
 
@@ -142,8 +164,8 @@ class TestGeneralizedJacobian:
         return system, qs
 
     def test_interior_branch_blocks(self, rng):
-        _, dp, dl = chi_blocks(np.zeros((3, 2)), 0.1 * np.ones((3, 2)),
-                                np.ones(3), 2.5, want_jacobian=True)
+        dp, dl = clarke_blocks(np.zeros((3, 2)), 0.1 * np.ones((3, 2)),
+                               np.ones(3), 2.5)
         for i in range(3):
             np.testing.assert_allclose(dp[i], -2.5 * np.eye(2), atol=1e-15)
             np.testing.assert_allclose(dl[i], 0.0, atol=1e-15)
@@ -160,17 +182,16 @@ class TestGeneralizedJacobian:
             w = lam + rho * p
             if np.linalg.norm(w) < sigma + 0.1:
                 p *= (sigma + 0.5) / np.linalg.norm(w)
-            _, dp, dl = chi_blocks(p[None], lam[None], np.array([sigma]), rho,
-                                    want_jacobian=True)
+            dp, dl = clarke_blocks(p[None], lam[None], np.array([sigma]), rho)
             for a in range(L):
                 e = np.zeros(L)
                 e[a] = h
-                cp, _, _ = chi_blocks((p + e)[None], lam[None], np.array([sigma]), rho)
-                cm, _, _ = chi_blocks((p - e)[None], lam[None], np.array([sigma]), rho)
+                cp = chi_blocks((p + e)[None], lam[None], np.array([sigma]), rho)
+                cm = chi_blocks((p - e)[None], lam[None], np.array([sigma]), rho)
                 np.testing.assert_allclose(dp[0][:, a], (cp - cm)[0] / (2 * h),
                                            atol=1e-5)
-                cp, _, _ = chi_blocks(p[None], (lam + e)[None], np.array([sigma]), rho)
-                cm, _, _ = chi_blocks(p[None], (lam - e)[None], np.array([sigma]), rho)
+                cp = chi_blocks(p[None], (lam + e)[None], np.array([sigma]), rho)
+                cm = chi_blocks(p[None], (lam - e)[None], np.array([sigma]), rho)
                 np.testing.assert_allclose(dl[0][:, a], (cp - cm)[0] / (2 * h),
                                            atol=1e-5)
 
@@ -179,8 +200,7 @@ class TestGeneralizedJacobian:
         sigma, rho = 1.0, 2.0
         lam = np.array([sigma, 0.0])
         p = np.zeros(2)
-        _, dp, dl = chi_blocks(p[None], lam[None], np.array([sigma]), rho,
-                                want_jacobian=True)
+        dp, dl = clarke_blocks(p[None], lam[None], np.array([sigma]), rho)
         what = np.array([1.0, 0.0])
         proj_active_dl = (np.linalg.norm(lam) - sigma) * np.eye(2) \
             + np.outer(lam, what)
@@ -476,7 +496,7 @@ class TestProjectionRows:
         sigma = rng.uniform(0.2, 2.0, N)
         p, lam = (v.reshape(N, L) for v in _mixed_rows(rng, N, L, sigma, rho))
         pi, ch, _, _, act = plasticity._projection_rows(p, lam, sigma, rho)
-        ref, _, _ = chi_blocks(p, lam, sigma, rho)
+        ref = chi_blocks(p, lam, sigma, rho)
         np.testing.assert_array_equal(ch, ref)
         nw = np.linalg.norm(lam + rho * p, axis=1)
         np.testing.assert_array_equal(act, nw >= sigma)
@@ -496,8 +516,8 @@ class TestCondensedStep:
         p, lam = _mixed_rows(rng, qs.ndof, L, qs.bounds, rho)
         u = rng.standard_normal(system.K.shape[0])
         F = residual(system, qs, u, p, lam, rho)
-        _, dp, dl = chi_blocks(p.reshape(-1, L), lam.reshape(-1, L), qs.bounds,
-                                rho, want_jacobian=True)
+        dp, dl = clarke_blocks(p.reshape(-1, L), lam.reshape(-1, L), qs.bounds,
+                               rho)
         step = condensed_newton_step(blocks, dp, dl, F)
         full = np.linalg.solve(
             generalized_jacobian(system, qs, p, lam, rho).toarray(), -F)
