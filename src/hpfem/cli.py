@@ -28,7 +28,10 @@ def build_parser():
 
 
 def _load(args):
-    cfg = load_config(args.config) if args.config else RunConfig()
+    if args.config:
+        cfg = load_config(args.config)
+    else:
+        cfg = RunConfig()
     if args.loop is not None:
         cfg.run.loop = args.loop
     return cfg

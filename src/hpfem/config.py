@@ -59,7 +59,6 @@ class RunConfig:
     newton: NewtonSection = field(default_factory=NewtonSection)
 
 
-_PRESETS = ("plastic-square", "elastic-square", "poisson-1d", "poisson-lshape")
 _LOOPS = ("plastic-estimator", "elliptic-predictor", "uniform-h", "uniform-p")
 
 
@@ -95,8 +94,6 @@ def parse_config(text):
                 setattr(current, key, value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for '{key}': {value}") from exc
-    if cfg.problem.preset not in _PRESETS:
-        raise ConfigError(f"unknown preset '{cfg.problem.preset}' (choose from {_PRESETS})")
     if cfg.run.loop not in _LOOPS:
         raise ConfigError(f"unknown loop '{cfg.run.loop}' (choose from {_LOOPS})")
     if not 0.0 < cfg.run.theta <= 1.0:

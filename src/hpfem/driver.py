@@ -180,50 +180,53 @@ def plastic_error_sq(coarse, fine):
 # adaptive loops
 # ---------------------------------------------------------------------------
 
-# the [problem], [material], [mesh] and [newton] keys each preset reads
-_PRESET_KEYS = {
-    "plastic-square": ("pull", "shear", "lam", "mu", "hardening", "yield_stress",
-                       "initial_cells", "rho", "tol", "max_iter"),
-    "elastic-square": ("lam", "mu", "initial_cells", "rho", "tol", "max_iter"),
-    "poisson-1d": ("alpha", "initial_cells"),
-    "poisson-lshape": (),
+# preset: (kind, builder, {builder keyword: the (section, key) it is read
+# from}). Every preset also reads [problem] preset, [mesh] degree and
+# initial_refinements; the plastic and elastic kinds read [newton].
+_PRESETS = {
+    "plastic-square": ("plastic", plastic_square, {
+        "n": ("mesh", "initial_cells"), "lam": ("material", "lam"),
+        "mu": ("material", "mu"), "hardening": ("material", "hardening"),
+        "yield_stress": ("material", "yield_stress"),
+        "pull": ("problem", "pull"), "shear": ("problem", "shear")}),
+    "elastic-square": ("elastic", elastic_square_manufactured, {
+        "n": ("mesh", "initial_cells"), "lam": ("material", "lam"),
+        "mu": ("material", "mu")}),
+    "poisson-1d": ("elliptic", poisson_1d_singular, {
+        "alpha": ("problem", "alpha"), "n": ("mesh", "initial_cells")}),
+    "poisson-lshape": ("elliptic", poisson_lshape, {}),
 }
-_ALL_PRESETS_READ = ("preset", "initial_refinements", "degree")
 
 
 def _build_problem(cfg: RunConfig):
     """(kind, mesh, material, loads, extra) of the configured preset;
     ConfigError for an unknown preset or for a key set away from its default
     that the preset does not read."""
-    pb, ms, mt = cfg.problem, cfg.mesh, cfg.material
-    material = loads = extra = None
-    if pb.preset == "plastic-square":
-        kind = "plastic"
-        mesh, material, loads = plastic_square(
-            n=ms.initial_cells, degree=ms.degree, lam=mt.lam, mu=mt.mu,
-            hardening=mt.hardening, yield_stress=mt.yield_stress,
-            pull=pb.pull, shear=pb.shear)
-    elif pb.preset == "elastic-square":
-        kind = "elastic"
-        mesh, material, loads, *extra = elastic_square_manufactured(
-            n=ms.initial_cells, degree=ms.degree, lam=mt.lam, mu=mt.mu)
-    elif pb.preset == "poisson-1d":
-        kind = "elliptic"
-        mesh, extra = poisson_1d_singular(alpha=pb.alpha, n=ms.initial_cells,
-                                          degree=ms.degree)
-    elif pb.preset == "poisson-lshape":
-        kind = "elliptic"
-        mesh, extra = poisson_lshape(degree=ms.degree)
-    else:
-        raise ConfigError(f"unknown preset '{pb.preset}'")
-    default, reads = RunConfig(), _PRESET_KEYS[pb.preset] + _ALL_PRESETS_READ
+    if cfg.problem.preset not in _PRESETS:
+        raise ConfigError(f"unknown preset '{cfg.problem.preset}' "
+                          f"(choose from {tuple(_PRESETS)})")
+    kind, builder, args = _PRESETS[cfg.problem.preset]
+    reads = {("problem", "preset"), ("mesh", "degree"),
+             ("mesh", "initial_refinements"), *args.values()}
+    if kind != "elliptic":
+        reads |= {("newton", f.name) for f in fields(cfg.newton)}
+    default = RunConfig()
     for name in ("problem", "material", "mesh", "newton"):
         section, base = getattr(cfg, name), getattr(default, name)
-        for key in (f.name for f in fields(section) if f.name not in reads):
-            if getattr(section, key) != getattr(base, key):
+        for key in (f.name for f in fields(section)):
+            if ((name, key) not in reads
+                    and getattr(section, key) != getattr(base, key)):
                 raise ConfigError(f"[{name}] {key} is not read by the preset "
-                                  f"'{pb.preset}'")
-    for _ in range(ms.initial_refinements):
+                                  f"'{cfg.problem.preset}'")
+    built = builder(degree=cfg.mesh.degree,
+                    **{arg: getattr(getattr(cfg, name), key)
+                       for arg, (name, key) in args.items()})
+    material = loads = None
+    if kind == "elliptic":
+        mesh, extra = built
+    else:
+        mesh, material, loads, *extra = built
+    for _ in range(cfg.mesh.initial_refinements):
         mesh = mesh.uniformly_refined()
     return kind, mesh, material, loads, extra
 
@@ -329,7 +332,7 @@ def run_uniform(cfg, kind, mesh, material, loads, extra, outdir=None):
         else:
             state = solve_plastic(mesh, material, loads,
                                   _newton_config(cfg, material))
-            err_sq = (np.nan if extra is None
+            err_sq = (np.nan if not extra
                       else elastic_energy_error_sq(state, *extra))
             values = (state.energy(), state.solution.iterations, np.nan, err_sq)
         act = mesh.active_ids()
@@ -369,18 +372,14 @@ def elastic_energy_error_sq(state, disp, disp_grad):
 # tables and exports
 # ---------------------------------------------------------------------------
 
-def convergence_table(records, use=None):
-    """Rows (dofs, value, rate) of the record field use; None takes error_sq
-    when a record has a finite one, else the estimate. The rate compares
-    successive records through log(e_i/e_{i+1}) / log(h_i/h_{i+1}) when h
-    changes, else against dofs."""
-    if use is None:
-        use = ("error_sq" if any(np.isfinite(r.error_sq) for r in records)
-               else "estimate")
-    rows, vals = [], []
-    for r in records:
-        v = getattr(r, use)
-        vals.append(np.sqrt(v) if use in ("error_sq", "estimate") else v)
+def convergence_table(records):
+    """Rows (dofs, value, rate); the value is sqrt(error_sq) when a record has
+    a finite error_sq, else sqrt(estimate). The rate compares successive
+    records through log(e_i/e_{i+1}) / log(h_i/h_{i+1}) when h changes, else
+    against dofs."""
+    use_error = any(np.isfinite(r.error_sq) for r in records)
+    rows = []
+    vals = [np.sqrt(r.error_sq if use_error else r.estimate) for r in records]
     for i, r in enumerate(records):
         rate = float("nan")
         if i > 0 and vals[i] > 0 and vals[i - 1] > 0:

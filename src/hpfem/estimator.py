@@ -118,7 +118,9 @@ def compute_indicators(space, qspace, material, loads, u, p, lam=None,
     n = len(act)
     fields = Fields(space, qspace, material, u, p, lam)
     corners = mesh.corner_array(act)
-    res_part, pl_part, osc = np.zeros((3, n))
+    res_part = np.zeros(n)
+    pl_part = np.zeros(n)
+    osc = np.zeros(n)
     for (pT,), sel in element_groups(space).items():
         res_part[sel], pl_part[sel], osc[sel] = _volume_terms(
             fields, loads, corners[sel], pT, sel, qspace.yield_stress, mu_mode)

@@ -2,13 +2,15 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 import hpfem.plasticity as plasticity
 from hpfem.config import ConfigError, RunConfig, dump_config, parse_config
-from hpfem.driver import (RunRecord, _build_problem, convergence_table,
+from hpfem.driver import (RunRecord, _build_problem, _newton_config,
+                          convergence_table,
                           format_table, plastic_error_sq, read_records,
                           run_adaptive, run_elliptic_predictor,
                           run_plastic_estimator, run_uniform, solve_elliptic,
@@ -58,6 +60,48 @@ class TestConfig:
         # the default value is accepted, as it changes nothing
         setattr(getattr(cfg, section), key, getattr(getattr(RunConfig(), section), key))
         _build_problem(cfg)
+
+    def test_unknown_preset_rejected(self):
+        cfg = RunConfig()
+        cfg.problem.preset = "nope"
+        with pytest.raises(ConfigError, match="unknown preset 'nope'"):
+            _build_problem(cfg)
+
+    @pytest.mark.parametrize("preset", ["plastic-square", "elastic-square",
+                                        "poisson-1d", "poisson-lshape"])
+    def test_every_accepted_key_is_read(self, preset):
+        # a key _build_problem accepts away from its default changes the
+        # mesh, the solved energy or the Newton settings; keeps the preset
+        # table in step with the builders and _newton_config
+        def outcome(cfg):
+            kind, mesh, material, loads, extra = _build_problem(cfg)
+            act = mesh.active_ids()
+            if kind == "elliptic":
+                newton, energy = None, solve_elliptic(mesh, extra).energy_sq()
+            else:
+                newton = _newton_config(cfg, material)
+                energy = solve_plastic(mesh, material, loads, newton).energy()
+            return (mesh.corner_array(act).tolist(), mesh.degree[act].tolist(),
+                    energy, newton)
+
+        cfg = RunConfig()
+        cfg.problem.preset = preset
+        base = outcome(cfg)
+        for name in ("problem", "material", "mesh", "newton"):
+            for f in fields(getattr(cfg, name)):
+                if f.name == "preset":
+                    continue
+                cfg = RunConfig()
+                cfg.problem.preset = preset
+                section = getattr(cfg, name)
+                value = getattr(section, f.name)
+                setattr(section, f.name, type(value)(1.5 * value + 1))
+                try:
+                    changed = outcome(cfg)
+                except ConfigError as exc:
+                    assert f"[{name}] {f.name} is not read" in str(exc)
+                    continue
+                assert changed != base, (name, f.name)
 
     def test_comments_and_blanks(self):
         cfg = parse_config("# leading\n[run]\n\ntheta = 0.75  # trailing\n")
@@ -271,7 +315,7 @@ class TestTables:
                    for i, d in enumerate([0, 3, 3, 12])]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = convergence_table(records, use="estimate")
+            rows = convergence_table(records)
         rates = [rate for _, _, rate in rows]
         assert np.isnan(rates[:3]).all()
         # sqrt(estimate) falls by sqrt(4/3) while the dofs grow by 4
@@ -290,7 +334,7 @@ class TestTables:
         records = read_records(str(tmp_path / "records.csv"))
         assert len(records) == 2
         assert records[0].dofs > 0
-        fmt = format_table(convergence_table(records, use="estimate"))
+        fmt = format_table(convergence_table(records))
         assert "dofs" in fmt
 
 
