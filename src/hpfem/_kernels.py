@@ -143,6 +143,18 @@ def chi_blocks(p, lam, sigma, rho):
 # sparse kernels on CSR arrays
 # ---------------------------------------------------------------------------
 
+def _indptr(counts):
+    """CSR row pointers of rows with counts entries."""
+    return np.concatenate([[0], np.cumsum(counts)])
+
+
+def _ranges(starts, counts):
+    """The ranges starts[i] .. starts[i] + counts[i] - 1, concatenated."""
+    ends = np.cumsum(counts)
+    total = ends[-1] if ends.size else 0
+    return np.repeat(starts + counts - ends, counts) + np.arange(total)
+
+
 def _index_arrays(arrays, bound):
     """The index arrays in one dtype: int32 unless one of them is int64 or
     bound, a count of entries, needs int64, as scipy chooses."""

@@ -321,8 +321,7 @@ def gauss_mass_matrix(qspace, ncomp=1, coupling=None):
     elem = np.repeat(np.arange(len(size)), size * size)[nz]
     row, col = np.divmod(nz - at[elem], size[elem])
     n = ncomp * qspace.ndof
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(start[elem] + row,
-                                                        minlength=n))])
+    indptr = _kernels._indptr(np.bincount(start[elem] + row, minlength=n))
     return sp.csr_matrix((vals[nz], start[elem] + col, indptr), shape=(n, n))
 
 

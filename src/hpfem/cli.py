@@ -1,6 +1,6 @@
 """Command-line driver: solve | adapt | table | export.
 
-Exit codes: 0 success, 2 solver failure, 3 configuration error.
+Exit codes: 0 success, 2 solver failure, 3 bad configuration or no records.csv.
 """
 
 import argparse
@@ -51,7 +51,11 @@ def main(argv=None):
             records, _ = run_adaptive(cfg, outdir=args.out)
             print(format_table(convergence_table(records)))
         elif args.command == "table":
-            records = read_records(os.path.join(args.out, "records.csv"))
+            try:
+                records = read_records(os.path.join(args.out, "records.csv"))
+            except OSError as exc:
+                print(f"no run records: {exc}", file=sys.stderr)
+                return 3
             print(format_table(convergence_table(records)))
         elif args.command == "export":
             cmd_export(cfg, args.out)

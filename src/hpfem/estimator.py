@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .assembly import group_quadrature
 from .mesh import (corner_bits, facet_measure, map_hessians, map_jacobians,
                    map_points, point_set_diameters)
 from .plasticity import ElementBlocks, Fields, deviator, tensor_values
@@ -150,12 +151,9 @@ def _volume_terms(fields, loads, C, pT, sel, sigma_y, mu_mode):
     d = fields.dim
     material = fields.material
     idx = tensor_indices(pT, d)
-    pts, wts = tensor_gauss(pT + 2, d)
+    pts, w, Jinv = group_quadrature(C, pT + 2)
     V, G = tensor_shape_eval(pts, idx)
     VL, GL = gauss_point_basis(pT, pts, gradient=True)
-    J = map_jacobians(C, pts)
-    Jinv = np.linalg.inv(J)
-    w = wts * np.linalg.det(J)
     coef, prows, lrows = fields.rows(pT, sel)
     resid = stress_divergence_values(
         material, coef, prows, G, tensor_shape_hessian(pts, idx),
@@ -163,13 +161,11 @@ def _volume_terms(fields, loads, C, pT, sel, sigma_y, mu_mode):
     scale = (point_set_diameters(C) / pT) ** 2
     osc = np.zeros(len(sel))
     if loads.volume is not None:
-        qpts, qwts = tensor_gauss(pT + 3, d)
+        qpts, qw, _ = group_quadrature(C, pT + 3)
         Vq, _ = tensor_shape_eval(qpts, idx)
         x = map_points(C, qpts)
         vals = np.asarray(loads.volume(x.reshape(-1, d)), dtype=float)
-        fN, fdef = _l2_projections(
-            Vq, qwts * np.linalg.det(map_jacobians(C, qpts)),
-            vals.reshape(x.shape), V)
+        fN, fdef = _l2_projections(Vq, qw, vals.reshape(x.shape), V)
         resid += fN
         osc = scale * fdef
     res = scale * np.einsum("nq,nqk,nqk->n", w, resid, resid)

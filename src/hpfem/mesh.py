@@ -122,30 +122,38 @@ def map_hessians(corners, xhat):
     return out.reshape(out.shape[:-1] + (d, d))
 
 
+@lru_cache(maxsize=None)
+def _facet_axes(dim):
+    """The in-facet axes (d, d-1) of the facets normal to each axis k: the
+    other axes, ascending (read-only)."""
+    out = np.nonzero(~np.eye(dim, dtype=bool))[1].reshape(dim, dim - 1)
+    out.setflags(write=False)
+    return out
+
+
 def facet_measure(J, f):
     """Surface factor dS and unit outward normal of a local facet at points
     with map Jacobians J (..., d, d); f is one facet, or one per row of J.
 
     Nanson's formula: for the facet x_k = -1 (s = 0) or +1 (s = 1), the
     outward normal times dS is sign(det J) (2s - 1) cof(J) e_k. The cofactor
-    column cof(J) e_k is the cross product of the other two columns of J in
-    3D, the rotated other column in 2D and 1 in 1D."""
+    column cof(J) e_k is the cross product of the columns k + 1 and k + 2
+    (mod 3) of J in 3D, the rotated other column in 2D and 1 in 1D."""
     f = np.asarray(f)
     if f.ndim:
-        dS, nrm = np.empty(J.shape[:-2]), np.empty(J.shape[:-1])
-        for fv in np.unique(f):
-            rows = f == fv
-            dS[rows], nrm[rows] = facet_measure(J[rows], fv)
-        return dS, nrm
-    k, s = divmod(int(f), 2)
+        f = f.reshape(f.shape + (1,) * (J.ndim - 2 - f.ndim))
+    k, s = np.divmod(f, 2)
     d = J.shape[-1]
+    # the columns k, k + 1, ..., k + d - 1 (mod d) of J, per row if f is
+    at = (k[..., None] + np.arange(d)) % d
+    C = np.take_along_axis(J, at[..., None, :], axis=-1) if f.ndim else J[..., at]
     if d == 1:
         N = np.ones(J.shape[:-1])
     elif d == 2:
-        N = (1 - 2 * k) * np.stack([J[..., 1, 1 - k], -J[..., 0, 1 - k]], axis=-1)
+        N = (1 - 2 * k)[..., None] * np.stack([C[..., 1, 1], -C[..., 0, 1]], axis=-1)
     else:
-        N = np.cross(J[..., :, (k + 1) % 3], J[..., :, (k + 2) % 3])
-    det = (J[..., :, k] * N).sum(axis=-1)
+        N = np.cross(C[..., 1], C[..., 2])
+    det = (C[..., 0] * N).sum(axis=-1)
     dS = np.linalg.norm(N, axis=-1)
     return dS, N / dS[..., None] * ((2 * s - 1) * np.sign(det))[..., None]
 
@@ -507,12 +515,11 @@ class Mesh:
         t = np.asarray(t_facet, dtype=float)
         f = np.asarray(f)
         if f.ndim == 0:
-            return np.insert(np.atleast_2d(t), f // 2, 2.0 * (f % 2) - 1.0,
-                             axis=-1)
+            t = np.atleast_2d(t)
+        k, s = np.divmod(f.reshape(f.shape + (1,) * (t.ndim - 1 - f.ndim)), 2)
         out = np.empty(t.shape[:-1] + (self.dim,))
-        for fv in np.unique(f):
-            rows = f == fv
-            out[rows] = self.facet_embed(fv, t[rows])
+        np.put_along_axis(out, _facet_axes(self.dim)[k], t, axis=-1)
+        np.put_along_axis(out, k[..., None], 2.0 * s[..., None] - 1.0, axis=-1)
         return out
 
     # -- IO -------------------------------------------------------------------
@@ -637,8 +644,7 @@ def _facet_table(mesh):
     n = len(act)
     root, box, tags = mesh.root[act], mesh.boxes[act], mesh.tags[act].ravel()
     inner = np.equal(tags, None)
-    axes = np.array([[a for a in range(d) if a != k] for k in range(d)],
-                    dtype=np.intp).reshape(d, d - 1)
+    axes = _facet_axes(d)
     # every facet (i, f) of an active element, and its intervals
     i, f = np.repeat(np.arange(n), nf), np.tile(np.arange(nf), n)
     plane = box[i, f // 2, f % 2]

@@ -31,12 +31,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import _kernels
+from ._kernels import _indptr
 from .assembly import (element_groups, gauss_mass_matrix, group_quadrature,
                        plastic_functional)
 from .mesh import require_dirichlet
 from .polybasis import gauss_lagrange_1d, tensor_contract
-from .space import (_indptr, deviatoric_basis, deviatoric_dim,
-                    gauss_point_basis, require_same_degrees)
+from .space import (deviatoric_basis, deviatoric_dim, gauss_point_basis,
+                    require_same_degrees)
 
 
 # From the STAGNATION-th residual evaluation of a solve on, and after a

@@ -2,10 +2,12 @@
 
 ScalarSpace is the continuous space of mapped tensor integrated-Legendre
 polynomials with hanging-node constraints folded into its local-to-global
-operator P; vector fields use it componentwise. GaussPointSpace is the
-discontinuous space spanned by the tensor Lagrange basis at Gauss points of
-degree p_T - 1 (elementwise constants for p_T = 1) together with its
-biorthogonal dual basis, the dof weights and the decoupled yield bounds.
+operator P, kept as CSR arrays (indptr, indices, data) whose rows one
+reader, `_row_entries`, gathers; vector fields use it componentwise.
+GaussPointSpace is the discontinuous space spanned by the tensor Lagrange
+basis at Gauss points of degree p_T - 1 (elementwise constants for p_T = 1)
+together with its biorthogonal dual basis, the dof weights and the
+decoupled yield bounds.
 
 Dof bookkeeping works on "canonical slots": a vertex value ('v', vid), an edge
 bubble ('e', key, j) oriented from the lower to the higher vertex id, a face
@@ -23,9 +25,9 @@ import itertools
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _kernels
+from ._kernels import _indptr, _ranges
 from .mesh import (DIRICHLET, RELATIONS, corner_bits, corner_row,
                    facet_corner_rows, map_jacobians)
 from .polybasis import (MAX_DEGREE, gauss_lagrange_tensor, reference_table,
@@ -271,55 +273,36 @@ def _first_owner(fine, coarse, size):
     return owner
 
 
-def _ranges(starts, counts):
-    """The ranges starts[i] .. starts[i] + counts[i] - 1, concatenated."""
-    ends = np.cumsum(counts)
-    total = ends[-1] if ends.size else 0
-    return np.repeat(starts + counts - ends, counts) + np.arange(total)
-
-
-def _indptr(counts):
-    """CSR row pointers of rows with counts entries."""
-    return np.concatenate([[0], np.cumsum(counts)])
-
-
 def _resolve_constraints(R, T, ncol):
     """T (slots x ncol dofs, CSR arrays (indptr, indices, data) with sorted
     indices) with the rows of the slots that R (slots x slots, the same)
     constrains set to their resolved rows, which T holds empty, as CSR
     arrays. Row s of R expresses slot s in master slots, which may
     themselves be constrained, so the rows are resolved in dependency order,
-    one level at a time, as R's rows times T: each entry sums its products
-    from 0 in the order of R's row and then of T's rows, as the sparse
-    product does, and entries of magnitude at most _DROP are dropped from
-    each resolved row."""
-    (indptr, cols, vals), (r_indptr, r_cols, r_vals) = T, R
+    one level at a time, as R's rows times T (`_kernels.csr_product`),
+    sorted and without the entries of magnitude at most _DROP."""
+    indptr, cols, vals = T
     n = len(indptr) - 1
-    nnz = np.diff(r_indptr)
-    pending = np.flatnonzero(nnz)
-    waiting = nnz > 0
+    waiting = np.diff(R[0]) > 0
+    pending = np.flatnonzero(waiting)
     while pending.size:
-        masters = r_cols[_ranges(r_indptr[pending], nnz[pending])]
-        blocked = np.logical_or.reduceat(waiting[masters],
-                                         np.cumsum(nnz[pending]) - nnz[pending])
+        masters, _, count = _row_entries(R, pending)
+        blocked = np.logical_or.reduceat(waiting[masters], np.cumsum(count) - count)
         ready = pending[~blocked]
         if not ready.size:
             raise RuntimeError("cyclic hanging-node constraints")
-        at = _ranges(r_indptr[ready], nnz[ready])
-        count = np.diff(indptr)[r_cols[at]]
-        take = _ranges(indptr[r_cols[at]], count)
-        key, entry = np.unique(np.repeat(np.repeat(ready, nnz[ready]), count) * ncol
-                               + cols[take], return_inverse=True)
-        sums = np.bincount(entry, weights=np.repeat(r_vals[at], count) * vals[take],
-                           minlength=len(key))
-        keep = np.abs(sums) > _DROP
+        r_cols, r_vals, count = _row_entries(R, ready)
+        res = res_ptr, res_cols, res_vals = _kernels.csr_product(
+            (_indptr(count), r_cols, r_vals), (indptr, cols, vals), ncol)
+        _kernels.csr_sort(res)
+        keep = np.abs(res_vals) > _DROP
         # the resolved rows were empty: a stable sort by row puts each in
         # place, its indices sorted
         rows = np.concatenate([np.repeat(np.arange(n), np.diff(indptr)),
-                               key[keep] // ncol])
+                               np.repeat(ready, np.diff(res_ptr))[keep]])
         order = np.argsort(rows, kind="stable")
-        cols = np.concatenate([cols, key[keep] % ncol])[order]
-        vals = np.concatenate([vals, sums[keep]])[order]
+        cols = np.concatenate([cols, res_cols[keep]])[order]
+        vals = np.concatenate([vals, res_vals[keep]])[order]
         indptr = _indptr(np.bincount(rows, minlength=n))
         waiting[ready] = False
         pending = pending[blocked]
@@ -350,7 +333,7 @@ class ScalarSpace:
     the corner ids, or an interior mode. T (slots x free dofs) is the
     identity on free slots, empty on Dirichlet and out-of-degree slots, and
     holds the resolved constraint rows on slots hanging on a coarser
-    neighbor's facet. Row r of the local-to-global operator P (CSR, one
+    neighbor's facet. Row r of the local-to-global operator P (CSR arrays, one
     row per tensor shape of each active element, in element order, one
     column per free dof) is the row of T at the slot of shape r, times the
     shape's orientation sign: P u stacks the element coefficients of u, and
@@ -366,7 +349,7 @@ class ScalarSpace:
             raise ValueError(f"polynomial degree must be in 1..{MAX_DEGREE}")
         self._act = np.array(act, dtype=np.intp)
         self._deg = deg
-        self._shape_offsets = np.concatenate([[0], np.cumsum((deg + 1) ** self.dim)])
+        self._shape_offsets = _indptr((deg + 1) ** self.dim)
         self._build()
 
     # -- the dof map -----------------------------------------------------------
@@ -462,7 +445,7 @@ class ScalarSpace:
         icount = (deg - 1) ** d
         counts = np.concatenate([free_v, np.where(free_e, edge_deg - 1, 0),
                                  np.where(free_f, (face_deg - 1) ** 2, 0), icount])
-        start = np.concatenate([[0], np.cumsum(counts)])
+        start = _indptr(counts)
         self.ndof = int(start[-1])
         self._interior_offsets = start[nv + ne + nf:]
         self._free_entities = (vids[free_v], ekeys[free_e], edge_deg[free_e],
@@ -494,7 +477,7 @@ class ScalarSpace:
         nshape = int(self._shape_offsets[-1])
         slot = np.empty(nshape, dtype=np.intp)
         sign = np.ones(nshape)
-        istart = np.concatenate([[0], np.cumsum(icount)])
+        istart = _indptr(icount)
         for (p,), sel in element_groups(self).items():
             kind, ent, jj = _shape_entities(d, p)
             s = np.empty((len(sel), len(kind)), dtype=np.intp)
@@ -538,12 +521,8 @@ class ScalarSpace:
         self._vertex_ids = vids
         self._hanging_vertices = np.nonzero(vown >= 0)[0]
         # P: row r is the row of T at the slot of shape r, times its sign
-        indptr, cols, vals = T
-        count = np.diff(indptr)[slot]
-        take = _ranges(indptr[slot], count)
-        self.P = sp.csr_matrix((vals[take] * np.repeat(sign, count), cols[take],
-                                _indptr(count)), shape=(nshape, self.ndof))
-        self.P.sort_indices()
+        cols, vals, count = _row_entries(T, slot)
+        self.P = _indptr(count), cols, vals * np.repeat(sign, count)
 
     # -- reading the dof map ---------------------------------------------------
 
@@ -567,9 +546,7 @@ class ScalarSpace:
     def hanging_vertices(self):
         """{vertex id: (dofs, coefficients)}: the resolved constraint row of
         each hanging vertex that is not on a Dirichlet facet."""
-        indptr, cols, vals = self._T
-        return {int(self._vertex_ids[v]): (cols[indptr[v]:indptr[v + 1]],
-                                           vals[indptr[v]:indptr[v + 1]])
+        return {int(self._vertex_ids[v]): _row_entries(self._T, [v])[:2]
                 for v in self._hanging_vertices.tolist()}
 
     def interior_dofs(self, positions=None):
@@ -586,55 +563,36 @@ class ScalarSpace:
         degree), element by element, gathered from P's arrays
         (`_row_entries`): the CSR arrays (indptr, indices, data) of the rows
         and of their transpose, which `assembly.galerkin` reads."""
-        P = self.P
-        take, cols, count = _row_entries(
-            P, _element_rows(self._shape_offsets, positions, ncomp), ncomp)
-        rows = (_indptr(count), cols, P.data[take])
+        cols, data, count = _row_entries(
+            self.P, _element_rows(self._shape_offsets, positions, ncomp), ncomp)
+        rows = (_indptr(count), cols, data)
         return rows, _kernels.csr_transpose(rows, ncomp * self.ndof)
 
     def scatter(self, ncomp, positions, values):
         """The rows of P (x) I_ncomp of the active elements at positions (all
         of one degree), transposed, times values (one per row): each entry
         sums its products from 0 in CSR entry order, as scipy's product with
-        the transposed (CSC) rows does, so the two agree bit for bit. It
-        reads P's arrays and forms no sparse matrix."""
-        P = self.P
-        take, cols, count = _row_entries(
-            P, _element_rows(self._shape_offsets, positions, ncomp), ncomp)
-        return np.bincount(cols, weights=P.data[take] * np.repeat(values, count),
-                           minlength=ncomp * self.ndof)
-
-    @cached_property
-    def _gather(self):
-        """P as a padded gather table: the entry count (rows,) of each row of
-        P, and its column indices and coefficients (rows, width) in CSR entry
-        order, padded with column ndof and coefficient 0."""
-        P = self.P
-        count = np.diff(P.indptr)
-        row = np.repeat(np.arange(len(count)), count)
-        at = np.arange(P.nnz) - np.repeat(P.indptr[:-1], count)
-        width = int(count.max(initial=0))
-        cols = np.full((len(count), width), self.ndof, dtype=np.intp)
-        coefs = np.zeros((len(count), width))
-        cols[row, at], coefs[row, at] = P.indices, P.data
-        return count, cols, coefs
+        the transposed (CSC) rows does, so the two agree bit for bit."""
+        cols, data, count = _row_entries(
+            self.P, _element_rows(self._shape_offsets, positions, ncomp), ncomp)
+        # with no entries at all, np.bincount counts in integers
+        return np.bincount(cols, weights=data * np.repeat(values, count),
+                           minlength=ncomp * self.ndof).astype(float, copy=False)
 
     def element_coeffs(self, positions, u):
         """Coefficients (n, nb, ...) of a global field u (ndof,) or (ndof, k)
         over the tensor shapes of the active elements at positions, all of
-        one degree: their rows of P times u, read through the gather table.
-        Each entry sums its products from 0 in CSR entry order, as scipy's
-        CSR product does, so the two agree bit for bit."""
+        one degree: their rows of P times u. Each entry sums its products
+        from 0 in CSR entry order, as scipy's CSR product does, so the two
+        agree bit for bit."""
         rows = _element_rows(self._shape_offsets, positions, 1)
-        count, cols, coefs = self._gather
-        width = int(count[rows].max())
-        cols, coefs = cols[rows, :width], coefs[rows, :width]
+        cols, data, count = _row_entries(self.P, rows)
         u = np.asarray(u)
-        coefs = coefs.reshape(coefs.shape + (1,) * (u.ndim - 1))
-        u = np.concatenate([u, np.zeros((1,) + u.shape[1:], dtype=u.dtype)])
-        out = np.zeros((len(rows),) + u.shape[1:], dtype=np.result_type(coefs, u))
-        for k in range(width):
-            out += coefs[:, k] * u[cols[:, k]]
+        row = np.repeat(np.arange(len(rows)), count)
+        vals = data[:, None] * (u if u.ndim == 2 else u[:, None])[cols]
+        # with no entries at all, np.bincount counts in integers
+        out = np.stack([np.bincount(row, weights=v, minlength=len(rows))
+                        for v in vals.T], axis=1).astype(float, copy=False)
         return out.reshape((len(positions), -1) + u.shape[1:])
 
     def vertex_values(self, u):
@@ -648,16 +606,18 @@ class ScalarSpace:
         return vals
 
 
-def _row_entries(P, rows, ncomp):
-    """The entries of rows of P (x) I_ncomp (P CSR with sorted indices), in
-    the order and at the columns of the CSR form of scipy's Kronecker
-    product: row ncomp i + a holds P's row i at the columns ncomp j + a.
-    Returns their positions in P's arrays, their columns and the count of
-    entries of each row."""
-    i, a = np.divmod(rows, ncomp)
-    count = np.diff(P.indptr)[i]
-    take = _ranges(P.indptr[i], count)
-    return take, ncomp * P.indices[take].astype(np.intp) + np.repeat(a, count), count
+def _row_entries(a, rows, ncomp=1):
+    """The entries of rows of A (x) I_ncomp, A given by its CSR arrays
+    (indptr, indices, data) with sorted indices, in the order and at the
+    columns of the CSR form of scipy's Kronecker product: row ncomp i + c
+    holds A's row i at the columns ncomp j + c. Returns their columns, their
+    values and the count of entries of each row. It is the one reader of
+    the rows of P, T and R."""
+    indptr, indices, data = a
+    i, c = np.divmod(rows, ncomp)
+    count = np.diff(indptr)[i]
+    take = _ranges(indptr[i], count)
+    return ncomp * indices[take] + np.repeat(c, count), data[take], count
 
 
 def _element_rows(offsets, positions, ncomp):

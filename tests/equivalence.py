@@ -1,7 +1,8 @@
 """The equivalence argument for re-recording the plastic-path fixture
-(tests/data/newton_parent.json): two checkouts run the same plastic cases,
-and a change that only reorders floating-point work must give the same
-Newton runs.
+(tests/data/newton_parent.json): two checkouts run the same plastic cases
+and the Poisson predictor loop, and a change that only reorders
+floating-point work must give the same Newton runs and the same adaptive
+runs.
 
     python tests/equivalence.py REV
 
@@ -11,14 +12,17 @@ working tree each run in a subprocess, single-threaded, on:
 
 - the solve and matrix cases of tests/test_newton_parity.py (each checkout's
   own copy of that file);
-- the plastic perfbench workloads at seeds 0 and 9173.
+- the perfbench workloads at seeds 0 and 9173: the three plastic ones and
+  `lshape-predictor`, whose Poisson solves and predictions read the field
+  through `ScalarSpace.element_coeffs` as the plastic path does.
 
 For every case it checks that
 - every Newton solve has the same convergence flag, retry count and number
   of trace rows, and equal iteration numbers, step lengths and active-set
   sizes on every row;
 - the final |F| of every solve is at most 1e-11 on both sides;
-- the energies of every solve agree within 1e-12 relative;
+- the energies of every solve, and the final energy of every workload,
+  agree within 1e-12 relative;
 - the dof trajectories, the marked element sets and the failed benchmark
   checks (the seed-0 reference checks included) are identical;
 - the values each marking step is given (the indicator totals, or the
@@ -44,7 +48,8 @@ import tempfile
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-WORKLOADS = ("plastic-estimator-2d", "plastic-solve-large", "hex-estimator-3d")
+WORKLOADS = ("plastic-estimator-2d", "plastic-solve-large", "hex-estimator-3d",
+             "lshape-predictor")
 SEEDS = (0, 9173)
 F_TOL = 1e-11
 SIGNAL = 1e-8  # trace rows with |F| above it are not rounding noise
@@ -113,7 +118,8 @@ def run_cases(root):
                 workloads.check_reference(name, out)
             results[f"{name}@{seed}"] = {
                 "solves": list(solves), "dofs": out.dofs, "marked": list(marked),
-                "values": list(values), "failures": sorted(map(list, out.failures))}
+                "values": list(values), "energy": out.energy,
+                "failures": sorted(map(list, out.failures))}
     return results
 
 
@@ -154,6 +160,10 @@ def compare(old, new):
             figs["mark_dev"] = max(figs["mark_dev"], dev)
             if not dev <= MARK_RTOL:
                 problems.append(f"marking {k}: values {dev:.3g} relative off")
+    if "energy" in old:
+        figs["energy_dev"] = _rel(new["energy"], old["energy"])
+        if not figs["energy_dev"] <= ENERGY_RTOL:
+            problems.append(f"final energy {figs['energy_dev']:.3g} relative off")
     if len(old["solves"]) != len(new["solves"]):
         problems.append(f"{len(old['solves'])} != {len(new['solves'])} solves")
         return problems, figs

@@ -488,6 +488,11 @@ class TestCLI:
         assert r.returncode == 3
         assert "[mesh] initial_cells is not read by the preset" in r.stderr
 
+    def test_table_without_records_exit_3(self, tmp_path):
+        r = self._run("table", "--out", str(tmp_path))
+        assert r.returncode == 3
+        assert "records.csv" in r.stderr and "Traceback" not in r.stderr
+
     def test_config_error_exit_3(self, tmp_path):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("[run]\nbogus = 1\n")

@@ -1,9 +1,11 @@
 """Reads and scatters through the local-to-global operator P against
 scipy's sparse kernels, kept here as the oracles, bit for bit.
 
-- `ScalarSpace.element_coeffs` reads u through a padded gather table of P;
-  it must equal the rows of P, sliced by scipy, times u, for 1-D and
-  2-column u, signed zeros included.
+- `ScalarSpace.element_coeffs` sums the products of P's rows with u in CSR
+  entry order; it must equal the rows of P, sliced by scipy, times u, for
+  1-D and 2-column u, signed zeros included.
+- `ScalarSpace.scatter(ncomp, positions, values)` must equal the product
+  of the transpose of scipy's rows of P (x) I_ncomp with the values.
 - `ScalarSpace.local_operator(ncomp, positions)` gathers the rows of
   P (x) I_ncomp from P's arrays, with their transpose, once per call; they
   must equal scipy's fancy row slicing of scipy's Kronecker product, and
@@ -17,7 +19,8 @@ scipy's sparse kernels, kept here as the oracles, bit for bit.
 The meshes are the space-parity cases (2D and 3D meshes with hanging
 facets and mixed degrees, and a cube refined twice, whose hanging vertices
 hang on hanging vertices) and a square and a cube refined off-centre at
-high degrees, whose widest rows of P hold 16 entries.
+high degrees, whose widest rows of P hold 16 entries. The reads and the
+scatter also run on a space with no free dofs.
 """
 import numpy as np
 import pytest
@@ -29,7 +32,7 @@ from conftest import (assembly_case, gauss_local_operator, operator_matrix,
 from hpfem.assembly import assemble_system, element_groups, galerkin
 from hpfem.elliptic import assemble_scalar
 from hpfem.mesh import is_affine
-from hpfem.problems import cube_mesh
+from hpfem.problems import cube_mesh, poisson_lshape
 from hpfem.space import GaussPointSpace, ScalarSpace
 from test_space_parity import SPACE_CASES, space_case
 
@@ -49,7 +52,8 @@ def _group_rows(space, sel, ncomp):
     """The rows of P (x) I_ncomp of the elements at positions sel, sliced by
     scipy."""
     rows = space_module._element_rows(space._shape_offsets, sel, ncomp)
-    P = space.P if ncomp == 1 else sp.kron(space.P, sp.identity(ncomp), format="csr")
+    P = sp.csr_matrix(space.P[::-1], shape=(len(space.P[0]) - 1, space.ndof))
+    P = P if ncomp == 1 else sp.kron(P, sp.identity(ncomp), format="csr")
     return P[rows]
 
 
@@ -72,13 +76,27 @@ def operator_case(name):
     return ScalarSpace(m), GaussPointSpace(m, 1.0)
 
 
-@pytest.fixture(params=SPACE_CASES + ("square_offcentre", "cube_offcentre"))
+OPERATOR_CASES = SPACE_CASES + ("square_offcentre", "cube_offcentre")
+
+
+@pytest.fixture(params=OPERATOR_CASES)
 def case(request):
     return operator_case(request.param)
 
 
-def test_element_coeffs_match_scipy_product(case):
-    space, _ = case
+@pytest.fixture(params=OPERATOR_CASES + ("lshape_no_dofs",))
+def read_case(request):
+    """The operator cases and a space with no free dofs: the L-shape at
+    degree 1, whose vertices are all Dirichlet."""
+    if request.param == "lshape_no_dofs":
+        space = ScalarSpace(poisson_lshape(degree=1)[0])
+        assert space.ndof == 0
+        return space
+    return operator_case(request.param)[0]
+
+
+def test_element_coeffs_match_scipy_product(read_case):
+    space = read_case
     rng = np.random.default_rng(7)
     u1 = rng.standard_normal(space.ndof)
     u2 = rng.standard_normal((space.ndof, 2))
@@ -92,6 +110,17 @@ def test_element_coeffs_match_scipy_product(case):
             want = (_group_rows(space, sel, 1) @ u).reshape(
                 (len(sel), nb) + u.shape[1:])
             _same_bits(space.element_coeffs(sel, u), want)
+
+
+def test_scatter_matches_scipy_product(read_case):
+    space = read_case
+    rng = np.random.default_rng(5)
+    for ncomp in (1, 2):
+        for sel in element_groups(space).values():
+            rows = _group_rows(space, sel, ncomp)
+            values = rng.standard_normal(rows.shape[0])
+            values[::5] = -0.0
+            _same_bits(space.scatter(ncomp, sel, values), rows.T @ values)
 
 
 def test_cached_rows_match_scipy_slicing(case):

@@ -21,6 +21,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import ASSEMBLY_CASES, assembly_case, gauss_mass
 from hpfem.mesh import facet_corner_rows
@@ -54,7 +55,7 @@ def space_case(name):
 def record(case):
     """Everything the fixture holds for one case, from the current code."""
     space, qspace = space_case(case)
-    P = space.P
+    P = sp.csr_matrix(space.P[::-1], shape=(len(space.P[0]) - 1, space.ndof))
     P.sort_indices()
     act = space.mesh.active_ids()
     eye, at = np.eye(qspace.ndof), qspace.offsets
