@@ -1,6 +1,7 @@
 """Command-line driver: solve | adapt | table | export.
 
-Exit codes: 0 success, 2 solver failure, 3 bad configuration or no records.csv.
+Exit codes: 0 success, 2 solver failure, 3 bad configuration or a missing or
+malformed records.csv.
 """
 
 import argparse
@@ -55,6 +56,9 @@ def main(argv=None):
                 records = read_records(os.path.join(args.out, "records.csv"))
             except OSError as exc:
                 print(f"no run records: {exc}", file=sys.stderr)
+                return 3
+            except ValueError as exc:
+                print(f"malformed run records: {exc}", file=sys.stderr)
                 return 3
             print(format_table(convergence_table(records)))
         elif args.command == "export":

@@ -415,9 +415,20 @@ def write_records(records, outdir):
 
 
 def read_records(path):
+    """The records of the records.csv at path. A missing or unparsable
+    value raises ValueError naming the file, the line and the column."""
+    def value(f, row, line):
+        text = row.get(f.name)
+        try:
+            return f.type(text)
+        except (TypeError, ValueError):
+            what = f"no {f.name}" if text is None else f"{f.name} {text!r}"
+            raise ValueError(f"{path}, line {line}: {what}") from None
+
     with open(path, newline="") as fh:
-        return [RunRecord(**{f.name: f.type(row[f.name]) for f in _COLUMNS})
-                for row in csv.DictReader(fh)]
+        rows = csv.DictReader(fh)
+        return [RunRecord(**{f.name: value(f, row, rows.line_num) for f in _COLUMNS})
+                for row in rows]
 
 
 def dump_predictions(predictions, marked, path):

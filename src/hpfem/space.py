@@ -10,10 +10,10 @@ together with its biorthogonal dual basis, the dof weights and the
 decoupled yield bounds.
 
 Dof bookkeeping works on "canonical slots": a vertex value ('v', vid), an edge
-bubble ('e', key, j) oriented from the lower to the higher vertex id, a face
-bubble ('f', key, (j1, j2)) in a frame fixed by the corner ids, or an element
-interior mode ('i', eid, multi). A slot is a free dof, eliminated (Dirichlet),
-or constrained to master slots through a hanging interface.
+bubble ('e', key, j), a face bubble ('f', key, (j1, j2)), each keyed by its
+sorted corner ids and read in a frame fixed by them, or an element interior
+mode ('i', eid, multi). A slot is a free dof, eliminated (Dirichlet), or
+constrained to master slots through a hanging interface.
 
 Both spaces address elements by their positions in `mesh.active_ids()`:
 every reader of element data takes positions of elements of one degree, as
@@ -118,93 +118,97 @@ def constraint_coeffs(multi, child_bits, zhat, degree=None):
 # ---------------------------------------------------------------------------
 
 @reference_table
-def _box_edges(r):
-    """The edges of the r-dimensional reference box: axis (ne,) and corner
-    rows of the low and the high end (ne, 2)."""
-    axes, low = [], []
-    for a in range(r):
-        for sides in itertools.product((0, 1), repeat=r - 1):
-            axes.append(a)
-            low.append(list(sides[:a]) + [0] + list(sides[a:]))
-    axes = np.array(axes, dtype=np.intp)
-    low = np.array(low, dtype=np.intp).reshape(len(axes), r)
-    start = corner_row(low)
-    return axes, np.stack([start, start + (1 << (r - 1 - axes))], axis=1)
+def _sub_boxes(d, k):
+    """The k-dimensional sub-boxes of the d-dimensional reference box: their
+    axes (nb, k), ascending, and corner rows (nb, 2^k) in the box's tensor
+    order over them, axis set by axis set (itertools.combinations order),
+    then by their place on the other axes; and the boxes on each local facet
+    (2d, n), those whose corners are all the facet's, ascending, which is
+    the order and orientation of _sub_boxes(d - 1, k) over the facet."""
+    axes = np.array(list(itertools.combinations(range(d), k)), dtype=np.intp)
+    # the corner rows of an axis set, grouped by their bits on the other axes
+    other = np.arange(2 ** d) & ~(1 << (d - 1 - axes)).sum(axis=1, keepdims=True)
+    corners = np.argsort(other, axis=1, kind="stable").reshape(-1, 2 ** k)
+    on = (corners[:, :, None] == facet_corner_rows(d)[:, None, None]).any(axis=3)
+    return (np.repeat(axes, 2 ** (d - k), axis=0), corners,
+            np.nonzero(on.all(axis=2))[1].reshape(2 * d, -1))
 
 
 @reference_table
-def _facet_edges(d):
-    """The element's box edges on each local facet (2d, n), in the order and
-    orientation of _box_edges(d - 1) over the facet."""
-    _, ends = _box_edges(d)
-    at = {pair: i for i, pair in enumerate(map(tuple, ends.tolist()))}
-    _, fends = _box_edges(d - 1)
-    return np.array([[at[(rows[a], rows[b])] for a, b in fends.tolist()]
-                     for rows in facet_corner_rows(d).tolist()], dtype=np.intp)
-
-
-@reference_table
-def _shape_entities(d, p):
-    """Where the tensor shapes of a degree-p element in d dimensions (in
-    tensor_indices order) live: kind (n,) (0 vertex, 1 edge, 2 face,
-    3 interior), local entity (n,) (corner row, box edge, local facet, or the
-    ordinal among the interior shapes) and in-entity indices (n, 2): j on an
-    edge, (j_u, j_v) over a face's own axes."""
+def _shape_slots(d, p):
+    """Where the tensor shapes of a degree-p element in d dimensions sit: a
+    shape with k bubble indices on a k-box, or for k = d on the interior.
+    Per shape, the column of its entity (n,) (k-boxes for k = 0 .. d-1, then
+    the interior), and per frame code (2 perm + flips) @ (2k)^(0 .. k-1) of
+    its box (`_frames`) its bubble indices in the box's canonical frame
+    after leading 2s, or its ordinal + 2 in the interior (n, ncodes, w), and
+    its sign (n, ncodes). With q^k slots per k-box (indices 2 .. q + 1, the
+    last fastest), its slot is (indices - 2) @ q^(w-1 .. 0) in its entity."""
     idx = tensor_indices(p, d)
     bub = idx >= 2
-    nbub = bub.sum(axis=1)
-    kind = np.where(nbub == d, 3, nbub)
-    ent = np.zeros(len(idx), dtype=np.intp)
-    jj = np.zeros((len(idx), 2), dtype=np.intp)
-    vert = kind == 0
-    ent[vert] = corner_row(idx[vert])
-    edge = np.nonzero(kind == 1)[0]
-    if edge.size:
-        axes, ends = _box_edges(d)
-        at = {key: i for i, key in enumerate(zip(axes.tolist(),
-                                                 ends[:, 0].tolist()))}
-        a = np.argmax(bub[edge], axis=1)
-        start = corner_row(np.where(bub[edge], 0, idx[edge]))
-        ent[edge] = [at[key] for key in zip(a.tolist(), start.tolist())]
-        jj[edge, 0] = idx[edge, a]
-    face = np.nonzero(kind == 2)[0]
-    if face.size:
-        k = np.argmin(bub[face], axis=1)
-        ent[face] = 2 * k + idx[face, k]
-        jj[face] = idx[face][bub[face]].reshape(-1, 2)
-    inner = kind == 3
-    ent[inner] = np.arange(inner.sum())
-    return kind, ent, jj
+    kind = bub.sum(axis=1)
+    # a box is fixed by its low and its high corner: the column of each,
+    # the k-boxes for k = 0 .. d-1 in _sub_boxes order, then the interior
+    ends = np.concatenate([_sub_boxes(d, k)[1][:, [0, -1]] for k in range(d)]
+                          + [[[0, 2 ** d - 1]]])
+    box = np.empty((2 ** d, 2 ** d), dtype=np.intp)
+    box[ends[:, 0], ends[:, 1]] = np.arange(len(ends))
+    col = box[corner_row(np.where(bub, 0, idx)), corner_row(np.where(bub, 1, idx))]
+    ncodes, w = max((2 * k) ** k for k in range(d)), max(d - 1, 1)
+    digits = np.full((len(idx), ncodes, w), 2, dtype=np.intp)
+    sign = np.ones((len(idx), ncodes))
+    for k in range(1, d):  # a vertex has one frame, no indices and sign 1
+        at = np.flatnonzero(kind == k)
+        ax = np.nonzero(bub[at])[1].reshape(len(at), k)
+        perms = np.array(list(itertools.permutations(range(k))), dtype=np.intp)
+        flips = tensor_indices(1, k)
+        code = (2 * perms[:, None] + flips) @ (2 * k) ** np.arange(k)
+        m = idx[at[:, None, None], ax[:, perms]]
+        digits[at[:, None, None], code, w - k:] = m[:, :, None]
+        sign[at[:, None, None], code] = 1 - 2 * ((m % 2) @ flips.T % 2)
+    inner = np.flatnonzero(kind == d)
+    digits[inner, :, -1] = np.arange(2, len(inner) + 2)[:, None]
+    return col, digits, sign
 
 
-def _face_frames(ids):
-    """Canonical frames of quadrilateral faces from their tensor-ordered corner
-    ids (m, 4) (corner 2*u + v at local coordinates (u, v)): swap (m,) and
-    flips (m, 2). Canonical axis c takes its index from local facet axis c,
-    or 1 - c when swapped, with a sign flip when flips[c]. The canonical
-    origin is the corner of least id, and the first canonical axis runs to
-    the neighbor of lesser id."""
-    m = np.arange(len(ids))
-    o = np.argmin(ids, axis=1)
-    ou, ov = o // 2, o % 2
-    swap = ~(ids[m, 2 * (1 - ou) + ov] < ids[m, 2 * ou + 1 - ov])
-    flips = np.stack([np.where(swap, ov, ou), np.where(swap, ou, ov)], axis=1)
-    return swap, flips == 1
+def _frames(ids):
+    """Canonical frames of m k-boxes from their corner ids (m, 2^k), in tensor
+    order: perm and flips (m, k). Canonical axis c runs along box axis
+    perm[c], reversed when flips[c]: the origin is the corner of least id,
+    and the axes are ordered by the ids of the origin's neighbors."""
+    bit = 1 << np.arange(ids.shape[1].bit_length() - 2, -1, -1)
+    o = ids.argmin(axis=1)[:, None]
+    perm = ids[np.arange(len(ids))[:, None], o ^ bit].argsort(axis=1)
+    return perm, o & bit[perm] > 0
+
+
+def _numbered(keys):
+    """The distinct rows of keys (m, c) in lexicographic order and the
+    number of each row among them (m,), as np.unique(keys, axis=0,
+    return_inverse=True) gives them, by one lexsort."""
+    order = np.lexsort(keys.T[::-1])
+    rows = keys.take(order, axis=0)
+    # a row is new where any column differs from the row before (a product
+    # with ones, as .any(axis=1) reduces the short rows one by one)
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]) @ np.ones(keys.shape[1], dtype=bool)
+    number = np.empty(len(keys), dtype=np.intp)
+    number[order] = np.cumsum(new) - 1
+    return rows[new], number
 
 
 def _edges_on_edges(box, perm, flip):
     """For H hanging facet pieces in 3D, with coarse-side boxes box
     (H, coarse axis, lo/hi), perms and flips (H, 2), the triples (piece,
-    coarse facet edge, fine facet edge), edges in the order of
-    _box_edges(2), where the fine facet's edge lies on the coarse facet's
-    edge."""
+    coarse facet edge, fine facet edge), edges in _sub_boxes(2, 1) order,
+    where the fine facet's edge lies on the coarse facet's edge."""
     bits = corner_bits(2)
-    axes, ends = _box_edges(2)
+    axes, ends, _ = _sub_boxes(2, 1)
     # t[h, j, c]: coarse facet coordinate j of the fine facet's corner c
     side = np.swapaxes(bits[:, perm], 0, 1) ^ flip[:, None, :]
     t = np.take_along_axis(box, np.swapaxes(side, 1, 2), axis=2)
     # coarse edge k runs along axes[k] at coordinate v[k] on the other axis
-    other = 1 - axes
+    other = 1 - axes[:, 0]
     v = 2 * bits[ends[:, 0], other] - 1
     on = (t[:, other][:, :, ends] == v[:, None, None]).all(axis=3)
     return np.nonzero(on)
@@ -247,7 +251,7 @@ def _constraint_rows(d, tab, hang, owner, slot, sign, in_degree, offsets, deg):
         for a in range(d - 1):
             lohi = np.where(tab.flip[row, a, None], tab.nb_box[row, a, ::-1],
                             tab.nb_box[row, a])
-            keys, which = np.unique(lohi, axis=0, return_inverse=True)
+            keys, which = _numbered(lohi)
             R = np.stack([_restriction(p, lo, hi) for lo, hi in keys.tolist()])
             ta = np.take_along_axis(t, tab.perm[row, a, None, None], axis=2)
             vals = vals * R[which.reshape(-1, 1, 1), m[:, None, :, a], ta]
@@ -327,10 +331,10 @@ def element_groups(space, *keys):
 class ScalarSpace:
     """Continuous hp space of mapped tensor integrated-Legendre polynomials.
 
-    The dof map is built with arrays, one pass per degree group. Each element
-    shape sits on a "slot": a vertex value, an edge bubble j oriented from the
-    lower to the higher vertex id, a face bubble (j1, j2) in a frame fixed by
-    the corner ids, or an interior mode. T (slots x free dofs) is the
+    The dof map is built with arrays, one pass per entity dimension and one
+    per degree group. Each element shape sits on a "slot": a vertex value,
+    an edge or face bubble with its indices in the box's canonical frame, or
+    an interior mode. T (slots x free dofs) is the
     identity on free slots, empty on Dirichlet and out-of-degree slots, and
     holds the resolved constraint rows on slots hanging on a coarser
     neighbor's facet. Row r of the local-to-global operator P (CSR arrays, one
@@ -355,171 +359,121 @@ class ScalarSpace:
     # -- the dof map -----------------------------------------------------------
 
     def _build(self):
-        """Number the entities and the free dofs, then form T and P: the
-        slot and sign of every shape in one pass per degree group, the
-        unresolved constraint rows of all hanging slots in one pass per
-        (fine degree, coarse degree) group of interfaces
-        (`_constraint_rows`), resolved into T (`_resolve_constraints`), and
-        P as T's rows gathered by slot and scaled by sign."""
+        """Number the entities and the free dofs, then form T and P. The
+        entities of dimension k = 0 .. d-1, the elements' k-boxes, take one
+        pass per dimension: numbered by sorted corner ids (`_numbered`;
+        vertices by id), capped by the minimum rule, fixed on Dirichlet
+        facets, hung on their first hanging interface, framed (`_frames`)
+        and given (cap - 1)^k free dofs and q^k slots. Then every shape's
+        slot and sign per degree group (`_shape_slots`), the constraint rows
+        (`_constraint_rows`) resolved into T (`_resolve_constraints`), and P
+        as T's rows gathered by slot and scaled by sign."""
         mesh, d, act, deg = self.mesh, self.dim, self._act, self._deg
-        n = len(act)
         ids = mesh.corners[act]
-        rows = facet_corner_rows(d)
-        vids, vent = np.unique(ids, return_inverse=True)
-        vent = vent.reshape(ids.shape)
-        nv = len(vids)
-        ekeys = np.zeros((0, 2), dtype=np.intp)
-        fkeys = np.zeros((0, 4), dtype=np.intp)
-        if d >= 2:
-            _, ends = _box_edges(d)
-            v0, v1 = ids[:, ends[:, 0]], ids[:, ends[:, 1]]
-            base = len(mesh.vertices)
-            codes, eent = np.unique(np.minimum(v0, v1) * base + np.maximum(v0, v1),
-                                    return_inverse=True)
-            eent = eent.reshape(v0.shape)
-            erev = v0 > v1
-            ekeys = np.stack([codes // base, codes % base], axis=1)
-            fedges = _facet_edges(d)
-        if d == 3:
-            fids = ids[:, rows]
-            fkeys, fent = np.unique(np.sort(fids, axis=2).reshape(-1, 4), axis=0,
-                                    return_inverse=True)
-            fent = fent.reshape(n, 2 * d)
-            swap, flips = _face_frames(fids.reshape(-1, 4))
-            swap, flips = swap.reshape(n, 2 * d), flips.reshape(n, 2 * d, 2)
-        ne, nf = len(ekeys), len(fkeys)
-        edge_deg = np.full(ne, MAX_DEGREE, dtype=np.intp)
-        face_deg = np.full(nf, MAX_DEGREE, dtype=np.intp)
-        if d >= 2:
-            np.minimum.at(edge_deg, eent, np.broadcast_to(deg[:, None], eent.shape))
-        if d == 3:
-            np.minimum.at(face_deg, fent, np.broadcast_to(deg[:, None], fent.shape))
-
-        # Dirichlet entities: the closures of the Dirichlet facets
         di, df = np.nonzero(np.equal(mesh.tags[act], DIRICHLET))
-        fixed_v = np.zeros(nv, dtype=bool)
-        fixed_e = np.zeros(ne, dtype=bool)
-        fixed_f = np.zeros(nf, dtype=bool)
-        fixed_v[vent[di[:, None], rows[df]]] = True
-        if d >= 2:
-            fixed_e[eent[di[:, None], fedges[df]]] = True
-        if d == 3:
-            fixed_f[fent[di, df]] = True
-
         # hanging interfaces: a fine facet inside a coarse neighbor's facet
-        # caps the degrees of the coarse facet's closure; the fine facet's
-        # entities that are not the coarse facet's hang on the first one
         tab = mesh.facet_table()
         hang = np.nonzero(tab.relation == RELATIONS.index("coarse_nb"))[0]
         fine_at, fine_f = tab.el[hang], tab.facet[hang]
         coarse_at, coarse_f = tab.nb[hang], tab.nb_facet[hang]
-        vown = _first_owner(vent[fine_at[:, None], rows[fine_f]],
-                            vent[coarse_at[:, None], rows[coarse_f]], nv)
-        eown = np.full(ne, -1, dtype=np.intp)
-        fown = np.full(nf, -1, dtype=np.intp)
-        if d >= 2 and hang.size:
-            coarse = eent[coarse_at[:, None], fedges[coarse_f]]
-            np.minimum.at(edge_deg, coarse,
-                          np.broadcast_to(deg[fine_at, None], coarse.shape))
-            eown = _first_owner(eent[fine_at[:, None], fedges[fine_f]], coarse, ne)
-        if d == 3 and hang.size:
-            # a fine edge on a coarse edge may also belong to elements that
-            # meet the coarse element along that edge only, so the coarse
-            # edge is capped by the fine edge's degree, fine levels first
-            h, k, e = _edges_on_edges(tab.nb_box[hang], tab.perm[hang],
-                                      tab.flip[hang])
-            fine = eent[fine_at[h], fedges[fine_f[h], e]]
-            coarse = eent[coarse_at[h], fedges[coarse_f[h], k]]
-            level = mesh.level[act[fine_at[h]]]
-            for lev in np.unique(level)[::-1].tolist():
-                at_lev = level == lev
-                np.minimum.at(edge_deg, coarse[at_lev], edge_deg[fine[at_lev]])
-            coarse = fent[coarse_at, coarse_f]
-            np.minimum.at(face_deg, coarse, deg[fine_at])
-            fown = _first_owner(fent[fine_at, fine_f][:, None], coarse[:, None], nf)
+        dims = []
+        for k in range(d):
+            _, corners, on = _sub_boxes(d, k)
+            box_ids = ids[:, corners].reshape(-1, 2 ** k)
+            if k:
+                key, ent = _numbered(np.sort(box_ids, axis=1))
+                perm, flips = _frames(box_ids)
+                code = (2 * perm + flips) @ (2 * k) ** np.arange(k)
+            else:  # the vertices: numbered by id, in one frame
+                key, ent = np.unique(box_ids, return_inverse=True)
+                code = np.zeros(len(box_ids), dtype=np.intp)
+            ent, code = ent.reshape(len(act), -1), code.reshape(len(act), -1)
+            cap = np.full(len(key), MAX_DEGREE, dtype=np.intp)
+            np.minimum.at(cap, ent, np.broadcast_to(deg[:, None], ent.shape))
+            own = np.full(len(key), -1, dtype=np.intp)
+            if hang.size:
+                # a hanging interface caps the degrees of the coarse facet's
+                # closure; the fine facet's entities that are not the coarse
+                # facet's hang on the first such interface
+                fine = ent[fine_at[:, None], on[fine_f]]
+                coarse = ent[coarse_at[:, None], on[coarse_f]]
+                np.minimum.at(cap, coarse, np.broadcast_to(deg[fine_at, None], coarse.shape))
+                if k == 1 and d == 3:
+                    # a fine edge on a coarse edge may also belong to elements
+                    # that meet the coarse element along that edge only, so the
+                    # coarse edge is capped by the fine edge's degree, fine
+                    # levels first
+                    h, c, f = _edges_on_edges(tab.nb_box[hang], tab.perm[hang],
+                                              tab.flip[hang])
+                    level = mesh.level[act[fine_at[h]]]
+                    for lev in np.unique(level)[::-1].tolist():
+                        at_lev = level == lev
+                        np.minimum.at(cap, coarse[h, c][at_lev], cap[fine[h, f][at_lev]])
+                own = _first_owner(fine, coarse, len(key))
+            fixed = np.zeros(len(key), dtype=bool)
+            fixed[ent[di[:, None], on[df]]] = True
+            own[fixed] = -1
+            dims.append((ent, code, key, cap, ~fixed & (own < 0), own))
+        ents, codes, keys, caps, frees, owners = zip(*dims)
 
-        # free dofs: vertices by id, edges and faces by key, interiors by element
-        free_v = ~fixed_v & (vown < 0)
-        free_e = ~fixed_e & (eown < 0)
-        free_f = ~fixed_f & (fown < 0)
+        # free dofs: entity by entity, dimension by dimension, then interiors
         icount = (deg - 1) ** d
-        counts = np.concatenate([free_v, np.where(free_e, edge_deg - 1, 0),
-                                 np.where(free_f, (face_deg - 1) ** 2, 0), icount])
-        start = _indptr(counts)
+        start = _indptr(np.concatenate(
+            [np.where(free, (cap - 1) ** k, 0)
+             for k, (free, cap) in enumerate(zip(frees, caps))] + [icount]))
         self.ndof = int(start[-1])
-        self._interior_offsets = start[nv + ne + nf:]
-        self._free_entities = (vids[free_v], ekeys[free_e], edge_deg[free_e],
-                               fkeys[free_f], face_deg[free_f])
+        nent = _indptr([len(key) for key in keys])
+        self._interior_offsets = start[nent[-1]:]
+        self._free_entities = [(key[free], cap[free])
+                               for key, cap, free in zip(keys, caps, frees)]
 
-        # slots: vertices, then q edge bubbles per edge and q^2 face bubbles
-        # per face (j = 2 .. q + 1), then the interior modes
+        # slots: q^k per entity of dimension k, then the interior modes
         q = int(deg.max()) - 1
-        e0, f0 = nv, nv + ne * q
-        i0 = f0 + nf * q * q
-        nslots = i0 + int(icount.sum())
-        j = np.arange(2, q + 2)
-        slot_dof = np.full(nslots, -1, dtype=np.intp)
-        in_degree = np.ones(nslots, dtype=bool)
-        slot_dof[:nv][free_v] = start[:nv][free_v]
-        ok = j <= edge_deg[:, None]
-        in_degree[e0:f0] = ok.ravel()
-        ok &= free_e[:, None]
-        slot_dof[e0:f0][ok.ravel()] = (start[nv:nv + ne, None] + j - 2)[ok]
-        ok = (j[:, None] <= face_deg[:, None, None]) & (j <= face_deg[:, None, None])
-        in_degree[f0:i0] = ok.ravel()
-        ok &= free_f[:, None, None]
-        fdof = (start[nv + ne:nv + ne + nf, None, None]
-                + (j[:, None] - 2) * (face_deg[:, None, None] - 1) + j - 2)
-        slot_dof[f0:i0][ok.ravel()] = fdof[ok]
-        slot_dof[i0:] = np.arange(start[nv + ne + nf], self.ndof)
+        first = _indptr([len(key) * q ** k for k, key in enumerate(keys)]
+                        + [icount.sum()])
+        slot_dof = np.full(first[-1], -1, dtype=np.intp)
+        in_degree = np.ones(first[-1], dtype=bool)
+        for k, (cap, free) in enumerate(zip(caps, frees)):
+            m = np.indices((q,) * k).reshape(k, q ** k).T + 2
+            ok = m.max(axis=1, initial=0) <= cap[:, None]
+            at = slice(first[k], first[k + 1])
+            in_degree[at] = ok.ravel()
+            dof = ((cap[:, None] - 1) ** np.arange(k - 1, -1, -1)) @ (m - 2).T
+            slot_dof[at] = np.where(ok & free[:, None],
+                                    start[nent[k]:nent[k + 1], None] + dof, -1).ravel()
+        slot_dof[first[d]:] = np.arange(start[nent[-1]], self.ndof)
 
         # the slot and orientation sign of every shape, per degree group
+        base = np.concatenate([first[k] + ent * q ** k for k, ent in enumerate(ents)]
+                              + [first[d] + _indptr(icount)[:-1, None]], axis=1)
+        code = np.concatenate(codes + (np.zeros((len(act), 1), dtype=np.intp),), axis=1)
         nshape = int(self._shape_offsets[-1])
         slot = np.empty(nshape, dtype=np.intp)
-        sign = np.ones(nshape)
-        istart = _indptr(icount)
+        sign = np.empty(nshape)
         for (p,), sel in element_groups(self).items():
-            kind, ent, jj = _shape_entities(d, p)
-            s = np.empty((len(sel), len(kind)), dtype=np.intp)
-            g = np.ones(s.shape)
-            k = kind == 0
-            s[:, k] = vent[sel][:, ent[k]]
-            k = kind == 1
-            if k.any():
-                jk = jj[k, 0]
-                s[:, k] = e0 + eent[sel][:, ent[k]] * q + jk - 2
-                g[:, k] = np.where(erev[sel][:, ent[k]] & (jk % 2 == 1), -1.0, 1.0)
-            k = kind == 2
-            if k.any():
-                sw, fl = swap[sel][:, ent[k]], flips[sel][:, ent[k]]
-                m0 = np.where(sw, jj[k, 1], jj[k, 0])
-                m1 = np.where(sw, jj[k, 0], jj[k, 1])
-                s[:, k] = f0 + (fent[sel][:, ent[k]] * q + m0 - 2) * q + m1 - 2
-                odd = (fl[..., 0] & (m0 % 2 == 1)) ^ (fl[..., 1] & (m1 % 2 == 1))
-                g[:, k] = np.where(odd, -1.0, 1.0)
-            k = kind == 3
-            s[:, k] = i0 + istart[sel][:, None] + ent[k]
-            at_rows = _element_rows(self._shape_offsets, sel, 1)
-            slot[at_rows] = s.ravel()
-            sign[at_rows] = g.ravel()
+            col, digits, sgn = _shape_slots(d, p)
+            off = (digits - 2) @ q ** np.arange(digits.shape[2] - 1, -1, -1)
+            c, at = code[sel[:, None], col], np.arange(len(col))
+            rows = _element_rows(self._shape_offsets, sel, 1)
+            slot[rows] = (base[sel[:, None], col] + off[at, c]).ravel()
+            sign[rows] = sgn[at, c].ravel()
 
         # T as CSR arrays: identity on free slots, then the constraint rows of
         # hanging slots, resolved in dependency order (a master may hang)
         free = slot_dof >= 0
         T = _indptr(free), slot_dof[free], np.ones(np.count_nonzero(free))
-        vown[fixed_v], eown[fixed_e], fown[fixed_f] = -1, -1, -1
-        owner = np.concatenate([vown, np.repeat(eown, q), np.repeat(fown, q * q),
-                                np.full(nslots - i0, -1, dtype=np.intp)])
+        owner = np.concatenate([np.repeat(own, q ** k) for k, own in enumerate(owners)]
+                               + [np.full(first[-1] - first[d], -1, dtype=np.intp)])
         if (owner >= 0).any():
             rr, cc, vals = _constraint_rows(d, tab, hang, owner, slot, sign,
                                             in_degree, self._shape_offsets, deg)
             # one triple per (slot, master slot): sorted, they are R's CSR rows
             order = np.lexsort((cc, rr))
-            R = (_indptr(np.bincount(rr, minlength=nslots)), cc[order], vals[order])
+            R = (_indptr(np.bincount(rr, minlength=first[-1])), cc[order], vals[order])
             T = _resolve_constraints(R, T, self.ndof)
         self._T = T
-        self._vertex_ids = vids
-        self._hanging_vertices = np.nonzero(vown >= 0)[0]
+        self._vertex_ids = keys[0]
+        self._hanging_vertices = np.nonzero(owners[0] >= 0)[0]
         # P: row r is the row of T at the slot of shape r, times its sign
         cols, vals, count = _row_entries(T, slot)
         self.P = _indptr(count), cols, vals * np.repeat(sign, count)
@@ -531,13 +485,12 @@ class ScalarSpace:
         """The free dofs as canonical slots, in dof order: ('v', vid),
         ('e', (lo, hi), j), ('f', sorted corner ids, (j1, j2)) and
         ('i', eid, multi)."""
-        verts, edges, edeg, faces, fdeg = self._free_entities
+        (verts, _), *bubbles = self._free_entities
         out = [("v", v) for v in verts.tolist()]
-        for key, p in zip(map(tuple, edges.tolist()), edeg.tolist()):
-            out += [("e", key, j) for j in range(2, p + 1)]
-        for key, p in zip(map(tuple, faces.tolist()), fdeg.tolist()):
-            out += [("f", key, m) for m in itertools.product(range(2, p + 1),
-                                                             repeat=2)]
+        for kind, (keys, caps) in zip("ef", bubbles):
+            for key, p in zip(map(tuple, keys.tolist()), caps.tolist()):
+                out += [(kind, key, m[0] if kind == "e" else m) for m in
+                        itertools.product(range(2, p + 1), repeat=len(key) // 2)]
         for eid, p in zip(self._act.tolist(), self._deg.tolist()):
             out += [("i", eid, m) for m in itertools.product(range(2, p + 1),
                                                              repeat=self.dim)]

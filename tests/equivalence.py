@@ -1,8 +1,9 @@
 """The equivalence argument for re-recording the plastic-path fixture
 (tests/data/newton_parent.json): two checkouts run the same plastic cases
-and the Poisson predictor loop, and a change that only reorders
+and the Poisson predictor loops, and a change that only reorders
 floating-point work must give the same Newton runs and the same adaptive
-runs.
+runs, and a change that only reorders integer bookkeeping the same
+operators bit for bit.
 
     python tests/equivalence.py REV
 
@@ -14,7 +15,9 @@ working tree each run in a subprocess, single-threaded, on:
   own copy of that file);
 - the perfbench workloads at seeds 0 and 9173: the three plastic ones and
   `lshape-predictor`, whose Poisson solves and predictions read the field
-  through `ScalarSpace.element_coeffs` as the plastic path does.
+  through `ScalarSpace.element_coeffs` as the plastic path does;
+- acceptance criterion 11's L-shape predictor loop (`poisson-lshape`,
+  `elliptic-predictor`, theta 0.7, at most 20 steps, to 2 600 dofs).
 
 For every case it checks that
 - every Newton solve has the same convergence flag, retry count and number
@@ -27,9 +30,13 @@ For every case it checks that
   checks (the seed-0 reference checks included) are identical;
 - the values each marking step is given (the indicator totals, or the
   predicted gains) agree within 1e-12 of that step's largest value;
-- the condensed matrices of the matrix cases are bit-identical.
+- the condensed matrices of the matrix cases are bit-identical;
+- the local-to-global operator P (indptr, indices, data) of every
+  `ScalarSpace` a case builds is bit-identical, space by space (SHA-256
+  digests of the arrays).
 
-It prints, per case, the largest final |F| of the working tree and the
+It prints, per case, the number of spaces built, the number of solves, the
+largest final |F| of the working tree and the
 largest relative deviations of |F|, of the merit (over all trace rows, and
 over the rows with |F| above 1e-8, which are not rounding noise), of the
 energy, over all solves, and of the marked values, relative to each step's
@@ -73,11 +80,14 @@ def run_cases(root):
     import hpfem.estimator as est
     import hpfem.plasticity as pl
     import test_newton_parity as parity
+    import hpfem.space
     import workloads
     from hpfem.assembly import total_energy
+    from hpfem.config import RunConfig
 
-    solves, marked, values = [], [], []
+    solves, marked, values, spaces = [], [], [], []
     real_solve, real_mark = pl.solve_semismooth_newton, est.mark_dorfler
+    real_space = hpfem.space.ScalarSpace.__init__
 
     def solve(system, qspace, *args, **kwargs):
         sol = real_solve(system, qspace, *args, **kwargs)
@@ -94,32 +104,48 @@ def run_cases(root):
             else (indicators[e] for e in sorted(indicators)))])
         return out
 
+    def space(self, mesh):
+        real_space(self, mesh)
+        spaces.append([_digest(a) for a in self.P])
+
     for module in (pl, drv, parity):
         module.solve_semismooth_newton = solve
     est.mark_dorfler = mark
+    hpfem.space.ScalarSpace.__init__ = space
+
+    def case_result(**result):
+        out = {"solves": list(solves), "marked": list(marked),
+               "values": list(values), "P": list(spaces), **result}
+        for seen in (solves, marked, values, spaces):
+            seen.clear()
+        return out
 
     results = {}
     for case in parity.SOLVE_CASES:
-        solves.clear()
         parity.solve(case)
-        results[case] = {"solves": list(solves)}
+        results[case] = case_result()
     for case in parity.MATRIX_CASES:
         A = parity.condensed(case)
-        results[case] = {"matrix": [_digest(getattr(A, key))
-                                    for key in ("indptr", "indices", "data")]}
+        results[case] = case_result(matrix=[_digest(getattr(A, key))
+                                            for key in ("indptr", "indices", "data")])
     for name in WORKLOADS:
         for seed in SEEDS:
-            solves.clear()
-            marked.clear()
-            values.clear()
             with tempfile.TemporaryDirectory() as outdir:
                 out = workloads.prepare(name, seed).run(outdir)
             if seed == 0:
                 workloads.check_reference(name, out)
-            results[f"{name}@{seed}"] = {
-                "solves": list(solves), "dofs": out.dofs, "marked": list(marked),
-                "values": list(values), "energy": out.energy,
-                "failures": sorted(map(list, out.failures))}
+            results[f"{name}@{seed}"] = case_result(
+                dofs=out.dofs, energy=out.energy,
+                failures=sorted(map(list, out.failures)))
+    cfg = RunConfig()
+    cfg.problem.preset = "poisson-lshape"
+    cfg.run.loop = "elliptic-predictor"
+    cfg.run.theta = 0.7
+    cfg.run.max_iterations = 20
+    cfg.run.max_dofs = 2600
+    records, _ = drv.run_adaptive(cfg)
+    results["criterion-11-lshape"] = case_result(
+        dofs=[r.dofs for r in records], energy=records[-1].energy)
     return results
 
 
@@ -140,6 +166,9 @@ def compare(old, new):
     """(problems, figures) of one case: the failed checks, and the largest
     final |F| of new and the largest relative deviations."""
     problems = []
+    if old["P"] != new["P"]:
+        problems.append(f"P not bit-identical ({len(old['P'])} and "
+                        f"{len(new['P'])} spaces)")
     if "matrix" in old:
         if old["matrix"] != new["matrix"]:
             problems.append("condensed matrix not bit-identical")
@@ -211,13 +240,13 @@ def main():
         old = _in_subprocess(parent)
     new = _in_subprocess(ROOT)
     failed = False
-    print(f"{'case':26s} {'solves':>6s} {'final |F|':>10s} {'|F| dev':>9s} "
+    print(f"{'case':26s} {'spaces':>6s} {'solves':>6s} {'final |F|':>10s} {'|F| dev':>9s} "
           f"{'merit dev':>9s} {'(|F|>1e-8)':>10s} {'energy dev':>10s} "
           f"{'mark dev':>9s}  result")
     for case in old:
         problems, figs = compare(old[case], new[case])
         failed |= bool(problems)
-        cols = (f"{len(new[case].get('solves', [])):6d} "
+        cols = (f"{len(new[case]['P']):6d} {len(new[case].get('solves', [])):6d} "
                 + (" ".join(f"{figs[k]:{w}.2e}" for k, w in
                             (("final_F", 10), ("F_dev", 9), ("merit_dev", 9),
                              ("merit_dev_8", 10), ("energy_dev", 10),

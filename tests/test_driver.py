@@ -493,6 +493,21 @@ class TestCLI:
         assert r.returncode == 3
         assert "records.csv" in r.stderr and "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("row, message", [
+        (None, "line 2: no iteration"),
+        ("0,ten,0.5,1,0,0.1,nan,2", "line 2: dofs 'ten'"),
+        ("0,10,0.5", "line 2: no energy"),
+    ], ids=["foreign_columns", "bad_value", "short_row"])
+    def test_table_malformed_records_exit_3(self, tmp_path, row, message):
+        header = ",".join(f.name for f in fields(RunRecord) if f.compare)
+        text = "foo,bar\n1,2\n" if row is None else f"{header}\n{row}\n"
+        (tmp_path / "records.csv").write_text(text)
+        r = self._run("table", "--out", str(tmp_path))
+        assert r.returncode == 3
+        assert "malformed run records" in r.stderr and message in r.stderr
+        assert str(tmp_path / "records.csv") in r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_config_error_exit_3(self, tmp_path):
         cfgfile = tmp_path / "bad.cfg"
         cfgfile.write_text("[run]\nbogus = 1\n")

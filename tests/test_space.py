@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,12 +9,14 @@ from conftest import (ROTATED_CASES, distorted_quad_mesh, eval_element,
                       gauss_basis_at, gauss_eval_primal, map_dets, map_volume,
                       operator_matrix, piece_coords, random_refined_mesh,
                       rotated_roots_mesh, square_mesh)
-from hpfem.mesh import Mesh, check_det_affine, map_points
+from hpfem.mesh import (Mesh, check_det_affine, corner_row, facet_corner_rows,
+                        map_points)
 from hpfem.problems import cube_mesh
 from hpfem.polybasis import tensor_gauss, tensor_indices, tensor_shape_eval
 from hpfem.predictor import enforce_degree_comparability
-from hpfem.space import (GaussPointSpace, ScalarSpace, constraint_coeffs,
-                         deviatoric_basis, deviatoric_dim)
+from hpfem.space import (GaussPointSpace, ScalarSpace, _frames, _numbered,
+                         _sub_boxes, constraint_coeffs, deviatoric_basis,
+                         deviatoric_dim)
 
 
 class TestDeviatoricBasis:
@@ -39,6 +43,88 @@ class TestDeviatoricBasis:
 
     def test_d1_empty(self):
         assert deviatoric_basis(1).shape[0] == 0
+
+
+def _box_edges(r):
+    """The edges of the r-dimensional reference box, as the dof map listed
+    them when edges were numbered on their own: axis (ne,) and the corner
+    rows of the low and the high end (ne, 2). The oracle of _sub_boxes(r, 1)."""
+    axes, low = [], []
+    for a in range(r):
+        for sides in itertools.product((0, 1), repeat=r - 1):
+            axes.append(a)
+            low.append(list(sides[:a]) + [0] + list(sides[a:]))
+    axes = np.array(axes, dtype=np.intp)
+    low = np.array(low, dtype=np.intp).reshape(len(axes), r)
+    start = corner_row(low)
+    return axes, np.stack([start, start + (1 << (r - 1 - axes))], axis=1)
+
+
+def _face_frames(ids):
+    """Canonical frames of quadrilateral faces from their tensor-ordered corner
+    ids (m, 4), as the dof map framed faces on their own: swap (m,) and
+    flips (m, 2). The origin is the corner of least id, and the first
+    canonical axis runs to the neighbor of lesser id. The oracle of _frames
+    for k = 2."""
+    m = np.arange(len(ids))
+    o = np.argmin(ids, axis=1)
+    ou, ov = o // 2, o % 2
+    swap = ~(ids[m, 2 * (1 - ou) + ov] < ids[m, 2 * ou + 1 - ov])
+    flips = np.stack([np.where(swap, ov, ou), np.where(swap, ou, ov)], axis=1)
+    return swap, flips == 1
+
+
+class TestDofMapHelpers:
+    """The entity numbering, frames and sub-boxes of the dof map against
+    np.unique and the per-dimension rules they replace."""
+
+    @staticmethod
+    def _check_numbered(keys):
+        rows, number = _numbered(keys)
+        want_rows, want_number = np.unique(keys, axis=0, return_inverse=True)
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(number, want_number.reshape(-1))
+        assert rows.dtype == keys.dtype
+
+    @pytest.mark.parametrize("c", [1, 2, 4])
+    def test_numbered_int_rows(self, c):
+        rng = np.random.default_rng(c)
+        self._check_numbered(rng.integers(0, 4, size=(300, c)))
+
+    def test_numbered_float_rows_with_ties(self):
+        rng = np.random.default_rng(7)
+        self._check_numbered(rng.choice([-1.0, -0.5, -0.0, 0.0, 0.25, 1.0],
+                                        size=(300, 2)))
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_numbered_no_or_one_row(self, m):
+        self._check_numbered(np.arange(3 * m).reshape(m, 3))
+        self._check_numbered(np.arange(3.0 * m).reshape(m, 3))
+
+    def test_frames_of_edges(self):
+        rng = np.random.default_rng(1)
+        ids = np.array([rng.choice(50, 2, replace=False) for _ in range(200)])
+        perm, flips = _frames(ids)
+        np.testing.assert_array_equal(perm, 0)
+        np.testing.assert_array_equal(flips[:, 0], ids[:, 0] > ids[:, 1])
+
+    def test_frames_of_faces(self):
+        rng = np.random.default_rng(2)
+        ids = np.array([rng.choice(50, 4, replace=False) for _ in range(500)])
+        perm, flips = _frames(ids)
+        swap, want = _face_frames(ids)
+        np.testing.assert_array_equal(perm, np.where(swap[:, None], [1, 0], [0, 1]))
+        np.testing.assert_array_equal(flips, want)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_sub_boxes(self, d):
+        axes, ends = _box_edges(d)
+        got_axes, got_ends, _ = _sub_boxes(d, 1)
+        np.testing.assert_array_equal(got_axes[:, 0], axes)
+        np.testing.assert_array_equal(got_ends, ends)
+        corners = _sub_boxes(d, d - 1)[1]
+        assert (sorted(map(sorted, corners.tolist()))
+                == sorted(map(sorted, facet_corner_rows(d).tolist())))
 
 
 class TestDofCounts:

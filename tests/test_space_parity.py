@@ -4,10 +4,15 @@ against values recorded from the per-element, per-shape build they replace
 Gauss-point weights, mass and dual blocks to 1e-13 of their largest entry.
 
 The cases are every conftest.ASSEMBLY_CASES case, a 3-element interval with
-Dirichlet ends and degrees 1-3, and a cube mesh refined twice with degrees
+Dirichlet ends and degrees 1-3, a cube mesh refined twice with degrees
 1-3 and a Dirichlet face, where hanging vertices are constrained to a vertex
 that is itself hanging, so constraint rows resolve through other constraint
-rows.
+rows, and random meshes: four squares refined four times at random
+(conftest.random_refined_mesh with a Dirichlet side, degrees 1-4) and three
+2 x 2 x 2 cubes with a Dirichlet face refined three times at random, degrees
+1-3, whose fine elements two levels down give multi-level hanging edges.
+The random entries were recorded from commit 4890a78, the parent of the
+one-pass-per-dimension dof map.
 
 Running this file as a script (with the package on the path) writes the
 recording of the checked-out code to tests/data/space_parent.json.gz
@@ -23,7 +28,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import ASSEMBLY_CASES, assembly_case, gauss_mass
+from conftest import (ASSEMBLY_CASES, assembly_case, gauss_mass,
+                      random_refined_mesh)
 from hpfem.mesh import facet_corner_rows
 from hpfem.problems import cube_mesh, interval_mesh
 from hpfem.space import GaussPointSpace, ScalarSpace
@@ -32,7 +38,9 @@ PARENT_SPACE = os.path.join(os.path.dirname(__file__), "data",
                             "space_parent.json.gz")
 P_ATOL = 1e-14
 GAUSS_RTOL = 1e-13
-SPACE_CASES = ASSEMBLY_CASES + ("interval3", "cube_nested")
+RANDOM_CASES = tuple(f"square_random{s}" for s in range(4)) + tuple(
+    f"cube_random{s}" for s in (0, 1, 4))
+SPACE_CASES = ASSEMBLY_CASES + ("interval3", "cube_nested") + RANDOM_CASES
 
 
 def space_case(name):
@@ -47,6 +55,17 @@ def space_case(name):
         m.tag_boundary(lambda c: "dirichlet" if c[0] < 1e-12 else "neumann")
         m = m.refine_element(0).refine_element(11)
         m = m.with_degrees({e: 1 + i % 3 for i, e in enumerate(m.active_ids())})
+    elif name.startswith("square_random"):
+        rng = np.random.default_rng(int(name.removeprefix("square_random")))
+        m = random_refined_mesh(rng, refinements=4, dirichlet=True)
+    elif name.startswith("cube_random"):
+        rng = np.random.default_rng(int(name.removeprefix("cube_random")))
+        m = cube_mesh(2)
+        m.tag_boundary(lambda c: "dirichlet" if c[0] < 1e-12 else "neumann")
+        for _ in range(3):
+            act = m.active_ids()
+            m = m.refine_element(act[int(rng.integers(len(act)))])
+        m = m.with_degrees({e: int(rng.integers(1, 4)) for e in m.active_ids()})
     else:
         raise ValueError(name)
     return ScalarSpace(m), GaussPointSpace(m, 1.0)
