@@ -122,9 +122,6 @@ class MixedSystem:
     C: sp.csr_matrix
     D: np.ndarray  # diagonal entries, length L*N
     l: np.ndarray
-    dim: int
-    ndof_u: int  # scalar displacement dofs (M); vector unknowns = dim * M
-    ndof_q: int  # Gauss-point dofs (N); tensor unknowns = L * N
     L: int
     q_counts: np.ndarray  # dofs per element block of C, in q-dof order
     non_affine: tuple = field(default_factory=tuple)
@@ -269,8 +266,8 @@ def assemble_system(space, qspace, material, loads=None):
     C = gauss_mass_matrix(qspace, L, G_CH)
     D = np.repeat(qspace.weights, L)
     q_counts = np.diff(qspace.offsets)
-    return MixedSystem(K=K, B=B, C=C, D=D, l=lvec, dim=d, ndof_u=M, ndof_q=N,
-                       L=L, q_counts=q_counts, non_affine=non_affine)
+    return MixedSystem(K=K, B=B, C=C, D=D, l=lvec, L=L, q_counts=q_counts,
+                       non_affine=non_affine)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ lossless up to canonical formatting.
 
 from dataclasses import dataclass, field, fields
 
+from .polybasis import MAX_DEGREE
+
 
 class ConfigError(ValueError):
     pass
@@ -60,6 +62,9 @@ class RunConfig:
 
 
 _LOOPS = ("plastic-estimator", "elliptic-predictor", "uniform-h", "uniform-p")
+# (section, key, least, largest or None) of the integer keys with a range
+_RANGES = (("mesh", "initial_cells", 1, None), ("mesh", "initial_refinements", 0, None),
+           ("mesh", "degree", 1, MAX_DEGREE), ("run", "max_iterations", 1, None))
 
 
 def parse_config(text):
@@ -98,6 +103,11 @@ def parse_config(text):
         raise ConfigError(f"unknown loop '{cfg.run.loop}' (choose from {_LOOPS})")
     if not 0.0 < cfg.run.theta <= 1.0:
         raise ConfigError("theta must be in (0, 1]")
+    for name, key, lo, hi in _RANGES:
+        value = getattr(getattr(cfg, name), key)
+        if value < lo or hi is not None and value > hi:
+            raise ConfigError(f"[{name}] {key} = {value} must be "
+                              + (f"at least {lo}" if hi is None else f"in {lo}..{hi}"))
     return cfg
 
 

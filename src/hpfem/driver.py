@@ -200,8 +200,8 @@ _PRESETS = {
 
 def _build_problem(cfg: RunConfig):
     """(kind, mesh, material, loads, extra) of the configured preset;
-    ConfigError for an unknown preset or for a key set away from its default
-    that the preset does not read."""
+    ConfigError for an unknown preset, for a key set away from its default
+    that the preset does not read, or for a value its builder rejects."""
     if cfg.problem.preset not in _PRESETS:
         raise ConfigError(f"unknown preset '{cfg.problem.preset}' "
                           f"(choose from {tuple(_PRESETS)})")
@@ -218,9 +218,12 @@ def _build_problem(cfg: RunConfig):
                     and getattr(section, key) != getattr(base, key)):
                 raise ConfigError(f"[{name}] {key} is not read by the preset "
                                   f"'{cfg.problem.preset}'")
-    built = builder(degree=cfg.mesh.degree,
-                    **{arg: getattr(getattr(cfg, name), key)
-                       for arg, (name, key) in args.items()})
+    try:
+        built = builder(degree=cfg.mesh.degree,
+                        **{arg: getattr(getattr(cfg, name), key)
+                           for arg, (name, key) in args.items()})
+    except ValueError as exc:  # the checks of Material
+        raise ConfigError(f"preset '{cfg.problem.preset}': {exc}") from exc
     material = loads = None
     if kind == "elliptic":
         mesh, extra = built

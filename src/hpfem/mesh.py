@@ -204,41 +204,14 @@ def check_det_affine(corners):
     return resid <= 1e-12 * np.maximum(np.abs(det).max(axis=0), 1e-300)
 
 
-@dataclass(frozen=True)
-class FacetPiece:
-    """One matched piece of an element facet, as `Mesh.facet_neighbors`
-    reads it from a row of the `FacetTable`.
-
-    ``my_box``/``nb_box`` are (lo, hi) interval pairs over the in-facet axes in
-    each element's own reference coordinates; ``perm``/``flip`` map in-facet
-    axis positions of this element to the neighbor's. ``relation`` is one of
-    RELATIONS: 'equal', 'coarse_nb' (the neighbor is coarser) or 'fine_nb'.
-    """
-
-    neighbor: int
-    facet: int
-    my_box: tuple
-    nb_box: tuple
-    perm: tuple
-    flip: tuple
-    relation: str
-
-
-@dataclass(frozen=True)
-class FacetInfo:
-    kind: str  # 'boundary' | 'interior'
-    tag: str | None = None
-    pieces: tuple = ()
-
-
 RELATIONS = ("equal", "coarse_nb", "fine_nb")
 
 
 @dataclass(frozen=True)
 class FacetTable:
     """The facet interfaces of one mesh topology as arrays, built by
-    `Mesh.facet_table` in one pass. Elements are named by their position in
-    ``act``, the active element ids.
+    `Mesh.facet_table` in one pass; `Mesh.facet_neighbors` gives an element's
+    rows. Elements are named by their position in ``act``, the active ids.
 
     Interior rows, one per matched facet piece, in sweep order (element
     position, facet, neighbor position): ``el``, ``facet``, ``nb`` and
@@ -246,8 +219,9 @@ class FacetTable:
     of the piece over the in-facet axes in each element's own reference
     coordinates; ``perm``/``flip`` (n, d-1), the in-facet axis position of
     this element that provides each position of the neighbor's, and whether
-    it runs reversed; ``relation``, an index into RELATIONS; ``twin``, the
-    row of the same piece seen from the neighbor.
+    it runs reversed; ``relation``, an index into RELATIONS: 'equal',
+    'coarse_nb' (the neighbor is coarser) or 'fine_nb'; ``twin``, the row of
+    the same piece seen from the neighbor.
 
     Boundary rows, one per boundary facet: ``b_el``, ``b_facet``, ``b_tag``.
     """
@@ -266,13 +240,6 @@ class FacetTable:
     b_el: np.ndarray
     b_facet: np.ndarray
     b_tag: list
-
-    def rows(self, eid):
-        """The interior rows and the boundary rows of active element eid, as
-        two slices."""
-        i = int(positions_of(self.act, eid))
-        return (slice(*np.searchsorted(self.el, [i, i + 1]).tolist()),
-                slice(*np.searchsorted(self.b_el, [i, i + 1]).tolist()))
 
     def coords(self, rows, xi):
         """Matched in-facet coordinates (t_mine, t_nb), each (n, m, d-1), on
@@ -410,7 +377,7 @@ class Mesh:
         split = []  # (eid, dividing point), in the order of the splits
 
         def refine(eid, z):
-            rows, _ = tab.rows(eid)
+            rows, _ = self.facet_neighbors(eid)
             for r in range(rows.start, rows.stop):
                 nb = int(tab.act[tab.nb[r]])
                 if first[nb] < 0 and self.level[nb] < self.level[eid]:
@@ -491,22 +458,12 @@ class Mesh:
         return self._facets[0]
 
     def facet_neighbors(self, eid):
-        """Per local facet: boundary tag or matched interior pieces; the view
-        of element eid's rows of the facet table."""
+        """The interior rows and the boundary rows of active element eid in
+        the facet table, as two slices; ValueError if eid is not active."""
         tab = self.facet_table()
-        rows, brows = tab.rows(eid)
-        pieces = [[] for _ in range(2 * self.dim)]
-        for r in range(rows.start, rows.stop):
-            pieces[tab.facet[r]].append(FacetPiece(
-                neighbor=int(tab.act[tab.nb[r]]), facet=int(tab.nb_facet[r]),
-                my_box=tuple(map(tuple, tab.my_box[r].tolist())),
-                nb_box=tuple(map(tuple, tab.nb_box[r].tolist())),
-                perm=tuple(tab.perm[r].tolist()), flip=tuple(tab.flip[r].tolist()),
-                relation=RELATIONS[tab.relation[r]]))
-        out = [FacetInfo(kind="interior", pieces=tuple(p)) for p in pieces]
-        for r in range(brows.start, brows.stop):
-            out[tab.b_facet[r]] = FacetInfo(kind="boundary", tag=tab.b_tag[r])
-        return out
+        i = int(positions_of(tab.act, eid))
+        return (slice(*np.searchsorted(tab.el, [i, i + 1]).tolist()),
+                slice(*np.searchsorted(tab.b_el, [i, i + 1]).tolist()))
 
     def facet_embed(self, f, t_facet):
         """Embed in-facet coordinates (m, d-1) into element reference coords

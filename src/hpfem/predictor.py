@@ -388,7 +388,7 @@ def enforce_degree_comparability(mesh, degrees):
     while work:
         eid = work.pop()
         low = deg.get(eid, mesh.degree[eid]) - 1
-        rows, _ = tab.rows(eid)
+        rows, _ = mesh.facet_neighbors(eid)
         for nb in tab.act[tab.nb[rows]].tolist():
             if deg.get(nb, mesh.degree[nb]) < low:
                 deg[nb] = low

@@ -4,28 +4,31 @@ import numpy as np
 
 from .assembly import Loads, Material
 from .elliptic import ScalarProblem
-from .mesh import Mesh
+from .mesh import Mesh, corner_bits
+
+
+def box_mesh(n=1, dim=2, degree=1, lo=0.0, hi=1.0):
+    """The grid of n^dim cells on [lo, hi]^dim: vertices and cells in
+    lexicographic order, last axis fastest."""
+    xs = np.linspace(lo, hi, n + 1)
+    verts = np.stack(np.meshgrid(*[xs] * dim, indexing="ij"), axis=-1)
+    ids = np.arange(verts.size // dim).reshape((n + 1,) * dim)
+    cells = np.stack([ids[tuple(slice(b, b + n) for b in bits)]
+                      for bits in corner_bits(dim).tolist()], axis=-1)
+    return Mesh.from_arrays(verts.reshape(-1, dim), cells, dim=dim, degrees=degree)
 
 
 def interval_mesh(n=1, degree=1, lo=0.0, hi=1.0):
-    xs = np.linspace(lo, hi, n + 1)
-    cells = [[i, i + 1] for i in range(n)]
-    return Mesh.from_arrays(xs[:, None], cells, dim=1, degrees=degree)
+    return box_mesh(n, 1, degree, lo, hi)
 
 
 def square_mesh(n=1, degree=1, tagger=None, lo=0.0, hi=1.0):
-    xs = np.linspace(lo, hi, n + 1)
-    verts = [[x, y] for x in xs for y in xs]
+    m = box_mesh(n, 2, degree, lo, hi)
+    return m if tagger is None else m.tag_boundary(tagger)
 
-    def vid(i, j):
-        return i * (n + 1) + j
 
-    cells = [[vid(i, j), vid(i, j + 1), vid(i + 1, j), vid(i + 1, j + 1)]
-             for i in range(n) for j in range(n)]
-    m = Mesh.from_arrays(verts, cells, dim=2, degrees=degree)
-    if tagger is not None:
-        m.tag_boundary(tagger)
-    return m
+def cube_mesh(n=1, degree=1):
+    return box_mesh(n, 3, degree)
 
 
 def l_shape_mesh(degree=1):
@@ -33,24 +36,6 @@ def l_shape_mesh(degree=1):
     verts = [[-1, -1], [0, -1], [-1, 0], [0, 0], [1, 0], [-1, 1], [0, 1], [1, 1]]
     cells = [[0, 2, 1, 3], [2, 5, 3, 6], [3, 6, 4, 7]]
     return Mesh.from_arrays(verts, cells, dim=2, degrees=degree)
-
-
-def cube_mesh(n=1, degree=1):
-    xs = np.linspace(0.0, 1.0, n + 1)
-    verts = [[x, y, z] for x in xs for y in xs for z in xs]
-
-    def vid(i, j, k):
-        return (i * (n + 1) + j) * (n + 1) + k
-
-    cells = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                cells.append([vid(i, j, k), vid(i, j, k + 1),
-                              vid(i, j + 1, k), vid(i, j + 1, k + 1),
-                              vid(i + 1, j, k), vid(i + 1, j, k + 1),
-                              vid(i + 1, j + 1, k), vid(i + 1, j + 1, k + 1)])
-    return Mesh.from_arrays(verts, cells, dim=3, degrees=degree)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ from hpfem import _kernels
 from hpfem.assembly import (Loads, Material, element_groups, galerkin,
                             gauss_mass_matrix, group_quadrature)
 from hpfem.elliptic import ScalarProblem
-from hpfem.mesh import (Mesh, _matched_coords, corner_bits, facet_measure,
-                        map_jacobians, positions_of)
+from hpfem.mesh import (Mesh, corner_bits, facet_measure, map_jacobians,
+                        positions_of)
 from hpfem.plasticity import strain_values, tensor_values
 from hpfem.problems import cube_mesh, interval_mesh, poisson_lshape
 from hpfem.problems import square_mesh  # noqa: F401  (re-exported to tests)
@@ -52,17 +52,31 @@ def is_valid_map(corners):
                                                     pts])) > 0.0))
 
 
-def piece_coords(piece, xi):
-    """Matched in-facet coordinates (t_mine, t_nb) on both sides of a
-    `FacetPiece`, each in its element's own facet frame, at unit-box points
-    xi (m, d-1) over the piece: the one-piece view of `FacetTable.coords`."""
-    r = len(piece.perm)
-    t_mine, t_nb = _matched_coords(
-        np.array(piece.my_box, dtype=float).reshape(1, r, 2),
-        np.array(piece.nb_box, dtype=float).reshape(1, r, 2),
-        np.array(piece.perm, dtype=np.intp).reshape(1, r),
-        np.array(piece.flip, dtype=bool).reshape(1, r), xi)
-    return t_mine[0], t_nb[0]
+def matched_refs(mesh, rows, xi):
+    """Active ids and reference points (n, m, d) on both sides of the facet
+    pieces of the facet-table rows `rows` (a slice or an index array), at
+    unit-box points xi (m, d-1) over each piece: (el, ref_el, nb, ref_nb)."""
+    tab = mesh.facet_table()
+    t_mine, t_nb = tab.coords(rows, xi)
+    return (tab.act[tab.el[rows]], mesh.facet_embed(tab.facet[rows], t_mine),
+            tab.act[tab.nb[rows]], mesh.facet_embed(tab.nb_facet[rows], t_nb))
+
+
+def facet_jump(space, u, rows, xi):
+    """The largest jump of a field u (ndof,) of a ScalarSpace across the
+    pieces of the facet-table rows `rows`, at the matched points of xi."""
+    el, ref_el, nb, ref_nb = matched_refs(space.mesh, rows, xi)
+    return max((np.abs(eval_element(space, a, u, x)
+                       - eval_element(space, b, u, y)).max()
+                for a, x, b, y in zip(el.tolist(), ref_el, nb.tolist(), ref_nb)),
+               default=0.0)
+
+
+def degree_gaps(mesh):
+    """The degree difference across each facet piece of mesh."""
+    tab = mesh.facet_table()
+    deg = mesh.degree[tab.act]
+    return np.abs(deg[tab.el] - deg[tab.nb])
 
 
 def facet_area_element(mesh, eid, f, t_facet):

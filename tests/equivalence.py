@@ -17,7 +17,12 @@ working tree each run in a subprocess, single-threaded, on:
   `lshape-predictor`, whose Poisson solves and predictions read the field
   through `ScalarSpace.element_coeffs` as the plastic path does;
 - acceptance criterion 11's L-shape predictor loop (`poisson-lshape`,
-  `elliptic-predictor`, theta 0.7, at most 20 steps, to 2 600 dofs).
+  `elliptic-predictor`, theta 0.7, at most 20 steps, to 2 600 dofs);
+- three random enrichment walks (seeds 0, 1, 2): 12 p- or hp-enrichments
+  of random elements of a 2 x 2 square mesh, each applied by
+  `predictor.apply_enrichment` and followed by a space build. Unlike the
+  loops above, where no raise leaves a neighbor two degrees behind, they
+  make the degree closure raise.
 
 For every case it checks that
 - every Newton solve has the same convergence flag, retry count and number
@@ -33,15 +38,25 @@ For every case it checks that
 - the condensed matrices of the matrix cases are bit-identical;
 - the local-to-global operator P (indptr, indices, data) of every
   `ScalarSpace` a case builds is bit-identical, space by space (SHA-256
-  digests of the arrays).
+  digests of the arrays), and so is the active mesh it is built on (the
+  corners, boxes, degrees and tags of the active elements, and the
+  vertices);
+- the enrichments handed to `predictor.apply_enrichment` (element, kind
+  and dividing point of every prediction) are identical.
 
 It prints, per case, the number of spaces built, the number of solves, the
 largest final |F| of the working tree and the
 largest relative deviations of |F|, of the merit (over all trace rows, and
 over the rows with |F| above 1e-8, which are not rounding noise), of the
 energy, over all solves, and of the marked values, relative to each step's
-largest value, and exits with status 1 if a check fails. It is not
-a test module, so pytest does not collect it.
+largest value. For the predictor cases it prints, on the working tree, the
+smallest flip margin of an element's choice over all steps: the distance
+between the gap of its best and runner-up predicted reductions and the tie
+tolerance of `predictor._best` (TIE_RTOL times the larger reduction, at
+least 1e-14), relative to the larger reduction and in units of TIE_RTOL. A
+margin at or below MARK_RTOL / TIE_RTOL (0.01) means that a change the
+gains' check lets pass can flip a choice. It exits with status 1 if a check
+fails. It is not a test module, so pytest does not collect it.
 """
 
 import argparse
@@ -62,11 +77,33 @@ F_TOL = 1e-11
 SIGNAL = 1e-8  # trace rows with |F| above it are not rounding noise
 ENERGY_RTOL = 1e-12
 MARK_RTOL = 1e-12  # marked values, relative to each step's largest value
+WALK_SEEDS, WALK_STEPS = (0, 1, 2), 12
 
 
 def _digest(a):
     a = np.ascontiguousarray(a)
     return f"{a.dtype.str}:{hashlib.sha256(a.tobytes()).hexdigest()}"
+
+
+def _mesh_digest(mesh):
+    """One SHA-256 digest of the active elements' corners, boxes, degrees
+    and tags, and of the vertices."""
+    act = np.flatnonzero(mesh.first_child < 0)
+    h = hashlib.sha256(json.dumps(mesh.tags[act].tolist()).encode())
+    for a in (mesh.corners[act], mesh.boxes[act], mesh.degree[act], mesh.vertices):
+        h.update(_digest(a).encode())
+    return h.hexdigest()
+
+
+def _flip_margin(preds, tie_rtol):
+    """The distance between the gap of the two largest reductions of the
+    live predictions and `_best`'s tie tolerance, relative to the larger
+    reduction, in units of tie_rtol; None below two nonzero reductions."""
+    d = sorted((pr.delta_e2 for pr in preds if not pr.skipped), reverse=True)
+    top = max(abs(d[0]), abs(d[1])) if len(d) > 1 else 0.0
+    if not top:
+        return None
+    return abs(d[0] - d[1] - max(1e-14, tie_rtol * top)) / top / tie_rtol
 
 
 def run_cases(root):
@@ -79,15 +116,18 @@ def run_cases(root):
     import hpfem.driver as drv
     import hpfem.estimator as est
     import hpfem.plasticity as pl
+    import hpfem.predictor as pred
     import test_newton_parity as parity
     import hpfem.space
     import workloads
     from hpfem.assembly import total_energy
     from hpfem.config import RunConfig
+    from hpfem.problems import square_mesh
 
-    solves, marked, values, spaces = [], [], [], []
+    solves, marked, values, spaces, meshes, chosen, margins = ([] for _ in range(7))
     real_solve, real_mark = pl.solve_semismooth_newton, est.mark_dorfler
     real_space = hpfem.space.ScalarSpace.__init__
+    real_choose, real_apply = pred.choose_enrichment, pred.apply_enrichment
 
     def solve(system, qspace, *args, **kwargs):
         sol = real_solve(system, qspace, *args, **kwargs)
@@ -107,16 +147,32 @@ def run_cases(root):
     def space(self, mesh):
         real_space(self, mesh)
         spaces.append([_digest(a) for a in self.P])
+        meshes.append(_mesh_digest(mesh))
+
+    def choose(*args, **kwargs):
+        out = real_choose(*args, **kwargs)
+        margins.extend(g for g in (_flip_margin(preds, est.TIE_RTOL)
+                                   for _, preds in out.values()) if g is not None)
+        return out
+
+    def apply(mesh, predictions):
+        chosen.append([[int(c.element), c.kind, None if c.zhat is None
+                        else [float(z) for z in c.zhat]]
+                       for c in (pr.candidate for pr in predictions)])
+        return real_apply(mesh, predictions)
 
     for module in (pl, drv, parity):
         module.solve_semismooth_newton = solve
     est.mark_dorfler = mark
     hpfem.space.ScalarSpace.__init__ = space
+    pred.choose_enrichment, pred.apply_enrichment = choose, apply
 
     def case_result(**result):
         out = {"solves": list(solves), "marked": list(marked),
-               "values": list(values), "P": list(spaces), **result}
-        for seen in (solves, marked, values, spaces):
+               "values": list(values), "P": list(spaces), "mesh": list(meshes),
+               "chosen": list(chosen), "flip_margin": min(margins, default=None),
+               **result}
+        for seen in (solves, marked, values, spaces, meshes, chosen, margins):
             seen.clear()
         return out
 
@@ -146,6 +202,19 @@ def run_cases(root):
     records, _ = drv.run_adaptive(cfg)
     results["criterion-11-lshape"] = case_result(
         dofs=[r.dofs for r in records], energy=records[-1].energy)
+    for seed in WALK_SEEDS:
+        rng = np.random.default_rng(seed)
+        mesh = square_mesh(2, 2, tagger=lambda c: "neumann")
+        for _ in range(WALK_STEPS):
+            act = mesh.active_ids()
+            eid = act[int(rng.integers(len(act)))]
+            hp = rng.uniform() < 0.4
+            cand = pred.EnrichmentCandidate(kind="hp" if hp else "p", element=eid,
+                                            zhat=(0.0, 0.0) if hp else None)
+            mesh = pred.apply_enrichment(mesh, [pred.Prediction(
+                candidate=cand, delta_e2=0.0, eps=0.0, y=np.zeros(0), rho_w_yxi=0.0)])
+            hpfem.space.ScalarSpace(mesh)
+        results[f"enrichment-walk@{seed}"] = case_result()
     return results
 
 
@@ -169,11 +238,13 @@ def compare(old, new):
     if old["P"] != new["P"]:
         problems.append(f"P not bit-identical ({len(old['P'])} and "
                         f"{len(new['P'])} spaces)")
+    if old["mesh"] != new["mesh"]:
+        problems.append("meshes not bit-identical")
     if "matrix" in old:
         if old["matrix"] != new["matrix"]:
             problems.append("condensed matrix not bit-identical")
         return problems, {}
-    for key in ("dofs", "marked", "failures"):
+    for key in ("dofs", "marked", "failures", "chosen"):
         if old.get(key) != new.get(key):
             problems.append(f"{key} differ: {old.get(key)} != {new.get(key)}")
     figs = {"final_F": 0.0, "F_dev": 0.0, "merit_dev": 0.0, "merit_dev_8": 0.0,
@@ -242,7 +313,7 @@ def main():
     failed = False
     print(f"{'case':26s} {'spaces':>6s} {'solves':>6s} {'final |F|':>10s} {'|F| dev':>9s} "
           f"{'merit dev':>9s} {'(|F|>1e-8)':>10s} {'energy dev':>10s} "
-          f"{'mark dev':>9s}  result")
+          f"{'mark dev':>9s} {'flip mrg':>9s}  result")
     for case in old:
         problems, figs = compare(old[case], new[case])
         failed |= bool(problems)
@@ -251,7 +322,9 @@ def main():
                             (("final_F", 10), ("F_dev", 9), ("merit_dev", 9),
                              ("merit_dev_8", 10), ("energy_dev", 10),
                              ("mark_dev", 9)))
-                  if figs else f"{'':60s}"))
+                  if figs else f"{'':60s}")
+                + (f" {'':9s}" if new[case]["flip_margin"] is None
+                   else f" {new[case]['flip_margin']:9.2e}"))
         print(f"{case:26s} {cols}  {'; '.join(problems) or 'equivalent'}")
     return 1 if failed else 0
 

@@ -488,6 +488,27 @@ class TestCLI:
         assert r.returncode == 3
         assert "[mesh] initial_cells is not read by the preset" in r.stderr
 
+    @pytest.mark.parametrize("command, text, message", [
+        ("solve", "[mesh]\ninitial_cells = 0",
+         "[mesh] initial_cells = 0 must be at least 1"),
+        ("solve", "[mesh]\ndegree = 0", "[mesh] degree = 0 must be in 1..20"),
+        ("solve", "[mesh]\ndegree = 21", "[mesh] degree = 21 must be in 1..20"),
+        ("solve", "[material]\nyield_stress = -1", "yield stress must be positive"),
+        ("solve", "[material]\nmu = 0", "need mu > 0"),
+        ("solve", "[mesh]\ninitial_refinements = -1",
+         "[mesh] initial_refinements = -1 must be at least 0"),
+        ("adapt", "[run]\nmax_iterations = 0",
+         "[run] max_iterations = 0 must be at least 1"),
+    ], ids=["cells_0", "degree_0", "degree_21", "yield_negative", "mu_0",
+            "refinements_negative", "iterations_0"])
+    def test_value_out_of_range_exit_3(self, tmp_path, command, text, message):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(text + "\n")
+        r = self._run(command, "--config", str(cfgfile), "--out", str(tmp_path / "o"))
+        assert r.returncode == 3, r.stderr
+        assert message in r.stderr and "Traceback" not in r.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_table_without_records_exit_3(self, tmp_path):
         r = self._run("table", "--out", str(tmp_path))
         assert r.returncode == 3

@@ -5,11 +5,11 @@ import pytest
 
 from conftest import (ROTATED_CASES, _rotated, distorted_quad_mesh,
                       facet_area_element, is_valid_map, map_dets, map_volume,
-                      piece_coords, rotated_roots_mesh, square_mesh)
-from hpfem.mesh import (DIRICHLET, NEUMANN, FacetInfo, FacetPiece, Mesh,
-                        check_det_affine, corner_bits, facet_corner_rows,
-                        map_hessians, map_jacobians, map_points)
-from hpfem.problems import cube_mesh, interval_mesh, l_shape_mesh
+                      rotated_roots_mesh, square_mesh)
+from hpfem.mesh import (DIRICHLET, NEUMANN, RELATIONS, Mesh, check_det_affine,
+                        corner_bits, facet_corner_rows, map_hessians,
+                        map_jacobians, map_points)
+from hpfem.problems import box_mesh, cube_mesh, interval_mesh, l_shape_mesh
 
 
 def map_point(corners, xhat):
@@ -202,26 +202,23 @@ class TestRefinement:
         m = m.refine_element(0)
         child = m.first_child[0] + 3
         m = m.refine_element(child)  # neighbors must be refined by closure
-        for eid in m.active_ids():
-            for info in m.facet_neighbors(eid):
-                if info.kind != "interior":
-                    continue
-                for piece in info.pieces:
-                    assert piece.relation in ("equal", "coarse_nb", "fine_nb")
-                    if piece.relation == "coarse_nb":
-                        # one level only: my facet is at least half the neighbor's
-                        my = np.prod([b[1] - b[0] for b in piece.nb_box])
-                        assert my >= 2.0 ** (m.dim - 1) / 2 ** (m.dim - 1) - 1e-12
+        tab = m.facet_table()
+        assert set(tab.relation.tolist()) <= set(range(len(RELATIONS)))
+        coarse = tab.nb_box[tab.relation == RELATIONS.index("coarse_nb")]
+        # one level only: my facet is at least half the neighbor's
+        my = np.prod(coarse[:, :, 1] - coarse[:, :, 0], axis=1)
+        assert (my >= 2.0 ** (m.dim - 1) / 2 ** (m.dim - 1) - 1e-12).all()
 
     def test_hanging_node_on_coarse_facet_interior(self):
         verts = [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
         cells = [[0, 3, 1, 4], [1, 4, 2, 5]]
         m = Mesh.from_arrays(verts, cells, dim=2).refine_element(0)
-        info = m.facet_neighbors(1)[0]
-        assert info.kind == "interior"
-        assert len(info.pieces) == 2
-        for piece in info.pieces:
-            assert piece.relation == "fine_nb"
+        tab = m.facet_table()
+        rows, brows = m.facet_neighbors(1)
+        assert 0 not in tab.b_facet[brows]
+        on = tab.facet[rows] == 0
+        assert on.sum() == 2
+        assert (tab.relation[rows][on] == RELATIONS.index("fine_nb")).all()
 
 
 def _facet_corner_ids(corners, dim, f):
@@ -364,52 +361,48 @@ class TestRootPairing:
 class TestNeighbors:
     def test_single_element_all_boundary(self):
         m = square_mesh(1)
-        for info in m.facet_neighbors(0):
-            assert info.kind == "boundary"
-            assert info.tag == DIRICHLET
+        tab = m.facet_table()
+        rows, brows = m.facet_neighbors(0)
+        assert rows.stop == rows.start
+        assert tab.b_facet[brows].tolist() == list(range(4))
+        assert tab.b_tag[brows] == [DIRICHLET] * 4
 
     def test_two_elements_symmetric(self):
         verts = [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
         m = Mesh.from_arrays(verts, [[0, 3, 1, 4], [1, 4, 2, 5]], dim=2)
-        i01 = [p for info in m.facet_neighbors(0) if info.kind == "interior"
-               for p in info.pieces]
-        i10 = [p for info in m.facet_neighbors(1) if info.kind == "interior"
-               for p in info.pieces]
-        assert len(i01) == 1 and i01[0].neighbor == 1
-        assert len(i10) == 1 and i10[0].neighbor == 0
+        tab = m.facet_table()
+        i01, _ = m.facet_neighbors(0)
+        i10, _ = m.facet_neighbors(1)
+        assert tab.act[tab.nb[i01]].tolist() == [1]
+        assert tab.act[tab.nb[i10]].tolist() == [0]
         # matched quadrature points agree physically
         xi = np.linspace(-0.7, 0.7, 5)[:, None]
-        tm, tn = piece_coords(i01[0], xi)
-        # piece returned on element 0 facet index:
-        f0 = [f for f, info in enumerate(m.facet_neighbors(0))
-              if info.kind == "interior"][0]
-        tm, tn = piece_coords(i01[0], xi)
-        a = map_points(m.corner_array([0])[0], m.facet_embed(f0, tm))
-        b = map_points(m.corner_array([1])[0], m.facet_embed(i01[0].facet, tn))
+        (tm,), (tn,) = tab.coords(i01, xi)
+        a = map_points(m.corner_array([0])[0], m.facet_embed(tab.facet[i01][0], tm))
+        b = map_points(m.corner_array([1])[0], m.facet_embed(tab.nb_facet[i01][0], tn))
         np.testing.assert_allclose(a, b, atol=1e-14)
 
     def test_parent_facet_lists_child_facets(self):
         verts = [[0, 0], [1, 0], [2, 0], [0, 1], [1, 1], [2, 1]]
         m = Mesh.from_arrays(verts, [[0, 3, 1, 4], [1, 4, 2, 5]], dim=2)
         m = m.refine_element(0)
-        pieces = [p for info in m.facet_neighbors(1) if info.kind == "interior"
-                  for p in info.pieces]
-        children = {p.neighbor for p in pieces}
-        assert len(pieces) == 2
+        tab = m.facet_table()
+        rows, _ = m.facet_neighbors(1)
+        children = set(tab.act[tab.nb[rows]].tolist())
+        assert rows.stop - rows.start == 2
         assert children <= set(range(m.first_child[0], m.first_child[0] + 4))
 
     def test_normals_outward_and_opposite(self, rng):
         m = distorted_quad_mesh()
+        tab = m.facet_table()
         for eid in m.active_ids():
-            for f, info in enumerate(m.facet_neighbors(eid)):
-                if info.kind != "interior":
-                    continue
-                for piece in info.pieces:
-                    xi = rng.uniform(-1, 1, (3, 1))
-                    tm, tn = piece_coords(piece, xi)
-                    _, nm = facet_area_element(m, eid, f, tm)
-                    _, nn = facet_area_element(m, piece.neighbor, piece.facet, tn)
-                    np.testing.assert_allclose(nm, -nn, atol=1e-12)
+            rows, _ = m.facet_neighbors(eid)
+            for r in range(rows.start, rows.stop):
+                xi = rng.uniform(-1, 1, (3, 1))
+                (tm,), (tn,) = tab.coords([r], xi)
+                _, nm = facet_area_element(m, eid, tab.facet[r], tm)
+                _, nn = facet_area_element(m, tab.act[tab.nb[r]], tab.nb_facet[r], tn)
+                np.testing.assert_allclose(nm, -nn, atol=1e-12)
 
 
 class TestSnapshots:
@@ -429,13 +422,14 @@ class TestSnapshots:
         after = m2.facet_table()
         assert after is not before
 
-        def named(tab):
-            rows, _ = tab.rows(1)
+        def named(mesh):
+            tab = mesh.facet_table()
+            rows, _ = mesh.facet_neighbors(1)
             return set(tab.act[tab.nb[rows]].tolist())
 
-        assert named(before) == {0, 3}
-        children = named(after) & set(range(m2.first_child[0], m2.first_child[0] + 4))
-        assert len(children) == 2 and named(after) == {3} | children
+        assert named(m) == {0, 3}
+        children = named(m2) & set(range(m2.first_child[0], m2.first_child[0] + 4))
+        assert len(children) == 2 and named(m2) == {3} | children
 
     @pytest.mark.parametrize("derive", ["refine_many", "with_degrees",
                                         "tag_boundary"])
@@ -475,7 +469,9 @@ def _oracle_facet_neighbors(mesh, eid):
     oracle: an index (root, axis, plane) -> [(eid, side)] of the active
     facets, and per facet of element eid the overlaps with the facets on the
     other side of its plane, or on the paired root facet, mapped there
-    through the pairing's perm and flip."""
+    through the pairing's perm and flip. Returns the pieces, in facet and
+    neighbor order, as rows (facet, neighbor, neighbor's facet, my_box,
+    nb_box, perm, flip, relation), and the boundary facets as (facet, tag)."""
     d = mesh.dim
     box, root = mesh.boxes, mesh.root.tolist()
     idx = {}
@@ -502,7 +498,7 @@ def _oracle_facet_neighbors(mesh, eid):
             out.append((lo, hi))
         return out
 
-    def make_piece(el, nel, nb_f, my_axes, nb_axes, overlap, perm, flip):
+    def make_piece(f, el, nel, nb_f, my_axes, nb_axes, overlap, perm, flip):
         nb_box = tuple(to_ref(*overlap[j], *box[nel, a])
                        for j, a in enumerate(nb_axes))
         my_box = []
@@ -517,29 +513,26 @@ def _oracle_facet_neighbors(mesh, eid):
         nb_full = np.prod([b[1] - b[0] for b in nb_box]) >= full
         rel = ("equal" if nb_full else "coarse_nb") if my_full else (
             "fine_nb" if nb_full else "partial")
-        return FacetPiece(neighbor=nel, facet=nb_f, my_box=tuple(my_box),
-                          nb_box=nb_box, perm=tuple(perm), flip=tuple(flip),
-                          relation=rel)
+        return (f, nel, nb_f, tuple(my_box), nb_box, tuple(perm), tuple(flip), rel)
 
     def interval(e, a):
         return tuple(box[e, a].tolist())
 
-    out = []
+    pieces, boundary = [], []
     for f in range(2 * d):
         k, s = divmod(f, 2)
         if mesh.tags[eid, f] is not None:
-            out.append(FacetInfo(kind="boundary", tag=mesh.tags[eid, f]))
+            boundary.append((f, mesh.tags[eid, f]))
             continue
         plane = float(box[eid, k, s])
         axes = [a for a in range(d) if a != k]
         my_iv = [interval(eid, a) for a in axes]
-        pieces = []
         pa = pairings.get((root[eid], f)) if abs(plane) == 1.0 else None
         if pa is None:
             for nb, ns in idx.get((root[eid], k, plane), ()):
                 ov = intersect(my_iv, [interval(nb, a) for a in axes])
                 if nb != eid and ns != s and ov is not None:
-                    pieces.append(make_piece(eid, nb, 2 * k + 1 - s, axes, axes, ov,
+                    pieces.append(make_piece(f, eid, nb, 2 * k + 1 - s, axes, axes, ov,
                                              tuple(range(d - 1)), (False,) * (d - 1)))
         else:
             nk, ns = divmod(pa["facet"], 2)
@@ -551,31 +544,42 @@ def _oracle_facet_neighbors(mesh, eid):
             for nb, nss in idx.get((pa["element"], nk, 2.0 * ns - 1.0), ()):
                 ov = intersect(tr_iv, [interval(nb, a) for a in nb_axes])
                 if nss == ns and ov is not None:
-                    pieces.append(make_piece(eid, nb, pa["facet"], axes, nb_axes, ov,
+                    pieces.append(make_piece(f, eid, nb, pa["facet"], axes, nb_axes, ov,
                                              pa["perm"], pa["flip"]))
-        out.append(FacetInfo(kind="interior", pieces=tuple(pieces)))
-    return out
+    return pieces, boundary
 
 
-def _bits(infos):
-    """FacetInfo lists with every box as its bytes, for exact comparison."""
-    return [(info.kind, info.tag, [
-        (pc.neighbor, pc.facet, np.array(pc.my_box, dtype=float).tobytes(),
-         np.array(pc.nb_box, dtype=float).tobytes(), pc.perm, pc.flip, pc.relation)
-        for pc in info.pieces]) for info in infos]
+def _table_rows(m, eid):
+    """Element eid's rows of the facet table, read through
+    `Mesh.facet_neighbors`, in the form of the oracle."""
+    tab = m.facet_table()
+    rows, brows = m.facet_neighbors(eid)
+    cols = (tab.facet, tab.act[tab.nb], tab.nb_facet, tab.my_box, tab.nb_box,
+            tab.perm, tab.flip)
+    pieces = [tuple(c[r].tolist() for c in cols) + (RELATIONS[tab.relation[r]],)
+              for r in range(rows.start, rows.stop)]
+    return pieces, list(zip(tab.b_facet[brows].tolist(), tab.b_tag[brows]))
+
+
+def _bits(pieces):
+    """Piece rows with every box as its bytes, for exact comparison."""
+    return [(f, nb, nbf, np.array(mine, dtype=float).tobytes(),
+             np.array(theirs, dtype=float).tobytes(), tuple(perm), tuple(flip), rel)
+            for f, nb, nbf, mine, theirs, perm, flip, rel in pieces]
 
 
 def _assert_table_matches_oracle(m):
-    """facet_neighbors equals the oracle on every active element, or, where
+    """The facet table equals the oracle on every active element, or, where
     the oracle finds a partial overlap, the table build raises."""
     want = {e: _oracle_facet_neighbors(m, e) for e in m.active_ids()}
-    if any(pc.relation == "partial" for infos in want.values()
-           for info in infos for pc in info.pieces):
+    if any(pc[-1] == "partial" for pieces, _ in want.values() for pc in pieces):
         with pytest.raises(ValueError, match="non-nested facet overlap"):
             m.facet_table()
         return False
-    for eid, infos in want.items():
-        assert _bits(m.facet_neighbors(eid)) == _bits(infos)
+    for eid, (pieces, boundary) in want.items():
+        have, have_boundary = _table_rows(m, eid)
+        assert _bits(have) == _bits(pieces)
+        assert have_boundary == boundary
     tab = m.facet_table()
     assert np.array_equal(tab.twin[tab.twin], np.arange(len(tab.twin)))
     return True
@@ -612,20 +616,70 @@ class TestFacetTable:
     def test_cube_hanging_faces_match_oracle(self):
         assert _assert_table_matches_oracle(cube_mesh(2).refine_many([0, 1, 5, 6]))
 
-    def test_piece_coords_is_the_one_row_view(self, rng):
+    def test_facet_neighbors_slice_the_table(self, rng):
+        # the elements' slices cover the rows in order, and the matched
+        # coordinates of a slice are those rows of the whole table's
         m = rotated_roots_mesh(3, [1, 2], (2,))
         tab = m.facet_table()
         xi = rng.uniform(-1, 1, (4, 2))
         t_mine, t_nb = tab.coords(slice(None), xi)
-        r = 0
+        r = b = 0
         for eid in m.active_ids():
-            for f, info in enumerate(m.facet_neighbors(eid)):
-                for piece in info.pieces:
-                    tm, tn = piece_coords(piece, xi)
-                    assert np.array_equal(tm, t_mine[r])
-                    assert np.array_equal(tn, t_nb[r])
-                    r += 1
-        assert r == len(tab.el)
+            rows, brows = m.facet_neighbors(eid)
+            assert (rows.start, brows.start) == (r, b)
+            r, b = rows.stop, brows.stop
+            tm, tn = tab.coords(rows, xi)
+            assert np.array_equal(tm, t_mine[rows])
+            assert np.array_equal(tn, t_nb[rows])
+        assert (r, b) == (len(tab.el), len(tab.b_el))
+
+
+def _oracle_box_mesh(n, dim, degree, lo, hi):
+    """The per-dimension grid builders that `box_mesh` replaced, kept as its
+    oracle (the cube's with the bounds of the other two)."""
+    xs = np.linspace(lo, hi, n + 1)
+    if dim == 1:
+        return Mesh.from_arrays(xs[:, None], [[i, i + 1] for i in range(n)],
+                                dim=1, degrees=degree)
+    if dim == 2:
+        verts = [[x, y] for x in xs for y in xs]
+
+        def vid(i, j):
+            return i * (n + 1) + j
+
+        cells = [[vid(i, j), vid(i, j + 1), vid(i + 1, j), vid(i + 1, j + 1)]
+                 for i in range(n) for j in range(n)]
+        return Mesh.from_arrays(verts, cells, dim=2, degrees=degree)
+    verts = [[x, y, z] for x in xs for y in xs for z in xs]
+
+    def vid(i, j, k):
+        return (i * (n + 1) + j) * (n + 1) + k
+
+    cells = []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                cells.append([vid(i, j, k), vid(i, j, k + 1),
+                              vid(i, j + 1, k), vid(i, j + 1, k + 1),
+                              vid(i + 1, j, k), vid(i + 1, j, k + 1),
+                              vid(i + 1, j + 1, k), vid(i + 1, j + 1, k + 1)])
+    return Mesh.from_arrays(verts, cells, dim=3, degrees=degree)
+
+
+class TestBoxMesh:
+    @pytest.mark.parametrize("bounds", [(0.0, 1.0), (-0.3, 2.7)])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_the_per_dimension_builders(self, dim, bounds):
+        for n in range(1, 6):
+            have = box_mesh(n, dim, 2, *bounds)
+            want = _oracle_box_mesh(n, dim, 2, *bounds)
+            assert have.vertices.tobytes() == want.vertices.tobytes()
+            assert have.vertices.shape == want.vertices.shape
+            assert np.array_equal(have.corners, want.corners)
+            assert np.array_equal(have.degree, want.degree)
+            assert have.tags.tolist() == want.tags.tolist()
+        wrapped = {1: interval_mesh, 2: square_mesh, 3: cube_mesh}[dim](3, 2)
+        assert wrapped.vertices.tobytes() == box_mesh(3, dim, 2).vertices.tobytes()
 
 
 class TestIO:
@@ -643,10 +697,7 @@ class TestIO:
         degs2 = sorted(m2.degree[m2.active_ids()].tolist())
         assert degs == degs2
         # boundary facet count must match
-        def nb(mm):
-            return sum(1 for e in mm.active_ids()
-                       for info in mm.facet_neighbors(e) if info.kind == "boundary")
-        assert nb(m) == nb(m2)
+        assert len(m2.facet_table().b_el) == len(m.facet_table().b_el)
 
     def test_vtk_structure(self, tmp_path):
         m = square_mesh(2).refine_element(0)

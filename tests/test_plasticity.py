@@ -597,8 +597,7 @@ class TestCondensedStep:
                                                 np.arange(n_q))), shape=(n_u, n_q))
         K = sp.diags(1.0 + rng.random(n_u), format="csr")
         system = MixedSystem(K=K, B=B, C=C, D=np.ones(n_q), l=np.zeros(n_u),
-                             dim=2, ndof_u=n_u // 2, ndof_q=n_q // L, L=L,
-                             q_counts=q_counts)
+                             L=L, q_counts=q_counts)
         blocks = ElementBlocks(system)
         mats = [5 * np.eye(grp.C.shape[1]) + rng.random(grp.C.shape)
                 for grp in blocks.groups]

@@ -32,7 +32,7 @@ def test_refined_element_is_rejected():
     with pytest.raises(ValueError, match="element 0 is not active"):
         choose_enrichment(space, problem, A, b, u, {0: [p_enrichment(space, 0)]})
     with pytest.raises(ValueError, match="element 0 is not active"):
-        mesh.facet_table().rows(0)
+        mesh.facet_neighbors(0)
     assert local_split(space, u, 1).interior_dofs.tolist() == [7]
 
 

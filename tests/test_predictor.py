@@ -3,8 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import (distorted_quad_mesh, element_quadrature, eval_element,
-                      facet_area_element, map_dets, map_volume,
+from conftest import (degree_gaps, distorted_quad_mesh, element_quadrature,
+                      eval_element, facet_area_element, map_dets, map_volume,
                       random_refined_mesh, square_mesh)
 from hpfem import _kernels
 from hpfem.elliptic import (ScalarProblem, assemble_scalar, poisson_blocks,
@@ -38,13 +38,13 @@ def _whole_mesh_comparability(mesh):
     one."""
     for _ in range(100):
         raises = {}
+        tab = mesh.facet_table()
         for eid in mesh.active_ids():
             p = mesh.degree[eid]
-            for info in mesh.facet_neighbors(eid):
-                for piece in info.pieces:
-                    q = mesh.degree[piece.neighbor]
-                    if p - q > 1:
-                        raises[piece.neighbor] = max(raises.get(piece.neighbor, 0), p - 1)
+            rows, _ = mesh.facet_neighbors(eid)
+            for nb in tab.act[tab.nb[rows]].tolist():
+                if p - mesh.degree[nb] > 1:
+                    raises[nb] = max(raises.get(nb, 0), p - 1)
         if not raises:
             return mesh
         mesh = mesh.with_degrees(raises)
@@ -323,6 +323,7 @@ def quadrature_prediction_oracle(space, problem, u_W, split, candidate,
             b_l += float(w @ (fv * vals_loc))
         b_r += b_r_el
     # contributions of u_rest outside Q (norm and load)
+    tab = mesh.facet_table()
     for e2 in mesh.active_ids():
         if e2 != eid:
             p2 = space.mesh.degree[e2]
@@ -339,8 +340,9 @@ def quadrature_prediction_oracle(space, problem, u_W, split, candidate,
                 b_r += float(w2 @ (fv2 * eval_element(space, e2, split.u_rest,
                                                             pts2)))
         if problem.neumann is not None:
-            for f, info in enumerate(mesh.facet_neighbors(e2)):
-                if info.kind != "boundary" or info.tag not in problem.neumann_tags:
+            _, brows = mesh.facet_neighbors(e2)
+            for f, tag in zip(tab.b_facet[brows].tolist(), tab.b_tag[brows]):
+                if tag not in problem.neumann_tags:
                     continue
                 qf, wf = tensor_gauss(space.mesh.degree[e2] + quad_bump, d - 1)
                 ref = mesh.facet_embed(f, qf)
@@ -602,14 +604,7 @@ class TestChooserAndApply:
         m = square_mesh(2, degree=2, tagger=lambda c: "dirichlet")
         m2 = enforce_degree_comparability(m, {0: 5})
         assert m2.degree[0] == 5
-        for eid in m2.active_ids():
-            p = m2.degree[eid]
-            for info in m2.facet_neighbors(eid):
-                if info.kind != "interior":
-                    continue
-                for piece in info.pieces:
-                    q = m2.degree[piece.neighbor]
-                    assert abs(p - q) <= 1
+        assert (degree_gaps(m2) <= 1).all()
 
     @pytest.mark.parametrize("seed", range(6))
     def test_apply_enrichment_matches_whole_mesh_loop(self, seed):
@@ -642,9 +637,7 @@ class TestChooserAndApply:
             assert ([new.degree[e] for e in new.active_ids()]
                     == [old.degree[e] for e in old.active_ids()])
             if cand.kind == "hp":
-                assert all(abs(new.degree[e] - new.degree[piece.neighbor]) <= 1
-                           for e in new.active_ids()
-                           for info in new.facet_neighbors(e) for piece in info.pieces)
+                assert (degree_gaps(new) <= 1).all()
             m = new
 
     def test_skip_reports_reason(self):

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (ROTATED_CASES, distorted_quad_mesh, eval_element,
-                      gauss_basis_at, gauss_eval_primal, map_dets, map_volume,
-                      operator_matrix, piece_coords, random_refined_mesh,
-                      rotated_roots_mesh, square_mesh)
-from hpfem.mesh import (Mesh, check_det_affine, corner_row, facet_corner_rows,
-                        map_points)
+from conftest import (ROTATED_CASES, degree_gaps, distorted_quad_mesh,
+                      eval_element, facet_jump, gauss_basis_at, gauss_eval_primal,
+                      map_dets, map_volume, matched_refs, operator_matrix,
+                      random_refined_mesh, rotated_roots_mesh, square_mesh)
+from hpfem.mesh import (RELATIONS, Mesh, check_det_affine, corner_row,
+                        facet_corner_rows, map_points)
 from hpfem.problems import cube_mesh
 from hpfem.polybasis import tensor_gauss, tensor_indices, tensor_shape_eval
 from hpfem.predictor import enforce_degree_comparability
@@ -274,16 +274,10 @@ class TestContinuity:
         u = rng.standard_normal(sp.ndof)
         worst = 0.0
         for eid in m.active_ids():
-            for f, info in enumerate(m.facet_neighbors(eid)):
-                if info.kind != "interior":
-                    continue
-                for piece in info.pieces:
-                    xi = rng.uniform(-1, 1, (5, m.dim - 1))
-                    tm, tn = piece_coords(piece, xi)
-                    a = eval_element(sp, eid, u, m.facet_embed(f, tm))
-                    b = eval_element(sp, piece.neighbor, u,
-                                        m.facet_embed(piece.facet, tn))
-                    worst = max(worst, np.abs(a - b).max())
+            rows, _ = m.facet_neighbors(eid)
+            for r in range(rows.start, rows.stop):
+                xi = rng.uniform(-1, 1, (5, m.dim - 1))
+                worst = max(worst, facet_jump(sp, u, [r], xi))
         assert worst < tol
 
     def test_hanging_mixed_degree_2d(self, rng):
@@ -321,9 +315,11 @@ class TestContinuity:
         m = m.refine_element(0)
         sp = ScalarSpace(m)
         u = rng.standard_normal(sp.ndof)
+        tab = m.facet_table()
         for eid in m.active_ids():
-            for f, info in enumerate(m.facet_neighbors(eid)):
-                if info.kind == "boundary" and info.tag == "dirichlet":
+            _, brows = m.facet_neighbors(eid)
+            for f, tag in zip(tab.b_facet[brows].tolist(), tab.b_tag[brows]):
+                if tag == "dirichlet":
                     t = rng.uniform(-1, 1, (6, 1))
                     vals = eval_element(sp, eid, u, m.facet_embed(f, t))
                     assert np.abs(vals).max() < 1e-12
@@ -511,9 +507,7 @@ class TestRefinementProperties:
         m = cube_mesh(2).refine_many([0, 1, 5, 6])
         m = m.with_degrees({e: high if m.root[e] in (0, 4, 5) else low
                             for e in m.active_ids()})
-        assert all(abs(m.degree[e] - m.degree[piece.neighbor]) <= 1
-                   for e in m.active_ids()
-                   for info in m.facet_neighbors(e) for piece in info.pieces)
+        assert (degree_gaps(m) <= 1).all()
         _assert_continuous(m, 0)
 
 
@@ -521,8 +515,7 @@ NESTED = {"equal", "coarse_nb", "fine_nb"}
 
 
 def _relations(m):
-    return {piece.relation for eid in m.active_ids()
-            for info in m.facet_neighbors(eid) for piece in info.pieces}
+    return {RELATIONS[r] for r in m.facet_table().relation.tolist()}
 
 
 def _assert_continuous(m, seed):
@@ -531,20 +524,14 @@ def _assert_continuous(m, seed):
     space = ScalarSpace(m)
     u = np.random.default_rng(seed).standard_normal(space.ndof)
     xi, _ = tensor_gauss(3, m.dim - 1)
-    for eid in m.active_ids():
-        for f, info in enumerate(m.facet_neighbors(eid)):
-            for piece in info.pieces:
-                t_mine, t_nb = piece_coords(piece, xi)
-                ref_m = m.facet_embed(f, t_mine)
-                ref_n = m.facet_embed(piece.facet, t_nb)
-                np.testing.assert_allclose(
-                    map_points(m.corner_array([eid])[0], ref_m),
-                    map_points(m.corner_array([piece.neighbor])[0], ref_n),
-                    rtol=0, atol=1e-12)
-                np.testing.assert_allclose(
-                    eval_element(space, eid, u, ref_m),
-                    eval_element(space, piece.neighbor, u, ref_n),
-                    rtol=0, atol=1e-12 * np.abs(u).max())
+    el, ref_el, nb, ref_nb = matched_refs(m, slice(None), xi)
+    np.testing.assert_allclose(map_points(m.corner_array(el), ref_el),
+                               map_points(m.corner_array(nb), ref_nb),
+                               rtol=0, atol=1e-12)
+    for a, x, b, y in zip(el.tolist(), ref_el, nb.tolist(), ref_nb):
+        np.testing.assert_allclose(eval_element(space, a, u, x),
+                                   eval_element(space, b, u, y),
+                                   rtol=0, atol=1e-12 * np.abs(u).max())
 
 
 class TestRotatedRoots:
@@ -558,25 +545,19 @@ class TestRotatedRoots:
         return rotated_roots_mesh(*request.param)
 
     def test_pieces_are_rotated(self, mesh):
-        pieces = [piece for eid in mesh.active_ids()
-                  for info in mesh.facet_neighbors(eid)
-                  for piece in info.pieces if piece.relation == "coarse_nb"]
-        assert any(any(p.flip) for p in pieces)
+        tab = mesh.facet_table()
+        coarse = tab.relation == RELATIONS.index("coarse_nb")
+        assert tab.flip[coarse].any()
         if mesh.dim == 3:
-            assert any(p.perm != (0, 1) for p in pieces)
+            assert (tab.perm[coarse] != [0, 1]).any()
 
     def test_continuous_across_every_piece(self, mesh, rng):
         sp = ScalarSpace(mesh)
         u = rng.standard_normal(sp.ndof)
         xi, _ = tensor_gauss(5, mesh.dim - 1)
         for eid in mesh.active_ids():
-            for f, info in enumerate(mesh.facet_neighbors(eid)):
-                for piece in info.pieces:
-                    tm, tn = piece_coords(piece, xi)
-                    a = eval_element(sp, eid, u, mesh.facet_embed(f, tm))
-                    b = eval_element(sp, piece.neighbor, u,
-                                        mesh.facet_embed(piece.facet, tn))
-                    assert np.abs(a - b).max() <= 1e-13
+            rows, _ = mesh.facet_neighbors(eid)
+            assert facet_jump(sp, u, rows, xi) <= 1e-13
 
     def test_linear_field_reproduced(self, mesh, rng):
         sp = ScalarSpace(mesh)

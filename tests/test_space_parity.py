@@ -30,7 +30,7 @@ import scipy.sparse as sp
 
 from conftest import (ASSEMBLY_CASES, assembly_case, gauss_mass,
                       random_refined_mesh)
-from hpfem.mesh import facet_corner_rows
+from hpfem.mesh import RELATIONS, facet_corner_rows
 from hpfem.problems import cube_mesh, interval_mesh
 from hpfem.space import GaussPointSpace, ScalarSpace
 
@@ -127,12 +127,11 @@ def test_cube_case_nests_constraints():
     corner, so that a constraint row resolves through another."""
     space, _ = space_case("cube_nested")
     mesh, hanging = space.mesh, set(space.hanging_vertices())
-    nested = [v for eid in mesh.active_ids()
-              for f, info in enumerate(mesh.facet_neighbors(eid))
-              for piece in info.pieces if piece.relation == "coarse_nb"
-              for v in mesh.corners[piece.neighbor,
-                                    facet_corner_rows(mesh.dim)[piece.facet]].tolist()
-              if v in hanging]
+    tab = mesh.facet_table()
+    coarse = tab.relation == RELATIONS.index("coarse_nb")
+    nested = [v for v in mesh.corners[tab.act[tab.nb[coarse]][:, None],
+                                      facet_corner_rows(mesh.dim)[tab.nb_facet[coarse]]]
+              .ravel().tolist() if v in hanging]
     assert nested, "cube_nested has no constraint resolving through another"
 
 
