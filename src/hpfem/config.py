@@ -64,7 +64,8 @@ class RunConfig:
 _LOOPS = ("plastic-estimator", "elliptic-predictor", "uniform-h", "uniform-p")
 # (section, key, least, largest or None) of the integer keys with a range
 _RANGES = (("mesh", "initial_cells", 1, None), ("mesh", "initial_refinements", 0, None),
-           ("mesh", "degree", 1, MAX_DEGREE), ("run", "max_iterations", 1, None))
+           ("mesh", "degree", 1, MAX_DEGREE), ("run", "max_iterations", 1, None),
+           ("newton", "max_iter", 1, None))
 
 
 def parse_config(text):
@@ -108,6 +109,11 @@ def parse_config(text):
         if value < lo or hi is not None and value > hi:
             raise ConfigError(f"[{name}] {key} = {value} must be "
                               + (f"at least {lo}" if hi is None else f"in {lo}..{hi}"))
+    tol, rho, inf = cfg.newton.tol, cfg.newton.rho, float("inf")
+    for key, value, ok, bound in (("tol", tol, 0.0 < tol < inf, "above 0"),
+                                  ("rho", rho, 0.0 <= rho < inf, "of at least 0")):
+        if not ok:
+            raise ConfigError(f"[newton] {key} = {value} must be a finite number {bound}")
     return cfg
 
 

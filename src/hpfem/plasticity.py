@@ -12,12 +12,11 @@ batched dense solve per block size) and each step factorizes only the
 symmetric displacement-sized matrix K + B X B^T. Semi-smooth Newton is a
 primal-dual active-set method (Hintermueller, Ito & Kunisch, SIAM J. Optim.
 13, 2002): at an iterate with no active dof X = 0, so that step's matrix is
-K, and the first step from the elastic start reuses that start's
-factorization of K. The step-length probes evaluate r1 and r2, which are
-affine, from one set of sparse products per step. Every sparse factorization
-of the package goes through `factorize`, and the condensed matrices of one
-system, which share a pattern, share one ordering. `factorize` calls
-SuperLU's `gstrf` directly, as `scipy.sparse.linalg.splu` does.
+K. The step-length probes evaluate r1 and r2, which are affine, from one set
+of sparse products per step. Every sparse factorization of the package goes
+through `factorize`, and the condensed matrices of one system, which share a
+pattern, share one ordering. `factorize` calls SuperLU's `gstrf` directly,
+as `scipy.sparse.linalg.splu` does.
 """
 
 import importlib.machinery
@@ -275,25 +274,24 @@ class ElementBlocks:
             at += G * r * r
             self.groups.append(BlockGroup(idx, Ce, Be))
 
-    def condensed_matrix(self, X=None):
-        """K + B X B^T (K for X None) in CSC, in the blocks' order: the
-        batched products of each group's blocks X (G, n, n) added to K's
-        scatter into the fixed pattern in order by one np.add.at, which sums
-        each entry as np.bincount over K.data and then the products would."""
+    def condensed_matrix(self, X):
+        """K + B X B^T in CSC, in the blocks' order: the batched products
+        of each group's blocks X (G, n, n) added to K's scatter into the
+        fixed pattern in order by one np.add.at, which sums each entry as
+        np.bincount over K.data and then the products would."""
         data = self._K.copy()
-        if X is not None:
-            vals = np.empty(len(self._pos))
-            at = 0
-            for grp, Xg in zip(self.groups, X):
-                G, r, _ = grp.B.shape
-                np.matmul(grp.B @ Xg, grp.B.transpose(0, 2, 1),
-                          out=vals[at:at + G * r * r].reshape(G, r, r))
-                at += G * r * r
-            np.add.at(data, self._pos, vals)
+        vals = np.empty(len(self._pos))
+        at = 0
+        for grp, Xg in zip(self.groups, X):
+            G, r, _ = grp.B.shape
+            np.matmul(grp.B @ Xg, grp.B.transpose(0, 2, 1),
+                      out=vals[at:at + G * r * r].reshape(G, r, r))
+            at += G * r * r
+        np.add.at(data, self._pos, vals)
         return sp.csc_matrix((data[:-1], self._indices, self._indptr),
                              shape=self.system.K.shape)
 
-    def factorization(self, X=None):
+    def factorization(self, X):
         """The factorization of `condensed_matrix(X)`, solving in the
         unknowns' order. The first that succeeds computes the ordering; the
         next renumbers the blocks first (beside the first it raised peak RSS)."""
@@ -320,23 +318,16 @@ class ElementBlocks:
         self._pos[:] = new[self._pos]
         self._order, self._next = order, None
 
-    def condensed_solve(self, mats, rhs, f, k_lu=None):
+    def condensed_solve(self, mats, rhs, f):
         """Solve K u - B q = f with q = g - X B^T u, where [X_e | g_e] =
         mats_e^{-1} rhs_e on every element block (rhs_e has one column more
-        than mats_e), by one factorization of K + B X B^T. Where X is all
-        zero that matrix is K, so a given factorization k_lu of K serves
-        instead. Returns (u, q)."""
+        than mats_e), by one factorization of K + B X B^T. Returns (u, q)."""
         system = self.system
         sols = [np.linalg.solve(M, R) for M, R in zip(mats, rhs)]
         g = np.empty(system.C.shape[0])
         for grp, s in zip(self.groups, sols):
             g[grp.idx] = s[..., -1]
-        X = [s[..., :-1] for s in sols]
-        if k_lu is not None and not any(x.any() for x in X):
-            lu = k_lu
-        else:
-            lu = self.factorization(X)
-        u = lu.solve(f + system.B @ g)
+        u = self.factorization([s[..., :-1] for s in sols]).solve(f + system.B @ g)
         Btu = self.Bt @ u
         q = np.empty_like(g)
         for grp, s in zip(self.groups, sols):
@@ -365,15 +356,14 @@ def _dof_block_diagonal(a):
     return out.reshape(G, c * L, c * L)
 
 
-def condensed_newton_step(blocks, dp, dl, F, k_lu=None):
+def condensed_newton_step(blocks, dp, dl, F):
     """Newton step of the projection form with Clarke blocks (dp, dl) and
     residual F = [r1, r2, r3]. With dlam = D^{-1}(-r2 + B^T du - C dp) from
     the second row, the third row gives per element
     S_e dp = -r3 + Jl D^{-1} r2 - Jl D^{-1} B^T du, S_e = Jp_e - Jl_e D_e^{-1} C_e,
     and the first row becomes (K + B X B^T) du = -r1 + B g with
     X_e = S_e^{-1} Jl_e D_e^{-1}, g_e = S_e^{-1}(-r3 + Jl D^{-1} r2). With
-    no active dof Jl = 0, so X = 0 and the step solves with K's
-    factorization k_lu (see `ElementBlocks.condensed_solve`)."""
+    no active dof Jl = 0, so X = 0 and the step's matrix is K."""
     system = blocks.system
     L = system.L
     n_u = system.K.shape[0]
@@ -391,7 +381,7 @@ def condensed_newton_step(blocks, dp, dl, F, k_lu=None):
         mats.append(S)
         rhs.append(np.concatenate([_dof_block_diagonal(dlD[dofs]),
                                    b[grp.idx][..., None]], axis=-1))
-    du, dp_ = blocks.condensed_solve(mats, rhs, -r1, k_lu)
+    du, dp_ = blocks.condensed_solve(mats, rhs, -r1)
     dlam = Dinv * (-r2 + blocks.Bt @ du - system.C @ dp_)
     return np.concatenate([du, dp_, dlam])
 
@@ -450,10 +440,10 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
     Convergence is declared on the max norm of the unscaled decoupled
     residual. The trace records (iteration, |F|_max, merit, step length,
     active-set size).
-    From the elastic start (p = lam = 0) the first active set is empty, so
-    the first step's condensed matrix is K, and that step solves with the
-    elastic start's factorization of K, released once the step returns;
-    every other step factorizes its own, in the order the first computed.
+    Without `initial` the solve starts from x = 0: the active set is empty
+    and r1, r2 are affine in u, so a full first step lands where it would
+    from any u with p = lam = 0. Every step factorizes its own condensed
+    matrix (the first's is K), in the ordering the first computed.
     A step whose factorization or element-block solve fails, or that is not
     finite, is retried once with rho shifted to 2 rho + 1 and counted in
     `retries`; a second failure raises.
@@ -464,16 +454,9 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
     L = system.L
     n_q = system.C.shape[0]
     blocks = ElementBlocks(system)
-    k_lu = None  # K's factorization, while a step may still reuse it
-    if initial is None:
-        k_lu = blocks.factorization()
-        u = k_lu.solve(system.l)
-        p = np.zeros(n_q)
-        lam = np.zeros(n_q)
-    else:
-        u, p, lam = (np.array(v, dtype=float) for v in initial)
-    n_u = len(u)
-    x = np.concatenate([u, p, lam])
+    n_u = system.K.shape[0]
+    x = (np.zeros(n_u + 2 * n_q) if initial is None
+         else np.concatenate([np.asarray(v, dtype=float) for v in initial]))
     sigma = qspace.bounds
 
     def split(x):
@@ -517,7 +500,7 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
             return SolutionTriple(u=u, p=p, lam=lam, converged=nF <= cfg.tol,
                                   iterations=it, trace=trace, retries=retries)
         try:
-            delta = condensed_newton_step(blocks, dp, dl, F, k_lu)
+            delta = condensed_newton_step(blocks, dp, dl, F)
             if not np.all(np.isfinite(delta)):
                 raise RuntimeError("non-finite Newton step")
         except (RuntimeError, np.linalg.LinAlgError):
@@ -527,7 +510,6 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
             rho = 2.0 * rho + 1.0  # shift the projection parameter once, retry
             F = projection_residual(x)
             continue
-        k_lu = None  # only the first step can reuse it
         t, F_full = 1.0, projection_residual(x + delta)
         best = 0.5 * float(F_full @ F_full)
         if (len(trace) >= STAGNATION or not np.isfinite(best)

@@ -304,14 +304,14 @@ def predict_reduction(space, problem, A_W, b_W, u_W, split, candidate):
 
 
 def _best(preds):
-    """(best, preds): ties within TIE_RTOL of the larger reduction (at
-    least 1e-14) prefer the p-enrichment, then the earlier candidate."""
+    """(best, preds): ties within TIE_RTOL of the larger reduction prefer
+    the p-enrichment, then the earlier candidate."""
     live = [pr for pr in preds if not pr.skipped]
     if not live:
         return Prediction.skip(preds[0].candidate, "all candidates skipped"), preds
     best = live[0]
     for pr in live[1:]:
-        tol = max(1e-14, TIE_RTOL * max(abs(pr.delta_e2), abs(best.delta_e2)))
+        tol = TIE_RTOL * max(abs(pr.delta_e2), abs(best.delta_e2))
         if pr.delta_e2 > best.delta_e2 + tol:
             best = pr
         elif (abs(pr.delta_e2 - best.delta_e2) <= tol

@@ -45,18 +45,23 @@ For every case it checks that
   and dividing point of every prediction) are identical.
 
 It prints, per case, the number of spaces built, the number of solves, the
-largest final |F| of the working tree and the
-largest relative deviations of |F|, of the merit (over all trace rows, and
-over the rows with |F| above 1e-8, which are not rounding noise), of the
-energy, over all solves, and of the marked values, relative to each step's
-largest value. For the predictor cases it prints, on the working tree, the
-smallest flip margin of an element's choice over all steps: the distance
-between the gap of its best and runner-up predicted reductions and the tie
-tolerance of `predictor._best` (TIE_RTOL times the larger reduction, at
-least 1e-14), relative to the larger reduction and in units of TIE_RTOL. A
-margin at or below MARK_RTOL / TIE_RTOL (0.01) means that a change the
-gains' check lets pass can flip a choice. It exits with status 1 if a check
-fails. It is not a test module, so pytest does not collect it.
+largest final |F| of the working tree and the largest relative deviations
+- of |F| and of the merit over all trace rows, and of the merit over the
+  rows with |F| above 1e-8 (SIGNAL), which are not rounding noise;
+- of |F| and of the merit over the rows with |F| above 1e-8 after the start
+  (row 1 and later): a change of the starting point moves row 0 by design,
+  so these are the figures that argue such a change;
+- of the energy, over all solves, and of the marked values, relative to
+  each step's largest value.
+
+For the predictor cases it prints, on the working tree, the smallest flip
+margin of an element's choice over all steps: the distance between the gap
+of its best and runner-up predicted reductions and the tie tolerance of
+`predictor._best` (TIE_RTOL times the larger reduction), relative to the
+larger reduction and in units of TIE_RTOL. A margin at or below MARK_RTOL /
+TIE_RTOL (0.01) means that a change the gains' check lets pass can flip a
+choice. It exits with status 1 if a check fails. It is not a test module,
+so pytest does not collect it.
 """
 
 import argparse
@@ -103,7 +108,7 @@ def _flip_margin(preds, tie_rtol):
     top = max(abs(d[0]), abs(d[1])) if len(d) > 1 else 0.0
     if not top:
         return None
-    return abs(d[0] - d[1] - max(1e-14, tie_rtol * top)) / top / tie_rtol
+    return abs(d[0] - d[1] - tie_rtol * top) / top / tie_rtol
 
 
 def run_cases(root):
@@ -248,7 +253,7 @@ def compare(old, new):
         if old.get(key) != new.get(key):
             problems.append(f"{key} differ: {old.get(key)} != {new.get(key)}")
     figs = {"final_F": 0.0, "F_dev": 0.0, "merit_dev": 0.0, "merit_dev_8": 0.0,
-            "energy_dev": 0.0, "mark_dev": 0.0}
+            "F_dev_1": 0.0, "merit_dev_1": 0.0, "energy_dev": 0.0, "mark_dev": 0.0}
     for k, (a, b) in enumerate(zip(old.get("values", []), new.get("values", []))):
         if len(a) != len(b):
             problems.append(f"marking {k}: {len(a)} != {len(b)} values")
@@ -275,13 +280,17 @@ def compare(old, new):
             problems.append(f"solve {k}: {len(a['trace'])} != "
                             f"{len(b['trace'])} trace rows")
             continue
-        for ra, rb in zip(a["trace"], b["trace"]):
+        for row, (ra, rb) in enumerate(zip(a["trace"], b["trace"])):
             if (ra[0], ra[3], ra[4]) != (rb[0], rb[3], rb[4]):
                 problems.append(f"solve {k}: row {ra} != {rb}")
-            figs["F_dev"] = max(figs["F_dev"], _rel(rb[1], ra[1]))
-            figs["merit_dev"] = max(figs["merit_dev"], _rel(rb[2], ra[2]))
+            F_dev, merit_dev = _rel(rb[1], ra[1]), _rel(rb[2], ra[2])
+            figs["F_dev"] = max(figs["F_dev"], F_dev)
+            figs["merit_dev"] = max(figs["merit_dev"], merit_dev)
             if ra[1] > SIGNAL:
-                figs["merit_dev_8"] = max(figs["merit_dev_8"], _rel(rb[2], ra[2]))
+                figs["merit_dev_8"] = max(figs["merit_dev_8"], merit_dev)
+                if row:
+                    figs["F_dev_1"] = max(figs["F_dev_1"], F_dev)
+                    figs["merit_dev_1"] = max(figs["merit_dev_1"], merit_dev)
         for side, trace in (("old", a["trace"]), ("new", b["trace"])):
             if not trace[-1][1] <= F_TOL:
                 problems.append(f"solve {k}: final |F| {trace[-1][1]:.3g} "
@@ -312,7 +321,8 @@ def main():
     new = _in_subprocess(ROOT)
     failed = False
     print(f"{'case':26s} {'spaces':>6s} {'solves':>6s} {'final |F|':>10s} {'|F| dev':>9s} "
-          f"{'merit dev':>9s} {'(|F|>1e-8)':>10s} {'energy dev':>10s} "
+          f"{'merit dev':>9s} {'(|F|>1e-8)':>10s} {'|F| dev1+':>10s} "
+          f"{'merit dev1+':>11s} {'energy dev':>10s} "
           f"{'mark dev':>9s} {'flip mrg':>9s}  result")
     for case in old:
         problems, figs = compare(old[case], new[case])
@@ -320,9 +330,10 @@ def main():
         cols = (f"{len(new[case]['P']):6d} {len(new[case].get('solves', [])):6d} "
                 + (" ".join(f"{figs[k]:{w}.2e}" for k, w in
                             (("final_F", 10), ("F_dev", 9), ("merit_dev", 9),
-                             ("merit_dev_8", 10), ("energy_dev", 10),
+                             ("merit_dev_8", 10), ("F_dev_1", 10),
+                             ("merit_dev_1", 11), ("energy_dev", 10),
                              ("mark_dev", 9)))
-                  if figs else f"{'':60s}")
+                  if figs else f"{'':85s}")
                 + (f" {'':9s}" if new[case]["flip_margin"] is None
                    else f" {new[case]['flip_margin']:9.2e}"))
         print(f"{case:26s} {cols}  {'; '.join(problems) or 'equivalent'}")

@@ -9,9 +9,9 @@ import pytest
 from conftest import (element_quadrature, facet_jump, gauss_basis_at,
                       gauss_eval_dual, map_dets, plastic_field_at,
                       random_refined_mesh, square_mesh)
-from hpfem.assembly import assemble_system, bilinear_value
+from hpfem.assembly import Loads, Material, assemble_system, bilinear_value
 from hpfem.config import RunConfig
-from hpfem.driver import run_adaptive, solve_elliptic
+from hpfem.driver import run_adaptive, run_plastic_estimator, solve_elliptic
 from hpfem.elliptic import ScalarProblem, solve_scalar
 from hpfem.estimator import mu_star_at
 from hpfem.mesh import map_points
@@ -20,7 +20,7 @@ from hpfem.plasticity import (NewtonConfig, check_complementarity, default_rho,
                               in_admissible_weak, infsup_ratio, residual,
                               solve_semismooth_newton)
 from hpfem.polybasis import gauss_rule, tensor_gauss
-from hpfem.problems import plastic_square
+from hpfem.problems import cube_mesh, plastic_square
 from hpfem.space import (GaussPointSpace, ScalarSpace, deviatoric_basis,
                          deviatoric_dim)
 
@@ -399,6 +399,20 @@ def test_criterion_11_rates():
 
 # -- 12 ---------------------------------------------------------------------
 
+def _calibration(records, states):
+    """(ok, detail) of an estimator loop run with reference errors: both
+    indicator parts at least -1e-12, and the effectivities error_sq /
+    (estimate + oscillation) within a band of 2 and at most 10."""
+    min_part = min(0.0, *(min(ind.residual_part.min(), ind.plastic_part.min())
+                          for _, ind in states))
+    effs = np.array([r.error_sq / (ind.global_estimate + ind.global_oscillation)
+                     for r, (_, ind) in zip(records, states)])
+    band = effs.max() / effs.min()
+    return (min_part >= -1e-12 and band <= 2.0 and effs.max() <= 10.0,
+            f"parts >= {min_part:.1e}; effectivity band {band:.2f} "
+            f"(max {effs.max():.3f})")
+
+
 def test_criterion_12_estimator(rng):
     cfg = RunConfig()
     cfg.problem.preset = "plastic-square"
@@ -408,15 +422,7 @@ def test_criterion_12_estimator(rng):
     cfg.mesh.initial_cells = 4
     cfg.mesh.degree = 1
     records, states = run_adaptive(cfg, reference_errors=True)
-    effs = []
-    min_part = 0.0
-    for r, (st, ind) in zip(records, states):
-        min_part = min(min_part, ind.residual_part.min(), ind.plastic_part.min())
-        effs.append(r.error_sq / (ind.global_estimate + ind.global_oscillation))
-    effs = np.array(effs)
-    band = effs.max() / effs.min()
-    ok_parts = min_part >= -1e-12
-    ok_band = band <= 2.0 and effs.max() <= 10.0
+    ok_calibrated, detail = _calibration(records, states)
 
     # mu* minimizes the plasticity error functional over 100 feasible fields
     st, ind = states[-1]
@@ -457,9 +463,24 @@ def test_criterion_12_estimator(rng):
         if e_star > plasticity_energy(feasible) + 1e-10:
             ok_min = False
             break
-    report(12, ok_parts and ok_band and ok_min,
-           f"parts >= {min_part:.1e}; effectivity band {band:.2f} "
-           f"(max {effs.max():.3f}); mu* minimal over 100 fields: {ok_min}")
+    report(12, ok_calibrated and ok_min,
+           f"{detail}; mu* minimal over 100 fields: {ok_min}")
+
+
+def test_criterion_12_estimator_3d():
+    # the inputs of the hex-estimator-3d benchmark workload, at p = 1
+    mesh = cube_mesh(n=2, degree=1)
+    mesh.tag_boundary(lambda c: "dirichlet" if c[0] < 1e-12 else "neumann")
+    material = Material(lam=10.0, mu=5.0, hardening=1.0, yield_stress=0.3)
+    loads = Loads(traction=lambda x: np.where(np.abs(x[:, :1] - 1.0) < 1e-9,
+                                              [0.5, 0.0, 0.1], 0.0))
+    cfg = RunConfig()
+    cfg.run.theta = 0.3
+    cfg.run.max_iterations = 3
+    records, states = run_plastic_estimator(cfg, mesh, material, loads,
+                                            reference_errors=True)
+    ok, detail = _calibration(records, states)
+    report(12, ok, f"3D, dofs {[r.dofs for r in records]}: {detail}")
 
 
 # -- 13 ---------------------------------------------------------------------

@@ -499,8 +499,21 @@ class TestCLI:
          "[mesh] initial_refinements = -1 must be at least 0"),
         ("adapt", "[run]\nmax_iterations = 0",
          "[run] max_iterations = 0 must be at least 1"),
+        ("solve", "[newton]\nmax_iter = 0", "[newton] max_iter = 0 must be at least 1"),
+        ("solve", "[newton]\nmax_iter = -3", "[newton] max_iter = -3 must be at least 1"),
+        ("solve", "[newton]\ntol = 0",
+         "[newton] tol = 0.0 must be a finite number above 0"),
+        ("solve", "[newton]\ntol = -1e-11",
+         "[newton] tol = -1e-11 must be a finite number above 0"),
+        ("solve", "[newton]\ntol = nan",
+         "[newton] tol = nan must be a finite number above 0"),
+        ("solve", "[newton]\nrho = -1",
+         "[newton] rho = -1.0 must be a finite number of at least 0"),
+        ("solve", "[newton]\nrho = nan",
+         "[newton] rho = nan must be a finite number of at least 0"),
     ], ids=["cells_0", "degree_0", "degree_21", "yield_negative", "mu_0",
-            "refinements_negative", "iterations_0"])
+            "refinements_negative", "iterations_0", "max_iter_0", "max_iter_negative",
+            "tol_0", "tol_negative", "tol_nan", "rho_negative", "rho_nan"])
     def test_value_out_of_range_exit_3(self, tmp_path, command, text, message):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(text + "\n")

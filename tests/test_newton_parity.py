@@ -5,8 +5,15 @@ condensed matrix in that order; that changed only SuperLU's arithmetic
 order, and tests/equivalence.py showed the runs equivalent to those of
 commit b4b049c (same iterations, step lengths and active sets, energies
 within 1e-12 relative), which had computed the ordering at every
-factorization. The matrix cases are unchanged since commit e6b84f1. The
-cases:
+factorization. The four cases without an `initial` start (criterion 3's
+three and the cube) were then re-recorded from the code that starts such a
+solve from zero instead of from the elastic solution: their first trace
+row is |F| at zero by design, and tests/equivalence.py against commit
+32e029a showed every run equivalent, with the same iterations, step lengths
+and active sets, energies within 1.6e-14 relative, and |F| and the merit
+within 1.2e-10 and 1.7e-10 relative on the later rows with |F| above 1e-8.
+The other cases kept their recording. The matrix cases are unchanged since
+commit e6b84f1. The cases:
 
 - criterion 3's case (`plastic_square(n=2, degree=3)` refined twice) at
   rho = 1, 10 and 100 (rho = 100 takes damped steps), `plastic_square(n=4,

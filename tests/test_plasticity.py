@@ -350,7 +350,7 @@ class TestRhoShiftRetry:
         m, mat, space, qs, system = _benchmark()
         rho = default_rho(mat)
         assert solve_semismooth_newton(system, qs, NewtonConfig(rho=rho)).retries == 0
-        # the elastic start is factorized too: build it before the failures
+        # elastic_solve factorizes too: build the start before the failures
         zeros = np.zeros(system.C.shape[0])
         initial = (elastic_solve(system), zeros, zeros)
         monkeypatch.setattr(plasticity, "spla", _FailingLinalg(1))
@@ -359,6 +359,15 @@ class TestRhoShiftRetry:
         assert sol.converged and sol.retries == 1
         F = residual(system, qs, sol.u, sol.p, sol.lam, 2.0 * rho + 1.0)
         assert np.abs(F).max() < 1e-10
+
+    def test_failed_first_factorization_from_zero_is_retried(self, monkeypatch):
+        # without `initial` the first factorization is the first step's,
+        # inside the loop that retries
+        m, mat, space, qs, system = _benchmark()
+        monkeypatch.setattr(plasticity, "spla", _FailingLinalg(1))
+        sol = solve_semismooth_newton(system, qs,
+                                      NewtonConfig(rho=default_rho(mat)))
+        assert sol.converged and sol.retries == 1
 
     def test_second_failure_raises(self, monkeypatch):
         m, mat, space, qs, system = _benchmark()
@@ -387,8 +396,8 @@ class TestFactorize:
         sol = solve_semismooth_newton(system, qs,
                                       NewtonConfig(rho=default_rho(mat)))
         monkeypatch.undo()
-        # one factorization per Newton step: the first step's active set is
-        # empty, so it solves with the elastic start's factorization of K
+        # one factorization per Newton step: the first, from zero with an
+        # empty active set, is of K itself
         assert sol.converged and len(seen) == sol.iterations
         assert all(kw["options"] == dict(SymmetricMode=True) for _, kw in seen)
         A = seen[-1][0]
@@ -669,7 +678,7 @@ class TestOrdering:
         specs = [spec for _, spec, _ in rec.calls]
         assert len(specs) == sol.iterations > 2
         assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(specs) - 1)
-        # the ordering factorization is the elastic start's, of K itself
+        # the ordering factorization is the first step's, of K itself
         A, _, first = rec.calls[0]
         assert abs(A - system.K).max() == 0.0
         order = first.perm_c
@@ -696,7 +705,8 @@ class TestOrdering:
         assert specs == ["MMD_AT_PLUS_A"] * 2 + ["NATURAL"] * (len(specs) - 2)
         assert rec.calls[0][2] is None
         # the failed ordering and its retry both see the unknowns' order
-        fresh = ElementBlocks(system).condensed_matrix()
+        blocks = ElementBlocks(system)
+        fresh = blocks.condensed_matrix([np.zeros_like(grp.C) for grp in blocks.groups])
         for A, _, _ in rec.calls[:2]:
             np.testing.assert_array_equal(A.indptr, fresh.indptr)
             np.testing.assert_array_equal(A.indices, fresh.indices)
@@ -709,7 +719,7 @@ class TestOrdering:
         rng = np.random.default_rng(17)
         X = [rng.standard_normal(grp.C.shape) for grp in blocks.groups]
         A = blocks.condensed_matrix(X)
-        first = blocks.factorization()
+        first = blocks.factorization([np.zeros_like(x) for x in X])
         assert first.order == slice(None)
         lu = blocks.factorization(X)
         order = lu.order

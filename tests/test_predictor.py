@@ -6,7 +6,10 @@ import pytest
 from conftest import (degree_gaps, distorted_quad_mesh, element_quadrature,
                       eval_element, facet_area_element, map_dets, map_volume,
                       random_refined_mesh, square_mesh)
+import hpfem.estimator as est
 from hpfem import _kernels
+from hpfem.config import RunConfig
+from hpfem.driver import run_elliptic_predictor
 from hpfem.elliptic import (ScalarProblem, assemble_scalar, poisson_blocks,
                             solve_scalar)
 from hpfem.mesh import (Mesh, corner_bits, is_affine, map_jacobians, map_points,
@@ -733,3 +736,36 @@ def test_mixed_affinity_children_match_one_element_views():
                                        atol=1e-13 * np.abs(A1).max())
             np.testing.assert_allclose(b[4 * k:4 * k + 4], b1, rtol=0,
                                        atol=1e-13 * np.abs(b1).max())
+
+
+def test_criterion_11_loop_does_not_depend_on_the_load_units(monkeypatch):
+    """The Poisson problem is linear in its load: criterion 11's L-shape
+    predictor loop with f scaled by s marks the same elements at every step,
+    and its energies scale by s^2."""
+    marked = []
+    real_mark = est.mark_dorfler
+
+    def mark(gains, theta):
+        out = real_mark(gains, theta)
+        marked.append(sorted(out))
+        return out
+
+    monkeypatch.setattr(est, "mark_dorfler", mark)
+    cfg = RunConfig()
+    cfg.run.loop = "elliptic-predictor"
+    cfg.run.theta = 0.7
+    cfg.run.max_iterations = 20
+    cfg.run.max_dofs = 2600
+    runs = {}
+    for s in (1.0, 1e-3, 1e3):
+        mesh, problem = poisson_lshape(degree=1)
+        records, _ = run_elliptic_predictor(
+            cfg, mesh, replace(problem, volume=lambda x, s=s: np.full(len(x), s)))
+        runs[s] = ([r.dofs for r in records], list(marked),
+                   np.array([r.energy for r in records]) / s**2)
+        marked.clear()
+    dofs, sets, energies = runs[1.0]
+    for s in (1e-3, 1e3):
+        assert runs[s][0] == dofs, s
+        assert runs[s][1] == sets, s
+        assert np.abs(runs[s][2] - energies).max() <= 1e-12 * energies.max(), s
