@@ -1,4 +1,4 @@
-"""The hot evaluation/assembly kernels, in numpy.
+"""The hot evaluation/assembly kernels, in numpy, and the sparse matrices.
 
 Every contraction is a fixed reshape followed by one matrix product. The
 element-matrix kernels take optional leading element axes, so that assembly
@@ -6,15 +6,42 @@ calls each of them once per group of elements of equal degree.
 
 The sparse kernels at the end run scipy's compiled CSR kernels on the CSR
 arrays (indptr, indices, data) of their operands, without scipy's matrix
-objects: on the small systems of an adaptive loop, the index-dtype checks,
-copies and validation around each product, sum and lookup cost more than
-the kernels. They give the arrays the matrix operations give.
+objects, whose checks, copies and validation cost more than the kernels on
+the small systems of an adaptive loop. They give the arrays scipy's matrix
+operations give, as `CSR` records, the package's one sparse matrix type.
+scipy's extensions are loaded by file, without importing scipy.sparse.
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import _sparsetools
+
+SPARSE = importlib.util.find_spec("scipy.sparse").submodule_search_locations[0]
+
+
+def load_extension(name):
+    """scipy's compiled module `name` below scipy.sparse (SPARSE, found
+    without importing it): the one imported, or else the one loaded from its
+    file and registered for a later import; ImportError naming its folder."""
+    if name in sys.modules:
+        return sys.modules[name]
+    where = os.path.join(SPARSE, *name.split(".")[2:-1])
+    spec = importlib.machinery.FileFinder(where, (
+        importlib.machinery.ExtensionFileLoader,
+        importlib.machinery.EXTENSION_SUFFIXES)).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no {name.rpartition('.')[2]} extension in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return sys.modules.setdefault(name, module)
+
+
+_sparsetools = load_extension("scipy.sparse._sparsetools")
 
 
 def _legendre_values(t, jmax):
@@ -143,6 +170,50 @@ def chi_blocks(p, lam, sigma, rho):
 # sparse kernels on CSR arrays
 # ---------------------------------------------------------------------------
 
+class CSR(NamedTuple):
+    """A read-only sparse matrix of a shape by its CSR arrays (indptr,
+    indices, data), the first items, which the kernels below read, or with
+    fmt "csc" by its CSC arrays, as A.T gives them and SuperLU reads them.
+    A @ x (x of one or two dimensions) runs scipy's kernel, `csr_matvec`
+    (`csc_` for "csc"; `_matvecs` for more columns), for scipy's bits."""
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple
+    fmt: str = "csr"
+
+    @property
+    def nnz(self):
+        return int(self.indptr[-1])
+
+    @property
+    def T(self):
+        return self._replace(shape=self.shape[::-1],
+                             fmt="csc" if self.fmt == "csr" else "csr")
+
+    def __matmul__(self, x):
+        x = np.asarray(x)
+        if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
+            raise ValueError(f"dimension mismatch: {self.shape} @ {x.shape}")
+        out = np.zeros(self.shape[:1] + x.shape[1:], np.result_type(self.data, x))
+        many = () if x.size == len(x) else x.shape[1:]
+        getattr(_sparsetools, self.fmt + ("_matvecs" if many else "_matvec"))(
+            *self.shape, *many, *self[:3], x.ravel(), out.reshape(-1))
+        return out
+
+
+def csr_narrow(a):
+    """a with int32 index arrays where they fit, as scipy's constructor does."""
+    idx = np.int64 if max(*a.shape, a.nnz) > np.iinfo(np.int32).max else np.int32
+    return a._replace(indptr=a.indptr.astype(idx, copy=False),
+                      indices=a.indices.astype(idx, copy=False))
+
+
+def csr_canonical(a):
+    """Whether every row of a has sorted, distinct indices."""
+    return bool(_sparsetools.csr_has_canonical_format(len(a[0]) - 1, a[0], a[1]))
+
+
 def _indptr(counts):
     """CSR row pointers of rows with counts entries."""
     return np.concatenate([[0], np.cumsum(counts)])
@@ -164,30 +235,32 @@ def _index_arrays(arrays, bound):
     return idx, [np.asarray(x, dtype=idx) for x in arrays]
 
 
-def _trimmed(indptr, indices, data):
-    """The CSR arrays with indices and data cut to the entries indptr
-    counts; copies when that is under half of them, as scipy's pruning does,
-    so that a bound far above the count holds no memory."""
-    nnz = indptr[-1]
+def _trimmed(indptr, indices, data, ncol):
+    """The record of CSR arrays cut to the entries indptr counts, copied
+    when that is under half of them, as scipy's pruning does."""
+    nnz, shape = indptr[-1], (len(indptr) - 1, ncol)
     if nnz < len(indices) // 2:
-        return indptr, indices[:nnz].copy(), data[:nnz].copy()
-    return indptr, indices[:nnz], data[:nnz]
+        return CSR(indptr, indices[:nnz].copy(), data[:nnz].copy(), shape)
+    return CSR(indptr, indices[:nnz], data[:nnz], shape)
+
+
+def _binary(kernel, a, b, ncol, index_arrays, bound):
+    """scipy's binary CSR kernel on a and b (ncol columns, bound entries)."""
+    n = len(a[0]) - 1
+    idx, (ap, ai, bp, bi) = _index_arrays(index_arrays, bound)
+    out = (np.empty(n + 1, dtype=idx), np.empty(bound, dtype=idx),
+           np.empty(bound, dtype=np.result_type(a[2], b[2])))
+    kernel(n, ncol, ap, ai, a[2], bp, bi, b[2], *out)
+    return _trimmed(*out, ncol)
 
 
 def csr_product(a, b, ncol):
     """a @ b, b with ncol columns: the kernel of scipy's product, so each
     entry sums its products from 0 in the order of a's row, and, as A @ B,
     the indices come unsorted and exact zeros are dropped."""
-    n = len(a[0]) - 1
     _, ia = _index_arrays((a[0], a[1], b[0], b[1]), 0)
-    nnz = _sparsetools.csr_matmat_maxnnz(n, ncol, *ia)
-    idx, (ap, ai, bp, bi) = _index_arrays(ia, nnz)
-    indptr = np.empty(n + 1, dtype=idx)
-    indices = np.empty(nnz, dtype=idx)
-    data = np.empty(nnz, dtype=np.result_type(a[2], b[2]))
-    _sparsetools.csr_matmat(n, ncol, ap, ai, a[2], bp, bi, b[2], indptr, indices,
-                            data)
-    return _trimmed(indptr, indices, data)
+    return _binary(_sparsetools.csr_matmat, a, b, ncol, ia,
+                   _sparsetools.csr_matmat_maxnnz(len(a[0]) - 1, ncol, *ia))
 
 
 def csr_sort(a):
@@ -205,28 +278,21 @@ def csr_transpose(a, ncol):
     indices = np.empty(len(ai), dtype=idx)
     data = np.empty(len(ai), dtype=a[2].dtype)
     _sparsetools.csr_tocsc(n, ncol, ap, ai, a[2], indptr, indices, data)
-    return indptr, indices, data
+    return CSR(indptr, indices, data, (ncol, n))
 
 
 def csr_sum(a, b, ncol):
     """a + b, with ncol columns, by the kernel of scipy's sum: as A + B,
     the rows come sorted when both operands' are, and exact zeros are
     dropped."""
-    n = len(a[0]) - 1
-    idx, (ap, ai, bp, bi) = _index_arrays((a[0], a[1], b[0], b[1]),
-                                          len(a[1]) + len(b[1]))
-    indptr = np.empty(n + 1, dtype=idx)
-    indices = np.empty(len(ai) + len(bi), dtype=idx)
-    data = np.empty(len(indices), dtype=np.result_type(a[2], b[2]))
-    _sparsetools.csr_plus_csr(n, ncol, ap, ai, a[2], bp, bi, b[2], indptr, indices,
-                              data)
-    return _trimmed(indptr, indices, data)
+    return _binary(_sparsetools.csr_plus_csr, a, b, ncol,
+                   (a[0], a[1], b[0], b[1]), len(a[1]) + len(b[1]))
 
 
 def csr_lookup(a, ncol, rows, cols, out):
     """out[...] = A[rows, cols] for A given by its CSR arrays, by the kernel
-    A[rows, cols] runs once it has validated the indices, which are in range
-    here by construction. rows and cols (shaped as out) take A's index
-    dtype; out is contiguous, of A's data dtype."""
+    A[rows, cols] runs on validated indices, here in range by construction;
+    rows and cols (shaped as out) of A's index dtype, out contiguous, of
+    its data dtype."""
     _sparsetools.csr_sample_values(len(a[0]) - 1, ncol, a[0], a[1], a[2], rows.size,
                                    rows.ravel(), cols.ravel(), out.reshape(-1))

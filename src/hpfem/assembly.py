@@ -23,14 +23,15 @@ B places its blocks at their q columns before its one product with R^T. The
 loads are scattered through P's arrays (`ScalarSpace.scatter`). The element
 matrices A_T and loads l_T are computed one group of elements of equal degree
 (and affinity) at a time on the corner-array geometry of `mesh`; the groups'
-matrices are summed in group order, starting from the first group's.
+matrices are summed in group order, starting from the first group's. Every
+matrix is a `_kernels.CSR` record, formed and summed by the `_kernels.csr_*`
+kernels, the ones scipy's matrix operations run.
 """
 
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _kernels
 from .mesh import facet_measure, is_affine, map_jacobians, map_points
@@ -63,6 +64,8 @@ class Material:
     hardening_map: object = None
 
     def __post_init__(self):
+        if not np.isfinite([self.lam, self.mu, self.hardening, self.yield_stress]).all():
+            raise ValueError("lam, mu, hardening and yield stress must be finite")
         if self.mu <= 0 or self.lam < 0 or self.hardening <= 0:
             raise ValueError("need mu > 0, lam >= 0, hardening > 0")
         if self.yield_stress <= 0:
@@ -117,9 +120,9 @@ class Loads:
 
 @dataclass
 class MixedSystem:
-    K: sp.csr_matrix
-    B: sp.csr_matrix
-    C: sp.csr_matrix
+    K: _kernels.CSR
+    B: _kernels.CSR
+    C: _kernels.CSR
     D: np.ndarray  # diagonal entries, length L*N
     l: np.ndarray
     L: int
@@ -145,16 +148,14 @@ def data_load(data, x, w, V):
 
 
 def galerkin(rows, blocks, cols=None, width=None):
-    """R^T blockdiag(blocks) Q: the element blocks (n, r, c) of n elements
-    scattered by the rows R (n r, element by element) of one local-to-global
-    operator, given as `ScalarSpace.local_operator` returns them: the CSR
-    arrays of R and of R^T. Q is R by default. Otherwise Q is identity rows,
-    given by cols (n, c), the columns, among width, of each block's columns:
-    a product with them only places entries, so the blocks are placed there
-    directly. The block diagonal is formed as CSR arrays straight from the
-    blocks, and the products run on arrays (`_kernels.csr_product`); the
-    result has sorted indices and no exact zeros, as scipy's product drops
-    them."""
+    """R^T blockdiag(blocks) Q, a record: the element blocks (n, r, c) of n
+    elements scattered by the rows R (n r, element by element) of one
+    local-to-global operator, as `ScalarSpace.local_operator` returns them
+    (R and R^T). Q is R by default, or else identity rows, given by cols (n,
+    c), the columns among width of each block's columns, where the blocks
+    are placed directly. The products run on CSR arrays formed straight from
+    the blocks (`_kernels.csr_product`); the result has sorted indices and
+    no exact zeros, as scipy's product drops them."""
     R, RT = rows
     n, r, c = blocks.shape
     idx = R[1].dtype
@@ -166,9 +167,8 @@ def galerkin(rows, blocks, cols=None, width=None):
               np.ascontiguousarray(blocks).ravel())
     if square:
         placed = _kernels.csr_product(placed, R, width)
-    indptr, indices, data = _kernels.csr_product(RT, placed, width)
-    out = sp.csr_matrix((data, indices, indptr), shape=(len(indptr) - 1, width))
-    out.sort_indices()
+    out = _kernels.csr_narrow(_kernels.csr_product(RT, placed, width))
+    _kernels.csr_sort(out)
     return out
 
 
@@ -247,8 +247,8 @@ def assemble_system(space, qspace, material, loads=None):
         phiq = gauss_point_basis(p, pts)
         Bg = galerkin(rows, _kernels.coupling_block(dphi, w, phiq, S),
                       qspace.element_dofs(sel, L), L * N)
-        K = Kg if K is None else K + Kg
-        B = Bg if B is None else B + Bg
+        K = Kg if K is None else _kernels.csr_sum(K, Kg, d * M)
+        B = Bg if B is None else _kernels.csr_sum(B, Bg, L * N)
         if loads.volume is not None:
             qpts, qw, _ = group_quadrature(corners[sel], p + 1 + loads.extra_order)
             V, _ = tensor_shape_eval(qpts, idx)
@@ -302,9 +302,9 @@ def gauss_mass_matrix(qspace, ncomp=1, coupling=None):
     """The mass matrix of ncomp-component fields (components interleaved) of
     the Gauss-point space, with the components coupled by coupling (ncomp,
     ncomp), the identity by default: block diagonal over the elements, with
-    the block M_T (x) coupling on element T. It is formed as CSR straight
-    from the blocks, element by element, with the exact zeros dropped as
-    scipy's product through the identity rows of the space drops them."""
+    the block M_T (x) coupling on element T. It is formed as a record from
+    the blocks, element by element, with the exact zeros dropped as scipy's
+    product through the identity rows of the space drops them."""
     coupling = np.eye(ncomp) if coupling is None else coupling
     start = ncomp * qspace.offsets[:-1]
     size = ncomp * np.diff(qspace.offsets)
@@ -319,9 +319,12 @@ def gauss_mass_matrix(qspace, ncomp=1, coupling=None):
     row, col = np.divmod(nz - at[elem], size[elem])
     n = ncomp * qspace.ndof
     indptr = _kernels._indptr(np.bincount(start[elem] + row, minlength=n))
-    return sp.csr_matrix((vals[nz], start[elem] + col, indptr), shape=(n, n))
+    return _kernels.csr_narrow(_kernels.CSR(indptr, start[elem] + col, vals[nz],
+                                            (n, n)))
 
 
 def export_matrix_market(matrix, path):
+    import scipy.sparse as sp  # the package's one use of it
     from scipy.io import mmwrite
-    mmwrite(path, sp.coo_matrix(matrix))
+    i = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    mmwrite(path, sp.coo_matrix((matrix.data, (i, matrix.indices)), shape=matrix.shape))

@@ -114,6 +114,10 @@ def parse_config(text):
                                   ("rho", rho, 0.0 <= rho < inf, "of at least 0")):
         if not ok:
             raise ConfigError(f"[newton] {key} = {value} must be a finite number {bound}")
+    for name, section in sections.items():
+        for key, value in vars(section).items():
+            if isinstance(value, float) and not abs(value) < inf:
+                raise ConfigError(f"[{name}] {key} = {value} must be a finite number")
     return cfg
 
 

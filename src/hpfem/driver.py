@@ -24,8 +24,7 @@ from .config import ConfigError, RunConfig
 from .elliptic import energy_error_sq, solve_scalar
 from .mesh import Mesh, map_jacobians, map_points, point_set_diameters, positions_of
 from .plasticity import (Fields, NewtonConfig, default_rho,
-                         solve_semismooth_newton, strain_values,
-                         write_trace_csv)
+                         solve_semismooth_newton, write_trace_csv)
 from .problems import (elastic_square_manufactured, plastic_square,
                        poisson_1d_singular, poisson_lshape)
 from .space import GaussPointSpace, ScalarSpace, deviatoric_dim
@@ -168,8 +167,8 @@ def plastic_error_sq(coarse, fine):
         cref = pts * scale[sel, None] + shift[sel, None]
         u, gu, pv, lv = fields.values_at(sel, pts)
         cu, cgu, cpv, clv = cfields.values_at(cpos[sel], cref)
-        deps = strain_values(gu, Jinv) - strain_values(
-            cgu, np.linalg.inv(map_jacobians(ccorners[sel], cref)))
+        deps = strain(gu @ Jinv) - strain(
+            cgu @ np.linalg.inv(map_jacobians(ccorners[sel], cref)))
         total += float(np.einsum("nq,nqk->", w, (u - cu) ** 2)
                        + np.einsum("nq,nqab->", w, deps ** 2)
                        + np.einsum("nq,nql->", w, (pv - cpv) ** 2 + (lv - clv) ** 2))
@@ -365,7 +364,7 @@ def elastic_energy_error_sq(state, disp, disp_grad):
         pts, w, Jinv = group_quadrature(corners[sel], q + 3)
         g = np.asarray(disp_grad(map_points(corners[sel], pts).reshape(-1, d)),
                        dtype=float).reshape(Jinv.shape)
-        diff = strain(g) - strain_values(fields.values_at(sel, pts)[1], Jinv)
+        diff = strain(g) - strain(fields.values_at(sel, pts)[1] @ Jinv)
         total += float(np.einsum("nq,nqab,nqab->", w,
                                  state.material.apply_elasticity(diff), diff))
     return total

@@ -70,7 +70,7 @@ def poisson_blocks(corners, degree, order, volume=None):
 
 
 def assemble_scalar(space, problem):
-    """Stiffness matrix and load vector of the Poisson form, one group of
+    """Stiffness record and load vector of the Poisson form, one group of
     elements of equal degree at a time, by `poisson_blocks`; the groups'
     matrices are summed in group order, starting from the first group's."""
     corners = space.mesh.corner_array(space.mesh.active_ids())
@@ -80,7 +80,7 @@ def assemble_scalar(space, problem):
         A_e, b_e = poisson_blocks(corners[sel], p, p + 1 + problem.extra_order,
                                   problem.volume)
         A_g = galerkin(space.local_operator(1, sel), A_e)
-        A = A_g if A is None else A + A_g
+        A = A_g if A is None else _kernels.csr_sum(A, A_g, space.ndof)
         if problem.volume is not None:
             b += space.scatter(1, sel, b_e.ravel())
     if problem.neumann is not None:

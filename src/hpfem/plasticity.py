@@ -14,25 +14,21 @@ primal-dual active-set method (Hintermueller, Ito & Kunisch, SIAM J. Optim.
 13, 2002): at an iterate with no active dof X = 0, so that step's matrix is
 K. The step-length probes evaluate r1 and r2, which are affine, from one set
 of sparse products per step. Every sparse factorization of the package goes
-through `factorize`, and the condensed matrices of one system, which share a
-pattern, share one ordering. `factorize` calls SuperLU's `gstrf` directly,
-as `scipy.sparse.linalg.splu` does.
+through `csc_factorize`, and the condensed matrices of one system, which
+share a pattern, share one ordering. It calls SuperLU's `gstrf` directly, as
+`scipy.sparse.linalg.splu` does, in the extension `_kernels.load_extension`
+loads by file; the matrices and the factors are `_kernels.CSR` records.
 """
 
-import importlib.machinery
-import importlib.util
-import os
-import sys
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _kernels
 from ._kernels import _indptr
 from .assembly import (element_groups, gauss_mass_matrix, group_quadrature,
-                       plastic_functional)
+                       plastic_functional, strain)
 from .mesh import require_dirichlet
 from .polybasis import gauss_lagrange_1d, tensor_contract
 from .space import (deviatoric_basis, deviatoric_dim, gauss_point_basis,
@@ -78,35 +74,13 @@ def residual(system, qspace, u, p, lam, rho):
     return np.concatenate([r1, r2, ch.ravel()])
 
 
-SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
-
-
-def load_superlu(where):
-    """scipy's SuperLU extension in the directory `where`, loaded by its
-    file, without `scipy.sparse.linalg`'s package `__init__` (the iterative
-    solvers and `scipy.linalg`, about 0.05 s of a process start), and
-    registered as SUPERLU for a later import. ImportError if none is there."""
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        spec = importlib.util.spec_from_file_location(
-            SUPERLU, os.path.join(where, "_superlu" + suffix))
-        if os.path.isfile(spec.origin):
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            sys.modules[SUPERLU] = module
-            return module
-    raise ImportError(f"no SuperLU extension (_superlu) in {where}")
-
-
-_superlu = sys.modules.get(SUPERLU) or load_superlu(
-    os.path.join(os.path.dirname(sp.__file__), "linalg", "_dsolve"))
+_superlu = _kernels.load_extension("scipy.sparse.linalg._dsolve._superlu")
 
 
 def _splu(A, permc_spec, diag_pivot_thresh, options):
-    """`scipy.sparse.linalg.splu(A, permc_spec, diag_pivot_thresh,
-    options=options)` on a CSC matrix: the same input handling and the same
-    `gstrf` call."""
-    A.sum_duplicates()
-    A = A.astype(np.float64, copy=False)
+    """`scipy.sparse.linalg.splu` with these arguments on a "csc" record: its
+    checks and `gstrf` call, with L and U as "csc" records cut to their
+    entries, as scipy's constructor cuts them."""
     n, m = A.shape
     if n != m:
         raise ValueError("can only factor square matrices")
@@ -116,26 +90,27 @@ def _splu(A, permc_spec, diag_pivot_thresh, options):
                    PanelSize=None, Relax=None) | options
     return _superlu.gstrf(n, A.nnz, A.data, A.indices.astype(np.intc, copy=False),
                           A.indptr.astype(np.intc, copy=False), ilu=False,
-                          csc_construct_func=sp.csc_array, options=options)
+                          csc_construct_func=lambda arrays, shape: _kernels._trimmed(
+                              *arrays[::-1], shape[0]).T, options=options)
 
 
 # the seam of every factorization, which tests and the benchmark's tracer replace
 spla = SimpleNamespace(splu=_splu)
 
 
-def factorize(A, ordered=False):
-    """Sparse LU of A in SuperLU's symmetric mode (Li, ACM TOMS 31, 2005):
-    minimum-degree ordering on A + A^T, and the diagonal pivot wherever it is
-    at least 0.1 of its column's largest entry. On the symmetric positive
-    definite systems of the package (K, the condensed Newton matrix, the
-    scalar stiffness) every pivot is diagonal and the fill is Cholesky-like;
-    an unsymmetric matrix is still partially pivoted. An ordered matrix (see
-    `ElementBlocks`) is factorized in its own order, with no ordering
-    computed. A singular matrix raises RuntimeError."""
-    if A.format != "csc":
-        A = sp.csc_matrix(A)
+def csc_factorize(A, ordered=False):
+    """Sparse LU of a "csc" record in SuperLU's symmetric mode (Li, ACM TOMS
+    31, 2005): minimum-degree ordering on A + A^T, and the diagonal pivot
+    wherever it is at least 0.1 of its column's largest entry, which on the
+    package's symmetric positive definite systems is every pivot. An ordered
+    matrix (`ElementBlocks`) keeps its order; a singular one raises RuntimeError."""
     return spla.splu(A, permc_spec="NATURAL" if ordered else "MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
+
+
+def factorize(A):
+    """`csc_factorize` of a record, by its CSC arrays from `csr_transpose`."""
+    return csc_factorize(_kernels.csr_transpose(A, A.shape[1]).T)
 
 
 def elastic_solve(system):
@@ -168,22 +143,18 @@ class ElementBlocks:
     matrix is a copy of `_K` with the products added in order. The blocks
     each displacement unknown reaches, and their transpose, come from B's
     sorted rows with numpy; the pattern, the dense B_e and the positions
-    from scipy's sparse kernels on CSR arrays (`_kernels.csr_product`,
-    `csr_sort`, `csr_transpose`, `csr_sum` and `csr_lookup`), with no
-    sparse matrix formed. No index keys are formed, so no product of two
-    indices can overflow. The blocks are renumbered once into the ordering
-    of their first factorization, and every later condensed matrix is
-    written and factorized in it (Davis, Direct Methods for Sparse Linear
-    Systems, SIAM 2006, ch. 7)."""
+    from the `_kernels.csr_*` kernels. No index keys are formed, so no
+    product of two indices can overflow. The blocks are renumbered once into
+    the ordering of their first factorization, and every later condensed
+    matrix is written and factorized in it (Davis, Direct Methods for Sparse
+    Linear Systems, SIAM 2006, ch. 7)."""
 
     def __init__(self, system):
         L = system.L
         K, B, C = system.K, system.B, system.C
-        if not (K.has_canonical_format and B.has_canonical_format
-                and C.has_canonical_format):
-            raise ValueError("K, B and C must be CSR matrices in canonical form")
-        n_u = K.shape[0]
-        n_q = C.shape[0]
+        if not all(map(_kernels.csr_canonical, (K, B, C))):
+            raise ValueError("K, B and C must have sorted, distinct row indices")
+        n_u, n_q = K.shape[0], C.shape[0]
         sizes = L * np.asarray(system.q_counts)
         if sizes.sum() != n_q:
             raise ValueError("q_counts do not cover the q unknowns")
@@ -194,7 +165,6 @@ class ElementBlocks:
         if np.any(cblock != block[C.indices]):
             raise ValueError("C is not block diagonal over the elements")
         self.system = system
-        self.Bt = B.T  # a view: B^T u without a copy of B
         self._order = self._next = None  # see factorization
         # the blocks of a row's entries of B ascend, as its columns do, so
         # the first entry of each row and of each block in it marks one
@@ -223,14 +193,13 @@ class ElementBlocks:
             (_indptr(count).astype(np.int32), reach, one), n_u)
         _kernels.csr_sort(pairs)
         pairs[2][:] = 0.5
-        up, ui, ud = _kernels.csr_sum(pairs, _kernels.csr_transpose(
-            (K.indptr, K.indices, np.arange(1.0, K.nnz + 1)), n_u), n_u)
+        union = _kernels.csr_sum(pairs, _kernels.csr_transpose(
+            K._replace(data=np.arange(1.0, K.nnz + 1)), n_u), n_u)
         del pairs
-        nnz = len(ui)
-        self._indptr = up.astype(np.int32, copy=False)
-        self._indices = ui.astype(np.int32, copy=False)
-        kmark = ud.astype(np.int64) - 1  # k on K's entry k, else -1
-        del up, ui, ud
+        nnz = union.nnz
+        self._indptr, self._indices = (a.astype(np.int32, copy=False) for a in union[:2])
+        kmark = union.data.astype(np.int64) - 1  # k on K's entry k, else -1
+        del union
         members = [np.flatnonzero(sizes == n) for n in np.unique(sizes)]
         width = [int(count[m].max()) for m in members]
         onK = np.flatnonzero(kmark >= 0)
@@ -260,7 +229,7 @@ class ElementBlocks:
             # B_e[a, c] = B[rows[a], idx[c]]; the arrays kept are allocated
             # before the temporaries that fill them
             Be = np.empty((G, r, n))
-            _kernels.csr_lookup((B.indptr, B.indices, B.data), n_q,
+            _kernels.csr_lookup(B, n_q,
                                 np.repeat(rows, n, axis=1),
                                 np.tile(idx.astype(rows.dtype), r), Be)
             Be[~filled] = 0.0
@@ -275,9 +244,9 @@ class ElementBlocks:
             self.groups.append(BlockGroup(idx, Ce, Be))
 
     def condensed_matrix(self, X):
-        """K + B X B^T in CSC, in the blocks' order: the batched products
-        of each group's blocks X (G, n, n) added to K's scatter into the
-        fixed pattern in order by one np.add.at, which sums each entry as
+        """K + B X B^T as a "csc" record, in the blocks' order: the batched
+        products of each group's blocks X (G, n, n) added to K's scatter into
+        the fixed pattern in order by one np.add.at, which sums each entry as
         np.bincount over K.data and then the products would."""
         data = self._K.copy()
         vals = np.empty(len(self._pos))
@@ -288,8 +257,8 @@ class ElementBlocks:
                       out=vals[at:at + G * r * r].reshape(G, r, r))
             at += G * r * r
         np.add.at(data, self._pos, vals)
-        return sp.csc_matrix((data[:-1], self._indices, self._indptr),
-                             shape=self.system.K.shape)
+        return _kernels.CSR(self._indptr, self._indices, data[:-1],
+                            self.system.K.shape, "csc")
 
     def factorization(self, X):
         """The factorization of `condensed_matrix(X)`, solving in the
@@ -298,7 +267,7 @@ class ElementBlocks:
         if self._next is not None:
             self._reorder(self._next)
         ordered = self._order is not None
-        lu = factorize(self.condensed_matrix(X), ordered)
+        lu = csc_factorize(self.condensed_matrix(X), ordered)
         if not ordered:
             self._next = lu.perm_c.copy()  # the view would keep lu alive
         return Factorization(lu, self._order if ordered else slice(None))
@@ -308,10 +277,11 @@ class ElementBlocks:
         arrays give new ones (matrices share the old) and each new entry's
         old position k, by which `_K` and `_pos` are re-indexed in place."""
         n, nnz = len(self._indptr) - 1, len(self._indices)
-        p, i, k = _kernels.csr_transpose((self._indptr, order[self._indices],
-                                          np.arange(nnz, dtype=self._indices.dtype)), n)
-        self._indptr, self._indices, k = _kernels.csr_transpose((p, order[i], k), n)
-        del p, i
+        t = _kernels.csr_transpose((self._indptr, order[self._indices],
+                                    np.arange(nnz, dtype=self._indices.dtype)), n)
+        self._indptr, self._indices, k = _kernels.csr_transpose(
+            (t.indptr, order[t.indices], t.data), n)[:3]
+        del t
         self._K[:-1] = self._K[k]  # the padding slot stays last
         new = np.empty(nnz + 1, dtype=k.dtype)
         new[k], new[nnz] = np.arange(nnz), nnz
@@ -328,7 +298,7 @@ class ElementBlocks:
         for grp, s in zip(self.groups, sols):
             g[grp.idx] = s[..., -1]
         u = self.factorization([s[..., :-1] for s in sols]).solve(f + system.B @ g)
-        Btu = self.Bt @ u
+        Btu = system.B.T @ u
         q = np.empty_like(g)
         for grp, s in zip(self.groups, sols):
             q[grp.idx] = s[..., -1] - (s[..., :-1] @ Btu[grp.idx][..., None])[..., 0]
@@ -382,7 +352,7 @@ def condensed_newton_step(blocks, dp, dl, F):
         rhs.append(np.concatenate([_dof_block_diagonal(dlD[dofs]),
                                    b[grp.idx][..., None]], axis=-1))
     du, dp_ = blocks.condensed_solve(mats, rhs, -r1)
-    dlam = Dinv * (-r2 + blocks.Bt @ du - system.C @ dp_)
+    dlam = Dinv * (-r2 + system.B.T @ du - system.C @ dp_)
     return np.concatenate([du, dp_, dlam])
 
 
@@ -452,9 +422,8 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
     cfg = config or NewtonConfig()
     rho = cfg.rho
     L = system.L
-    n_q = system.C.shape[0]
+    n_u, n_q = system.K.shape[0], system.C.shape[0]
     blocks = ElementBlocks(system)
-    n_u = system.K.shape[0]
     x = (np.zeros(n_u + 2 * n_q) if initial is None
          else np.concatenate([np.asarray(v, dtype=float) for v in initial]))
     sigma = qspace.bounds
@@ -466,7 +435,7 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
         """The residual [r1, r2, pi rows] of the projection form."""
         u, p, lam = split(x)
         r1 = system.K @ u - system.B @ p - system.l
-        r2 = -(blocks.Bt @ u) + system.C @ p + system.D * lam
+        r2 = -(system.B.T @ u) + system.C @ p + system.D * lam
         pi = _projection(p.reshape(-1, L), lam.reshape(-1, L), sigma, rho)[0]
         return np.concatenate([r1, r2, pi.ravel()])
 
@@ -476,7 +445,7 @@ def solve_semismooth_newton(system, qspace, config=None, initial=None):
         _, p, lam = split(x)
         du, dp, dlam = split(delta)
         lin = np.concatenate([system.K @ du - system.B @ dp,
-                              -(blocks.Bt @ du) + system.C @ dp + system.D * dlam])
+                              -(system.B.T @ du) + system.C @ dp + system.D * dlam])
         r = F[:n_u + n_q]
         rr = [float(v @ v) for v in (r + t * lin for t in PROBES)]
         pi = _projection((p + PROBES[:, None] * dp).reshape(len(PROBES), -1, L),
@@ -544,14 +513,6 @@ def deviator(mat):
     return mat - tr[..., None, None] * np.eye(d)
 
 
-def strain_values(gu, Jinv):
-    """Symmetric gradients (..., m, d, d) of vector fields u from their
-    reference gradients gu[..., k, a] = d u_k / d xhat_a and the inverse
-    Jacobians Jinv (..., m, d, d)."""
-    grad = gu @ Jinv
-    return 0.5 * (grad + np.swapaxes(grad, -1, -2))
-
-
 def tensor_values(vals, d):
     """Trace-free d x d tensors (..., d, d) from their components (..., L)
     over the deviatoric basis."""
@@ -597,7 +558,7 @@ class Fields:
         gradients gu [.., k, a], p has deviatoric components pv [.., l] and
         the inverse Jacobians are Jinv."""
         pq = tensor_values(pv, self.dim)
-        return self.material.stress(strain_values(gu, Jinv), pq), pq
+        return self.material.stress(strain(gu @ Jinv), pq), pq
 
     def _tables(self, els, ref):
         """Per element degree q among els: the positions `at` in els of its

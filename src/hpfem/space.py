@@ -296,17 +296,17 @@ def _resolve_constraints(R, T, ncol):
         if not ready.size:
             raise RuntimeError("cyclic hanging-node constraints")
         r_cols, r_vals, count = _row_entries(R, ready)
-        res = res_ptr, res_cols, res_vals = _kernels.csr_product(
-            (_indptr(count), r_cols, r_vals), (indptr, cols, vals), ncol)
+        res = _kernels.csr_product((_indptr(count), r_cols, r_vals),
+                                   (indptr, cols, vals), ncol)
         _kernels.csr_sort(res)
-        keep = np.abs(res_vals) > _DROP
+        keep = np.abs(res.data) > _DROP
         # the resolved rows were empty: a stable sort by row puts each in
         # place, its indices sorted
         rows = np.concatenate([np.repeat(np.arange(n), np.diff(indptr)),
-                               np.repeat(ready, np.diff(res_ptr))[keep]])
+                               np.repeat(ready, np.diff(res.indptr))[keep]])
         order = np.argsort(rows, kind="stable")
-        cols = np.concatenate([cols, res_cols[keep]])[order]
-        vals = np.concatenate([vals, res_vals[keep]])[order]
+        cols = np.concatenate([cols, res.indices[keep]])[order]
+        vals = np.concatenate([vals, res.data[keep]])[order]
         indptr = _indptr(np.bincount(rows, minlength=n))
         waiting[ready] = False
         pending = pending[blocked]

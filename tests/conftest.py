@@ -4,11 +4,11 @@ import scipy.sparse as sp
 
 from hpfem import _kernels
 from hpfem.assembly import (Loads, Material, element_groups, galerkin,
-                            gauss_mass_matrix, group_quadrature)
+                            gauss_mass_matrix, group_quadrature, strain)
 from hpfem.elliptic import ScalarProblem
 from hpfem.mesh import (Mesh, corner_bits, facet_measure, map_jacobians,
                         positions_of)
-from hpfem.plasticity import strain_values, tensor_values
+from hpfem.plasticity import tensor_values
 from hpfem.problems import cube_mesh, interval_mesh, poisson_lshape
 from hpfem.problems import square_mesh  # noqa: F401  (re-exported to tests)
 from hpfem.polybasis import tensor_gauss, tensor_indices, tensor_shape_eval
@@ -104,7 +104,7 @@ def strain_at(space, eid, u, pts, Jinv):
                                np.asarray(u).reshape(-1, space.dim))[0]
     p = space.mesh.degree[eid]
     _, G = tensor_shape_eval(pts, tensor_indices(p, space.dim))
-    return strain_values(loc.T @ G, Jinv)
+    return strain(loc.T @ G @ Jinv)
 
 
 def gauss_basis_at(qspace, eid, xhat):
@@ -154,9 +154,32 @@ def operator_rows(matrix):
 
 def operator_matrix(rows):
     """Rows in the form of `ScalarSpace.local_operator` as a CSR matrix."""
-    (indptr, indices, data), (t_indptr, _, _) = rows
+    (indptr, indices, data), transpose = rows
     return sp.csr_matrix((data, indices, indptr),
-                         shape=(len(indptr) - 1, len(t_indptr) - 1))
+                         shape=(len(indptr) - 1, transpose.shape[0]))
+
+
+def scipy_matrix(a):
+    """A record of the package as a scipy CSR or CSC matrix (by its format),
+    for checks by scipy."""
+    return getattr(sp, a.fmt + "_matrix")((a.data, a.indices, a.indptr),
+                                          shape=a.shape)
+
+
+def record(matrix, fmt="csr"):
+    """A scipy matrix, or a dense array, as a record of format fmt."""
+    matrix = getattr(sp, fmt + "_matrix")(matrix)
+    return _kernels.CSR(matrix.indptr, matrix.indices, matrix.data, matrix.shape,
+                        fmt)
+
+
+def rows_increase(a):
+    """Whether the indices of every row of a record or CSR matrix strictly
+    increase: sorted, with no duplicates."""
+    step = np.diff(a.indices)
+    starts = a.indptr[1:-1]
+    step[starts[(starts > 0) & (starts < len(a.indices))] - 1] = 1
+    return bool(np.all(step > 0))
 
 
 def plastic_field_at(qspace, eid, p, pts, dual=False):
@@ -178,13 +201,14 @@ def assemble_norm_matrices(space, qspace=None):
     for (p,), sel in element_groups(space).items():
         pts, w, Jinv = group_quadrature(corners[sel], p + 2)
         V, G = tensor_shape_eval(pts, tensor_indices(p, d))
-        Ms += galerkin(space.local_operator(1, sel), _kernels.mass_matrix(V, w))
-        Sv += galerkin(space.local_operator(d, sel),
-                       _kernels.elastic_stiffness(G @ Jinv, w, 0.0, 0.5))
+        Ms += scipy_matrix(galerkin(space.local_operator(1, sel),
+                                    _kernels.mass_matrix(V, w)))
+        Sv += scipy_matrix(galerkin(space.local_operator(d, sel),
+                                    _kernels.elastic_stiffness(G @ Jinv, w, 0.0, 0.5)))
     Mv = sp.kron(Ms, sp.identity(d), format="csr")
     if qspace is None:
         return Mv, Sv, None
-    return Mv, Sv, gauss_mass_matrix(qspace, deviatoric_dim(d))
+    return Mv, Sv, scipy_matrix(gauss_mass_matrix(qspace, deviatoric_dim(d)))
 
 
 def distorted_quad_mesh(degree=2):

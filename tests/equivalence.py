@@ -22,7 +22,10 @@ working tree each run in a subprocess, single-threaded, on:
   of random elements of a 2 x 2 square mesh, each applied by
   `predictor.apply_enrichment` and followed by a space build. Unlike the
   loops above, where no raise leaves a neighbor two degrees behind, they
-  make the degree closure raise.
+  make the degree closure raise;
+- the predictor parity cases of tests/test_predictor_parity.py (each
+  checkout's own copy of that file): every element's candidates of both
+  menus through `predictor.choose_enrichment`.
 
 For every case it checks that
 - every Newton solve has the same convergence flag, retry count and number
@@ -41,8 +44,15 @@ For every case it checks that
   digests of the arrays), and so is the active mesh it is built on (the
   corners, boxes, degrees and tags of the active elements, and the
   vertices);
+- so are the assembled matrices and loads, solve by solve and choice by
+  choice: K, B, C (indptr, indices, data) and l of every mixed system a
+  Newton solve is given, and A_W and b_W of every `choose_enrichment`
+  call. The digests read the attributes that scipy matrices and the
+  package's records share, index dtypes included;
 - the enrichments handed to `predictor.apply_enrichment` (element, kind
-  and dividing point of every prediction) are identical.
+  and dividing point of every prediction) are identical;
+- every prediction of the predictor parity cases has the same skip reason,
+  and its delta_e2, eps and y agree within 1e-12 of max(|value|, 1).
 
 It prints, per case, the number of spaces built, the number of solves, the
 largest final |F| of the working tree and the largest relative deviations
@@ -52,7 +62,8 @@ largest final |F| of the working tree and the largest relative deviations
   (row 1 and later): a change of the starting point moves row 0 by design,
   so these are the figures that argue such a change;
 - of the energy, over all solves, and of the marked values, relative to
-  each step's largest value.
+  each step's largest value;
+- of the predicted delta_e2 of the predictor parity cases.
 
 For the predictor cases it prints, on the working tree, the smallest flip
 margin of an element's choice over all steps: the distance between the gap
@@ -82,6 +93,7 @@ F_TOL = 1e-11
 SIGNAL = 1e-8  # trace rows with |F| above it are not rounding noise
 ENERGY_RTOL = 1e-12
 MARK_RTOL = 1e-12  # marked values, relative to each step's largest value
+PREDICTION_RTOL = 1e-12  # predictions, relative to max(|value|, 1)
 WALK_SEEDS, WALK_STEPS = (0, 1, 2), 12
 
 
@@ -123,18 +135,28 @@ def run_cases(root):
     import hpfem.plasticity as pl
     import hpfem.predictor as pred
     import test_newton_parity as parity
+    import test_predictor_parity as pparity
     import hpfem.space
     import workloads
     from hpfem.assembly import total_energy
     from hpfem.config import RunConfig
+    from hpfem.elliptic import solve_scalar
     from hpfem.problems import square_mesh
 
-    solves, marked, values, spaces, meshes, chosen, margins = ([] for _ in range(7))
+    solves, marked, values, spaces, meshes, chosen, margins, matrices = (
+        [] for _ in range(8))
     real_solve, real_mark = pl.solve_semismooth_newton, est.mark_dorfler
     real_space = hpfem.space.ScalarSpace.__init__
     real_choose, real_apply = pred.choose_enrichment, pred.apply_enrichment
 
+    def digests(*arrays):
+        """The digests of vectors, and of the indptr, indices and data of
+        matrices."""
+        return [_digest(x) for a in arrays for x in (
+            (a.indptr, a.indices, a.data) if hasattr(a, "indptr") else (a,))]
+
     def solve(system, qspace, *args, **kwargs):
+        matrices.append(digests(system.K, system.B, system.C, system.l))
         sol = real_solve(system, qspace, *args, **kwargs)
         solves.append({"converged": bool(sol.converged), "retries": sol.retries,
                        "trace": [[float(v) for v in row] for row in sol.trace],
@@ -154,8 +176,9 @@ def run_cases(root):
         spaces.append([_digest(a) for a in self.P])
         meshes.append(_mesh_digest(mesh))
 
-    def choose(*args, **kwargs):
-        out = real_choose(*args, **kwargs)
+    def choose(space, problem, A_W, b_W, *args, **kwargs):
+        matrices.append(digests(A_W, b_W))
+        out = real_choose(space, problem, A_W, b_W, *args, **kwargs)
         margins.extend(g for g in (_flip_margin(preds, est.TIE_RTOL)
                                    for _, preds in out.values()) if g is not None)
         return out
@@ -176,8 +199,9 @@ def run_cases(root):
         out = {"solves": list(solves), "marked": list(marked),
                "values": list(values), "P": list(spaces), "mesh": list(meshes),
                "chosen": list(chosen), "flip_margin": min(margins, default=None),
-               **result}
-        for seen in (solves, marked, values, spaces, meshes, chosen, margins):
+               "matrices": list(matrices), **result}
+        for seen in (solves, marked, values, spaces, meshes, chosen, margins,
+                     matrices):
             seen.clear()
         return out
 
@@ -220,6 +244,13 @@ def run_cases(root):
                 candidate=cand, delta_e2=0.0, eps=0.0, y=np.zeros(0), rho_w_yxi=0.0)])
             hpfem.space.ScalarSpace(mesh)
         results[f"enrichment-walk@{seed}"] = case_result()
+    for case in pparity.CASES:
+        space, problem, cands = pparity.prediction_case(case)
+        u, A, b = solve_scalar(space, problem)
+        out = pred.choose_enrichment(space, problem, A, b, u, cands)
+        results[f"predictor-{case}"] = case_result(predictions=[
+            [pr.skipped, pr.delta_e2, pr.eps, np.asarray(pr.y).tolist()]
+            for eid in sorted(out) for pr in out[eid][1]])
     return results
 
 
@@ -245,6 +276,9 @@ def compare(old, new):
                         f"{len(new['P'])} spaces)")
     if old["mesh"] != new["mesh"]:
         problems.append("meshes not bit-identical")
+    if old["matrices"] != new["matrices"]:
+        problems.append(f"assembled matrices not bit-identical ({len(old['matrices'])} "
+                        f"and {len(new['matrices'])} systems)")
     if "matrix" in old:
         if old["matrix"] != new["matrix"]:
             problems.append("condensed matrix not bit-identical")
@@ -253,7 +287,21 @@ def compare(old, new):
         if old.get(key) != new.get(key):
             problems.append(f"{key} differ: {old.get(key)} != {new.get(key)}")
     figs = {"final_F": 0.0, "F_dev": 0.0, "merit_dev": 0.0, "merit_dev_8": 0.0,
-            "F_dev_1": 0.0, "merit_dev_1": 0.0, "energy_dev": 0.0, "mark_dev": 0.0}
+            "F_dev_1": 0.0, "merit_dev_1": 0.0, "energy_dev": 0.0, "mark_dev": 0.0,
+            "pred_dev": 0.0}
+    preds_old, preds_new = old.get("predictions", []), new.get("predictions", [])
+    if len(preds_old) != len(preds_new):
+        problems.append(f"{len(preds_old)} != {len(preds_new)} predictions")
+    for k, (a, b) in enumerate(zip(preds_old, preds_new)):
+        if a[0] != b[0] or len(a[3]) != len(b[3]):
+            problems.append(f"prediction {k}: skip {a[0]!r} != {b[0]!r} "
+                            f"or {len(a[3])} != {len(b[3])} entries of y")
+            continue
+        figs["pred_dev"] = max(figs["pred_dev"], _rel(b[1], a[1]))
+        ref, have = np.array([a[1], a[2], *a[3]]), np.array([b[1], b[2], *b[3]])
+        if not np.all(np.abs(have - ref) <= PREDICTION_RTOL
+                      * np.maximum(np.abs(ref), 1.0)):
+            problems.append(f"prediction {k}: delta_e2, eps or y off")
     for k, (a, b) in enumerate(zip(old.get("values", []), new.get("values", []))):
         if len(a) != len(b):
             problems.append(f"marking {k}: {len(a)} != {len(b)} values")
@@ -323,7 +371,7 @@ def main():
     print(f"{'case':26s} {'spaces':>6s} {'solves':>6s} {'final |F|':>10s} {'|F| dev':>9s} "
           f"{'merit dev':>9s} {'(|F|>1e-8)':>10s} {'|F| dev1+':>10s} "
           f"{'merit dev1+':>11s} {'energy dev':>10s} "
-          f"{'mark dev':>9s} {'flip mrg':>9s}  result")
+          f"{'mark dev':>9s} {'dE2 dev':>9s} {'flip mrg':>9s}  result")
     for case in old:
         problems, figs = compare(old[case], new[case])
         failed |= bool(problems)
@@ -332,8 +380,8 @@ def main():
                             (("final_F", 10), ("F_dev", 9), ("merit_dev", 9),
                              ("merit_dev_8", 10), ("F_dev_1", 10),
                              ("merit_dev_1", 11), ("energy_dev", 10),
-                             ("mark_dev", 9)))
-                  if figs else f"{'':85s}")
+                             ("mark_dev", 9), ("pred_dev", 9)))
+                  if figs else f"{'':95s}")
                 + (f" {'':9s}" if new[case]["flip_margin"] is None
                    else f" {new[case]['flip_margin']:9.2e}"))
         print(f"{case:26s} {cols}  {'; '.join(problems) or 'equivalent'}")

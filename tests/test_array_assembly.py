@@ -1,6 +1,6 @@
 """Each plastic step's set-up formed from arrays, against the scipy paths it
 replaced, kept here as test-local oracles, bit for bit (indptr, indices and
-data with their dtypes, and the canonical-format flags):
+data with their dtypes, and rows whose indices strictly increase):
 
 - `assemble_system`: K and B as the per-group Galerkin products, the first
   group's taken as it is and the later ones added in group order; B's blocks
@@ -32,7 +32,8 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import (_mixed_loads, assembly_case, gauss_local_operator,
-                      operator_matrix, random_refined_mesh)
+                      operator_matrix, random_refined_mesh, rows_increase,
+                      scipy_matrix)
 from hpfem import _kernels
 from hpfem._kernels import csr_product, csr_sort, csr_sum, csr_transpose
 from hpfem.assembly import (Loads, Material, QuadratureAccuracyWarning,
@@ -167,7 +168,7 @@ def element_blocks_oracle(system):
     the ElementBlocks construction through scipy's products, transposes,
     row slicing and validated lookups."""
     L = system.L
-    K, B, C = system.K, system.B, system.C
+    K, B, C = map(scipy_matrix, (system.K, system.B, system.C))
     n_q = C.shape[0]
     sizes = L * np.asarray(system.q_counts)
     starts = np.cumsum(sizes) - sizes
@@ -277,11 +278,12 @@ def _same_bits(have, want):
 
 
 def _same_sparse(have, want):
-    assert have.format == want.format and have.shape == want.shape
+    """A record against a record or CSR matrix: the same shape and arrays,
+    and every row's indices strictly increasing."""
+    assert have.shape == want.shape
     for attr in ("indptr", "indices", "data"):
         _same_bits(getattr(have, attr), getattr(want, attr))
-    assert have.has_sorted_indices == want.has_sorted_indices
-    assert have.has_canonical_format == want.has_canonical_format
+    assert rows_increase(have)
 
 
 def _system(space, qspace, material, loads):

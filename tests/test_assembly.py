@@ -6,8 +6,8 @@ import scipy.sparse as sp
 
 from conftest import (assemble_norm_matrices, distorted_quad_mesh,
                       element_quadrature, gauss_eval_primal, map_dets,
-                      plastic_field_at, random_refined_mesh, square_mesh,
-                      strain_at)
+                      plastic_field_at, random_refined_mesh, scipy_matrix,
+                      square_mesh, strain_at)
 from hpfem.assembly import (Loads, Material, QuadratureAccuracyWarning,
                             assemble_system, bilinear_value,
                             export_matrix_market, plastic_functional, strain,
@@ -52,6 +52,13 @@ class TestPointwise:
         with pytest.raises(ValueError):
             Material(elasticity=bad)
 
+    @pytest.mark.parametrize("key", ["lam", "mu", "hardening", "yield_stress"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameter_rejected(self, key, value):
+        # NaN fails every comparison of the range checks, so it needs its own
+        with pytest.raises(ValueError, match="must be finite"):
+            Material(**{key: value})
+
     def test_material_is_frozen(self):
         # a field set after the checks of __post_init__ would go unchecked:
         # hardening = -1.0 gave a "converged" solve with no error
@@ -73,13 +80,15 @@ class TestBlocks:
         m = random_refined_mesh(rng, refinements=1)
         mat = Material(lam=2.0, mu=1.0, hardening=0.7, yield_stress=1.0)
         _, _, sys_ = _fixture_system(m, mat)
-        assert abs(sys_.K - sys_.K.T).max() < 1e-12
+        K = scipy_matrix(sys_.K)
+        assert abs(K - K.T).max() < 1e-12
 
     def test_single_element_C_block(self):
         m = square_mesh(1, degree=1, tagger=lambda c: "neumann")
         mat = Material(lam=1.0, mu=1.0, hardening=0.5, yield_stress=1.0)
         _, _, sys_ = _fixture_system(m, mat)
-        np.testing.assert_allclose(sys_.C.toarray(), (2 * 1.0 + 0.5) * np.eye(2),
+        np.testing.assert_allclose(scipy_matrix(sys_.C).toarray(),
+                                   (2 * 1.0 + 0.5) * np.eye(2),
                                    atol=1e-13)
 
     def test_unit_load_quarters(self):
@@ -116,7 +125,8 @@ class TestBlocks:
         m = random_refined_mesh(rng, refinements=1, dirichlet=True)
         mat = Material(lam=2.0, mu=1.0, hardening=0.5, yield_stress=1.0)
         _, _, sys_ = _fixture_system(m, mat)
-        A = sp.bmat([[sys_.K, -sys_.B], [-sys_.B.T, sys_.C]]).toarray()
+        K, B, C = map(scipy_matrix, (sys_.K, sys_.B, sys_.C))
+        A = sp.bmat([[K, -B], [-B.T, C]]).toarray()
         w = np.linalg.eigvalsh(0.5 * (A + A.T))
         assert w.min() > 1e-10
 
@@ -186,8 +196,9 @@ class TestBlocks:
         mat_b = Material(lam=lam, mu=mu, hardening=0.5, elasticity=iso)
         sa = _fixture_system(m, mat_a)[2]
         sb = _fixture_system(m, mat_b)[2]
-        assert abs(sa.K - sb.K).max() < 1e-11
-        assert abs(sa.B - sb.B).max() < 1e-11
+        for key in ("K", "B"):
+            a, b = (scipy_matrix(getattr(s, key)) for s in (sa, sb))
+            assert abs(a - b).max() < 1e-11
 
 
 def direct_bilinear(space, qs, mat, vu1, vp1, vu2, vp2):
@@ -278,4 +289,4 @@ class TestExport:
         path = str(tmp_path / "K.mtx")
         export_matrix_market(sys_.K, path)
         back = mmread(path)
-        assert abs(sp.csr_matrix(back) - sys_.K).max() < 1e-14
+        assert abs(sp.csr_matrix(back) - scipy_matrix(sys_.K)).max() < 1e-14

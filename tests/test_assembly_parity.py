@@ -19,7 +19,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import ASSEMBLY_CASES, assemble_norm_matrices, assembly_case
+from conftest import (ASSEMBLY_CASES, assemble_norm_matrices, assembly_case,
+                      scipy_matrix)
 from hpfem.assembly import QuadratureAccuracyWarning, assemble_system
 from hpfem.elliptic import assemble_scalar
 from hpfem.predictor import (child_local_matrices, hp_enrichment,
@@ -54,13 +55,14 @@ def record(case):
     """Everything the fixture holds for one case, from the current code."""
     space, qspace, material, loads, problem = assembly_case(case)
     A, b = assemble_scalar(space, problem)
-    out = {"A": _entries(A, True), "b": b.tolist()}
+    out = {"A": _entries(scipy_matrix(A), True), "b": b.tolist()}
     if space.dim > 1:  # the mixed problem has no plastic strain in 1D
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", QuadratureAccuracyWarning)
             system = assemble_system(space, qspace, material, loads)
         Mv, Sv, Mq = assemble_norm_matrices(space, qspace)
-        out.update(K=system.K, B=system.B, C=system.C, l=system.l.tolist(),
+        K, B, C = map(scipy_matrix, (system.K, system.B, system.C))
+        out.update(K=K, B=B, C=C, l=system.l.tolist(),
                    D=system.D.tolist(), q_counts=system.q_counts.tolist(),
                    non_affine=[int(e) for e in system.non_affine],
                    Mv=Mv, Sv=Sv, Mq=Mq)

@@ -511,9 +511,18 @@ class TestCLI:
          "[newton] rho = -1.0 must be a finite number of at least 0"),
         ("solve", "[newton]\nrho = nan",
          "[newton] rho = nan must be a finite number of at least 0"),
+        # NaN passes every range check, and inf makes a singular factor
+        ("solve", "[material]\nmu = nan", "[material] mu = nan must be a finite number"),
+        ("solve", "[material]\nyield_stress = nan",
+         "[material] yield_stress = nan must be a finite number"),
+        ("solve", "[material]\nlam = inf", "[material] lam = inf must be a finite number"),
+        ("solve", "[material]\nhardening = inf",
+         "[material] hardening = inf must be a finite number"),
+        ("solve", "[problem]\npull = nan", "[problem] pull = nan must be a finite number"),
     ], ids=["cells_0", "degree_0", "degree_21", "yield_negative", "mu_0",
             "refinements_negative", "iterations_0", "max_iter_0", "max_iter_negative",
-            "tol_0", "tol_negative", "tol_nan", "rho_negative", "rho_nan"])
+            "tol_0", "tol_negative", "tol_nan", "rho_negative", "rho_nan", "mu_nan",
+            "yield_nan", "lam_inf", "hardening_inf", "pull_nan"])
     def test_value_out_of_range_exit_3(self, tmp_path, command, text, message):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text(text + "\n")

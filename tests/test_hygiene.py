@@ -3,8 +3,8 @@ so is every name a test module imports, unless another test imports it from
 there; every function, class and method the package defines is referenced
 by the package or the benchmark (tests alone do not keep a definition
 alive, unless it is on the allow-list below; nor do the re-exports of the
-package's `__init__.py`); and importing the package loads neither
-scipy.linalg nor scipy.sparse.linalg."""
+package's `__init__.py`); and importing the package loads none of
+scipy.linalg, scipy.sparse and scipy.sparse.linalg, nor numpy.f2py."""
 
 import ast
 import json
@@ -245,9 +245,10 @@ def test_allow_list_is_current():
 
 
 # Packages whose import costs a process start more than hpfem uses of them:
-# scipy.sparse.linalg's `__init__` imports the iterative solvers and
-# scipy.linalg, and hpfem only calls SuperLU, which `plasticity` loads by file.
-HEAVY = ("scipy.linalg", "scipy.sparse.linalg")
+# scipy.sparse's `__init__` imports numpy.f2py, numpy.testing and the matrix
+# classes, scipy.sparse.linalg's the iterative solvers and scipy.linalg, and
+# hpfem only calls the CSR kernels and SuperLU, which `_kernels` loads by file.
+HEAVY = ("scipy.linalg", "scipy.sparse", "scipy.sparse.linalg")
 
 
 def module_level_imports(source):
@@ -280,6 +281,7 @@ def test_scan_finds_heavy_imports():
            "try:\n    from scipy.linalg import lu\nexcept ImportError:\n    pass\n"
            "def f():\n    import scipy.linalg\n")
     assert heavy_imports(src) == [(1, "scipy.sparse.linalg"), (2, "scipy.linalg"),
+                                  (3, "scipy.sparse.csc_array"),
                                   (6, "scipy.linalg.lu")]
 
 
@@ -290,18 +292,20 @@ def test_no_module_level_heavy_import(module):
 
 
 def test_fresh_import_loads_no_scipy_linalg():
-    """In a fresh process, hpfem and its driver import neither package, and
-    a later import of scipy.sparse.linalg reuses the SuperLU extension that
-    hpfem loaded."""
+    """In a fresh process, hpfem and its driver import none of these
+    packages, nor numpy.f2py, and a later import of scipy.sparse.linalg
+    reuses the CSR kernels and the SuperLU extension that hpfem loaded."""
     code = (
         "import json, sys\n"
         "import hpfem, hpfem.driver\n"
-        f"loaded = [m for m in {HEAVY!r} if m in sys.modules]\n"
+        f"loaded = [m for m in {HEAVY + ('numpy.f2py',)!r} if m in sys.modules]\n"
+        "import scipy.sparse._compressed as compressed\n"
         "import scipy.sparse.linalg as spla\n"
-        "from hpfem import plasticity\n"
-        "same = spla._dsolve.linsolve._superlu is plasticity._superlu\n"
+        "from hpfem import _kernels, plasticity\n"
+        "same = [compressed._sparsetools is _kernels._sparsetools,\n"
+        "        spla._dsolve.linsolve._superlu is plasticity._superlu]\n"
         "print(json.dumps([loaded, same]))\n")
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
-    assert json.loads(out.splitlines()[-1]) == [[], True]
+    assert json.loads(out.splitlines()[-1]) == [[], [True, True]]

@@ -1,3 +1,5 @@
+import dataclasses
+import os
 import re
 import sys
 import warnings
@@ -11,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hpfem.plasticity as plasticity
-from conftest import distorted_quad_mesh, random_refined_mesh, square_mesh
+from conftest import (distorted_quad_mesh, random_refined_mesh, record,
+                      scipy_matrix, square_mesh)
+from hpfem import _kernels
 from hpfem._kernels import chi_blocks
 from hpfem.assembly import (Loads, Material, MixedSystem,
                             QuadratureAccuracyWarning,
@@ -19,8 +23,8 @@ from hpfem.assembly import (Loads, Material, MixedSystem,
                             plastic_functional, total_energy)
 from hpfem.plasticity import (ElementBlocks, NewtonConfig,
                               check_complementarity,
-                              condensed_newton_step, default_rho,
-                              elastic_solve, factorize,
+                              condensed_newton_step, csc_factorize,
+                              default_rho, elastic_solve, factorize,
                               in_admissible_gauss, in_admissible_weak,
                               infsup_ratio, recover_multiplier, residual,
                               solve_semismooth_newton)
@@ -67,9 +71,10 @@ def generalized_jacobian(system, qspace, p, lam, rho):
     Jp = sp.csr_matrix((dp.ravel(), (rows, cols)), shape=(n_q, n_q))
     Jl = sp.csr_matrix((dl.ravel(), (rows, cols)), shape=(n_q, n_q))
     Z = sp.csr_matrix((n_u, n_q))
+    K, B, C = map(scipy_matrix, (system.K, system.B, system.C))
     return sp.bmat([
-        [system.K, -system.B, Z],
-        [-system.B.T, system.C, sp.diags(system.D)],
+        [K, -B, Z],
+        [-B.T, C, sp.diags(system.D)],
         [Z.T, Jp, Jl],
     ], format="csc")
 
@@ -400,9 +405,9 @@ class TestFactorize:
         # empty active set, is of K itself
         assert sol.converged and len(seen) == sol.iterations
         assert all(kw["options"] == dict(SymmetricMode=True) for _, kw in seen)
-        A = seen[-1][0]
+        A = scipy_matrix(seen[-1][0])
         b = np.random.default_rng(11).standard_normal(A.shape[0])
-        lu = factorize(A)
+        lu = factorize(record(A))
         ref = spla.spsolve(sp.csc_matrix(A), b)
         assert np.abs(lu.solve(b) - ref).max() <= 1e-12 * np.abs(ref).max()
         # diagonal pivots only, and minimum-degree fill: COLAMD with partial
@@ -414,7 +419,7 @@ class TestFactorize:
         singular[0, :] = 0.0
         singular[:, 0] = 0.0
         with pytest.raises(RuntimeError, match="singular"):
-            factorize(singular)
+            factorize(record(singular))
 
     def test_one_factorization_per_step_from_an_active_start(self, monkeypatch):
         m, mat, space, qs, system = _benchmark()
@@ -552,6 +557,7 @@ class TestCondensedStep:
         monkeypatch.setattr(plasticity, "spla", Recorder(0))
         condensed_newton_step(blocks, dp, dl, F)
         (A,) = seen
+        A = scipy_matrix(A)
         assert A.shape == system.K.shape
         assert abs(A - A.T).max() <= 1e-12 * abs(A).max()
 
@@ -574,19 +580,21 @@ class TestCondensedStep:
         monkeypatch.setattr(plasticity, "spla", Recorder(0))
         blocks.condensed_solve(mats, rhs, rng.standard_normal(system.K.shape[0]))
         (A,) = seen
+        A = scipy_matrix(A)
         assert A.format == "csc"
+        K, B = scipy_matrix(system.K), scipy_matrix(system.B)
         n_q = system.C.shape[0]
         X = sp.lil_matrix((n_q, n_q))
         for grp, M, R in zip(blocks.groups, mats, rhs):
             for ix, s in zip(grp.idx, np.linalg.solve(M, R)):
                 X[np.ix_(ix, ix)] = s[:, :-1]
-        BXB = system.B @ X.tocsr() @ system.B.T
-        ref = system.K + BXB
+        BXB = B @ X.tocsr() @ B.T
+        ref = K + BXB
         assert abs(A - ref).max() <= 1e-13 * abs(ref).max()
         # the pattern holds every entry of B X B^T, also where K has none
         stored = sp.csc_matrix((np.ones(A.nnz), A.indices, A.indptr),
                                shape=A.shape)
-        outside = BXB.astype(bool) > system.K.astype(bool)
+        outside = BXB.astype(bool) > K.astype(bool)
         assert (outside.multiply(stored)).nnz == outside.nnz
         if name == "square-n4-p2":
             assert outside.nnz > 0
@@ -605,8 +613,9 @@ class TestCondensedStep:
         B = B + sp.csr_matrix((np.ones(n_q), (n_u - 1 - np.arange(n_q),
                                                 np.arange(n_q))), shape=(n_u, n_q))
         K = sp.diags(1.0 + rng.random(n_u), format="csr")
-        system = MixedSystem(K=K, B=B, C=C, D=np.ones(n_q), l=np.zeros(n_u),
-                             L=L, q_counts=q_counts)
+        system = MixedSystem(K=record(K), B=record(B), C=record(C),
+                             D=np.ones(n_q), l=np.zeros(n_u), L=L,
+                             q_counts=q_counts)
         blocks = ElementBlocks(system)
         mats = [5 * np.eye(grp.C.shape[1]) + rng.random(grp.C.shape)
                 for grp in blocks.groups]
@@ -628,6 +637,19 @@ class TestCondensedStep:
         ref = spla.spsolve(full, np.concatenate([f, g]))
         assert np.abs(u - ref[:n_u]).max() <= 1e-10 * np.abs(ref[:n_u]).max()
         assert np.abs(q - ref[n_u:]).max() <= 1e-10 * np.abs(ref[n_u:]).max()
+
+    @pytest.mark.parametrize("key", ["K", "B", "C"])
+    @pytest.mark.parametrize("fault", ["unsorted", "duplicate"])
+    def test_rows_must_be_sorted_and_distinct(self, key, fault):
+        system = _benchmark()[4]
+        a = getattr(system, key)
+        indices = a.indices.copy()
+        lo = a.indptr[1]  # the second row, of at least two entries
+        indices[lo:lo + 2] = indices[[lo + 1, lo + 1] if fault == "duplicate"
+                                     else [lo + 1, lo]]
+        bad = dataclasses.replace(system, **{key: a._replace(indices=indices)})
+        with pytest.raises(ValueError, match="sorted, distinct row indices"):
+            ElementBlocks(bad)
 
 
 class _Recorder(_FailingLinalg):
@@ -680,14 +702,14 @@ class TestOrdering:
         assert specs == ["MMD_AT_PLUS_A"] + ["NATURAL"] * (len(specs) - 1)
         # the ordering factorization is the first step's, of K itself
         A, _, first = rec.calls[0]
-        assert abs(A - system.K).max() == 0.0
+        assert abs(scipy_matrix(A) - scipy_matrix(system.K)).max() == 0.0
         order = first.perm_c
         for A, spec, lu in rec.calls:
             np.testing.assert_array_equal(lu.perm_r, lu.perm_c)
             if spec == "NATURAL":
                 np.testing.assert_array_equal(lu.perm_c, np.arange(A.shape[0]))
                 # in the unknowns' order, factorized as before the ordering
-                ref = factorize(A[order][:, order])
+                ref = factorize(record(scipy_matrix(A)[order][:, order]))
                 assert abs(_fill(lu) - _fill(ref)) <= 1e-3 * _fill(ref)
 
     def test_failed_ordering_leaves_the_pattern_unpermuted(self, monkeypatch):
@@ -718,12 +740,12 @@ class TestOrdering:
         blocks = ElementBlocks(system)
         rng = np.random.default_rng(17)
         X = [rng.standard_normal(grp.C.shape) for grp in blocks.groups]
-        A = blocks.condensed_matrix(X)
+        A = scipy_matrix(blocks.condensed_matrix(X))
         first = blocks.factorization([np.zeros_like(x) for x in X])
         assert first.order == slice(None)
         lu = blocks.factorization(X)
         order = lu.order
-        permuted = blocks.condensed_matrix(X)
+        permuted = scipy_matrix(blocks.condensed_matrix(X))
         back = permuted[order][:, order]
         assert back.nnz == A.nnz and (back != A).nnz == 0
         b = rng.standard_normal(A.shape[0])
@@ -736,7 +758,7 @@ def _newton_matrices():
     """K, the last (ordered) condensed matrix of one Newton solve on the
     plastic square (n=4, p=2), as the package factorized them, and an
     unsymmetric generalized Jacobian of that system, on which SuperLU's
-    symmetric mode changes the factorization."""
+    symmetric mode changes the factorization, as scipy CSC matrices."""
     _, mat, _, qs, system = _benchmark()
     rec, saved = _Recorder(0), plasticity.spla
     plasticity.spla = rec
@@ -749,29 +771,16 @@ def _newton_matrices():
     rng = np.random.default_rng(5)
     J = generalized_jacobian(system, qs, 0.01 * rng.standard_normal(n_q),
                              qs.yield_stress * rng.standard_normal(n_q), 1.0)
-    return sp.csc_matrix(system.K), rec.calls[-1][0], J
-
-
-def _duplicated(A):
-    """A in CSC with every entry stored as two halves, in a shuffled order
-    within each column: the same matrix, in non-canonical form."""
-    A = A.tocoo()
-    rows, cols = np.tile(A.row, 2), np.tile(A.col, 2)
-    order = np.random.default_rng(4).permutation(len(rows))
-    order = order[np.argsort(cols[order], kind="stable")]
-    indptr = np.searchsorted(cols[order], np.arange(A.shape[1] + 1))
-    out = sp.csc_matrix((np.tile(0.5 * A.data, 2)[order], rows[order], indptr),
-                        shape=A.shape)
-    assert not out.has_canonical_format
-    return out
+    return sp.csc_matrix(scipy_matrix(system.K)), scipy_matrix(rec.calls[-1][0]), J
 
 
 def _assert_same_lu(a, b):
-    """Two SuperLU factorizations are the same bit for bit."""
+    """Two SuperLU factorizations are the same bit for bit: the package's
+    L and U are "csc" records of scipy's arrays."""
     assert np.array_equal(a.perm_r, b.perm_r)
     assert np.array_equal(a.perm_c, b.perm_c)
     for x, y in ((a.L, b.L), (a.U, b.U)):
-        assert type(x) is type(y) and x.shape == y.shape
+        assert x.shape == y.shape
         for part in ("data", "indices", "indptr"):
             assert getattr(x, part).tobytes() == getattr(y, part).tobytes()
     rhs = np.random.default_rng(8).standard_normal((a.shape[0], 2))
@@ -789,30 +798,27 @@ class TestDirectGstrf:
                          diag_pivot_thresh=0.1, options=dict(SymmetricMode=True))
 
     @pytest.mark.parametrize("case", ["K", "condensed", "ordered", "csr",
-                                      "duplicates", "unsymmetric"])
+                                      "unsymmetric"])
     def test_matches_splu_bit_for_bit(self, case):
         K, C, J = _newton_matrices()
         A = {"K": K, "unsymmetric": J}.get(case, C)
         ordered = case == "ordered"
-        if case == "csr":
-            given = A.tocsr()
-        elif case == "duplicates":
-            given = _duplicated(A)
-            _assert_same_lu(factorize(given.copy()), factorize(A.copy()))
+        if ordered:  # as `ElementBlocks` hands a matrix over
+            lu = csc_factorize(record(A, "csc"), ordered)
         else:
-            given = A.copy()
-        _assert_same_lu(factorize(given, ordered), self.scipy_lu(A, ordered))
-        if case == "duplicates":
-            assert given.has_canonical_format  # summed in place, as splu does
+            lu = factorize(record(A.tocsr() if case == "csr" else A))
+        _assert_same_lu(lu, self.scipy_lu(A, ordered))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            factorize(sp.csc_matrix(np.ones((2, 3))))
+            factorize(record(np.ones((2, 3))))
 
     def test_indices_too_large_for_intc(self):
         """An index array that does not fit in intc raises ValueError before
         gstrf runs. The matrix claims 2^31 entries in its last column
-        without storing them, so that nothing reads past its arrays."""
+        without storing them, so that nothing reads past its arrays: the
+        "csc" record goes to the factorization directly, which reads them
+        only in gstrf."""
         def tampered():
             A = sp.csc_matrix(np.eye(2))
             A.has_canonical_format = True
@@ -820,15 +826,20 @@ class TestDirectGstrf:
             return A
 
         with pytest.raises(ValueError, match="too large for SuperLU"):
-            factorize(tampered())
+            csc_factorize(_kernels.CSR(np.array([0, 1, 2**31], dtype=np.int64),
+                                       np.arange(2), np.ones(2), (2, 2), "csc"))
         with pytest.raises(ValueError, match="too large for SuperLU"):
             spla.splu(tampered())
 
-    def test_loader_names_the_directory_without_an_extension(self, tmp_path):
-        loaded = sys.modules[plasticity.SUPERLU]
-        with pytest.raises(ImportError, match=re.escape(str(tmp_path))):
-            plasticity.load_superlu(str(tmp_path))
-        assert sys.modules[plasticity.SUPERLU] is loaded
+    def test_loader_names_the_directory_without_an_extension(self):
+        name = "scipy.sparse.linalg._dsolve._absent"
+        where = os.path.join(_kernels.SPARSE, "linalg", "_dsolve")
+        with pytest.raises(ImportError, match=re.escape(where)):
+            _kernels.load_extension(name)
+        assert name not in sys.modules
+        # a loaded module is the one registered under its name
+        assert _kernels.load_extension(
+            "scipy.sparse.linalg._dsolve._superlu") is plasticity._superlu
 
 
 class TestResidualEvaluations:
