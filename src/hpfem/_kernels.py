@@ -191,6 +191,11 @@ class CSR(NamedTuple):
         return self._replace(shape=self.shape[::-1],
                              fmt="csc" if self.fmt == "csr" else "csr")
 
+    def __add__(self, other):  # nor the tuple's *, == and !=, nor a hash
+        raise TypeError("a CSR record has no arithmetic; use the csr_* kernels")
+    __mul__ = __rmul__ = __eq__ = __ne__ = __add__
+    __hash__ = None
+
     def __matmul__(self, x):
         x = np.asarray(x)
         if x.ndim not in (1, 2) or x.shape[0] != self.shape[1]:
@@ -287,6 +292,14 @@ def csr_sum(a, b, ncol):
     dropped."""
     return _binary(_sparsetools.csr_plus_csr, a, b, ncol,
                    (a[0], a[1], b[0], b[1]), len(a[1]) + len(b[1]))
+
+
+def csr_sum_duplicates(a, ncol):
+    """Merges the entries of equal index in each sorted row of a into one,
+    summing their data, in place, by the kernel of A.sum_duplicates(): the
+    record of the merged entries, cut as scipy's pruning cuts them."""
+    _sparsetools.csr_sum_duplicates(len(a[0]) - 1, ncol, a[0], a[1], a[2])
+    return _trimmed(a[0], a[1], a[2], ncol)
 
 
 def csr_lookup(a, ncol, rows, cols, out):

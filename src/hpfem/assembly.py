@@ -15,17 +15,18 @@ With these blocks the stationarity system reads K u - B p = l and
 Every global matrix is R^T blockdiag(A_T) S and every load R^T (l_T), where
 R and S are rows of the local-to-global operators of the spaces
 (`ScalarSpace.local_operator`, which carries the hanging-node and Dirichlet
-constraints, and the identity of the discontinuous Gauss-point space). R and
-its transpose are gathered once per assembly and element group. The identity
-rows only place entries, so products with them are formed from arrays: C and
-the Gauss-point mass matrix are block diagonal over the Gauss-point dofs, and
-B places its blocks at their q columns before its one product with R^T. The
-loads are scattered through P's arrays (`ScalarSpace.scatter`). The element
-matrices A_T and loads l_T are computed one group of elements of equal degree
-(and affinity) at a time on the corner-array geometry of `mesh`; the groups'
-matrices are summed in group order, starting from the first group's. Every
-matrix is a `_kernels.CSR` record, formed and summed by the `_kernels.csr_*`
-kernels, the ones scipy's matrix operations run.
+constraints, and the identity of the discontinuous Gauss-point space). R is
+gathered once per assembly and element group, for the products and the
+volume loads (R.T @ l_T); the boundary loads use `ScalarSpace.scatter`. The
+identity rows only place entries, so products with them are formed from
+arrays: C and the Gauss-point mass matrix are block diagonal over the
+Gauss-point dofs, and B places its blocks at their q columns before its one
+product with R^T. The element matrices A_T and loads l_T are computed one
+group of elements of equal degree (and affinity) at a time on the
+corner-array geometry of `mesh`; the groups' matrices are summed in group
+order, starting from the first group's. Every matrix is a `_kernels.CSR`
+record, formed and summed by the `_kernels.csr_*` kernels, the ones scipy's
+matrix operations run.
 """
 
 import warnings
@@ -147,26 +148,26 @@ def data_load(data, x, w, V):
     return _kernels.load_vector(V, w, vals.reshape(w.shape + vals.shape[1:]))
 
 
-def galerkin(rows, blocks, cols=None, width=None):
+def galerkin(R, blocks, cols=None, width=None):
     """R^T blockdiag(blocks) Q, a record: the element blocks (n, r, c) of n
     elements scattered by the rows R (n r, element by element) of one
-    local-to-global operator, as `ScalarSpace.local_operator` returns them
-    (R and R^T). Q is R by default, or else identity rows, given by cols (n,
-    c), the columns among width of each block's columns, where the blocks
-    are placed directly. The products run on CSR arrays formed straight from
-    the blocks (`_kernels.csr_product`); the result has sorted indices and
+    local-to-global operator, the record of `ScalarSpace.local_operator`.
+    Q is R by default, or else identity rows, given by cols (n, c), the
+    columns among width of each block's columns, where the blocks are placed
+    directly. The products run on CSR arrays formed straight from the blocks
+    and on R^T (`_kernels.csr_transpose`); the result has sorted indices and
     no exact zeros, as scipy's product drops them."""
-    R, RT = rows
     n, r, c = blocks.shape
-    idx = R[1].dtype
+    idx = R.indices.dtype
     square = cols is None
     if square:
-        cols, width = c * np.arange(n)[:, None] + np.arange(c), len(RT[0]) - 1
+        cols, width = c * np.arange(n)[:, None] + np.arange(c), R.shape[1]
     placed = (np.arange(0, n * r * c + 1, c, dtype=idx),
               np.broadcast_to(cols[:, None, :], blocks.shape).ravel().astype(idx),
               np.ascontiguousarray(blocks).ravel())
     if square:
         placed = _kernels.csr_product(placed, R, width)
+    RT = _kernels.csr_transpose(R, R.shape[1])
     out = _kernels.csr_narrow(_kernels.csr_product(RT, placed, width))
     _kernels.csr_sort(out)
     return out
@@ -238,22 +239,22 @@ def assemble_system(space, qspace, material, loads=None):
         idx = tensor_indices(p, d)
         _, G = tensor_shape_eval(pts, idx)
         dphi = G @ Jinv
-        rows = space.local_operator(d, sel)
+        R = space.local_operator(d, sel)
         if material.elasticity is None:
-            Kg = galerkin(rows, _kernels.elastic_stiffness(dphi, w, material.lam,
-                                                           material.mu))
+            Kg = galerkin(R, _kernels.elastic_stiffness(dphi, w, material.lam,
+                                                        material.mu))
         else:
-            Kg = galerkin(rows, _stiffness_general(dphi, w, material))
+            Kg = galerkin(R, _stiffness_general(dphi, w, material))
         phiq = gauss_point_basis(p, pts)
-        Bg = galerkin(rows, _kernels.coupling_block(dphi, w, phiq, S),
+        Bg = galerkin(R, _kernels.coupling_block(dphi, w, phiq, S),
                       qspace.element_dofs(sel, L), L * N)
         K = Kg if K is None else _kernels.csr_sum(K, Kg, d * M)
         B = Bg if B is None else _kernels.csr_sum(B, Bg, L * N)
         if loads.volume is not None:
             qpts, qw, _ = group_quadrature(corners[sel], p + 1 + loads.extra_order)
             V, _ = tensor_shape_eval(qpts, idx)
-            lvec += space.scatter(d, sel, data_load(
-                loads.volume, map_points(corners[sel], qpts), qw, V).ravel())
+            lvec += R.T @ data_load(loads.volume, map_points(corners[sel], qpts),
+                                    qw, V).ravel()
     if loads.traction is not None:
         lvec += boundary_load(space, corners, loads.traction, loads.neumann_tags, d)
 

@@ -79,10 +79,11 @@ def assemble_scalar(space, problem):
     for (p,), sel in element_groups(space).items():
         A_e, b_e = poisson_blocks(corners[sel], p, p + 1 + problem.extra_order,
                                   problem.volume)
-        A_g = galerkin(space.local_operator(1, sel), A_e)
+        R = space.local_operator(1, sel)
+        A_g = galerkin(R, A_e)
         A = A_g if A is None else _kernels.csr_sum(A, A_g, space.ndof)
         if problem.volume is not None:
-            b += space.scatter(1, sel, b_e.ravel())
+            b += R.T @ b_e.ravel()
     if problem.neumann is not None:
         b += boundary_load(space, corners, problem.neumann, problem.neumann_tags)
     return A, b

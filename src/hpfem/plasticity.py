@@ -26,7 +26,6 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import _kernels
-from ._kernels import _indptr
 from .assembly import (element_groups, gauss_mass_matrix, group_quadrature,
                        plastic_functional, strain)
 from .mesh import require_dirichlet
@@ -141,9 +140,9 @@ class ElementBlocks:
     the position in it of every entry of every element product
     B_e X_e B_e^T (padding rows: one past the end), so that each condensed
     matrix is a copy of `_K` with the products added in order. The blocks
-    each displacement unknown reaches, and their transpose, come from B's
-    sorted rows with numpy; the pattern, the dense B_e and the positions
-    from the `_kernels.csr_*` kernels. No index keys are formed, so no
+    each displacement unknown reaches, their transpose, the pattern, the
+    dense B_e and the positions all come from the `_kernels.csr_*` kernels
+    on B's, C's and K's arrays. No index keys are formed, so no
     product of two indices can overflow. The blocks are renumbered once into
     the ordering of their first factorization, and every later condensed
     matrix is written and factorized in it (Davis, Direct Methods for Sparse
@@ -166,31 +165,19 @@ class ElementBlocks:
             raise ValueError("C is not block diagonal over the elements")
         self.system = system
         self._order = self._next = None  # see factorization
-        # the blocks of a row's entries of B ascend, as its columns do, so
-        # the first entry of each row and of each block in it marks one
-        # (unknown urow, block blk) pair, in row order with the blocks
-        # ascending: the CSR arrays of reach^T. Their stable sort by block
-        # gives reach: row e holds the unknowns block e reaches, ascending.
-        eb = block[B.indices]
-        first = np.ones(B.nnz, dtype=bool)
-        first[1:] = eb[1:] != eb[:-1]
-        first[B.indptr[:-1][B.indptr[:-1] < B.nnz]] = True
-        at = np.flatnonzero(first)
-        blk = eb[at]
-        urow = (np.searchsorted(B.indptr, at, side="right") - 1).astype(np.int32)
-        del eb, first, at
-        reach = urow[np.argsort(blk, kind="stable")]
-        count = np.bincount(blk, minlength=len(sizes))
-        one = np.ones(len(blk))
+        # reach^T: B's rows, each column replaced by its block and the
+        # duplicates merged; row e of reach: the unknowns block e reaches
+        reach_t = _kernels.csr_sum_duplicates(
+            (B.indptr.copy(), block[B.indices], np.ones(B.nnz)), len(sizes))
+        reach = _kernels.csr_transpose(reach_t, len(sizes))
+        count = np.diff(reach.indptr)
         # the pattern: the pairs one block reaches, reach^T reach, united
         # with K's entries by one sparse add of CSC arrays. The pairs'
         # pattern is symmetric, so its CSR arrays are its CSC arrays, and
         # K's CSR transpose has K's. A pair counts 0.5 and K's entry k counts
         # k + 1, so the integer part of a sum is k + 1 on K's entries and 0
         # elsewhere.
-        pairs = _kernels.csr_product(
-            (_indptr(np.bincount(urow, minlength=n_u)).astype(np.int32), blk, one),
-            (_indptr(count).astype(np.int32), reach, one), n_u)
+        pairs = _kernels.csr_product(reach_t, reach, n_u)
         _kernels.csr_sort(pairs)
         pairs[2][:] = 0.5
         union = _kernels.csr_sum(pairs, _kernels.csr_transpose(
@@ -225,7 +212,7 @@ class ElementBlocks:
             # the lookups use B's index dtype, int32 like the pattern's, so
             # scipy makes no converted copies of them
             rows = np.zeros((G, r), dtype=B.indices.dtype)
-            rows[filled] = reach[np.repeat(sizes == n, count)]
+            rows[filled] = reach.indices[np.repeat(sizes == n, count)]
             # B_e[a, c] = B[rows[a], idx[c]]; the arrays kept are allocated
             # before the temporaries that fill them
             Be = np.empty((G, r, n))

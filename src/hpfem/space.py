@@ -2,8 +2,9 @@
 
 ScalarSpace is the continuous space of mapped tensor integrated-Legendre
 polynomials with hanging-node constraints folded into its local-to-global
-operator P, kept as CSR arrays (indptr, indices, data) whose rows one
-reader, `_row_entries`, gathers; vector fields use it componentwise.
+operator P, kept as CSR arrays (indptr, indices, data). Their one reader,
+`_row_entries`, gathers element rows R (componentwise for vector fields)
+as a record whose R @ u and R.T @ v read and scatter fields.
 GaussPointSpace is the discontinuous space spanned by the tensor Lagrange
 basis at Gauss points of degree p_T - 1 (elementwise constants for p_T = 1)
 together with its biorthogonal dual basis, the dof weights and the
@@ -284,9 +285,7 @@ def _resolve_constraints(R, T, ncol):
     arrays. Row s of R expresses slot s in master slots, which may
     themselves be constrained, so the rows are resolved in dependency order,
     one level at a time, as R's rows times T (`_kernels.csr_product`),
-    sorted and without the entries of magnitude at most _DROP."""
-    indptr, cols, vals = T
-    n = len(indptr) - 1
+    sorted, without the entries of magnitude at most _DROP, added to T."""
     waiting = np.diff(R[0]) > 0
     pending = np.flatnonzero(waiting)
     while pending.size:
@@ -295,22 +294,17 @@ def _resolve_constraints(R, T, ncol):
         ready = pending[~blocked]
         if not ready.size:
             raise RuntimeError("cyclic hanging-node constraints")
-        r_cols, r_vals, count = _row_entries(R, ready)
-        res = _kernels.csr_product((_indptr(count), r_cols, r_vals),
-                                   (indptr, cols, vals), ncol)
+        cols, vals, count = _row_entries(R, ready)
+        rows = _indptr(np.bincount(np.repeat(ready, count), minlength=len(waiting)))
+        res = _kernels.csr_product((rows, cols, vals), T, ncol)
         _kernels.csr_sort(res)
-        keep = np.abs(res.data) > _DROP
-        # the resolved rows were empty: a stable sort by row puts each in
-        # place, its indices sorted
-        rows = np.concatenate([np.repeat(np.arange(n), np.diff(indptr)),
-                               np.repeat(ready, np.diff(res.indptr))[keep]])
-        order = np.argsort(rows, kind="stable")
-        cols = np.concatenate([cols, res.indices[keep]])[order]
-        vals = np.concatenate([vals, res.data[keep]])[order]
-        indptr = _indptr(np.bincount(rows, minlength=n))
+        # the resolved rows are empty in T, so the sum puts each in place
+        # as it is, and drops the entries set to exact zeros here
+        res.data[np.abs(res.data) <= _DROP] = 0.0
+        T = _kernels.csr_sum(T, res, ncol)
         waiting[ready] = False
         pending = pending[blocked]
-    return indptr, cols, vals
+    return T[:3]
 
 
 def element_groups(space, *keys):
@@ -511,42 +505,28 @@ class ScalarSpace:
         return rows.reshape(len(positions), -1)
 
     def local_operator(self, ncomp, positions):
-        """The rows of P (x) I_ncomp, for fields whose ncomp components are
+        """The rows R of P (x) I_ncomp, for fields whose ncomp components are
         interleaved, of the active elements at positions (all of one
-        degree), element by element, gathered from P's arrays
-        (`_row_entries`): the CSR arrays (indptr, indices, data) of the rows
-        and of their transpose, which `assembly.galerkin` reads."""
+        degree), element by element, gathered from P's arrays: a record,
+        its index arrays int32 where they fit, as scipy stores them."""
         cols, data, count = _row_entries(
             self.P, _element_rows(self._shape_offsets, positions, ncomp), ncomp)
-        rows = (_indptr(count), cols, data)
-        return rows, _kernels.csr_transpose(rows, ncomp * self.ndof)
+        return _kernels.csr_narrow(_kernels.CSR(_indptr(count), cols, data,
+                                                (len(count), ncomp * self.ndof)))
 
     def scatter(self, ncomp, positions, values):
-        """The rows of P (x) I_ncomp of the active elements at positions (all
-        of one degree), transposed, times values (one per row): each entry
-        sums its products from 0 in CSR entry order, as scipy's product with
-        the transposed (CSC) rows does, so the two agree bit for bit."""
-        cols, data, count = _row_entries(
-            self.P, _element_rows(self._shape_offsets, positions, ncomp), ncomp)
-        # with no entries at all, np.bincount counts in integers
-        return np.bincount(cols, weights=data * np.repeat(values, count),
-                           minlength=ncomp * self.ndof).astype(float, copy=False)
+        """R^T values, R = `local_operator(ncomp, positions)` and values
+        one per row of R."""
+        return self.local_operator(ncomp, positions).T @ values
 
     def element_coeffs(self, positions, u):
         """Coefficients (n, nb, ...) of a global field u (ndof,) or (ndof, k)
         over the tensor shapes of the active elements at positions, all of
-        one degree: their rows of P times u. Each entry sums its products
-        from 0 in CSR entry order, as scipy's CSR product does, so the two
-        agree bit for bit."""
-        rows = _element_rows(self._shape_offsets, positions, 1)
-        cols, data, count = _row_entries(self.P, rows)
+        one degree: R u, R = `local_operator(1, positions)`; ValueError
+        unless u has ndof rows."""
         u = np.asarray(u)
-        row = np.repeat(np.arange(len(rows)), count)
-        vals = data[:, None] * (u if u.ndim == 2 else u[:, None])[cols]
-        # with no entries at all, np.bincount counts in integers
-        out = np.stack([np.bincount(row, weights=v, minlength=len(rows))
-                        for v in vals.T], axis=1).astype(float, copy=False)
-        return out.reshape((len(positions), -1) + u.shape[1:])
+        return (self.local_operator(1, positions) @ u).reshape(
+            (len(positions), -1) + u.shape[1:])
 
     def vertex_values(self, u):
         """Values at mesh vertices (for export); NaN where a vertex is unused."""

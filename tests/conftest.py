@@ -146,17 +146,14 @@ def gauss_local_operator(qspace, ncomp=1, positions=None):
 
 
 def operator_rows(matrix):
-    """The CSR arrays of a CSR matrix and of its transpose: the form of
+    """The rows of a CSR matrix as a record: the form of
     `ScalarSpace.local_operator` that `assembly.galerkin` reads."""
-    rows = (matrix.indptr, matrix.indices, matrix.data)
-    return rows, _kernels.csr_transpose(rows, matrix.shape[1])
+    return record(matrix)
 
 
 def operator_matrix(rows):
     """Rows in the form of `ScalarSpace.local_operator` as a CSR matrix."""
-    (indptr, indices, data), transpose = rows
-    return sp.csr_matrix((data, indices, indptr),
-                         shape=(len(indptr) - 1, transpose.shape[0]))
+    return scipy_matrix(rows)
 
 
 def scipy_matrix(a):

@@ -13,7 +13,8 @@ data with their dtypes, and rows whose indices strictly increase):
 - `element_groups`: one code per element instead of a row-wise unique.
 - `_kernels.csr_product`, `csr_sort`, `csr_transpose` and `csr_sum` on CSR
   arrays: the arrays scipy's product, index sort, CSR transpose and sum
-  give, with int32 and int64 indices, unsorted rows and exact zeros.
+  give, with int32 and int64 indices, unsorted rows and exact zeros; and
+  `csr_sum_duplicates` the arrays of scipy's `sum_duplicates()`.
 - `ElementBlocks`: the pattern, K's scatter, the positions of the element
   products and every group's idx, C and B, against the construction through
   scipy's products, transposes and validated lookups.
@@ -35,7 +36,8 @@ from conftest import (_mixed_loads, assembly_case, gauss_local_operator,
                       operator_matrix, random_refined_mesh, rows_increase,
                       scipy_matrix)
 from hpfem import _kernels
-from hpfem._kernels import csr_product, csr_sort, csr_sum, csr_transpose
+from hpfem._kernels import (csr_product, csr_sort, csr_sum, csr_sum_duplicates,
+                            csr_transpose)
 from hpfem.assembly import (Loads, Material, QuadratureAccuracyWarning,
                             _stiffness_general, assemble_system, data_load,
                             element_groups, gauss_mass_matrix, group_quadrature)
@@ -436,4 +438,29 @@ def test_csr_kernels_match_scipy(idx):
         _same_bits(h, w)
     c.sort_indices()
     for h, w in zip(csr_sum(_arrays(a), _arrays(c), 17), _arrays(a + c)):
+        _same_bits(h, w)
+
+
+@pytest.mark.parametrize("idx", (np.int32, np.int64))
+def test_csr_sum_duplicates_matches_scipy(idx):
+    """Sorted random rows with duplicate indices, empty rows and a row of
+    one index only: merged in place, the arrays scipy's sum_duplicates()
+    gives."""
+    rng = np.random.default_rng(8)
+    counts = rng.integers(0, 9, 12)
+    counts[[2, 7]] = 0
+    counts[5] = 6
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(idx)
+    indices = np.concatenate([np.sort(rng.integers(0, 6, n)) for n in counts])
+    indices = indices.astype(idx)
+    indices[indptr[5]:indptr[6]] = 4
+    data = rng.standard_normal(len(indices))
+    want = sp.csr_matrix((data.copy(), indices.copy(), indptr.copy()),
+                         shape=(12, 6))
+    # scipy's constructor narrows the index arrays: given back as they are
+    want.indptr, want.indices = indptr.copy(), indices.copy()
+    want.sum_duplicates()
+    have = csr_sum_duplicates((indptr, indices, data), 6)
+    assert have.shape == want.shape and have.nnz < len(indices)
+    for h, w in zip(have, _arrays(want)):
         _same_bits(h, w)

@@ -221,3 +221,16 @@ def test_stiffness_tensor_is_cached_read_only():
     assert T.shape == (4, 16 ** 2) and not T.flags.writeable
     with pytest.raises(ValueError):
         T[0, 0] = 1.0
+
+
+def test_csr_records_have_no_tuple_operators():
+    """A record is a matrix, not a tuple: adding, repeating and comparing
+    records raise TypeError instead of acting on the tuple's items, and a
+    record is not hashable."""
+    a = _kernels.CSR(np.array([0, 1, 2]), np.array([1, 0]), np.array([2.0, 3.0]),
+                     (2, 2))
+    for op in (lambda: a + a, lambda: a * 2, lambda: 2 * a, lambda: a == a,
+               lambda: a != a, lambda: a.T + a.T, lambda: hash(a)):
+        with pytest.raises(TypeError):
+            op()
+    assert np.array_equal(a @ np.ones(2), [2.0, 3.0])

@@ -1,15 +1,17 @@
 """Reads and scatters through the local-to-global operator P against
 scipy's sparse kernels, kept here as the oracles, bit for bit.
 
-- `ScalarSpace.element_coeffs` sums the products of P's rows with u in CSR
-  entry order; it must equal the rows of P, sliced by scipy, times u, for
-  1-D and 2-column u, signed zeros included.
+- `ScalarSpace.element_coeffs` is the gathered rows R of P times u; it
+  must equal the rows of P, sliced by scipy, times u, for 1-D and 2-column
+  u, signed zeros included.
 - `ScalarSpace.scatter(ncomp, positions, values)` must equal the product
-  of the transpose of scipy's rows of P (x) I_ncomp with the values.
+  of the transpose of scipy's rows of P (x) I_ncomp with the values. Both
+  raise ValueError for a field or values of the wrong length.
 - `ScalarSpace.local_operator(ncomp, positions)` gathers the rows of
-  P (x) I_ncomp from P's arrays, with their transpose, once per call; they
+  P (x) I_ncomp from P's arrays as a record with int32 index arrays; they
   must equal scipy's fancy row slicing of scipy's Kronecker product, and
-  the transpose must equal scipy's.
+  their transpose by `csr_transpose`, which `galerkin` forms, scipy's. K,
+  B and the Poisson stiffness keep int32 index arrays.
 - `gauss_local_operator` (conftest) forms the identity rows of the
   Gauss-point space directly.
 - `assembly.galerkin` forms the block diagonal as CSR straight from the
@@ -29,10 +31,11 @@ import scipy.sparse as sp
 import hpfem.space as space_module
 from conftest import (assembly_case, gauss_local_operator, operator_matrix,
                       operator_rows, rows_increase, scipy_matrix, square_mesh)
+from hpfem._kernels import csr_transpose
 from hpfem.assembly import assemble_system, element_groups, galerkin
 from hpfem.elliptic import assemble_scalar
 from hpfem.mesh import is_affine
-from hpfem.problems import cube_mesh, poisson_lshape
+from hpfem.problems import cube_mesh, plastic_square, poisson_lshape
 from hpfem.space import GaussPointSpace, ScalarSpace
 from test_space_parity import SPACE_CASES, space_case
 
@@ -130,7 +133,9 @@ def test_cached_rows_match_scipy_slicing(case):
             rows = space.local_operator(ncomp, sel)
             want = _group_rows(space, sel, ncomp)
             _same_csr(operator_matrix(rows), want)
-            _same_csr(scipy_matrix(rows[1]), want.T.tocsr())
+            assert rows.indptr.dtype == rows.indices.dtype == np.int32
+            _same_csr(scipy_matrix(csr_transpose(rows, rows.shape[1])),
+                      want.T.tocsr())
     n = 3 * qspace.ndof
     for sel in element_groups(qspace).values():
         rows = space_module._element_rows(qspace.offsets, sel, 3)
@@ -204,3 +209,35 @@ def test_rows_are_gathered_once_per_space(monkeypatch):
         assert rows_increase(have)
     _same_bits(again.l, system.l)
     _same_bits(b2, b)
+
+
+def test_fields_of_the_wrong_length_raise():
+    """A field with other than ndof rows, or values with other than one
+    entry per gathered row, raise ValueError instead of being read in
+    part."""
+    mesh, _, _ = plastic_square(n=2, degree=2)
+    space = ScalarSpace(mesh)
+    sel = element_groups(space)[(2,)]
+    rows = 2 * len(sel) * 9
+    for u in (np.ones(2 * space.ndof), np.ones(space.ndof - 1),
+              np.ones((2 * space.ndof, 2))):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            space.element_coeffs(sel, u)
+    for values in (np.ones(rows + 1), np.ones(rows // 2)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            space.scatter(2, sel, values)
+
+
+def test_matrices_have_int32_indices():
+    """The gathered rows, K, B and the Poisson stiffness A have int32 index
+    arrays, so the products run scipy's int32 kernels without converted
+    copies."""
+    space, qspace, material, loads, problem = assembly_case("lshape")
+    for ncomp in (1, 2):
+        for sel in element_groups(space).values():
+            R = space.local_operator(ncomp, sel)
+            assert R.indptr.dtype == R.indices.dtype == np.int32
+    system = assemble_system(space, qspace, material, loads)
+    A, _ = assemble_scalar(space, problem)
+    for a in (system.K, system.B, A):
+        assert a.indptr.dtype == a.indices.dtype == np.int32
